@@ -19,53 +19,56 @@ Typical use::
     ...
     calc = g.finish()
     print(calc.run(tokens)["val"])
+
+The names below are re-exported lazily (PEP 562): a process that only
+compiles never imports the ordered-AG analysis, the static evaluator
+or the statistics module.
 """
 
-from .attributes import SYN, INH, AttributeClass
-from .cascade import SubEvaluator
-from .errors import (
-    AGError,
-    AttributeError_,
-    CircularityError,
-    ConflictError,
-    EvaluationError,
-    GrammarError,
-    LexError,
-    NotOrderedError,
-    ParseError,
-)
-from .evaluator import DynamicEvaluator, evaluate_tree
-from .lexer import LexerSpec, Lexer, ListScanner, Token
-from .ordered import OrderedAnalysis
-from .spec import AGSpec, CompiledAG
-from .static_eval import StaticEvaluator
-from .stats import GrammarStatistics, format_table, grammar_statistics
+from importlib import import_module
 
-__all__ = [
-    "AGSpec",
-    "AGError",
-    "AttributeClass",
-    "AttributeError_",
-    "CircularityError",
-    "CompiledAG",
-    "ConflictError",
-    "DynamicEvaluator",
-    "EvaluationError",
-    "GrammarError",
-    "GrammarStatistics",
-    "INH",
-    "LexError",
-    "Lexer",
-    "LexerSpec",
-    "ListScanner",
-    "NotOrderedError",
-    "OrderedAnalysis",
-    "ParseError",
-    "StaticEvaluator",
-    "SubEvaluator",
-    "SYN",
-    "Token",
-    "evaluate_tree",
-    "format_table",
-    "grammar_statistics",
-]
+#: Re-exported name -> the submodule defining it.
+_EXPORTS = {
+    "AGSpec": ".spec",
+    "AGError": ".errors",
+    "AttributeClass": ".attributes",
+    "AttributeError_": ".errors",
+    "CircularityError": ".errors",
+    "CompiledAG": ".spec",
+    "ConflictError": ".errors",
+    "DynamicEvaluator": ".evaluator",
+    "EvaluationError": ".errors",
+    "GrammarError": ".errors",
+    "GrammarStatistics": ".stats",
+    "INH": ".attributes",
+    "LexError": ".errors",
+    "Lexer": ".lexer",
+    "LexerSpec": ".lexer",
+    "ListScanner": ".lexer",
+    "NotOrderedError": ".errors",
+    "OrderedAnalysis": ".ordered",
+    "ParseError": ".errors",
+    "StaticEvaluator": ".static_eval",
+    "SubEvaluator": ".cascade",
+    "SYN": ".attributes",
+    "Token": ".lexer",
+    "evaluate_tree": ".evaluator",
+    "format_table": ".stats",
+    "grammar_statistics": ".stats",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            "module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -6,7 +6,9 @@ objects in memory; :func:`emit_evaluator_source` writes the same
 information out as a Python module — the LALR ACTION/GOTO tables, the
 production list, the attribute declarations, and (when the grammar is
 ordered) the visit-sequence plans — so the generated artifact is
-inspectable, countable (benchmark E1), and loadable.
+inspectable and countable (benchmark E1).  The tables the compiler
+ships and loads are the compact JSON files of
+:mod:`repro.ag.lr.tablefile`, not this module.
 
 Semantic-rule *functions* stay in the specification module (they are
 Python closures); the emitted module references them by production
@@ -126,8 +128,10 @@ def _plans_source(compiled):
 
 
 def load_tables(source):
-    """Execute an emitted module and return its namespace (sanity
-    path used by tests; production use keeps the in-memory tables)."""
+    """Execute an emitted module and return its namespace (a sanity
+    path for tests).  The compiler does not load this module: it loads
+    the committed JSON tables of :mod:`repro.ag.lr.tablefile`, which
+    decode far faster than this Python source compiles."""
     namespace = {}
     exec(compile(source, "<generated evaluator>", "exec"), namespace)
     return namespace

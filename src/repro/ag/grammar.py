@@ -16,6 +16,9 @@ EOF = "$end"
 #: Reserved name of the augmented start symbol added by the table builder.
 START = "$start"
 
+#: Reserved label of the augmenting production ``$start -> start``.
+ACCEPT = "$accept"
+
 
 class Symbol:
     """A grammar symbol: terminal or nonterminal.
@@ -46,7 +49,7 @@ class Production:
     semantic rules; labels are unique within a grammar.
     """
 
-    __slots__ = ("label", "lhs", "rhs", "index", "prec")
+    __slots__ = ("label", "lhs", "rhs", "index", "prec", "occurrence_names")
 
     def __init__(self, label, lhs, rhs, index, prec=None):
         self.label = label
@@ -54,6 +57,9 @@ class Production:
         self.rhs = list(rhs)
         self.index = index
         self.prec = prec  # terminal whose precedence governs this production
+        #: ``{occurrence name: position}``, filled on first use by
+        #: :func:`repro.ag.rules.occurrence_names`.
+        self.occurrence_names = None
 
     @property
     def symbols(self):
@@ -79,6 +85,7 @@ class Grammar:
         self.symbols = {}
         self.productions = []
         self._labels = {}
+        self._by_lhs = {}  # nonterminal -> its productions, in order
         self.start = None
         # precedence: terminal name -> (level, assoc) with assoc in
         # {"left", "right", "nonassoc"}
@@ -142,6 +149,7 @@ class Grammar:
         prod = Production(label, lhs, rhs, len(self.productions), prec_sym)
         self.productions.append(prod)
         self._labels[label] = prod
+        self._by_lhs.setdefault(lhs, []).append(prod)
         if self.start is None:
             self.start = lhs
         return prod
@@ -154,8 +162,18 @@ class Grammar:
             raise GrammarError("unknown production label %r" % label) from None
 
     def productions_for(self, nonterminal):
-        """All productions whose LHS is ``nonterminal``."""
-        return [p for p in self.productions if p.lhs is nonterminal]
+        """All productions whose LHS is ``nonterminal`` (callers must
+        not mutate the returned list)."""
+        return self._by_lhs.get(nonterminal, [])
+
+    def augment(self):
+        """The accepting production ``$start -> start`` the LR tables
+        reduce last; added on the first call only."""
+        prod = self._labels.get(ACCEPT)
+        if prod is None:
+            self.nonterminal(START)
+            prod = self.add_production(ACCEPT, START, [self.start.name])
+        return prod
 
     def set_start(self, name):
         self.start = self.nonterminal(name)

@@ -1,7 +1,7 @@
 """The LR(0) item-set automaton.
 
 Items are ``(production_index, dot_position)`` pairs; states are frozen
-sets of kernel items with closures computed on demand.  The automaton is
+sets of kernel items whose closures are kept from the build.  The automaton is
 the substrate both for SLR-style reductions and for the LALR lookahead
 computation in :mod:`repro.ag.lr.lalr`.
 """
@@ -19,12 +19,11 @@ class LR0Automaton:
         self.grammar = grammar
         # Augment: $start -> start $end is implicit; we use a distinct
         # accepting production so ACCEPT is recognizable.
-        self.start_sym = grammar.nonterminal(START)
-        self.accept_prod = grammar.add_production(
-            "$accept", START, [grammar.start.name]
-        )
+        self.accept_prod = grammar.augment()
+        self.start_sym = grammar.symbol(START)
         self.states = []  # list of frozenset of (prod_index, dot)
         self.transitions = []  # list of {symbol: state_index}
+        self._closures = []  # closure of each state, filled by _build
         self._state_index = {}
         self._build()
 
@@ -66,11 +65,13 @@ class LR0Automaton:
         self._state_index[start_kernel] = 0
         self.states.append(start_kernel)
         self.transitions.append({})
+        self._closures.append(None)
         work = [0]
         prods = self.grammar.productions
         while work:
             state_i = work.pop()
             closure = self.closure(self.states[state_i])
+            self._closures[state_i] = closure
             symbols = []
             seen = set()
             for prod_i, dot in closure:
@@ -90,14 +91,16 @@ class LR0Automaton:
                     self._state_index[kernel] = target
                     self.states.append(kernel)
                     self.transitions.append({})
+                    self._closures.append(None)
                     work.append(target)
                 self.transitions[state_i][sym] = target
 
     # -- queries -------------------------------------------------------------
 
     def closures(self):
-        """Closure of every state, cached as a list parallel to states."""
-        return [self.closure(k) for k in self.states]
+        """Closure of every state, as a list parallel to states
+        (computed once, while building the automaton)."""
+        return self._closures
 
     def reductions(self, closure):
         """Production indices whose items are complete in ``closure``."""

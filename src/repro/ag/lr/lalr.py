@@ -82,7 +82,6 @@ class LALRLookaheads:
         self.automaton = automaton
         self.grammar = automaton.grammar
         self.nullable = compute_nullable(self.grammar)
-        self._closures = automaton.closures()
         self._nt_transitions = self._find_nt_transitions()
         self._compute()
 

@@ -8,11 +8,13 @@ every conflict it sees, how (or whether) precedence resolved it, and
 raises :class:`~repro.ag.errors.ConflictError` only for conflicts the
 declared precedences leave unresolved — unless the caller opts into
 yacc-style default resolution for the ablation benchmark.
+
+The automaton and lookahead modules load only when tables are built;
+tables read from a committed table file (:mod:`repro.ag.lr.tablefile`)
+need neither.
 """
 
 from ..errors import ConflictError
-from .items import LR0Automaton
-from .lalr import LALRLookaheads
 
 # Action encodings: ("shift", state), ("reduce", prod_index), ("accept",)
 SHIFT = "shift"
@@ -43,14 +45,30 @@ class Conflict:
 
 
 class ParseTables:
-    """Compiled LALR(1) tables plus the automaton they came from."""
+    """Compiled LALR(1) tables.
 
-    def __init__(self, grammar, automaton, action, goto, conflicts):
+    ``accept_index`` is the index of the augmenting ``$accept``
+    production.  Tables read from a table file carry no automaton;
+    :attr:`automaton` rebuilds it on first use.
+    """
+
+    def __init__(self, grammar, action, goto, conflicts, accept_index,
+                 automaton=None):
         self.grammar = grammar
-        self.automaton = automaton
         self.action = action  # list of {terminal_name: action tuple}
         self.goto = goto  # list of {nonterminal_name: state}
         self.conflicts = conflicts
+        self.accept_index = accept_index
+        self._automaton = automaton
+
+    @property
+    def automaton(self):
+        """The LR(0) automaton the tables were built from."""
+        if self._automaton is None:
+            from .items import LR0Automaton
+
+            self._automaton = LR0Automaton(self.grammar)
+        return self._automaton
 
     @property
     def n_states(self):
@@ -64,8 +82,9 @@ class ParseTables:
         """Human-readable closure of a state (debugging aid)."""
         lines = []
         prods = self.grammar.productions
-        for prod_i, dot in sorted(self.automaton.closure(
-                self.automaton.states[state_i])):
+        automaton = self.automaton
+        for prod_i, dot in sorted(automaton.closure(
+                automaton.states[state_i])):
             prod = prods[prod_i]
             rhs = [s.name for s in prod.rhs]
             rhs.insert(dot, ".")
@@ -92,6 +111,9 @@ def build_tables(grammar, allow_conflicts=False):
     still recorded on the returned tables.  The cascade-ablation bench
     (E8) uses this to count the conflicts united productions create.
     """
+    from .items import LR0Automaton
+    from .lalr import LALRLookaheads
+
     automaton = LR0Automaton(grammar)
     lookaheads = LALRLookaheads(automaton)
     closures = automaton.closures()
@@ -113,8 +135,9 @@ def build_tables(grammar, allow_conflicts=False):
             if prod_i == accept_index:
                 action[state_i][grammar.eof.name] = (ACCEPT,)
                 continue
-            la = lookaheads.lookahead(state_i, prod_i)
-            for term in la:
+            # Sorted, so conflicts are recorded in the same order in
+            # every process (string hashing is randomized per process).
+            for term in sorted(lookaheads.lookahead(state_i, prod_i)):
                 existing = action[state_i].get(term)
                 new = (REDUCE, prod_i)
                 if existing is None:
@@ -134,7 +157,8 @@ def build_tables(grammar, allow_conflicts=False):
     unresolved = [c for c in conflicts if c.resolution is None]
     if unresolved and not allow_conflicts:
         raise ConflictError(unresolved)
-    return ParseTables(grammar, automaton, action, goto, conflicts)
+    return ParseTables(grammar, action, goto, conflicts, accept_index,
+                       automaton)
 
 
 def _resolve(grammar, state_i, term, existing, new, allow_conflicts):

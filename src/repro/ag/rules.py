@@ -37,8 +37,11 @@ def occurrence_names(production):
 
     Every occurrence always answers to ``nameK`` (K counted over the
     full symbol list, LHS included); unique symbols also answer to
-    their plain name.
+    their plain name.  Computed once per production.
     """
+    names = production.occurrence_names
+    if names is not None:
+        return names
     symbols = production.symbols
     counts = {}
     for sym in symbols:
@@ -51,6 +54,7 @@ def occurrence_names(production):
         names["%s%d" % (sym.name, k)] = pos
         if counts[sym.name] == 1:
             names[sym.name] = pos
+    production.occurrence_names = names
     return names
 
 

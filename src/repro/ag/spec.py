@@ -69,10 +69,17 @@ class ProductionSpec:
 
 
 class AGSpec:
-    """Builder for one attribute grammar."""
+    """Builder for one attribute grammar.
 
-    def __init__(self, name):
+    ``tables_file`` names the committed LALR(1) table file of this
+    grammar (:mod:`repro.ag.lr.tablefile`).  :meth:`finish` loads it
+    when its recorded signature matches the grammar and otherwise
+    builds the tables in memory; ``python -m repro.regen`` rewrites it.
+    """
+
+    def __init__(self, name, tables_file=None):
         self.name = name
+        self.tables_file = tables_file
         self.grammar = Grammar(name)
         self.attr_table = AttrTable()
         self.classes = {}
@@ -183,7 +190,8 @@ class AGSpec:
     # -- compilation ----------------------------------------------------------
 
     def finish(self, allow_conflicts=False):
-        """Complete implicit rules, build tables, return a CompiledAG."""
+        """Complete implicit rules, load or build the tables, return a
+        CompiledAG."""
         if self._finished is not None:
             return self._finished
         rule_indices = {}
@@ -206,10 +214,18 @@ class AGSpec:
             )
             implicit += len(added)
             rule_indices[pspec.production.index] = index
-        tables = build_tables(self.grammar, allow_conflicts=allow_conflicts)
+        tables = None
+        if self.tables_file is not None:
+            from .lr.tablefile import read_table_file
+
+            tables = read_table_file(self.grammar, self.tables_file,
+                                     allow_conflicts)
+        if tables is None:
+            tables = build_tables(self.grammar,
+                                  allow_conflicts=allow_conflicts)
         # The augmented $accept production needs no rules but must be
         # present in the index for the evaluators.
-        rule_indices.setdefault(tables.automaton.accept_prod.index, {})
+        rule_indices.setdefault(tables.accept_index, {})
         compiled = CompiledAG(self, tables, rule_indices, explicit, implicit)
         self._finished = compiled
         return compiled

@@ -2,9 +2,9 @@
 
 Both the incremental build scheduler and the ``repro fuzz`` sweep
 runner fan CPU-bound tasks across processes the same way: a ``fork``
-multiprocessing context whose parent *warms* the generated principal
-grammar first, so every worker inherits the translator instead of
-re-running the Linguist step per process.  :class:`ForkPool` owns that
+multiprocessing context whose parent *warms* both generated grammars
+first, so every worker inherits the translators instead of loading or
+building them per process.  :class:`ForkPool` owns that
 recipe in one place.
 
 The pool degrades gracefully: when ``fork`` is unavailable (or
@@ -40,10 +40,14 @@ def fork_available():
 
 
 def warm_grammar():
-    """The default warm step: generate the principal translator."""
+    """The default warm step: load both translators -- the principal
+    AG and the expression AG its rules cascade into -- so no worker
+    loads or builds either on its first job."""
+    from ..vhdl.expr_grammar import expr_grammar
     from ..vhdl.grammar import principal_grammar
 
     principal_grammar()
+    expr_grammar()
 
 
 class ForkPool:

@@ -11,8 +11,8 @@ Both the serial and the parallel path execute the exact same
 :func:`compile_file_task` (a fresh disk-backed library per file), so a
 ``--jobs N`` build produces byte-identical artifacts to a serial one.
 Parallel workers run under a ``fork`` multiprocessing context: the
-parent warms the generated principal grammar once and every worker
-inherits it instead of re-running the Linguist step.
+parent warms both generated grammars once and every worker inherits
+them instead of re-running the Linguist step.
 
 Compile-*order* is recorded deterministically from the schedule
 (batch by batch, input order within a batch), never from worker

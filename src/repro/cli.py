@@ -1255,8 +1255,21 @@ COMMANDS = {
 }
 
 
+_PARSER = None
+
+
+def _parser():
+    """The argument parser, built once per process: ``parse_args``
+    returns a fresh namespace on every call and copies list defaults
+    before appending, so calls share no state through it."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _make_parser()
+    return _PARSER
+
+
 def main(argv=None, out=print):
-    args = _make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return COMMANDS[args.command](args, out)
 
 

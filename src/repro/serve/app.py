@@ -118,11 +118,12 @@ class ServeApp:
     # -- lifecycle ---------------------------------------------------------
 
     def warm(self):
-        """Generate the translator before the first request (the
-        paper's Linguist step runs before any compilation)."""
-        from ..vhdl.grammar import principal_grammar
+        """Load both translators before the first request (the
+        paper's Linguist step runs before any compilation), so forked
+        compile workers inherit them."""
+        from ..build.pool import warm_grammar
 
-        principal_grammar()
+        warm_grammar()
 
     async def shutdown(self):
         """Stop admitting jobs, drain in-flight ones, release."""

@@ -21,25 +21,42 @@
   TEXTIO-flavored write path).
 - :mod:`repro.sim.nameserver` — "the means of identifying by name each
   object in the simulated system".
+
+The names below are re-exported lazily (PEP 562), so a process that
+only compiles reads :data:`TIME_UNITS` without importing a kernel or
+the code generator.
 """
 
-from .kernel import Kernel, ScanKernel, SimulationError
-from .compiled import CompiledKernel
-from .signals import Signal
-from .runtime import VArray, VRecord, ops
-from .nameserver import NameServer
+from importlib import import_module
 
-__all__ = [
-    "CompiledKernel",
-    "Kernel",
-    "NameServer",
-    "ScanKernel",
-    "Signal",
-    "SimulationError",
-    "VArray",
-    "VRecord",
-    "ops",
-]
+#: Re-exported name -> the submodule defining it.
+_EXPORTS = {
+    "CompiledKernel": ".compiled",
+    "Kernel": ".kernel",
+    "NameServer": ".nameserver",
+    "ScanKernel": ".kernel",
+    "Signal": ".signals",
+    "SimulationError": ".kernel",
+    "VArray": ".runtime",
+    "VRecord": ".runtime",
+    "ops": ".runtime",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            "module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
 
 #: femtoseconds per time unit, primary unit first — the runtime's
 #: representation of type TIME.

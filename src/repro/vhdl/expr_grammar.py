@@ -15,6 +15,8 @@ indicating the context in which this expression occurs" that exprEval
 receives.
 """
 
+import os
+
 from ..ag import AGSpec, SYN, INH, SubEvaluator
 from ..ag.lexer import Token
 
@@ -84,8 +86,13 @@ def _named_item(choices, value, ctx):
                     choices=expanded, line=ctx.line)
 
 
-def _make_grammar():
-    g = AGSpec("vhdl_expr")
+#: The committed LALR(1) tables of the expression AG.
+TABLES_FILE = os.path.join(os.path.dirname(__file__), "expr.lalr.json")
+
+
+def expr_spec():
+    """The expression AG specification, not yet finished."""
+    g = AGSpec("vhdl_expr", tables_file=TABLES_FILE)
     g.terminals(*LEF_KINDS)
     g.terminals("UNARY")
 
@@ -336,7 +343,11 @@ def _make_grammar():
     p = g.production("cc_others", "case_choice -> OTHERS")
     p.rule("case_choice.SEM", fn=lambda: sem.Sem(kind="others"))
 
-    return g.finish()
+    return g
+
+
+def _make_grammar():
+    return expr_spec().finish()
 
 
 def _range_with_mark(direction):

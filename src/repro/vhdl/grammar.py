@@ -24,6 +24,8 @@ Attribute classes (all completed by implicit rules, §4.2):
 =========  =====  ==================================================
 """
 
+import os
+
 from ..ag import AGSpec, SYN, INH
 
 from . import lef as L
@@ -1495,15 +1497,24 @@ def _replay_context(env, clauses, cc):
 # ---------------------------------------------------------------------------
 
 
-def _make_grammar():
-    g = AGSpec("vhdl_principal")
+#: The committed LALR(1) tables of the principal AG.
+TABLES_FILE = os.path.join(os.path.dirname(__file__), "principal.lalr.json")
+
+
+def principal_spec():
+    """The principal AG specification, not yet finished."""
+    g = AGSpec("vhdl_principal", tables_file=TABLES_FILE)
     _declare_vocabulary(g)
     _soup_productions(g)
     _decl_productions(g)
     _stmt_productions(g)
     _cstmt_productions(g)
     _unit_productions(g)
-    return g.finish()
+    return g
+
+
+def _make_grammar():
+    return principal_spec().finish()
 
 
 _GRAMMAR = None

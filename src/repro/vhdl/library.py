@@ -400,7 +400,7 @@ class LibraryManager(_LibraryQueries):
             return
         state = self._state
         units = dict(state.units)
-        order = list(state.order)
+        loaded = []
         for lib in sorted(os.listdir(self.root)):
             lib_dir = os.path.join(self.root, lib)
             if not os.path.isdir(lib_dir):
@@ -422,7 +422,7 @@ class LibraryManager(_LibraryQueries):
                     continue
                 node = roots["unit"]
                 units[(lib, key)] = node
-                order.append((lib, key))
+                loaded.append((lib, key))
                 py_path = self._path(lib, key, "py")
                 if os.path.exists(py_path):
                     try:
@@ -430,7 +430,42 @@ class LibraryManager(_LibraryQueries):
                             node.py_source = f.read()
                     except OSError:
                         pass
-        self._publish(units, order)
+        self._publish(units, list(state.order) + self._dependency_order(
+            loaded))
+
+    def _dependency_order(self, loaded):
+        """``loaded`` (file-name order) reordered so that every unit
+        follows what it depends on: a package body its declaration, a
+        client the packages its VIF references.  File-name order breaks
+        ties, so independent units keep their order."""
+        present = set(loaded)
+        order = []
+        placed = set()
+
+        def pending(entry):
+            lib, key = entry
+            deps = self.depends_of(lib, key)
+            if key.startswith("body(") and key.endswith(")"):
+                deps = [(lib, key[len("body("):-1])] + deps
+            return iter([d for d in deps if d in present])
+
+        # Depth-first, with an explicit stack so a long chain of
+        # packages cannot exhaust the recursion limit.
+        for root in loaded:
+            if root in placed:
+                continue
+            placed.add(root)  # marked on entry: cycles terminate
+            stack = [(root, pending(root))]
+            while stack:
+                entry, deps = stack[-1]
+                dep = next((d for d in deps if d not in placed), None)
+                if dep is None:
+                    stack.pop()
+                    order.append(entry)
+                else:
+                    placed.add(dep)
+                    stack.append((dep, pending(dep)))
+        return order
 
 
 class LibrarySnapshot(_LibraryQueries):

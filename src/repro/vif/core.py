@@ -5,9 +5,17 @@ Generated node classes (see :mod:`repro.vif.generator`) derive from
 tuple of :class:`Field` descriptors the serialization engine consults.
 """
 
+import zlib
+
 
 class VIFError(Exception):
     """Malformed schema, serialization failure, or unresolvable ref."""
+
+
+def schema_crc32(schema_text):
+    """The schema fingerprint a generated node module records, so a
+    module generated from another schema text is recognized as stale."""
+    return zlib.crc32(schema_text.encode("utf-8"))
 
 
 #: Legal field type names in the schema notation.

@@ -5,29 +5,34 @@ generates C code that manipulates the VIF": code that writes the VIF to
 disk, reads it back, allocates individual nodes, and produces a
 human-readable form.  :func:`generate_source` emits the same four
 families as Python source — class declarations plus per-kind ``new_``,
-``write_``, ``read_`` and ``dump_`` functions — which
-:mod:`repro.vif.nodes` executes to obtain the node classes the rest of
-the compiler imports.  The emitted text is *generated code* in the
-sense of Figure 2 and is counted as such by benchmark E1.
+``write_``, ``read_`` and ``dump_`` functions — committed as
+:mod:`repro.vif._generated`, which :mod:`repro.vif.nodes` imports to
+obtain the node classes the rest of the compiler uses.  The emitted
+text is *generated code* in the sense of Figure 2 and is counted as
+such by benchmark E1.
 """
 
-from .core import VIFError
+from .core import VIFError, schema_crc32
 from .schema_lang import parse_schema
 
 _HEADER = '''\
 """VIF node declarations and access functions.
 
 GENERATED by repro.vif.generator from the declarative schema — do not
-edit.  Regenerate via repro.vif.nodes.generated_source().
+edit.  Regenerate with ``python -m repro.regen``.
 """
 
 from repro.vif.core import Field, Node
 '''
 
 
-def generate_source(decls):
-    """Emit the Python module source for a list of SchemaNodeDecl."""
+def generate_source(decls, schema_crc=None):
+    """Emit the Python module source for a list of SchemaNodeDecl;
+    ``schema_crc`` (see :func:`schema_crc32`) is recorded as
+    ``SCHEMA_CRC32`` when given."""
     out = [_HEADER]
+    if schema_crc is not None:
+        out.append("SCHEMA_CRC32 = 0x%08x" % schema_crc)
     mixins = {}
     for decl in decls:
         if decl.mixin:
@@ -176,4 +181,4 @@ def generate_from_text(schema_text, filename="<schema>"):
         ) from exc
     if not decls:
         raise VIFError("%s: schema declares no node kinds" % filename)
-    return generate_source(decls)
+    return generate_source(decls, schema_crc32(schema_text))

@@ -1,20 +1,29 @@
-"""Loads the VIF schema and provides the generated node classes.
+"""Provides the generated VIF node classes.
 
-At import time the declarative schema (``schema.vif``) is parsed by the
-schema AG, the generator emits the node-declaration/manipulation module
-source, and that source is executed — the Python analog of compiling
-the C the paper's VIF program generated.  The resulting classes are
-re-exported here (``from repro.vif.nodes import EnumType, ...``).
+The declarative schema (``schema.vif``) is processed by the schema AG
+and the generator into a node-declaration/manipulation module — the
+Python analog of the C the paper's VIF program generated.  That module
+is generated once and committed as :mod:`repro.vif._generated`
+(``python -m repro.regen`` rewrites it); this module imports it on
+first use and re-exports its classes (``from repro.vif.nodes import
+EnumType, ...``).  When the committed module is missing, or records
+another schema text, the source is generated and executed in memory
+instead.
 
-:func:`generated_source` returns the emitted text so benchmark E1 can
-count generated lines exactly as Figure 2 does.
+:func:`generated_source` runs the schema AG and the generator afresh,
+so benchmark E1 can count generated lines exactly as Figure 2 does and
+the tests can check the committed module against its generator.
 """
 
 import os
+from importlib import import_module
 
-from .generator import generate_from_text
+from .core import schema_crc32
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schema.vif")
+
+#: Where the generated module is committed.
+GENERATED_PATH = os.path.join(os.path.dirname(__file__), "_generated.py")
 
 _SOURCE = None
 _NAMESPACE = None
@@ -27,19 +36,41 @@ def schema_text():
 
 
 def generated_source():
-    """The generated node-module source (cached)."""
+    """The node-module source, generated from the schema (cached)."""
     global _SOURCE
     if _SOURCE is None:
+        from .generator import generate_from_text
+
         _SOURCE = generate_from_text(schema_text(), SCHEMA_PATH)
     return _SOURCE
 
 
+def _committed():
+    """The committed module's namespace, or ``None`` when it is missing
+    or records another schema text."""
+    name = __package__ + "._generated"
+    try:
+        _generated = import_module(name)
+    except ModuleNotFoundError as exc:
+        if exc.name != name:
+            raise
+        return None
+    if getattr(_generated, "SCHEMA_CRC32", None) \
+            != schema_crc32(schema_text()):
+        return None
+    return vars(_generated)
+
+
 def _load():
+    # Loaded on first use, not at module load: the generated module
+    # imports behavior mixins from repro.vhdl, which imports this one.
     global _NAMESPACE
     if _NAMESPACE is None:
-        namespace = {"__name__": "repro.vif._generated"}
-        code = compile(generated_source(), "<vif generated>", "exec")
-        exec(code, namespace)
+        namespace = _committed()
+        if namespace is None:
+            namespace = {"__name__": __package__ + "._generated"}
+            exec(compile(generated_source(), "<vif generated>", "exec"),
+                 namespace)
         _NAMESPACE = namespace
     return _NAMESPACE
 

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.cli import _parse_time, main
+from repro.cli import COMMANDS, _parse_time, _parser, main
 
 
 @pytest.fixture()
@@ -116,6 +116,86 @@ class TestSimulateCommand:
                    for line in collect.lines)
         with open(vcd) as f:
             assert "$enddefinitions" in f.read()
+
+
+ZPKG = """
+package zpkg is
+  constant base : integer := 5;
+  function scaled (x : integer) return integer;
+end zpkg;
+"""
+
+ZPKG_BODY = """
+package body zpkg is
+  function scaled (x : integer) return integer is
+  begin
+    return x * base;
+  end scaled;
+end zpkg;
+"""
+
+ZCLIENT = """
+use work.zpkg.all;
+entity zclient is end zclient;
+architecture rtl of zclient is
+  signal n : integer := 0;
+begin
+  process
+  begin
+    n <= scaled(n + 1) + base;
+    wait for 10 ns;
+  end process;
+end rtl;
+"""
+
+
+class TestReopenedLibrary:
+    def test_package_body_elaborates_after_its_declaration(
+            self, tmp_path, collect):
+        """``body(zpkg)`` sorts before ``zpkg`` by file name; reopening
+        the library must still elaborate the declaration first."""
+        root = str(tmp_path / "libs")
+        for name, text in (("zpkg.vhd", ZPKG), ("zpkg_body.vhd", ZPKG_BODY),
+                           ("zclient.vhd", ZCLIENT)):
+            path = tmp_path / name
+            path.write_text(text)
+            assert main(["--root", root, "compile", str(path)],
+                        out=lambda *_: None) == 0
+        rc = main(["--root", root, "sim", "zclient", "--until", "25ns",
+                   "--trace", "n"], out=collect)
+        assert rc == 0, collect.lines
+        # n: 0 -> 1*5+5 = 10 -> 11*5+5 = 60 -> 61*5+5 = 310
+        assert any(":zclient:n" in line and "310" in line
+                   for line in collect.lines), collect.lines
+
+    def test_reopened_order_puts_dependencies_first(self, tmp_path):
+        from repro.vhdl.library import LibraryManager
+
+        root = str(tmp_path / "libs")
+        for name, text in (("zpkg.vhd", ZPKG), ("zpkg_body.vhd", ZPKG_BODY),
+                           ("zclient.vhd", ZCLIENT)):
+            path = tmp_path / name
+            path.write_text(text)
+            main(["--root", root, "compile", str(path)],
+                 out=lambda *_: None)
+        order = [key for lib, key in LibraryManager(root=root).compile_order
+                 if lib == "work"]
+        assert order.index("zpkg") < order.index("body(zpkg)")
+        assert order.index("zpkg") < order.index("zclient")
+        assert order.index("zclient") < order.index("rtl(zclient)")
+
+
+class TestParserReuse:
+    def test_calls_share_no_parsed_state(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(
+            COMMANDS, "list",
+            lambda args, out: seen.append((args.ref, args.root)) or 0)
+        assert main(["--ref", "lib_a", "--root", "/r1", "list"]) == 0
+        assert main(["list"]) == 0
+        assert main(["--ref", "lib_b", "list"]) == 0
+        assert seen == [(["lib_a"], "/r1"), ([], None), (["lib_b"], None)]
+        assert _parser() is _parser()
 
 
 class TestStats:

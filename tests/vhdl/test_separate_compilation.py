@@ -187,6 +187,27 @@ class TestLibraryManager:
         ent = lib2.find_unit("work", "e")
         assert arch.entity is ent or arch.entity.name == "e"
 
+    def test_reload_order_survives_long_dependency_chains(self,
+                                                          monkeypatch):
+        # p0000 <- p0001 <- ... <- p2999, each package body after its
+        # package; far deeper than the interpreter's recursion limit.
+        n = 3000
+        names = ["p%04d" % i for i in range(n)]
+        deps = {("work", names[i]): [("work", names[i - 1])]
+                for i in range(1, n)}
+        loaded = sorted([("work", name) for name in names]
+                        + [("work", "body(%s)" % name) for name in names])
+        lib = LibraryManager()
+        monkeypatch.setattr(lib, "depends_of",
+                            lambda l, k: deps.get((l, k), []))
+        order = lib._dependency_order(loaded)
+        assert sorted(order) == loaded
+        pos = {entry: i for i, entry in enumerate(order)}
+        for unit, before in deps.items():
+            assert pos[before[0]] < pos[unit]
+        for name in names:
+            assert pos[("work", name)] < pos[("work", "body(%s)" % name)]
+
 
 LEAF = """
     entity leaf is
