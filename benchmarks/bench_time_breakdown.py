@@ -44,7 +44,9 @@ def compile_with_foreign_units(n_clients):
             timings[k] += v
         # Foreign VIF read: a fresh reader resolves the client's unit
         # and, transitively, the shared package — timed as the paper's
-        # "reading and fixing up the VIF" phase.
+        # "reading and fixing up the VIF" phase.  This read is the
+        # whole VIF share: the compiler records no ``vif`` phase (its
+        # VIF writes happen inside attribute evaluation).
         t0 = time.perf_counter()
         fresh = LibraryManager()
         for lib, key in compiler.library.compile_order:

@@ -4,14 +4,15 @@ The causal-tracing layer (``repro.trace``) instruments the hottest
 loop in the system — the simulation kernel's run loop — so its
 disabled path must be indistinguishable from no instrumentation at
 all: one hoisted bool test per cycle, one attribute test per process
-resume.  Design target <=2% overhead with ``trace=None`` (the default
-for every kernel); asserted loosely so a noisy CI host cannot flake
-the suite.  The deterministic span-count and connectivity invariants
+resume.  Design target <=2% overhead with the disabled
+``NULL_RECORDER`` (the default for every kernel); asserted loosely so
+a noisy CI host cannot flake the suite.  The deterministic span-count and connectivity invariants
 are pinned exactly (they cannot flake).
 """
 
 import time
 
+from repro.trace import NULL_RECORDER
 from repro.vhdl.compiler import Compiler
 from repro.vhdl.elaborate import Elaborator
 
@@ -62,7 +63,7 @@ def build():
     return compiler.library
 
 
-def window(library, trace=None, trace_sample=1):
+def window(library, trace=NULL_RECORDER, trace_sample=1):
     from repro.sim import Kernel
 
     kernel = Kernel(trace=trace, trace_sample=trace_sample)
@@ -72,9 +73,9 @@ def window(library, trace=None, trace_sample=1):
 
 
 def test_disabled_tracing_overhead(benchmark):
-    """trace=None must cost nothing measurable (<=2% design target)."""
-    from repro.diag.trace import Tracer
-    from repro.trace import SpanContext, use
+    """NULL_RECORDER must cost nothing measurable (<=2% design
+    target)."""
+    from repro.trace import SpanContext, SpanRecorder, use
 
     library = build()
     benchmark(window, library)
@@ -93,7 +94,7 @@ def test_disabled_tracing_overhead(benchmark):
 
     def traced():
         with use(SpanContext()):
-            window(library, trace=Tracer())
+            window(library, trace=SpanRecorder())
 
     on = best_of(traced)
     overhead = on / off - 1.0
@@ -116,20 +117,19 @@ def test_disabled_tracing_overhead(benchmark):
 
 def test_sampled_tracing_is_cheap(benchmark):
     """A 1-in-100 sample (the serve default) is near the noise floor."""
-    from repro.diag.trace import Tracer
-    from repro.trace import SpanContext, use
+    from repro.trace import SpanContext, SpanRecorder, use
 
     library = build()
     tracers = []
 
     def sampled():
-        tracer = Tracer()
+        tracer = SpanRecorder()
         tracers.append(tracer)
         with use(SpanContext()):
             return window(library, trace=tracer, trace_sample=100)
 
     kernel = benchmark(sampled)
-    spans = [e for e in tracers[-1].events if e["ph"] == "X"]
+    spans = [e for e in tracers[-1].events() if e["ph"] == "X"]
     # ~1/100th of the cycles + resumes, never zero (cycle 0 records).
     assert spans
     total_resumes = sum(p.resumes for p in kernel.processes)
@@ -140,16 +140,15 @@ def test_sampled_tracing_is_cheap(benchmark):
 
 def test_enabled_spans_form_one_tree():
     """Every per-cycle span parents into the activated root context."""
-    from repro.diag.trace import Tracer
-    from repro.trace import SpanContext, use
+    from repro.trace import SpanContext, SpanRecorder, use
 
     library = build()
-    tracer = Tracer()
+    tracer = SpanRecorder()
     root = SpanContext()
     with use(root):
         kernel = window(library, trace=tracer, trace_sample=1)
 
-    spans = [e for e in tracer.events if e["ph"] == "X"]
+    spans = [e for e in tracer.events() if e["ph"] == "X"]
     timesteps = [e for e in spans if e["name"] == "timestep"]
     resumes = [e for e in spans if e["name"] == "process_resume"]
     assert len(timesteps) == kernel.cycles

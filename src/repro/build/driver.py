@@ -15,7 +15,7 @@ merely ``use`` the package stay cached.
 
 import os
 
-from ..diag import Tracer
+from ..trace.recorder import SpanRecorder
 from ..vhdl.lexer import scan
 from .cache import STATE_NAME, BuildCache
 from .fingerprint import interface_digest, raw_fingerprint, \
@@ -137,24 +137,24 @@ class IncrementalBuilder:
         paths = self._normalize(paths)
         report = BuildReport()
         report.jobs = self.jobs
-        tracer = Tracer()
+        tracer = SpanRecorder()
 
         # One root span over the whole build: every phase below it —
         # including worker-side spans shipped back across the fork
         # boundary — forms a single connected tree, which attaches to
         # the caller's ambient span (e.g. a serve request) when one
         # is active.
-        with tracer.phase("build", cat="build", files=len(paths)):
+        with tracer.span("build", cat="build", files=len(paths)):
             self._build_steps(paths, force, lint, report, tracer)
 
         report.stats = dict(self.cache.stats)
-        report.trace_events = tracer.events
+        report.trace_events = tracer.events()
         return report
 
     def _build_steps(self, paths, force, lint, report, tracer):
         """The traced body of :meth:`build` (one span per phase)."""
         texts = {}
-        with tracer.phase("read_sources", files=len(paths)):
+        with tracer.span("read_sources", files=len(paths)):
             for path in paths:
                 try:
                     with open(path) as f:
@@ -163,7 +163,7 @@ class IncrementalBuilder:
                     raise BuildError("cannot read %s: %s" % (path, exc))
 
         fingerprints, provides, requires = {}, {}, {}
-        with tracer.phase("fingerprint", files=len(paths)):
+        with tracer.span("fingerprint", files=len(paths)):
             for path, text in texts.items():
                 try:
                     tokens = scan(text, path)
@@ -216,8 +216,8 @@ class IncrementalBuilder:
                         self.cache.record_miss()
                         to_compile.append(path)
                         report.reasons[path] = reason
-                with tracer.phase("batch", index=batch_no,
-                                  files=len(to_compile)):
+                with tracer.span("batch", index=batch_no,
+                                 files=len(to_compile)):
                     results = scheduler.run_batch(to_compile)
                 for result in results:
                     tracer.add_events(result.get("trace", ()))
@@ -228,10 +228,10 @@ class IncrementalBuilder:
         finally:
             scheduler.close()
 
-        with tracer.phase("save_manifest"):
+        with tracer.span("save_manifest"):
             self.cache.save()
         if lint is not None:
-            with tracer.phase("lint", files=len(report.units)):
+            with tracer.span("lint", files=len(report.units)):
                 self._lint(report, lint)
 
     def _lint(self, report, lint):

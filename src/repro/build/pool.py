@@ -24,8 +24,8 @@ def _call_with_context(fn, ctx_dict, args):
     """Worker-side shim: re-activate the submitter's span context.
 
     Top-level (picklable) on purpose.  The forked worker runs ``fn``
-    under the deserialized context, so any ``Tracer.phase`` the task
-    records parents into the submitting job's span tree.
+    under the deserialized context, so any ``SpanRecorder.span`` the
+    task records parents into the submitting job's span tree.
     """
     ctx = SpanContext.from_dict(ctx_dict) if ctx_dict else None
     with use(ctx):

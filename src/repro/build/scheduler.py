@@ -134,9 +134,9 @@ def compile_file_task(root, work, reference_libs, path):
     Runs in a worker process (or inline for a serial build) and
     returns only picklable primitives: produced units with their
     ``depends`` edges and interface digests, diagnostics (both legacy
-    strings and structured dicts), phase-trace events (carrying this
-    worker's pid, so the driver's merged Chrome trace shows one row
-    per worker), and timings.
+    strings and structured dicts), and phase-trace events (carrying
+    this worker's pid, so the driver's merged Chrome trace shows one
+    row per worker).
     """
     from ..vhdl.compiler import CompileError, Compiler
     from ..vhdl.library import LibraryManager
@@ -150,8 +150,8 @@ def compile_file_task(root, work, reference_libs, path):
         # re-activated the submitting batch's span context, so this
         # (and the compiler phases nested in it) re-parent into the
         # driver's tree across the process boundary.
-        with compiler.tracer.phase("compile_file", cat="build",
-                                   file=os.path.basename(path)):
+        with compiler.tracer.span("compile_file", cat="build",
+                                  file=os.path.basename(path)):
             result = compiler.compile_file(path)
     except (CompileError, OSError) as exc:
         messages = getattr(exc, "messages", None) or [str(exc)]
@@ -164,9 +164,8 @@ def compile_file_task(root, work, reference_libs, path):
             "messages": list(messages),
             "units": [],
             "source_lines": 0,
-            "timings": {},
             "diagnostics": diagnostics,
-            "trace": list(compiler.tracer.events),
+            "trace": compiler.tracer.events(),
             "ag_stats": compiler.observer.as_dict(),
         }
     units = []
@@ -184,9 +183,8 @@ def compile_file_task(root, work, reference_libs, path):
         "messages": list(result.messages),
         "units": units,
         "source_lines": result.source_lines,
-        "timings": dict(result.timings),
         "diagnostics": [d.to_dict() for d in result.diagnostics],
-        "trace": list(compiler.tracer.events),
+        "trace": compiler.tracer.events(),
         "ag_stats": compiler.observer.as_dict(),
     }
 
@@ -206,7 +204,6 @@ def _worker_failure(args, exc):
         "messages": ["internal: build worker failed: %s" % exc],
         "units": [],
         "source_lines": 0,
-        "timings": {},
         "diagnostics": [],
         "trace": [],
         "ag_stats": {},

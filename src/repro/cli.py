@@ -40,7 +40,7 @@ import json
 import os
 import sys
 
-from .sim import TIME_UNITS
+from .sim import BACKENDS, TIME_UNITS
 
 
 def _parse_time(text):
@@ -209,10 +209,9 @@ def _make_parser():
                         "(combinational loops, unresolved drive "
                         "races) abort before the kernel runs")
     p.add_argument("--backend", default="event",
-                   choices=("event", "compiled", "scan"),
+                   choices=tuple(BACKENDS),
                    help="simulation backend: the activity kernel "
-                        "(default), the per-design compiled backend, "
-                        "or the O(design) reference scan")
+                        "(default) or the per-design compiled backend")
 
     p = sub.add_parser("stats", help="print the AG-statistics table")
     p.add_argument("--json", dest="as_json", action="store_true",
@@ -362,17 +361,18 @@ def _emit_metrics(registry, args, out, title="metrics"):
         out("metrics snapshot written to %s" % args.metrics_out)
 
 
-def _emit_trace(tracer, args, out, default_path=None):
-    """Write the Chrome trace when requested; report where it went."""
-    path = args.trace_out
-    if path is None and args.profile:
-        path = default_path
-    if path:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        tracer.write(path)
-        out("trace written to %s" % path)
+def _emit_profile(events, args, out, title):
+    """Print the ``--profile`` table and write the ``--trace-out``
+    Chrome trace of ``events``, as requested."""
+    if args.profile:
+        from .trace.analyze import render_totals
+
+        out(render_totals(events, title))
+    if args.trace_out:
+        from .trace.recorder import write_chrome
+
+        write_chrome(args.trace_out, events)
+        out("trace written to %s" % args.trace_out)
 
 
 def cmd_compile(args, out):
@@ -416,12 +416,10 @@ def cmd_compile(args, out):
             failures += 1
     if args.diag_format != "text" and all_diags:
         out(render(all_diags, args.diag_format))
+    _emit_profile(compiler.tracer.events(), args, out,
+                  "compile profile")
     if args.profile:
-        out(compiler.tracer.summary("compile profile"))
         out(compiler.observer.summary())
-    _emit_trace(compiler.tracer, args, out,
-                default_path=os.path.join(
-                    "bench-out", "repro-compile-trace.json"))
     if _wants_metrics(args):
         from .metrics.bridge import bridge_observer, bridge_tracer
 
@@ -437,7 +435,7 @@ def cmd_compile(args, out):
 
 def cmd_build(args, out):
     from .build import BuildError, IncrementalBuilder
-    from .diag import Tracer, render
+    from .diag import render
 
     if args.root is None:
         out("build: a persistent --root is required "
@@ -485,17 +483,11 @@ def cmd_build(args, out):
     diags = report.all_diagnostics()
     if args.diag_format != "text" and diags:
         out(render(diags, args.diag_format))
-    tracer = Tracer()
-    tracer.add_events(report.trace_events)
-    if args.profile:
-        out(tracer.summary("build profile"))
-        firings = report.ag_stats.get("total_firings", 0)
-        if firings:
-            out("AG evaluation: %d rule firing(s) across workers"
-                % firings)
-    _emit_trace(tracer, args, out,
-                default_path=os.path.join(args.root,
-                                          "build-trace.json"))
+    _emit_profile(report.trace_events, args, out, "build profile")
+    firings = report.ag_stats.get("total_firings", 0)
+    if args.profile and firings:
+        out("AG evaluation: %d rule firing(s) across workers"
+            % firings)
     if _wants_metrics(args):
         from .metrics.bridge import bridge_build_report
 
@@ -875,32 +867,24 @@ def cmd_list(args, out):
 
 
 def cmd_simulate(args, out):
-    from contextlib import nullcontext
+    from functools import partial
 
-    from .sim import CompiledKernel, Kernel, ScanKernel
+    from .sim import backend_kernel
     from .sim.tracing import Tracer, format_fs
+    from .trace import NULL_RECORDER, SpanRecorder
     from .vhdl.elaborate import Elaborator
 
     registry = _registry_for(args)
-    span_tracer = None
-    if args.trace_out or args.profile:
-        from .diag.trace import Tracer as SpanTracer
-
-        span_tracer = SpanTracer()
-
-    def _span(name, **spargs):
-        if span_tracer is None:
-            return nullcontext()
-        return span_tracer.phase(name, cat="cli", **spargs)
+    spans = SpanRecorder() if args.trace_out or args.profile \
+        else NULL_RECORDER
+    _span = partial(spans.span, cat="cli")
 
     # Sampled kernel spans (every 100th timestep / resume) keep the
     # trace readable on long runs while still exposing the §2.2-style
     # where-did-the-time-go breakdown down to delta cycles.
-    backend = getattr(args, "backend", "event") or "event"
-    kernel_cls = {"event": Kernel, "compiled": CompiledKernel,
-                  "scan": ScanKernel}[backend]
-    kernel = kernel_cls(metrics=registry, trace=span_tracer,
-                        trace_sample=100)
+    backend = args.backend
+    kernel = backend_kernel(backend)(metrics=registry, trace=spans,
+                                     trace_sample=100)
     top = args.top
     compiler = None
     if top.endswith((".vhd", ".vhdl")) or os.path.isfile(top):
@@ -1009,16 +993,11 @@ def cmd_simulate(args, out):
             kernel, args.top_n if args.top_n is not None else 5))
         out(format_calendar_stats(kernel))
         _emit_metrics(registry, args, out, "simulation metrics")
-    if span_tracer is not None:
-        if compiler is not None:
-            # One merged trace: compile phases + elaboration + the
-            # sampled kernel timeline.
-            span_tracer.add_events(compiler.tracer.events)
-        if args.profile:
-            out(span_tracer.summary("sim profile"))
-        _emit_trace(span_tracer, args, out,
-                    default_path=os.path.join(
-                        "bench-out", "repro-sim-trace.json"))
+    if compiler is not None:
+        # One merged trace: compile phases + elaboration + the
+        # sampled kernel timeline.
+        spans.add_events(compiler.tracer.events())
+    _emit_profile(spans.events(), args, out, "sim profile")
     return 0
 
 
@@ -1202,14 +1181,9 @@ def _cmd_trace(args, out):
         return 2
     events = analyze.merge_spans(*event_lists)
     if args.merge_out:
-        parent = os.path.dirname(args.merge_out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        tmp = "%s.tmp.%d" % (args.merge_out, os.getpid())
-        with open(tmp, "w") as f:
-            json.dump({"traceEvents": events,
-                       "displayTimeUnit": "ms"}, f, sort_keys=True)
-        os.replace(tmp, args.merge_out)
+        from .trace.recorder import write_chrome
+
+        write_chrome(args.merge_out, events)
         out("merged trace written to %s" % args.merge_out)
     report = analyze.validate(events, trace_id=args.trace_id)
     if args.view == "summary":

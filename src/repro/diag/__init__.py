@@ -1,16 +1,12 @@
-"""Structured diagnostics, phase tracing, and AG observability.
+"""Structured diagnostics and AG observability.
 
-Three layers, one subsystem:
+Two layers, one subsystem (phase spans live in :mod:`repro.trace`):
 
 - :mod:`repro.diag.diagnostic` / :mod:`repro.diag.span` /
   :mod:`repro.diag.render` — structured, source-anchored diagnostics
   (error code, severity, file/line/column span, notes, related spans)
   collected by a :class:`DiagnosticEngine` and rendered as
   caret-annotated text, JSON lines, or SARIF 2.1.0.
-- :mod:`repro.diag.trace` — a span-based :class:`Tracer` with a
-  context-manager API and Chrome trace-event export; fork workers in
-  the parallel build ship their (picklable) events back for one merged
-  timeline.
 - :mod:`repro.diag.observe` — :class:`AGObserver` counters for rule
   firings, demand-memo hits/misses, and visit-sequence visits, plus
   :func:`explain_cycle` for circularity post-mortems.
@@ -44,7 +40,6 @@ from .render import (
     sarif_run,
 )
 from .span import SourceSpan
-from .trace import Tracer, load_trace, merge_traces
 
 __all__ = [
     "AGObserver",
@@ -64,11 +59,8 @@ __all__ = [
     "NOTE",
     "SEVERITY_RANK",
     "SourceSpan",
-    "Tracer",
     "WARNING",
     "explain_cycle",
-    "load_trace",
-    "merge_traces",
     "parse_legacy_message",
     "render",
     "render_jsonl",

@@ -902,15 +902,14 @@ def scenario_fuzz():
 
 def scenario_trace():
     """The tracing gate.  Two invariants: (a) a kernel constructed
-    with ``trace=None`` must cost what it always cost — the disabled
-    path is one hoisted bool test per cycle, pinned by
+    with the disabled ``NULL_RECORDER`` must cost what it always cost
+    — the disabled path is one hoisted bool test per cycle, pinned by
     ``normalized_cost_disabled`` (``max``); (b) with every timestep
     and resume traced (``trace_sample=1``) the span counts are a pure
     function of the design — ``exact`` — and the traced cost is
     pinned loosely (``max``, tracing is allowed to cost something)."""
-    from ..diag.trace import Tracer
     from ..sim import Kernel
-    from ..trace.context import SpanContext, use
+    from ..trace import NULL_RECORDER, SpanContext, SpanRecorder, use
     from ..vhdl.compiler import Compiler
     from ..vhdl.elaborate import Elaborator
 
@@ -920,7 +919,7 @@ def scenario_trace():
         raise RuntimeError("bench-check design failed to compile: %s"
                            % result.messages[:3])
 
-    def run(trace=None):
+    def run(trace=NULL_RECORDER):
         kernel = Kernel(trace=trace, trace_sample=1)
         sim = Elaborator(compiler.library,
                          kernel=kernel).elaborate("gate_top")
@@ -930,19 +929,19 @@ def scenario_trace():
     ratio_off, best_off, calib, kernel_off = normalized_cost(run)
 
     def run_traced():
-        tracer = Tracer()
+        recorder = SpanRecorder()
         with use(SpanContext()):
-            kernel = run(trace=tracer)
-        return tracer, kernel
+            kernel = run(trace=recorder)
+        return recorder, kernel
 
-    ratio_on, best_on, _, (tracer, _kernel_on) = normalized_cost(
+    ratio_on, best_on, _, (recorder, _kernel_on) = normalized_cost(
         run_traced)
 
-    timesteps = sum(1 for e in tracer.events
-                    if e.get("name") == "timestep")
-    resumes = sum(1 for e in tracer.events
+    events = recorder.events()
+    timesteps = sum(1 for e in events if e.get("name") == "timestep")
+    resumes = sum(1 for e in events
                   if e.get("name") == "process_resume")
-    roots = sum(1 for e in tracer.events
+    roots = sum(1 for e in events
                 if e.get("ph") == "X" and not e.get("parent_id"))
     values = {
         "cycles": kernel_off.cycles,

@@ -263,13 +263,17 @@ def bridge_build_report(registry, report):
 # -- compiler phases ----------------------------------------------------------
 
 
-def bridge_tracer(registry, tracer, prefix="compile"):
-    """Publish a :class:`repro.diag.Tracer`'s per-phase seconds."""
-    if not getattr(registry, "enabled", False) or tracer is None:
+def bridge_tracer(registry, recorder, prefix="compile"):
+    """Publish a :class:`repro.trace.SpanRecorder`'s seconds per span
+    name."""
+    if not getattr(registry, "enabled", False):
         return registry
+    from ..trace.analyze import span_totals
+
     family = registry.gauge(
         "%s_phase_seconds" % prefix,
         "wall-clock seconds per %s phase" % prefix)
-    for phase, seconds in sorted(tracer.phase_seconds().items()):
+    totals = span_totals(recorder.events())
+    for phase, (seconds, _) in sorted(totals.items()):
         family.labels(phase=phase).set(seconds)
     return registry

@@ -30,8 +30,8 @@ span — two requests sent with the same header form one trace), a
 malformed or absent one starts a fresh trace, and the response always
 carries the request's own ``traceparent`` back.  Spans from the job
 layer — queue waits, compile batches, fork-worker compiles, sampled
-kernel timesteps — land in a bounded :class:`~repro.trace.SpanRing`
-that ``GET /trace`` exposes.
+kernel timesteps — land in a bounded
+:class:`~repro.trace.SpanRecorder` that ``GET /trace`` exposes.
 
 The app owns one :class:`~repro.metrics.MetricsRegistry` for its whole
 lifetime — ``serve_requests_total{route=,status=}``,
@@ -51,7 +51,8 @@ import time
 from ..diag import Diagnostic, render_jsonl
 from ..metrics import MetricsRegistry
 from ..metrics.registry import SECONDS_BUCKETS
-from ..trace import SpanContext, SpanRing, make_span, use
+from ..sim import BACKENDS
+from ..trace import SpanContext, SpanRecorder, make_span, use
 from .http import (
     HTTPError,
     HTTPServer,
@@ -87,7 +88,7 @@ class ServeApp:
                  trace_capacity=16384):
         self.registry = registry if registry is not None \
             else MetricsRegistry()
-        self.trace = SpanRing(capacity=trace_capacity)
+        self.trace = SpanRecorder(capacity=trace_capacity)
         self._owns_state_dir = state_dir is None
         # Absolute: build reports key files by absolute path, and
         # session workspaces must agree with them.
@@ -304,9 +305,9 @@ class ServeApp:
         except (ValueError, IndexError):
             raise HTTPError(400, "bad 'until' value %r" % (until,))
         backend = body.get("backend", "event")
-        if backend not in ("event", "compiled", "scan"):
-            raise HTTPError(400, "bad 'backend' value %r (one of: "
-                            "event, compiled, scan)" % (backend,))
+        if not isinstance(backend, str) or backend not in BACKENDS:
+            raise HTTPError(400, "bad 'backend' value %r (one of: %s)"
+                            % (backend, ", ".join(BACKENDS)))
         ws = self._workspace(body)
         result = await self.jobs.simulate(
             ws, top, arch=body.get("arch"), until_fs=until_fs,

@@ -22,11 +22,11 @@ the same records ``--diag-format json`` prints), and queue/run timing.
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 from ..diag import Diagnostic, render_jsonl
 from ..metrics import NULL_REGISTRY
 from ..trace.context import current_context, make_span, use
+from ..trace.recorder import NULL_RECORDER
 
 #: How long a compile job waits for batch-mates before running.
 BATCH_WINDOW_S = 0.01
@@ -35,16 +35,6 @@ BATCH_WINDOW_S = 0.01
 #: every Nth timestep / process resume, so a million-cycle run adds
 #: bounded span volume to the ring.
 SIM_TRACE_SAMPLE = 100
-
-
-@contextmanager
-def _maybe_phase(tracer, name, **args):
-    """``tracer.phase(...)`` when tracing, a no-op otherwise."""
-    if tracer is None:
-        yield None
-    else:
-        with tracer.phase(name, **args) as event:
-            yield event
 
 
 class JobError(Exception):
@@ -92,11 +82,11 @@ class JobRunner:
     """Executes jobs on a worker pool with per-session batching."""
 
     def __init__(self, workers=2, metrics=NULL_REGISTRY,
-                 batch_window=BATCH_WINDOW_S, trace=None,
+                 batch_window=BATCH_WINDOW_S, trace=NULL_RECORDER,
                  sim_trace_sample=SIM_TRACE_SAMPLE):
         self.workers = max(1, int(workers or 1))
         self.batch_window = batch_window
-        self.trace = trace  # repro.trace.SpanRing (or None)
+        self.trace = trace  # a bounded repro.trace.SpanRecorder
         self.sim_trace_sample = sim_trace_sample
         self.executor = ThreadPoolExecutor(
             max_workers=max(2, self.workers),
@@ -228,8 +218,8 @@ class JobRunner:
 
     def _record_batch_spans(self, jobs, batch_ctx, report, started,
                             started_ts, run_s, batch_files):
-        """Collect this batch's span tree into the ring buffer."""
-        if self.trace is None or batch_ctx is None:
+        """Collect this batch's span tree into the span recorder."""
+        if batch_ctx is None:
             return
         spans = [make_span(
             "compile_batch", batch_ctx, started_ts, run_s * 1e6,
@@ -305,8 +295,8 @@ class JobRunner:
                        lib=None, backend="event"):
         """Elaborate + run against a pinned snapshot of the session
         library; concurrent with other readers and with writers.
-        ``backend`` selects the kernel: ``event`` (default),
-        ``compiled`` (per-design specialized code), or ``scan``."""
+        ``backend`` selects the kernel: ``event`` (default) or
+        ``compiled`` (per-design specialized code)."""
         loop = asyncio.get_running_loop()
         job_id = self.next_id()
         ctx = current_context()
@@ -330,37 +320,27 @@ class JobRunner:
 
     def _run_sim(self, workspace, top, arch, until_fs, lib, ctx=None,
                  backend="event"):
-        from ..sim import CompiledKernel, Kernel, ScanKernel, \
-            SimulationError
+        from ..sim import SimulationError, backend_kernel
         from ..vhdl.elaborate import ElaborationError, Elaborator
 
         snapshot = workspace.snapshot()
-        tracer = None
-        if ctx is not None and self.trace is not None:
-            from ..diag.trace import Tracer
-
-            tracer = Tracer()
         # A traced kernel samples timestep / process-resume spans; the
         # ambient context during ``run()`` (the kernel_run phase) is
         # what they parent into.
-        kernel_cls = {"event": Kernel, "compiled": CompiledKernel,
-                      "scan": ScanKernel}[backend]
-        kernel = kernel_cls(trace=tracer,
-                            trace_sample=self.sim_trace_sample)
+        kernel = backend_kernel(backend)(
+            trace=self.trace, trace_sample=self.sim_trace_sample)
+        span = self.trace.span
         try:
-            with use(ctx), _maybe_phase(tracer, "sim", cat="serve",
-                                        top=top):
-                with _maybe_phase(tracer, "elaborate", cat="serve"):
+            with use(ctx), span("sim", cat="serve", top=top):
+                with span("elaborate", cat="serve"):
                     elab = Elaborator(snapshot, kernel=kernel)
                     sim = elab.elaborate(top, arch_name=arch, lib=lib)
                 if backend == "compiled":
-                    with _maybe_phase(tracer, "codegen", cat="serve"):
+                    with span("codegen", cat="serve"):
                         kernel.compile_design(sim.records)
-                with _maybe_phase(tracer, "kernel_run", cat="serve"):
+                with span("kernel_run", cat="serve"):
                     end = sim.run(until_fs=until_fs)
         except (ElaborationError, SimulationError) as exc:
-            if tracer is not None:
-                self.trace.add_events(tracer.events)
             return {
                 "ok": False,
                 "error": "%s: %s" % (type(exc).__name__, exc),
@@ -368,8 +348,6 @@ class JobRunner:
                 "diagnostics_jsonl": render_jsonl(
                     snapshot.quarantine_diagnostics()),
             }
-        if tracer is not None:
-            self.trace.add_events(tracer.events)
         lines = _sim_lines(kernel, sim.names, end)
         result = {
             "ok": True,
@@ -413,7 +391,7 @@ class JobRunner:
         finally:
             self._m_jobs.labels(kind="lint").inc()
             self._job_finished()
-        if ctx is not None and self.trace is not None:
+        if ctx is not None:
             self.trace.add(make_span(
                 "lint", ctx.child(), submitted_ts,
                 (time.perf_counter() - submitted) * 1e6,
@@ -496,7 +474,7 @@ class JobRunner:
         finally:
             self._m_jobs.labels(kind="analyze").inc()
             self._job_finished()
-        if ctx is not None and self.trace is not None:
+        if ctx is not None:
             self.trace.add(make_span(
                 "analyze", ctx.child(), submitted_ts,
                 (time.perf_counter() - submitted) * 1e6,

@@ -58,6 +58,17 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | set(_EXPORTS))
 
+
+#: The user-facing simulation backends (``repro sim --backend`` and
+#: serve ``/sim``): name -> kernel class name.  ``ScanKernel`` is not
+#: one: it is the differential oracle of ``repro fuzz`` and the tests.
+BACKENDS = {"event": "Kernel", "compiled": "CompiledKernel"}
+
+
+def backend_kernel(name):
+    """The kernel class of the backend called ``name``."""
+    return __getattr__(BACKENDS[name])
+
 #: femtoseconds per time unit, primary unit first — the runtime's
 #: representation of type TIME.
 TIME_UNITS = (

@@ -42,7 +42,8 @@ import heapq
 import time as _time
 
 from ..metrics import NULL_REGISTRY
-from ..trace.context import current_context
+from ..trace.context import current_context, make_span
+from ..trace.recorder import NULL_RECORDER
 from .process import Process, WaitRequest
 from .runtime import RuntimeError_, ops
 from .signals import Signal
@@ -76,7 +77,7 @@ class Kernel:
     """An event-driven simulator instance (activity-driven calendar)."""
 
     def __init__(self, max_deltas=10000, logger=None, metrics=None,
-                 trace=None, trace_sample=1):
+                 trace=NULL_RECORDER, trace_sample=1):
         self.now = 0
         self.step = 0  # simulation-cycle stamp, for 'EVENT / 'ACTIVE
         self.signals = []
@@ -119,15 +120,15 @@ class Kernel:
             "projected transactions abandoned because run(until=...) "
             "stopped before their time")
         # -- causal tracing (repro.trace).  ``trace`` is a
-        # ``repro.diag.trace.Tracer`` (or None); every
-        # ``trace_sample``-th timestep and process resume becomes a
-        # span, parented into the ambient span context captured at
-        # initialize/run.  Gated exactly like ``_timed``: with
-        # trace=None the whole feature costs one local bool test per
-        # cycle and one attribute test per resume.
+        # ``repro.trace.SpanRecorder``; every ``trace_sample``-th
+        # timestep and process resume becomes a span, parented into
+        # the ambient span context captured at initialize/run.  Gated
+        # exactly like ``_timed``: with the disabled NULL_RECORDER the
+        # whole feature costs one local bool test per cycle and one
+        # attribute test per resume.
         self.trace = trace
         self.trace_sample = max(1, int(trace_sample or 1))
-        self._traced = trace is not None
+        self._traced = trace.enabled
         self._trace_ctx = None
         self._trace_resumes = 0
 
@@ -254,9 +255,9 @@ class Kernel:
     def _trace_span(self, name, ts_us, dur_us, **args):
         """Record one kernel span under the captured run context."""
         ctx = self._trace_ctx
-        self.trace.complete(
-            name, ts_us, dur_us, cat="sim",
-            ctx=ctx.child() if ctx is not None else None, **args)
+        self.trace.add(make_span(
+            name, ctx.child() if ctx is not None else None, ts_us,
+            dur_us, cat="sim", **args))
 
     def _execute(self, proc):
         """Run one process until it suspends (or finishes)."""
@@ -408,9 +409,9 @@ class Kernel:
                 one_cycle(tn)
                 dur_us = (_time.perf_counter() - t0) * 1e6
                 self._trace_ctx = base_ctx
-                self.trace.complete(
-                    "timestep", ts_us, dur_us, cat="sim", ctx=step_ctx,
-                    t_fs=tn, step=self.step)
+                self.trace.add(make_span(
+                    "timestep", step_ctx, ts_us, dur_us, cat="sim",
+                    t_fs=tn, step=self.step))
             else:
                 one_cycle(tn)
             executed += 1

@@ -1,12 +1,12 @@
-"""End-to-end causal tracing: span contexts, propagation, collection.
+"""End-to-end causal tracing: span contexts, propagation, recording.
 
-``repro.trace`` is the identity layer that stitches the per-process
-Chrome-trace events of :mod:`repro.diag.trace` into one connected span
-tree per request — serve HTTP request → job queue wait → fork-worker
-compile → kernel delta cycles.  See :mod:`repro.trace.context` for the
-model, :mod:`repro.trace.ring` for collection, and
-:mod:`repro.trace.analyze` (imported lazily by the CLI) for offline
-tree/rollup analysis.
+``repro.trace`` records every phase span of the system and stitches
+the per-process events into one connected span tree per request —
+serve HTTP request → job queue wait → fork-worker compile → kernel
+delta cycles.  See :mod:`repro.trace.context` for the model,
+:mod:`repro.trace.recorder` for the one span recorder, and
+:mod:`repro.trace.analyze` (imported lazily) for per-name totals and
+offline tree/rollup analysis.
 """
 
 from .context import (
@@ -21,11 +21,12 @@ from .context import (
     thread_index,
     use,
 )
-from .ring import SpanRing
+from .recorder import NULL_RECORDER, SpanRecorder, write_chrome
 
 __all__ = [
+    "NULL_RECORDER",
     "SpanContext",
-    "SpanRing",
+    "SpanRecorder",
     "activate",
     "current_context",
     "make_span",
@@ -35,4 +36,5 @@ __all__ = [
     "stamp",
     "thread_index",
     "use",
+    "write_chrome",
 ]

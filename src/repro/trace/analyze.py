@@ -1,4 +1,4 @@
-"""Offline span analysis for the ``repro trace`` CLI.
+"""Span analysis: per-name totals and the ``repro trace`` CLI views.
 
 Operates on plain event dicts — Chrome-trace JSON files (a bare list
 or ``{"traceEvents": [...]}``), span JSONL (one event per line, e.g. a
@@ -138,6 +138,36 @@ def render_tree(events, trace_id=None, max_spans=None):
     if max_spans is not None and len(lines) >= max_spans:
         lines.append("... (truncated at %d spans)" % max_spans)
     return lines
+
+
+# -- per-name totals ---------------------------------------------------------
+
+
+def span_totals(events):
+    """``{name: (seconds, count)}`` over the complete spans.
+
+    The one aggregation behind ``CompileResult.timings``, the
+    ``--profile`` tables and the ``*_phase_seconds`` metrics."""
+    totals = {}
+    for ev in _complete_spans(events):
+        seconds, count = totals.get(ev["name"], (0.0, 0))
+        totals[ev["name"]] = (seconds + ev.get("dur", 0.0) / 1e6,
+                              count + 1)
+    return totals
+
+
+def render_totals(events, title="profile"):
+    """The ``--profile`` table: wall time per span name, slowest
+    first."""
+    totals = span_totals(events)
+    pids = {ev.get("pid") for ev in events if ev.get("pid") is not None}
+    lines = ["%s: %d event(s) from %d process(es)"
+             % (title, len(events), len(pids))]
+    for name in sorted(totals, key=totals.get, reverse=True):
+        seconds, count = totals[name]
+        lines.append("  %-28s %10.3f ms  x%d"
+                     % (name, seconds * 1e3, count))
+    return "\n".join(lines)
 
 
 # -- hot-spot views ----------------------------------------------------------

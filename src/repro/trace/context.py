@@ -2,7 +2,7 @@
 
 A *span context* is the (``trace_id``, ``span_id``, ``parent_id``)
 triple that turns the flat Chrome-trace events of
-:mod:`repro.diag.trace` into one connected tree per request:
+:mod:`repro.trace.recorder` into one connected tree per request:
 
 - ``trace_id`` — 32 lowercase hex chars shared by every span of one
   logical operation (an HTTP request, a CLI build);
@@ -15,10 +15,10 @@ Propagation follows the W3C Trace Context ``traceparent`` header
 emits it on HTTP, and :class:`~repro.build.pool.ForkPool` pickles the
 ambient context to fork workers so their spans re-parent into the
 submitting job.  In-process the ambient context rides a
-:class:`contextvars.ContextVar`, so nested ``Tracer.phase`` calls (and
+:class:`contextvars.ContextVar`, so nested ``SpanRecorder.span`` calls (and
 asyncio tasks) build correct parent chains without any API threading.
 
-Everything here is stdlib-only and import-cycle-free: the diag tracer,
+Everything here is stdlib-only and import-cycle-free: the recorder,
 the fork pool, the kernel, and the serve app all import *this* module,
 never each other.
 """
@@ -177,12 +177,12 @@ def stamp(event, ctx):
 
 
 def make_span(name, ctx, ts_us, dur_us, cat="span", **args):
-    """A retroactive complete ("X") event carrying ``ctx``'s identity.
+    """A complete ("X") event carrying ``ctx``'s identity.
 
-    Used for spans whose duration is known only after the fact (a
-    request, a queue wait, a sampled kernel timestep) — the same dict
-    shape :meth:`repro.diag.trace.Tracer.phase` records, so rings,
-    Chrome export, and the ``repro trace`` analyzer treat both alike.
+    The only builder of span event dicts: :meth:`SpanRecorder.span
+    <repro.trace.recorder.SpanRecorder.span>` calls it when its body
+    ends, and spans whose bounds are measured elsewhere (a request, a
+    queue wait, a sampled kernel timestep) call it directly.
     """
     event = {
         "name": name,

@@ -6,17 +6,18 @@ compiler directives, a working library ... and a reference library"
 evaluator, exprEval cascading, VIF emission into the library, and the
 back-end compile of the generated model.
 
-Phase timing goes through the span-based tracer of
-:mod:`repro.diag.trace` — the same phase names the E4 bench (§2.2 time
-breakdown) reports are kept in ``CompileResult.timings``, but every
-phase is also a Chrome trace event, so a multi-file (or multi-worker)
-build renders as one timeline.  Diagnostics are collected structured
-(:mod:`repro.diag.diagnostic`): every message carries an error code
-and a file/line/column span next to the legacy string form.
+Phase timing goes through the span recorder of :mod:`repro.trace`:
+every phase is a span, ``CompileResult.timings`` (the E4 bench's §2.2
+time breakdown) sums them per name, and a multi-file (or multi-worker)
+build renders them as one Chrome trace timeline.  Diagnostics are
+collected structured (:mod:`repro.diag.diagnostic`): every message
+carries an error code and a file/line/column span next to the legacy
+string form.
 """
 
 from ..ag.errors import AGError
-from ..diag import AGObserver, DiagnosticEngine, Tracer
+from ..diag import AGObserver, DiagnosticEngine
+from ..trace.recorder import SpanRecorder
 from .codegen.pymodel import compile_model
 from .compile_ctx import CompileCtx
 from .grammar import principal_grammar
@@ -43,12 +44,11 @@ class CompileError(Exception):
 class CompileResult:
     """Outcome of compiling one source file."""
 
-    def __init__(self, units, messages, timings, source_lines,
-                 expr_evals, registered_units=(), diagnostics=(),
-                 trace_events=(), ag_stats=None, filename=None):
+    def __init__(self, units, messages, source_lines, expr_evals,
+                 registered_units=(), diagnostics=(), trace_events=(),
+                 ag_stats=None, filename=None):
         self.units = list(units)
         self.messages = list(messages)
-        self.timings = dict(timings)
         self.source_lines = source_lines
         self.expr_evals = expr_evals
         #: (lib, key) library entries this compile registered, in
@@ -68,6 +68,14 @@ class CompileResult:
     @property
     def ok(self):
         return not self.messages
+
+    @property
+    def timings(self):
+        """Seconds per phase name: a view over ``trace_events``."""
+        from ..trace.analyze import span_totals
+
+        return {name: seconds for name, (seconds, _) in
+                span_totals(self.trace_events).items()}
 
     def unit_names(self):
         """Names of the compiled units.
@@ -99,10 +107,10 @@ class CompileResult:
 class Compiler:
     """Compiles VHDL source into a design library.
 
-    ``tracer`` (a :class:`repro.diag.Tracer`) accumulates phase spans
-    across every ``compile`` call on this instance; ``observer`` (a
-    :class:`repro.diag.AGObserver`) accumulates evaluation counters
-    the same way.  Both are created fresh when not supplied, so the
+    ``tracer`` (an unbounded :class:`repro.trace.SpanRecorder`)
+    accumulates phase spans across every ``compile`` call on this
+    instance; ``observer`` (a :class:`repro.diag.AGObserver`)
+    accumulates evaluation counters the same way.  Both are created fresh when not supplied, so the
     plain one-shot API is unchanged.  ``werror`` promotes warnings to
     errors at diagnostic-emission time.
     """
@@ -113,12 +121,12 @@ class Compiler:
         self.library = library or LibraryManager(root=root, work=work)
         self.work = work
         self.strict = strict
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = tracer if tracer is not None else SpanRecorder()
         self.observer = observer if observer is not None else AGObserver()
         self.werror = werror
         # Force generation of the translator up front (the paper's
         # Linguist run happens before any compilation).
-        with self.tracer.phase("translator_generation"):
+        with self.tracer.span("translator_generation"):
             principal_grammar()
 
     def compile(self, text, filename="<input>"):
@@ -129,12 +137,11 @@ class Compiler:
         """
         tracer = self.tracer
         engine = DiagnosticEngine(file=filename, werror=self.werror)
-        timings = {}
         cc = CompileCtx(self.library, self.work, filename=filename)
         grammar = principal_grammar()
-        events_before = len(tracer.events)
+        events_before = len(tracer)
 
-        with tracer.phase("scan", file=filename) as ev:
+        with tracer.span("scan", file=filename):
             try:
                 tokens = scan(text, filename)
             except AGError as exc:
@@ -142,9 +149,8 @@ class Compiler:
                 raise CompileError(
                     [str(exc)],
                     diagnostics=engine.diagnostics) from exc
-        timings["scan"] = ev["dur"] / 1e6
 
-        with tracer.phase("parse", file=filename) as ev:
+        with tracer.span("parse", file=filename):
             try:
                 tree = grammar.parse(tokens, filename)
             except AGError as exc:
@@ -152,11 +158,10 @@ class Compiler:
                 raise CompileError(
                     [str(exc)],
                     diagnostics=engine.diagnostics) from exc
-        timings["parse"] = ev["dur"] / 1e6
 
         registered_before = len(self.library.compile_order)
         expr0 = cc.expr_eval.invocations
-        with tracer.phase("attribute_evaluation", file=filename) as ev:
+        with tracer.span("attribute_evaluation", file=filename):
             try:
                 out = grammar.evaluate(
                     tree,
@@ -175,7 +180,6 @@ class Compiler:
                 raise CompileError(
                     [str(exc)],
                     diagnostics=engine.diagnostics) from exc
-        timings["attribute_evaluation"] = ev["dur"] / 1e6
         expr_evals = cc.expr_eval.invocations - expr0
 
         units = list(out["UNITS"])
@@ -183,7 +187,7 @@ class Compiler:
 
         # Back-end compile of the generated models (the host-compiler
         # phase of the paper's pipeline).
-        with tracer.phase("model_compile", file=filename) as ev:
+        with tracer.span("model_compile", file=filename):
             for unit in units:
                 py = getattr(unit, "py_source", "")
                 if py and "elaborate" in py:
@@ -194,25 +198,15 @@ class Compiler:
                             "internal: generated model for %s does "
                             "not compile: %s"
                             % (getattr(unit, "name", "?"), exc))
-        timings["model_compile"] = ev["dur"] / 1e6
-
-        # VIF writing happened inside register_unit during evaluation;
-        # measure it separately by re-serializing (cheap, and keeps
-        # the phase visible to the E4 bench).
-        with tracer.phase("vif", file=filename) as ev:
-            for lib, key in self.library.compile_order[
-                    registered_before:]:
-                self.library.payload_of(lib, key)
-        timings["vif"] = ev["dur"] / 1e6
 
         engine.add_messages(messages, file=filename)
         source_lines = _count_lines(text)
         registered = self.library.compile_order[registered_before:]
         result = CompileResult(
-            units, messages, timings, source_lines, expr_evals,
+            units, messages, source_lines, expr_evals,
             registered_units=registered,
             diagnostics=engine.diagnostics,
-            trace_events=tracer.events[events_before:],
+            trace_events=tracer.events()[events_before:],
             ag_stats=self.observer,
             filename=filename,
         )

@@ -1,4 +1,5 @@
-"""Phase tracing: spans, Chrome export, and cross-process merging.
+"""Phase spans on the one span recorder: recording, Chrome export,
+cross-process merging, and the per-name totals every timing view uses.
 
 Includes the acceptance test that ``repro build --jobs 2 --profile``
 emits one well-formed merged Chrome trace containing spans recorded by
@@ -11,16 +12,16 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.diag import Tracer
-from repro.diag.trace import load_trace, merge_traces
+from repro.trace import SpanRecorder
+from repro.trace.analyze import load_spans, render_totals, span_totals
 
 
 class TestTracer:
     def test_phase_records_complete_event(self):
-        tracer = Tracer()
-        with tracer.phase("scan", file="a.vhd"):
+        tracer = SpanRecorder()
+        with tracer.span("scan", file="a.vhd"):
             pass
-        (event,) = tracer.events
+        (event,) = tracer.events()
         assert event["name"] == "scan"
         assert event["ph"] == "X"
         assert event["pid"] == os.getpid()
@@ -28,45 +29,42 @@ class TestTracer:
         assert event["args"] == {"file": "a.vhd"}
 
     def test_phase_yields_event_with_duration(self):
-        tracer = Tracer()
-        with tracer.phase("parse") as ev:
+        """The span yields its own context; the recorded event carries
+        that identity and a duration."""
+        tracer = SpanRecorder()
+        with tracer.span("parse") as ctx:
             pass
-        assert ev["dur"] == tracer.events[0]["dur"]
+        (event,) = tracer.events()
+        assert event["span_id"] == ctx.span_id
+        assert event["dur"] >= 0.0
 
     def test_event_recorded_even_on_exception(self):
-        tracer = Tracer()
+        tracer = SpanRecorder()
         with pytest.raises(RuntimeError):
-            with tracer.phase("boom"):
+            with tracer.span("boom"):
                 raise RuntimeError("x")
-        assert tracer.events[0]["name"] == "boom"
-
-    def test_instant_and_counter(self):
-        tracer = Tracer()
-        tracer.instant("cache-hit", path="a.vhd")
-        tracer.counter("cache", {"hits": 3, "misses": 1})
-        kinds = [e["ph"] for e in tracer.events]
-        assert kinds == ["i", "C"]
-        assert tracer.events[1]["args"] == {"hits": 3, "misses": 1}
+        assert tracer.events()[0]["name"] == "boom"
 
     def test_phase_seconds_aggregates(self):
-        tracer = Tracer()
-        with tracer.phase("scan"):
+        tracer = SpanRecorder()
+        with tracer.span("scan"):
             pass
-        with tracer.phase("scan"):
+        with tracer.span("scan"):
             pass
-        with tracer.phase("parse"):
+        with tracer.span("parse"):
             pass
-        seconds = tracer.phase_seconds()
-        assert set(seconds) == {"scan", "parse"}
-        assert seconds["scan"] >= 0.0
+        totals = span_totals(tracer.events())
+        assert set(totals) == {"scan", "parse"}
+        seconds, count = totals["scan"]
+        assert seconds >= 0.0 and count == 2
 
     def test_summary_mentions_phases(self):
-        tracer = Tracer()
-        with tracer.phase("vif"):
+        tracer = SpanRecorder()
+        with tracer.span("model_compile"):
             pass
-        text = tracer.summary("compile profile")
+        text = render_totals(tracer.events(), "compile profile")
         assert text.startswith("compile profile:")
-        assert "vif" in text
+        assert "model_compile" in text
         assert "x1" in text
 
     def test_tid_is_stable_small_index(self):
@@ -76,22 +74,22 @@ class TestTracer:
 
         from repro.trace import thread_index
 
-        tracer = Tracer()
-        with tracer.phase("a"):
+        tracer = SpanRecorder()
+        with tracer.span("a"):
             pass
-        with tracer.phase("b"):
+        with tracer.span("b"):
             pass
-        tids = {e["tid"] for e in tracer.events}
+        tids = {e["tid"] for e in tracer.events()}
         assert tids == {thread_index()}
         assert tids != {threading.get_ident() & 0xFFFF} or \
             thread_index() == threading.get_ident() & 0xFFFF
 
     def test_phases_carry_span_identity(self):
-        tracer = Tracer()
-        with tracer.phase("outer"):
-            with tracer.phase("inner"):
+        tracer = SpanRecorder()
+        with tracer.span("outer"):
+            with tracer.span("inner"):
                 pass
-        inner, outer = tracer.events
+        inner, outer = tracer.events()
         assert outer["trace_id"] == inner["trace_id"]
         assert inner["parent_id"] == outer["span_id"]
         assert outer["span_id"] != inner["span_id"]
@@ -99,55 +97,59 @@ class TestTracer:
     def test_phase_attaches_to_ambient_context(self):
         from repro.trace import SpanContext, use
 
-        tracer = Tracer()
+        tracer = SpanRecorder()
         root = SpanContext()
         with use(root):
-            with tracer.phase("work"):
+            with tracer.span("work"):
                 pass
-        (event,) = tracer.events
+        (event,) = tracer.events()
         assert event["trace_id"] == root.trace_id
         assert event["parent_id"] == root.span_id
 
     def test_complete_records_retroactive_span(self):
-        from repro.trace import SpanContext
+        from repro.trace import SpanContext, make_span
 
-        tracer = Tracer()
+        tracer = SpanRecorder()
         ctx = SpanContext()
-        tracer.complete("queue_wait", 1000.0, 42.0, cat="serve",
-                        ctx=ctx, job="j1")
-        (event,) = tracer.events
+        tracer.add(make_span("queue_wait", ctx, 1000.0, 42.0,
+                             cat="serve", job="j1"))
+        (event,) = tracer.events()
         assert event["ph"] == "X"
         assert event["ts"] == 1000.0 and event["dur"] == 42.0
         assert event["span_id"] == ctx.span_id
         assert event["args"] == {"job": "j1"}
 
     def test_aggregation_safe_under_concurrent_append(self):
-        """phase_seconds/summary snapshot under the lock; hammering
-        them while another thread appends must never raise."""
+        """events() snapshots under the lock; aggregating and writing
+        while another thread appends must never raise.  (Bounded, so
+        the snapshots stay small however fast the writer spins.)"""
+        import tempfile
         import threading
 
-        tracer = Tracer()
+        tracer = SpanRecorder(capacity=500)
         stop = threading.Event()
         errors = []
 
         def writer():
             while not stop.is_set():
-                with tracer.phase("spin"):
+                with tracer.span("spin"):
                     pass
 
-        def reader():
+        def reader(path):
             try:
-                for _ in range(200):
-                    tracer.phase_seconds()
-                    tracer.summary("live")
-                    tracer.chrome()
+                for i in range(200):
+                    span_totals(tracer.events())
+                    render_totals(tracer.events(), "live")
+                    if i % 20 == 0:
+                        tracer.write(path)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
         t = threading.Thread(target=writer)
         t.start()
         try:
-            reader()
+            with tempfile.TemporaryDirectory() as tmp:
+                reader(os.path.join(tmp, "live.json"))
         finally:
             stop.set()
             t.join()
@@ -161,53 +163,50 @@ class TestMerging:
                  "pid": pid, "tid": 1}]
 
     def test_add_events_merges_worker_pids(self):
-        tracer = Tracer()
-        with tracer.phase("schedule"):
+        tracer = SpanRecorder()
+        with tracer.span("schedule"):
             pass
         tracer.add_events(self.fake_worker_events(11111))
         tracer.add_events(self.fake_worker_events(22222))
-        assert set(tracer.pids()) == {os.getpid(), 11111, 22222}
-        assert len(tracer.events) == 3
+        events = tracer.events()
+        assert {e["pid"] for e in events} == {os.getpid(), 11111, 22222}
+        assert len(events) == 3
 
     def test_add_events_copies(self):
-        tracer = Tracer()
+        tracer = SpanRecorder()
         original = self.fake_worker_events(1)
         tracer.add_events(original)
-        tracer.events[0]["name"] = "mutated"
+        tracer.events()[0]["name"] = "mutated"
         assert original[0]["name"] == "attribute_evaluation"
-
-    def test_merge_traces_sorts_by_timestamp(self):
-        a = [{"name": "b", "ts": 5.0}]
-        b = [{"name": "a", "ts": 1.0}, {"name": "c", "ts": 9.0}]
-        merged = merge_traces(a, b)
-        assert [e["name"] for e in merged] == ["a", "b", "c"]
 
 
 class TestChromeExport:
-    def test_chrome_shape(self):
-        tracer = Tracer()
-        with tracer.phase("scan"):
+    def test_chrome_shape(self, tmp_path):
+        tracer = SpanRecorder()
+        with tracer.span("scan"):
             pass
-        doc = tracer.chrome()
+        path = str(tmp_path / "trace.json")
+        doc = json.load(open(tracer.write(path)))
         assert isinstance(doc["traceEvents"], list)
         assert doc["displayTimeUnit"] == "ms"
 
-    def test_events_sorted_by_ts(self):
-        tracer = Tracer()
+    def test_events_sorted_by_ts(self, tmp_path):
+        tracer = SpanRecorder()
         tracer.add_events([{"name": "late", "ts": 9e18, "ph": "X",
                             "dur": 1, "pid": 1, "tid": 1}])
-        with tracer.phase("early"):
+        with tracer.span("early"):
             pass
-        names = [e["name"] for e in tracer.chrome()["traceEvents"]]
+        path = tracer.write(str(tmp_path / "trace.json"))
+        names = [e["name"] for e in load_spans(path)]
         assert names[-1] == "late"
 
     def test_write_and_load_roundtrip(self, tmp_path):
-        tracer = Tracer()
-        with tracer.phase("scan"):
+        tracer = SpanRecorder()
+        with tracer.span("scan"):
             pass
         path = str(tmp_path / "trace.json")
         assert tracer.write(path) == path
-        events = load_trace(path)
+        events = load_spans(path)
         assert events[0]["name"] == "scan"
         # no leftover temp files from the atomic-rename dance
         assert os.listdir(str(tmp_path)) == ["trace.json"]
@@ -254,7 +253,7 @@ class TestBuildProfileTrace:
                    "--trace-out", trace_path,
                    "build", "--jobs", "2"] + files, out=collect)
         assert rc == 0
-        events = load_trace(trace_path)
+        events = load_spans(trace_path)
         assert events, "trace file must contain events"
         # well-formed: every complete event has the Chrome trace keys
         for event in events:
@@ -278,15 +277,20 @@ class TestBuildProfileTrace:
         assert any("build profile" in line for line in collect.lines)
 
     def test_profile_without_trace_out_uses_default(
-            self, tmp_path, collect):
+            self, tmp_path, collect, monkeypatch):
+        """``--profile`` only prints; no trace file appears anywhere
+        without ``--trace-out``."""
         files = _write_project(tmp_path, n=1)
         root = str(tmp_path / "libs")
+        monkeypatch.chdir(tmp_path)
+        before = set(os.listdir(str(tmp_path)))
         rc = main(["--root", root, "--profile", "build"] + files,
                   out=collect)
         assert rc == 0
-        default = os.path.join(root, "build-trace.json")
-        assert os.path.exists(default)
-        assert json.load(open(default))["traceEvents"]
+        assert any("build profile" in line for line in collect.lines)
+        assert not any("trace written" in line for line in collect.lines)
+        assert not os.path.exists(os.path.join(root, "build-trace.json"))
+        assert set(os.listdir(str(tmp_path))) - before == {"libs"}
 
     def test_compile_trace_out(self, tmp_path, collect):
         files = _write_project(tmp_path, n=1)
@@ -295,5 +299,5 @@ class TestBuildProfileTrace:
                    "--trace-out", trace_path, "compile"] + files,
                   out=collect)
         assert rc == 0
-        names = {e["name"] for e in load_trace(trace_path)}
+        names = {e["name"] for e in load_spans(trace_path)}
         assert {"scan", "parse", "attribute_evaluation"} <= names

@@ -144,9 +144,21 @@ class TestPipeline:
     def test_phase_timings_recorded(self, compiled):
         _, result = compiled
         assert set(result.timings) == {
-            "scan", "parse", "attribute_evaluation", "model_compile",
-            "vif"}
+            "scan", "parse", "attribute_evaluation", "model_compile"}
         assert all(t >= 0 for t in result.timings.values())
+
+    def test_timings_are_a_view_of_trace_events(self, compiled):
+        """timings are the per-name sums of the result's own spans,
+        and the compiler records no ``vif`` phase (VIF writing happens
+        inside attribute evaluation)."""
+        _, result = compiled
+        sums = {}
+        for event in result.trace_events:
+            sums[event["name"]] = (sums.get(event["name"], 0.0)
+                                   + event["dur"] / 1e6)
+        assert result.timings == sums
+        assert "vif" not in result.timings
+        assert "vif" not in {e["name"] for e in result.trace_events}
 
 
 class TestRecompilationIsolation:

@@ -236,10 +236,12 @@ class TestSimRoute:
         assert co["delta_cycles"] == ev["delta_cycles"]
 
     def test_sim_bad_backend(self, app):
-        (resp,) = run(app, mkreq("POST", "/sim",
-                                 {"top": "x",
-                                  "backend": "turbo"}))
-        assert resp.status == 400
+        # ``scan`` is the fuzz oracle's kernel, not a served backend.
+        for backend in ("turbo", "scan", ["event"]):
+            (resp,) = run(app, mkreq("POST", "/sim",
+                                     {"top": "x",
+                                      "backend": backend}))
+            assert resp.status == 400
 
 
 class TestLintRoute:

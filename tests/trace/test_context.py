@@ -14,7 +14,7 @@ from repro.trace import (
     thread_index,
     use,
 )
-from repro.trace.ring import SpanRing
+from repro.trace.recorder import SpanRecorder
 
 
 class TestSpanContext:
@@ -181,8 +181,10 @@ class TestMakeSpan:
 
 
 class TestSpanRing:
+    """The recorder's bounded mode: a ring of the newest events."""
+
     def test_bounded_with_drop_count(self):
-        ring = SpanRing(capacity=3)
+        ring = SpanRecorder(capacity=3)
         for i in range(5):
             ring.add({"name": str(i), "trace_id": "t"})
         assert len(ring) == 3
@@ -190,7 +192,7 @@ class TestSpanRing:
         assert [e["name"] for e in ring.events()] == ["2", "3", "4"]
 
     def test_trace_id_filter(self):
-        ring = SpanRing(capacity=10)
+        ring = SpanRecorder(capacity=10)
         ring.add_events([{"name": "a", "trace_id": "t1"},
                          {"name": "b", "trace_id": "t2"},
                          {"name": "c", "trace_id": "t1"}])
@@ -199,11 +201,11 @@ class TestSpanRing:
         assert ring.events(trace_id="absent") == []
 
     def test_clear(self):
-        ring = SpanRing(capacity=2)
+        ring = SpanRecorder(capacity=2)
         ring.add_events([{"n": 1}, {"n": 2}, {"n": 3}])
         ring.clear()
         assert len(ring) == 0 and ring.dropped == 0
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            SpanRing(capacity=0)
+            SpanRecorder(capacity=0)

@@ -321,7 +321,7 @@ class TestCompileResultUnitNames:
         class Nameless:
             name = ""
 
-        res = CompileResult([Nameless()], [], {}, 0, 0)
+        res = CompileResult([Nameless()], [], 0, 0)
         with pytest.raises(CompileError, match="unnamed"):
             res.unit_names()
         # repr stays safe even for the pathological case.
