@@ -8,10 +8,9 @@ workload is the same 2000-cell inverter ring the ``repro bench-check``
 SCC stack) plus its cut acyclic twin for the levelization pass.
 
 Results are emitted as JSON via ``benchmark.extra_info`` like the
-other benches (harvested into ``BENCH_analysis.json`` by conftest);
-the *committed* ``benchmarks/BENCH_analysis.json`` regression
-baseline is the deterministic ``repro bench-check`` scenario, not
-this module.
+other benches; ``--benchmark-json FILE`` saves them.  The committed
+``BENCH_analysis.json`` baseline is gated by the ``analysis`` scenario
+in ``scenarios.py``, which builds the same ring.
 """
 
 import json
@@ -22,19 +21,15 @@ from repro.analysis import (
     combinational_loops,
     levelize,
 )
-from repro.metrics.benchcheck import _ring_source
-from repro.vhdl.compiler import Compiler
 from repro.vhdl.elaborate import Elaborator
 
-N_CELLS = 2000
+from scenarios import ANALYSIS_CELLS as N_CELLS
+from scenarios import compile_library, inverter_ring_source
 
 
 def elaborate_ring(cut=False):
-    compiler = Compiler(strict=False)
-    result = compiler.compile(_ring_source(N_CELLS, cut=cut))
-    assert result.ok, result.messages[:3]
-    sim = Elaborator(compiler.library).elaborate("ring_top")
-    return compiler.library, sim
+    library = compile_library(inverter_ring_source(N_CELLS, cut=cut))
+    return library, Elaborator(library).elaborate("ring_top")
 
 
 def test_netlist_build_and_scc(benchmark):

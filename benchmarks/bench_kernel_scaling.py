@@ -15,13 +15,24 @@ reference :class:`ScanKernel` (the pre-calendar scheduler) pays
 O(N_CELLS) scans per cycle.  Both must produce *identical* semantics —
 same cycles, same resumes, same final signal values — the speedup is
 pure scheduling.
+
+The ring comes from ``scenarios.py`` (``build_ring`` and, for the
+compiled backend, ``ring_vhdl``); the committed
+``BENCH_kernel_scaling.json`` baseline gates the same design at 1500
+cells and 15 tokens.
 """
 
 import time
 
 from repro.sim import CompiledKernel, Kernel, ScanKernel
 
-NS = 10**6
+from scenarios import (
+    NS,
+    build_ring,
+    clear_program_cache,
+    compile_library,
+    ring_vhdl,
+)
 
 N_CELLS = 2000  # signals (and processes) in the design
 N_TOKENS = 20  # circulating tokens: ~1% of cells active per timestep
@@ -33,42 +44,13 @@ WINDOW_FS = 200 * NS  # 200 timesteps (tokens hop once per ns)
 COMPILED_WINDOW_FS = 1000 * NS  # 1000 timesteps
 
 
-def build(kernel_cls, n=N_CELLS, tokens=N_TOKENS):
-    """The token-ring: each cell waits on its own signal and, when
-    woken, toggles its successor one nanosecond later."""
-    k = kernel_cls()
-    sigs = [k.signal("cell%d" % i, 0) for i in range(n)]
-    rt = k.rt
-
-    stride = n // tokens
-    starters = frozenset(j * stride for j in range(tokens))
-
-    def cell(i):
-        me = sigs[i]
-        nxt = sigs[(i + 1) % n]
-        starter = i in starters
-
-        def proc():
-            if starter:  # the initialization run launches the token
-                rt.assign(nxt, ((1 - rt.read(nxt), 1 * NS),))
-            while True:
-                yield rt.wait([me])
-                rt.assign(nxt, ((1 - rt.read(nxt), 1 * NS),))
-
-        return proc
-
-    for i in range(n):
-        k.process("cell%d" % i, cell(i), sensitivity=[sigs[i]])
-    return k
-
-
 def _timed_run(kernel_cls, repeats):
     """Best-of wall-clock for the run phase only (build+initialize
     excluded — they are identical for both schedulers)."""
     best = None
     kernel = None
     for _ in range(repeats):
-        k = build(kernel_cls)
+        k = build_ring(kernel_cls, N_CELLS, N_TOKENS)
         k.initialize()
         t0 = time.perf_counter()
         k.run(until=WINDOW_FS)
@@ -80,7 +62,7 @@ def _timed_run(kernel_cls, repeats):
 
 def test_kernel_scaling_sparse_activity(benchmark):
     def window():
-        k = build(Kernel)
+        k = build_ring(Kernel, N_CELLS, N_TOKENS)
         k.run(until=WINDOW_FS)
         return k
 
@@ -127,44 +109,6 @@ def test_kernel_scaling_sparse_activity(benchmark):
     assert speedup >= 5.0, "only %.1fx over the scan kernel" % speedup
 
 
-def _ring_vhdl(n=N_CELLS, tokens=N_TOKENS):
-    """The same token-ring as VHDL source.  ``tokens`` evenly spaced
-    starter cells use sensitivity-list processes (their
-    initialization run launches the token); the rest wait first."""
-    stride = n // tokens
-    starters = frozenset(j * stride for j in range(tokens))
-    lines = ["entity ring is", "end ring;", "",
-             "architecture rtl of ring is"]
-    for i in range(n):
-        lines.append("  signal c_%d : integer := 0;" % i)
-    lines.append("begin")
-    for i in range(n):
-        j = (i + 1) % n
-        if i in starters:
-            lines.append(
-                "  p_%d: process (c_%d) begin "
-                "c_%d <= 1 - c_%d after 1 ns; end process;"
-                % (i, i, j, j))
-        else:
-            lines.append(
-                "  p_%d: process begin wait on c_%d; "
-                "c_%d <= 1 - c_%d after 1 ns; end process;"
-                % (i, i, j, j))
-    lines.append("end rtl;")
-    return "\n".join(lines)
-
-
-def _compile_ring():
-    from repro.vhdl.compiler import Compiler
-    from repro.vhdl.library import LibraryManager
-
-    library = LibraryManager(root=None)
-    result = Compiler(library=library, strict=False).compile(
-        _ring_vhdl(), filename="ring.vhd")
-    assert result.ok, result.messages
-    return library
-
-
 def test_compiled_backend_speedup(benchmark):
     """The backend axis: on the same 2000-cell 1%-active ring the
     compiled backend must run >= 3x faster than the activity kernel.
@@ -172,7 +116,8 @@ def test_compiled_backend_speedup(benchmark):
     steady-state run phases only, so warm-cache runs stay honest."""
     from repro.vhdl.elaborate import Elaborator
 
-    library = _compile_ring()
+    library = compile_library(ring_vhdl(N_CELLS, N_TOKENS),
+                              filename="ring.vhd")
 
     def specialize(kernel):
         sim = Elaborator(library, kernel=kernel).elaborate("ring")
@@ -200,8 +145,7 @@ def test_compiled_backend_speedup(benchmark):
 
     # First specialization pays codegen cold; the cache makes the
     # timing repeats warm, which is exactly what we want to measure.
-    from repro.sim.compiled import _PROGRAM_CACHE
-    _PROGRAM_CACHE.clear()
+    clear_program_cache()
     cold_kernel = CompiledKernel()
     codegen_cold_s = specialize(cold_kernel)
 
@@ -264,7 +208,7 @@ def test_cycle_cost_tracks_active_set(benchmark):
     set, not design size)."""
 
     def run_sized(n):
-        k = build(Kernel, n=n, tokens=N_TOKENS)
+        k = build_ring(Kernel, n, N_TOKENS)
         k.initialize()
         t0 = time.perf_counter()
         k.run(until=WINDOW_FS)
@@ -290,7 +234,7 @@ def test_cycle_cost_tracks_active_set(benchmark):
     benchmark.extra_info["cost_ratio_2x_design"] = round(ratio, 2)
 
     def window():
-        k = build(Kernel, n=2 * N_CELLS, tokens=N_TOKENS)
+        k = build_ring(Kernel, 2 * N_CELLS, N_TOKENS)
         k.run(until=WINDOW_FS)
         return k
 

@@ -11,9 +11,10 @@ questions matter for the CI gate:
   every unit is a cache hit and lint is the only real work?
 
 Results are emitted as JSON via ``benchmark.extra_info`` like the
-other benches (harvested into ``BENCH_lint.json`` by conftest); the
-*committed* ``benchmarks/BENCH_lint.json`` regression baseline is the
-deterministic ``repro bench-check`` scenario, not this module.
+other benches; ``--benchmark-json FILE`` saves them.  The committed
+``BENCH_lint.json`` baseline is gated by the ``lint`` scenario in
+``scenarios.py``, a different design: the simulation pipeline plus a
+unit with seeded defects, so its finding counts are not zero.
 """
 
 import json

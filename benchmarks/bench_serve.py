@@ -10,14 +10,12 @@ plus library load plus compile).  Two numbers matter:
 - the amortization ratio: served compile+sim round-trips versus the
   equivalent one-shot CLI invocations in a fresh subprocess.
 
-Results land in ``BENCH_serve.json`` via ``benchmark.extra_info``
-(harvested by conftest); the *committed*
-``benchmarks/BENCH_serve.json`` regression baseline is the
-deterministic ``repro bench-check`` serve scenario, not this module.
+Results are emitted via ``benchmark.extra_info`` (``--benchmark-json
+FILE`` saves them).  The committed ``BENCH_serve.json`` baseline is
+gated by the ``serve`` scenario in ``scenarios.py``, which runs a
+two-stage instance of the same pipeline design.
 """
 
-import http.client
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,52 +23,10 @@ import pytest
 
 from repro.serve import BackgroundServer
 
+from scenarios import PIPELINE_TOP, pipeline_source, serve_request
+
 N_CLIENTS = 8
 N_REQUESTS = 32  # per benchmark round, spread over the clients
-
-PIPELINE = """
-    entity stage is
-      port ( clk : in bit; din : in integer; dout : out integer );
-    end stage;
-    architecture rtl of stage is
-    begin
-      process (clk)
-      begin
-        if clk = '1' then
-          dout <= din + 1;
-        end if;
-      end process;
-    end rtl;
-
-    entity bench_top is end bench_top;
-    architecture top of bench_top is
-      component stage
-        port ( clk : in bit; din : in integer; dout : out integer );
-      end component;
-      signal clk : bit := '0';
-      signal d0 : integer := 0;
-      signal d1 : integer := 0;
-    begin
-      clock : process
-      begin
-        clk <= not clk after 5 ns;
-        wait on clk;
-      end process;
-      s1 : stage port map ( clk => clk, din => d0, dout => d1 );
-      feedback : d0 <= d1;
-    end top;
-"""
-
-
-def request(port, method, path, body=None):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
-    try:
-        payload = None if body is None else json.dumps(body)
-        conn.request(method, path, body=payload)
-        resp = conn.getresponse()
-        return resp.status, json.loads(resp.read())
-    finally:
-        conn.close()
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +34,11 @@ def server():
     with BackgroundServer(workers=2, batch_window=0.005) as handle:
         # Prime one session per client so sims have a design.
         for i in range(N_CLIENTS):
-            status, data = request(
+            status, data = serve_request(
                 handle.port, "POST", "/compile",
                 {"session": "c%d" % i,
-                 "files": [{"name": "pipe.vhd", "text": PIPELINE}]})
+                 "files": [{"name": "pipe.vhd",
+                            "text": pipeline_source(stages=1)}]})
             assert status == 200 and data["ok"], data
         yield handle
 
@@ -102,7 +59,7 @@ def test_mixed_burst_throughput(benchmark, server):
             jobs.append(("GET", "/healthz", None))
         else:
             jobs.append(("POST", "/sim",
-                         {"session": sid, "top": "bench_top",
+                         {"session": sid, "top": PIPELINE_TOP,
                           "until": "200ns"}))
 
     def burst():
@@ -111,7 +68,7 @@ def test_mixed_burst_throughput(benchmark, server):
         def one(job):
             method, path, body = job
             t0 = time.perf_counter()
-            status, data = request(port, method, path, body)
+            status, data = serve_request(port, method, path, body)
             latencies.append(time.perf_counter() - t0)
             assert status == 200, data
             return data
@@ -150,7 +107,7 @@ def test_batched_compile_amortization(benchmark, server):
             name = "gen_r%d_c%d.vhd" % (tag, i)
             text = ("entity g_r%d_c%d is end g_r%d_c%d;\n"
                     % (tag, i, tag, i))
-            status, data = request(
+            status, data = serve_request(
                 port, "POST", "/compile",
                 {"session": "batchbench",
                  "files": [{"name": name, "text": text}]})

@@ -8,65 +8,20 @@ behind "a complete, tested, production-quality compiler that has
 compiled hundreds of thousands of lines of customer's VHDL models".
 """
 
-from repro.vhdl.compiler import Compiler
 from repro.vhdl.elaborate import Elaborator
 
-NS = 10**6
-
-PIPELINE = """
-    entity stage is
-      port ( clk : in bit; din : in integer; dout : out integer );
-    end stage;
-    architecture rtl of stage is
-      signal hold : integer := 0;
-    begin
-      process (clk)
-      begin
-        if clk'event and clk = '1' then
-          hold <= (din + 1) mod 1000;
-        end if;
-      end process;
-      dout <= hold;
-    end rtl;
-
-    entity pipeline is end pipeline;
-    architecture top of pipeline is
-      component stage
-        port ( clk : in bit; din : in integer; dout : out integer );
-      end component;
-      signal clk : bit := '0';
-      signal d0 : integer := 0;
-      signal d1 : integer := 0;
-      signal d2 : integer := 0;
-      signal d3 : integer := 0;
-      signal d4 : integer := 0;
-    begin
-      clock : process
-      begin
-        clk <= not clk after 5 ns;
-        wait on clk;
-      end process;
-      s1 : stage port map ( clk => clk, din => d0, dout => d1 );
-      s2 : stage port map ( clk => clk, din => d1, dout => d2 );
-      s3 : stage port map ( clk => clk, din => d2, dout => d3 );
-      s4 : stage port map ( clk => clk, din => d3, dout => d4 );
-      feedback : d0 <= d4;
-    end top;
-"""
+from scenarios import NS, PIPELINE_TOP, compile_library, pipeline_source
 
 
 def build():
-    compiler = Compiler(strict=False)
-    result = compiler.compile(PIPELINE)
-    assert result.ok, result.messages[:3]
-    return compiler.library
+    return compile_library(pipeline_source(stages=4))
 
 
 def test_simulation_throughput(benchmark):
     library = build()
 
     def run_window():
-        sim = Elaborator(library).elaborate("pipeline")
+        sim = Elaborator(library).elaborate(PIPELINE_TOP)
         sim.run(until_fs=2000 * NS)  # 2 us, 200 clock edges
         return sim
 
@@ -134,7 +89,7 @@ def test_metrics_overhead(benchmark):
 
     def window(metrics):
         kernel = Kernel(metrics=metrics)
-        sim = Elaborator(library, kernel=kernel).elaborate("pipeline")
+        sim = Elaborator(library, kernel=kernel).elaborate(PIPELINE_TOP)
         sim.run(until_fs=2000 * NS)
         return kernel
 

@@ -870,7 +870,7 @@ def cmd_simulate(args, out):
     from functools import partial
 
     from .sim import backend_kernel
-    from .sim.tracing import Tracer, format_fs
+    from .sim.tracing import WaveformRecorder, format_fs
     from .trace import NULL_RECORDER, SpanRecorder
     from .vhdl.elaborate import Elaborator
 
@@ -963,7 +963,7 @@ def cmd_simulate(args, out):
                 for path in sim.names.by_suffix(suffix):
                     if sim.names.kind_of(path) == "signal":
                         signals.append(sim.names.lookup(path))
-            tracer = Tracer(sim.kernel, signals or None)
+            tracer = WaveformRecorder(sim.kernel, signals or None)
         until = _parse_time(args.until)
         with _span("kernel_run"):
             end = sim.run(until_fs=until)

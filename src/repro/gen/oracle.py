@@ -41,7 +41,7 @@ from ..metrics.bridge import bridge_kernel
 from ..sim.compiled import CompiledKernel
 from ..sim.kernel import Kernel, ScanKernel, SimulationError
 from ..sim.runtime import RuntimeError_
-from ..sim.tracing import Tracer
+from ..sim.tracing import WaveformRecorder
 from ..sim.vhdlio import AssertionFailure
 from ..vhdl.compiler import CompileError, Compiler
 from ..vhdl.elaborate import ElaborationError, Elaborator
@@ -258,7 +258,7 @@ def _simulate(kernel_cls, library, top, until_fs,
         sim = Elaborator(library, kernel=kernel).elaborate(top)
         if compile_design:
             kernel.compile_design(sim.records)
-        tracer = Tracer(kernel)
+        tracer = WaveformRecorder(kernel)
         sim.run(until_fs=until_fs, max_cycles=MAX_CYCLES)
     except _SIM_ERRORS as exc:
         return {"error": (type(exc).__name__, str(exc))}

@@ -391,8 +391,8 @@ class CompiledKernel(Kernel):
                         extend(rows)
             if fanout:
                 self.fanout_visits += fanout
-            for tracer in self.tracers:
-                tracer.on_cycle(now, step)
+            for waveform in self.waveforms:
+                waveform.on_cycle(now, step)
             fired.sort()
             inc = self._m_resumes.inc
             for _order, proc, fn in fired:
@@ -468,8 +468,8 @@ class CompiledKernel(Kernel):
             if fanout:
                 self.fanout_visits += fanout
 
-        for tracer in self.tracers:
-            tracer.on_cycle(now, step)
+        for waveform in self.waveforms:
+            waveform.on_cycle(now, step)
 
         # Phase 3: identical selection and order to the generic
         # kernel; compiled processes keep their permanent wait and

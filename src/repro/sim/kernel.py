@@ -90,7 +90,7 @@ class Kernel:
         self.cycles = 0  # executed simulation cycles (bench metric)
         self.delta_cycles = 0  # cycles that did not advance time
         self.truncated_transactions = 0  # abandoned by run(until=...)
-        self.tracers = []  # repro.sim.tracing.Tracer instances
+        self.waveforms = []  # repro.sim.tracing.WaveformRecorder objects
         # -- the event calendar -------------------------------------
         self._calendar = []  # heap of (time, seq, kind, payload)
         self._seq = 0  # entry tie-breaker; also total pushes
@@ -332,8 +332,8 @@ class Kernel:
             if fanout:
                 self.fanout_visits += fanout
 
-        for tracer in self.tracers:
-            tracer.on_cycle(now, step)
+        for waveform in self.waveforms:
+            waveform.on_cycle(now, step)
 
         # Phase 3: resume expired timeouts unconditionally and event
         # receivers whose condition holds — in registration order,
@@ -523,8 +523,8 @@ class ScanKernel(Kernel):
             if nxt is not None and nxt <= self.now:
                 sig.update(self.now, self.step)
 
-        for tracer in self.tracers:
-            tracer.on_cycle(self.now, self.step)
+        for waveform in self.waveforms:
+            waveform.on_cycle(self.now, self.step)
 
         resumed = [
             p for p in self.processes if p.should_resume(self.step, self.now)

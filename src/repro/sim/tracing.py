@@ -2,9 +2,9 @@
 
 The paper's compiler fed the VantageSpreadsheet(TM) behavioral
 simulation environment — an interactive tool over simulation results.
-:class:`Tracer` records every event on selected signals and can render
-an ASCII waveform or export a VCD (Value Change Dump) file that any
-wave viewer opens.
+:class:`WaveformRecorder` records every event on selected signals and
+can render an ASCII waveform or export a VCD (Value Change Dump) file
+that any wave viewer opens.
 """
 
 from .runtime import VArray
@@ -12,7 +12,7 @@ from .runtime import VArray
 from . import TIME_UNITS
 
 
-class Tracer:
+class WaveformRecorder:
     """Records (time, value) changes of a set of signals."""
 
     __slots__ = ("kernel", "signals", "history", "_watch")
@@ -24,7 +24,7 @@ class Tracer:
         #: Hot-path view: (signal, its history list) pairs, so
         #: ``on_cycle`` does no dict lookups per traced signal.
         self._watch = [(sig, self.history[sig]) for sig in self.signals]
-        kernel.tracers.append(self)
+        kernel.waveforms.append(self)
 
     def on_cycle(self, now, step):
         # Called once per simulation cycle; the event test is an

@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,10 @@ from repro.metrics.benchcheck import (
     load_bench_json,
     normalized_cost,
 )
+
+
+#: The committed baselines and their scenario registry.
+BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
 def _rows_by_key(rows):
@@ -128,6 +133,25 @@ class TestGate:
         text = "\n".join(lines)
         assert "ok " in text and "FAIL" in text
 
+    @pytest.mark.parametrize("text", ['{"no": "values"}', "not json"])
+    def test_current_without_values_is_exit_2(self, tmp_path, text):
+        lines = []
+        base = self._write(tmp_path / "BENCH_b.json",
+                           {"bench": "b", "values": {"n": 5}})
+        cur = tmp_path / "cur.json"
+        cur.write_text(text)
+        assert bench_check(base, current_path=str(cur),
+                           out=lines.append) == 2
+        assert len(lines) == 1 and lines[0].startswith("bench-check:")
+
+    def test_missing_current_is_exit_2(self, tmp_path):
+        lines = []
+        base = self._write(tmp_path / "BENCH_b.json",
+                           {"bench": "b", "values": {"n": 5}})
+        assert bench_check(base, current_path=str(tmp_path / "nope"),
+                           out=lines.append) == 2
+        assert len(lines) == 1 and lines[0].startswith("bench-check:")
+
     def test_update_writes_baseline_from_current(self, tmp_path):
         base = tmp_path / "BENCH_b.json"
         cur = self._write(tmp_path / "cur.json",
@@ -142,31 +166,53 @@ class TestGate:
                            out=lambda *_: None) == 0
 
 
+class TestRegistry:
+    """``benchmarks/scenarios.py`` and the committed baselines beside
+    it: no scenario goes ungated and no baseline is orphaned."""
+
+    def test_baselines_and_scenarios_match(self):
+        registry = benchcheck._registry_beside(
+            str(BENCH_DIR / "BENCH_simulation.json"))
+        baselines = {}
+        for path in BENCH_DIR.glob("BENCH_*.json"):
+            baselines[path.name] = load_bench_json(str(path))["bench"]
+        assert sorted(baselines.values()) == sorted(registry.SCENARIOS)
+        for name, bench in baselines.items():
+            assert name == "BENCH_%s.json" % bench
+
+
+@pytest.fixture
+def scenarios(monkeypatch):
+    """The registry ``bench_check`` runs for the committed simulation
+    baseline, with the window shrunk so the tests stay quick."""
+    module = benchcheck._registry_beside(
+        str(BENCH_DIR / "BENCH_simulation.json"))
+    monkeypatch.setattr(module, "SIM_UNTIL_FS", 100 * 10**6)
+    return module
+
+
 @pytest.mark.slow
 class TestScenarioIntegration:
     """The real simulation scenario: deterministic counters are
     reproducible, and an artificially slowed kernel trips the
     normalized-cost gate."""
 
-    def test_simulation_scenario_self_consistent(self, monkeypatch,
+    def test_simulation_scenario_self_consistent(self, scenarios,
                                                  tmp_path):
-        # shrink the window so the test stays quick
-        monkeypatch.setattr(benchcheck, "_SIM_UNTIL_FS", 100 * 10**6)
-        first = benchcheck.scenario_simulation()
+        first = scenarios.SCENARIOS["simulation"]()
         assert first["schema"] == "repro-metrics/1"
         assert first["kind"] == "bench"
         base = tmp_path / "BENCH_simulation.json"
         base.write_text(json.dumps(first))
-        second = benchcheck.scenario_simulation()
+        second = scenarios.SCENARIOS["simulation"]()
         rows = compare(first, second["values"], tolerance=10.0)
         by_key = _rows_by_key(rows)
         for key in ("cycles", "delta_cycles", "signal_events",
                     "signal_transactions", "process_resumes"):
             assert by_key[key][4], (key, by_key[key])
 
-    def test_slowed_kernel_fails_gate(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(benchcheck, "_SIM_UNTIL_FS", 100 * 10**6)
-        baseline = benchcheck.scenario_simulation()
+    def test_slowed_kernel_fails_gate(self, scenarios, monkeypatch):
+        baseline = scenarios.SCENARIOS["simulation"]()
 
         from repro.sim.kernel import Kernel
 
@@ -182,7 +228,7 @@ class TestScenarioIntegration:
             return orig(self, tn)
 
         monkeypatch.setattr(Kernel, "_cycle", slowed)
-        slow = benchcheck.scenario_simulation()
+        slow = scenarios.SCENARIOS["simulation"]()
         rows = compare(baseline, slow["values"], tolerance=0.5)
         by_key = _rows_by_key(rows)
         assert not by_key["normalized_cost"][4]

@@ -169,8 +169,8 @@ end rtl;
 class TestFastDispatch:
     """The per-signal dispatch table: with every process compiled
     pure (single-signal permanent wait, no condition) and no metrics
-    or tracers attached, ``_cycle`` takes the table-driven lane — and
-    must still be state-identical to the event kernel."""
+    or waveform recorders attached, ``_cycle`` takes the table-driven
+    lane — and must still be state-identical to the event kernel."""
 
     def _run(self, kernel_cls, library, compiled):
         kernel = kernel_cls()
