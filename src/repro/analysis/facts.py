@@ -1,34 +1,33 @@
-"""Dataflow fact extraction over compiled VIF units.
+"""Dataflow facts of compiled VIF units, as the rules consume them.
 
-The linter runs *post-compile, pre-elaboration*: its input is the
-generated Python model (``py_source``) each unit carries in the VIF
-payload, plus the declaration tables (``decls`` / ``ports`` /
-``instances``) the attribute grammar produced.  The generated code is
-a small, regular dialect — every signal access goes through the
-``rt`` runtime facade and every declaration through ``ctx`` — so a
-plain :mod:`ast` walk recovers precise per-process dataflow facts:
+The linter runs *post-compile, pre-elaboration*.  Its facts are the
+ones the attribute grammar computed while it generated each unit's
+code and stored in the unit's VIF payload:
 
-* which signals a process *reads* (and whether the read is guarded by
-  an ``'EVENT`` test — the clocked-process idiom whose data reads do
-  not belong in the sensitivity list);
-* which signals it *drives* (``rt.assign`` targets);
-* its declared *sensitivity* set and its *wait topology* (the
-  ``rt.wait`` suspensions it can reach, including wait-less infinite
-  loops that can never suspend);
-* the object table itself: signals, ports with modes, resolution
-  presence, and the declaring source line each ``ctx.signal`` /
-  ``ctx.port`` call was stamped with.
+* ``ArchUnit.processes`` — one record per process (see
+  :meth:`repro.vhdl.flow.Flow.record`): which signals it *reads*
+  (and whether the read is guarded by an ``'EVENT`` test — the
+  clocked-process idiom whose data reads do not belong in the
+  sensitivity list), which it *drives* and with what delay class, its
+  declared *sensitivity* and its *wait topology* (the waits it can
+  reach, wait-less infinite loops that can never suspend, and the
+  statements after them);
+* ``InstanceEntry.connections`` — each instance's port map;
+* the object table: the entity's ``ports`` and the signals among the
+  unit's ``decls`` (plus ``ArchUnit.block_signals``), with modes,
+  resolution presence and declaring source lines.
 
-These facts are rule-agnostic; :mod:`repro.analysis.rules` consumes
-them.  Extraction is total: units without generated code (entities,
-pre-span payloads) produce empty fact sets rather than errors.
+This module only reads those tables into the classes below.  The
+facts are rule-agnostic; :mod:`repro.analysis.rules` and
+:mod:`repro.analysis.netlist` consume them.  Units that generate no
+model (entities, configurations) have empty facts.
 """
 
-import ast
-
+from ..vhdl import vtypes
+from ..vhdl.symtab import entry_kind
 
 class ObjectFact:
-    """One declared signal or port in a unit's generated model."""
+    """One declared signal or port of a unit."""
 
     __slots__ = ("name", "py", "kind", "mode", "line", "resolved")
 
@@ -48,14 +47,14 @@ class ObjectFact:
 
 
 class DriveFact:
-    """One ``rt.assign`` site inside a process.
+    """One signal assignment inside a process.
 
-    The waveform literal's delay elements are classified statically:
-    a site is *zero-delay* only when every element is the constant
+    The waveform's delay elements are classified statically: a site
+    is *zero-delay* only when every element's delay is the literal
     ``0`` — the delta-cycle assignments whose chains form
-    combinational logic.  Non-constant delays are conservatively
-    treated as non-zero (a computed ``after`` cannot close a
-    combinational loop through the event calendar at delta time).
+    combinational logic.  Computed delays are conservatively treated
+    as non-zero (a computed ``after`` cannot close a combinational
+    loop through the event calendar at delta time).
     """
 
     __slots__ = ("target", "guarded", "zero_delay")
@@ -72,7 +71,8 @@ class DriveFact:
 
 
 class WaitFact:
-    """One reachable ``rt.wait`` suspension inside a process."""
+    """One reachable wait inside a process (including the final wait
+    on its sensitivity list the compiler adds)."""
 
     __slots__ = ("signals", "has_condition", "has_timeout")
 
@@ -102,15 +102,15 @@ class ProcessFact:
         self.line = line
         #: declared sensitivity py-names, or None for wait-driven
         self.sensitivity = sensitivity
-        self.plain_reads = set()    # rt.read outside any 'EVENT guard
-        self.guarded_reads = set()  # rt.read under an 'EVENT guard
-        self.attr_uses = set()      # rt.event / rt.active / last_value
-        self.drives = set()         # rt.assign targets
+        self.plain_reads = set()    # reads outside any 'EVENT guard
+        self.guarded_reads = set()  # reads under an 'EVENT guard
+        self.attr_uses = set()      # 'EVENT / 'ACTIVE / 'LAST_VALUE
+        self.drives = set()         # assignment targets
         self.drive_sites = []       # DriveFact, in source order
         self.event_guards = set()   # signals tested with 'EVENT in ifs
         self.waits = []             # WaitFact, in source order
         self.waitless_loops = 0     # infinite loops with no suspension
-        self.unreachable_stmts = 0  # statements after such a loop
+        self.unreachable_stmts = 0  # VHDL statements after such a loop
 
     @property
     def reads(self):
@@ -145,7 +145,7 @@ class InstanceFact:
 
 
 class UnitFacts:
-    """All extracted facts for one compiled unit."""
+    """All facts for one compiled unit."""
 
     __slots__ = ("kind", "name", "file", "objects", "processes",
                  "instances")
@@ -167,280 +167,59 @@ class UnitFacts:
             len(self.processes))
 
 
-# -- AST helpers --------------------------------------------------------------
+# -- reading the VIF tables ----------------------------------------------------
 
 
-def _ctx_call(node, method):
-    """Is ``node`` a ``ctx.<method>(...)`` call?"""
-    return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == method
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "ctx")
+def process_fact(record):
+    """A :class:`ProcessFact` from one ``ArchUnit.processes`` record."""
+    (label, py, line, sensitivity, plain, guarded, attrs, events,
+     drives, waits, waitless, unreachable) = record
+    proc = ProcessFact(label, py, line=line, sensitivity=sensitivity)
+    proc.plain_reads = set(plain)
+    proc.guarded_reads = set(guarded)
+    proc.attr_uses = set(attrs)
+    proc.event_guards = set(events)
+    proc.drive_sites = [DriveFact(*site) for site in drives]
+    proc.drives = {site.target for site in proc.drive_sites}
+    proc.waits = [WaitFact(*wait) for wait in waits]
+    proc.waitless_loops = waitless
+    proc.unreachable_stmts = unreachable
+    return proc
 
 
-def _rt_call(node):
-    """The ``rt.<attr>`` method name of a call, or None."""
-    if (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "rt"):
-        return node.func.attr
-    return None
-
-
-def _const(node):
-    return node.value if isinstance(node, ast.Constant) else None
-
-
-def _kwargs(call):
-    return {kw.arg: kw.value for kw in call.keywords if kw.arg}
-
-
-def _name(node):
-    return node.id if isinstance(node, ast.Name) else None
-
-
-def _contains_event_test(node):
-    """Does the expression subtree contain ``rt.event(...)``?"""
-    for sub in ast.walk(node):
-        if _rt_call(sub) in ("event", "active"):
-            return True
-    return False
-
-
-def _is_true_const(node):
-    """``while True:`` / ``while 1:`` — an infinite loop header."""
-    value = _const(node)
-    return value is not None and bool(value) and not isinstance(
-        value, str)
-
-
-def _suspends(node):
-    """Can control leave this loop (yield, break, or return)?"""
-    for sub in ast.walk(node):
-        if isinstance(sub, (ast.Yield, ast.YieldFrom, ast.Break,
-                            ast.Return)):
-            return True
-    return False
-
-
-# -- extraction ----------------------------------------------------------------
+def _signal_fact(entry):
+    return ObjectFact(entry.name, entry.py, "signal", line=entry.line,
+                      resolved=vtypes.resolution_of(entry.vtype)
+                      is not None)
 
 
 def extract_unit_facts(node, kind=None):
-    """Extract :class:`UnitFacts` from one VIF unit node.
+    """The :class:`UnitFacts` of one VIF unit node.
 
-    ``node`` is any unit carrying ``py_source`` (architectures are the
-    interesting case; entities and packages yield near-empty facts).
+    Architectures are the interesting case; packages and package
+    bodies contribute their signals; other units yield empty facts.
     """
-    name = getattr(node, "name", "?")
-    source_file = getattr(node, "source_file", "") or None
-    facts = UnitFacts(kind or type(node).__name__, name,
-                      file=source_file)
-    py = getattr(node, "py_source", "") or ""
-    if "def elaborate" not in py:
+    facts = UnitFacts(kind or type(node).__name__,
+                      getattr(node, "name", "?"),
+                      file=getattr(node, "source_file", "") or None)
+    unit_kind = entry_kind(node)
+    if unit_kind not in ("architecture", "package", "package_body"):
         return facts
-    try:
-        tree = ast.parse(py)
-    except SyntaxError:
+    objects = facts.objects
+    if unit_kind == "architecture":
+        for port in node.entity.ports:
+            objects[port.py] = ObjectFact(port.name, port.py, "port",
+                                          port.mode or "", port.line)
+    for entry in node.decls:
+        if entry_kind(entry) == "object" and entry.obj_class == "signal":
+            objects[entry.py] = _signal_fact(entry)
+    if unit_kind != "architecture":
         return facts
-    elab = None
-    for stmt in tree.body:
-        if isinstance(stmt, ast.FunctionDef) and \
-                stmt.name == "elaborate":
-            elab = stmt
-            break
-    if elab is None:
-        return facts
-
-    proc_defs = {}
-    for stmt in elab.body:
-        _extract_top_stmt(stmt, facts, proc_defs)
+    for py, name, line, resolved in node.block_signals:
+        objects[py] = ObjectFact(name, py, "signal", line=line,
+                                 resolved=resolved)
+    facts.processes = [process_fact(r) for r in node.processes]
+    facts.instances = [
+        InstanceFact(inst.label, inst.component.name, inst.connections)
+        for inst in node.instances]
     return facts
-
-
-def _extract_top_stmt(stmt, facts, proc_defs):
-    if isinstance(stmt, ast.FunctionDef):
-        proc_defs[stmt.name] = stmt
-        return
-    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-        target = _name(stmt.targets[0])
-        call = stmt.value
-        for decl_kind in ("signal", "port"):
-            if target and _ctx_call(call, decl_kind):
-                kwargs = _kwargs(call)
-                vhdl_name = _const(call.args[0]) if call.args else None
-                facts.objects[target] = ObjectFact(
-                    name=vhdl_name or target,
-                    py=target,
-                    kind=decl_kind,
-                    mode=_const(kwargs.get("mode")) or "",
-                    line=_const(kwargs.get("line")),
-                    resolved="res" in kwargs,
-                )
-                return
-        return
-    if not isinstance(stmt, ast.Expr):
-        return
-    call = stmt.value
-    if _ctx_call(call, "process"):
-        kwargs = _kwargs(call)
-        label = _const(call.args[0]) if call.args else "?"
-        fn_name = _name(call.args[1]) if len(call.args) > 1 else None
-        sensitivity = None
-        sens_node = kwargs.get("sensitivity")
-        if isinstance(sens_node, ast.List):
-            sensitivity = [
-                _name(e) for e in sens_node.elts if _name(e)]
-        proc = ProcessFact(label, fn_name,
-                           line=_const(kwargs.get("line")),
-                           sensitivity=sensitivity)
-        body_def = proc_defs.get(fn_name)
-        if body_def is not None:
-            _walk_stmts(body_def.body, proc, guarded=False)
-        facts.processes.append(proc)
-        return
-    if _ctx_call(call, "instance"):
-        label = _const(call.args[0]) if call.args else "?"
-        comp = _const(call.args[1]) if len(call.args) > 1 else "?"
-        connections = {}
-        if len(call.args) > 3 and isinstance(call.args[3], ast.Dict):
-            for k, v in zip(call.args[3].keys, call.args[3].values):
-                formal, actual = _const(k), _name(v)
-                if formal and actual:
-                    connections[formal] = actual
-        facts.instances.append(InstanceFact(label, comp, connections))
-
-
-# -- process-body walk ---------------------------------------------------------
-
-
-def _walk_stmts(stmts, proc, guarded):
-    """Walk a statement list collecting facts; returns True while the
-    statements remain reachable (False once an inescapable wait-less
-    loop has been seen — everything after it is dead)."""
-    reachable = True
-    for stmt in stmts:
-        if not reachable:
-            proc.unreachable_stmts += 1
-            continue
-        reachable = _walk_stmt(stmt, proc, guarded)
-    return reachable
-
-
-def _walk_stmt(stmt, proc, guarded):
-    """Process one statement; returns False when the statement never
-    passes control to its successor."""
-    if isinstance(stmt, ast.If):
-        under_event = guarded or _contains_event_test(stmt.test)
-        for sub in ast.walk(stmt.test):
-            if _rt_call(sub) in ("event", "active") and sub.args:
-                target = _name(sub.args[0])
-                if target:
-                    proc.event_guards.add(target)
-        _collect_expr(stmt.test, proc, guarded)
-        _walk_stmts(stmt.body, proc, under_event)
-        _walk_stmts(stmt.orelse, proc, under_event)
-        return True
-    if isinstance(stmt, ast.While):
-        infinite = _is_true_const(stmt.test)
-        escapes = _suspends(stmt)
-        if not infinite:
-            _collect_expr(stmt.test, proc, guarded)
-        _walk_stmts(stmt.body, proc, guarded)
-        if infinite and not escapes:
-            proc.waitless_loops += 1
-            return False
-        return not infinite or escapes
-    if isinstance(stmt, ast.For):
-        _collect_expr(stmt.iter, proc, guarded)
-        _walk_stmts(stmt.body, proc, guarded)
-        _walk_stmts(stmt.orelse, proc, guarded)
-        return True
-    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Yield):
-        wait = stmt.value.value
-        if wait is not None:
-            _collect_wait(wait, proc, guarded)
-        return True
-    # Assignments (variable updates), asserts, everything else: scan
-    # the expression subtrees for runtime calls.
-    _collect_expr(stmt, proc, guarded)
-    return True
-
-
-def _waveform_is_delta(node):
-    """Is every delay element of an ``rt.assign`` waveform literal the
-    constant ``0``?  Non-literal waveforms and computed delays answer
-    False — a scheduled (non-delta) assignment cannot close a
-    combinational loop, so unknown delays are treated as scheduled."""
-    if not isinstance(node, (ast.Tuple, ast.List)):
-        return False
-    elements = node.elts
-    if not elements:
-        return False
-    for element in elements:
-        if not isinstance(element, (ast.Tuple, ast.List)) \
-                or len(element.elts) < 2:
-            return False
-        if _const(element.elts[1]) != 0:
-            return False
-    return True
-
-
-def _collect_wait(call, proc, guarded):
-    """Record one ``yield rt.wait([...], cond, timeout)``."""
-    if _rt_call(call) != "wait":
-        _collect_expr(call, proc, guarded)
-        return
-    signals = []
-    has_condition = False
-    has_timeout = False
-    args = list(call.args)
-    kwargs = _kwargs(call)
-    sig_node = args[0] if args else kwargs.get("signals")
-    cond_node = args[1] if len(args) > 1 else kwargs.get("condition")
-    time_node = args[2] if len(args) > 2 else kwargs.get("timeout")
-    if isinstance(sig_node, (ast.List, ast.Tuple)):
-        signals = [_name(e) for e in sig_node.elts if _name(e)]
-    if cond_node is not None and _const(cond_node) is None \
-            and not (isinstance(cond_node, ast.Constant)):
-        has_condition = True
-        _collect_expr(cond_node, proc, guarded)
-    if time_node is not None and not (
-            isinstance(time_node, ast.Constant)
-            and time_node.value is None):
-        has_timeout = True
-        _collect_expr(time_node, proc, guarded)
-    proc.waits.append(WaitFact(signals, has_condition, has_timeout))
-
-
-def _collect_expr(node, proc, guarded):
-    """Scan an expression (or statement) subtree for runtime calls."""
-    for sub in ast.walk(node):
-        method = _rt_call(sub)
-        if method is None:
-            continue
-        if method == "read" and sub.args:
-            target = _name(sub.args[0])
-            if target:
-                if guarded:
-                    proc.guarded_reads.add(target)
-                else:
-                    proc.plain_reads.add(target)
-        elif method in ("event", "active", "last_value") and sub.args:
-            target = _name(sub.args[0])
-            if target:
-                proc.attr_uses.add(target)
-        elif method == "assign" and sub.args:
-            target = _name(sub.args[0])
-            if target:
-                proc.drives.add(target)
-                proc.drive_sites.append(DriveFact(
-                    target, guarded,
-                    _waveform_is_delta(sub.args[1])
-                    if len(sub.args) > 1 else False))
-        elif method == "wait":
-            # A wait expression reached outside a ``yield`` statement
-            # position (defensive; the generator protocol forbids it).
-            _collect_wait(sub, proc, guarded)

@@ -22,15 +22,17 @@ instead of silently mis-hitting.
 import hashlib
 import json
 
-# bfp-3: generated models now pass declaration line coordinates to
-# ctx.signal()/ctx.port()/ctx.process(), and units record their
-# source file; bumping invalidates cached payloads built before.
-FINGERPRINT_VERSION = "bfp-3"
+# bfp-4: architectures store their per-process dataflow records and
+# instances their port maps; bumping invalidates cached payloads built
+# before (which the VIF reader would refuse anyway).
+FINGERPRINT_VERSION = "bfp-4"
 
 #: Payload node fields that do not affect a unit's *interface* as seen
-#: by dependents: generated back-end text and source coordinates
-#: (``source_file`` included, so renaming a file does not cascade).
-VOLATILE_FIELDS = ("py_source", "c_source", "line", "source_file")
+#: by dependents: generated back-end text and the dataflow facts that
+#: come with it, and source coordinates (``source_file`` included, so
+#: renaming a file does not cascade).
+VOLATILE_FIELDS = ("py_source", "c_source", "processes", "block_signals",
+                   "connections", "line", "source_file")
 
 _SEP = b"\x1f"
 _END = b"\x1e"

@@ -717,8 +717,12 @@ def cmd_analyze(args, out):
         jobs.append((args.top, library, args.top, args.arch, "ok",
                      sources))
     elif args.top:
-        jobs.append((args.top, _library(args), args.top, args.arch,
-                     "ok", {}))
+        library = _library(args)
+        # Units the library refused to load (corrupt, or written by an
+        # older compiler) are named here, not left as missing units.
+        for diag in library.quarantine_diagnostics():
+            say(str(diag))
+        jobs.append((args.top, library, args.top, args.arch, "ok", {}))
     else:
         # Each file is an independent design.
         for path in files:

@@ -402,7 +402,7 @@ class ExprEvaluator:
             inherited={"ENV": env, "CTX": ctx},
             on_error=lambda exc: {"GOAL": {
                 "kind": "error", "ok": False, "code": "None",
-                "type": None, "val": None, "has_val": False, "sigs": [],
+                "type": None, "val": None, "has_val": False,
                 "msgs": ["line %d: expression syntax: %s" % (line, exc)],
             }},
         )

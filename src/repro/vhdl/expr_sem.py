@@ -8,8 +8,8 @@ emission for the :mod:`repro.sim.runtime` target.
 
 The central value is :class:`Sem` — the meaning of (a piece of) an
 expression: its type, generated code, static value when known, the
-signals it reads (for sensitivity inference), and accumulated error
-messages.  Some Sems are *pending*: an overloaded enumeration literal
+signal uses its code makes (for sensitivity inference and the
+per-process dataflow record), and accumulated error messages.  Some Sems are *pending*: an overloaded enumeration literal
 or an aggregate cannot be finished until an expected type arrives from
 context, so they carry a resolver the use-site forces.
 """
@@ -26,18 +26,21 @@ class Sem:
     """The semantic value of an expression fragment."""
 
     __slots__ = (
-        "kind", "type", "code", "val", "sigs", "msgs",
+        "kind", "type", "code", "val", "uses", "msgs",
         "entries", "entry", "pending", "lvalue", "rng",
     )
 
     def __init__(self, kind="value", type=None, code="None", val=MISSING,
-                 sigs=(), msgs=(), entries=None, entry=None,
+                 uses=(), msgs=(), entries=None, entry=None,
                  pending=None, lvalue=None, rng=None):
         self.kind = kind
         self.type = type
         self.code = code
         self.val = val
-        self.sigs = frozenset(sigs)
+        #: (runtime call, signal binding) pairs the code contains:
+        #: ("read", py) for ``rt.read(py)``, ("event", py) for
+        #: ``rt.event(py)``, likewise "active" and "last_value".
+        self.uses = frozenset(uses)
         self.msgs = tuple(msgs)
         self.entries = entries
         self.entry = entry
@@ -86,11 +89,21 @@ def code_for_value(val):
     return repr(val)
 
 
-def value_sem(vtype, code, val=MISSING, sigs=(), msgs=()):
+def value_sem(vtype, code, val=MISSING, msgs=()):
     if val is not MISSING:
         code = code_for_value(val)
-    return Sem(kind="value", type=vtype, code=code, val=val,
-               sigs=sigs, msgs=msgs)
+    return Sem(kind="value", type=vtype, code=code, val=val, msgs=msgs)
+
+
+def signals_of(uses):
+    """The signal bindings a use set touches, sorted: the implicit
+    sensitivity of an expression."""
+    return sorted({py for _, py in uses})
+
+
+def has_event_test(uses):
+    """Does the code test ``'EVENT`` or ``'ACTIVE`` (a clock edge)?"""
+    return any(call in ("event", "active") for call, _ in uses)
 
 
 # -- name semantics --------------------------------------------------------------
@@ -101,11 +114,11 @@ def object_sem(entry, ctx):
     vtype = entry.vtype
     if entry.is_signal:
         code = "rt.read(%s)" % entry.py
-        sigs = (entry.py,)
+        uses = (("read", entry.py),)
         val = MISSING
     else:
         code = entry.py
-        sigs = ()
+        uses = ()
         val = entry.static_value()
         if val is None and not entry.has_value:
             val = MISSING
@@ -115,7 +128,7 @@ def object_sem(entry, ctx):
                 % (ctx.line, entry.obj_class, entry.name),)
     sem = Sem(kind="value", type=vtype, code=code,
               val=val if val is not None else MISSING,
-              sigs=sigs, msgs=msgs, entry=entry)
+              uses=uses, msgs=msgs, entry=entry)
     sem.lvalue = LValue(entry)
     return sem
 
@@ -302,9 +315,9 @@ _FOLD_FNS = {
 }
 
 
-def _sem_with(vtype, code, val, sigs, msgs):
+def _sem_with(vtype, code, val, uses, msgs):
     s = Sem(kind="value", type=vtype, code=code, val=val,
-            sigs=sigs, msgs=msgs)
+            uses=uses, msgs=msgs)
     return s
 
 
@@ -338,7 +351,7 @@ def binary_sem(op_kind, left, right, ctx, line):
 
         eager = _binary_core(op_kind, left, right, ctx, line, None)
         return Sem(kind=eager.kind, type=eager.type, code=eager.code,
-                   val=eager.val, sigs=eager.sigs, msgs=eager.msgs,
+                   val=eager.val, uses=eager.uses, msgs=eager.msgs,
                    pending=resolver)
     return _binary_core(op_kind, left, right, ctx, line, None)
 
@@ -427,7 +440,7 @@ def _finish(fn, left, right, result_type, ctx):
         except Exception:
             val = MISSING
     return _sem_with(result_type, code, val,
-                     left.sigs | right.sigs, left.msgs + right.msgs)
+                     left.uses | right.uses, left.msgs + right.msgs)
 
 
 def _concat_sem(left, right, ctx, line):
@@ -472,7 +485,7 @@ def unary_sem(op_kind, operand, ctx, line):
             val = _FOLD_FNS[fn](operand.val)
         except Exception:
             val = MISSING
-    return _sem_with(vtype, code, val, operand.sigs, operand.msgs)
+    return _sem_with(vtype, code, val, operand.uses, operand.msgs)
 
 
 _OP_DESIGNATORS = {
@@ -525,17 +538,17 @@ def _combine_errors(*sems):
 def call_sem(subprog, arg_sems, ctx, line):
     """Emit a call to a resolved subprogram with positional Sems."""
     msgs = sum((s.msgs for s in arg_sems), ())
-    sigs = frozenset().union(
-        *[s.sigs for s in arg_sems]) if arg_sems else frozenset()
+    uses = frozenset().union(
+        *[s.uses for s in arg_sems]) if arg_sems else frozenset()
     if subprog.predefined_op == "now":
-        return _sem_with(subprog.result, "rt.now", MISSING, sigs, msgs)
+        return _sem_with(subprog.result, "rt.now", MISSING, uses, msgs)
     codes = []
     for param, sem in zip(subprog.params, arg_sems):
         codes.append(sem.code)
     for param in subprog.params[len(arg_sems):]:
         codes.append(code_for_value(param.default))
     code = "%s(%s)" % (subprog.py, ", ".join(codes))
-    return _sem_with(subprog.result, code, MISSING, sigs, msgs)
+    return _sem_with(subprog.result, code, MISSING, uses, msgs)
 
 
 def resolve_call(entries, items, ctx, line, text="?"):
@@ -688,7 +701,7 @@ def aggregate_sem(items, hint, ctx, line):
 def _record_aggregate(items, rtype, ctx, line):
     by_field = {}
     msgs = []
-    sigs = set()
+    uses = set()
     pos_i = 0
     for item in items:
         if item.kind == "pos":
@@ -713,7 +726,7 @@ def _record_aggregate(items, rtype, ctx, line):
                 continue
             sem = force(item.value, ftype, ctx)
             msgs.extend(sem.msgs)
-            sigs |= sem.sigs
+            uses |= sem.uses
             by_field[fname] = sem
     missing = [f for f in rtype.field_names if f not in by_field]
     if missing:
@@ -723,13 +736,13 @@ def _record_aggregate(items, rtype, ctx, line):
         "(%r, %s)" % (f, s.code) for f, s in by_field.items()
     )
     code = "ops.record_from([%s])" % pairs
-    return _sem_with(rtype, code, MISSING, frozenset(sigs), tuple(msgs))
+    return _sem_with(rtype, code, MISSING, uses, tuple(msgs))
 
 
 def _array_aggregate(items, atype, ctx, line):
     elem = atype.element_type
     msgs = []
-    sigs = set()
+    uses = set()
     positional = []
     named = []       # (index_val, sem) — static indices only
     others = None
@@ -737,17 +750,17 @@ def _array_aggregate(items, atype, ctx, line):
         if item.kind == "pos":
             sem = force(item.value, elem, ctx)
             msgs.extend(sem.msgs)
-            sigs |= sem.sigs
+            uses |= sem.uses
             positional.append(sem)
         elif item.kind == "others":
             sem = force(item.value, elem, ctx)
             msgs.extend(sem.msgs)
-            sigs |= sem.sigs
+            uses |= sem.uses
             others = sem
         elif item.kind in ("named", "range"):
             sem = force(item.value, elem, ctx)
             msgs.extend(sem.msgs)
-            sigs |= sem.sigs
+            uses |= sem.uses
             for choice in item.choices:
                 if choice.kind == "range" and choice.rng is not None:
                     lo, hi = _static_range_bounds(choice, msgs, line)
@@ -802,7 +815,7 @@ def _array_aggregate(items, atype, ctx, line):
             val = arr
         except Exception:
             val = MISSING
-    return _sem_with(atype, code, val, frozenset(sigs), tuple(msgs))
+    return _sem_with(atype, code, val, uses, tuple(msgs))
 
 
 def _static_range_bounds(choice, msgs, line):
@@ -885,7 +898,7 @@ def _index_sem(prefix, item, ctx, line):
         except Exception:
             val = MISSING
     sem = _sem_with(vtype.element_type, code, val,
-                    prefix.sigs | idx.sigs, prefix.msgs + idx.msgs)
+                    prefix.uses | idx.uses, prefix.msgs + idx.msgs)
     if prefix.lvalue is not None:
         sem.lvalue = prefix.lvalue.extend(("index", idx))
     return sem
@@ -907,7 +920,7 @@ def _slice_sem(prefix, item, ctx, line):
                                    right=right.val))
     result_type = sub if sub is not None else vtype.base()
     sem = _sem_with(result_type, code, MISSING,
-                    prefix.sigs | left.sigs | right.sigs,
+                    prefix.uses | left.uses | right.uses,
                     prefix.msgs + left.msgs + right.msgs)
     if prefix.lvalue is not None:
         sem.lvalue = prefix.lvalue.extend(
@@ -929,7 +942,7 @@ def conversion_sem(vtype, items, ctx, line):
     src_base = src.base() if src is not None else None
     if src_base is dst_base:
         return _sem_with(vtype, operand.code, operand.val,
-                         operand.sigs, operand.msgs)
+                         operand.uses, operand.msgs)
     numeric = ("integer", "float", "physical")
     if src_base is not None and src_base.kind in numeric \
             and dst_base.kind in numeric:
@@ -938,7 +951,7 @@ def conversion_sem(vtype, items, ctx, line):
         val = MISSING
         if operand.val is not MISSING:
             val = getattr(_ops, fn)(operand.val)
-        return _sem_with(vtype, code, val, operand.sigs, operand.msgs)
+        return _sem_with(vtype, code, val, operand.uses, operand.msgs)
     return error_sem(
         "no conversion from %s to %s"
         % (vtypes.describe(src), vtypes.describe(vtype)), line)
@@ -954,7 +967,7 @@ def qualified_sem(vtype, paren, ctx, line):
         return error_sem(
             "qualified expression: value of type %s does not match %s"
             % (vtypes.describe(sem.type), vtypes.describe(vtype)), line)
-    return _sem_with(vtype, sem.code, sem.val, sem.sigs, sem.msgs)
+    return _sem_with(vtype, sem.code, sem.val, sem.uses, sem.msgs)
 
 
 # -- selection (DOT) ---------------------------------------------------------------------
@@ -1007,7 +1020,7 @@ def selection_sem(prefix, field_name, ctx, line):
             val = _ops.field(prefix_v.val, field_name)
         except Exception:
             val = MISSING
-    sem = _sem_with(ftype, code, val, prefix_v.sigs, prefix_v.msgs)
+    sem = _sem_with(ftype, code, val, prefix_v.uses, prefix_v.msgs)
     if prefix_v.lvalue is not None:
         sem.lvalue = prefix_v.lvalue.extend(("field", field_name))
     return sem
@@ -1052,15 +1065,11 @@ def attribute_sem(prefix, attr_name, ctx, line):
     if prefix.kind in ("value",) and prefix.entry is not None \
             and prefix.entry.is_signal:
         if attr_name in _SIGNAL_ATTRS:
-            sig = prefix.entry.py
-            if attr_name == "event":
-                return _sem_with(ctx.std.boolean, "rt.event(%s)" % sig,
-                                 MISSING, frozenset({sig}), prefix.msgs)
-            if attr_name == "active":
-                return _sem_with(ctx.std.boolean, "rt.active(%s)" % sig,
-                                 MISSING, frozenset({sig}), prefix.msgs)
-            return _sem_with(prefix.type, "rt.last_value(%s)" % sig,
-                             MISSING, frozenset({sig}), prefix.msgs)
+            use = (attr_name, prefix.entry.py)
+            vtype = prefix.type if attr_name == "last_value" \
+                else ctx.std.boolean
+            return _sem_with(vtype, "rt.%s(%s)" % use, MISSING,
+                             (use,), prefix.msgs)
     if prefix.kind == "value" and vtypes.is_array(prefix.type):
         return _array_attribute(prefix, attr_name, ctx, line)
     if prefix.kind == "value":
@@ -1092,7 +1101,7 @@ def _array_attribute(prefix, attr_name, ctx, line):
                 "min" if attr_name == "low" else "max",
                 prefix.code, prefix.code)
         return _sem_with(vtype.index_type, code, MISSING,
-                         prefix.sigs, prefix.msgs)
+                         prefix.uses, prefix.msgs)
     if attr_name in ("range", "reverse_range"):
         return _range_attr_sem(prefix, vtype, attr_name, static, rng, ctx)
     return error_sem("no array attribute %r" % attr_name, line)
@@ -1107,18 +1116,19 @@ def _range_attr_sem(prefix, vtype, attr_name, static, rng, ctx):
         lsem = value_sem(vtype.index_type, "", val=left)
         rsem = value_sem(vtype.index_type, "", val=right)
         return Sem(kind="range", type=vtype.index_type,
-                   rng=(lsem, direction, rsem), sigs=prefix.sigs,
-                   msgs=prefix.msgs, code="<range>")
+                   rng=(lsem, direction, rsem), msgs=prefix.msgs,
+                   code="<range>")
     fn = "range_of" if attr_name == "range" else "reverse_range_of"
     base = "ops.%s(%s)" % (fn, prefix.code)
     lsem = _sem_with(vtype.index_type, base + "[0]", MISSING,
-                     prefix.sigs, ())
-    rsem = _sem_with(vtype.index_type, base + "[2]", MISSING, set(), ())
+                     prefix.uses, ())
+    rsem = _sem_with(vtype.index_type, base + "[2]", MISSING,
+                     prefix.uses, ())
     # Direction is not statically known for unconstrained prefixes;
     # runtime VArray values built by the kernel are ascending, so the
     # assumption is documented rather than diagnosed.
     return Sem(kind="range", type=vtype.index_type,
-               rng=(lsem, "to", rsem), sigs=prefix.sigs,
+               rng=(lsem, "to", rsem), uses=prefix.uses,
                msgs=prefix.msgs, code="<range>")
 
 
@@ -1172,19 +1182,19 @@ def _apply_attr_fn(prefix, items, ctx, line):
     low, high = vtypes.scalar_bounds(vtype)
     if attr_name == "pos":
         return _sem_with(ctx.std.integer, arg.code, arg.val,
-                         arg.sigs, arg.msgs)
+                         arg.uses, arg.msgs)
     if attr_name == "val":
         code = "ops.check_range(%s, %r, %r, %r)" % (
             arg.code, low, high, "'val")
         val = arg.val
-        return _sem_with(vtype, code, val, arg.sigs, arg.msgs)
+        return _sem_with(vtype, code, val, arg.uses, arg.msgs)
     if attr_name == "succ":
         code = "ops.succ(%s, %r)" % (arg.code, high)
         val = MISSING if arg.val is MISSING else arg.val + 1
-        return _sem_with(vtype, code, val, arg.sigs, arg.msgs)
+        return _sem_with(vtype, code, val, arg.uses, arg.msgs)
     code = "ops.pred(%s, %r)" % (arg.code, low)
     val = MISSING if arg.val is MISSING else arg.val - 1
-    return _sem_with(vtype, code, val, arg.sigs, arg.msgs)
+    return _sem_with(vtype, code, val, arg.uses, arg.msgs)
 
 
 # -- ranges, choices, targets, goals ---------------------------------------------------------
@@ -1201,7 +1211,7 @@ def range_sem(left, direction, right, ctx, line):
     return Sem(kind="range",
                type=left2.type or right.type or ctx.std.integer,
                rng=(left2, direction, right),
-               sigs=left2.sigs | right.sigs,
+               uses=left2.uses | right.uses,
                msgs=left2.msgs + right.msgs, code="<range>")
 
 
@@ -1223,7 +1233,8 @@ def goal_value(sem, ctx):
         "code": sem.code,
         "val": None if sem.val is MISSING else sem.val,
         "has_val": sem.val is not MISSING,
-        "sigs": sorted(sem.sigs),
+        "sigs": signals_of(sem.uses),
+        "uses": sem.uses,
         "msgs": list(sem.msgs),
     }
 
@@ -1236,18 +1247,17 @@ def goal_target(sem, ctx):
     lv = sem.lvalue
     if sem.kind == "error":
         return {"kind": "target", "ok": False, "msgs": msgs,
-                "type": None, "lvalue": None, "sigs": [], "code": ""}
+                "type": None, "lvalue": None, "code": ""}
     if lv is None:
         msgs.append("line %d: not an assignable name" % ctx.line)
         return {"kind": "target", "ok": False, "msgs": msgs,
-                "type": None, "lvalue": None, "sigs": [], "code": ""}
+                "type": None, "lvalue": None, "code": ""}
     return {
         "kind": "target",
         "ok": True,
         "type": sem.type,
         "lvalue": lv,
         "code": sem.code,
-        "sigs": sorted(sem.sigs),
         "msgs": msgs,
     }
 
@@ -1283,7 +1293,7 @@ def goal_range(sem, ctx):
         "left_val": None if left.val is MISSING else left.val,
         "right_val": None if right.val is MISSING else right.val,
         "static": left.val is not MISSING and right.val is not MISSING,
-        "sigs": sorted(sem.sigs),
+        "uses": left.uses | right.uses,
         "msgs": list(sem.msgs),
     }
 
@@ -1340,11 +1350,10 @@ def goal_call(sem, items, ctx):
                          % (ctx.line, sem.code,
                             "ambiguous" if viable else "unmatched")]}
     cand, binding = viable[0]
-    sigs = set()
+    uses = set()
     arg_codes = []
     out_params = []
     for param, arg_sem in zip(cand.params, binding):
-        sigs |= arg_sem.sigs
         msgs.extend(arg_sem.msgs)
         if param.obj_class == "signal":
             # Signal-class formals receive the Signal object itself.
@@ -1356,8 +1365,10 @@ def goal_call(sem, items, ctx):
                     "line %d: signal parameter %s needs a signal actual"
                     % (ctx.line, param.name))
                 arg_codes.append(arg_sem.code)
+                uses |= arg_sem.uses
         else:
             arg_codes.append(arg_sem.code)
+            uses |= arg_sem.uses
         if param.mode in ("out", "inout") and param.obj_class != "signal":
             lv = arg_sem.lvalue
             if lv is None or lv.path:
@@ -1373,4 +1384,4 @@ def goal_call(sem, items, ctx):
     else:
         code = call
     return {"kind": "call", "ok": not msgs, "code": code,
-            "sigs": sorted(sigs), "msgs": msgs}
+            "uses": frozenset(uses), "msgs": msgs}

@@ -45,7 +45,8 @@ def _concat(a, b):
 
 def _merge_decl(a, b):
     return DeclResult(b.env, a.code + b.code, a.entries + b.entries,
-                      a.msgs + b.msgs, a.configs + b.configs)
+                      a.msgs + b.msgs, a.configs + b.configs,
+                      a.flow + b.flow)
 
 
 def lef_line(lef_tokens, default=0):
@@ -781,7 +782,8 @@ def _subprog_body(sub_kind):
         new_env = env if reused else env.bind(name, entry,
                                               overloadable=True)
         return DeclResult(new_env, code, [] if reused else [entry],
-                          msgs)
+                          msgs, flow=(inner_decls.flow
+                                      + body_sres.flow).called())
 
     return rule
 

@@ -29,6 +29,7 @@ from ..vif.nodes import (
 from . import vtypes
 from .compile_ctx import bind_attr_value
 from .expr_sem import code_for_value
+from .flow import NO_FLOW, Flow
 from .symtab import entry_kind, is_overloadable
 
 
@@ -48,17 +49,21 @@ class DeclResult:
     """Outcome of processing one declaration.
 
     ``configs`` carries configuration specifications (§3.3) out of an
-    architecture's declarative part to the unit-assembly rule.
+    architecture's declarative part to the unit-assembly rule;
+    ``flow`` is the dataflow of the code (initializers and subprogram
+    bodies), which a process's declarative part adds to its record.
     """
 
-    __slots__ = ("env", "code", "entries", "msgs", "configs")
+    __slots__ = ("env", "code", "entries", "msgs", "configs", "flow")
 
-    def __init__(self, env, code=(), entries=(), msgs=(), configs=()):
+    def __init__(self, env, code=(), entries=(), msgs=(), configs=(),
+                 flow=NO_FLOW):
         self.env = env
         self.code = list(code)
         self.entries = list(entries)
         self.msgs = list(msgs)
         self.configs = list(configs)
+        self.flow = flow
 
 
 def _msg(line, text):
@@ -216,9 +221,16 @@ def subtype_indication(mark_entries, resolution_entries, constraint,
         else:
             msgs.append(_msg(line, "constraint on non-array type"))
     if resolution is not None and vtype is not None \
-            and vtype.kind != "subtype":
-        vtype = ScalarSubtype(name="", base_type=vtype,
-                              low=None, high=None, resolution=resolution)
+            and vtypes.resolution_of(vtype) is not resolution:
+        # The subtype carries its resolution function, so the declared
+        # object's entry records that it is resolved.
+        if vtype.kind == "subtype":
+            vtype = ScalarSubtype(name="", base_type=vtype.base_type,
+                                  low=vtype.low, high=vtype.high,
+                                  resolution=resolution)
+        else:
+            vtype = ScalarSubtype(name="", base_type=vtype, low=None,
+                                  high=None, resolution=resolution)
     init = default_init(vtype, bounds_code)
     if init is None:
         init = "None"
@@ -244,10 +256,12 @@ def object_decl(obj_class, names, sub, init_goal, env, cc, line,
     init_code = sub.init_code
     init_val = None
     has_val = False
+    flow = NO_FLOW
     if init_goal is not None:
         msgs.extend(init_goal.get("msgs", ()))
         if init_goal.get("code"):
             init_code = init_goal["code"]
+            flow = Flow.of_uses(init_goal.get("uses", ()))
         if init_goal.get("has_val"):
             init_val = init_goal["val"]
             has_val = True
@@ -277,7 +291,8 @@ def object_decl(obj_class, names, sub, init_goal, env, cc, line,
                            % (py, name, init_code, res, line)))
         elif obj_class in ("constant", "variable"):
             code.append(ln("%s = %s" % (py, init_code)))
-    return DeclResult(new_env, code, entries, msgs)
+    return DeclResult(new_env, code, entries, msgs,
+                      flow=flow if code else NO_FLOW)
 
 
 def _jsonable(val):

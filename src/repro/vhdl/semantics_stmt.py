@@ -9,46 +9,78 @@ generated code — the exact shape of the paper's example production::
 
 Results are :class:`SRes` records: code lines, messages, the set of
 python names written (for ``nonlocal`` computation in nested
-subprograms), whether a wait occurs (process safety), and the signals
-read (for concurrent-statement sensitivity inference).
+subprograms), whether a wait occurs (process safety), the signals
+named (for concurrent-statement sensitivity inference), and the
+dataflow record of the code (:class:`repro.vhdl.flow.Flow`) with the
+control-flow facts it needs: how many statements the user wrote,
+whether control falls through, and whether an ``exit`` or ``return``
+can leave an enclosing loop.
 """
 
 from . import vtypes
+from .expr_sem import has_event_test, signals_of
+from .flow import NO_FLOW, Flow, drive_flow, wait_flow
 from .semantics_decl import indent, ln
 
 
 class SRes:
     """Generated-code result of one (list of) statement(s)."""
 
-    __slots__ = ("code", "msgs", "writes", "haswait", "sigs")
+    __slots__ = ("code", "msgs", "writes", "haswait", "sigs", "flow",
+                 "stmts", "dead", "exits")
 
     def __init__(self, code=(), msgs=(), writes=(), haswait=False,
-                 sigs=()):
+                 sigs=(), flow=NO_FLOW, stmts=1, dead=False,
+                 exits=False):
         self.code = list(code)
         self.msgs = list(msgs)
         self.writes = frozenset(writes)
         self.haswait = haswait
         self.sigs = frozenset(sigs)
+        self.flow = flow
+        self.stmts = stmts    # VHDL statements in the list
+        self.dead = dead      # control never passes to a successor
+        self.exits = exits    # contains an exit or a return
 
     @staticmethod
     def merge(a, b):
+        # After a statement that never passes control on, ``b`` is
+        # unreachable: only its statement count enters the record.
+        flow = a.flow.then_dead(b.stmts) if a.dead else a.flow + b.flow
         return SRes(a.code + b.code, a.msgs + b.msgs,
                     a.writes | b.writes, a.haswait or b.haswait,
-                    a.sigs | b.sigs)
+                    a.sigs | b.sigs, flow, a.stmts + b.stmts,
+                    a.dead or b.dead, a.exits or b.exits)
 
 
-EMPTY = SRes()
+EMPTY = SRes(stmts=0)
 
 
 def _msg(line, text):
     return "line %d: %s" % (line, text)
 
 
-def _bool_cond(lef, env, cc, line, out_msgs, out_sigs):
+def _uses(goal):
+    return goal.get("uses", ())
+
+
+def _bool_cond(lef, env, cc, line, out_msgs):
+    """A condition's code and signal uses."""
     goal = cc.eval_expr(lef, env, line, expected=cc.std.boolean)
     out_msgs.extend(goal.get("msgs", ()))
-    out_sigs.update(goal.get("sigs", ()))
-    return goal.get("code", "0")
+    return goal.get("code", "0"), _uses(goal)
+
+
+def _path_uses(lv):
+    """Signal uses of the index and slice expressions in a target's
+    access path (the code rebuilds the target value with them)."""
+    uses = set()
+    for kind, info in lv.path:
+        if kind == "index":
+            uses |= info.uses
+        elif kind == "slice":
+            uses |= info[0].uses | info[2].uses
+    return uses
 
 
 # -- assignments -------------------------------------------------------------------
@@ -100,13 +132,14 @@ def _rebound_code(value_code, vtype):
 
 
 def signal_assign(target_lef, wave, transport, env, cc, line,
-                  guard_code=None):
+                  guard_py=None):
     """``target <= [transport] v1 after t1, v2 after t2 ;``
 
-    ``wave`` is a list of (value_lef, after_lef_or_None).
+    ``wave`` is a list of (value_lef, after_lef_or_None); ``guard_py``
+    names the GUARD signal of a guarded assignment.
     """
     msgs = []
-    sigs = set()
+    uses = set()
     tgt = cc.eval_target(target_lef, env, line)
     msgs.extend(tgt.get("msgs", ()))
     if not tgt.get("ok"):
@@ -118,17 +151,19 @@ def signal_assign(target_lef, wave, transport, env, cc, line,
         return SRes((), msgs, (), False, ())
     expected = tgt.get("type")
     elems = []
+    zero_delay = True
     for value_lef, after_lef in wave:
         vgoal = cc.eval_expr(value_lef, env, line, expected=expected)
         msgs.extend(vgoal.get("msgs", ()))
-        sigs.update(vgoal.get("sigs", ()))
+        uses.update(_uses(vgoal))
         delay = "0"
         if after_lef is not None:
             agoal = cc.eval_expr(after_lef, env, line,
                                  expected=cc.std.time)
             msgs.extend(agoal.get("msgs", ()))
-            sigs.update(agoal.get("sigs", ()))
+            uses.update(_uses(agoal))
             delay = agoal.get("code", "0")
+        zero_delay = zero_delay and delay == "0"
         value_code = vgoal.get("code", "None")
         if lv.path:
             value_code = _target_update_code(
@@ -139,15 +174,21 @@ def signal_assign(target_lef, wave, transport, env, cc, line,
     code_line = "rt.assign(%s, (%s,), transport=%r)" % (
         base.py, ", ".join(elems), bool(transport))
     lines = [ln(code_line)]
-    if guard_code is not None:
-        lines = [ln("if %s:" % guard_code)] + indent(lines)
-    return SRes(lines, msgs, (), False, sigs)
+    # The sensitivity view leaves the target out, but the code reads
+    # it to update a path, and it reads the guard.
+    code_uses = set(uses)
+    if lv.path:
+        code_uses |= _path_uses(lv) | {("read", base.py)}
+    if guard_py is not None:
+        lines = [ln("if rt.read(%s):" % guard_py)] + indent(lines)
+        code_uses.add(("read", guard_py))
+    flow = Flow.of_uses(code_uses) + drive_flow(base.py, zero_delay)
+    return SRes(lines, msgs, (), False, signals_of(uses), flow)
 
 
 def variable_assign(target_lef, rhs_lef, env, cc, line):
     """``target := expr ;``"""
     msgs = []
-    sigs = set()
     tgt = cc.eval_target(target_lef, env, line)
     msgs.extend(tgt.get("msgs", ()))
     if not tgt.get("ok"):
@@ -162,7 +203,6 @@ def variable_assign(target_lef, rhs_lef, env, cc, line):
                          % (base.obj_class, base.name)))
     rhs = cc.eval_expr(rhs_lef, env, line, expected=tgt.get("type"))
     msgs.extend(rhs.get("msgs", ()))
-    sigs.update(rhs.get("sigs", ()))
     value_code = rhs.get("code", "None")
     if lv.path:
         value_code = _target_update_code(lv, value_code, base.py)
@@ -174,38 +214,55 @@ def variable_assign(target_lef, rhs_lef, env, cc, line):
         low, high = vtypes.scalar_bounds(vtype)
         value_code = "ops.check_range(%s, %r, %r, %r)" % (
             value_code, low, high, base.name)
+    flow = Flow.of_uses(set(_uses(rhs)) | _path_uses(lv))
     return SRes([ln("%s = %s" % (base.py, value_code))], msgs,
-                {base.py}, False, sigs)
+                {base.py}, False, signals_of(_uses(rhs)), flow)
 
 
 # -- control flow --------------------------------------------------------------------------
 
 
+def _compound(lines, msgs, sigs, flow, bodies):
+    """A compound statement over ``bodies``: writes, waits, exits and
+    named signals come from every body; control falls through."""
+    writes = set()
+    for body in bodies:
+        writes |= body.writes
+        sigs |= body.sigs
+    return SRes(lines, msgs, writes, any(b.haswait for b in bodies),
+                sigs, flow, exits=any(b.exits for b in bodies))
+
+
 def if_stmt(arms, else_body, env, cc, line):
-    """``arms``: list of (cond_lef, SRes body); else_body: SRes|None."""
+    """``arms``: list of (cond_lef, SRes body); else_body: SRes|None.
+
+    Once a condition tests ``'EVENT``, every later condition and body
+    runs on that clock edge only: their reads and drives are guarded.
+    """
     msgs = []
     sigs = set()
     lines = []
-    writes = set()
-    haswait = False
+    flow = NO_FLOW
+    guarded = False
     keyword = "if"
+    bodies = [body for _, body in arms]
     for cond_lef, body in arms:
-        cond = _bool_cond(cond_lef, env, cc, line, msgs, sigs)
+        cond, uses = _bool_cond(cond_lef, env, cc, line, msgs)
+        sigs.update(signals_of(uses))
+        flow += Flow.of_uses(uses, test=True).under(guarded)
+        guarded = guarded or has_event_test(uses)
+        flow += body.flow.under(guarded)
         lines.append(ln("%s %s:" % (keyword, cond)))
         lines.extend(indent(body.code or [ln("pass")]))
         msgs.extend(body.msgs)
-        writes |= body.writes
-        haswait = haswait or body.haswait
-        sigs |= body.sigs
         keyword = "elif"
     if else_body is not None:
+        bodies.append(else_body)
+        flow += else_body.flow.under(guarded)
         lines.append(ln("else:"))
         lines.extend(indent(else_body.code or [ln("pass")]))
         msgs.extend(else_body.msgs)
-        writes |= else_body.writes
-        haswait = haswait or else_body.haswait
-        sigs |= else_body.sigs
-    return SRes(lines, msgs, writes, haswait, sigs)
+    return _compound(lines, msgs, sigs, flow, bodies)
 
 
 def case_stmt(selector_lef, alternatives, env, cc, line):
@@ -213,15 +270,13 @@ def case_stmt(selector_lef, alternatives, env, cc, line):
     choice LEF of None means OTHERS position handled via eval_choice.
     """
     msgs = []
-    sigs = set()
     sel = cc.eval_expr(selector_lef, env, line)
     msgs.extend(sel.get("msgs", ()))
-    sigs.update(sel.get("sigs", ()))
+    flow = Flow.of_uses(_uses(sel))
     sel_type = sel.get("type")
+    # tmp is local to the statement, never uplevel: not a write
     tmp = cc.gensym("_case")
     lines = [ln("%s = %s" % (tmp, sel.get("code", "None")))]
-    writes = set()  # tmp is local to the statement, never uplevel
-    haswait = False
     keyword = "if"
     seen_others = False
     covered = []
@@ -236,9 +291,7 @@ def case_stmt(selector_lef, alternatives, env, cc, line):
             else:
                 vals.extend(goal.get("vals", ()))
         msgs.extend(body.msgs)
-        writes |= body.writes
-        haswait = haswait or body.haswait
-        sigs |= body.sigs
+        flow += body.flow
         if others:
             seen_others = True
             lines.append(ln("else:" if covered else "if True:"))
@@ -256,7 +309,8 @@ def case_stmt(selector_lef, alternatives, env, cc, line):
             msgs.append(_msg(
                 line, "case does not cover all choices and has no "
                 "others"))
-    return SRes(lines, msgs, writes, haswait, sigs)
+    return _compound(lines, msgs, set(signals_of(_uses(sel))), flow,
+                     [body for _, body in alternatives])
 
 
 def loop_param_py(param_name, line):
@@ -298,32 +352,44 @@ def for_loop(param_name, range_lef, body, env, cc, line):
     # not leak into the write set, or a nested subprogram containing
     # the loop would emit a bogus ``nonlocal``.
     return SRes(lines, msgs, body.writes - {py}, body.haswait,
-                body.sigs | frozenset(rng.get("sigs", ())))
+                body.sigs | set(signals_of(_uses(rng))),
+                Flow.of_uses(_uses(rng)) + body.flow, exits=body.exits)
 
 
 def while_loop(cond_lef, body, env, cc, line):
+    """``[while cond] loop ... end loop``.  A loop whose condition is
+    the literal true and whose body can neither wait, exit nor return
+    never passes control on: it is a wait-less loop."""
     msgs = []
-    sigs = set()
-    if cond_lef is None:
+    uses = ()
+    infinite = cond_lef is None
+    if infinite:
         head = "while True:"
     else:
-        cond = _bool_cond(cond_lef, env, cc, line, msgs, sigs)
+        cond, uses = _bool_cond(cond_lef, env, cc, line, msgs)
         head = "while %s:" % cond
+        infinite = cond.isdigit() and int(cond) != 0
     msgs.extend(body.msgs)
     lines = [ln(head)] + indent(body.code or [ln("pass")])
+    flow = body.flow if infinite else Flow.of_uses(uses) + body.flow
+    dead = infinite and not (body.haswait or body.exits)
+    if dead:
+        flow += Flow(waitless=1)
     return SRes(lines, msgs, body.writes, body.haswait,
-                body.sigs | sigs)
+                body.sigs | set(signals_of(uses)), flow, dead=dead,
+                exits=body.exits)
 
 
 def next_or_exit(which, cond_lef, env, cc, line):
     stmt = "continue" if which == "next" else "break"
+    exits = which == "exit"
     if cond_lef is None:
-        return SRes([ln(stmt)])
+        return SRes([ln(stmt)], exits=exits)
     msgs = []
-    sigs = set()
-    cond = _bool_cond(cond_lef, env, cc, line, msgs, sigs)
+    cond, uses = _bool_cond(cond_lef, env, cc, line, msgs)
     return SRes([ln("if %s:" % cond), ln(stmt, 1)], msgs, (), False,
-                sigs)
+                signals_of(uses), Flow.of_uses(uses, test=True),
+                exits=exits)
 
 
 # -- waits, asserts, calls, return -----------------------------------------------------------
@@ -342,6 +408,7 @@ def wait_stmt(on_lefs, until_lef, for_lef, env, cc, line):
             continue
         sig_codes.append(lv.base.py)
         sigs.add(lv.base.py)
+    uses = set()
     cond_code = "None"
     if until_lef is not None:
         goal = cc.eval_expr(until_lef, env, line,
@@ -350,23 +417,25 @@ def wait_stmt(on_lefs, until_lef, for_lef, env, cc, line):
         cond_code = "lambda: %s" % goal.get("code", "1")
         if not sig_codes:
             # wait until C: sensitivity is the signals in C.
-            sig_codes = sorted(goal.get("sigs", ()))
-        sigs.update(goal.get("sigs", ()))
+            sig_codes = signals_of(_uses(goal))
+        uses.update(_uses(goal))
     timeout_code = "None"
     if for_lef is not None:
         goal = cc.eval_expr(for_lef, env, line, expected=cc.std.time)
         msgs.extend(goal.get("msgs", ()))
         timeout_code = goal.get("code", "None")
-        sigs.update(goal.get("sigs", ()))
+        uses.update(_uses(goal))
     code = "yield rt.wait([%s], %s, %s)" % (
         ", ".join(sig_codes), cond_code, timeout_code)
-    return SRes([ln(code)], msgs, (), True, sigs)
+    flow = Flow.of_uses(uses) + wait_flow(
+        sig_codes, until_lef is not None, timeout_code != "None")
+    return SRes([ln(code)], msgs, (), True,
+                sigs.union(signals_of(uses)), flow)
 
 
 def assert_stmt(cond_lef, report_lef, severity_lef, env, cc, line):
     msgs = []
-    sigs = set()
-    cond = _bool_cond(cond_lef, env, cc, line, msgs, sigs)
+    cond, uses = _bool_cond(cond_lef, env, cc, line, msgs)
     message = '"assertion violation (line %d)"' % line
     if report_lef is not None:
         goal = cc.eval_expr(report_lef, env, line,
@@ -387,7 +456,8 @@ def assert_stmt(cond_lef, report_lef, severity_lef, env, cc, line):
         if goal.get("has_val"):
             severity = cc.std.severity_level.literals[goal["val"]]
     code = "rt.assert_(%s, %s, %r)" % (cond, message, severity)
-    return SRes([ln(code)], msgs, (), False, sigs)
+    return SRes([ln(code)], msgs, (), False, signals_of(uses),
+                Flow.of_uses(uses))
 
 
 def procedure_call(call_lef, env, cc, line):
@@ -402,16 +472,17 @@ def procedure_call(call_lef, env, cc, line):
         writes = {n.strip() for n in
                   code.split(" = ")[0].split(",")}
     return SRes([ln(code)], msgs, writes, False,
-                frozenset(goal.get("sigs", ())))
+                signals_of(_uses(goal)), Flow.of_uses(_uses(goal)))
 
 
 def return_stmt(value_lef, expected, env, cc, line):
     if value_lef is None:
-        return SRes([ln("return")])
+        return SRes([ln("return")], exits=True)
     goal = cc.eval_expr(value_lef, env, line, expected=expected)
     return SRes([ln("return %s" % goal.get("code", "None"))],
                 list(goal.get("msgs", ())), (), False,
-                frozenset(goal.get("sigs", ())))
+                signals_of(_uses(goal)), Flow.of_uses(_uses(goal)),
+                exits=True)
 
 
 def null_stmt():

@@ -13,7 +13,10 @@ from ..vif.nodes import (
     PackageBodyUnit,
     PackageUnit,
 )
+from . import vtypes
 from .compile_ctx import attrs_of
+from .expr_sem import signals_of
+from .flow import Flow, drive_flow, wait_flow
 from .semantics_decl import DeclResult, indent, ln, render
 from .semantics_stmt import SRes
 from .symtab import entry_kind
@@ -24,20 +27,31 @@ def _msg(line, text):
 
 
 class CStmt:
-    """One concurrent statement's contribution to an architecture."""
+    """One concurrent statement's contribution to an architecture.
 
-    __slots__ = ("code", "msgs", "instances", "label")
+    ``processes`` holds the dataflow record of each process the code
+    creates (:meth:`repro.vhdl.flow.Flow.record`); ``signals`` one
+    ``[py, name, line, resolved]`` row per signal a block declares.
+    Both end up in the architecture's VIF.
+    """
 
-    def __init__(self, code=(), msgs=(), instances=(), label=""):
+    __slots__ = ("code", "msgs", "instances", "label", "processes",
+                 "signals")
+
+    def __init__(self, code=(), msgs=(), instances=(), label="",
+                 processes=(), signals=()):
         self.code = list(code)
         self.msgs = list(msgs)
         self.instances = list(instances)
         self.label = label
+        self.processes = list(processes)
+        self.signals = list(signals)
 
     @staticmethod
     def merge(a, b):
         return CStmt(a.code + b.code, a.msgs + b.msgs,
-                     a.instances + b.instances)
+                     a.instances + b.instances, "",
+                     a.processes + b.processes, a.signals + b.signals)
 
 
 CSTMT_EMPTY = CStmt()
@@ -72,15 +86,22 @@ def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
                 line, "process with a sensitivity list cannot contain "
                 "wait statements"))
     loop_body = list(body.code) or [ln("pass")]
+    # The compiler's own final wait is reached only when the body
+    # falls through.
+    flow = decls.flow + body.flow
     if sensitivity_lefs is not None:
         loop_body.append(ln("yield rt.wait([%s], None, None)"
                             % ", ".join(sens)))
+        if not body.dead:
+            flow += wait_flow(sens)
     elif not body.haswait:
         msgs.append(_msg(
             line, "process %s has no wait statement and no "
             "sensitivity list; it would loop forever — a final "
             "wait was inserted" % label))
         loop_body.append(ln("yield rt.wait([], None, None)"))
+        if not body.dead:
+            flow += wait_flow(())
     lines = [ln("def %s():" % fn)]
     lines.extend(indent(decls.code))
     lines.append(ln("while True:", 1))
@@ -92,7 +113,23 @@ def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
     else:
         lines.append(ln("ctx.process(%r, %s, line=%r)"
                         % (label, fn, line)))
-    return CStmt(lines, msgs, [], label)
+    record = flow.record(label, fn, line,
+                         sens if sensitivity_lefs is not None else None)
+    return CStmt(lines, msgs, [], label, [record])
+
+
+def _equivalent_process(label, body_lines, body_flow, sens, line):
+    """The process a concurrent statement stands for: its body, then a
+    wait on the signals it names."""
+    fn = "_p_%s" % label
+    lines = [ln("def %s():" % fn), ln("while True:", 1)]
+    lines.extend(indent(body_lines or [ln("pass")], 2))
+    lines.append(ln("yield rt.wait([%s], None, None)"
+                    % ", ".join(sens), 2))
+    lines.append(ln("ctx.process(%r, %s, sensitivity=[%s], line=%r)"
+                    % (label, fn, ", ".join(sens), line)))
+    flow = body_flow + wait_flow(sens)
+    return lines, flow.record(label, fn, line, list(sens))
 
 
 def concurrent_assign(label, arms, env, cc, line, guarded=False,
@@ -108,16 +145,16 @@ def concurrent_assign(label, arms, env, cc, line, guarded=False,
     label = label or cc.gensym("cassign")
     msgs = []
     sigs = set()
-    guard_code = None
-    if guarded and guard_py:
-        guard_code = "rt.read(%s)" % guard_py
+    if not (guarded and guard_py):
+        guard_py = None
+    if guard_py is not None:
         sigs.add(guard_py)
-    body_lines = []
+    body = SRes(stmts=0)
     else_sres = None
     cond_arms = []
     for target_lef, wave, cond_lef, transport in arms:
         sres = signal_assign(target_lef, wave, transport, env, cc,
-                             line, guard_code=guard_code)
+                             line, guard_py=guard_py)
         msgs.extend(sres.msgs)
         sigs |= sres.sigs
         if cond_lef is None:
@@ -125,20 +162,14 @@ def concurrent_assign(label, arms, env, cc, line, guarded=False,
         else:
             cond_arms.append((cond_lef, sres))
     if cond_arms:
-        combined = if_stmt(cond_arms, else_sres, env, cc, line)
-        msgs.extend(m for m in combined.msgs if m not in msgs)
-        sigs |= combined.sigs
-        body_lines = combined.code
+        body = if_stmt(cond_arms, else_sres, env, cc, line)
+        msgs.extend(m for m in body.msgs if m not in msgs)
+        sigs |= body.sigs
     elif else_sres is not None:
-        body_lines = else_sres.code
-    fn = "_p_%s" % label
-    lines = [ln("def %s():" % fn), ln("while True:", 1)]
-    lines.extend(indent(body_lines or [ln("pass")], 2))
-    lines.append(ln("yield rt.wait([%s], None, None)"
-                    % ", ".join(sorted(sigs)), 2))
-    lines.append(ln("ctx.process(%r, %s, sensitivity=[%s], line=%r)"
-                    % (label, fn, ", ".join(sorted(sigs)), line)))
-    return CStmt(lines, msgs, [], label)
+        body = else_sres
+    lines, record = _equivalent_process(label, body.code, body.flow,
+                                        sorted(sigs), line)
+    return CStmt(lines, msgs, [], label, [record])
 
 
 def selected_assign(label, selector_lef, target_lef, choices_waves,
@@ -148,10 +179,10 @@ def selected_assign(label, selector_lef, target_lef, choices_waves,
 
     label = label or cc.gensym("sassign")
     msgs = []
-    sigs = set()
     sel = cc.eval_expr(selector_lef, env, line)
     msgs.extend(sel.get("msgs", ()))
-    sigs.update(sel.get("sigs", ()))
+    sigs = set(signals_of(sel.get("uses", ())))
+    flow = Flow.of_uses(sel.get("uses", ()))
     sel_type = sel.get("type")
     tmp = cc.gensym("_sel")
     body = [ln("%s = %s" % (tmp, sel.get("code", "None")))]
@@ -169,6 +200,7 @@ def selected_assign(label, selector_lef, target_lef, choices_waves,
         sres = signal_assign(target_lef, wave, False, env, cc, line)
         msgs.extend(sres.msgs)
         sigs |= sres.sigs
+        flow += sres.flow
         if others:
             body.append(ln("else:"))
         else:
@@ -177,14 +209,9 @@ def selected_assign(label, selector_lef, target_lef, choices_waves,
                 ", ".join(repr(v) for v in vals) + ("," if vals else ""))))
             keyword = "elif"
         body.extend(indent(sres.code))
-    fn = "_p_%s" % label
-    lines = [ln("def %s():" % fn), ln("while True:", 1)]
-    lines.extend(indent(body, 2))
-    lines.append(ln("yield rt.wait([%s], None, None)"
-                    % ", ".join(sorted(sigs)), 2))
-    lines.append(ln("ctx.process(%r, %s, sensitivity=[%s], line=%r)"
-                    % (label, fn, ", ".join(sorted(sigs)), line)))
-    return CStmt(lines, msgs, [], label)
+    lines, record = _equivalent_process(label, body, flow, sorted(sigs),
+                                        line)
+    return CStmt(lines, msgs, [], label, [record])
 
 
 def concurrent_assert(label, cond_lef, report_lef, severity_lef, env,
@@ -195,15 +222,9 @@ def concurrent_assert(label, cond_lef, report_lef, severity_lef, env,
 
     sres = assert_stmt(cond_lef, report_lef, severity_lef, env, cc,
                        line)
-    fn = "_p_%s" % label
-    lines = [ln("def %s():" % fn), ln("while True:", 1)]
-    lines.extend(indent(sres.code or [ln("pass")], 2))
-    lines.append(ln("yield rt.wait([%s], None, None)"
-                    % ", ".join(sorted(sres.sigs)), 2))
-    lines.append(ln("ctx.process(%r, %s, sensitivity=[%s], line=%r)"
-                    % (label, fn, ", ".join(sorted(sres.sigs)),
-                       line)))
-    return CStmt(lines, sres.msgs, [], label)
+    lines, record = _equivalent_process(label, sres.code, sres.flow,
+                                        sorted(sres.sigs), line)
+    return CStmt(lines, sres.msgs, [], label, [record])
 
 
 # -- component instantiation -----------------------------------------------------------------
@@ -267,7 +288,9 @@ def instantiation(label, comp_name, generic_assocs, port_assocs, env,
     pitems = ", ".join("%r: %s" % (k, v) for k, v in pmap.items())
     code = [ln("ctx.instance(%r, %r, {%s}, {%s})"
                % (label, comp_name, gitems, pitems))]
-    inst = InstanceEntry(label=label, component=comp)
+    inst = InstanceEntry(label=label, component=comp, connections={
+        formal: actual for formal, actual in pmap.items()
+        if actual != "None"})
     return CStmt(code, msgs, [inst], label)
 
 
@@ -279,28 +302,45 @@ def block_stmt(label, guard_lef, decls, inner, env, cc, line):
     """
     msgs = list(decls.msgs)
     lines = list(decls.code)
+    signals = [signal_row(e) for e in decls.entries if is_signal_decl(e)]
+    processes = []
     if guard_lef is not None:
         goal = cc.eval_expr(guard_lef, env, line,
                             expected=cc.std.boolean)
         msgs.extend(goal.get("msgs", ()))
+        uses = goal.get("uses", ())
+        sens = signals_of(uses)
         guard_py = "s_guard_%s" % label
         fn = "_p_guard_%s" % label
         lines.append(ln("%s = ctx.signal(%r, init=0)"
                         % (guard_py, "%s.guard" % label)))
+        signals.append([guard_py, "%s.guard" % label, None, False])
         lines.append(ln("def %s():" % fn))
         lines.append(ln("while True:", 1))
         lines.append(ln("rt.assign(%s, ((%s, 0),))"
                         % (guard_py, goal.get("code", "0")), 2))
         lines.append(ln("yield rt.wait([%s], None, None)"
-                        % ", ".join(sorted(goal.get("sigs", ()))), 2))
+                        % ", ".join(sens), 2))
         lines.append(ln("ctx.process(%r, %s, sensitivity=[%s], "
                         "line=%r)"
-                        % (fn, fn,
-                           ", ".join(sorted(goal.get("sigs", ()))),
-                           line)))
+                        % (fn, fn, ", ".join(sens), line)))
+        flow = Flow.of_uses(uses) + drive_flow(guard_py, True) \
+            + wait_flow(sens)
+        processes.append(flow.record(fn, fn, line, sens))
     lines.extend(inner.code)
     msgs.extend(inner.msgs)
-    return CStmt(lines, msgs, inner.instances, label)
+    return CStmt(lines, msgs, inner.instances, label,
+                 processes + inner.processes, signals + inner.signals)
+
+
+def is_signal_decl(entry):
+    return entry_kind(entry) == "object" and entry.obj_class == "signal"
+
+
+def signal_row(entry):
+    """``[py, name, line, resolved]`` for a declared signal."""
+    return [entry.py, entry.name, entry.line,
+            vtypes.resolution_of(entry.vtype) is not None]
 
 
 # -- unit assembly ----------------------------------------------------------------------------
@@ -397,6 +437,7 @@ def arch_unit(name, entity, decls, cstmts, configs, env, cc, line):
         name=name, entity_name=entity.name, entity=entity,
         decls=list(decls.entries), instances=instances,
         user_attrs=list(attrs_of(env)),
+        processes=cstmts.processes, block_signals=cstmts.signals,
         py_source=py_source, line=line)
     from .codegen.cmodel import c_model_for_unit
 

@@ -6,7 +6,7 @@ edit.  Regenerate with ``python -m repro.regen``.
 
 from repro.vif.core import Field, Node
 
-SCHEMA_CRC32 = 0x82cd8b2e
+SCHEMA_CRC32 = 0x7c90e9ab
 from repro.vhdl.vtypes import EnumTypeBehavior as _mixin_EnumTypeBehavior
 from repro.vhdl.vtypes import IntegerTypeBehavior as _mixin_IntegerTypeBehavior
 from repro.vhdl.vtypes import PhysicalTypeBehavior as _mixin_PhysicalTypeBehavior
@@ -967,11 +967,11 @@ def dump_EntityUnit(node, show):
 class ArchUnit(_mixin_ArchUnitBehavior, Node):
     """VIF node kind 'ArchUnit'."""
 
-    __slots__ = ('name', 'entity_name', 'entity', 'decls', 'instances', 'user_attrs', 'py_source', 'c_source', 'line', 'source_file')
+    __slots__ = ('name', 'entity_name', 'entity', 'decls', 'instances', 'user_attrs', 'processes', 'block_signals', 'py_source', 'c_source', 'line', 'source_file')
     VIF_KIND = 'ArchUnit'
-    VIF_FIELDS = (Field('name', 'str'), Field('entity_name', 'str'), Field('entity', 'ref'), Field('decls', 'list'), Field('instances', 'list'), Field('user_attrs', 'list'), Field('py_source', 'str'), Field('c_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
+    VIF_FIELDS = (Field('name', 'str'), Field('entity_name', 'str'), Field('entity', 'ref'), Field('decls', 'list'), Field('instances', 'list'), Field('user_attrs', 'list'), Field('processes', 'data'), Field('block_signals', 'data'), Field('py_source', 'str'), Field('c_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
 
-    def __init__(self, name='', entity_name='', entity=None, decls=None, instances=None, user_attrs=None, py_source='', c_source='', line=0, source_file=''):
+    def __init__(self, name='', entity_name='', entity=None, decls=None, instances=None, user_attrs=None, processes=None, block_signals=None, py_source='', c_source='', line=0, source_file=''):
         self._vif_home = None
         self.name = name
         self.entity_name = entity_name
@@ -979,6 +979,8 @@ class ArchUnit(_mixin_ArchUnitBehavior, Node):
         self.decls = list(decls) if decls is not None else []
         self.instances = list(instances) if instances is not None else []
         self.user_attrs = list(user_attrs) if user_attrs is not None else []
+        self.processes = processes
+        self.block_signals = block_signals
         self.py_source = py_source
         self.c_source = c_source
         self.line = line
@@ -999,6 +1001,8 @@ def write_ArchUnit(node, encode):
         'decls': encode(node.decls, 'list'),
         'instances': encode(node.instances, 'list'),
         'user_attrs': encode(node.user_attrs, 'list'),
+        'processes': encode(node.processes, 'data'),
+        'block_signals': encode(node.block_signals, 'data'),
         'py_source': encode(node.py_source, 'str'),
         'c_source': encode(node.c_source, 'str'),
         'line': encode(node.line, 'int'),
@@ -1013,6 +1017,8 @@ def read_ArchUnit(node, data, decode):
     node.decls = decode(data.get('decls'), 'list')
     node.instances = decode(data.get('instances'), 'list')
     node.user_attrs = decode(data.get('user_attrs'), 'list')
+    node.processes = decode(data.get('processes'), 'data')
+    node.block_signals = decode(data.get('block_signals'), 'data')
     node.py_source = decode(data.get('py_source'), 'str')
     node.c_source = decode(data.get('c_source'), 'str')
     node.line = decode(data.get('line'), 'int')
@@ -1030,6 +1036,8 @@ def dump_ArchUnit(node, show):
         ('decls', show(node.decls, 'list')),
         ('instances', show(node.instances, 'list')),
         ('user_attrs', show(node.user_attrs, 'list')),
+        ('processes', show(node.processes, 'data')),
+        ('block_signals', show(node.block_signals, 'data')),
         ('py_source', show(node.py_source, 'str')),
         ('c_source', show(node.c_source, 'str')),
         ('line', show(node.line, 'int')),
@@ -1039,17 +1047,18 @@ def dump_ArchUnit(node, show):
 class InstanceEntry(_mixin_InstanceEntryBehavior, Node):
     """VIF node kind 'InstanceEntry'."""
 
-    __slots__ = ('label', 'component', 'bound_library', 'bound_entity', 'bound_arch')
+    __slots__ = ('label', 'component', 'bound_library', 'bound_entity', 'bound_arch', 'connections')
     VIF_KIND = 'InstanceEntry'
-    VIF_FIELDS = (Field('label', 'str'), Field('component', 'ref'), Field('bound_library', 'str'), Field('bound_entity', 'str'), Field('bound_arch', 'str'))
+    VIF_FIELDS = (Field('label', 'str'), Field('component', 'ref'), Field('bound_library', 'str'), Field('bound_entity', 'str'), Field('bound_arch', 'str'), Field('connections', 'data'))
 
-    def __init__(self, label='', component=None, bound_library='', bound_entity='', bound_arch=''):
+    def __init__(self, label='', component=None, bound_library='', bound_entity='', bound_arch='', connections=None):
         self._vif_home = None
         self.label = label
         self.component = component
         self.bound_library = bound_library
         self.bound_entity = bound_entity
         self.bound_arch = bound_arch
+        self.connections = connections
         if hasattr(self, '_post_init'):
             self._post_init()
 
@@ -1065,6 +1074,7 @@ def write_InstanceEntry(node, encode):
         'bound_library': encode(node.bound_library, 'str'),
         'bound_entity': encode(node.bound_entity, 'str'),
         'bound_arch': encode(node.bound_arch, 'str'),
+        'connections': encode(node.connections, 'data'),
     }
 
 def read_InstanceEntry(node, data, decode):
@@ -1074,6 +1084,7 @@ def read_InstanceEntry(node, data, decode):
     node.bound_library = decode(data.get('bound_library'), 'str')
     node.bound_entity = decode(data.get('bound_entity'), 'str')
     node.bound_arch = decode(data.get('bound_arch'), 'str')
+    node.connections = decode(data.get('connections'), 'data')
     if hasattr(node, '_post_init'):
         node._post_init()
     return node
@@ -1086,6 +1097,7 @@ def dump_InstanceEntry(node, show):
         ('bound_library', show(node.bound_library, 'str')),
         ('bound_entity', show(node.bound_entity, 'str')),
         ('bound_arch', show(node.bound_arch, 'str')),
+        ('connections', show(node.connections, 'data')),
     ]
 
 class PackageUnit(_mixin_PackageUnitBehavior, Node):

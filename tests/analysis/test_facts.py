@@ -1,6 +1,12 @@
-"""The dataflow fact extractor over generated models."""
+"""Dataflow facts read from the compiled units' VIF tables."""
+
+import json
+import os
 
 from repro.analysis import extract_unit_facts
+from repro.cli import main
+from repro.vhdl.compiler import Compiler
+from repro.vhdl.library import LibraryManager, unit_filename
 
 from .conftest import compile_source
 
@@ -178,11 +184,35 @@ class TestRobustness:
         assert facts.objects == {}
         assert facts.processes == []
 
-    def test_garbage_py_source_is_tolerated(self):
-        class FakeUnit:
-            name = "broken"
-            py_source = "def elaborate(ctx:\n  oops"
-            source_file = "x.vhd"
+    def test_stale_payload_is_a_lib_diagnostic(self, tmp_path):
+        """An architecture stored before its payload carried the
+        dataflow record must not read as a unit with no processes: the
+        library refuses it with a LIB001 diagnostic that names the unit
+        and asks for a rebuild, and analysis fails instead of passing."""
+        root = str(tmp_path)
+        Compiler(root=root).compile(SRC, "facts_demo.vhd")
+        path = os.path.join(root, "work",
+                            unit_filename("rtl(facts_demo)", "vif.json"))
+        with open(path) as fh:
+            payload = json.load(fh)
+        for kind, fields in payload["nodes"]:
+            if kind == "ArchUnit":
+                del fields["processes"]
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
 
-        facts = extract_unit_facts(FakeUnit())
-        assert facts.objects == {}
+        lines = []
+        rc = main(["--root", root, "analyze", "--top", "facts_demo"],
+                  out=lines.append)
+        text = "\n".join(lines)
+        assert rc == 2
+        assert "Traceback" not in text
+        [diag] = [line for line in lines if "LIB001" in line]
+        assert "work.rtl(facts_demo)" in diag
+        assert "lacks field(s) processes" in diag
+        assert "rebuild" in diag
+        # The refused payload was moved aside: the unit reads as
+        # missing until it is rebuilt.
+        assert os.path.exists(path + ".corrupt")
+        assert ("work", "rtl(facts_demo)") not in \
+            LibraryManager(root=root)._units

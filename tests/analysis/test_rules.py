@@ -17,6 +17,7 @@ BAD_FIXTURES = [
     ("rpl004_bad.vhd", {"RPL004", "RPL006"}),
     ("rpl005_bad.vhd", {"RPL005"}),
     ("rpl006_bad.vhd", {"RPL004", "RPL006"}),
+    ("rpl006_case_bad.vhd", {"RPL004", "RPL006"}),
 ]
 
 CLEAN_FIXTURES = [
@@ -106,6 +107,18 @@ end s;
         assert {d.code for d in findings} == {"RPL002"}
         (diag,) = findings
         assert "net" in diag.message
+
+    @pytest.mark.parametrize("fixture,count", [
+        ("rpl004_bad.vhd", 1),
+        ("rpl006_bad.vhd", 2),
+        # one VHDL case statement, whatever its generated code takes
+        ("rpl006_case_bad.vhd", 1),
+    ])
+    def test_rpl006_counts_vhdl_statements(self, fixture, count):
+        (diag,) = [d for d in lint_fixture(fixture) if d.code == "RPL006"]
+        assert diag.message == (
+            "process 'spin' has %d unreachable statement(s) after a "
+            "wait-less infinite loop" % count)
 
     def test_rpl005_both_directions(self, lint_source):
         src = """
