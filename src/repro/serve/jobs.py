@@ -163,11 +163,20 @@ class JobRunner:
         return await job.future
 
     async def _drain_session(self, workspace):
-        """Run one merged batch for everything that queued up."""
-        await asyncio.sleep(self.batch_window)
-        jobs = self._pending.pop(workspace.id, [])
-        if not jobs:
-            return
+        """Run merged batches until the session has nothing pending.
+
+        A compile that arrives while a batch builds finds this drainer
+        alive and only queues, so the drainer must come back for it.
+        """
+        while True:
+            await asyncio.sleep(self.batch_window)
+            jobs = self._pending.pop(workspace.id, [])
+            if not jobs:
+                return
+            await self._run_batch(workspace, jobs)
+
+    async def _run_batch(self, workspace, jobs):
+        """Build one merged batch and resolve its jobs."""
         loop = asyncio.get_running_loop()
         if workspace.lock is None:
             workspace.lock = asyncio.Lock()

@@ -10,12 +10,14 @@ import http.client
 import json
 import re
 import socket
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.cli import main
-from repro.serve import BackgroundServer
+from repro.serve import BackgroundServer, JobRunner
 
 COUNTER = """
 entity counter%(n)d is end counter%(n)d;
@@ -58,8 +60,8 @@ def request(port, method, path, body=None, timeout=120):
         conn.close()
 
 
-def request_json(port, method, path, body=None):
-    status, raw = request(port, method, path, body)
+def request_json(port, method, path, body=None, timeout=120):
+    status, raw = request(port, method, path, body, timeout=timeout)
     return status, json.loads(raw)
 
 
@@ -281,3 +283,41 @@ class TestGracefulShutdown:
         with pytest.raises(OSError):
             socket.create_connection(("127.0.0.1", port),
                                      timeout=2).close()
+
+
+class TestCompileBatching:
+    def test_compile_queued_behind_a_building_batch_returns(
+            self, monkeypatch):
+        """A /compile for a session whose batch is already building
+        queues behind it; the session's drainer must come back for it
+        instead of leaving it pending forever."""
+        building = threading.Event()
+        release = threading.Event()
+        build = JobRunner._run_build
+
+        def held_build(runner, *args, **kwargs):
+            building.set()
+            release.wait(30)
+            return build(runner, *args, **kwargs)
+
+        monkeypatch.setattr(JobRunner, "_run_build", held_build)
+
+        def compile_one(port, name):
+            return request_json(
+                port, "POST", "/compile",
+                {"session": "late",
+                 "files": [{"name": "%s.vhd" % name,
+                            "text": "entity %s is end %s;"
+                            % (name, name)}]},
+                timeout=20)
+
+        with BackgroundServer(workers=1, batch_window=0.005) as server:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                first = pool.submit(compile_one, server.port, "first")
+                assert building.wait(20), "first batch never started"
+                second = pool.submit(compile_one, server.port, "second")
+                time.sleep(0.2)  # the second request is queued now
+                release.set()
+                for future in (first, second):
+                    status, data = future.result(timeout=30)
+                    assert status == 200 and data["ok"] is True, data
