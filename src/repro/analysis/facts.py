@@ -23,63 +23,36 @@ facts are rule-agnostic; :mod:`repro.analysis.rules` and
 model (entities, configurations) have empty facts.
 """
 
+from collections import namedtuple
+
 from ..vhdl import vtypes
 from ..vhdl.symtab import entry_kind
 
-class ObjectFact:
-    """One declared signal or port of a unit."""
+#: One declared signal or port of a unit: VHDL ``name`` ('count'),
+#: generated binding ``py`` ('s_count'), ``kind`` ('signal' | 'port'),
+#: port ``mode`` ('' for signals), declaring source ``line`` (or None)
+#: and whether it has a resolution function.
+ObjectFact = namedtuple("ObjectFact", "name py kind mode line resolved")
 
-    __slots__ = ("name", "py", "kind", "mode", "line", "resolved")
+#: One signal assignment inside a process: the target binding, whether
+#: it runs under an ``'EVENT`` test, and whether it is *zero-delay* —
+#: every waveform element's delay the literal ``0``, the delta-cycle
+#: assignments whose chains form combinational logic.  Computed delays
+#: count as non-zero (a computed ``after`` cannot close a
+#: combinational loop through the event calendar at delta time).
+DriveFact = namedtuple("DriveFact", "target guarded zero_delay")
 
-    def __init__(self, name, py, kind, mode="", line=None,
-                 resolved=False):
-        self.name = name          # VHDL name ('count')
-        self.py = py              # generated binding ('s_count')
-        self.kind = kind          # 'signal' | 'port'
-        self.mode = mode          # '' | 'in' | 'out' | 'inout' | 'buffer'
-        self.line = line          # declaring source line or None
-        self.resolved = resolved  # has a resolution function
-
-    def __repr__(self):
-        return "<ObjectFact %s %s%s>" % (
-            self.kind, self.name, " mode=%s" % self.mode if self.mode
-            else "")
-
-
-class DriveFact:
-    """One signal assignment inside a process.
-
-    The waveform's delay elements are classified statically: a site
-    is *zero-delay* only when every element's delay is the literal
-    ``0`` — the delta-cycle assignments whose chains form
-    combinational logic.  Computed delays are conservatively treated
-    as non-zero (a computed ``after`` cannot close a combinational
-    loop through the event calendar at delta time).
-    """
-
-    __slots__ = ("target", "guarded", "zero_delay")
-
-    def __init__(self, target, guarded, zero_delay):
-        self.target = target      # py name ('s_q')
-        self.guarded = guarded    # under an 'EVENT test
-        self.zero_delay = zero_delay
-
-    def __repr__(self):
-        return "<DriveFact %s%s%s>" % (
-            self.target, " guarded" if self.guarded else "",
-            " delta" if self.zero_delay else "")
+#: One component instantiation: its label, component name and port
+#: map (formal -> actual signal binding).
+InstanceFact = namedtuple("InstanceFact", "label component connections")
 
 
-class WaitFact:
+class WaitFact(namedtuple("WaitFact",
+                          "signals has_condition has_timeout")):
     """One reachable wait inside a process (including the final wait
     on its sensitivity list the compiler adds)."""
 
-    __slots__ = ("signals", "has_condition", "has_timeout")
-
-    def __init__(self, signals, has_condition, has_timeout):
-        self.signals = list(signals)  # py names ('s_clk')
-        self.has_condition = has_condition
-        self.has_timeout = has_timeout
+    __slots__ = ()
 
     @property
     def forever(self):
@@ -89,28 +62,30 @@ class WaitFact:
 
 
 class ProcessFact:
-    """Dataflow facts for one process statement."""
+    """Dataflow facts for one process statement, read from its
+    ``ArchUnit.processes`` record (:meth:`repro.vhdl.flow.Flow.
+    record` writes that layout)."""
 
     __slots__ = ("label", "py", "line", "sensitivity", "plain_reads",
                  "guarded_reads", "attr_uses", "drives", "drive_sites",
                  "event_guards", "waits", "waitless_loops",
                  "unreachable_stmts")
 
-    def __init__(self, label, py, line=None, sensitivity=None):
-        self.label = label
-        self.py = py
-        self.line = line
-        #: declared sensitivity py-names, or None for wait-driven
-        self.sensitivity = sensitivity
-        self.plain_reads = set()    # reads outside any 'EVENT guard
-        self.guarded_reads = set()  # reads under an 'EVENT guard
-        self.attr_uses = set()      # 'EVENT / 'ACTIVE / 'LAST_VALUE
-        self.drives = set()         # assignment targets
-        self.drive_sites = []       # DriveFact, in source order
-        self.event_guards = set()   # signals tested with 'EVENT in ifs
-        self.waits = []             # WaitFact, in source order
-        self.waitless_loops = 0     # infinite loops with no suspension
-        self.unreachable_stmts = 0  # VHDL statements after such a loop
+    def __init__(self, record):
+        (self.label, self.py, self.line,
+         #: declared sensitivity py-names, or None for wait-driven
+         self.sensitivity,
+         plain, guarded, attrs, events, drives, waits,
+         self.waitless_loops,      # infinite loops with no suspension
+         self.unreachable_stmts,   # VHDL statements after such a loop
+         ) = record
+        self.plain_reads = set(plain)      # reads outside 'EVENT guards
+        self.guarded_reads = set(guarded)  # reads under an 'EVENT guard
+        self.attr_uses = set(attrs)     # 'EVENT / 'ACTIVE / 'LAST_VALUE
+        self.event_guards = set(events)  # tested with 'EVENT in ifs
+        self.drive_sites = [DriveFact(*d) for d in drives]  # in order
+        self.drives = {d.target for d in self.drive_sites}
+        self.waits = [WaitFact(*w) for w in waits]  # in source order
 
     @property
     def reads(self):
@@ -128,20 +103,6 @@ class ProcessFact:
 
     def __repr__(self):
         return "<ProcessFact %s>" % self.label
-
-
-class InstanceFact:
-    """One component instantiation and its port connections."""
-
-    __slots__ = ("label", "component", "connections")
-
-    def __init__(self, label, component, connections):
-        self.label = label
-        self.component = component
-        self.connections = dict(connections)  # formal -> py name
-
-    def __repr__(self):
-        return "<InstanceFact %s:%s>" % (self.label, self.component)
 
 
 class UnitFacts:
@@ -170,29 +131,6 @@ class UnitFacts:
 # -- reading the VIF tables ----------------------------------------------------
 
 
-def process_fact(record):
-    """A :class:`ProcessFact` from one ``ArchUnit.processes`` record."""
-    (label, py, line, sensitivity, plain, guarded, attrs, events,
-     drives, waits, waitless, unreachable) = record
-    proc = ProcessFact(label, py, line=line, sensitivity=sensitivity)
-    proc.plain_reads = set(plain)
-    proc.guarded_reads = set(guarded)
-    proc.attr_uses = set(attrs)
-    proc.event_guards = set(events)
-    proc.drive_sites = [DriveFact(*site) for site in drives]
-    proc.drives = {site.target for site in proc.drive_sites}
-    proc.waits = [WaitFact(*wait) for wait in waits]
-    proc.waitless_loops = waitless
-    proc.unreachable_stmts = unreachable
-    return proc
-
-
-def _signal_fact(entry):
-    return ObjectFact(entry.name, entry.py, "signal", line=entry.line,
-                      resolved=vtypes.resolution_of(entry.vtype)
-                      is not None)
-
-
 def extract_unit_facts(node, kind=None):
     """The :class:`UnitFacts` of one VIF unit node.
 
@@ -209,16 +147,18 @@ def extract_unit_facts(node, kind=None):
     if unit_kind == "architecture":
         for port in node.entity.ports:
             objects[port.py] = ObjectFact(port.name, port.py, "port",
-                                          port.mode or "", port.line)
+                                          port.mode or "", port.line,
+                                          False)
     for entry in node.decls:
         if entry_kind(entry) == "object" and entry.obj_class == "signal":
-            objects[entry.py] = _signal_fact(entry)
+            objects[entry.py] = ObjectFact(
+                entry.name, entry.py, "signal", "", entry.line,
+                vtypes.resolution_of(entry.vtype) is not None)
     if unit_kind != "architecture":
         return facts
     for py, name, line, resolved in node.block_signals:
-        objects[py] = ObjectFact(name, py, "signal", line=line,
-                                 resolved=resolved)
-    facts.processes = [process_fact(r) for r in node.processes]
+        objects[py] = ObjectFact(name, py, "signal", "", line, resolved)
+    facts.processes = [ProcessFact(r) for r in node.processes]
     facts.instances = [
         InstanceFact(inst.label, inst.component.name, inst.connections)
         for inst in node.instances]

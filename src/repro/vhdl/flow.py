@@ -1,41 +1,29 @@
 """The dataflow record the principal AG synthesizes next to the code.
 
-Every statement rule returns, besides its generated code, a
-:class:`Flow`: what that code reads, drives and waits on.  The process
-rules turn the flow of a process body into one record per process and
-store it in the architecture's VIF (``ArchUnit.processes``), so the
-linter and the netlist read these facts as data instead of parsing the
-generated Python back (:mod:`repro.analysis.facts` is that reader).
-
-The facts describe the *generated code* exactly: a read is an
-``rt.read`` the code performs, which is why expression semantics carry
-their signal uses per runtime call (``Sem.uses``) rather than one
-sensitivity set.
+Statement rules return a :class:`Flow` with their code; the process
+rules store one record per process in the architecture's VIF
+(``ArchUnit.processes``), and :mod:`repro.analysis.facts` reads it
+back instead of parsing the generated Python.  A read is an
+``rt.read`` the generated code performs, which is why expression
+semantics carry their signal uses per runtime call (``Sem.uses``).
 """
 
 _EMPTY = frozenset()
 
 
 class Flow:
-    """Dataflow facts of one statement or statement list.
+    """Dataflow facts of a statement or statement list.
 
-    * ``plain`` / ``guarded`` — signals read outside / under an ``if``
-      whose condition tests ``'EVENT`` or ``'ACTIVE`` (the clocked
-      idiom, whose data reads do not belong in a sensitivity list);
-    * ``attrs`` — signals whose ``'EVENT``, ``'ACTIVE`` or
-      ``'LAST_VALUE`` the code uses;
-    * ``events`` — signals an ``if`` condition tests with ``'EVENT``
-      or ``'ACTIVE``;
-    * ``drives`` — one ``(target, guarded, zero_delay)`` per signal
-      assignment, in source order; ``zero_delay`` holds when every
-      waveform element's delay is the literal 0 (a delta assignment);
-    * ``waits`` — one ``(signals, has_condition, has_timeout)`` per
-      wait, in source order;
-    * ``waitless`` — infinite loops that can never suspend;
-    * ``unreachable`` — statements after such a loop.
-
-    Statements control cannot reach contribute nothing but their count
-    in ``unreachable``.
+    ``plain`` / ``guarded``: signals read outside / under an ``if``
+    whose condition tests ``'EVENT`` or ``'ACTIVE`` (the clocked idiom);
+    ``attrs``: signals whose ``'EVENT``, ``'ACTIVE`` or ``'LAST_VALUE``
+    is used; ``events``: signals an ``if`` condition tests with
+    ``'EVENT`` or ``'ACTIVE``; ``drives``: ``(target, guarded,
+    zero_delay)`` per signal assignment, zero-delay when every delay is
+    the literal 0; ``waits``: ``(signals, has_condition, has_timeout)``
+    per wait; both in source order.  ``waitless`` counts infinite loops
+    that never suspend and ``unreachable`` the statements after one,
+    which contribute nothing else.
     """
 
     __slots__ = ("plain", "guarded", "attrs", "events", "drives",
@@ -59,26 +47,22 @@ class Flow:
         code is an ``if`` condition."""
         if not uses:
             return NO_FLOW
-        reads = frozenset(py for call, py in uses if call == "read")
-        attrs = frozenset(py for call, py in uses if call != "read")
-        events = _EMPTY
-        if test:
-            events = frozenset(py for call, py in uses
-                               if call in ("event", "active"))
-        return Flow(reads, _EMPTY, attrs, events)
+        return Flow(frozenset(py for call, py in uses if call == "read"),
+                    _EMPTY,
+                    frozenset(py for call, py in uses if call != "read"),
+                    frozenset(py for call, py in uses
+                              if test and call in ("event", "active")))
 
     def __add__(self, other):
-        """Sequential composition: ``self`` then ``other``."""
+        """Sequential composition: ``self``, then ``other``."""
         if other is NO_FLOW:
             return self
         if self is NO_FLOW:
             return other
         return Flow(self.plain | other.plain,
                     self.guarded | other.guarded,
-                    self.attrs | other.attrs,
-                    self.events | other.events,
-                    self.drives + other.drives,
-                    self.waits + other.waits,
+                    self.attrs | other.attrs, self.events | other.events,
+                    self.drives + other.drives, self.waits + other.waits,
                     self.waitless + other.waitless,
                     self.unreachable + other.unreachable)
 
@@ -98,21 +82,21 @@ class Flow:
                     self.unreachable + stmts)
 
     def called(self):
-        """The flow of a subprogram declared inside a process, as the
+        """The flow of a subprogram declared in a process, as the
         process sees it: the body may run under any guard, so its reads
-        count as plain and its drives as unguarded, and its own control
-        flow (event tests, wait-less loops) is not the process's."""
+        are plain and its drives unguarded, and its own control flow
+        (event tests, wait-less loops) is not the process's."""
         if self is NO_FLOW:
             return self
-        return Flow(self.plain | self.guarded, _EMPTY, self.attrs, _EMPTY,
-                    tuple((t, False, z) for t, _, z in self.drives),
-                    self.waits)
+        return Flow(self.plain | self.guarded, _EMPTY, self.attrs,
+                    drives=tuple((t, False, z) for t, _, z in self.drives),
+                    waits=self.waits)
 
     def record(self, label, fn, line, sensitivity):
         """The JSON record of a process with this body flow, as
-        ``ArchUnit.processes`` stores it.  Sets are sorted so the VIF
-        bytes are deterministic; :func:`repro.analysis.facts.
-        process_fact` reads the same layout back."""
+        ``ArchUnit.processes`` stores it (sets sorted, so the VIF bytes
+        are deterministic); ``repro.analysis.facts.ProcessFact`` reads
+        it back."""
         return [label, fn, line, sensitivity,
                 sorted(self.plain), sorted(self.guarded),
                 sorted(self.attrs), sorted(self.events),

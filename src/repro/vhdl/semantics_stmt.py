@@ -10,7 +10,8 @@ generated code — the exact shape of the paper's example production::
 Results are :class:`SRes` records: code lines, messages, the set of
 python names written (for ``nonlocal`` computation in nested
 subprograms), whether a wait occurs (process safety), the signals
-named (for concurrent-statement sensitivity inference), and the
+named by the statements a concurrent statement stands for (its
+inferred sensitivity: assignments, conditions, assertions), and the
 dataflow record of the code (:class:`repro.vhdl.flow.Flow`) with the
 control-flow facts it needs: how many statements the user wrote,
 whether control falls through, and whether an ``exit`` or ``return``
@@ -216,7 +217,7 @@ def variable_assign(target_lef, rhs_lef, env, cc, line):
             value_code, low, high, base.name)
     flow = Flow.of_uses(set(_uses(rhs)) | _path_uses(lv))
     return SRes([ln("%s = %s" % (base.py, value_code))], msgs,
-                {base.py}, False, signals_of(_uses(rhs)), flow)
+                {base.py}, flow=flow)
 
 
 # -- control flow --------------------------------------------------------------------------
@@ -309,7 +310,7 @@ def case_stmt(selector_lef, alternatives, env, cc, line):
             msgs.append(_msg(
                 line, "case does not cover all choices and has no "
                 "others"))
-    return _compound(lines, msgs, set(signals_of(_uses(sel))), flow,
+    return _compound(lines, msgs, set(), flow,
                      [body for _, body in alternatives])
 
 
@@ -352,8 +353,8 @@ def for_loop(param_name, range_lef, body, env, cc, line):
     # not leak into the write set, or a nested subprogram containing
     # the loop would emit a bogus ``nonlocal``.
     return SRes(lines, msgs, body.writes - {py}, body.haswait,
-                body.sigs | set(signals_of(_uses(rng))),
-                Flow.of_uses(_uses(rng)) + body.flow, exits=body.exits)
+                flow=Flow.of_uses(_uses(rng)) + body.flow,
+                exits=body.exits)
 
 
 def while_loop(cond_lef, body, env, cc, line):
@@ -375,9 +376,8 @@ def while_loop(cond_lef, body, env, cc, line):
     dead = infinite and not (body.haswait or body.exits)
     if dead:
         flow += Flow(waitless=1)
-    return SRes(lines, msgs, body.writes, body.haswait,
-                body.sigs | set(signals_of(uses)), flow, dead=dead,
-                exits=body.exits)
+    return SRes(lines, msgs, body.writes, body.haswait, flow=flow,
+                dead=dead, exits=body.exits)
 
 
 def next_or_exit(which, cond_lef, env, cc, line):
@@ -387,9 +387,8 @@ def next_or_exit(which, cond_lef, env, cc, line):
         return SRes([ln(stmt)], exits=exits)
     msgs = []
     cond, uses = _bool_cond(cond_lef, env, cc, line, msgs)
-    return SRes([ln("if %s:" % cond), ln(stmt, 1)], msgs, (), False,
-                signals_of(uses), Flow.of_uses(uses, test=True),
-                exits=exits)
+    return SRes([ln("if %s:" % cond), ln(stmt, 1)], msgs,
+                flow=Flow.of_uses(uses, test=True), exits=exits)
 
 
 # -- waits, asserts, calls, return -----------------------------------------------------------
@@ -398,7 +397,6 @@ def next_or_exit(which, cond_lef, env, cc, line):
 def wait_stmt(on_lefs, until_lef, for_lef, env, cc, line):
     msgs = []
     sig_codes = []
-    sigs = set()
     for name_lef in on_lefs:
         tgt = cc.eval_target(name_lef, env, line)
         msgs.extend(tgt.get("msgs", ()))
@@ -407,7 +405,6 @@ def wait_stmt(on_lefs, until_lef, for_lef, env, cc, line):
             msgs.append(_msg(line, "wait on non-signal"))
             continue
         sig_codes.append(lv.base.py)
-        sigs.add(lv.base.py)
     uses = set()
     cond_code = "None"
     if until_lef is not None:
@@ -429,8 +426,7 @@ def wait_stmt(on_lefs, until_lef, for_lef, env, cc, line):
         ", ".join(sig_codes), cond_code, timeout_code)
     flow = Flow.of_uses(uses) + wait_flow(
         sig_codes, until_lef is not None, timeout_code != "None")
-    return SRes([ln(code)], msgs, (), True,
-                sigs.union(signals_of(uses)), flow)
+    return SRes([ln(code)], msgs, haswait=True, flow=flow)
 
 
 def assert_stmt(cond_lef, report_lef, severity_lef, env, cc, line):
@@ -471,8 +467,8 @@ def procedure_call(call_lef, env, cc, line):
     if " = " in code.split("(")[0]:
         writes = {n.strip() for n in
                   code.split(" = ")[0].split(",")}
-    return SRes([ln(code)], msgs, writes, False,
-                signals_of(_uses(goal)), Flow.of_uses(_uses(goal)))
+    return SRes([ln(code)], msgs, writes,
+                flow=Flow.of_uses(_uses(goal)))
 
 
 def return_stmt(value_lef, expected, env, cc, line):
@@ -480,9 +476,8 @@ def return_stmt(value_lef, expected, env, cc, line):
         return SRes([ln("return")], exits=True)
     goal = cc.eval_expr(value_lef, env, line, expected=expected)
     return SRes([ln("return %s" % goal.get("code", "None"))],
-                list(goal.get("msgs", ())), (), False,
-                signals_of(_uses(goal)), Flow.of_uses(_uses(goal)),
-                exits=True)
+                list(goal.get("msgs", ())),
+                flow=Flow.of_uses(_uses(goal)), exits=True)
 
 
 def null_stmt():

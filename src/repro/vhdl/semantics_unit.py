@@ -86,8 +86,8 @@ def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
                 line, "process with a sensitivity list cannot contain "
                 "wait statements"))
     loop_body = list(body.code) or [ln("pass")]
-    # The compiler's own final wait is reached only when the body
-    # falls through.
+    # The final wait the compiler adds runs only if the body falls
+    # through.
     flow = decls.flow + body.flow
     if sensitivity_lefs is not None:
         loop_body.append(ln("yield rt.wait([%s], None, None)"
@@ -118,10 +118,11 @@ def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
     return CStmt(lines, msgs, [], label, [record])
 
 
-def _equivalent_process(label, body_lines, body_flow, sens, line):
+def _equivalent_process(label, body_lines, body_flow, sens, line,
+                        fn=None):
     """The process a concurrent statement stands for: its body, then a
     wait on the signals it names."""
-    fn = "_p_%s" % label
+    fn = fn or "_p_%s" % label
     lines = [ln("def %s():" % fn), ln("while True:", 1)]
     lines.extend(indent(body_lines or [ln("pass")], 2))
     lines.append(ln("yield rt.wait([%s], None, None)"
@@ -302,45 +303,32 @@ def block_stmt(label, guard_lef, decls, inner, env, cc, line):
     """
     msgs = list(decls.msgs)
     lines = list(decls.code)
-    signals = [signal_row(e) for e in decls.entries if is_signal_decl(e)]
+    signals = [[e.py, e.name, e.line,
+                vtypes.resolution_of(e.vtype) is not None]
+               for e in decls.entries
+               if entry_kind(e) == "object" and e.obj_class == "signal"]
     processes = []
     if guard_lef is not None:
         goal = cc.eval_expr(guard_lef, env, line,
                             expected=cc.std.boolean)
         msgs.extend(goal.get("msgs", ()))
         uses = goal.get("uses", ())
-        sens = signals_of(uses)
         guard_py = "s_guard_%s" % label
-        fn = "_p_guard_%s" % label
         lines.append(ln("%s = ctx.signal(%r, init=0)"
                         % (guard_py, "%s.guard" % label)))
         signals.append([guard_py, "%s.guard" % label, None, False])
-        lines.append(ln("def %s():" % fn))
-        lines.append(ln("while True:", 1))
-        lines.append(ln("rt.assign(%s, ((%s, 0),))"
-                        % (guard_py, goal.get("code", "0")), 2))
-        lines.append(ln("yield rt.wait([%s], None, None)"
-                        % ", ".join(sens), 2))
-        lines.append(ln("ctx.process(%r, %s, sensitivity=[%s], "
-                        "line=%r)"
-                        % (fn, fn, ", ".join(sens), line)))
-        flow = Flow.of_uses(uses) + drive_flow(guard_py, True) \
-            + wait_flow(sens)
-        processes.append(flow.record(fn, fn, line, sens))
+        fn = "_p_guard_%s" % label
+        guard_lines, record = _equivalent_process(
+            fn, [ln("rt.assign(%s, ((%s, 0),))"
+                    % (guard_py, goal.get("code", "0")))],
+            Flow.of_uses(uses) + drive_flow(guard_py, True),
+            signals_of(uses), line, fn=fn)
+        lines.extend(guard_lines)
+        processes.append(record)
     lines.extend(inner.code)
     msgs.extend(inner.msgs)
     return CStmt(lines, msgs, inner.instances, label,
                  processes + inner.processes, signals + inner.signals)
-
-
-def is_signal_decl(entry):
-    return entry_kind(entry) == "object" and entry.obj_class == "signal"
-
-
-def signal_row(entry):
-    """``[py, name, line, resolved]`` for a declared signal."""
-    return [entry.py, entry.name, entry.line,
-            vtypes.resolution_of(entry.vtype) is not None]
 
 
 # -- unit assembly ----------------------------------------------------------------------------
