@@ -88,13 +88,10 @@ class ProcessFact:
         self.waits = [WaitFact(*w) for w in waits]  # in source order
 
     @property
-    def reads(self):
-        return self.plain_reads | self.guarded_reads
-
-    @property
     def uses(self):
         """Every signal this process touches in any way."""
-        used = self.reads | self.attr_uses | self.drives
+        used = (self.plain_reads | self.guarded_reads | self.attr_uses
+                | self.drives)
         for w in self.waits:
             used.update(w.signals)
         if self.sensitivity:

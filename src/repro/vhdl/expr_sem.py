@@ -9,9 +9,10 @@ emission for the :mod:`repro.sim.runtime` target.
 The central value is :class:`Sem` — the meaning of (a piece of) an
 expression: its type, generated code, static value when known, the
 signal uses its code makes (for sensitivity inference and the
-per-process dataflow record), and accumulated error messages.  Some Sems are *pending*: an overloaded enumeration literal
-or an aggregate cannot be finished until an expected type arrives from
-context, so they carry a resolver the use-site forces.
+per-process dataflow record), and accumulated error messages.  Some
+Sems are *pending*: an overloaded enumeration literal or an aggregate
+cannot be finished until an expected type arrives from context, so
+they carry a resolver the use-site forces.
 """
 
 from ..sim.runtime import VArray, ops as _ops
@@ -99,11 +100,6 @@ def signals_of(uses):
     """The signal bindings a use set touches, sorted: the implicit
     sensitivity of an expression."""
     return sorted({py for _, py in uses})
-
-
-def has_event_test(uses):
-    """Does the code test ``'EVENT`` or ``'ACTIVE`` (a clock edge)?"""
-    return any(call in ("event", "active") for call, _ in uses)
 
 
 # -- name semantics --------------------------------------------------------------

@@ -19,7 +19,7 @@ can leave an enclosing loop.
 """
 
 from . import vtypes
-from .expr_sem import has_event_test, signals_of
+from .expr_sem import signals_of
 from .flow import NO_FLOW, Flow, drive_flow, wait_flow
 from .semantics_decl import indent, ln
 
@@ -250,8 +250,9 @@ def if_stmt(arms, else_body, env, cc, line):
     for cond_lef, body in arms:
         cond, uses = _bool_cond(cond_lef, env, cc, line, msgs)
         sigs.update(signals_of(uses))
-        flow += Flow.of_uses(uses, test=True).under(guarded)
-        guarded = guarded or has_event_test(uses)
+        test = Flow.of_uses(uses, test=True)
+        flow += test.under(guarded)
+        guarded = guarded or bool(test.events)
         flow += body.flow.under(guarded)
         lines.append(ln("%s %s:" % (keyword, cond)))
         lines.extend(indent(body.code or [ln("pass")]))

@@ -146,8 +146,7 @@ def concurrent_assign(label, arms, env, cc, line, guarded=False,
     label = label or cc.gensym("cassign")
     msgs = []
     sigs = set()
-    if not (guarded and guard_py):
-        guard_py = None
+    guard_py = guard_py if guarded else None
     if guard_py is not None:
         sigs.add(guard_py)
     body = SRes(stmts=0)
