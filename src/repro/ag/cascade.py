@@ -42,7 +42,9 @@ class SubEvaluator:
             )
         except ParseError:
             raise
-        return self.compiled.evaluate(tree, inherited, self.goals)
+        goals = self.compiled.evaluate(tree, inherited, self.goals)
+        tree.release()
+        return goals
 
     def try_call(self, token_list, inherited=None, on_error=None):
         """Like calling, but map a parse failure to ``on_error(exc)``.

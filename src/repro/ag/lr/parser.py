@@ -48,6 +48,18 @@ class ParseTree:
     def symbol(self):
         return self.production.lhs
 
+    def release(self):
+        """Unlink the tree once its goals are read.  Parent links make
+        every node part of a cycle, so without this the tree and every
+        attribute value on it outlive the evaluation until the cyclic
+        collector runs; unlinked, reference counting frees them now."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            node.parent = None
+            stack.extend(c for c in node.children
+                         if isinstance(c, ParseTree))
+
     def child_trees(self):
         """The nonterminal children, in order."""
         return [c for c in self.children if isinstance(c, ParseTree)]

@@ -4,9 +4,10 @@ Two analysis layers share one rule registry, one diagnostic surface,
 and one baseline format:
 
 * the *linter* sits between compilation and elaboration: it reads
-  the facts the attribute-grammar front end already computed
-  (declaration tables, generated models) and checks per-unit design
-  rules (RPL) and attribute-grammar rules (RPA);
+  the facts the attribute-grammar front end computed and stored in
+  the VIF (declaration tables, per-process dataflow records, port
+  maps) and checks per-unit design rules (RPL) and attribute-grammar
+  rules (RPA);
 * the *dataflow analyzer* sits between elaboration and simulation:
   it flattens the elaborated design into a signal/process graph
   (:func:`build_netlist`), resolves reads and drives through
@@ -25,7 +26,8 @@ Entry points:
 * :class:`LintEngine` — the library API (``repro lint``,
   ``repro analyze`` and the build driver's ``--lint`` all call it);
 * :data:`REGISTRY` / :func:`register` — the pluggable rule registry;
-* :func:`extract_unit_facts` — the rule-agnostic dataflow extractor;
+* :func:`extract_unit_facts` — reads a unit's rule-agnostic dataflow
+  facts from its VIF tables;
 * :func:`build_netlist` / :class:`DesignGraph` — the flattened
   elaborated-design graph;
 * :func:`levels_artifact` / :func:`levelize` — the levelization pass;

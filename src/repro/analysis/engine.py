@@ -1,6 +1,6 @@
 """The lint engine: rule selection, unit iteration, and baselines.
 
-:class:`LintEngine` glues the fact extractor to the rule registry and
+:class:`LintEngine` glues the fact reader to the rule registry and
 produces plain :class:`repro.diag.Diagnostic` lists, so every
 existing consumer — the caret renderer, the JSON-lines stream, the
 SARIF writer, ``-Werror`` promotion in :class:`DiagnosticEngine` —

@@ -26,6 +26,7 @@ model (entities, configurations) have empty facts.
 from collections import namedtuple
 
 from ..vhdl import vtypes
+from ..vhdl.flow import Flow
 from ..vhdl.symtab import entry_kind
 
 #: One declared signal or port of a unit: VHDL ``name`` ('count'),
@@ -63,8 +64,7 @@ class WaitFact(namedtuple("WaitFact",
 
 class ProcessFact:
     """Dataflow facts for one process statement, read from its
-    ``ArchUnit.processes`` record (:meth:`repro.vhdl.flow.Flow.
-    record` writes that layout)."""
+    ``ArchUnit.processes`` record."""
 
     __slots__ = ("label", "py", "line", "sensitivity", "plain_reads",
                  "guarded_reads", "attr_uses", "drives", "drive_sites",
@@ -72,20 +72,18 @@ class ProcessFact:
                  "unreachable_stmts")
 
     def __init__(self, record):
-        (self.label, self.py, self.line,
-         #: declared sensitivity py-names, or None for wait-driven
-         self.sensitivity,
-         plain, guarded, attrs, events, drives, waits,
-         self.waitless_loops,      # infinite loops with no suspension
-         self.unreachable_stmts,   # VHDL statements after such a loop
-         ) = record
-        self.plain_reads = set(plain)      # reads outside 'EVENT guards
-        self.guarded_reads = set(guarded)  # reads under an 'EVENT guard
-        self.attr_uses = set(attrs)     # 'EVENT / 'ACTIVE / 'LAST_VALUE
-        self.event_guards = set(events)  # tested with 'EVENT in ifs
-        self.drive_sites = [DriveFact(*d) for d in drives]  # in order
+        (self.label, self.py, self.line, self.sensitivity,
+         flow) = Flow.from_record(record)
+        # sensitivity: declared py-names, or None for wait-driven
+        self.plain_reads = set(flow.plain)      # outside 'EVENT guards
+        self.guarded_reads = set(flow.guarded)  # under an 'EVENT guard
+        self.attr_uses = set(flow.attrs)   # 'EVENT/'ACTIVE/'LAST_VALUE
+        self.event_guards = set(flow.events)  # tested with 'EVENT in ifs
+        self.drive_sites = [DriveFact(*d) for d in flow.drives]
         self.drives = {d.target for d in self.drive_sites}
-        self.waits = [WaitFact(*w) for w in waits]  # in source order
+        self.waits = [WaitFact(*w) for w in flow.waits]
+        self.waitless_loops = flow.waitless  # loops with no suspension
+        self.unreachable_stmts = flow.unreachable  # VHDL statements
 
     @property
     def uses(self):

@@ -6,9 +6,10 @@ race between drivers living in different instances, or logic that
 dies only after a generic folds to a constant are all invisible to
 it.  This module builds the missing view: it correlates the
 *elaboration trace* (:class:`repro.vhdl.elaborate.DesignRecord`, one
-per elaborated architecture/package) with the *static facts* of the
-same units (:func:`repro.analysis.facts.extract_unit_facts`) to
-produce a flattened signal/process graph whose nodes are the
+per elaborated architecture/package) with the *static facts* the
+attribute grammar stored in the same units' VIF
+(:func:`repro.analysis.facts.extract_unit_facts`) to produce a
+flattened signal/process graph whose nodes are the
 elaborated :class:`~repro.sim.signals.Signal` and
 :class:`~repro.sim.process.Process` objects themselves.
 
@@ -210,8 +211,9 @@ def build_netlist(records, top_path=None):
     """Build a :class:`DesignGraph` from elaboration records.
 
     ``records`` is ``Elaborator.records`` (or ``Simulation.records``)
-    — the per-instance elaboration trace.  Extraction is total:
-    records whose units carry no generated model contribute nothing.
+    — the per-instance elaboration trace.  Records of units without
+    processes or signals (entities, configurations) contribute
+    nothing.
     """
     records = list(records)
     if top_path is None:

@@ -180,6 +180,8 @@ class Compiler:
                 raise CompileError(
                     [str(exc)],
                     diagnostics=engine.diagnostics) from exc
+            finally:
+                tree.release()
         expr_evals = cc.expr_eval.invocations - expr0
 
         units = list(out["UNITS"])

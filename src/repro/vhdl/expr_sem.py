@@ -22,6 +22,9 @@ from .symtab import entry_kind, lookup_user_attribute
 #: Sentinel: no statically known value.
 MISSING = object()
 
+#: The shared empty use set (each ``frozenset()`` is a new object).
+_NO_USES = frozenset()
+
 
 class Sem:
     """The semantic value of an expression fragment."""
@@ -41,7 +44,7 @@ class Sem:
         #: (runtime call, signal binding) pairs the code contains:
         #: ("read", py) for ``rt.read(py)``, ("event", py) for
         #: ``rt.event(py)``, likewise "active" and "last_value".
-        self.uses = frozenset(uses)
+        self.uses = frozenset(uses) if uses else _NO_USES
         self.msgs = tuple(msgs)
         self.entries = entries
         self.entry = entry

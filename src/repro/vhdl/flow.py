@@ -8,7 +8,17 @@ back instead of parsing the generated Python.  A read is an
 semantics carry their signal uses per runtime call (``Sem.uses``).
 """
 
+#: The one empty set every empty field shares (CPython makes a new,
+#: 216-byte object for each ``frozenset()``).
 _EMPTY = frozenset()
+
+
+def _set(names):
+    return frozenset(names) or _EMPTY
+
+
+def _union(a, b):
+    return (a | b) if a and b else (a or b)
 
 
 class Flow:
@@ -47,11 +57,11 @@ class Flow:
         code is an ``if`` condition."""
         if not uses:
             return NO_FLOW
-        return Flow(frozenset(py for call, py in uses if call == "read"),
+        return Flow(_set(py for call, py in uses if call == "read"),
                     _EMPTY,
-                    frozenset(py for call, py in uses if call != "read"),
-                    frozenset(py for call, py in uses
-                              if test and call in ("event", "active")))
+                    _set(py for call, py in uses if call != "read"),
+                    _set(py for call, py in uses
+                         if test and call in ("event", "active")))
 
     def __add__(self, other):
         """Sequential composition: ``self``, then ``other``."""
@@ -59,9 +69,10 @@ class Flow:
             return self
         if self is NO_FLOW:
             return other
-        return Flow(self.plain | other.plain,
-                    self.guarded | other.guarded,
-                    self.attrs | other.attrs, self.events | other.events,
+        return Flow(_union(self.plain, other.plain),
+                    _union(self.guarded, other.guarded),
+                    _union(self.attrs, other.attrs),
+                    _union(self.events, other.events),
                     self.drives + other.drives, self.waits + other.waits,
                     self.waitless + other.waitless,
                     self.unreachable + other.unreachable)
@@ -70,7 +81,7 @@ class Flow:
         """This flow inside an ``'EVENT`` guard when ``guarded``."""
         if not guarded or self is NO_FLOW:
             return self
-        return Flow(_EMPTY, self.plain | self.guarded, self.attrs,
+        return Flow(_EMPTY, _union(self.plain, self.guarded), self.attrs,
                     self.events,
                     tuple((t, True, z) for t, _, z in self.drives),
                     self.waits, self.waitless, self.unreachable)
@@ -88,21 +99,29 @@ class Flow:
         (event tests, wait-less loops) is not the process's."""
         if self is NO_FLOW:
             return self
-        return Flow(self.plain | self.guarded, _EMPTY, self.attrs,
+        return Flow(_union(self.plain, self.guarded), _EMPTY, self.attrs,
                     drives=tuple((t, False, z) for t, _, z in self.drives),
                     waits=self.waits)
 
     def record(self, label, fn, line, sensitivity):
         """The JSON record of a process with this body flow, as
         ``ArchUnit.processes`` stores it (sets sorted, so the VIF bytes
-        are deterministic); ``repro.analysis.facts.ProcessFact`` reads
-        it back."""
+        are deterministic)."""
         return [label, fn, line, sensitivity,
                 sorted(self.plain), sorted(self.guarded),
                 sorted(self.attrs), sorted(self.events),
                 [list(d) for d in self.drives],
                 [[list(s), c, t] for s, c, t in self.waits],
                 self.waitless, self.unreachable]
+
+    @staticmethod
+    def from_record(record):
+        """``(label, fn, line, sensitivity, flow)`` of a stored record."""
+        (label, fn, line, sensitivity, plain, guarded, attrs, events,
+         drives, waits, waitless, unreachable) = record
+        return label, fn, line, sensitivity, Flow(
+            plain, guarded, attrs, events, drives, waits, waitless,
+            unreachable)
 
 
 NO_FLOW = Flow()

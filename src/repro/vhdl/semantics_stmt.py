@@ -24,6 +24,9 @@ from .flow import NO_FLOW, Flow, drive_flow, wait_flow
 from .semantics_decl import indent, ln
 
 
+_NONE = frozenset()
+
+
 class SRes:
     """Generated-code result of one (list of) statement(s)."""
 
@@ -35,9 +38,10 @@ class SRes:
                  exits=False):
         self.code = list(code)
         self.msgs = list(msgs)
-        self.writes = frozenset(writes)
+        # Empty sets share one object: a statement list holds many.
+        self.writes = frozenset(writes) if writes else _NONE
         self.haswait = haswait
-        self.sigs = frozenset(sigs)
+        self.sigs = frozenset(sigs) if sigs else _NONE
         self.flow = flow
         self.stmts = stmts    # VHDL statements in the list
         self.dead = dead      # control never passes to a successor
