@@ -198,15 +198,6 @@ class DesignGraph:
             len(self.processes))
 
 
-def _facts_for(node, cache):
-    key = id(node)
-    facts = cache.get(key)
-    if facts is None:
-        facts = extract_unit_facts(node)
-        cache[key] = facts
-    return facts
-
-
 def build_netlist(records, top_path=None):
     """Build a :class:`DesignGraph` from elaboration records.
 
@@ -222,7 +213,6 @@ def build_netlist(records, top_path=None):
                 top_path = record.path
                 break
     graph = DesignGraph(top_path=top_path)
-    facts_cache = {}
 
     # Package-level bindings: a package signal's generated binding
     # name (``pkg_<pkg>_s_<name>``) is globally unique and identical
@@ -232,15 +222,14 @@ def build_netlist(records, top_path=None):
     for record in records:
         if record.kind != "package":
             continue
-        facts = _facts_for(record.node, facts_cache)
-        for py, obj in facts.objects.items():
+        for py, obj in extract_unit_facts(record.node).objects.items():
             sig = record.signals.get(obj.name)
             if sig is not None:
                 package_bindings[py] = graph.intern(sig)
 
     top_record = None
     for record in records:
-        facts = _facts_for(record.node, facts_cache)
+        facts = extract_unit_facts(record.node)
 
         local = {}
         for py, obj in facts.objects.items():

@@ -1257,6 +1257,7 @@ def goal_target(sem, ctx):
         "type": sem.type,
         "lvalue": lv,
         "code": sem.code,
+        "uses": sem.uses,
         "msgs": msgs,
     }
 

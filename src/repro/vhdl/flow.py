@@ -1,11 +1,9 @@
 """The dataflow record the principal AG synthesizes next to the code.
 
-Statement rules return a :class:`Flow` with their code; the process
-rules store one record per process in the architecture's VIF
-(``ArchUnit.processes``), and :mod:`repro.analysis.facts` reads it
-back instead of parsing the generated Python.  A read is an
-``rt.read`` the generated code performs, which is why expression
-semantics carry their signal uses per runtime call (``Sem.uses``).
+Statement rules return a :class:`Flow` with their code; process rules
+store one record per process in ``ArchUnit.processes``, which
+:mod:`repro.analysis.facts` reads instead of parsing the generated
+Python.  A read is an ``rt.read`` the code performs (``Sem.uses``).
 """
 
 #: The one empty set every empty field shares (CPython makes a new,
@@ -86,12 +84,6 @@ class Flow:
                     tuple((t, True, z) for t, _, z in self.drives),
                     self.waits, self.waitless, self.unreachable)
 
-    def then_dead(self, stmts):
-        """This flow followed by ``stmts`` unreachable statements."""
-        return Flow(self.plain, self.guarded, self.attrs, self.events,
-                    self.drives, self.waits, self.waitless,
-                    self.unreachable + stmts)
-
     def called(self):
         """The flow of a subprogram declared in a process, as the
         process sees it: the body may run under any guard, so its reads
@@ -130,8 +122,3 @@ NO_FLOW = Flow()
 def wait_flow(signals, has_condition=False, has_timeout=False):
     """The flow of one wait (without its expressions' reads)."""
     return Flow(waits=((tuple(signals), has_condition, has_timeout),))
-
-
-def drive_flow(target, zero_delay):
-    """The flow of one signal assignment (without its reads)."""
-    return Flow(drives=((target, False, zero_delay),))

@@ -10,17 +10,14 @@ generated code — the exact shape of the paper's example production::
 Results are :class:`SRes` records: code lines, messages, the set of
 python names written (for ``nonlocal`` computation in nested
 subprograms), whether a wait occurs (process safety), the signals
-named by the statements a concurrent statement stands for (its
-inferred sensitivity: assignments, conditions, assertions), and the
-dataflow record of the code (:class:`repro.vhdl.flow.Flow`) with the
-control-flow facts it needs: how many statements the user wrote,
-whether control falls through, and whether an ``exit`` or ``return``
-can leave an enclosing loop.
+named (for concurrent-statement sensitivity inference), and the
+dataflow of the code (:class:`repro.vhdl.flow.Flow`) with the
+control facts it needs.
 """
 
 from . import vtypes
 from .expr_sem import signals_of
-from .flow import NO_FLOW, Flow, drive_flow, wait_flow
+from .flow import NO_FLOW, Flow, wait_flow
 from .semantics_decl import indent, ln
 
 
@@ -51,7 +48,7 @@ class SRes:
     def merge(a, b):
         # After a statement that never passes control on, ``b`` is
         # unreachable: only its statement count enters the record.
-        flow = a.flow.then_dead(b.stmts) if a.dead else a.flow + b.flow
+        flow = a.flow + (Flow(unreachable=b.stmts) if a.dead else b.flow)
         return SRes(a.code + b.code, a.msgs + b.msgs,
                     a.writes | b.writes, a.haswait or b.haswait,
                     a.sigs | b.sigs, flow, a.stmts + b.stmts,
@@ -74,18 +71,6 @@ def _bool_cond(lef, env, cc, line, out_msgs):
     goal = cc.eval_expr(lef, env, line, expected=cc.std.boolean)
     out_msgs.extend(goal.get("msgs", ()))
     return goal.get("code", "0"), _uses(goal)
-
-
-def _path_uses(lv):
-    """Signal uses of the index and slice expressions in a target's
-    access path (the code rebuilds the target value with them)."""
-    uses = set()
-    for kind, info in lv.path:
-        if kind == "index":
-            uses |= info.uses
-        elif kind == "slice":
-            uses |= info[0].uses | info[2].uses
-    return uses
 
 
 # -- assignments -------------------------------------------------------------------
@@ -180,14 +165,13 @@ def signal_assign(target_lef, wave, transport, env, cc, line,
         base.py, ", ".join(elems), bool(transport))
     lines = [ln(code_line)]
     # The sensitivity view leaves the target out, but the code reads
-    # it to update a path, and it reads the guard.
-    code_uses = set(uses)
-    if lv.path:
-        code_uses |= _path_uses(lv) | {("read", base.py)}
+    # it (and its index expressions) to update a path, and the guard.
+    code_uses = uses.union(_uses(tgt) if lv.path else ())
     if guard_py is not None:
         lines = [ln("if rt.read(%s):" % guard_py)] + indent(lines)
         code_uses.add(("read", guard_py))
-    flow = Flow.of_uses(code_uses) + drive_flow(base.py, zero_delay)
+    flow = Flow.of_uses(code_uses) \
+        + Flow(drives=((base.py, False, zero_delay),))
     return SRes(lines, msgs, (), False, signals_of(uses), flow)
 
 
@@ -219,7 +203,9 @@ def variable_assign(target_lef, rhs_lef, env, cc, line):
         low, high = vtypes.scalar_bounds(vtype)
         value_code = "ops.check_range(%s, %r, %r, %r)" % (
             value_code, low, high, base.name)
-    flow = Flow.of_uses(set(_uses(rhs)) | _path_uses(lv))
+    # A path update reads the index expressions of the target.
+    path_uses = _uses(tgt) if lv.path else ()
+    flow = Flow.of_uses(set(_uses(rhs)).union(path_uses))
     return SRes([ln("%s = %s" % (base.py, value_code))], msgs,
                 {base.py}, flow=flow)
 
@@ -240,10 +226,9 @@ def _compound(lines, msgs, sigs, flow, bodies):
 
 def if_stmt(arms, else_body, env, cc, line):
     """``arms``: list of (cond_lef, SRes body); else_body: SRes|None.
-
-    Once a condition tests ``'EVENT``, every later condition and body
-    runs on that clock edge only: their reads and drives are guarded.
-    """
+    After a condition that tests ``'EVENT``, later conditions and
+    bodies run on a clock edge only: their reads and drives are
+    guarded."""
     msgs = []
     sigs = set()
     lines = []
@@ -363,9 +348,8 @@ def for_loop(param_name, range_lef, body, env, cc, line):
 
 
 def while_loop(cond_lef, body, env, cc, line):
-    """``[while cond] loop ... end loop``.  A loop whose condition is
-    the literal true and whose body can neither wait, exit nor return
-    never passes control on: it is a wait-less loop."""
+    """``[while cond] loop``; an infinite one that can neither wait,
+    exit nor return is wait-less and never passes control on."""
     msgs = []
     uses = ()
     infinite = cond_lef is None

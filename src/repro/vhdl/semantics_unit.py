@@ -16,7 +16,7 @@ from ..vif.nodes import (
 from . import vtypes
 from .compile_ctx import attrs_of
 from .expr_sem import signals_of
-from .flow import Flow, drive_flow, wait_flow
+from .flow import Flow, wait_flow
 from .semantics_decl import DeclResult, indent, ln, render
 from .semantics_stmt import SRes
 from .symtab import entry_kind
@@ -86,22 +86,19 @@ def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
                 line, "process with a sensitivity list cannot contain "
                 "wait statements"))
     loop_body = list(body.code) or [ln("pass")]
-    # The final wait the compiler adds runs only if the body falls
-    # through.
     flow = decls.flow + body.flow
-    if sensitivity_lefs is not None:
-        loop_body.append(ln("yield rt.wait([%s], None, None)"
-                            % ", ".join(sens)))
-        if not body.dead:
-            flow += wait_flow(sens)
-    elif not body.haswait:
+    final = sens if sensitivity_lefs is not None else None
+    if final is None and not body.haswait:
         msgs.append(_msg(
             line, "process %s has no wait statement and no "
             "sensitivity list; it would loop forever — a final "
             "wait was inserted" % label))
-        loop_body.append(ln("yield rt.wait([], None, None)"))
-        if not body.dead:
-            flow += wait_flow(())
+        final = []
+    if final is not None:
+        loop_body.append(ln("yield rt.wait([%s], None, None)"
+                            % ", ".join(final)))
+        if not body.dead:  # else the final wait is unreachable
+            flow += wait_flow(final)
     lines = [ln("def %s():" % fn)]
     lines.extend(indent(decls.code))
     lines.append(ln("while True:", 1))
@@ -320,7 +317,7 @@ def block_stmt(label, guard_lef, decls, inner, env, cc, line):
         guard_lines, record = _equivalent_process(
             fn, [ln("rt.assign(%s, ((%s, 0),))"
                     % (guard_py, goal.get("code", "0")))],
-            Flow.of_uses(uses) + drive_flow(guard_py, True),
+            Flow.of_uses(uses) + Flow(drives=((guard_py, False, True),)),
             signals_of(uses), line, fn=fn)
         lines.extend(guard_lines)
         processes.append(record)

@@ -195,8 +195,15 @@ class VIFReader:
                     "unit %s.%s: unknown node kind %r" % (library, unit, kind)
                 )
             cls = registry[kind][0]
-            if len(fields) != len(cls.VIF_FIELDS):
-                _check_fields(library, unit, cls, fields)
+            # A payload written before a schema change lacks the new
+            # fields; reading it would leave them unset.
+            missing = len(fields) != len(cls.VIF_FIELDS) and [
+                f.name for f in cls.VIF_FIELDS if f.name not in fields]
+            if missing:
+                raise VIFError(
+                    "unit %s.%s was written by an older compiler: its %s "
+                    "node lacks field(s) %s; rebuild the library"
+                    % (library, unit, kind, ", ".join(missing)))
             node = cls.__new__(cls)
             node._vif_home = (library, unit, len(table))
             table.append(node)
@@ -227,17 +234,6 @@ class VIFReader:
         if ftype == "list":
             return [self._decode_with(table, item, "ref") for item in value]
         raise VIFError("unknown field type %r" % ftype)
-
-
-def _check_fields(library, unit, cls, fields):
-    """A payload written before a schema change lacks the new fields;
-    reading it would leave them unset, so it is refused instead."""
-    missing = [f.name for f in cls.VIF_FIELDS if f.name not in fields]
-    if missing:
-        raise VIFError(
-            "unit %s.%s was written by an older compiler: its %s node "
-            "lacks field(s) %s; rebuild the library"
-            % (library, unit, cls.VIF_KIND, ", ".join(missing)))
 
 
 def dump_unit(payload):
