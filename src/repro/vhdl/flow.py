@@ -96,14 +96,18 @@ class Flow:
                     waits=self.waits)
 
     def record(self, label, fn, line, sensitivity):
-        """The JSON record of a process with this body flow, as
-        ``ArchUnit.processes`` stores it (sets sorted, so the VIF bytes
-        are deterministic)."""
-        return [label, fn, line, sensitivity,
-                sorted(self.plain), sorted(self.guarded),
-                sorted(self.attrs), sorted(self.events),
-                [list(d) for d in self.drives],
-                [[list(s), c, t] for s, c, t in self.waits],
+        """The record of a process with this body flow, as
+        ``ArchUnit.processes`` stores it.  Kept flat, since a ring of
+        400 processes holds 400 of them: name sets become sorted
+        space-separated strings, drives and waits runs of triples."""
+        return [label, fn, line,
+                None if sensitivity is None else " ".join(sensitivity),
+                " ".join(sorted(self.plain)),
+                " ".join(sorted(self.guarded)),
+                " ".join(sorted(self.attrs)),
+                " ".join(sorted(self.events)),
+                [x for drive in self.drives for x in drive],
+                [x for s, c, t in self.waits for x in (" ".join(s), c, t)],
                 self.waitless, self.unreachable]
 
     @staticmethod
@@ -111,9 +115,15 @@ class Flow:
         """``(label, fn, line, sensitivity, flow)`` of a stored record."""
         (label, fn, line, sensitivity, plain, guarded, attrs, events,
          drives, waits, waitless, unreachable) = record
+        if sensitivity is not None:
+            sensitivity = sensitivity.split()
         return label, fn, line, sensitivity, Flow(
-            plain, guarded, attrs, events, drives, waits, waitless,
-            unreachable)
+            _set(plain.split()), _set(guarded.split()),
+            _set(attrs.split()), _set(events.split()),
+            tuple(zip(drives[0::3], drives[1::3], drives[2::3])),
+            tuple((s.split(), c, t) for s, c, t in
+                  zip(waits[0::3], waits[1::3], waits[2::3])),
+            waitless, unreachable)
 
 
 NO_FLOW = Flow()
