@@ -403,7 +403,7 @@ def wait_stmt(on_lefs, until_lef, for_lef, env, cc, line):
         cond_code = "lambda: %s" % goal.get("code", "1")
         if not sig_codes:
             # wait until C: sensitivity is the signals in C.
-            sig_codes = signals_of(_uses(goal))
+            sig_codes = list(goal.get("sigs", ()))
         uses.update(_uses(goal))
     timeout_code = "None"
     if for_lef is not None:

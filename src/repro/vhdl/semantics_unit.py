@@ -15,7 +15,6 @@ from ..vif.nodes import (
 )
 from . import vtypes
 from .compile_ctx import attrs_of
-from .expr_sem import signals_of
 from .flow import Flow, wait_flow
 from .semantics_decl import DeclResult, indent, ln, render
 from .semantics_stmt import SRes
@@ -30,9 +29,13 @@ class CStmt:
     """One concurrent statement's contribution to an architecture.
 
     ``processes`` holds the dataflow record of each process the code
-    creates (:meth:`repro.vhdl.flow.Flow.record`); ``signals`` one
-    ``[py, name, line, resolved]`` row per signal a block declares.
-    Both end up in the architecture's VIF.
+    creates (:meth:`repro.vhdl.flow.Flow.record`) as a rope: ``()``,
+    one record, or a ``(left, right)`` pair of ropes.  Merging copies
+    nothing, since every intermediate CStmt stays on the tree until
+    evaluation ends and copied lists would grow with the square of the
+    process count.  ``signals`` has one ``[py, name, line, resolved]``
+    row per signal a block declares.  Both end up in the
+    architecture's VIF.
     """
 
     __slots__ = ("code", "msgs", "instances", "label", "processes",
@@ -44,14 +47,31 @@ class CStmt:
         self.msgs = list(msgs)
         self.instances = list(instances)
         self.label = label
-        self.processes = list(processes)
-        self.signals = list(signals)
+        self.processes = processes
+        self.signals = tuple(signals)
 
     @staticmethod
     def merge(a, b):
         return CStmt(a.code + b.code, a.msgs + b.msgs,
                      a.instances + b.instances, "",
-                     a.processes + b.processes, a.signals + b.signals)
+                     _join(a.processes, b.processes),
+                     a.signals + b.signals)
+
+
+def _join(a, b):
+    return (a, b) if a and b else (a or b)
+
+
+def _records(rope):
+    """The records of a rope, in source order."""
+    records, stack = [], [rope]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            stack.extend(reversed(node))
+        else:
+            records.append(node)
+    return records
 
 
 CSTMT_EMPTY = CStmt()
@@ -112,7 +132,7 @@ def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
                         % (label, fn, line)))
     record = flow.record(label, fn, line,
                          sens if sensitivity_lefs is not None else None)
-    return CStmt(lines, msgs, [], label, [record])
+    return CStmt(lines, msgs, [], label, record)
 
 
 def _equivalent_process(label, body_lines, body_flow, sens, line,
@@ -166,7 +186,7 @@ def concurrent_assign(label, arms, env, cc, line, guarded=False,
         body = else_sres
     lines, record = _equivalent_process(label, body.code, body.flow,
                                         sorted(sigs), line)
-    return CStmt(lines, msgs, [], label, [record])
+    return CStmt(lines, msgs, [], label, record)
 
 
 def selected_assign(label, selector_lef, target_lef, choices_waves,
@@ -178,7 +198,7 @@ def selected_assign(label, selector_lef, target_lef, choices_waves,
     msgs = []
     sel = cc.eval_expr(selector_lef, env, line)
     msgs.extend(sel.get("msgs", ()))
-    sigs = set(signals_of(sel.get("uses", ())))
+    sigs = set(sel.get("sigs", ()))
     flow = Flow.of_uses(sel.get("uses", ()))
     sel_type = sel.get("type")
     tmp = cc.gensym("_sel")
@@ -208,7 +228,7 @@ def selected_assign(label, selector_lef, target_lef, choices_waves,
         body.extend(indent(sres.code))
     lines, record = _equivalent_process(label, body, flow, sorted(sigs),
                                         line)
-    return CStmt(lines, msgs, [], label, [record])
+    return CStmt(lines, msgs, [], label, record)
 
 
 def concurrent_assert(label, cond_lef, report_lef, severity_lef, env,
@@ -221,7 +241,7 @@ def concurrent_assert(label, cond_lef, report_lef, severity_lef, env,
                        line)
     lines, record = _equivalent_process(label, sres.code, sres.flow,
                                         sorted(sres.sigs), line)
-    return CStmt(lines, sres.msgs, [], label, [record])
+    return CStmt(lines, sres.msgs, [], label, record)
 
 
 # -- component instantiation -----------------------------------------------------------------
@@ -303,7 +323,7 @@ def block_stmt(label, guard_lef, decls, inner, env, cc, line):
                 vtypes.resolution_of(e.vtype) is not None]
                for e in decls.entries
                if entry_kind(e) == "object" and e.obj_class == "signal"]
-    processes = []
+    processes = ()
     if guard_lef is not None:
         goal = cc.eval_expr(guard_lef, env, line,
                             expected=cc.std.boolean)
@@ -318,13 +338,14 @@ def block_stmt(label, guard_lef, decls, inner, env, cc, line):
             fn, [ln("rt.assign(%s, ((%s, 0),))"
                     % (guard_py, goal.get("code", "0")))],
             Flow.of_uses(uses) + Flow(drives=((guard_py, False, True),)),
-            signals_of(uses), line, fn=fn)
+            goal.get("sigs", []), line, fn=fn)
         lines.extend(guard_lines)
-        processes.append(record)
+        processes = record
     lines.extend(inner.code)
     msgs.extend(inner.msgs)
     return CStmt(lines, msgs, inner.instances, label,
-                 processes + inner.processes, signals + inner.signals)
+                 _join(processes, inner.processes),
+                 tuple(signals) + inner.signals)
 
 
 # -- unit assembly ----------------------------------------------------------------------------
@@ -421,7 +442,8 @@ def arch_unit(name, entity, decls, cstmts, configs, env, cc, line):
         name=name, entity_name=entity.name, entity=entity,
         decls=list(decls.entries), instances=instances,
         user_attrs=list(attrs_of(env)),
-        processes=cstmts.processes, block_signals=cstmts.signals,
+        processes=_records(cstmts.processes),
+        block_signals=list(cstmts.signals),
         py_source=py_source, line=line)
     from .codegen.cmodel import c_model_for_unit
 
