@@ -147,7 +147,7 @@ def _equivalent_process(label, body_lines, body_flow, sens, line,
     lines.append(ln("ctx.process(%r, %s, sensitivity=[%s], line=%r)"
                     % (label, fn, ", ".join(sens), line)))
     flow = body_flow + wait_flow(sens)
-    return lines, flow.record(label, fn, line, list(sens))
+    return lines, flow.record(label, fn, line, sens)
 
 
 def concurrent_assign(label, arms, env, cc, line, guarded=False,
