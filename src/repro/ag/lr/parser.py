@@ -49,10 +49,9 @@ class ParseTree:
         return self.production.lhs
 
     def release(self):
-        """Unlink the tree once its goals are read.  Parent links make
-        every node part of a cycle, so without this the tree and every
-        attribute value on it outlive the evaluation until the cyclic
-        collector runs; unlinked, reference counting frees them now."""
+        """Unlink the tree once its goals are read, so reference counting
+        frees it and its attribute values now: parent links make it
+        cyclic garbage that would wait for the collector."""
         stack = [self]
         while stack:
             node = stack.pop()

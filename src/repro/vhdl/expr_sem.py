@@ -17,13 +17,11 @@ they carry a resolver the use-site forces.
 
 from ..sim.runtime import VArray, ops as _ops
 from . import vtypes
+from .flow import EMPTY_SET
 from .symtab import entry_kind, lookup_user_attribute
 
 #: Sentinel: no statically known value.
 MISSING = object()
-
-#: The shared empty use set (each ``frozenset()`` is a new object).
-_NO_USES = frozenset()
 
 
 class Sem:
@@ -44,7 +42,7 @@ class Sem:
         #: (runtime call, signal binding) pairs the code contains:
         #: ("read", py) for ``rt.read(py)``, ("event", py) for
         #: ``rt.event(py)``, likewise "active" and "last_value".
-        self.uses = frozenset(uses) if uses else _NO_USES
+        self.uses = frozenset(uses) if uses else EMPTY_SET
         self.msgs = tuple(msgs)
         self.entries = entries
         self.entry = entry

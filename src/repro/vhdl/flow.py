@@ -6,20 +6,23 @@ store one record per process in ``ArchUnit.processes``, which
 Python.  A read is an ``rt.read`` the code performs (``Sem.uses``).
 """
 
-#: The one empty set every empty field shares (CPython makes a new,
-#: 216-byte object for each ``frozenset()``).
-_EMPTY = frozenset()
+from collections import namedtuple
+
+#: The empty set empty fields share (each ``frozenset()`` is new).
+EMPTY_SET = frozenset()
 
 
 def _set(names):
-    return frozenset(names) or _EMPTY
+    return frozenset(names) or EMPTY_SET
 
 
 def _union(a, b):
     return (a | b) if a and b else (a or b)
 
 
-class Flow:
+class Flow(namedtuple("Flow", "plain guarded attrs events drives waits "
+                              "waitless unreachable",
+                      defaults=(EMPTY_SET,) * 4 + ((), (), 0, 0))):
     """Dataflow facts of a statement or statement list.
 
     ``plain`` / ``guarded``: signals read outside / under an ``if``
@@ -34,20 +37,7 @@ class Flow:
     which contribute nothing else.
     """
 
-    __slots__ = ("plain", "guarded", "attrs", "events", "drives",
-                 "waits", "waitless", "unreachable")
-
-    def __init__(self, plain=_EMPTY, guarded=_EMPTY, attrs=_EMPTY,
-                 events=_EMPTY, drives=(), waits=(), waitless=0,
-                 unreachable=0):
-        self.plain = plain
-        self.guarded = guarded
-        self.attrs = attrs
-        self.events = events
-        self.drives = drives
-        self.waits = waits
-        self.waitless = waitless
-        self.unreachable = unreachable
+    __slots__ = ()
 
     @staticmethod
     def of_uses(uses, test=False):
@@ -56,7 +46,7 @@ class Flow:
         if not uses:
             return NO_FLOW
         return Flow(_set(py for call, py in uses if call == "read"),
-                    _EMPTY,
+                    EMPTY_SET,
                     _set(py for call, py in uses if call != "read"),
                     _set(py for call, py in uses
                          if test and call in ("event", "active")))
@@ -79,19 +69,18 @@ class Flow:
         """This flow inside an ``'EVENT`` guard when ``guarded``."""
         if not guarded or self is NO_FLOW:
             return self
-        return Flow(_EMPTY, _union(self.plain, self.guarded), self.attrs,
-                    self.events,
-                    tuple((t, True, z) for t, _, z in self.drives),
-                    self.waits, self.waitless, self.unreachable)
+        return self._replace(
+            plain=EMPTY_SET, guarded=_union(self.plain, self.guarded),
+            drives=tuple((t, True, z) for t, _, z in self.drives))
 
     def called(self):
-        """The flow of a subprogram declared in a process, as the
-        process sees it: the body may run under any guard, so its reads
-        are plain and its drives unguarded, and its own control flow
-        (event tests, wait-less loops) is not the process's."""
+        """A process-local subprogram's flow as the process sees it: it
+        may run under any guard, so reads are plain and drives
+        unguarded; its event tests and loops are not the process's."""
         if self is NO_FLOW:
             return self
-        return Flow(_union(self.plain, self.guarded), _EMPTY, self.attrs,
+        return Flow(_union(self.plain, self.guarded), EMPTY_SET,
+                    self.attrs,
                     drives=tuple((t, False, z) for t, _, z in self.drives),
                     waits=self.waits)
 

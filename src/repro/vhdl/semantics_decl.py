@@ -222,15 +222,12 @@ def subtype_indication(mark_entries, resolution_entries, constraint,
             msgs.append(_msg(line, "constraint on non-array type"))
     if resolution is not None and vtype is not None \
             and vtypes.resolution_of(vtype) is not resolution:
-        # The subtype carries its resolution function, so the declared
-        # object's entry records that it is resolved.
-        if vtype.kind == "subtype":
-            vtype = ScalarSubtype(name="", base_type=vtype.base_type,
-                                  low=vtype.low, high=vtype.high,
-                                  resolution=resolution)
-        else:
-            vtype = ScalarSubtype(name="", base_type=vtype, low=None,
-                                  high=None, resolution=resolution)
+        # The subtype carries the resolution, so the entry shows it.
+        sub = vtype.kind == "subtype"
+        vtype = ScalarSubtype(
+            name="", base_type=vtype.base_type if sub else vtype,
+            low=vtype.low if sub else None,
+            high=vtype.high if sub else None, resolution=resolution)
     init = default_init(vtype, bounds_code)
     if init is None:
         init = "None"

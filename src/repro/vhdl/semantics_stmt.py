@@ -17,11 +17,8 @@ control facts it needs.
 
 from . import vtypes
 from .expr_sem import signals_of
-from .flow import NO_FLOW, Flow, wait_flow
+from .flow import EMPTY_SET, NO_FLOW, Flow, wait_flow
 from .semantics_decl import indent, ln
-
-
-_NONE = frozenset()
 
 
 class SRes:
@@ -35,10 +32,9 @@ class SRes:
                  exits=False):
         self.code = list(code)
         self.msgs = list(msgs)
-        # Empty sets share one object: a statement list holds many.
-        self.writes = frozenset(writes) if writes else _NONE
+        self.writes = frozenset(writes) if writes else EMPTY_SET
         self.haswait = haswait
-        self.sigs = frozenset(sigs) if sigs else _NONE
+        self.sigs = frozenset(sigs) if sigs else EMPTY_SET
         self.flow = flow
         self.stmts = stmts    # VHDL statements in the list
         self.dead = dead      # control never passes to a successor

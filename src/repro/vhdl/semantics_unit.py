@@ -28,14 +28,12 @@ def _msg(line, text):
 class CStmt:
     """One concurrent statement's contribution to an architecture.
 
-    ``processes`` holds the dataflow record of each process the code
-    creates (:meth:`repro.vhdl.flow.Flow.record`) as a rope: ``()``,
-    one record, or a ``(left, right)`` pair of ropes.  Merging copies
-    nothing, since every intermediate CStmt stays on the tree until
-    evaluation ends and copied lists would grow with the square of the
-    process count.  ``signals`` has one ``[py, name, line, resolved]``
-    row per signal a block declares.  Both end up in the
-    architecture's VIF.
+    ``processes`` holds the record of each process the code creates as
+    a rope (``()``, a record, or a ``(left, right)`` pair): every
+    intermediate CStmt stays on the tree until evaluation ends, so
+    copied lists would grow with the square of the process count.
+    ``signals`` has a ``[py, name, line, resolved]`` row per signal a
+    block declares.
     """
 
     __slots__ = ("code", "msgs", "instances", "label", "processes",
