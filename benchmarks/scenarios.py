@@ -854,6 +854,81 @@ def scenario_trace():
                     checks=checks, timings=timings)
 
 
+def scenario_memory():
+    """The memory gate: traced peaks of the two phases that
+    byte-compile generated code, on the compiled backend's ring.  A
+    compile byte-compiles its models after evaluation, and a cold
+    ``compile_design`` its specialized module after rendering; each
+    peak (``max``) must rest on live data only.  Traced bytes do not
+    depend on host speed, so they are not calibration-normalized.
+    ``parse_trees_at_model_compile`` (``exact``) counts the parse
+    nodes alive, with the cyclic collector off, when the models are
+    byte-compiled: 0 means the tree died before."""
+    import gc
+    import tracemalloc
+
+    from repro.ag.lr.parser import ParseTree
+    from repro.sim import CompiledKernel
+    from repro.vhdl import compiler as compiler_mod
+    from repro.vhdl.compiler import Compiler
+    from repro.vhdl.elaborate import Elaborator
+
+    source = ring_vhdl(COMPILED_CELLS, COMPILED_TOKENS)
+
+    def traced_peak_mb(work):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = work()
+            return result, tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def compile_ring():
+        compiler = Compiler(strict=False)
+        compiler.compile(source, filename="ring.vhd")
+        return compiler.library
+
+    compile_ring()  # translator generation is not part of the peak
+    library, compile_mb = traced_peak_mb(compile_ring)
+
+    clear_program_cache()
+    kernel = CompiledKernel()
+    sim = Elaborator(library, kernel=kernel).elaborate("ring")
+    _, codegen_mb = traced_peak_mb(
+        lambda: kernel.compile_design(sim.records))
+
+    live = []
+    compile_model = compiler_mod.compile_model
+
+    def counting(*args, **kwargs):
+        live.append(sum(1 for obj in gc.get_objects()
+                        if type(obj) is ParseTree))
+        return compile_model(*args, **kwargs)
+
+    gc.collect()
+    gc.disable()
+    compiler_mod.compile_model = counting
+    try:
+        compile_ring()
+    finally:
+        compiler_mod.compile_model = compile_model
+        gc.enable()
+
+    values = {
+        "cells": COMPILED_CELLS,
+        "compiled_procs": kernel.compiled_procs,
+        "parse_trees_at_model_compile": max(live),
+        "compile_peak_mb": round(compile_mb, 2),
+        "codegen_peak_mb": round(codegen_mb, 2),
+    }
+    checks = {key: "exact" for key in values}
+    checks["compile_peak_mb"] = "max"
+    checks["codegen_peak_mb"] = "max"
+    return envelope("bench", bench="memory", values=values,
+                    checks=checks, timings={})
+
+
 SCENARIOS = {
     "simulation": scenario_simulation,
     "incremental": scenario_incremental,
@@ -865,4 +940,5 @@ SCENARIOS = {
     "serve": scenario_serve,
     "fuzz": scenario_fuzz,
     "trace": scenario_trace,
+    "memory": scenario_memory,
 }

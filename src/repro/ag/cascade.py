@@ -42,9 +42,10 @@ class SubEvaluator:
             )
         except ParseError:
             raise
-        goals = self.compiled.evaluate(tree, inherited, self.goals)
-        tree.release()
-        return goals
+        try:
+            return self.compiled.evaluate(tree, inherited, self.goals)
+        finally:
+            tree.release()
 
     def try_call(self, token_list, inherited=None, on_error=None):
         """Like calling, but map a parse failure to ``on_error(exc)``.

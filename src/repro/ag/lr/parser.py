@@ -49,9 +49,12 @@ class ParseTree:
         return self.production.lhs
 
     def release(self):
-        """Unlink the tree once its goals are read, so reference counting
-        frees it and its attribute values now: parent links make it
-        cyclic garbage that would wait for the collector."""
+        """Unlink the parent links once the goals are read: they make
+        the tree cyclic garbage that would wait for the collector.
+        Reference counting then frees the tree and its attribute values
+        as soon as the caller drops its own reference to the root, so
+        hold that reference in a scope that ends at the tree's last
+        use."""
         stack = [self]
         while stack:
             node = stack.pop()

@@ -664,6 +664,26 @@ def build_program(kernel, records, graph, cyclic):
     :class:`Program`; processes and signals that cannot be specialized
     simply stay generic — the result is always safe to bind.
     """
+    text, plans, slot_indices, stats = _specialize(kernel, records,
+                                                   graph, cyclic)
+    fingerprint = design_fingerprint(records, kernel)
+    header = ("# Specialized flow-graph code (repro.sim.codegen)\n"
+              "# design fingerprint: %s\n" % fingerprint)
+    source = header + _SCHED_SRC + "\n" + text + "\n"
+    code = compile(source, "<repro-compiled:%s>" % fingerprint[:12],
+                   "exec")
+    return Program(fingerprint, source, code, plans, slot_indices,
+                   stats)
+
+
+def _specialize(kernel, records, graph, cyclic):
+    """The specialized processes as module text, with their plans,
+    slot indices and stats.
+
+    The parsed models, the analyses and the rewritten definitions are
+    locals here, so they are freed before the module text is
+    byte-compiled.
+    """
     stats = {"procs": len(kernel.processes), "compiled": 0,
              "slots": 0, "generic": 0}
     for reason in REASONS:
@@ -716,20 +736,19 @@ def build_program(kernel, records, graph, cyclic):
     stats["slots"] = len(slot_indices)
     stats["generic"] = len(kernel.processes) - len(plans)
 
-    fingerprint = design_fingerprint(records, kernel)
-    header = ("# Specialized flow-graph code (repro.sim.codegen)\n"
-              "# design fingerprint: %s\n" % fingerprint)
     module = ast.Module(body=defs, type_ignores=[])
     ast.fix_missing_locations(module)
-    source = header + _SCHED_SRC + "\n" + ast.unparse(module) + "\n"
-    code = compile(source, "<repro-compiled:%s>" % fingerprint[:12],
-                   "exec")
-    return Program(fingerprint, source, code, plans, slot_indices,
-                   stats)
+    return ast.unparse(module), plans, slot_indices, stats
 
 
 def _collect_funcdefs(records):
-    """Map each kernel process to its generated-function AST."""
+    """Map each kernel process to its generated-function AST.
+
+    Only process functions are kept from each parsed model, so the
+    rest of it (``elaborate`` and its helpers) is freed as soon as it
+    is walked."""
+    names = {proc.fn.__code__.co_name for record in records
+             for proc in record.processes.values() if proc.fn is not None}
     module_cache = {}
     proc_defs = {}
     for record in records:
@@ -748,7 +767,8 @@ def _collect_funcdefs(records):
             else:
                 defs = {}
                 for node in ast.walk(tree):
-                    if isinstance(node, ast.FunctionDef):
+                    if isinstance(node, ast.FunctionDef) \
+                            and node.name in names:
                         defs.setdefault(node.name, node)
                 module_cache[key] = defs
         for proc in record.processes.values():

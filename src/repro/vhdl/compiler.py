@@ -138,54 +138,16 @@ class Compiler:
         tracer = self.tracer
         engine = DiagnosticEngine(file=filename, werror=self.werror)
         cc = CompileCtx(self.library, self.work, filename=filename)
-        grammar = principal_grammar()
         events_before = len(tracer)
-
-        with tracer.span("scan", file=filename):
-            try:
-                tokens = scan(text, filename)
-            except AGError as exc:
-                engine.add_exception(exc, file=filename)
-                raise CompileError(
-                    [str(exc)],
-                    diagnostics=engine.diagnostics) from exc
-
-        with tracer.span("parse", file=filename):
-            try:
-                tree = grammar.parse(tokens, filename)
-            except AGError as exc:
-                engine.add_exception(exc, file=filename)
-                raise CompileError(
-                    [str(exc)],
-                    diagnostics=engine.diagnostics) from exc
-
         registered_before = len(self.library.compile_order)
         expr0 = cc.expr_eval.invocations
-        with tracer.span("attribute_evaluation", file=filename):
-            try:
-                out = grammar.evaluate(
-                    tree,
-                    inherited={
-                        "ENV": None,
-                        "CC": cc,
-                        "LEVEL": 0,
-                        "RESULT": None,
-                        "SCOPE": "",
-                    },
-                    goals=["UNITS", "MSGS"],
-                    observer=self.observer,
-                )
-            except AGError as exc:
-                engine.add_exception(exc, file=filename)
-                raise CompileError(
-                    [str(exc)],
-                    diagnostics=engine.diagnostics) from exc
-            finally:
-                tree.release()
+        try:
+            units, messages = self._evaluate(text, filename, cc)
+        except AGError as exc:
+            engine.add_exception(exc, file=filename)
+            raise CompileError(
+                [str(exc)], diagnostics=engine.diagnostics) from exc
         expr_evals = cc.expr_eval.invocations - expr0
-
-        units = list(out["UNITS"])
-        messages = list(out["MSGS"])
 
         # Back-end compile of the generated models (the host-compiler
         # phase of the paper's pipeline).
@@ -216,6 +178,39 @@ class Compiler:
             raise CompileError(messages,
                                diagnostics=engine.diagnostics)
         return result
+
+    def _evaluate(self, text, filename, cc):
+        """Scan, parse and evaluate ``text``; returns the ``UNITS`` and
+        ``MSGS`` goals as lists.
+
+        The token list and the parse tree, with every attribute
+        instance on it, are locals here, so they are freed when this
+        returns: the back-end compile that follows runs on top of the
+        units alone.
+        """
+        tracer = self.tracer
+        grammar = principal_grammar()
+        with tracer.span("scan", file=filename):
+            tokens = scan(text, filename)
+        with tracer.span("parse", file=filename):
+            tree = grammar.parse(tokens, filename)
+        with tracer.span("attribute_evaluation", file=filename):
+            try:
+                out = grammar.evaluate(
+                    tree,
+                    inherited={
+                        "ENV": None,
+                        "CC": cc,
+                        "LEVEL": 0,
+                        "RESULT": None,
+                        "SCOPE": "",
+                    },
+                    goals=["UNITS", "MSGS"],
+                    observer=self.observer,
+                )
+            finally:
+                tree.release()
+        return list(out["UNITS"]), list(out["MSGS"])
 
     def compile_file(self, path):
         with open(path) as f:

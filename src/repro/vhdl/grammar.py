@@ -44,7 +44,8 @@ def _concat(a, b):
 
 
 def _merge_decl(a, b):
-    return DeclResult(b.env, a.code + b.code, a.entries + b.entries,
+    return DeclResult(b.env, D.join(a.code, b.code),
+                      D.join(a.entries, b.entries),
                       a.msgs + b.msgs, a.configs + b.configs,
                       a.flow + b.flow)
 
@@ -771,10 +772,10 @@ def _subprog_body(sub_kind):
             sub_kind, name, iface_rows, result_parts, env, cc, line,
             scope)
         msgs = msgs + list(inner_decls.msgs) + list(body_sres.msgs)
-        local_names = {e.py for e in inner_decls.entries
+        local_names = {e.py for e in D.flatten(inner_decls.entries)
                        if hasattr(e, "py")}
         code = D.subprogram_code(
-            entry, inner_decls.code + body_sres.code, local_names,
+            entry, D.join(inner_decls.code, body_sres.code), local_names,
             body_sres.writes, line)
         if body_sres.haswait:
             msgs.append("line %d: wait statements are not allowed in "

@@ -38,17 +38,55 @@ def ln(text, depth=0):
 
 
 def indent(lines, by=1):
-    return [(d + by, t) for d, t in lines]
+    return [(d + by, t) for d, t in flatten(lines)]
 
 
 def render(lines, base_indent=0, unit="    "):
     return "\n".join(unit * (base_indent + d) + t for d, t in lines)
 
 
+class Rope:
+    """A sequence built by constant-time concatenation.
+
+    The merge results of the list-valued attributes (code lines, VIF
+    entries, instances, block signals, process records) all stay on
+    the parse tree until evaluation ends, so merges that copied lists
+    would hold memory quadratic in the number of statements.  A rope
+    is ``()``, any list or tuple, or a :class:`Rope` node joining two
+    non-empty ropes; :func:`flatten` lists its elements once, where
+    the whole sequence is needed.
+    """
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+
+
+def join(a, b):
+    """The rope of ``a``'s elements, then ``b``'s."""
+    return Rope(a, b) if a and b else (a or b)
+
+
+def flatten(rope):
+    """The elements of ``rope`` in order, as a new list."""
+    out, stack = [], [rope]
+    while stack:
+        node = stack.pop()
+        if type(node) is Rope:
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            out.extend(node)
+    return out
+
+
 class DeclResult:
     """Outcome of processing one declaration.
 
-    ``configs`` carries configuration specifications (§3.3) out of an
+    ``code`` and ``entries`` are ropes (:class:`Rope`).  ``configs``
+    carries configuration specifications (§3.3) out of an
     architecture's declarative part to the unit-assembly rule;
     ``flow`` is the dataflow of the code (initializers and subprogram
     bodies), which a process's declarative part adds to its record.
@@ -59,8 +97,8 @@ class DeclResult:
     def __init__(self, env, code=(), entries=(), msgs=(), configs=(),
                  flow=NO_FLOW):
         self.env = env
-        self.code = list(code)
-        self.entries = list(entries)
+        self.code = code
+        self.entries = entries
         self.msgs = list(msgs)
         self.configs = list(configs)
         self.flow = flow
@@ -485,7 +523,7 @@ def subprogram_code(entry, body_code, local_names, writes, line):
     lines = [ln("def %s(%s):" % (entry.py, ", ".join(params)))]
     locals_ = set(local_names) | {"a_%s" % p.name for p in entry.params}
     uplevel = sorted(w for w in writes if w not in locals_)
-    body = list(body_code)
+    body = flatten(body_code)
     if uplevel:
         body.insert(0, ln("nonlocal %s" % ", ".join(uplevel)))
     if not body:

@@ -18,11 +18,12 @@ control facts it needs.
 from . import vtypes
 from .expr_sem import signals_of
 from .flow import EMPTY_SET, NO_FLOW, Flow, wait_flow
-from .semantics_decl import indent, ln
+from .semantics_decl import indent, join, ln
 
 
 class SRes:
-    """Generated-code result of one (list of) statement(s)."""
+    """Generated-code result of one (list of) statement(s); ``code``
+    is a rope of code lines."""
 
     __slots__ = ("code", "msgs", "writes", "haswait", "sigs", "flow",
                  "stmts", "dead", "exits")
@@ -30,7 +31,7 @@ class SRes:
     def __init__(self, code=(), msgs=(), writes=(), haswait=False,
                  sigs=(), flow=NO_FLOW, stmts=1, dead=False,
                  exits=False):
-        self.code = list(code)
+        self.code = code
         self.msgs = list(msgs)
         self.writes = frozenset(writes) if writes else EMPTY_SET
         self.haswait = haswait
@@ -45,7 +46,7 @@ class SRes:
         # After a statement that never passes control on, ``b`` is
         # unreachable: only its statement count enters the record.
         flow = a.flow + (Flow(unreachable=b.stmts) if a.dead else b.flow)
-        return SRes(a.code + b.code, a.msgs + b.msgs,
+        return SRes(join(a.code, b.code), a.msgs + b.msgs,
                     a.writes | b.writes, a.haswait or b.haswait,
                     a.sigs | b.sigs, flow, a.stmts + b.stmts,
                     a.dead or b.dead, a.exits or b.exits)

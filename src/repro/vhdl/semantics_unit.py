@@ -16,7 +16,7 @@ from ..vif.nodes import (
 from . import vtypes
 from .compile_ctx import attrs_of
 from .flow import Flow, wait_flow
-from .semantics_decl import DeclResult, indent, ln, render
+from .semantics_decl import DeclResult, flatten, indent, join, ln, render
 from .semantics_stmt import SRes
 from .symtab import entry_kind
 
@@ -28,12 +28,10 @@ def _msg(line, text):
 class CStmt:
     """One concurrent statement's contribution to an architecture.
 
-    ``processes`` holds the record of each process the code creates as
-    a rope (``()``, a record, or a ``(left, right)`` pair): every
-    intermediate CStmt stays on the tree until evaluation ends, so
-    copied lists would grow with the square of the process count.
-    ``signals`` has a ``[py, name, line, resolved]`` row per signal a
-    block declares.
+    ``code``, ``instances``, ``processes`` (the record of each process
+    the code creates) and ``signals`` (a ``[py, name, line, resolved]``
+    row per signal a block declares) are ropes, flattened by
+    :func:`arch_unit`.
     """
 
     __slots__ = ("code", "msgs", "instances", "label", "processes",
@@ -41,35 +39,19 @@ class CStmt:
 
     def __init__(self, code=(), msgs=(), instances=(), label="",
                  processes=(), signals=()):
-        self.code = list(code)
+        self.code = code
         self.msgs = list(msgs)
-        self.instances = list(instances)
+        self.instances = instances
         self.label = label
         self.processes = processes
-        self.signals = tuple(signals)
+        self.signals = signals
 
     @staticmethod
     def merge(a, b):
-        return CStmt(a.code + b.code, a.msgs + b.msgs,
-                     a.instances + b.instances, "",
-                     _join(a.processes, b.processes),
-                     a.signals + b.signals)
-
-
-def _join(a, b):
-    return (a, b) if a and b else (a or b)
-
-
-def _records(rope):
-    """The records of a rope, in source order."""
-    records, stack = [], [rope]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, tuple):
-            stack.extend(reversed(node))
-        else:
-            records.append(node)
-    return records
+        return CStmt(join(a.code, b.code), a.msgs + b.msgs,
+                     join(a.instances, b.instances), "",
+                     join(a.processes, b.processes),
+                     join(a.signals, b.signals))
 
 
 CSTMT_EMPTY = CStmt()
@@ -103,7 +85,7 @@ def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
             msgs.append(_msg(
                 line, "process with a sensitivity list cannot contain "
                 "wait statements"))
-    loop_body = list(body.code) or [ln("pass")]
+    loop_body = flatten(body.code) or [ln("pass")]
     flow = decls.flow + body.flow
     final = sens if sensitivity_lefs is not None else None
     if final is None and not body.haswait:
@@ -130,7 +112,7 @@ def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
                         % (label, fn, line)))
     record = flow.record(label, fn, line,
                          sens if sensitivity_lefs is not None else None)
-    return CStmt(lines, msgs, [], label, record)
+    return CStmt(lines, msgs, (), label, [record])
 
 
 def _equivalent_process(label, body_lines, body_flow, sens, line,
@@ -184,7 +166,7 @@ def concurrent_assign(label, arms, env, cc, line, guarded=False,
         body = else_sres
     lines, record = _equivalent_process(label, body.code, body.flow,
                                         sorted(sigs), line)
-    return CStmt(lines, msgs, [], label, record)
+    return CStmt(lines, msgs, (), label, [record])
 
 
 def selected_assign(label, selector_lef, target_lef, choices_waves,
@@ -226,7 +208,7 @@ def selected_assign(label, selector_lef, target_lef, choices_waves,
         body.extend(indent(sres.code))
     lines, record = _equivalent_process(label, body, flow, sorted(sigs),
                                         line)
-    return CStmt(lines, msgs, [], label, record)
+    return CStmt(lines, msgs, (), label, [record])
 
 
 def concurrent_assert(label, cond_lef, report_lef, severity_lef, env,
@@ -239,7 +221,7 @@ def concurrent_assert(label, cond_lef, report_lef, severity_lef, env,
                        line)
     lines, record = _equivalent_process(label, sres.code, sres.flow,
                                         sorted(sres.sigs), line)
-    return CStmt(lines, sres.msgs, [], label, record)
+    return CStmt(lines, sres.msgs, (), label, [record])
 
 
 # -- component instantiation -----------------------------------------------------------------
@@ -316,10 +298,10 @@ def block_stmt(label, guard_lef, decls, inner, env, cc, line):
     process; guarded assignments inside test it.
     """
     msgs = list(decls.msgs)
-    lines = list(decls.code)
+    lines = []
     signals = [[e.py, e.name, e.line,
                 vtypes.resolution_of(e.vtype) is not None]
-               for e in decls.entries
+               for e in flatten(decls.entries)
                if entry_kind(e) == "object" and e.obj_class == "signal"]
     processes = ()
     if guard_lef is not None:
@@ -338,12 +320,11 @@ def block_stmt(label, guard_lef, decls, inner, env, cc, line):
             Flow.of_uses(uses) + Flow(drives=((guard_py, False, True),)),
             goal.get("sigs", []), line, fn=fn)
         lines.extend(guard_lines)
-        processes = record
-    lines.extend(inner.code)
+        processes = [record]
     msgs.extend(inner.msgs)
-    return CStmt(lines, msgs, inner.instances, label,
-                 _join(processes, inner.processes),
-                 tuple(signals) + inner.signals)
+    return CStmt(join(join(decls.code, lines), inner.code), msgs,
+                 inner.instances, label, join(processes, inner.processes),
+                 join(signals, inner.signals))
 
 
 # -- unit assembly ----------------------------------------------------------------------------
@@ -410,7 +391,7 @@ def entity_setup_code(entity):
 def arch_unit(name, entity, decls, cstmts, configs, env, cc, line):
     """Assemble an ArchUnit with its generated Python model."""
     msgs = list(decls.msgs) + list(cstmts.msgs)
-    instances = list(cstmts.instances)
+    instances = flatten(cstmts.instances)
     # Apply configuration specifications from the declarative part
     # (§3.3: configuration information in the architecture).
     for spec in configs:
@@ -430,18 +411,17 @@ def arch_unit(name, entity, decls, cstmts, configs, env, cc, line):
                 inst.bound_arch = arch_name
     body = [ln("rt = ctx.rt"), ln("ops = ctx.ops")]
     body.extend(entity_setup_code(entity))
-    body.extend(decls.code)
-    body.extend(cstmts.code)
+    body.extend(flatten(join(decls.code, cstmts.code)))
     lines = list(_PY_HEADER)
     lines.append("def elaborate(ctx):")
     lines.append(render(body, base_indent=1))
     py_source = "\n".join(lines) + "\n"
     unit = ArchUnit(
         name=name, entity_name=entity.name, entity=entity,
-        decls=list(decls.entries), instances=instances,
+        decls=flatten(decls.entries), instances=instances,
         user_attrs=list(attrs_of(env)),
-        processes=_records(cstmts.processes),
-        block_signals=list(cstmts.signals),
+        processes=flatten(cstmts.processes),
+        block_signals=flatten(cstmts.signals),
         py_source=py_source, line=line)
     from .codegen.cmodel import c_model_for_unit
 
@@ -451,7 +431,7 @@ def arch_unit(name, entity, decls, cstmts, configs, env, cc, line):
 
 def package_unit(name, decls, env, cc, line, is_body=False):
     body = [ln("rt = ctx.rt"), ln("ops = ctx.ops")]
-    body.extend(decls.code)
+    body.extend(flatten(decls.code))
     body.append(ln(
         "ctx.export({k: v for k, v in locals().items() "
         "if k not in ('ctx', 'rt', 'ops')})"))
@@ -460,7 +440,7 @@ def package_unit(name, decls, env, cc, line, is_body=False):
     lines.append(render(body, base_indent=1))
     py_source = "\n".join(lines) + "\n"
     cls = PackageBodyUnit if is_body else PackageUnit
-    kwargs = dict(name=name, decls=list(decls.entries),
+    kwargs = dict(name=name, decls=flatten(decls.entries),
                   py_source=py_source, line=line)
     if not is_body:
         kwargs["user_attrs"] = list(attrs_of(env))

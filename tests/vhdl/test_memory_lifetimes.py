@@ -1,0 +1,156 @@
+"""Memory lifetimes: each byte-compile runs on top of live data only.
+
+A compile's parse tree (with every attribute instance on it) must be
+gone before the generated models are byte-compiled, and codegen's
+model ASTs before the specialized module is.  The checks count live
+objects with :func:`gc.get_objects` while the cyclic collector is off,
+so a tree that is still referenced, or left as cyclic garbage, is
+counted; nothing is timed.  The merge test pins that the AG's list
+merges use memory linear in the number of merged statements.
+"""
+
+import ast
+import builtins
+import gc
+import tracemalloc
+from collections import OrderedDict
+
+import pytest
+
+from repro.ag.lr.parser import ParseTree
+from repro.sim import CompiledKernel, codegen, compiled
+from repro.vhdl import compiler as compiler_mod
+from repro.vhdl.compiler import CompileError, Compiler
+from repro.vhdl.elaborate import Elaborator
+from repro.vhdl.grammar import _merge_decl
+from repro.vhdl.semantics_decl import DeclResult, flatten, ln
+from repro.vhdl.semantics_stmt import SRes
+from repro.vhdl.semantics_unit import CStmt
+
+RING = """
+entity ring is end ring;
+architecture rtl of ring is
+  signal c0 : integer := 0;
+  signal c1 : integer := 0;
+  signal c2 : integer := 0;
+begin
+  p0: process (c0) begin c1 <= 1 - c1 after 1 ns; end process;
+  p1: process begin wait on c1; c2 <= 1 - c2 after 1 ns; end process;
+  p2: process begin wait on c2; c0 <= 1 - c0 after 1 ns; end process;
+end rtl;
+"""
+
+#: A two-step target path, which the statement rules do not support:
+#: the semantic rule raises, so evaluation ends in an EvaluationError.
+EVAL_ERROR = """
+entity e is end e;
+architecture a of e is
+  type row is array (0 to 3) of bit;
+  type mat is array (0 to 3) of row;
+  signal m : mat;
+begin
+  process begin
+    m(1)(2) <= '1';
+    wait;
+  end process;
+end a;
+"""
+
+
+def _live(cls):
+    return sum(1 for obj in gc.get_objects() if type(obj) is cls)
+
+
+@pytest.fixture
+def no_collector():
+    """The cyclic collector off, after one collection: an object
+    counted later is referenced or was left as cyclic garbage."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("after_error", [False, True],
+                         ids=["ok", "after_eval_error"])
+def test_no_parse_tree_alive_at_model_compile(monkeypatch, no_collector,
+                                              after_error):
+    counts = []
+    compile_model = compiler_mod.compile_model
+
+    def counting(*args, **kwargs):
+        counts.append(_live(ParseTree))
+        return compile_model(*args, **kwargs)
+
+    monkeypatch.setattr(compiler_mod, "compile_model", counting)
+    baseline = _live(ParseTree)
+    compiler = Compiler(strict=False)
+    if after_error:
+        try:
+            compiler.compile(EVAL_ERROR)
+        except CompileError:
+            pass
+        else:
+            pytest.fail("expected an evaluation error")
+        assert _live(ParseTree) == baseline
+    result = compiler.compile(RING)
+    assert result.ok
+    assert counts == [baseline]
+
+
+def test_no_function_def_alive_at_program_compile(monkeypatch,
+                                                  no_collector):
+    compiler = Compiler(strict=False)
+    compiler.compile(RING)
+    kernel = CompiledKernel()
+    sim = Elaborator(compiler.library, kernel=kernel).elaborate("ring")
+    counts = []
+
+    def counting(*args, **kwargs):
+        counts.append(_live(ast.FunctionDef))
+        return builtins.compile(*args, **kwargs)
+
+    monkeypatch.setattr(codegen, "compile", counting, raising=False)
+    monkeypatch.setattr(compiled, "_PROGRAM_CACHE", OrderedDict())
+    baseline = _live(ast.FunctionDef)
+    kernel.compile_design(sim.records)
+    assert kernel.compiled_procs == 3
+    assert counts == [baseline]
+
+
+def _cstmt(i):
+    return CStmt([ln("pass")], (), [i], "", [[i]], [[i]])
+
+
+def _decl(i):
+    return DeclResult(None, [ln("pass")], [i])
+
+
+def _chain_peak(merge, leaf, n):
+    """Traced peak of a left-leaning merge chain of ``n`` leaves whose
+    every intermediate stays alive, as on the parse tree."""
+    tracemalloc.start()
+    try:
+        chain = [leaf(0)]
+        for i in range(1, n):
+            chain.append(merge(chain[-1], leaf(i)))
+        return chain[-1], tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("merge, leaf, fields", [
+    (CStmt.merge, _cstmt, ("code", "instances", "processes", "signals")),
+    (_merge_decl, _decl, ("code", "entries")),
+    (SRes.merge, lambda i: SRes([ln("pass")]), ("code",)),
+], ids=["CStmt.merge", "_merge_decl", "SRes.merge"])
+def test_merge_chains_grow_linearly(merge, leaf, fields):
+    small, small_peak = _chain_peak(merge, leaf, 500)
+    large, large_peak = _chain_peak(merge, leaf, 2000)
+    for field in fields:
+        assert len(flatten(getattr(small, field))) == 500
+        assert len(flatten(getattr(large, field))) == 2000
+    assert flatten(large.code) == [ln("pass")] * 2000
+    # 4x the statements: about 4x the memory, where copying every
+    # intermediate list gives about 16x.
+    assert large_peak / small_peak < 5
