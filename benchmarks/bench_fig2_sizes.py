@@ -14,7 +14,8 @@ the two grammar-spec modules, the VIF description is ``schema.vif``,
 the out-of-line functions are the semantic helper modules, and the
 interface code is drivers/library/elaboration.  "Generated" counts the
 code our generators actually emit: the VIF access module, and the
-Python + C models produced by compiling a reference workload.
+Python models produced by compiling a reference workload plus the C
+text derived from them.
 """
 
 import os
@@ -72,6 +73,7 @@ def _loc(rel):
 
 def measure_sizes():
     from repro.ag.emit import emit_evaluator_source
+    from repro.vhdl.codegen.cmodel import c_model
     from repro.vhdl.compiler import Compiler
     from repro.vhdl.expr_grammar import expr_grammar
     from repro.vhdl.grammar import principal_grammar
@@ -100,11 +102,9 @@ def measure_sizes():
     compiler.compile(gen_configuration(
         "cfg", "big", "struct", ["u0", "u1"], "unit0", "rtl"))
     model_lines = 0
-    for lib, key in compiler.library.compile_order:
-        node = compiler.library.find_unit(lib, key) \
-            or compiler.library._units.get((lib, key))
-        model_lines += count_lines(getattr(node, "py_source", "") or "")
-        model_lines += count_lines(getattr(node, "c_source", "") or "")
+    for _, node in compiler.library.units_of("work"):
+        model_lines += count_lines(node.py_source)
+        model_lines += count_lines(c_model(node))
     generated["AG"] = evaluator_lines + model_lines
     generated["VIF description"] = count_lines(nodes.generated_source())
     return source, generated

@@ -20,11 +20,16 @@ from .lexer import ListScanner
 
 
 class SubEvaluator:
-    """A separately generated evaluator callable from semantic rules."""
+    """A separately generated evaluator callable from semantic rules.
 
-    def __init__(self, compiled, goals=None):
+    ``observer`` (a :class:`repro.diag.AGObserver`, usually the one the
+    calling evaluator reports to) receives this grammar's rule firings
+    and memo counters, so nested evaluations are counted too."""
+
+    def __init__(self, compiled, goals=None, observer=None):
         self.compiled = compiled
         self.goals = goals
+        self.observer = observer
         self.invocations = 0  # once per maximal expression (§4.1)
 
     def __call__(self, token_list, inherited=None):
@@ -43,7 +48,8 @@ class SubEvaluator:
         except ParseError:
             raise
         try:
-            return self.compiled.evaluate(tree, inherited, self.goals)
+            return self.compiled.evaluate(tree, inherited, self.goals,
+                                          observer=self.observer)
         finally:
             tree.release()
 

@@ -100,10 +100,6 @@ class LexerSpec:
             self._keywords[key] = "kw_" + name.lower()
         return self
 
-    def keyword_kinds(self):
-        """Terminal names produced by the keyword mapping."""
-        return sorted(set(self._keywords.values()))
-
     def token_kinds(self):
         """All terminal names this lexer can produce."""
         kinds = [r.kind for r in self._rules]

@@ -41,13 +41,3 @@ def compute_first(grammar, nullable=None):
             if len(target) != before:
                 changed = True
     return {sym: frozenset(s) for sym, s in first.items()}
-
-
-def first_of_sequence(symbols, first, nullable):
-    """FIRST of a symbol string, plus whether the whole string is nullable."""
-    result = set()
-    for sym in symbols:
-        result |= first[sym]
-        if sym.is_terminal or sym not in nullable:
-            return result, False
-    return result, True

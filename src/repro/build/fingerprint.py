@@ -31,7 +31,7 @@ FINGERPRINT_VERSION = "bfp-4"
 #: by dependents: generated back-end text and the dataflow facts that
 #: come with it, and source coordinates (``source_file`` included, so
 #: renaming a file does not cascade).
-VOLATILE_FIELDS = ("py_source", "c_source", "processes", "block_signals",
+VOLATILE_FIELDS = ("py_source", "processes", "block_signals",
                    "connections", "line", "source_file")
 
 _SEP = b"\x1f"

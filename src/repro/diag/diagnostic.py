@@ -265,11 +265,6 @@ class DiagnosticEngine:
     def has_errors(self):
         return self.error_count > 0
 
-    def worst_severity(self):
-        if not self.diagnostics:
-            return None
-        return max(self.diagnostics, key=lambda d: d.rank).severity
-
     def sorted(self):
         """Diagnostics in (file, line, column) order, stable."""
         def key(pair):

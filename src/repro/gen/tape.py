@@ -38,10 +38,6 @@ def mix_seed(seed, index):
     return (out ^ (out2 << 1)) & MASK64
 
 
-class TapeExhausted(Exception):
-    """Internal marker: only raised when ``strict`` replay is on."""
-
-
 class DecisionTape:
     """A recorded stream of bounded integer choices.
 
@@ -66,10 +62,6 @@ class DecisionTape:
         tape = cls(0)
         tape._replay = [int(c) for c in choices]
         return tape
-
-    @property
-    def replay_mode(self):
-        return self._replay is not None
 
     def draw(self, n):
         """The next decision in ``[0, n)``; records what it drew."""

@@ -161,13 +161,6 @@ class Kernel:
 
     # -- scheduling ----------------------------------------------------------
 
-    def note_time(self, t):
-        """Kept for API symmetry; the calendar is fed by signal
-        assignments (:meth:`RT.assign`) and wait timeouts
-        (:meth:`_execute`), and every entry is re-validated against
-        ``sig.next_time()`` / ``proc.timeout_at`` at pop time, so
-        preempted transactions can never produce phantom cycles."""
-
     def _push(self, t, kind, payload):
         """Add one calendar entry (a conservative activity hint)."""
         self._seq = seq = self._seq + 1

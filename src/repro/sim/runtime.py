@@ -333,13 +333,6 @@ class _Ops:
         return VArray(left, direction, right, elems)
 
     @staticmethod
-    def string_to_array(text, enum_positions, left=1, direction="to"):
-        """A string/bit-string literal as an array of positions."""
-        return VArray.from_list(
-            [enum_positions[ch] for ch in text], left, direction
-        )
-
-    @staticmethod
     def range_of(arr):
         """(left, direction, right) of an array value — 'RANGE."""
         return (arr.left, arr.direction, arr.right)

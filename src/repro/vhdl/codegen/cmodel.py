@@ -2,12 +2,13 @@
 
 The paper's back end generated C that the host compiler turned into
 the simulator.  Our executable path is the Python model; this module
-emits the *same structure* as C source text — signal declarations,
+renders the *same structure* as C source text — signal declarations,
 process functions over the kernel's C API, an elaboration entry point —
 so that the repository still has a C-shaped generated artifact whose
 size benchmark E1 can account the way Figure 2 does.  The text is,
 deliberately, not fed to a C compiler (DESIGN.md documents the
-substitution).
+substitution), so it is not stored either: :func:`c_model` derives it
+from a unit's Python model whenever it is asked for.
 """
 
 import re
@@ -89,6 +90,25 @@ def c_model_for_unit(unit_kind, name, body_lines):
         out.append("%s}" % ("    " * (closed + 1)))
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+def c_model(unit):
+    """The C text of a library unit, derived from its ``py_source``.
+
+    Architectures and packages (bodies included) render the lines of
+    their ``elaborate(ctx)`` model; an entity or a configuration
+    generates no code, so its C text is a one-line comment."""
+    kind = unit.entry_kind
+    _, found, body = unit.py_source.partition("def elaborate(ctx):\n")
+    if not found:
+        return "/* %s %s */" % (kind, unit.name)
+    lines = []
+    for line in body.split("\n")[:-1]:
+        text = line.lstrip(" ")
+        lines.append(((len(line) - len(text)) // 4 - 1, text))
+    if kind == "package_body":
+        kind = "package"
+    return c_model_for_unit(kind, unit.name, lines)
 
 
 def _c_ident(name):

@@ -15,7 +15,8 @@ from .stdpkg import standard
 class CompileCtx:
     """Per-unit compilation services."""
 
-    def __init__(self, library=None, work="work", filename=None):
+    def __init__(self, library=None, work="work", filename=None,
+                 observer=None):
         self.std = standard()
         self.library = library  # LibraryManager or None
         self.work = work  # name of the working library
@@ -23,7 +24,10 @@ class CompileCtx:
         #: registration so post-compile tools (``repro lint``, runtime
         #: multi-driver errors) can anchor diagnostics to declarations
         self.filename = filename
-        self.expr_eval = ExprEvaluator(self.std, self._resolve_unit)
+        #: exprEval reports its firings to ``observer`` (the compiler's
+        #: :class:`repro.diag.AGObserver`) too
+        self.expr_eval = ExprEvaluator(self.std, self._resolve_unit,
+                                       observer)
         self._gensym = 0
         #: set by the unit productions as they learn what they compile
         self.unit_name = "?"

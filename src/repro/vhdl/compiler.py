@@ -110,9 +110,10 @@ class Compiler:
     ``tracer`` (an unbounded :class:`repro.trace.SpanRecorder`)
     accumulates phase spans across every ``compile`` call on this
     instance; ``observer`` (a :class:`repro.diag.AGObserver`)
-    accumulates evaluation counters the same way.  Both are created fresh when not supplied, so the
-    plain one-shot API is unchanged.  ``werror`` promotes warnings to
-    errors at diagnostic-emission time.
+    accumulates evaluation counters the same way, for the principal AG
+    and the cascaded expression AG alike.  Both are created fresh when
+    not supplied, so the plain one-shot API is unchanged.  ``werror``
+    promotes warnings to errors at diagnostic-emission time.
     """
 
     def __init__(self, library=None, work="work", root=None,
@@ -137,7 +138,8 @@ class Compiler:
         """
         tracer = self.tracer
         engine = DiagnosticEngine(file=filename, werror=self.werror)
-        cc = CompileCtx(self.library, self.work, filename=filename)
+        cc = CompileCtx(self.library, self.work, filename=filename,
+                        observer=self.observer)
         events_before = len(tracer)
         registered_before = len(self.library.compile_order)
         expr0 = cc.expr_eval.invocations

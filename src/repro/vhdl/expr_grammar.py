@@ -382,8 +382,9 @@ class ExprEvaluator:
     of the expression AG.
     """
 
-    def __init__(self, std, unit_resolver=None):
-        self.sub = SubEvaluator(expr_grammar(), goals=["GOAL"])
+    def __init__(self, std, unit_resolver=None, observer=None):
+        self.sub = SubEvaluator(expr_grammar(), goals=["GOAL"],
+                                observer=observer)
         self.std = std
         self.unit_resolver = unit_resolver
 

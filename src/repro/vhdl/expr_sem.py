@@ -318,10 +318,6 @@ def _sem_with(vtype, code, val, uses, msgs):
     return s
 
 
-def _is_boolean_like(vtype, ctx):
-    return vtype is not None and vtype.base().kind == "enum"
-
-
 #: Operators whose result type equals the operand type: the context's
 #: expected type flows down into pending operands (string literals,
 #: aggregates, overloaded enum literals).

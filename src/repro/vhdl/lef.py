@@ -151,30 +151,6 @@ def classify_char(char_text, env, line=0):
     )
 
 
-_KW_OPS = {
-    "kw_and": "AND", "kw_or": "OR", "kw_nand": "NAND", "kw_nor": "NOR",
-    "kw_xor": "XOR", "kw_not": "NOT", "kw_mod": "MOD", "kw_rem": "REM",
-    "kw_abs": "ABS", "kw_to": "TO", "kw_downto": "DOWNTO",
-    "kw_others": "OTHERS",
-}
-
-_SYM_OPS = {
-    "EQ": "EQ", "NE": "NE", "LT": "LT", "LE": "LE", "GT": "GT", "GE": "GE",
-    "PLUS": "PLUS", "MINUS": "MINUS", "AMP": "AMP", "STAR": "STAR",
-    "SLASH": "SLASH", "POW": "POW", "LP": "LP", "RP": "RP",
-    "COMMA": "COMMA", "ARROW": "ARROW", "BAR": "BAR", "TICK": "TICK",
-    "DOT": "DOT",
-}
-
-
-def op_token(vhdl_token):
-    """Map a VHDL operator/punctuation token to its LEF kind, or None."""
-    kind = _KW_OPS.get(vhdl_token.kind) or _SYM_OPS.get(vhdl_token.kind)
-    if kind is None:
-        return None
-    return lef(kind, vhdl_token.text, vhdl_token.text, vhdl_token.line)
-
-
 def mode_token(mode, line=0):
     """The synthetic first token selecting the goal phrase structure."""
     assert mode in MODES

@@ -12,9 +12,12 @@ latest compiled architecture for that entity", which "makes the VHDL
 description itself non-deterministic" — benchmark E5 and the
 separate-compilation example exercise exactly this.
 
-Units are stored as VIF payloads (plus generated Python/C text); the
-shared :class:`repro.vif.io.VIFReader` resolves foreign references so
-a declaration read from two different units is one node object.
+A unit is stored as its VIF payload and nothing else: the payload
+carries the generated Python model (``py_source``), and the
+illustrative C text is derived from that model on demand
+(:func:`repro.vhdl.codegen.cmodel.c_model`).  The shared
+:class:`repro.vif.io.VIFReader` resolves foreign references so a
+declaration read from two different units is one node object.
 
 Concurrency model (the ``repro serve`` substrate): the in-memory
 contents live in one immutable :class:`_State` (units dict, compile
@@ -22,9 +25,9 @@ order, version) that is *published* by plain attribute assignment.
 Readers capture the current state once per query — or pin one with
 :meth:`LibraryManager.snapshot` for a whole job — and therefore never
 observe a half-applied commit.  Writers serialize on a single commit
-lock and write disk artifacts (atomic tempfile + ``os.replace``)
-*before* publishing, so a racing reader sees either the old consistent
-library or the new one, in memory and on disk alike.  ``read_only``
+lock and write a unit's one file (atomic tempfile + ``os.replace``)
+*before* publishing, so a racing reader sees either the old unit or
+the new one, in memory and, unit by unit, on disk alike.  ``read_only``
 managers additionally refuse registration and never move quarantined
 files they do not own.
 """
@@ -134,26 +137,6 @@ class _LibraryQueries:
                 latest = state.units[(l, key)]
         return latest
 
-    def architectures_of(self, lib, entity_name):
-        state = self._view()
-        suffix = "(%s)" % entity_name
-        return [
-            state.units[(l, key)]
-            for l, key in state.order
-            if l == lib and key.endswith(suffix)
-        ]
-
-    def configurations_for(self, lib, entity_name):
-        """Configuration units targeting an entity, in compile order."""
-        state = self._view()
-        out = []
-        for l, key in state.order:
-            node = state.units[(l, key)]
-            if l == lib and entry_kind(node) == "configuration" \
-                    and node.entity_name == entity_name:
-                out.append(node)
-        return out
-
     @property
     def compile_order(self):
         """The registration order, as a fresh list (callers may slice
@@ -241,9 +224,9 @@ class LibraryManager(_LibraryQueries):
         Recompiling a unit replaces it; compile order is extended, so
         the latest-architecture default tracks usage history.  The
         commit is single-writer (serialized on the manager's commit
-        lock) and publishes in-memory state only after the disk
-        artifacts landed, so concurrent snapshot readers see either
-        the whole unit or none of it.
+        lock) and publishes in-memory state only after the VIF file
+        landed, so concurrent snapshot readers see either the whole
+        unit or none of it.
         """
         if self.read_only:
             raise LibraryError(
@@ -260,7 +243,7 @@ class LibraryManager(_LibraryQueries):
         payload = writer.write({"unit": node})
         with self._write_lock:
             if self.root is not None:
-                self._store(lib, key, node, payload)
+                self._store(lib, key, payload)
             self._payloads[(lib, key)] = payload
             state = self._state
             units = dict(state.units)
@@ -296,7 +279,7 @@ class LibraryManager(_LibraryQueries):
     def _load_payload(self, lib, key):
         payload = self._payloads.get((lib, key))
         if payload is None and self.root is not None:
-            path = self._path(lib, key, "vif.json")
+            path = self._path(lib, key)
             if os.path.exists(path):
                 try:
                     with open(path) as f:
@@ -381,19 +364,13 @@ class LibraryManager(_LibraryQueries):
 
     # -- disk persistence ----------------------------------------------------------
 
-    def _path(self, lib, key, suffix):
-        return os.path.join(self.root, lib, unit_filename(key, suffix))
+    def _path(self, lib, key):
+        return os.path.join(self.root, lib, unit_filename(key, "vif.json"))
 
-    def _store(self, lib, key, node, payload):
+    def _store(self, lib, key, payload):
         os.makedirs(os.path.join(self.root, lib), exist_ok=True)
-        _atomic_write(self._path(lib, key, "vif.json"),
+        _atomic_write(self._path(lib, key),
                       json.dumps(payload, indent=1))
-        py = getattr(node, "py_source", "")
-        if py:
-            _atomic_write(self._path(lib, key, "py"), py)
-        c = getattr(node, "c_source", "")
-        if c:
-            _atomic_write(self._path(lib, key, "c"), c)
 
     def _load_root(self):
         if not os.path.isdir(self.root):
@@ -420,16 +397,8 @@ class LibraryManager(_LibraryQueries):
                     if os.path.exists(path):
                         self._quarantine(path, str(exc))
                     continue
-                node = roots["unit"]
-                units[(lib, key)] = node
+                units[(lib, key)] = roots["unit"]
                 loaded.append((lib, key))
-                py_path = self._path(lib, key, "py")
-                if os.path.exists(py_path):
-                    try:
-                        with open(py_path) as f:
-                            node.py_source = f.read()
-                    except OSError:
-                        pass
         self._publish(units, list(state.order) + self._dependency_order(
             loaded))
 

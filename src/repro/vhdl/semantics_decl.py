@@ -24,7 +24,6 @@ from ..vif.nodes import (
     ParamEntry,
     RecordType,
     ScalarSubtype,
-    SubprogramEntry,
 )
 from . import vtypes
 from .compile_ctx import bind_attr_value
@@ -458,27 +457,6 @@ def make_param(name, obj_class, mode, sub, default_goal, line):
                        mode=mode or "in", vtype=sub.vtype,
                        default=default, has_default=has_default)
     return param, msgs
-
-
-def subprogram_entry(name, sub_kind, params, result_entries, env, cc,
-                     line, py_scope=""):
-    """Build the SubprogramEntry and bind it (overloadable)."""
-    result = None
-    msgs = []
-    if sub_kind == "function":
-        for e in result_entries or ():
-            if entry_kind(e) == "type":
-                result = e
-                break
-        if result is None:
-            msgs.append(_msg(line, "bad function result type"))
-    safe = name.strip('"').replace('"', "")
-    py = cc.gensym("%sf_%s" % (py_scope, _py_safe(safe)))
-    entry = SubprogramEntry(
-        name=name, sub_kind=sub_kind, params=list(params),
-        result=result, py=py, predefined_op="", pure=True, line=line)
-    return DeclResult(env.bind(name, entry, overloadable=True), [],
-                      [entry], msgs)
 
 
 _OPNAME = {

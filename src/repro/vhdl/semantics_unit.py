@@ -360,12 +360,11 @@ def interface_object(name, obj_class, mode, sub, default_goal, cc,
 def entity_unit(name, generics, ports, cc, line):
     """Assemble an EntityUnit (interface VIF; code is generated with
     each architecture)."""
-    unit = EntityUnit(name=name, generics=list(generics),
-                      ports=list(ports), decls=[], line=line)
-    unit.py_source = ("# entity %s: interface only; code is generated "
-                      "with each architecture\n" % name)
-    unit.c_source = "/* entity %s */" % name
-    return unit
+    return EntityUnit(
+        name=name, generics=list(generics), ports=list(ports), decls=[],
+        py_source="# entity %s: interface only; code is generated "
+                  "with each architecture\n" % name,
+        line=line)
 
 
 def entity_setup_code(entity):
@@ -416,17 +415,13 @@ def arch_unit(name, entity, decls, cstmts, configs, env, cc, line):
     lines.append("def elaborate(ctx):")
     lines.append(render(body, base_indent=1))
     py_source = "\n".join(lines) + "\n"
-    unit = ArchUnit(
+    return ArchUnit(
         name=name, entity_name=entity.name, entity=entity,
         decls=flatten(decls.entries), instances=instances,
         user_attrs=list(attrs_of(env)),
         processes=flatten(cstmts.processes),
         block_signals=flatten(cstmts.signals),
-        py_source=py_source, line=line)
-    from .codegen.cmodel import c_model_for_unit
-
-    unit.c_source = c_model_for_unit("architecture", name, body)
-    return unit, msgs
+        py_source=py_source, line=line), msgs
 
 
 def package_unit(name, decls, env, cc, line, is_body=False):
@@ -444,11 +439,7 @@ def package_unit(name, decls, env, cc, line, is_body=False):
                   py_source=py_source, line=line)
     if not is_body:
         kwargs["user_attrs"] = list(attrs_of(env))
-    unit = cls(**kwargs)
-    from .codegen.cmodel import c_model_for_unit
-
-    unit.c_source = c_model_for_unit("package", name, body)
-    return unit, list(decls.msgs)
+    return cls(**kwargs), list(decls.msgs)
 
 
 def config_unit(name, entity_entries, bindings, cc, line):
@@ -520,8 +511,6 @@ def config_unit(name, entity_entries, bindings, cc, line):
                                 line, "entity %s has no port %r of "
                                 "component %r" % (bent, port.name,
                                                   comp)))
-    unit = ConfigUnit(name=name, entity_name=entity_name,
+    return ConfigUnit(name=name, entity_name=entity_name,
                       entity=entity, bindings=[list(b) for b in bindings],
-                      py_source="", line=line)
-    unit.c_source = "/* configuration %s */" % name
-    return unit, msgs
+                      py_source="", line=line), msgs

@@ -157,10 +157,6 @@ class StandardPackage:
         env = env.bind("now", self.now_fn, overloadable=True)
         return env
 
-    def char_positions(self):
-        """char -> position map for STRING literal values."""
-        return {chr(code): code for code in range(128)}
-
 
 _STANDARD = None
 

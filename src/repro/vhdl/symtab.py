@@ -251,14 +251,6 @@ def entry_kind(entry):
     return "unknown"
 
 
-def is_type_entry(entry):
-    return entry_kind(entry) == "type"
-
-
-def is_object_entry(entry):
-    return entry_kind(entry) == "object"
-
-
 def is_overloadable(entry):
     return bool(getattr(entry, "overloadable", False))
 
@@ -268,33 +260,6 @@ def deref_alias(entry):
     if entry_kind(entry) == "alias":
         return entry.resolve()
     return entry
-
-
-def entry_type(entry):
-    """The VHDL type associated with an entry, if any."""
-    kind = entry_kind(entry)
-    if kind == "type":
-        return entry
-    if kind in ("object", "param", "alias", "attribute_decl"):
-        return entry.vtype
-    if kind == "enum_literal":
-        return entry.etype
-    if kind == "subprogram" and entry.is_function:
-        return entry.result
-    return None
-
-
-def describe_entry(entry):
-    """Readable description for diagnostics."""
-    kind = entry_kind(entry)
-    name = getattr(entry, "name", "?")
-    if kind == "type":
-        return "type %s" % name
-    if kind == "object":
-        return "%s %s" % (entry.obj_class, name)
-    if kind == "subprogram":
-        return "%s %s" % (entry.sub_kind, name)
-    return "%s %s" % (kind, name)
 
 
 def lookup_user_attribute(user_attrs, target, attr_name):

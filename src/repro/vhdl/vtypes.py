@@ -51,9 +51,6 @@ class EnumTypeBehavior(_TypeBehavior):
     def position(self, literal):
         return self.literals.index(literal)
 
-    def literal_at(self, pos):
-        return self.literals[pos]
-
     @property
     def low(self):
         return 0
@@ -145,13 +142,6 @@ class IndexRangeBehavior:
             return range(self.left, self.right + 1)
         return range(self.left, self.right - 1, -1)
 
-    def same_range(self, other):
-        return (
-            other is not None
-            and (self.left, self.direction, self.right)
-            == (other.left, other.direction, other.right)
-        )
-
 
 class ArrayTypeBehavior(_TypeBehavior):
     """Array type; unconstrained when ``index_range`` is None."""
@@ -209,12 +199,6 @@ class RecordTypeBehavior(_TypeBehavior):
             return None
         return self.field_types[i]
 
-    def field_index(self, name):
-        try:
-            return self.field_names.index(name)
-        except ValueError:
-            return None
-
 
 class ScalarSubtypeBehavior(_TypeBehavior):
     """Range-constrained scalar subtype, optionally resolved (bus
@@ -258,10 +242,6 @@ def is_array(vtype):
 
 def is_record(vtype):
     return vtype is not None and getattr(vtype, "kind", None) == "record"
-
-
-def is_enum(vtype):
-    return vtype is not None and vtype.base().kind == "enum"
 
 
 def is_numeric(vtype):

@@ -6,7 +6,7 @@ edit.  Regenerate with ``python -m repro.regen``.
 
 from repro.vif.core import Field, Node
 
-SCHEMA_CRC32 = 0xf1810630
+SCHEMA_CRC32 = 0xe2b1e459
 from repro.vhdl.vtypes import EnumTypeBehavior as _mixin_EnumTypeBehavior
 from repro.vhdl.vtypes import IntegerTypeBehavior as _mixin_IntegerTypeBehavior
 from repro.vhdl.vtypes import PhysicalTypeBehavior as _mixin_PhysicalTypeBehavior
@@ -895,11 +895,11 @@ def dump_ComponentEntry(node, show):
 class EntityUnit(_mixin_EntityUnitBehavior, Node):
     """VIF node kind 'EntityUnit'."""
 
-    __slots__ = ('name', 'generics', 'ports', 'decls', 'user_attrs', 'context', 'py_source', 'c_source', 'line', 'source_file')
+    __slots__ = ('name', 'generics', 'ports', 'decls', 'user_attrs', 'context', 'py_source', 'line', 'source_file')
     VIF_KIND = 'EntityUnit'
-    VIF_FIELDS = (Field('name', 'str'), Field('generics', 'list'), Field('ports', 'list'), Field('decls', 'list'), Field('user_attrs', 'list'), Field('context', 'data'), Field('py_source', 'str'), Field('c_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
+    VIF_FIELDS = (Field('name', 'str'), Field('generics', 'list'), Field('ports', 'list'), Field('decls', 'list'), Field('user_attrs', 'list'), Field('context', 'data'), Field('py_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
 
-    def __init__(self, name='', generics=None, ports=None, decls=None, user_attrs=None, context=None, py_source='', c_source='', line=0, source_file=''):
+    def __init__(self, name='', generics=None, ports=None, decls=None, user_attrs=None, context=None, py_source='', line=0, source_file=''):
         self._vif_home = None
         self.name = name
         self.generics = list(generics) if generics is not None else []
@@ -908,7 +908,6 @@ class EntityUnit(_mixin_EntityUnitBehavior, Node):
         self.user_attrs = list(user_attrs) if user_attrs is not None else []
         self.context = context
         self.py_source = py_source
-        self.c_source = c_source
         self.line = line
         self.source_file = source_file
         if hasattr(self, '_post_init'):
@@ -928,7 +927,6 @@ def write_EntityUnit(node, encode):
         'user_attrs': encode(node.user_attrs, 'list'),
         'context': encode(node.context, 'data'),
         'py_source': encode(node.py_source, 'str'),
-        'c_source': encode(node.c_source, 'str'),
         'line': encode(node.line, 'int'),
         'source_file': encode(node.source_file, 'str'),
     }
@@ -942,7 +940,6 @@ def read_EntityUnit(node, data, decode):
     node.user_attrs = decode(data.get('user_attrs'), 'list')
     node.context = decode(data.get('context'), 'data')
     node.py_source = decode(data.get('py_source'), 'str')
-    node.c_source = decode(data.get('c_source'), 'str')
     node.line = decode(data.get('line'), 'int')
     node.source_file = decode(data.get('source_file'), 'str')
     if hasattr(node, '_post_init'):
@@ -959,7 +956,6 @@ def dump_EntityUnit(node, show):
         ('user_attrs', show(node.user_attrs, 'list')),
         ('context', show(node.context, 'data')),
         ('py_source', show(node.py_source, 'str')),
-        ('c_source', show(node.c_source, 'str')),
         ('line', show(node.line, 'int')),
         ('source_file', show(node.source_file, 'str')),
     ]
@@ -967,11 +963,11 @@ def dump_EntityUnit(node, show):
 class ArchUnit(_mixin_ArchUnitBehavior, Node):
     """VIF node kind 'ArchUnit'."""
 
-    __slots__ = ('name', 'entity_name', 'entity', 'decls', 'instances', 'user_attrs', 'processes', 'block_signals', 'py_source', 'c_source', 'line', 'source_file')
+    __slots__ = ('name', 'entity_name', 'entity', 'decls', 'instances', 'user_attrs', 'processes', 'block_signals', 'py_source', 'line', 'source_file')
     VIF_KIND = 'ArchUnit'
-    VIF_FIELDS = (Field('name', 'str'), Field('entity_name', 'str'), Field('entity', 'ref'), Field('decls', 'list'), Field('instances', 'list'), Field('user_attrs', 'list'), Field('processes', 'data'), Field('block_signals', 'data'), Field('py_source', 'str'), Field('c_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
+    VIF_FIELDS = (Field('name', 'str'), Field('entity_name', 'str'), Field('entity', 'ref'), Field('decls', 'list'), Field('instances', 'list'), Field('user_attrs', 'list'), Field('processes', 'data'), Field('block_signals', 'data'), Field('py_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
 
-    def __init__(self, name='', entity_name='', entity=None, decls=None, instances=None, user_attrs=None, processes=None, block_signals=None, py_source='', c_source='', line=0, source_file=''):
+    def __init__(self, name='', entity_name='', entity=None, decls=None, instances=None, user_attrs=None, processes=None, block_signals=None, py_source='', line=0, source_file=''):
         self._vif_home = None
         self.name = name
         self.entity_name = entity_name
@@ -982,7 +978,6 @@ class ArchUnit(_mixin_ArchUnitBehavior, Node):
         self.processes = processes
         self.block_signals = block_signals
         self.py_source = py_source
-        self.c_source = c_source
         self.line = line
         self.source_file = source_file
         if hasattr(self, '_post_init'):
@@ -1004,7 +999,6 @@ def write_ArchUnit(node, encode):
         'processes': encode(node.processes, 'data'),
         'block_signals': encode(node.block_signals, 'data'),
         'py_source': encode(node.py_source, 'str'),
-        'c_source': encode(node.c_source, 'str'),
         'line': encode(node.line, 'int'),
         'source_file': encode(node.source_file, 'str'),
     }
@@ -1020,7 +1014,6 @@ def read_ArchUnit(node, data, decode):
     node.processes = decode(data.get('processes'), 'data')
     node.block_signals = decode(data.get('block_signals'), 'data')
     node.py_source = decode(data.get('py_source'), 'str')
-    node.c_source = decode(data.get('c_source'), 'str')
     node.line = decode(data.get('line'), 'int')
     node.source_file = decode(data.get('source_file'), 'str')
     if hasattr(node, '_post_init'):
@@ -1039,7 +1032,6 @@ def dump_ArchUnit(node, show):
         ('processes', show(node.processes, 'data')),
         ('block_signals', show(node.block_signals, 'data')),
         ('py_source', show(node.py_source, 'str')),
-        ('c_source', show(node.c_source, 'str')),
         ('line', show(node.line, 'int')),
         ('source_file', show(node.source_file, 'str')),
     ]
@@ -1103,18 +1095,17 @@ def dump_InstanceEntry(node, show):
 class PackageUnit(_mixin_PackageUnitBehavior, Node):
     """VIF node kind 'PackageUnit'."""
 
-    __slots__ = ('name', 'decls', 'user_attrs', 'context', 'py_source', 'c_source', 'line', 'source_file')
+    __slots__ = ('name', 'decls', 'user_attrs', 'context', 'py_source', 'line', 'source_file')
     VIF_KIND = 'PackageUnit'
-    VIF_FIELDS = (Field('name', 'str'), Field('decls', 'list'), Field('user_attrs', 'list'), Field('context', 'data'), Field('py_source', 'str'), Field('c_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
+    VIF_FIELDS = (Field('name', 'str'), Field('decls', 'list'), Field('user_attrs', 'list'), Field('context', 'data'), Field('py_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
 
-    def __init__(self, name='', decls=None, user_attrs=None, context=None, py_source='', c_source='', line=0, source_file=''):
+    def __init__(self, name='', decls=None, user_attrs=None, context=None, py_source='', line=0, source_file=''):
         self._vif_home = None
         self.name = name
         self.decls = list(decls) if decls is not None else []
         self.user_attrs = list(user_attrs) if user_attrs is not None else []
         self.context = context
         self.py_source = py_source
-        self.c_source = c_source
         self.line = line
         self.source_file = source_file
         if hasattr(self, '_post_init'):
@@ -1132,7 +1123,6 @@ def write_PackageUnit(node, encode):
         'user_attrs': encode(node.user_attrs, 'list'),
         'context': encode(node.context, 'data'),
         'py_source': encode(node.py_source, 'str'),
-        'c_source': encode(node.c_source, 'str'),
         'line': encode(node.line, 'int'),
         'source_file': encode(node.source_file, 'str'),
     }
@@ -1144,7 +1134,6 @@ def read_PackageUnit(node, data, decode):
     node.user_attrs = decode(data.get('user_attrs'), 'list')
     node.context = decode(data.get('context'), 'data')
     node.py_source = decode(data.get('py_source'), 'str')
-    node.c_source = decode(data.get('c_source'), 'str')
     node.line = decode(data.get('line'), 'int')
     node.source_file = decode(data.get('source_file'), 'str')
     if hasattr(node, '_post_init'):
@@ -1159,7 +1148,6 @@ def dump_PackageUnit(node, show):
         ('user_attrs', show(node.user_attrs, 'list')),
         ('context', show(node.context, 'data')),
         ('py_source', show(node.py_source, 'str')),
-        ('c_source', show(node.c_source, 'str')),
         ('line', show(node.line, 'int')),
         ('source_file', show(node.source_file, 'str')),
     ]
@@ -1167,16 +1155,15 @@ def dump_PackageUnit(node, show):
 class PackageBodyUnit(_mixin_PackageBodyUnitBehavior, Node):
     """VIF node kind 'PackageBodyUnit'."""
 
-    __slots__ = ('name', 'decls', 'py_source', 'c_source', 'line', 'source_file')
+    __slots__ = ('name', 'decls', 'py_source', 'line', 'source_file')
     VIF_KIND = 'PackageBodyUnit'
-    VIF_FIELDS = (Field('name', 'str'), Field('decls', 'list'), Field('py_source', 'str'), Field('c_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
+    VIF_FIELDS = (Field('name', 'str'), Field('decls', 'list'), Field('py_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
 
-    def __init__(self, name='', decls=None, py_source='', c_source='', line=0, source_file=''):
+    def __init__(self, name='', decls=None, py_source='', line=0, source_file=''):
         self._vif_home = None
         self.name = name
         self.decls = list(decls) if decls is not None else []
         self.py_source = py_source
-        self.c_source = c_source
         self.line = line
         self.source_file = source_file
         if hasattr(self, '_post_init'):
@@ -1192,7 +1179,6 @@ def write_PackageBodyUnit(node, encode):
         'name': encode(node.name, 'str'),
         'decls': encode(node.decls, 'list'),
         'py_source': encode(node.py_source, 'str'),
-        'c_source': encode(node.c_source, 'str'),
         'line': encode(node.line, 'int'),
         'source_file': encode(node.source_file, 'str'),
     }
@@ -1202,7 +1188,6 @@ def read_PackageBodyUnit(node, data, decode):
     node.name = decode(data.get('name'), 'str')
     node.decls = decode(data.get('decls'), 'list')
     node.py_source = decode(data.get('py_source'), 'str')
-    node.c_source = decode(data.get('c_source'), 'str')
     node.line = decode(data.get('line'), 'int')
     node.source_file = decode(data.get('source_file'), 'str')
     if hasattr(node, '_post_init'):
@@ -1215,7 +1200,6 @@ def dump_PackageBodyUnit(node, show):
         ('name', show(node.name, 'str')),
         ('decls', show(node.decls, 'list')),
         ('py_source', show(node.py_source, 'str')),
-        ('c_source', show(node.c_source, 'str')),
         ('line', show(node.line, 'int')),
         ('source_file', show(node.source_file, 'str')),
     ]
@@ -1223,18 +1207,17 @@ def dump_PackageBodyUnit(node, show):
 class ConfigUnit(_mixin_ConfigUnitBehavior, Node):
     """VIF node kind 'ConfigUnit'."""
 
-    __slots__ = ('name', 'entity_name', 'entity', 'bindings', 'py_source', 'c_source', 'line', 'source_file')
+    __slots__ = ('name', 'entity_name', 'entity', 'bindings', 'py_source', 'line', 'source_file')
     VIF_KIND = 'ConfigUnit'
-    VIF_FIELDS = (Field('name', 'str'), Field('entity_name', 'str'), Field('entity', 'ref'), Field('bindings', 'data'), Field('py_source', 'str'), Field('c_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
+    VIF_FIELDS = (Field('name', 'str'), Field('entity_name', 'str'), Field('entity', 'ref'), Field('bindings', 'data'), Field('py_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
 
-    def __init__(self, name='', entity_name='', entity=None, bindings=None, py_source='', c_source='', line=0, source_file=''):
+    def __init__(self, name='', entity_name='', entity=None, bindings=None, py_source='', line=0, source_file=''):
         self._vif_home = None
         self.name = name
         self.entity_name = entity_name
         self.entity = entity
         self.bindings = bindings
         self.py_source = py_source
-        self.c_source = c_source
         self.line = line
         self.source_file = source_file
         if hasattr(self, '_post_init'):
@@ -1252,7 +1235,6 @@ def write_ConfigUnit(node, encode):
         'entity': encode(node.entity, 'ref'),
         'bindings': encode(node.bindings, 'data'),
         'py_source': encode(node.py_source, 'str'),
-        'c_source': encode(node.c_source, 'str'),
         'line': encode(node.line, 'int'),
         'source_file': encode(node.source_file, 'str'),
     }
@@ -1264,7 +1246,6 @@ def read_ConfigUnit(node, data, decode):
     node.entity = decode(data.get('entity'), 'ref')
     node.bindings = decode(data.get('bindings'), 'data')
     node.py_source = decode(data.get('py_source'), 'str')
-    node.c_source = decode(data.get('c_source'), 'str')
     node.line = decode(data.get('line'), 'int')
     node.source_file = decode(data.get('source_file'), 'str')
     if hasattr(node, '_post_init'):
@@ -1279,7 +1260,6 @@ def dump_ConfigUnit(node, show):
         ('entity', show(node.entity, 'ref')),
         ('bindings', show(node.bindings, 'data')),
         ('py_source', show(node.py_source, 'str')),
-        ('c_source', show(node.c_source, 'str')),
         ('line', show(node.line, 'int')),
         ('source_file', show(node.source_file, 'str')),
     ]

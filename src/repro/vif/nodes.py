@@ -92,8 +92,3 @@ def __getattr__(name):
     if name in ns:
         return ns[name]
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
-def all_kinds():
-    """All node kind names, in schema order."""
-    return list(registry())

@@ -115,3 +115,62 @@ class TestDependencyMetadata:
         # Unknown recorded entries are ignored; std stays in front.
         lib.apply_compile_order([("work", "ghost"), ("work", "x")])
         assert lib.compile_order[0] == ("std", "standard")
+
+
+class TestOneArtifactPerUnit:
+    """A unit is stored as its VIF payload alone; the payload's
+    ``py_source`` is the model a reopened library runs."""
+
+    def test_side_files_do_not_override_model(self, tmp_path):
+        root = str(tmp_path / "libs")
+        c = Compiler(root=root)
+        c.compile(ENTITY)
+        model = c.library.find_architecture("work", "e", "rtl").py_source
+        work = os.path.join(root, "work")
+        # What a crash between separate side-file writes, or an older
+        # compiler, could leave next to the VIF file.
+        for suffix, text in (("py", "raise SystemExit('stale')\n"),
+                             ("c", "/* stale */\n")):
+            for key in ("e", "rtl(e)"):
+                with open(os.path.join(work, unit_filename(key, suffix)),
+                          "w") as f:
+                    f.write(text)
+        lib = LibraryManager(root=root)
+        assert lib.find_architecture("work", "e", "rtl").py_source == model
+        assert "stale" not in lib.find_unit("work", "e").py_source
+        assert lib.quarantined == []
+
+    def test_library_holds_only_vif_files(self, tmp_path):
+        root = str(tmp_path / "libs")
+        c = Compiler(root=root)
+        c.compile(ENTITY)
+        c.compile("""
+            package p is constant k : integer := 1; end p;
+            package body p is end p;
+            configuration cfg of e is for rtl end for; end cfg;
+        """)
+        stored = sorted(
+            name for _, _, files in os.walk(root) for name in files)
+        assert stored == sorted(
+            unit_filename(key, "vif.json")
+            for key in ("e", "rtl(e)", "p", "body(p)", "cfg"))
+
+    def test_payload_with_c_source_still_loads(self, tmp_path):
+        root = str(tmp_path / "libs")
+        _build(root)
+        work = os.path.join(root, "work")
+        for key in ("e", "rtl(e)"):
+            path = os.path.join(work, unit_filename(key, "vif.json"))
+            with open(path) as f:
+                payload = json.load(f)
+            # Older compilers stored the C text in every unit node.
+            for kind, fields in payload["nodes"]:
+                if kind.endswith("Unit"):
+                    fields["c_source"] = "/* %s */" % key
+            with open(path, "w") as f:
+                json.dump(payload, f)
+        lib = LibraryManager(root=root)
+        assert lib.quarantined == []
+        arch = lib.find_architecture("work", "e", "rtl")
+        assert "def elaborate(ctx):" in arch.py_source
+        assert not hasattr(arch, "c_source")

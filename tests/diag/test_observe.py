@@ -70,6 +70,27 @@ class TestStaticObserver:
         assert "expr" in obs.visits
 
 
+class TestCompilerObserver:
+    """The compiler's observer sees the cascaded exprEval firings
+    (§4.1) as well as the principal AG's."""
+
+    def test_both_grammars_report(self):
+        from pathlib import Path
+
+        from repro.vhdl.compiler import Compiler
+
+        path = Path(__file__).parents[2] / "examples" / "metrics_demo.vhd"
+        compiler = Compiler()
+        compiler.compile(path.read_text(), filename=str(path))
+        obs = compiler.observer
+        # 343 principal firings, as counted before the expression AG
+        # reported to the compiler's observer: threading the observer
+        # through adds the nested firings and changes none of these.
+        assert obs.grammar_firings["vhdl_principal"] == 343
+        assert obs.grammar_firings["vhdl_expr"] > 0
+        assert obs.total_firings == sum(obs.grammar_firings.values())
+
+
 class TestAggregation:
     def test_merge_sums_counters(self):
         a, b = AGObserver(), AGObserver()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.vhdl.codegen.cmodel import c_model
 from repro.vhdl.compiler import CompileError, Compiler
 
 from .helpers import compile_messages, compile_ok
@@ -187,9 +188,10 @@ class TestGeneratedCode:
     def test_c_model_emitted(self):
         c, _ = compile_ok(self.COUNTER)
         arch = c.library.find_architecture("work", "e", "rtl")
-        assert "#include" in arch.c_source
-        assert "elaborate_rtl" in arch.c_source
-        assert "kernel_assign(" in arch.c_source
+        text = c_model(arch)
+        assert "#include" in text
+        assert "elaborate_rtl" in text
+        assert "kernel_assign(" in text
 
     def test_vif_stored_and_dumpable(self):
         c, _ = compile_ok(self.COUNTER)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.vhdl.codegen.cmodel import c_model_for_unit
+from repro.vhdl.codegen.cmodel import c_model, c_model_for_unit
 from repro.vhdl.semantics_decl import indent, ln, render
 from repro.vhdl.stdpkg import standard
 
@@ -114,7 +114,8 @@ class TestCModel:
             end rtl;
         """)
         arch = compiler.library.find_architecture("work", "e", "rtl")
-        c = arch.c_source
+        c = c_model(arch)
+        assert "for(" in c and "} else {" in c
         assert c.count("{") == c.count("}")
 
 
