@@ -28,7 +28,7 @@ from workloads import (
 
 
 def prepare_library():
-    compiler = Compiler(strict=False)
+    compiler = Compiler()
     compiler.compile(gen_entity_arch("leaf", n_processes=6,
                                      n_signals=8,
                                      stmts_per_process=10))
@@ -67,7 +67,7 @@ def measure_pair():
         fresh._units[(lib, key)] = node
         fresh.compile_order.append((lib, key))
     t_read = time.perf_counter() - t0
-    session = Compiler(library=fresh, strict=False)
+    session = Compiler(library=fresh)
     res_c = session.compile(config)
     t_config = t_read + (time.perf_counter() - t0 - t_read)
     t_config = time.perf_counter() - t0

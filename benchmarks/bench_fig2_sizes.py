@@ -96,7 +96,7 @@ def measure_sizes():
         for g in (principal_grammar(), expr_grammar(),
                   schema_processor()[1])
     )
-    compiler = Compiler(strict=False)
+    compiler = Compiler()
     compiler.compile(gen_design(n_packages=2, n_units=4))
     compiler.compile(gen_structural("big", "unit0", n_instances=4))
     compiler.compile(gen_configuration(

@@ -42,7 +42,7 @@ def make_sources():
 def test_lint_library_pass(benchmark):
     sources = make_sources()
     lines = sum(count_lines(text) for _, text in sources)
-    compiler = Compiler(strict=False)
+    compiler = Compiler()
     for name, text in sources:
         result = compiler.compile(text, filename=name)
         assert result.ok, result.messages[:3]

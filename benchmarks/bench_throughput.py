@@ -14,7 +14,7 @@ from workloads import count_lines, gen_design
 
 def compile_workload(n_units):
     source = gen_design(n_packages=2, n_units=n_units, n_processes=3)
-    compiler = Compiler(strict=False)
+    compiler = Compiler()
     result = compiler.compile(source)
     assert result.ok, result.messages[:3]
     return result
@@ -43,7 +43,7 @@ def test_throughput_scales_linearly(benchmark):
         points = []
         for n in (2, 4, 8):
             source = gen_design(n_packages=1, n_units=n)
-            compiler = Compiler(strict=False)
+            compiler = Compiler()
             t0 = time.perf_counter()
             result = compiler.compile(source)
             dt = time.perf_counter() - t0

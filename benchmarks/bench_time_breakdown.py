@@ -28,7 +28,7 @@ from workloads import gen_entity_arch, gen_package
 def compile_with_foreign_units(n_clients):
     """One package + many client units, re-read through the VIF reader
     each time — the paper's foreign-reference workload."""
-    compiler = Compiler(strict=False)
+    compiler = Compiler()
     result0 = compiler.compile(gen_package("shared"))
     timings = dict.fromkeys(
         ("scan", "parse", "attribute_evaluation", "model_compile",

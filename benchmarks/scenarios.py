@@ -34,7 +34,7 @@ def compile_library(source, filename="<input>"):
     """Compile ``source`` into a fresh in-memory library."""
     from repro.vhdl.compiler import Compiler
 
-    compiler = Compiler(strict=False)
+    compiler = Compiler()
     result = compiler.compile(source, filename=filename)
     if not result.ok:
         raise RuntimeError("%s failed to compile: %s"
@@ -885,7 +885,7 @@ def scenario_memory():
             tracemalloc.stop()
 
     def compile_ring():
-        compiler = Compiler(strict=False)
+        compiler = Compiler()
         compiler.compile(source, filename="ring.vhd")
         return compiler.library
 

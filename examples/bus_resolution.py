@@ -86,7 +86,8 @@ WIRE = ["Z", "0", "1", "X"]
 
 def main():
     compiler = Compiler()
-    compiler.compile(SOURCE)
+    result = compiler.compile(SOURCE)
+    assert result.ok, "\n".join(result.messages)
     sim = Elaborator(compiler.library).elaborate("shared_bus")
 
     print("time (ns)  bus")

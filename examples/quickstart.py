@@ -68,6 +68,7 @@ NS = 10**6  # femtoseconds per nanosecond
 def main():
     compiler = Compiler()
     result = compiler.compile(SOURCE)
+    assert result.ok, "\n".join(result.messages)
     print("compiled units:", ", ".join(result.unit_names()))
     print("phase times:", {k: round(v * 1000, 2)
                            for k, v in result.timings.items()}, "ms")

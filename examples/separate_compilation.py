@@ -65,9 +65,9 @@ def elaborate_and_run(library, top):
 
 def main():
     compiler = Compiler()
-    compiler.compile(FILTERS)
-    compiler.compile(BOARD)
-    compiler.compile(CONFIG)
+    for source in (FILTERS, BOARD, CONFIG):
+        result = compiler.compile(source)
+        assert result.ok, "\n".join(result.messages)
 
     print("compile order:",
           [key for lib, key in compiler.library.compile_order
@@ -86,12 +86,13 @@ def main():
 
     # Recompile 'sharp': usage history changes, and with it the
     # default — the paper's non-determinism warning in action.
-    compiler.compile("""
+    result = compiler.compile("""
         architecture sharp of filter is
         begin
           y <= x * gain;
         end sharp;
     """)
+    assert result.ok, "\n".join(result.messages)
     print("after recompiling sharp, default -> output =",
           elaborate_and_run(compiler.library, "board"),
           "(sharp: 30*4)")

@@ -79,7 +79,8 @@ NS = 10**6
 
 def main():
     compiler = Compiler()
-    compiler.compile(SOURCE)
+    result = compiler.compile(SOURCE)
+    assert result.ok, "\n".join(result.messages)
     sim = Elaborator(compiler.library).elaborate("crossing")
 
     light_names = ["red", "amber", "green"]

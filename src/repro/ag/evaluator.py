@@ -72,31 +72,24 @@ class DynamicEvaluator:
             )
         return rule, owner
 
-    def _dep_value(self, owner, occ):
-        """Value of dependency occurrence ``occ`` in instance ``owner``.
-
-        Returns ``(ready, value_or_instance)``: when the dependency is a
-        token attribute or an already-computed attribute it is ready;
-        otherwise the ``(node, attr)`` instance still to compute.
-        """
-        if occ.pos == 0:
-            inst = owner
-        else:
-            inst = owner.children[occ.pos - 1]
-        if not isinstance(inst, ParseTree):
-            # Terminal occurrence: lexical pseudo-attribute of the token.
-            return True, getattr(inst, occ.attr)
-        if occ.attr in inst.attrs:
-            return True, inst.attrs[occ.attr]
-        return False, (inst, occ.attr)
-
     def _force(self, node, name):
-        """Compute instance ``(node, name)`` and everything it needs."""
+        """Compute instance ``(node, name)`` and everything it needs.
+
+        Memo accounting follows a recursive demand evaluator: each
+        non-terminal dependency a rule reads is either computed on its
+        behalf (a miss, counted when its own rule fires) or found
+        already computed (a hit).  ``forced`` counts, per stack frame,
+        the dependencies that frame had to compute.
+        """
         stack = [(node, name)]
         on_stack = {(node, name)}
+        forced = [0]
+        hits = 0
         while stack:
             cur_node, cur_name = stack[-1]
             if cur_name in cur_node.attrs:
+                hits += 1
+                forced.pop()
                 on_stack.discard((cur_node, cur_name))
                 stack.pop()
                 continue
@@ -109,6 +102,7 @@ class DynamicEvaluator:
                         "to the evaluator" % cur_name
                     )
                 cur_node.attrs[cur_name] = self.inherited[cur_name]
+                forced.pop()
                 on_stack.discard((cur_node, cur_name))
                 stack.pop()
                 continue
@@ -119,12 +113,20 @@ class DynamicEvaluator:
             # circular).
             values = []
             first_missing = None
+            memoized = 0
             for occ in rule.deps:
-                ready, v = self._dep_value(owner, occ)
-                if ready:
-                    values.append(v)
-                elif first_missing is None:
-                    first_missing = v
+                inst = (owner if occ.pos == 0
+                        else owner.children[occ.pos - 1])
+                if not isinstance(inst, ParseTree):
+                    # Terminal occurrence: lexical pseudo-attribute of
+                    # the token.
+                    values.append(getattr(inst, occ.attr))
+                elif occ.attr in inst.attrs:
+                    values.append(inst.attrs[occ.attr])
+                    memoized += 1
+                else:
+                    first_missing = (inst, occ.attr)
+                    break
             if first_missing is not None:
                 inst = first_missing
                 if inst in on_stack:
@@ -143,6 +145,8 @@ class DynamicEvaluator:
                         ),
                         cycle=cycle,
                     )
+                forced[-1] += 1
+                forced.append(0)
                 on_stack.add(inst)
                 stack.append(inst)
                 continue
@@ -164,6 +168,7 @@ class DynamicEvaluator:
                     )
                 ) from exc
             self.evaluations += 1
+            hits += memoized - forced.pop()
             if self.observer is not None:
                 self.observer.record_miss()
                 self.observer.record_firing(
@@ -171,6 +176,8 @@ class DynamicEvaluator:
             cur_node.attrs[cur_name] = result
             on_stack.discard((cur_node, cur_name))
             stack.pop()
+        if self.observer is not None:
+            self.observer.cache_hits += hits
 
 
 def _extract_cycle(stack, instance):

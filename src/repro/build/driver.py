@@ -159,7 +159,7 @@ class IncrementalBuilder:
                 try:
                     with open(path) as f:
                         texts[path] = f.read()
-                except OSError as exc:
+                except (OSError, UnicodeDecodeError) as exc:
                     raise BuildError("cannot read %s: %s" % (path, exc))
 
         fingerprints, provides, requires = {}, {}, {}

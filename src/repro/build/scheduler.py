@@ -138,38 +138,23 @@ def compile_file_task(root, work, reference_libs, path):
     this worker's pid, so the driver's merged Chrome trace shows one
     row per worker).
     """
-    from ..vhdl.compiler import CompileError, Compiler
+    from ..vhdl.compiler import Compiler
     from ..vhdl.library import LibraryManager
 
     library = LibraryManager(
         root=root, work=work, reference_libs=tuple(reference_libs)
     )
-    compiler = Compiler(library=library, work=work, strict=False)
-    try:
-        # One wrapping span per file: in a forked worker the pool has
-        # re-activated the submitting batch's span context, so this
-        # (and the compiler phases nested in it) re-parent into the
-        # driver's tree across the process boundary.
-        with compiler.tracer.span("compile_file", cat="build",
-                                  file=os.path.basename(path)):
-            result = compiler.compile_file(path)
-    except (CompileError, OSError) as exc:
-        messages = getattr(exc, "messages", None) or [str(exc)]
-        diagnostics = [
-            d.to_dict() for d in getattr(exc, "diagnostics", ())
-        ]
-        return {
-            "path": path,
-            "ok": False,
-            "messages": list(messages),
-            "units": [],
-            "source_lines": 0,
-            "diagnostics": diagnostics,
-            "trace": compiler.tracer.events(),
-            "ag_stats": compiler.observer.as_dict(),
-        }
+    compiler = Compiler(library=library, work=work)
+    # One wrapping span per file: in a forked worker the pool has
+    # re-activated the submitting batch's span context, so this
+    # (and the compiler phases nested in it) re-parent into the
+    # driver's tree across the process boundary.
+    with compiler.tracer.span("compile_file", cat="build",
+                              file=os.path.basename(path)):
+        result = compiler.compile_file(path)
     units = []
-    for lib, key in result.registered_units:
+    # The driver drops a failed file's units, so none are reported.
+    for lib, key in result.registered_units if result.ok else ():
         payload = library.payload_of(lib, key)
         units.append({
             "lib": lib,

@@ -375,13 +375,21 @@ def _emit_profile(events, args, out, title):
         out("trace written to %s" % args.trace_out)
 
 
+def _print_errors(path, result, say):
+    """Report a failed compile: ``path: N error(s)``, then each
+    message."""
+    say("%s: %d error(s)" % (path, len(result.messages)))
+    for message in result.messages:
+        say("  %s" % message)
+
+
 def cmd_compile(args, out):
     from .ag.errors import CircularityError
     from .diag import explain_cycle, render
-    from .vhdl.compiler import CompileError, Compiler
+    from .vhdl.compiler import Compiler
 
     compiler = Compiler(library=_library(args), work=args.work,
-                        strict=False, werror=args.werror)
+                        werror=args.werror)
     failures = 0
     all_diags = []
     # Corrupt artifacts the library load moved aside surface as
@@ -390,30 +398,18 @@ def cmd_compile(args, out):
         out(str(diag))
         all_diags.append(diag)
     for path in args.files:
-        try:
-            result = compiler.compile_file(path)
-        except CompileError as exc:
-            # Scan/parse failures abort one file, not the whole run.
-            out("%s: %d error(s)" % (path, len(exc.messages)))
-            for message in exc.messages:
-                out("  %s" % message)
-            cause = exc.__cause__
-            if args.explain_cycle and isinstance(cause,
-                                                 CircularityError):
-                out(explain_cycle(cause))
-            all_diags.extend(exc.diagnostics)
-            failures += 1
-            continue
-        status = "ok" if result.ok else "%d error(s)" % len(
-            result.messages)
-        out("%s: %s (%d lines, units: %s)" % (
-            path, status, result.source_lines,
-            ", ".join(result.unit_names()) or "none"))
-        for message in result.messages:
-            out("  %s" % message)
+        result = compiler.compile_file(path)
         all_diags.extend(result.diagnostics)
-        if not result.ok:
-            failures += 1
+        if result.ok:
+            out("%s: ok (%d lines, units: %s)" % (
+                path, result.source_lines,
+                ", ".join(result.unit_names()) or "none"))
+            continue
+        _print_errors(path, result, out)
+        if args.explain_cycle and isinstance(result.error,
+                                             CircularityError):
+            out(explain_cycle(result.error))
+        failures += 1
     if args.diag_format != "text" and all_diags:
         out(render(all_diags, args.diag_format))
     _emit_profile(compiler.tracer.events(), args, out,
@@ -537,7 +533,7 @@ def cmd_lint(args, out):
         write_baseline,
     )
     from .diag import DiagnosticEngine, render
-    from .vhdl.compiler import CompileError, Compiler
+    from .vhdl.compiler import Compiler
 
     fmt = args.lint_format or args.diag_format
     registry = _registry_for(args)
@@ -554,16 +550,13 @@ def cmd_lint(args, out):
 
     library = LibraryManager(root=None, work=args.work,
                              reference_libs=tuple(args.ref))
-    compiler = Compiler(library=library, work=args.work, strict=False)
+    compiler = Compiler(library=library, work=args.work)
     sources = {}
     compile_failed = False
     for path in files:
-        try:
-            result = compiler.compile_file(path)
-        except CompileError as exc:
-            out("%s: %d error(s)" % (path, len(exc.messages)))
-            for message in exc.messages:
-                out("  %s" % message)
+        result = compiler.compile_file(path)
+        if not result.ok:
+            _print_errors(path, result, out)
             compile_failed = True
             continue
         try:
@@ -571,11 +564,6 @@ def cmd_lint(args, out):
                 sources[path] = fh.read()
         except OSError:
             pass
-        if not result.ok:
-            out("%s: %d error(s)" % (path, len(result.messages)))
-            for message in result.messages:
-                out("  %s" % message)
-            compile_failed = True
     if compile_failed:
         out("lint: compilation failed; fix compile errors first")
         return 2
@@ -640,7 +628,7 @@ def _analyze_header_meta(path):
                         meta[key] = value
                 elif stripped and not stripped.startswith("--"):
                     break
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         pass
     return meta
 
@@ -664,7 +652,7 @@ def cmd_analyze(args, out):
         write_baseline,
     )
     from .diag import DiagnosticEngine, render
-    from .vhdl.compiler import CompileError, Compiler
+    from .vhdl.compiler import Compiler
     from .vhdl.elaborate import ElaborationError, Elaborator
     from .vhdl.library import LibraryManager
     from .vhdl.symtab import entry_kind
@@ -693,21 +681,12 @@ def cmd_analyze(args, out):
         # All files form one design.
         library = LibraryManager(root=None, work=args.work,
                                  reference_libs=tuple(args.ref))
-        compiler = Compiler(library=library, work=args.work,
-                            strict=False)
+        compiler = Compiler(library=library, work=args.work)
         sources = {}
         for path in files:
-            try:
-                result = compiler.compile_file(path)
-            except CompileError as exc:
-                say("%s: %d error(s)" % (path, len(exc.messages)))
-                for message in exc.messages:
-                    say("  %s" % message)
-                return 2
+            result = compiler.compile_file(path)
             if not result.ok:
-                say("%s: %d error(s)" % (path, len(result.messages)))
-                for message in result.messages:
-                    say("  %s" % message)
+                _print_errors(path, result, say)
                 return 2
             try:
                 with open(path) as fh:
@@ -730,23 +709,14 @@ def cmd_analyze(args, out):
             expect = meta.get("expect", "ok")
             library = LibraryManager(root=None, work=args.work,
                                      reference_libs=tuple(args.ref))
-            compiler = Compiler(library=library, work=args.work,
-                                strict=False)
-            try:
-                result = compiler.compile_file(path)
-                ok = result.ok
-                messages = result.messages
-            except CompileError as exc:
-                ok = False
-                messages = exc.messages
-            if not ok:
+            compiler = Compiler(library=library, work=args.work)
+            result = compiler.compile_file(path)
+            if not result.ok:
                 if expect == "rejected":
                     say("%s: does not compile (expected; skipped)"
                         % path)
                     continue
-                say("%s: %d error(s)" % (path, len(messages)))
-                for message in messages:
-                    say("  %s" % message)
+                _print_errors(path, result, say)
                 return 2
             top = meta.get("top")
             if top is None:
@@ -895,22 +865,14 @@ def cmd_simulate(args, out):
         # A source file: compile it first, then simulate its last
         # entity — one metrics snapshot covers compile → elaborate →
         # simulate.
-        from .vhdl.compiler import CompileError, Compiler
+        from .vhdl.compiler import Compiler
         from .vhdl.symtab import entry_kind
 
         compiler = Compiler(library=_library(args), work=args.work,
-                            strict=False, werror=args.werror)
-        try:
-            result = compiler.compile_file(top)
-        except CompileError as exc:
-            out("%s: %d error(s)" % (top, len(exc.messages)))
-            for message in exc.messages:
-                out("  %s" % message)
-            return 1
+                            werror=args.werror)
+        result = compiler.compile_file(top)
         if not result.ok:
-            out("%s: %d error(s)" % (top, len(result.messages)))
-            for message in result.messages:
-                out("  %s" % message)
+            _print_errors(top, result, out)
             return 1
         entities = [u.name for u in result.units
                     if entry_kind(u) == "entity"]

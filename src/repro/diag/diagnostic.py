@@ -1,12 +1,14 @@
 """Structured diagnostics and the collecting engine.
 
-The seed compiler reported errors as bare strings (``"line 12: ..."``)
-and raised on the first problem in strict mode.  Production front ends
-do neither: they attach an error *code*, a severity, and a source
-span to every message, and they *collect* so one run reports all
-problems.  The Sasaki/Sassa systematic-debugging line of work
-(PAPERS.md) argues the same for attribute grammars specifically —
-anchored, machine-readable diagnostics are the debugging substrate.
+The semantic rules report errors as bare strings (``"line 12: ..."``)
+and the AG raises on lex, parse and evaluation errors.  Production
+front ends attach an error *code*, a severity, and a source span to
+every message, and they *collect* so one run reports all problems:
+:meth:`repro.vhdl.compiler.Compiler.compile` returns both kinds as
+the diagnostics of its result.  The Sasaki/Sassa systematic-debugging
+line of work (PAPERS.md) argues the same for attribute grammars
+specifically — anchored, machine-readable diagnostics are the
+debugging substrate.
 
 :class:`Diagnostic` is the record; :class:`DiagnosticEngine` collects
 them, promotes warnings under ``-Werror``, and adapts the legacy

@@ -43,7 +43,7 @@ from ..sim.kernel import Kernel, ScanKernel, SimulationError
 from ..sim.runtime import RuntimeError_
 from ..sim.tracing import WaveformRecorder
 from ..sim.vhdlio import AssertionFailure
-from ..vhdl.compiler import CompileError, Compiler
+from ..vhdl.compiler import Compiler
 from ..vhdl.elaborate import ElaborationError, Elaborator
 from ..vhdl.library import LibraryManager
 
@@ -122,19 +122,9 @@ def check_source(source, top, until_ns=1000, filename="<gen>",
     third differential leg under the same byte-identity obligation.
     """
     library = LibraryManager(root=None)
-    compiler = Compiler(library=library, strict=False)
+    compiler = Compiler(library=library)
     try:
         result = compiler.compile(source, filename=filename)
-    except CompileError as exc:
-        if exc.diagnostics:
-            return CheckResult("rejected",
-                              detail=_first_line(exc.messages),
-                              diagnostics=exc.diagnostics,
-                              messages=exc.messages)
-        return CheckResult(
-            "crash", detail="CompileError without structured "
-            "diagnostics: %s" % _first_line(exc.messages),
-            messages=exc.messages)
     except Exception:
         return CheckResult("crash", detail="compile raised:\n%s"
                            % traceback.format_exc())

@@ -416,30 +416,11 @@ class JobRunner:
     def _run_lint(self, workspace, files, select, ignore):
         from ..analysis import LintEngine
         from ..diag import DiagnosticEngine
-        from ..vhdl.compiler import CompileError, Compiler
-        from ..vhdl.library import LibraryManager
 
         if files:
-            # The CLI contract: lint compiles in memory and never
-            # touches the on-disk library.
-            library = LibraryManager(root=None, work="work")
-            compiler = Compiler(library=library, work="work",
-                                strict=False)
-            for entry in files:
-                name = entry.get("name", "<input>")
-                try:
-                    result = compiler.compile(entry.get("text", ""),
-                                              filename=name)
-                except CompileError as exc:
-                    return {"ok": False,
-                            "error": "%s: %d compile error(s)"
-                                     % (name, len(exc.messages)),
-                            "messages": list(exc.messages)}
-                if not result.ok:
-                    return {"ok": False,
-                            "error": "%s: %d compile error(s)"
-                                     % (name, len(result.messages)),
-                            "messages": list(result.messages)}
+            library, _entities, failure = _compile_in_memory(files)
+            if failure is not None:
+                return failure
             engine = LintEngine(library=library, work="work",
                                 select=list(select),
                                 ignore=list(ignore))
@@ -503,33 +484,12 @@ class JobRunner:
             levels_artifact,
         )
         from ..diag import DiagnosticEngine
-        from ..vhdl.compiler import CompileError, Compiler
         from ..vhdl.elaborate import ElaborationError, Elaborator
-        from ..vhdl.library import LibraryManager
-        from ..vhdl.symtab import entry_kind
 
         if files:
-            library = LibraryManager(root=None, work="work")
-            compiler = Compiler(library=library, work="work",
-                                strict=False)
-            entities = []
-            for entry in files:
-                name = entry.get("name", "<input>")
-                try:
-                    result = compiler.compile(entry.get("text", ""),
-                                              filename=name)
-                except CompileError as exc:
-                    return {"ok": False,
-                            "error": "%s: %d compile error(s)"
-                                     % (name, len(exc.messages)),
-                            "messages": list(exc.messages)}
-                if not result.ok:
-                    return {"ok": False,
-                            "error": "%s: %d compile error(s)"
-                                     % (name, len(result.messages)),
-                            "messages": list(result.messages)}
-                entities.extend(u.name for u in result.units
-                                if entry_kind(u) == "entity")
+            library, entities, failure = _compile_in_memory(files)
+            if failure is not None:
+                return failure
             if top is None:
                 if not entities:
                     return {"ok": False,
@@ -564,6 +524,35 @@ class JobRunner:
             "summary": diag_engine.summary(),
             "levels": levels_artifact(graph),
         }
+
+
+def _compile_in_memory(files):
+    """Compile request ``files`` into a fresh in-memory library.
+
+    The CLI contract: lint and analyze compile in memory and never
+    touch the on-disk library.  Returns ``(library, entities,
+    failure)``; ``failure`` is the response for the first file that
+    does not compile, or None.
+    """
+    from ..vhdl.compiler import Compiler
+    from ..vhdl.library import LibraryManager
+    from ..vhdl.symtab import entry_kind
+
+    library = LibraryManager(root=None, work="work")
+    compiler = Compiler(library=library, work="work")
+    entities = []
+    for entry in files:
+        name = entry.get("name", "<input>")
+        result = compiler.compile(entry.get("text", ""), filename=name)
+        if not result.ok:
+            return library, entities, {
+                "ok": False,
+                "error": "%s: %d compile error(s)"
+                         % (name, len(result.messages)),
+                "messages": list(result.messages)}
+        entities.extend(u.name for u in result.units
+                        if entry_kind(u) == "entity")
+    return library, entities, None
 
 
 def _seconds_buckets():

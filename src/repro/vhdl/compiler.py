@@ -6,6 +6,12 @@ compiler directives, a working library ... and a reference library"
 evaluator, exprEval cascading, VIF emission into the library, and the
 back-end compile of the generated model.
 
+Every input ends in a :class:`CompileResult`.  As in the paper, where
+a compile's errors are the synthesized ``MSGS`` attribute returned
+next to ``UNITS``, failure is data: semantic messages, and the lex,
+parse, circularity and evaluation errors the AG raises, all arrive as
+the result's ``messages`` and ``diagnostics``.
+
 Phase timing goes through the span recorder of :mod:`repro.trace`:
 every phase is a span, ``CompileResult.timings`` (the E4 bench's §2.2
 time breakdown) sums them per name, and a multi-file (or multi-worker)
@@ -15,7 +21,7 @@ carries an error code and a file/line/column span next to the legacy
 string form.
 """
 
-from ..ag.errors import AGError
+from ..ag.errors import AGError, LexError
 from ..diag import AGObserver, DiagnosticEngine
 from ..trace.recorder import SpanRecorder
 from .codegen.pymodel import compile_model
@@ -26,19 +32,8 @@ from .library import LibraryManager
 
 
 class CompileError(Exception):
-    """Compilation failed; ``messages`` lists the diagnostics.
-
-    ``diagnostics`` carries the structured
-    :class:`repro.diag.Diagnostic` records when the failure came out
-    of a compile (empty for hand-constructed instances).
-    """
-
-    def __init__(self, messages, diagnostics=None):
-        self.messages = list(messages)
-        self.diagnostics = list(diagnostics or [])
-        super().__init__(
-            "%d error(s):\n%s" % (len(self.messages),
-                                  "\n".join(self.messages[:20])))
+    """An internal error: :meth:`CompileResult.unit_names` met a unit
+    without a name.  A failed compile is a result, never this."""
 
 
 class CompileResult:
@@ -46,7 +41,7 @@ class CompileResult:
 
     def __init__(self, units, messages, source_lines, expr_evals,
                  registered_units=(), diagnostics=(), trace_events=(),
-                 ag_stats=None, filename=None):
+                 ag_stats=None, filename=None, error=None):
         self.units = list(units)
         self.messages = list(messages)
         self.source_lines = source_lines
@@ -64,6 +59,10 @@ class CompileResult:
         #: compiler's lifetime), or None.
         self.ag_stats = ag_stats
         self.filename = filename
+        #: the :class:`repro.ag.errors.AGError` that stopped the
+        #: compile before any unit was produced (a lex, parse,
+        #: circularity or evaluation error), or None.
+        self.error = error
 
     @property
     def ok(self):
@@ -88,10 +87,10 @@ class CompileResult:
         for u in self.units:
             name = getattr(u, "name", None)
             if not name:
-                raise CompileError([
+                raise CompileError(
                     "internal: compilation produced an unnamed %s "
                     "unit — VIF units must carry a name"
-                    % type(u).__name__])
+                    % type(u).__name__)
             names.append(name)
         return names
 
@@ -117,11 +116,9 @@ class Compiler:
     """
 
     def __init__(self, library=None, work="work", root=None,
-                 strict=True, tracer=None, observer=None,
-                 werror=False):
+                 tracer=None, observer=None, werror=False):
         self.library = library or LibraryManager(root=root, work=work)
         self.work = work
-        self.strict = strict
         self.tracer = tracer if tracer is not None else SpanRecorder()
         self.observer = observer if observer is not None else AGObserver()
         self.werror = werror
@@ -131,10 +128,13 @@ class Compiler:
             principal_grammar()
 
     def compile(self, text, filename="<input>"):
-        """Compile all design units in ``text``.
+        """Compile all design units in ``text``; returns a
+        :class:`CompileResult` for every input.
 
-        Raises :class:`CompileError` on diagnostics when ``strict``;
-        otherwise returns them in the result.
+        A lex, parse, circularity or evaluation error stops the
+        compile: the result then has no units, its one message and
+        diagnostic describe the error, and ``result.error`` holds the
+        exception.
         """
         tracer = self.tracer
         engine = DiagnosticEngine(file=filename, werror=self.werror)
@@ -146,9 +146,7 @@ class Compiler:
         try:
             units, messages = self._evaluate(text, filename, cc)
         except AGError as exc:
-            engine.add_exception(exc, file=filename)
-            raise CompileError(
-                [str(exc)], diagnostics=engine.diagnostics) from exc
+            return self._failed(exc, filename, events_before)
         expr_evals = cc.expr_eval.invocations - expr0
 
         # Back-end compile of the generated models (the host-compiler
@@ -168,7 +166,7 @@ class Compiler:
         engine.add_messages(messages, file=filename)
         source_lines = _count_lines(text)
         registered = self.library.compile_order[registered_before:]
-        result = CompileResult(
+        return CompileResult(
             units, messages, source_lines, expr_evals,
             registered_units=registered,
             diagnostics=engine.diagnostics,
@@ -176,10 +174,23 @@ class Compiler:
             ag_stats=self.observer,
             filename=filename,
         )
-        if messages and self.strict:
-            raise CompileError(messages,
-                               diagnostics=engine.diagnostics)
-        return result
+
+    def _failed(self, exc, filename, events_before):
+        """The result of a compile that ``exc`` stopped: no units, no
+        source lines, one message."""
+        # The result outlives the compile, and the frames on the
+        # tracebacks would keep the parse tree alive with it.
+        cause = exc
+        while cause is not None:
+            cause.__traceback__ = None
+            cause = cause.__cause__ or cause.__context__
+        engine = DiagnosticEngine(file=filename)
+        engine.add_exception(exc, file=filename)
+        return CompileResult(
+            [], [str(exc)], 0, 0,
+            diagnostics=engine.diagnostics,
+            trace_events=self.tracer.events()[events_before:],
+            ag_stats=self.observer, filename=filename, error=exc)
 
     def _evaluate(self, text, filename, cc):
         """Scan, parse and evaluate ``text``; returns the ``UNITS`` and
@@ -215,8 +226,20 @@ class Compiler:
         return list(out["UNITS"]), list(out["MSGS"])
 
     def compile_file(self, path):
-        with open(path) as f:
-            return self.compile(f.read(), filename=path)
+        """Compile the source file at ``path``.
+
+        A file that cannot be read or decoded fails like a source the
+        scanner rejects: a LEX001 diagnostic whose span names the file.
+        """
+        try:
+            with open(path) as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            error = LexError("cannot read source: %s"
+                             % (getattr(exc, "strerror", None) or exc),
+                             file=path)
+            return self._failed(error, path, len(self.tracer))
+        return self.compile(text, filename=path)
 
 
 def _count_lines(text):

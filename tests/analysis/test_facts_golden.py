@@ -22,7 +22,7 @@ import pytest
 
 from repro.analysis import extract_unit_facts
 from repro.gen.grammar import generate_for
-from repro.vhdl.compiler import CompileError, Compiler
+from repro.vhdl.compiler import Compiler
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(HERE))
@@ -90,11 +90,8 @@ def dump_facts(facts):
 
 def facts_of_source(name, text):
     """Dumped facts of every unit one source registers, in order."""
-    compiler = Compiler(strict=False)
-    try:
-        compiler.compile(text, filename=name)
-    except CompileError:
-        pass  # a parse error registers no units
+    compiler = Compiler()
+    compiler.compile(text, filename=name)
     library = compiler.library
     return [
         dump_facts(extract_unit_facts(library._units[key]))

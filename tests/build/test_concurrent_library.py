@@ -30,7 +30,7 @@ ENTITY = "entity e%d is end e%d;\n"
 def compile_entity(library, n):
     from repro.vhdl.compiler import Compiler
 
-    compiler = Compiler(library=library, work="work", strict=False)
+    compiler = Compiler(library=library, work="work")
     result = compiler.compile(ENTITY % (n, n), filename="e%d.vhd" % n)
     assert result.ok, result.messages
     return result

@@ -61,7 +61,7 @@ class TestSourceFingerprint:
 
 class TestInterfaceDigest:
     def _payload(self, source, key):
-        c = Compiler(strict=False)
+        c = Compiler()
         res = c.compile(source)
         assert res.ok, res.messages
         return c.library.payload_of("work", key)

@@ -42,7 +42,7 @@ def warm():
 
 
 def job(i):
-    result = Compiler(strict=False).compile(SOURCE, "e%d.vhd" % i)
+    result = Compiler().compile(SOURCE, "e%d.vhd" % i)
     return result.ok, result.messages
 
 

@@ -53,6 +53,18 @@ class TestDynamicObserver:
         assert obs.cache_hits > 0
         assert 0.0 < obs.hit_rate < 1.0
 
+    def test_memo_hit_when_one_attribute_feeds_two_rules(self, calc,
+                                                         lexer):
+        # The root's env feeds the env copy rules of both operands:
+        # the second read finds it computed.
+        obs = AGObserver()
+        out = calc.run(lexer.scan("a + b"),
+                       inherited={"env": {"a": 1, "b": 2}},
+                       observer=obs)
+        assert out["val"] == 3
+        assert obs.cache_hits > 0
+        assert obs.cache_misses == obs.total_firings
+
     def test_no_observer_is_default(self, calc, lexer):
         out = calc.run(lexer.scan("1 + 1"), inherited={"env": {}})
         assert out["val"] == 2

@@ -117,7 +117,7 @@ class TestSides:
         from repro.vhdl.library import LibraryManager
 
         library = LibraryManager(root=None)
-        Compiler(library=library, strict=False).compile(GOOD)
+        Compiler(library=library).compile(GOOD)
         cal = _simulate(Kernel, library, "t", 100 * NS)
         scan = _simulate(ScanKernel, library, "t", 100 * NS)
         assert cal["error"] is None
@@ -130,7 +130,7 @@ class TestSides:
         from repro.vhdl.library import LibraryManager
 
         library = LibraryManager(root=None)
-        Compiler(library=library, strict=False).compile(GOOD)
+        Compiler(library=library).compile(GOOD)
         cal = _simulate(Kernel, library, "t", 100 * NS)
         scan = dict(_simulate(ScanKernel, library, "t", 100 * NS))
         scan["cycles"] += 1
@@ -142,7 +142,7 @@ class TestSides:
         from repro.vhdl.library import LibraryManager
 
         library = LibraryManager(root=None)
-        Compiler(library=library, strict=False).compile(GOOD)
+        Compiler(library=library).compile(GOOD)
         cal = _simulate(Kernel, library, "t", 100 * NS)
         assert "sim_cycles_total" in cal["metrics"]
         assert "sim_signal_events_total" in cal["metrics"]

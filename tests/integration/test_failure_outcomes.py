@@ -1,0 +1,115 @@
+"""One failure shape for every front end.
+
+A parse error and a semantic error are reported the same way by the
+CLI, the serve routes, the fuzz oracle and the build worker, each with
+a structured diagnostic.  A source file that cannot be read or decoded
+ends in a diagnostic and a nonzero exit code, never a traceback.
+"""
+
+import asyncio
+import json
+
+import pytest
+
+from repro.build.scheduler import compile_file_task
+from repro.cli import main
+from repro.gen.oracle import check_source
+from repro.serve.app import ServeApp
+from repro.serve.http import Request
+
+#: kind -> (source, the code of its structured diagnostic)
+FAILURES = {
+    "parse": ("entity x is end;\n"
+              "architecture a of x is begin foo bar; end;\n",
+              "PARSE001"),
+    "semantic": ("entity x is end;\n"
+                 "architecture a of x is signal s : bit;\n"
+                 "begin s <= q; end;\n",
+                 "SEM001"),
+}
+
+#: The exit code each command gives a source that does not compile.
+CLI_EXIT = {"compile": 1, "lint": 2, "analyze": 2, "sim": 1}
+
+
+def run_cli(argv):
+    lines = []
+    rc = main(argv, out=lambda text="": lines.append(str(text)))
+    return rc, lines
+
+
+@pytest.fixture(params=sorted(FAILURES))
+def failing(request, tmp_path):
+    source, code = FAILURES[request.param]
+    path = tmp_path / "x.vhd"
+    path.write_text(source)
+    return str(path), source, code
+
+
+@pytest.mark.parametrize("command", sorted(CLI_EXIT))
+def test_cli_exit_code_and_error_line(failing, command):
+    path, _source, _code = failing
+    rc, lines = run_cli([command, path])
+    assert rc == CLI_EXIT[command]
+    assert "%s: 1 error(s)" % path in lines
+
+
+@pytest.mark.parametrize("route", ["/lint", "/analyze"])
+def test_serve_ok_and_error_fields(failing, route, tmp_path):
+    _path, source, _code = failing
+    app = ServeApp(state_dir=str(tmp_path / "state"), workers=1)
+    body = {"files": [{"name": "x.vhd", "text": source}]}
+    request = Request("POST", route, {}, {}, json.dumps(body).encode())
+    try:
+        data = json.loads(asyncio.run(app.handle(request)).body)
+    finally:
+        asyncio.run(app.shutdown())
+    assert data["ok"] is False
+    assert data["error"] == "x.vhd: 1 compile error(s)"
+
+
+def test_oracle_rejects_with_a_diagnostic(failing):
+    _path, source, code = failing
+    result = check_source(source, "x")
+    assert result.outcome == "rejected"
+    assert [d.code for d in result.diagnostics] == [code]
+
+
+def test_build_worker_fails_with_a_diagnostic(failing, tmp_path):
+    path, _source, code = failing
+    result = compile_file_task(str(tmp_path / "lib"), "work", (), path)
+    assert result["ok"] is False
+    assert result["units"] == []
+    assert [d["code"] for d in result["diagnostics"]] == [code]
+
+
+# -- unreadable and undecodable sources ---------------------------------
+
+#: The exit code each command gives a source it cannot read.
+BAD_INPUT_EXIT = dict(CLI_EXIT, build=2)
+
+
+@pytest.fixture(params=["missing", "undecodable"])
+def bad_input(request, tmp_path):
+    path = tmp_path / "bad.vhd"
+    if request.param == "undecodable":
+        path.write_bytes(b"\xff\xfe entity")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(BAD_INPUT_EXIT))
+def test_cli_bad_input_is_a_diagnostic(bad_input, command, tmp_path):
+    rc, lines = run_cli(["--root", str(tmp_path / "lib"), command,
+                         bad_input])
+    assert rc == BAD_INPUT_EXIT[command]
+    assert any(bad_input in line for line in lines)
+
+
+def test_unreadable_file_is_a_lex_diagnostic(bad_input, tmp_path):
+    result = compile_file_task(str(tmp_path / "lib"), "work", (),
+                               bad_input)
+    assert result["ok"] is False
+    (diag,) = result["diagnostics"]
+    assert diag["code"] == "LEX001"
+    assert diag["severity"] == "error"
+    assert diag["span"]["file"] == bad_input

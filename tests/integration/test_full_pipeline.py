@@ -71,7 +71,7 @@ DESIGN = """
 
 @pytest.fixture(scope="module")
 def compiled():
-    compiler = Compiler(strict=False)
+    compiler = Compiler()
     result = compiler.compile(DESIGN)
     assert result.ok, result.messages
     return compiler, result
@@ -165,7 +165,7 @@ class TestRecompilationIsolation:
     def test_recompile_does_not_mutate_old_nodes(self):
         """VIF immutability: recompiling a unit builds fresh nodes;
         units compiled against the old one keep their pointers."""
-        compiler = Compiler(strict=False)
+        compiler = Compiler()
         compiler.compile("""
             package p is
               constant k : integer := 1;
@@ -193,7 +193,7 @@ class TestRecompilationIsolation:
 
 class TestErrorRecovery:
     def test_errors_in_one_unit_do_not_corrupt_library(self):
-        compiler = Compiler(strict=False)
+        compiler = Compiler()
         ok = compiler.compile("entity good is end good;")
         assert ok.ok
         bad = compiler.compile("""
@@ -213,7 +213,7 @@ class TestErrorRecovery:
         assert again.ok, again.messages
 
     def test_many_errors_all_collected(self):
-        compiler = Compiler(strict=False)
+        compiler = Compiler()
         result = compiler.compile("""
             entity e is end e;
             architecture a of e is

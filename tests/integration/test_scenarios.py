@@ -9,7 +9,7 @@ NS = 10**6
 
 
 def simulate(source, top, until_ns):
-    compiler = Compiler(strict=False)
+    compiler = Compiler()
     result = compiler.compile(source)
     assert result.ok, result.messages
     sim = Elaborator(compiler.library).elaborate(top)
@@ -55,7 +55,7 @@ class TestShiftRegisterSerializer:
     def test_line_history(self):
         from repro.sim.tracing import WaveformRecorder
 
-        compiler = Compiler(strict=False)
+        compiler = Compiler()
         compiler.compile(self.SOURCE)
         sim = Elaborator(compiler.library).elaborate("serializer")
         line = sim.signal("line_out")

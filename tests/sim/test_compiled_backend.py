@@ -35,7 +35,7 @@ CORPUS_DIR = os.path.join(
 
 def compile_lib(source, filename="<test>"):
     library = LibraryManager(root=None)
-    result = Compiler(library=library, strict=False).compile(
+    result = Compiler(library=library).compile(
         source, filename=filename)
     assert result.ok, result.messages
     return library

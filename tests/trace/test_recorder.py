@@ -46,7 +46,7 @@ class TestNullRecorder:
         assert not NULL_RECORDER.enabled
 
     def test_kernel_default_is_untraced(self):
-        compiler = Compiler(strict=False)
+        compiler = Compiler()
         assert compiler.compile(TICKER).ok
 
         def run(trace):

@@ -9,7 +9,7 @@ US = 10**9
 
 def compile_ok(source, library=None):
     """Compile and require zero diagnostics."""
-    c = Compiler(library=library, strict=False)
+    c = Compiler(library=library)
     result = c.compile(source)
     assert result.messages == [], "\n".join(result.messages)
     return c, result
@@ -17,7 +17,7 @@ def compile_ok(source, library=None):
 
 def compile_messages(source, library=None):
     """Compile and return the diagnostics list."""
-    c = Compiler(library=library, strict=False)
+    c = Compiler(library=library)
     result = c.compile(source)
     return c, result.messages
 

@@ -47,16 +47,17 @@ class TestUnits:
         body = c.library.find_package_body("work", "util")
         assert body is not None
 
-    def test_strict_mode_raises(self):
-        c = Compiler(strict=True)
-        with pytest.raises(CompileError):
-            c.compile("""
-                entity e is end e;
-                architecture a of e is
-                  signal s : no_such_type;
-                begin
-                end a;
-            """)
+    def test_semantic_error_is_a_result(self):
+        res = Compiler().compile("""
+            entity e is end e;
+            architecture a of e is
+              signal s : no_such_type;
+            begin
+            end a;
+        """)
+        assert not res.ok and res.error is None
+        assert res.diagnostics
+        assert {d.code for d in res.diagnostics} == {"SEM001"}
 
     def test_missing_entity_reported(self):
         _c, msgs = compile_messages("""
@@ -67,7 +68,7 @@ class TestUnits:
         assert any("ghost" in m for m in msgs)
 
     def test_source_line_count_convention(self):
-        c = Compiler(strict=False)
+        c = Compiler()
         res = c.compile("""
             -- comment only
 
@@ -313,7 +314,7 @@ class TestCompileResultUnitNames:
     """Regression: unnamed units used to map to a silent "?"."""
 
     def test_named_units(self):
-        c = Compiler(strict=False)
+        c = Compiler()
         res = c.compile("entity e is end e;")
         assert res.unit_names() == ["e"]
 

@@ -17,10 +17,11 @@ from collections import OrderedDict
 
 import pytest
 
+from repro.ag.errors import EvaluationError
 from repro.ag.lr.parser import ParseTree
 from repro.sim import CompiledKernel, codegen, compiled
 from repro.vhdl import compiler as compiler_mod
-from repro.vhdl.compiler import CompileError, Compiler
+from repro.vhdl.compiler import Compiler
 from repro.vhdl.elaborate import Elaborator
 from repro.vhdl.grammar import _merge_decl
 from repro.vhdl.semantics_decl import DeclResult, flatten, ln
@@ -84,14 +85,12 @@ def test_no_parse_tree_alive_at_model_compile(monkeypatch, no_collector,
 
     monkeypatch.setattr(compiler_mod, "compile_model", counting)
     baseline = _live(ParseTree)
-    compiler = Compiler(strict=False)
+    compiler = Compiler()
     if after_error:
-        try:
-            compiler.compile(EVAL_ERROR)
-        except CompileError:
-            pass
-        else:
-            pytest.fail("expected an evaluation error")
+        # The failed result stays alive across the next compile, as
+        # in a multi-file CLI run.
+        failed = compiler.compile(EVAL_ERROR)
+        assert isinstance(failed.error, EvaluationError)
         assert _live(ParseTree) == baseline
     result = compiler.compile(RING)
     assert result.ok
@@ -100,7 +99,7 @@ def test_no_parse_tree_alive_at_model_compile(monkeypatch, no_collector,
 
 def test_no_function_def_alive_at_program_compile(monkeypatch,
                                                   no_collector):
-    compiler = Compiler(strict=False)
+    compiler = Compiler()
     compiler.compile(RING)
     kernel = CompiledKernel()
     sim = Elaborator(compiler.library, kernel=kernel).elaborate("ring")

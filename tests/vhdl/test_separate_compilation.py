@@ -27,7 +27,7 @@ PKG = """
 
 class TestUseClauses:
     def test_use_all(self):
-        c = Compiler(strict=False)
+        c = Compiler()
         assert c.compile(PKG).ok
         res = c.compile("""
             use work.util.all;
@@ -43,7 +43,7 @@ class TestUseClauses:
     def test_use_individual_name(self):
         """§3.4: 'names declared within a compilation unit may be
         imported individually'."""
-        c = Compiler(strict=False)
+        c = Compiler()
         c.compile(PKG)
         res = c.compile("""
             use work.util.width;
@@ -56,7 +56,7 @@ class TestUseClauses:
         assert res.ok, res.messages
 
     def test_unimported_name_invisible(self):
-        c = Compiler(strict=False)
+        c = Compiler()
         c.compile(PKG)
         res = c.compile("""
             use work.util.width;
@@ -69,7 +69,7 @@ class TestUseClauses:
         assert any("state" in m for m in res.messages)
 
     def test_selected_name_without_use_all(self):
-        c = Compiler(strict=False)
+        c = Compiler()
         c.compile(PKG)
         res = c.compile("""
             entity e is end e;
@@ -84,7 +84,7 @@ class TestUseClauses:
         """§3.4's punchline: two .ALL imports with a homograph hide it;
         importing the referenced identifier one by one avoids the
         conflict."""
-        c = Compiler(strict=False)
+        c = Compiler()
         c.compile("""
             package p1 is
               constant k : integer := 1;
@@ -114,7 +114,7 @@ class TestUseClauses:
         assert resolved.ok, resolved.messages
 
     def test_missing_library_clause_diagnosed(self):
-        c = Compiler(strict=False)
+        c = Compiler()
         res = c.compile("""
             use mylib.p.all;
             entity e is end e;
@@ -125,7 +125,7 @@ class TestUseClauses:
         assert any("library" in m for m in res.messages)
 
     def test_package_constant_used_through_function(self):
-        c = Compiler(strict=False)
+        c = Compiler()
         c.compile(PKG)
         res = c.compile("""
             use work.util.all;
@@ -155,14 +155,14 @@ class TestLibraryManager:
             lib.register_unit("vendor", PackageUnit(name="p"))
 
     def test_compile_order_tracked(self):
-        c = Compiler(strict=False)
+        c = Compiler()
         c.compile("entity a is end a;")
         c.compile("entity b is end b;")
         keys = [k for l, k in c.library.compile_order if l == "work"]
         assert keys == ["a", "b"]
 
     def test_foreign_read_shares_nodes(self):
-        c = Compiler(strict=False)
+        c = Compiler()
         c.compile(PKG)
         unit = c.library.read_foreign("work", "util")
         assert unit.name == "util"
@@ -243,7 +243,7 @@ class TestConfiguration:
     def test_default_binding_latest_architecture(self):
         """§3.3: 'the default ... is the latest compiled architecture
         for that entity' — usage-history dependent."""
-        c = Compiler(strict=False)
+        c = Compiler()
         c.compile(LEAF)
         c.compile(TOP)
         sim = Elaborator(c.library).elaborate("top")
@@ -253,7 +253,7 @@ class TestConfiguration:
     def test_default_binding_changes_with_recompile(self):
         """The non-determinism the paper warns about: recompiling an
         architecture changes what the same description elaborates to."""
-        c = Compiler(strict=False)
+        c = Compiler()
         c.compile(LEAF)
         c.compile(TOP)
         # Recompile 'plus': it becomes the latest.
@@ -268,7 +268,7 @@ class TestConfiguration:
         assert sim.value("b") == 11
 
     def test_configuration_specification_in_architecture(self):
-        c = Compiler(strict=False)
+        c = Compiler()
         c.compile(LEAF)
         c.compile("""
             entity top2 is end top2;
@@ -289,7 +289,7 @@ class TestConfiguration:
         assert sim.value("b") == 11  # bound to plus despite minus later
 
     def test_configuration_unit(self):
-        c = Compiler(strict=False)
+        c = Compiler()
         c.compile(LEAF)
         c.compile(TOP)
         c.compile("""
@@ -305,7 +305,7 @@ class TestConfiguration:
         assert sim.value("b") == 11
 
     def test_generic_map_in_instance(self):
-        c = Compiler(strict=False)
+        c = Compiler()
         c.compile(LEAF)
         c.compile("""
             entity top3 is end top3;
@@ -329,7 +329,7 @@ class TestConfiguration:
     def test_unbound_component_reported_at_elaboration(self):
         from repro.vhdl.elaborate import ElaborationError
 
-        c = Compiler(strict=False)
+        c = Compiler()
         c.compile("""
             entity top4 is end top4;
             architecture bench of top4 is
@@ -348,7 +348,7 @@ class TestConfiguration:
 class TestPackageSignals:
     def test_global_signal_in_package(self):
         """VHDL packages may contain global signals (§3.3)."""
-        c = Compiler(strict=False)
+        c = Compiler()
         res = c.compile("""
             package globals is
               signal heartbeat : integer := 7;
