@@ -40,16 +40,7 @@ import json
 import os
 import sys
 
-from .sim import BACKENDS, TIME_UNITS
-
-
-def _parse_time(text):
-    """'200ns' / '1 us' / '5000' (fs) -> femtoseconds."""
-    text = text.strip().lower().replace(" ", "")
-    for unit, scale in sorted(TIME_UNITS, key=lambda u: -len(u[0])):
-        if text.endswith(unit):
-            return int(float(text[: -len(unit)]) * scale)
-    return int(text)
+from .sim import BACKENDS, TRACE_SAMPLE, parse_time
 
 
 def _make_parser():
@@ -193,7 +184,7 @@ def _make_parser():
     p.add_argument("top", help="entity or configuration name, or a "
                                ".vhd file to compile first")
     p.add_argument("--arch", default=None)
-    p.add_argument("--until", default="1us",
+    p.add_argument("--until", default="1us", type=parse_time,
                    help="simulation time, e.g. 200ns")
     p.add_argument("--trace", action="append", default=[],
                    help="signal suffix to trace (repeatable)")
@@ -646,14 +637,13 @@ def cmd_analyze(args, out):
     from .analysis import (
         LintEngine,
         apply_baseline,
-        build_netlist,
         levels_artifact,
         load_baseline,
         write_baseline,
     )
     from .diag import DiagnosticEngine, render
     from .vhdl.compiler import Compiler
-    from .vhdl.elaborate import ElaborationError, Elaborator
+    from .vhdl.elaborate import Elaborator
     from .vhdl.library import LibraryManager
     from .vhdl.symtab import entry_kind
 
@@ -748,17 +738,16 @@ def cmd_analyze(args, out):
     designs_analyzed = 0
     for label, library, top, arch, expect, sources in jobs:
         engine.context.library = library
-        try:
-            elab = Elaborator(library)
-            sim = elab.elaborate(top, arch_name=arch)
-        except ElaborationError as exc:
+        sim = Elaborator(library).elaborate(top, arch_name=arch)
+        if not sim.ok:
             if expect != "ok":
                 say("%s: does not elaborate (expected; skipped): %s"
-                    % (label, exc))
+                    % (label, sim.error))
                 continue
-            say("analyze: %s: elaboration failed: %s" % (label, exc))
+            say("analyze: %s: elaboration failed: %s"
+                % (label, sim.error))
             return 2
-        graph = build_netlist(sim.records)
+        graph = sim.netlist()
         findings = engine.lint_design(graph)
         designs_analyzed += 1
         all_sources.update(sources)
@@ -843,8 +832,9 @@ def cmd_list(args, out):
 def cmd_simulate(args, out):
     from functools import partial
 
+    from .diag import render
     from .sim import backend_kernel
-    from .sim.tracing import WaveformRecorder, format_fs
+    from .sim.tracing import WaveformRecorder
     from .trace import NULL_RECORDER, SpanRecorder
     from .vhdl.elaborate import Elaborator
 
@@ -853,12 +843,12 @@ def cmd_simulate(args, out):
         else NULL_RECORDER
     _span = partial(spans.span, cat="cli")
 
-    # Sampled kernel spans (every 100th timestep / resume) keep the
-    # trace readable on long runs while still exposing the §2.2-style
-    # where-did-the-time-go breakdown down to delta cycles.
+    # Sampled kernel spans keep the trace readable on long runs while
+    # still exposing the §2.2-style where-did-the-time-go breakdown
+    # down to delta cycles.
     backend = args.backend
     kernel = backend_kernel(backend)(metrics=registry, trace=spans,
-                                     trace_sample=100)
+                                     trace_sample=TRACE_SAMPLE)
     top = args.top
     compiler = None
     if top.endswith((".vhd", ".vhdl")) or os.path.isfile(top):
@@ -885,25 +875,26 @@ def cmd_simulate(args, out):
         library = _library(args)
     with _span("sim", top=str(top)):
         with _span("elaborate"):
-            elab = Elaborator(library, kernel=kernel)
-            sim = elab.elaborate(top, arch_name=args.arch)
-        graph = None
+            sim = Elaborator(library, kernel=kernel).elaborate(
+                top, arch_name=args.arch)
+        if not sim.ok:
+            out(render(sim.diagnostics, args.diag_format))
+            return 1
         if args.analyze:
             # Pre-flight: the whole-design analyzer sees the same
             # elaborated hierarchy the kernel is about to run; an
             # error-severity finding (combinational loop, unresolved
             # drive race) would hang or abort the simulation anyway,
             # so fail fast with the structured diagnostic instead.
-            from .analysis import LintEngine, build_netlist
-            from .diag import render as render_findings
+            # The compiled backend reuses its netlist.
+            from .analysis import LintEngine
 
             with _span("analyze"):
-                graph = build_netlist(sim.records)
                 findings = LintEngine(
                     library=library, work=args.work,
-                    metrics=registry).lint_design(graph)
+                    metrics=registry).lint_design(sim.netlist())
             if findings:
-                out(render_findings(findings, args.diag_format))
+                out(render(findings, args.diag_format))
             blocking = [d for d in findings
                         if d.severity in ("error", "fatal")]
             if blocking:
@@ -911,17 +902,6 @@ def cmd_simulate(args, out):
                     "finding(s); not starting the kernel"
                     % len(blocking))
                 return 1
-        if backend == "compiled":
-            # Specialize before the first cycle; the --analyze
-            # pre-flight's DesignGraph (if any) is threaded through so
-            # the netlist is extracted exactly once.
-            with _span("codegen"):
-                kernel.compile_design(sim.records, graph=graph)
-            out("codegen: %d/%d process(es) compiled, %d slot "
-                "signal(s), %.1f ms"
-                % (kernel.compiled_procs, len(kernel.processes),
-                   kernel.slot_signals,
-                   kernel.codegen_seconds * 1e3))
         tracer = None
         if args.trace or args.vcd:
             signals = []
@@ -930,13 +910,17 @@ def cmd_simulate(args, out):
                     if sim.names.kind_of(path) == "signal":
                         signals.append(sim.names.lookup(path))
             tracer = WaveformRecorder(sim.kernel, signals or None)
-        until = _parse_time(args.until)
         with _span("kernel_run"):
-            end = sim.run(until_fs=until)
-    out("simulation stopped at %s (%d cycles)"
-        % (format_fs(end), sim.kernel.cycles))
-    for path, sig in sim.names.signals():
-        out("  %-30s = %s" % (path, sig.image(sig.value)))
+            sim.run(until_fs=args.until)
+    if backend == "compiled":
+        out("codegen: %d/%d process(es) compiled, %d slot "
+            "signal(s), %.1f ms"
+            % (kernel.compiled_procs, len(kernel.processes),
+               kernel.slot_signals, kernel.codegen_seconds * 1e3))
+    if not sim.ok:
+        out(render(sim.diagnostics, args.diag_format))
+    for line in sim.report_lines():
+        out(line)
     if tracer is not None and args.vcd:
         with open(args.vcd, "w") as f:
             f.write(tracer.vcd())
@@ -964,7 +948,7 @@ def cmd_simulate(args, out):
         # sampled kernel timeline.
         spans.add_events(compiler.tracer.events())
     _emit_profile(spans.events(), args, out, "sim profile")
-    return 0
+    return 0 if sim.ok else 1
 
 
 def cmd_stats(args, out):

@@ -40,6 +40,10 @@ CODE_EVAL = "EVAL001"        # a semantic rule raised
 CODE_INTERNAL = "INT001"     # internal compiler error
 CODE_BUILD = "BUILD001"      # build-driver level problem
 CODE_LIB = "LIB001"          # corrupt library artifact quarantined
+CODE_ELAB = "ELAB001"        # the design did not elaborate
+CODE_SIM_KERNEL = "SIM001"   # a kernel limit or bad yield stopped a run
+CODE_SIM_ASSERT = "SIM002"   # a VHDL assertion of severity failure
+CODE_SIM_RUNTIME = "SIM003"  # a runtime check failed during a run
 
 #: Human-readable one-liners for the SARIF rule table.
 CODE_DESCRIPTIONS = {
@@ -51,7 +55,21 @@ CODE_DESCRIPTIONS = {
     CODE_INTERNAL: "internal compiler error",
     CODE_BUILD: "incremental build driver error",
     CODE_LIB: "corrupt design-library artifact moved to quarantine",
+    CODE_ELAB: "the design did not elaborate",
+    CODE_SIM_KERNEL: "a kernel limit or a bad process yield stopped a run",
+    CODE_SIM_ASSERT: "an assertion of severity failure stopped a run",
+    CODE_SIM_RUNTIME: "a runtime check (index, range, ...) failed a run",
 }
+
+
+def drop_tracebacks(exc):
+    """Clear the tracebacks along ``exc``'s cause chain, so a result
+    that keeps the exception pins none of the frames it unwound."""
+    cause = exc
+    while cause is not None:
+        cause.__traceback__ = None
+        cause = cause.__cause__ or cause.__context__
+    return exc
 
 
 class Diagnostic:

@@ -21,8 +21,8 @@ Outcomes (:data:`OUTCOMES`):
     :class:`~repro.diag.Diagnostic` records — the expected fate of
     deliberately-invalid injections.
 ``sim_error``
-    both kernels raised the *same* runtime error (same type, same
-    message) — a legitimate dynamic-semantics rejection.
+    every kernel's simulation failed with the *same* error (same
+    type, same message) — a legitimate dynamic-semantics rejection.
 ``divergence``
     the kernels disagree — the bug class this harness exists to find.
 ``crash``
@@ -39,12 +39,10 @@ import traceback
 from ..metrics import MetricsRegistry
 from ..metrics.bridge import bridge_kernel
 from ..sim.compiled import CompiledKernel
-from ..sim.kernel import Kernel, ScanKernel, SimulationError
-from ..sim.runtime import RuntimeError_
+from ..sim.kernel import Kernel, ScanKernel
 from ..sim.tracing import WaveformRecorder
-from ..sim.vhdlio import AssertionFailure
 from ..vhdl.compiler import Compiler
-from ..vhdl.elaborate import ElaborationError, Elaborator
+from ..vhdl.elaborate import Elaborator
 from ..vhdl.library import LibraryManager
 
 OUTCOMES = ("ok", "rejected", "sim_error", "divergence", "crash")
@@ -55,11 +53,6 @@ NS = 1_000_000
 
 #: Hard cap so a pathological design cannot wedge a sweep.
 MAX_CYCLES = 200_000
-
-#: Runtime errors that count as a legitimate (deterministic) dynamic
-#: rejection when both kernels raise them identically.
-_SIM_ERRORS = (SimulationError, ElaborationError, AssertionFailure,
-               RuntimeError_)
 
 #: ``sim_*`` metric families both kernels must report identically
 #: (the same list the hand-written differential suite pins).
@@ -164,8 +157,7 @@ def check_source(source, top, until_ns=1000, filename="<gen>",
              _simulate(ScanKernel, library, top, until_fs))]
     if compiled:
         legs.append(("CompiledKernel",
-                     _simulate(CompiledKernel, library, top, until_fs,
-                               compile_design=True)))
+                     _simulate(CompiledKernel, library, top, until_fs)))
 
     for _name, side in legs:
         if side.get("crash"):
@@ -211,18 +203,13 @@ def _analyze(library, top):
     rejects yields no findings — the differential legs classify that
     fate themselves.
     """
-    from ..analysis import LintEngine, build_netlist
+    from ..analysis import LintEngine
 
     try:
         sim = Elaborator(library, kernel=Kernel()).elaborate(top)
-    except _SIM_ERRORS:
-        return []
-    except Exception:
-        return CheckResult("crash", detail="analyze elaborate "
-                           "raised:\n%s" % traceback.format_exc())
-    try:
-        graph = build_netlist(sim.records)
-        return LintEngine(library=library).lint_design(graph)
+        if not sim.ok:
+            return []
+        return LintEngine(library=library).lint_design(sim.netlist())
     except Exception:
         return CheckResult("crash", detail="analyze raised:\n%s"
                            % traceback.format_exc())
@@ -232,29 +219,24 @@ def _first_line(messages):
     return messages[0].splitlines()[0] if messages else ""
 
 
-def _simulate(kernel_cls, library, top, until_fs,
-              compile_design=False):
+def _simulate(kernel_cls, library, top, until_fs):
     """One side of the differential run; returns an observation dict.
 
-    ``crash`` — raw traceback (harness failure).  ``error`` — a
-    recognized dynamic error as ``(type_name, message)``.  Otherwise
-    the full observable state.  With ``compile_design`` the kernel is
-    specialized from the elaborated records before the first cycle
-    (the compiled backend's extra step).
+    ``crash`` — raw traceback (harness failure).  ``error`` — the
+    failed simulation's exception as ``(type_name, message)``.
+    Otherwise the full observable state.
     """
     registry = MetricsRegistry()
     kernel = kernel_cls(metrics=registry)
     try:
         sim = Elaborator(library, kernel=kernel).elaborate(top)
-        if compile_design:
-            kernel.compile_design(sim.records)
         tracer = WaveformRecorder(kernel)
         sim.run(until_fs=until_fs, max_cycles=MAX_CYCLES)
-    except _SIM_ERRORS as exc:
-        return {"error": (type(exc).__name__, str(exc))}
     except Exception:
         return {"crash": "%s simulate raised:\n%s"
                 % (kernel_cls.__name__, traceback.format_exc())}
+    if not sim.ok:
+        return {"error": (type(sim.error).__name__, str(sim.error))}
     bridge_kernel(registry, kernel)
     snapshot = registry.snapshot()["metrics"]
     return {

@@ -51,7 +51,7 @@ import time
 from ..diag import Diagnostic, render_jsonl
 from ..metrics import MetricsRegistry
 from ..metrics.registry import SECONDS_BUCKETS
-from ..sim import BACKENDS
+from ..sim import BACKENDS, parse_time
 from ..trace import SpanContext, SpanRecorder, make_span, use
 from .http import (
     HTTPError,
@@ -299,10 +299,8 @@ class ServeApp:
                             "name) is required")
         until = body.get("until", "1us")
         try:
-            from ..cli import _parse_time
-
-            until_fs = _parse_time(str(until))
-        except (ValueError, IndexError):
+            until_fs = parse_time(str(until))
+        except ValueError:
             raise HTTPError(400, "bad 'until' value %r" % (until,))
         backend = body.get("backend", "event")
         if not isinstance(backend, str) or backend not in BACKENDS:

@@ -31,11 +31,6 @@ from ..trace.recorder import NULL_RECORDER
 #: How long a compile job waits for batch-mates before running.
 BATCH_WINDOW_S = 0.01
 
-#: Sampling stride for kernel spans in traced ``/sim`` jobs: record
-#: every Nth timestep / process resume, so a million-cycle run adds
-#: bounded span volume to the ring.
-SIM_TRACE_SAMPLE = 100
-
 
 class JobError(Exception):
     """A job could not be accepted (not: a job that ran and failed).
@@ -48,17 +43,6 @@ class JobError(Exception):
     def __init__(self, message, diagnostics=()):
         super().__init__(message)
         self.diagnostics = list(diagnostics)
-
-
-def _sim_lines(kernel, names, end_fs):
-    """The exact report lines the ``repro simulate`` CLI prints."""
-    from ..sim.tracing import format_fs
-
-    lines = ["simulation stopped at %s (%d cycles)"
-             % (format_fs(end_fs), kernel.cycles)]
-    for path, sig in names.signals():
-        lines.append("  %-30s = %s" % (path, sig.image(sig.value)))
-    return lines
 
 
 class _CompileJob:
@@ -82,12 +66,10 @@ class JobRunner:
     """Executes jobs on a worker pool with per-session batching."""
 
     def __init__(self, workers=2, metrics=NULL_REGISTRY,
-                 batch_window=BATCH_WINDOW_S, trace=NULL_RECORDER,
-                 sim_trace_sample=SIM_TRACE_SAMPLE):
+                 batch_window=BATCH_WINDOW_S, trace=NULL_RECORDER):
         self.workers = max(1, int(workers or 1))
         self.batch_window = batch_window
         self.trace = trace  # a bounded repro.trace.SpanRecorder
-        self.sim_trace_sample = sim_trace_sample
         self.executor = ThreadPoolExecutor(
             max_workers=max(2, self.workers),
             thread_name_prefix="repro-serve")
@@ -102,7 +84,7 @@ class JobRunner:
             "source files per merged compile batch")
         self._m_queue_s = metrics.histogram(
             "serve_job_queue_seconds",
-            "time a job waited before running",
+            "time a compile job waited for its batch to run",
             buckets=_seconds_buckets())
         self._seq = 0
         self._pending = {}   # session id -> [_CompileJob]
@@ -298,7 +280,35 @@ class JobRunner:
             },
         }
 
-    # -- simulate ----------------------------------------------------------
+    # -- read-only jobs ----------------------------------------------------
+
+    async def _job(self, kind, workspace, fn, *args, **span_args):
+        """Run ``fn(*args)`` on the executor as one job of ``kind``
+        and return its result dict, stamped with the job's id, kind,
+        session and timing.  The job counts once in
+        ``serve_jobs_total`` and records one span named ``kind``,
+        which the spans ``fn`` records nest under."""
+        loop = asyncio.get_running_loop()
+        job_id = self.next_id()
+        ctx = current_context()
+        self._job_started()
+        submitted = time.perf_counter()
+
+        def run():
+            # Executor threads do not inherit the caller's contextvars.
+            with use(ctx), self.trace.span(kind, cat="serve",
+                                           job=job_id, **span_args):
+                return fn(*args)
+
+        try:
+            result = await loop.run_in_executor(self.executor, run)
+        finally:
+            self._m_jobs.labels(kind=kind).inc()
+            self._job_finished()
+        result.update(id=job_id, kind=kind, session=workspace.id,
+                      timing={"run_s": round(
+                          time.perf_counter() - submitted, 6)})
+        return result
 
     async def simulate(self, workspace, top, arch=None, until_fs=None,
                        lib=None, backend="event"):
@@ -306,74 +316,40 @@ class JobRunner:
         library; concurrent with other readers and with writers.
         ``backend`` selects the kernel: ``event`` (default) or
         ``compiled`` (per-design specialized code)."""
-        loop = asyncio.get_running_loop()
-        job_id = self.next_id()
-        ctx = current_context()
-        self._job_started()
-        submitted = time.perf_counter()
-        try:
-            result = await loop.run_in_executor(
-                self.executor, self._run_sim, workspace, top, arch,
-                until_fs, lib, ctx, backend)
-        finally:
-            self._m_jobs.labels(kind="sim").inc()
-            self._job_finished()
-        self._m_queue_s.observe(0.0)
-        result["id"] = job_id
-        result["kind"] = "sim"
-        result["session"] = workspace.id
-        result["timing"] = {
-            "run_s": round(time.perf_counter() - submitted, 6),
-        }
-        return result
+        return await self._job("sim", workspace, self._run_sim,
+                               workspace, top, arch, until_fs, lib,
+                               backend, top=top)
 
-    def _run_sim(self, workspace, top, arch, until_fs, lib, ctx=None,
-                 backend="event"):
-        from ..sim import SimulationError, backend_kernel
-        from ..vhdl.elaborate import ElaborationError, Elaborator
+    def _run_sim(self, workspace, top, arch, until_fs, lib, backend):
+        from ..sim import TRACE_SAMPLE, backend_kernel
+        from ..vhdl.elaborate import Elaborator
 
         snapshot = workspace.snapshot()
         # A traced kernel samples timestep / process-resume spans; the
         # ambient context during ``run()`` (the kernel_run phase) is
         # what they parent into.
-        kernel = backend_kernel(backend)(
-            trace=self.trace, trace_sample=self.sim_trace_sample)
+        kernel = backend_kernel(backend)(trace=self.trace,
+                                         trace_sample=TRACE_SAMPLE)
         span = self.trace.span
-        try:
-            with use(ctx), span("sim", cat="serve", top=top):
-                with span("elaborate", cat="serve"):
-                    elab = Elaborator(snapshot, kernel=kernel)
-                    sim = elab.elaborate(top, arch_name=arch, lib=lib)
-                if backend == "compiled":
-                    with span("codegen", cat="serve"):
-                        kernel.compile_design(sim.records)
-                with span("kernel_run", cat="serve"):
-                    end = sim.run(until_fs=until_fs)
-        except (ElaborationError, SimulationError) as exc:
-            return {
-                "ok": False,
-                "error": "%s: %s" % (type(exc).__name__, exc),
-                "library_version": snapshot.version,
-                "diagnostics_jsonl": render_jsonl(
-                    snapshot.quarantine_diagnostics()),
-            }
-        lines = _sim_lines(kernel, sim.names, end)
-        result = {
-            "ok": True,
-            "top": top,
-            "backend": backend,
-            "end_fs": end,
-            "cycles": kernel.cycles,
-            "delta_cycles": kernel.delta_cycles,
-            "signals": [
+        with span("elaborate", cat="serve"):
+            sim = Elaborator(snapshot, kernel=kernel).elaborate(
+                top, arch_name=arch, lib=lib)
+        result = {"library_version": snapshot.version}
+        if sim.ok:
+            # A run that fails still answers with the state at its stop.
+            with span("kernel_run", cat="serve"):
+                end = sim.run(until_fs=until_fs)
+            result.update(end_fs=end, cycles=kernel.cycles, signals=[
                 [path, sig.image(sig.value)]
-                for path, sig in sim.names.signals()
-            ],
-            "report_lines": lines,
-            "library_version": snapshot.version,
-            "diagnostics_jsonl": render_jsonl(
-                snapshot.quarantine_diagnostics()),
-        }
+                for path, sig in sim.names.signals()])
+        result.update(ok=sim.ok, diagnostics_jsonl=render_jsonl(
+            snapshot.quarantine_diagnostics() + sim.diagnostics))
+        if not sim.ok:
+            result["error"] = _error_text(sim)
+            return result
+        result.update(top=top, backend=backend,
+                      delta_cycles=kernel.delta_cycles,
+                      report_lines=sim.report_lines())
         if backend == "compiled":
             result["codegen"] = {
                 "seconds": round(kernel.codegen_seconds, 6),
@@ -382,68 +358,27 @@ class JobRunner:
             }
         return result
 
-    # -- lint --------------------------------------------------------------
-
     async def lint(self, workspace, files=None, select=(), ignore=()):
         """Compile ``files`` in memory and lint (no library writes),
         or lint the session library when no files are given."""
-        loop = asyncio.get_running_loop()
-        job_id = self.next_id()
-        ctx = current_context()
-        self._job_started()
-        submitted = time.perf_counter()
-        submitted_ts = time.time() * 1e6
-        try:
-            result = await loop.run_in_executor(
-                self.executor, self._run_lint, workspace, files,
-                tuple(select), tuple(ignore))
-        finally:
-            self._m_jobs.labels(kind="lint").inc()
-            self._job_finished()
-        if ctx is not None:
-            self.trace.add(make_span(
-                "lint", ctx.child(), submitted_ts,
-                (time.perf_counter() - submitted) * 1e6,
-                cat="serve", job=job_id))
-        result["id"] = job_id
-        result["kind"] = "lint"
-        result["session"] = workspace.id
-        result["timing"] = {
-            "run_s": round(time.perf_counter() - submitted, 6),
-        }
-        return result
+        return await self._job("lint", workspace, self._run_lint,
+                               workspace, files, tuple(select),
+                               tuple(ignore))
 
     def _run_lint(self, workspace, files, select, ignore):
         from ..analysis import LintEngine
-        from ..diag import DiagnosticEngine
 
         if files:
             library, _entities, failure = _compile_in_memory(files)
             if failure is not None:
                 return failure
-            engine = LintEngine(library=library, work="work",
-                                select=list(select),
-                                ignore=list(ignore))
-            findings = engine.lint_library()
         else:
-            snapshot = workspace.snapshot()
-            engine = LintEngine(library=snapshot, work="work",
-                                select=list(select),
-                                ignore=list(ignore))
-            findings = engine.lint_library()
-        diag_engine = DiagnosticEngine()
-        for diag in findings:
-            diag_engine.emit(diag)
-        ordered = diag_engine.sorted()
-        return {
-            "ok": not ordered,
-            "findings": len(ordered),
-            "findings_jsonl": render_jsonl(ordered),
-            "summary": diag_engine.summary(),
-        }
-
-
-    # -- analyze -----------------------------------------------------------
+            library = workspace.snapshot()
+        engine = LintEngine(library=library, work="work",
+                            select=list(select), ignore=list(ignore))
+        ordered, result = _findings(engine.lint_library())
+        result["ok"] = not ordered
+        return result
 
     async def analyze(self, workspace, files=None, top=None,
                       select=(), ignore=()):
@@ -451,40 +386,13 @@ class JobRunner:
         over ``files`` compiled in memory or over the session
         library.  Read-only, like lint: runs on the executor against
         a pinned snapshot, concurrent with other readers."""
-        loop = asyncio.get_running_loop()
-        job_id = self.next_id()
-        ctx = current_context()
-        self._job_started()
-        submitted = time.perf_counter()
-        submitted_ts = time.time() * 1e6
-        try:
-            result = await loop.run_in_executor(
-                self.executor, self._run_analyze, workspace, files,
-                top, tuple(select), tuple(ignore))
-        finally:
-            self._m_jobs.labels(kind="analyze").inc()
-            self._job_finished()
-        if ctx is not None:
-            self.trace.add(make_span(
-                "analyze", ctx.child(), submitted_ts,
-                (time.perf_counter() - submitted) * 1e6,
-                cat="serve", job=job_id))
-        result["id"] = job_id
-        result["kind"] = "analyze"
-        result["session"] = workspace.id
-        result["timing"] = {
-            "run_s": round(time.perf_counter() - submitted, 6),
-        }
-        return result
+        return await self._job("analyze", workspace, self._run_analyze,
+                               workspace, files, top, tuple(select),
+                               tuple(ignore))
 
     def _run_analyze(self, workspace, files, top, select, ignore):
-        from ..analysis import (
-            LintEngine,
-            build_netlist,
-            levels_artifact,
-        )
-        from ..diag import DiagnosticEngine
-        from ..vhdl.elaborate import ElaborationError, Elaborator
+        from ..analysis import LintEngine, levels_artifact
+        from ..vhdl.elaborate import Elaborator
 
         if files:
             library, entities, failure = _compile_in_memory(files)
@@ -501,29 +409,37 @@ class JobRunner:
                         "error": "analyze without files needs a "
                                  "'top' entity name"}
             library = workspace.snapshot()
-        try:
-            sim = Elaborator(library).elaborate(top)
-        except ElaborationError as exc:
-            return {"ok": False,
-                    "error": "ElaborationError: %s" % exc}
-        graph = build_netlist(sim.records)
+        sim = Elaborator(library).elaborate(top)
+        if not sim.ok:
+            return {"ok": False, "error": _error_text(sim),
+                    "diagnostics_jsonl": render_jsonl(sim.diagnostics)}
+        graph = sim.netlist()
         engine = LintEngine(library=library, work="work",
-                            select=list(select),
-                            ignore=list(ignore))
-        findings = engine.lint_design(graph)
-        diag_engine = DiagnosticEngine()
-        for diag in findings:
-            diag_engine.emit(diag)
-        ordered = diag_engine.sorted()
-        return {
-            "ok": not any(d.severity in ("error", "fatal")
-                          for d in ordered),
-            "top": top,
-            "findings": len(ordered),
-            "findings_jsonl": render_jsonl(ordered),
-            "summary": diag_engine.summary(),
-            "levels": levels_artifact(graph),
-        }
+                            select=list(select), ignore=list(ignore))
+        ordered, result = _findings(engine.lint_design(graph))
+        result.update(ok=not any(d.severity in ("error", "fatal")
+                                 for d in ordered),
+                      top=top, levels=levels_artifact(graph))
+        return result
+
+
+def _findings(findings):
+    """``findings`` sorted, and the response fields of lint and
+    analyze that report them."""
+    from ..diag import DiagnosticEngine
+
+    engine = DiagnosticEngine()
+    for diag in findings:
+        engine.emit(diag)
+    ordered = engine.sorted()
+    return ordered, {"findings": len(ordered),
+                     "findings_jsonl": render_jsonl(ordered),
+                     "summary": engine.summary()}
+
+
+def _error_text(sim):
+    """A failed simulation's ``error`` field: ``Type: message``."""
+    return "%s: %s" % (type(sim.error).__name__, sim.error)
 
 
 def _compile_in_memory(files):

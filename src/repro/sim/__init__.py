@@ -81,3 +81,24 @@ TIME_UNITS = (
     ("min", 60 * 10**15),
     ("hr", 3600 * 10**15),
 )
+
+
+def parse_time(text):
+    """'200ns' / '1 us' / '5000' (fs) -> femtoseconds.  A negative or
+    non-finite time raises :class:`ValueError`."""
+    text = text.strip().lower().replace(" ", "")
+    for unit, scale in sorted(TIME_UNITS, key=lambda u: -len(u[0])):
+        if text.endswith(unit):
+            value = float(text[: -len(unit)]) * scale
+            break
+    else:
+        value = int(text)
+    if not 0 <= value < float("inf"):
+        raise ValueError("time %r is negative or not finite" % text)
+    return int(value)
+
+
+#: Sampling stride for kernel spans on traced runs (``repro sim
+#: --profile`` and serve ``/sim``): every Nth timestep and process
+#: resume is recorded, so a long run adds bounded span volume.
+TRACE_SAMPLE = 100

@@ -74,10 +74,11 @@ def _fire_slot(sig, v, now, step):
 class CompiledKernel(Kernel):
     """Event kernel executing per-design specialized code.
 
-    Construct like :class:`Kernel`, elaborate the design against it,
-    then call :meth:`compile_design` with the elaborator's records
-    *before* the first cycle.  Without that call it degrades to the
-    plain activity kernel (every structure below stays empty).
+    Construct like :class:`Kernel` and elaborate the design against
+    it; :meth:`repro.vhdl.elaborate.Simulation.run` calls
+    :meth:`compile_design` with the elaborator's records *before* the
+    first cycle.  Without that call it degrades to the plain activity
+    kernel (every structure below stays empty).
     """
 
     def __init__(self, *args, **kwargs):
@@ -106,9 +107,9 @@ class CompiledKernel(Kernel):
         """Specialize this elaborated design; returns the Program.
 
         ``graph`` is an optional pre-built
-        :class:`~repro.analysis.netlist.DesignGraph` (the ``--analyze``
-        pre-flight builds one; threading it through here avoids a
-        second netlist extraction).
+        :class:`~repro.analysis.netlist.DesignGraph` (the one
+        :meth:`Simulation.netlist` built for an ``--analyze``
+        pre-flight; passing it avoids a second netlist extraction).
         """
         if self._initialized:
             raise SimulationError(

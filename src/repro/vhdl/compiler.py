@@ -23,6 +23,7 @@ string form.
 
 from ..ag.errors import AGError, LexError
 from ..diag import AGObserver, DiagnosticEngine
+from ..diag.diagnostic import drop_tracebacks
 from ..trace.recorder import SpanRecorder
 from .codegen.pymodel import compile_model
 from .compile_ctx import CompileCtx
@@ -180,10 +181,7 @@ class Compiler:
         source lines, one message."""
         # The result outlives the compile, and the frames on the
         # tracebacks would keep the parse tree alive with it.
-        cause = exc
-        while cause is not None:
-            cause.__traceback__ = None
-            cause = cause.__cause__ or cause.__context__
+        drop_tracebacks(exc)
         engine = DiagnosticEngine(file=filename)
         engine.add_exception(exc, file=filename)
         return CompileResult(

@@ -15,8 +15,15 @@ resolution order:
    descriptions non-deterministic.
 """
 
+from ..diag.diagnostic import (
+    CODE_ELAB, CODE_SIM_ASSERT, CODE_SIM_KERNEL, CODE_SIM_RUNTIME, ERROR,
+    Diagnostic, drop_tracebacks,
+)
 from ..sim import Kernel, NameServer
+from ..sim.kernel import SimulationError
 from ..sim.nameserver import SEPARATOR
+from ..sim.runtime import RuntimeError_
+from ..sim.vhdlio import AssertionFailure
 from .codegen.pymodel import load_model
 from .symtab import entry_kind
 
@@ -258,8 +265,18 @@ class Elaborator:
 
     def elaborate(self, top, arch_name=None, generics=None, lib=None):
         """Elaborate a top unit: an entity name or a configuration
-        name.  Returns a :class:`Simulation`."""
-        lib = lib or self.library.work
+        name.  Returns a :class:`Simulation`; when the design does not
+        elaborate, or elaboration code fails a runtime check or an
+        assertion, its ``ok`` is False and it carries one ``ELAB001``.
+        """
+        try:
+            self._elaborate_top(top, arch_name, generics,
+                                lib or self.library.work)
+        except (ElaborationError, RuntimeError_, AssertionFailure) as exc:
+            return Simulation(self.kernel, self.names, self.records, exc)
+        return Simulation(self.kernel, self.names, self.records)
+
+    def _elaborate_top(self, top, arch_name, generics, lib):
         config_rows = ()
         node = self.library.find_unit(lib, top)
         if node is None:
@@ -295,19 +312,81 @@ class Elaborator:
         self.elaborate_architecture(entity, arch, path,
                                     generics=generics,
                                     config_rows=config_rows)
-        return Simulation(self.kernel, self.names, self.records)
 
 
 class Simulation:
-    """A ready-to-run simulation: kernel plus name server."""
+    """An elaborated design and the outcome of running it.
 
-    def __init__(self, kernel, names, records=()):
+    Every design ends in one: ``ok`` is False once elaboration or a
+    run failed, ``diagnostics`` then holds the one diagnostic saying
+    why and ``error`` the exception (its tracebacks dropped, as
+    ``CompileResult.error``).  The kernel's state at the stop stays
+    readable.
+    """
+
+    def __init__(self, kernel, names, records=(), error=None):
         self.kernel = kernel
         self.names = names
         self.records = list(records)
+        self.error = None
+        self.diagnostics = []
+        self._graph = None
+        if error is not None:
+            self._fail(CODE_ELAB, error)
+
+    @property
+    def ok(self):
+        return self.error is None
+
+    def _fail(self, code, exc):
+        self.error = drop_tracebacks(exc)
+        self.diagnostics.append(Diagnostic(
+            code, ERROR, str(exc), span=getattr(exc, "span", None)))
+
+    def netlist(self):
+        """The design's :class:`~repro.analysis.netlist.DesignGraph`,
+        built once; a compiled run reuses it."""
+        if self._graph is None:
+            from ..analysis import build_netlist
+
+            self._graph = build_netlist(self.records)
+        return self._graph
 
     def run(self, until_fs=None, max_cycles=None):
-        return self.kernel.run(until=until_fs, max_cycles=max_cycles)
+        """Run the kernel (see :meth:`Kernel.run`); returns the stop
+        time.  A compiled kernel not yet specialized is specialized
+        first.  A kernel limit (``SIM001``), an assertion of severity
+        failure (``SIM002``) or a failed runtime check (``SIM003``)
+        ends the run as a diagnostic; a failed simulation does not
+        run.  Any other exception is a bug and propagates."""
+        kernel = self.kernel
+        if not self.ok:
+            return kernel.now
+        try:
+            if hasattr(kernel, "compile_design") \
+                    and kernel.program is None:
+                with kernel.trace.span("codegen", cat="sim"):
+                    kernel.compile_design(self.records,
+                                          graph=self._graph)
+            kernel.run(until=until_fs, max_cycles=max_cycles)
+        except SimulationError as exc:
+            self._fail(CODE_SIM_KERNEL, exc)
+        except AssertionFailure as exc:
+            self._fail(CODE_SIM_ASSERT, exc)
+        except RuntimeError_ as exc:
+            self._fail(CODE_SIM_RUNTIME, exc)
+        return kernel.now
+
+    def report_lines(self):
+        """The stop line and one line per signal with its value: what
+        ``repro sim`` prints and serve ``/sim`` answers."""
+        from ..sim.tracing import format_fs
+
+        lines = ["simulation stopped at %s (%d cycles)"
+                 % (format_fs(self.kernel.now), self.kernel.cycles)]
+        for path, sig in self.names.signals():
+            lines.append("  %-30s = %s" % (path, sig.image(sig.value)))
+        return lines
 
     def signal(self, name):
         """Find a signal by suffix (e.g. 'count') or full path."""

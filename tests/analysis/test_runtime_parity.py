@@ -6,8 +6,6 @@ the same declaration site, so the user can go from a mid-simulation
 crash to the lint finding (and baseline/fix it) without guessing.
 """
 
-import pytest
-
 from repro.analysis import LintEngine
 from repro.sim.runtime import RuntimeError_
 from repro.vhdl.elaborate import Elaborator
@@ -18,9 +16,13 @@ from .conftest import compile_fixture, fixture_path
 def simulate_until_error(compiler, top):
     elab = Elaborator(compiler.library)
     sim = elab.elaborate(top)
-    with pytest.raises(RuntimeError_) as err:
-        sim.run(until_fs=10_000_000)
-    return err.value
+    sim.run(until_fs=10_000_000)
+    assert not sim.ok
+    assert isinstance(sim.error, RuntimeError_)
+    (diag,) = sim.diagnostics
+    assert diag.code == "SIM003"
+    assert diag.span == sim.error.span
+    return sim.error
 
 
 class TestMultiDriverParity:
@@ -52,7 +54,8 @@ class TestMultiDriverParity:
         assert findings == []
         elab = Elaborator(compiler.library)
         sim = elab.elaborate("rpl002_clean")
-        sim.run(until_fs=10_000_000)  # must not raise
+        sim.run(until_fs=10_000_000)
+        assert sim.ok, sim.diagnostics
 
 
 class TestKernelSpanPlumbing:

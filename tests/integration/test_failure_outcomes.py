@@ -3,7 +3,8 @@
 A parse error and a semantic error are reported the same way by the
 CLI, the serve routes, the fuzz oracle and the build worker, each with
 a structured diagnostic.  A source file that cannot be read or decoded
-ends in a diagnostic and a nonzero exit code, never a traceback.
+ends in a diagnostic and a nonzero exit code, never a traceback.  So
+does a design that does not elaborate or whose simulation fails.
 """
 
 import asyncio
@@ -113,3 +114,130 @@ def test_unreadable_file_is_a_lex_diagnostic(bad_input, tmp_path):
     assert diag["code"] == "LEX001"
     assert diag["severity"] == "error"
     assert diag["span"]["file"] == bad_input
+
+
+# -- designs that compile but do not simulate ---------------------------
+
+STORM = """
+entity storm is end storm;
+architecture rtl of storm is
+  signal a1 : bit := '0';
+begin
+  p : a1 <= not a1;
+end rtl;
+"""
+
+BOOM = """
+entity boom is end boom;
+architecture rtl of boom is
+  signal x : integer := 0;
+begin
+  stim : process
+  begin
+    wait for 10 ns;
+    x <= 1;
+    wait;
+  end process;
+  watch : assert x = 0 report "x moved" severity failure;
+end rtl;
+"""
+
+INDEX = """
+entity idx is end idx;
+architecture rtl of idx is
+  type word is array (0 to 3) of integer;
+  signal mem : word := (others => 0);
+  signal i : integer := 0;
+begin
+  stim : process
+  begin
+    wait for 10 ns;
+    i <= 7;
+    wait for 1 ns;
+    mem(i) <= 1;
+    wait;
+  end process;
+end rtl;
+"""
+
+#: Elaboration code (a constant's initializer) failing a check.
+ELAB_CHECKS = """
+entity ec is end ec;
+architecture rtl of ec is
+  type word is array (0 to 3) of integer;
+  constant w : word := (others => 1);
+  function f(x : integer) return integer is
+  begin
+    assert x > 0 report "bad x" severity failure;
+    return x;
+  end f;
+  signal s : integer := w(%s);
+begin
+end rtl;
+"""
+
+#: kind -> (source, top, the code of its diagnostic)
+SIM_FAILURES = {
+    "unknown_top": (BOOM, "nosuch", "ELAB001"),
+    "elaboration_assert": (ELAB_CHECKS % "f(0)", "ec", "ELAB001"),
+    "elaboration_index": (ELAB_CHECKS % "5", "ec", "ELAB001"),
+    "zero_delay_loop": (STORM, "storm", "SIM001"),
+    "assert_failure": (BOOM, "boom", "SIM002"),
+    "index_range": (INDEX, "idx", "SIM003"),
+}
+
+
+@pytest.fixture(params=sorted(SIM_FAILURES))
+def sim_failure(request):
+    return SIM_FAILURES[request.param]
+
+
+@pytest.mark.parametrize("backend", ["event", "compiled"])
+def test_cli_sim_failure_is_a_diagnostic(sim_failure, backend, tmp_path):
+    source, top, code = sim_failure
+    path = tmp_path / "d.vhd"
+    path.write_text(source)
+    root = str(tmp_path / "lib")
+    assert run_cli(["--root", root, "compile", str(path)])[0] == 0
+    rc, lines = run_cli(["--root", root, "sim", top, "--until", "100ns",
+                         "--backend", backend])
+    text = "\n".join(lines)
+    assert rc == 1
+    assert "error[%s]" % code in text
+    assert "Traceback" not in text
+    # A run that failed still reports the state at its stop.
+    stopped = any(line.startswith("simulation stopped at ")
+                  for line in lines)
+    assert stopped == (code != "ELAB001")
+
+
+def test_serve_sim_failure_is_ok_false(sim_failure, tmp_path):
+    source, top, code = sim_failure
+    app = ServeApp(state_dir=str(tmp_path / "state"), workers=1)
+
+    def post(route, body):
+        request = Request("POST", route, {}, {},
+                          json.dumps(body).encode())
+        return asyncio.run(app.handle(request))
+
+    try:
+        post("/compile", {"session": "s",
+                          "files": [{"name": "d.vhd", "text": source}]})
+        response = post("/sim", {"session": "s", "top": top,
+                                 "until": "100ns"})
+    finally:
+        asyncio.run(app.shutdown())
+    assert response.status == 200
+    data = json.loads(response.body)
+    assert data["ok"] is False
+    assert data["error"]
+    codes = [json.loads(line)["code"]
+             for line in data["diagnostics_jsonl"].splitlines()]
+    assert codes == [code]
+    assert ("end_fs" in data) == (code != "ELAB001")
+
+
+def test_oracle_sim_failure_is_sim_error(sim_failure):
+    source, top, _code = sim_failure
+    result = check_source(source, top, until_ns=100, compiled=True)
+    assert result.outcome == "sim_error", result.detail

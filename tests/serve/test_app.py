@@ -178,6 +178,12 @@ class TestSimRoute:
                                  {"top": "x", "until": "one parsec"}))
         assert resp.status == 400
 
+    @pytest.mark.parametrize("until", ["-5ns", "inf ns", "1e400ns"])
+    def test_negative_or_non_finite_until(self, app, until):
+        (resp,) = run(app, mkreq("POST", "/sim",
+                                 {"top": "x", "until": until}))
+        assert resp.status == 400
+
     def test_unknown_top_is_job_failure_not_500(self, app):
         (resp,) = run(app, mkreq("POST", "/sim", {"top": "ghost"}))
         assert resp.status == 200

@@ -72,7 +72,7 @@ class TestObservableIdentity:
         until_fs = entry.until_ns * 10**6
         event = _simulate(Kernel, library, entry.top, until_fs)
         compiled = _simulate(CompiledKernel, library, entry.top,
-                             until_fs, compile_design=True)
+                             until_fs)
         assert event.get("error") is None
         assert compiled.get("error") is None
         return event, compiled

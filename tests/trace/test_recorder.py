@@ -1,6 +1,8 @@
 """The span recorder's disabled mode: NULL_RECORDER records nothing,
 directly, through a kernel run, and through a served ``/sim`` job."""
 
+import asyncio
+
 import pytest
 
 from repro.serve.jobs import JobRunner
@@ -80,9 +82,14 @@ def workspace(tmp_path):
 class TestServedSim:
     def _sim(self, workspace, trace):
         runner = JobRunner(trace=trace)
+
+        async def simulate():
+            with use(SpanContext()):
+                return await runner.simulate(workspace, "ticker",
+                                             until_fs=UNTIL_FS)
+
         try:
-            return runner._run_sim(workspace, "ticker", None, UNTIL_FS,
-                                   None, ctx=SpanContext())
+            return asyncio.run(simulate())
         finally:
             runner.executor.shutdown()
 

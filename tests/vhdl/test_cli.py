@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from repro.cli import COMMANDS, _parse_time, _parser, main
+from repro.cli import COMMANDS, _parser, main
+from repro.sim import parse_time
 
 
 @pytest.fixture()
@@ -44,13 +45,26 @@ def project(tmp_path):
 
 class TestParseTime:
     def test_units(self):
-        assert _parse_time("10ns") == 10 * 10**6
-        assert _parse_time("1 us") == 10**9
-        assert _parse_time("2ms") == 2 * 10**12
-        assert _parse_time("5000") == 5000
+        assert parse_time("10ns") == 10 * 10**6
+        assert parse_time("1 us") == 10**9
+        assert parse_time("2ms") == 2 * 10**12
+        assert parse_time("5000") == 5000
 
     def test_fractional(self):
-        assert _parse_time("1.5ns") == 1_500_000
+        assert parse_time("1.5ns") == 1_500_000
+
+    @pytest.mark.parametrize("text", [
+        "-5ns", "-1", "inf ns", "1e400ns", "nan ns", "one parsec", ""])
+    def test_rejects_negative_non_finite_and_junk(self, text):
+        with pytest.raises(ValueError):
+            parse_time(text)
+
+    @pytest.mark.parametrize("until", ["-5ns", "inf ns", "1e400ns"])
+    def test_bad_until_is_a_usage_error(self, until, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", "blink", "--until=" + until])
+        assert exc.value.code == 2
+        assert "--until" in capsys.readouterr().err
 
 
 class TestCompileCommand:

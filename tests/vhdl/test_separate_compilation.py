@@ -341,8 +341,11 @@ class TestConfiguration:
               u1 : ghost port map ( x => a );
             end bench;
         """)
-        with pytest.raises(ElaborationError):
-            Elaborator(c.library).elaborate("top4")
+        sim = Elaborator(c.library).elaborate("top4")
+        assert not sim.ok
+        assert [d.code for d in sim.diagnostics] == ["ELAB001"]
+        assert isinstance(sim.error, ElaborationError)
+        assert "ghost" in str(sim.error)
 
 
 class TestPackageSignals:
