@@ -527,8 +527,9 @@ def scenario_compiled_codegen():
     """The cold half of the compiled backend's cost: with the program
     cache cleared every repeat, elaborate the ring and specialize it.
     The normalized cost pins the whole cold flow (``max``); structure
-    counters are ``exact`` — every process must compile and every
-    signal must get slot storage, or the specializer regressed."""
+    counters are ``exact`` — every process must compile, every signal
+    must get slot storage, and the ring's identical cells must share
+    one process shape, or the specializer regressed."""
     from repro.sim import CompiledKernel
     from repro.sim.compiled import _PROGRAM_CACHE
     from repro.vhdl.elaborate import Elaborator
@@ -548,6 +549,7 @@ def scenario_compiled_codegen():
         "cells": COMPILED_CELLS,
         "compiled_procs": kernel.compiled_procs,
         "slot_signals": kernel.slot_signals,
+        "shapes": kernel.program.stats["shapes"],
         "programs_cached": len(_PROGRAM_CACHE),
         "normalized_cost": round(ratio, 4),
     }

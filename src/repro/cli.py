@@ -1110,15 +1110,6 @@ def cmd_bench_check(args, out):
 
 
 def cmd_trace(args, out):
-    try:
-        return _cmd_trace(args, out)
-    except BrokenPipeError:
-        # `repro trace big.json | head` closing the pipe early is
-        # normal operator behavior, not an error.
-        return 0
-
-
-def _cmd_trace(args, out):
     from .trace import analyze
 
     try:

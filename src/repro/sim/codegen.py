@@ -3,9 +3,10 @@
 The source paper's pipeline ends in generated C compiled by the host
 compiler; this module is the reproduction's equivalent of that last
 mile.  Given the elaborator's records and the PR-9
-:class:`~repro.analysis.netlist.DesignGraph`, it re-parses each
-generated model's ``py_source``, classifies every process, and renders
-one specialized Python module per design:
+:class:`~repro.analysis.netlist.DesignGraph`, it parses each process
+function on its own (its lines cut out of the model's ``py_source``),
+classifies every process, and renders one specialized Python module
+per design:
 
 - **canonical processes** — a single ``yield rt.wait(...)`` as the
   first or last statement of the ``while True`` loop, no persistent
@@ -28,16 +29,20 @@ one specialized Python module per design:
   with compiled processes in registration-index order so semantics
   stay byte-identical to the activity kernel.
 
-The rendered module is pure: it depends only on the design's
-``py_source`` texts and signal/process indices, never on
-elaboration-time values (generic-folded constants are captured from
-each process function's closure at *bind* time), so the compiled code
-object is cached by design fingerprint across elaborations.
+The module holds one factory per process *shape*: integer literals
+(signal indices, delays) and captured names are its parameters, and
+each process is one line calling it with its own operands, so a ring
+of identical cells byte-compiles one function body.  The module is
+pure: it depends only on the design's ``py_source`` texts and
+signal/process indices, never on elaboration-time values
+(generic-folded constants are captured from each process function's
+closure at *bind* time), so the compiled code object is cached by
+design fingerprint across elaborations.
 """
 
 import ast
-import copy
 import hashlib
+import textwrap
 import types
 
 from .signals import Signal
@@ -79,15 +84,13 @@ class ProcPlan:
 
 
 class Program:
-    """One design's specialized module: source, code, bind metadata."""
+    """One design's specialized module: its code and bind metadata."""
 
-    __slots__ = ("fingerprint", "source", "code", "plans",
-                 "slot_indices", "stats")
+    __slots__ = ("fingerprint", "code", "plans", "slot_indices",
+                 "stats")
 
-    def __init__(self, fingerprint, source, code, plans, slot_indices,
-                 stats):
+    def __init__(self, fingerprint, code, plans, slot_indices, stats):
         self.fingerprint = fingerprint
-        self.source = source
         self.code = code
         self.plans = plans  # Process.index -> ProcPlan
         self.slot_indices = frozenset(slot_indices)
@@ -182,20 +185,20 @@ class SiteInfo:
 
 
 class Analysis:
-    """A canonical process, decomposed and environment-resolved."""
+    """A canonical process, decomposed and environment-resolved.
 
-    __slots__ = ("proc", "funcdef", "body", "init_runs_body",
-                 "wait_signals", "cond_lambda", "sites",
-                 "helper_risk")
+    Only the process's source text is kept, not its tree: the
+    rewrite parses it again, so no tree outlives its own pass."""
 
-    def __init__(self, proc, funcdef, body, init_runs_body,
-                 wait_signals, cond_lambda, sites, helper_risk):
+    __slots__ = ("proc", "text", "init_runs_body", "wait_signals",
+                 "sites", "helper_risk")
+
+    def __init__(self, proc, text, init_runs_body, wait_signals, sites,
+                 helper_risk):
         self.proc = proc
-        self.funcdef = funcdef
-        self.body = body
+        self.text = text
         self.init_runs_body = init_runs_body
         self.wait_signals = wait_signals
-        self.cond_lambda = cond_lambda
         self.sites = sites
         self.helper_risk = helper_risk
 
@@ -223,13 +226,18 @@ def _signal_of(env_fn, name, kernel):
     return None
 
 
-def analyze_process(proc, funcdef, kernel):
-    """Classify one process; returns :class:`Analysis` or raises
-    :class:`Reject`."""
-    fn = proc.fn
-    if fn is None:
+def _split(text, name):
+    """Parse one process's source on its own and split its loop at
+    the single wait: ``(wait call, other statements, init_runs_body)``.
+    Raises :class:`Reject` for any other shape."""
+    try:
+        body = ast.parse(text).body
+    except SyntaxError:
+        raise Reject("shape") from None
+    if len(body) != 1 or not isinstance(body[0], ast.FunctionDef) \
+            or body[0].name != name:
         raise Reject("shape")
-    body = funcdef.body
+    body = body[0].body
     # No statements before the loop: leading statements are VHDL
     # process *variables* — persistent generator-frame state the
     # plain-function rendering cannot carry.
@@ -238,7 +246,7 @@ def analyze_process(proc, funcdef, kernel):
     loop = body[0]
     if not _is_const(loop.test, True):
         raise Reject("shape")
-    stmts = list(loop.body)
+    stmts = loop.body
     if not stmts:
         raise Reject("shape")
 
@@ -252,13 +260,17 @@ def analyze_process(proc, funcdef, kernel):
                 and _rt_call(stmt.value.value, "wait") is not None)
 
     if _is_wait_stmt(stmts[0]):
-        wait_stmt, rest, init_runs_body = stmts[0], stmts[1:], False
-    elif _is_wait_stmt(stmts[-1]):
-        wait_stmt, rest, init_runs_body = stmts[-1], stmts[:-1], True
-    else:
-        raise Reject("wait")
+        return stmts[0].value.value, stmts[1:], False
+    if _is_wait_stmt(stmts[-1]):
+        return stmts[-1].value.value, stmts[:-1], True
+    raise Reject("wait")
 
-    wait_call = wait_stmt.value.value
+
+def analyze_process(proc, text, kernel):
+    """Classify one process from its source ``text``; returns
+    :class:`Analysis` or raises :class:`Reject`."""
+    fn = proc.fn
+    wait_call, rest, init_runs_body = _split(text, fn.__code__.co_name)
     args = list(wait_call.args)
     if wait_call.keywords or len(args) != 3:
         raise Reject("wait")
@@ -275,12 +287,9 @@ def analyze_process(proc, funcdef, kernel):
         if sig is None:
             raise Reject("wait")
         wait_signals.append(sig)
-    if _is_const(cond, None):
-        cond_lambda = None
-    elif isinstance(cond, ast.Lambda) and not cond.args.args \
-            and not cond.args.posonlyargs and not cond.args.kwonlyargs:
-        cond_lambda = cond
-    else:
+    if not _is_const(cond, None) and not (
+            isinstance(cond, ast.Lambda) and not cond.args.args
+            and not cond.args.posonlyargs and not cond.args.kwonlyargs):
         raise Reject("wait")
 
     # Collect every static assign site; a target that does not resolve
@@ -299,8 +308,8 @@ def analyze_process(proc, funcdef, kernel):
                     # ops: if the callee may assign, static drive
                     # facts are incomplete for the whole design.
                     helper_risk = helper_risk or _call_risk(sub, fn)
-    return Analysis(proc, funcdef, rest, init_runs_body, wait_signals,
-                    cond_lambda, sites, helper_risk)
+    return Analysis(proc, text, init_runs_body, wait_signals, sites,
+                    helper_risk)
 
 
 def _ops_call(node):
@@ -397,7 +406,6 @@ class _Rewriter(ast.NodeTransformer):
                 and node.value.id == "rt" and node.attr == "now"
                 and "rt" not in self.defined):
             self.binder.check_rt()
-            self.binder.uses_now = True
             return ast.Name(id="now", ctx=ast.Load())
         return self.generic_visit(node)
 
@@ -417,13 +425,11 @@ class _Rewriter(ast.NodeTransformer):
                 return _expr_src("V[%d]" % binder.index(sig))
             if attr == "event":
                 sig = self._sig_arg(node)
-                binder.uses_step = True
                 return _expr_src(
                     "1 if SIG[%d].event_delta == step else 0"
                     % binder.index(sig))
             if attr == "active":
                 sig = self._sig_arg(node)
-                binder.uses_step = True
                 return _expr_src(
                     "1 if SIG[%d].active_delta == step else 0"
                     % binder.index(sig))
@@ -468,8 +474,6 @@ class _Binder:
         self.kernel = kernel
         self.ops = ops_obj
         self.env = {}  # mangled -> original name
-        self.uses_now = False
-        self.uses_step = False
 
     def signal(self, name):
         return _signal_of(self.proc.fn, name, self.kernel)
@@ -574,7 +578,6 @@ def _rewrite_assign(call, binder, slot_indices, defined):
     tx = _Rewriter(binder, defined)
     waveform = call.args[1]
     if idx in slot_indices:
-        binder.uses_now = True
         elem = waveform.elts[0]
         value = tx.visit(elem.elts[0])
         if _is_const_zero(elem.elts[1]):
@@ -654,7 +657,7 @@ def _def(name, args, body):
             posonlyargs=[], args=[ast.arg(arg=a) for a in args],
             kwonlyargs=[], kw_defaults=[], defaults=[]),
         body=body or [ast.Pass()],
-        decorator_list=[])
+        decorator_list=[], lineno=0)
 
 
 def build_program(kernel, records, graph, cyclic):
@@ -669,39 +672,38 @@ def build_program(kernel, records, graph, cyclic):
     fingerprint = design_fingerprint(records, kernel)
     header = ("# Specialized flow-graph code (repro.sim.codegen)\n"
               "# design fingerprint: %s\n" % fingerprint)
-    source = header + _SCHED_SRC + "\n" + text + "\n"
-    code = compile(source, "<repro-compiled:%s>" % fingerprint[:12],
-                   "exec")
-    return Program(fingerprint, source, code, plans, slot_indices,
-                   stats)
+    code = compile(header + _SCHED_SRC + "\n" + text + "\n",
+                   "<repro-compiled:%s>" % fingerprint[:12], "exec")
+    return Program(fingerprint, code, plans, slot_indices, stats)
 
 
 def _specialize(kernel, records, graph, cyclic):
     """The specialized processes as module text, with their plans,
     slot indices and stats.
 
-    The parsed models, the analyses and the rewritten definitions are
-    locals here, so they are freed before the module text is
-    byte-compiled.
+    Each process is parsed on its own, from its slice of its model's
+    ``py_source``, and each tree is dropped once that process is
+    analyzed or rendered, so no whole model and no tree is alive when
+    the module text is byte-compiled.
     """
     stats = {"procs": len(kernel.processes), "compiled": 0,
              "slots": 0, "generic": 0}
     for reason in REASONS:
         stats.setdefault("reject_%s" % reason, 0)
 
-    proc_defs = _collect_funcdefs(records)
+    texts = _process_texts(records)
     cyclic_sigs = {ns.signal for ns in cyclic}
 
     # Pass A: canonical-shape analysis.
     analyses = {}
     helper_risk = False
     for proc in kernel.processes:
-        funcdef = proc_defs.get(proc)
-        if funcdef is None:
+        text = texts.pop(proc, None)
+        if text is None:
             stats["reject_shape"] += 1
             continue
         try:
-            analysis = analyze_process(proc, funcdef, kernel)
+            analysis = analyze_process(proc, text, kernel)
         except Reject as rej:
             stats["reject_%s" % rej.reason] += 1
             continue
@@ -722,7 +724,7 @@ def _specialize(kernel, records, graph, cyclic):
     # (and un-slots its targets, conservatively re-running until the
     # fixpoint — in practice one extra pass at most).
     while True:
-        plans, defs, demoted = _render_all(kernel, analyses,
+        plans, text, demoted = _render_all(kernel, analyses,
                                            slot_indices, stats)
         if not demoted:
             break
@@ -735,50 +737,31 @@ def _specialize(kernel, records, graph, cyclic):
     stats["compiled"] = len(plans)
     stats["slots"] = len(slot_indices)
     stats["generic"] = len(kernel.processes) - len(plans)
-
-    module = ast.Module(body=defs, type_ignores=[])
-    ast.fix_missing_locations(module)
-    return ast.unparse(module), plans, slot_indices, stats
+    return text, plans, slot_indices, stats
 
 
-def _collect_funcdefs(records):
-    """Map each kernel process to its generated-function AST.
-
-    Only process functions are kept from each parsed model, so the
-    rest of it (``elaborate`` and its helpers) is freed as soon as it
-    is walked."""
-    names = {proc.fn.__code__.co_name for record in records
-             for proc in record.processes.values() if proc.fn is not None}
-    module_cache = {}
-    proc_defs = {}
+def _process_texts(records):
+    """Map each kernel process to the dedented source of its generated
+    function, cut out of its model's ``py_source``: the ``def`` line at
+    ``co_firstlineno`` and each following line that is blank or
+    indented deeper."""
+    texts = {}
     for record in records:
-        if not record.processes:
-            continue
-        py = getattr(record.node, "py_source", "")
-        if not py:
-            continue
-        key = id(record.node)
-        defs = module_cache.get(key)
-        if defs is None:
-            try:
-                tree = ast.parse(py)
-            except SyntaxError:
-                module_cache[key] = defs = {}
-            else:
-                defs = {}
-                for node in ast.walk(tree):
-                    if isinstance(node, ast.FunctionDef) \
-                            and node.name in names:
-                        defs.setdefault(node.name, node)
-                module_cache[key] = defs
+        lines = getattr(record.node, "py_source", "").splitlines(True)
         for proc in record.processes.values():
-            fn = proc.fn
-            if fn is None:
+            if proc.fn is None:
                 continue
-            funcdef = defs.get(fn.__code__.co_name)
-            if funcdef is not None:
-                proc_defs[proc] = funcdef
-    return proc_defs
+            start = proc.fn.__code__.co_firstlineno - 1
+            depth = len(lines[start]) - len(lines[start].lstrip())
+            for end in range(start + 1, len(lines)):
+                line = lines[end]
+                if line.strip() and \
+                        len(line) - len(line.lstrip()) <= depth:
+                    break
+            else:
+                end = len(lines)
+            texts[proc] = textwrap.dedent("".join(lines[start:end]))
+    return texts
 
 
 def _classify_slots(kernel, graph, analyses, cyclic_sigs,
@@ -826,52 +809,97 @@ def _classify_slots(kernel, graph, analyses, cyclic_sigs,
 
 
 def _render_all(kernel, analyses, slot_indices, stats):
-    """Render every analyzed process; returns (plans, defs, demoted)."""
+    """Render every analyzed process; returns (plans, text, demoted).
+
+    Each rewritten function becomes text at once: its operands are
+    lifted into the parameters of a shape factory (see
+    :class:`_Lifter`), one factory per distinct text, and the process
+    gets one line binding its own operands."""
     from .runtime import ops as ops_obj
 
     plans = {}
-    defs = []
+    shapes = {}  # factory text -> factory name
+    chunks = []
     demoted = []
     for proc in sorted(analyses, key=lambda p: p.index):
         analysis = analyses[proc]
         pid = proc.index
         binder = _Binder(proc, pid, kernel, ops_obj)
         try:
-            # Deep-copy before rewriting: multiple instances of one
-            # architecture share the parsed AST, and the rewriter
-            # mutates nodes in place — each instance must specialize
-            # against its *own* bound signals.
-            body = _rewrite_stmts(copy.deepcopy(analysis.body), binder,
-                                  slot_indices, set())
-            cond_name = None
-            cond_defs = []
-            if analysis.cond_lambda is not None:
-                cbinder_uses = (binder.uses_now, binder.uses_step)
-                binder.uses_now = binder.uses_step = False
-                cond_expr = _Rewriter(binder, set()).visit(
-                    copy.deepcopy(analysis.cond_lambda.body))
-                prologue = []
-                if binder.uses_now:
-                    prologue += ast.parse("now = T[0]").body
-                if binder.uses_step:
-                    prologue += ast.parse("step = T[1]").body
-                cond_name = "_c%d" % pid
-                cond_defs = [_def(cond_name, (),
-                                  prologue
-                                  + [ast.Return(value=cond_expr)])]
-                binder.uses_now, binder.uses_step = cbinder_uses
+            # Parse again: the analysis kept only the text, and the
+            # rewriter mutates the tree in place.
+            wait_call, rest, _ = _split(analysis.text,
+                                        proc.fn.__code__.co_name)
+            body = _rewrite_stmts(rest, binder, slot_indices, set())
+            cond = wait_call.args[1]
+            if isinstance(cond, ast.Lambda):
+                cond = _def("_c", (), ast.parse("now, step = T").body + [
+                    ast.Return(_Rewriter(binder, set()).visit(cond.body))])
+            else:
+                cond = None
         except Reject as rej:
             stats["reject_%s" % rej.reason] += 1
             demoted.append(proc)
             continue
+        pure = _body_is_pure(body)
         resume_name = "_p%d" % pid
-        defs.append(_def(resume_name, ("now", "step"), body))
-        defs.extend(cond_defs)
+        resume = _def("_p", ("now", "step"), body)
+        chunks.append(_instance(resume_name, resume, binder.env, shapes))
+        cond_name = None
+        if cond is not None:
+            cond_name = "_c%d" % pid
+            chunks.append(_instance(cond_name, cond, binder.env, shapes))
         plans[pid] = ProcPlan(
             pid, resume_name, cond_name, analysis.init_runs_body,
             [s.index for s in analysis.wait_signals], binder.env,
-            pure=_body_is_pure(body))
-    return plans, defs, demoted
+            pure=pure)
+    stats["shapes"] = len(shapes)
+    return plans, "\n".join(chunks), demoted
+
+
+class _Lifter(ast.NodeTransformer):
+    """Replaces each integer literal (signal indices, delays, values)
+    and each captured-environment name ``_e<pid>_*`` with a new
+    parameter ``_k<i>``, recording the operand it stands for, so
+    processes that differ only in those render one text."""
+
+    def __init__(self, env):
+        self.env = env
+        self.operands = []
+
+    def _param(self, operand):
+        self.operands.append(operand)
+        return ast.Name(id="_k%d" % (len(self.operands) - 1),
+                        ctx=ast.Load())
+
+    def visit_Constant(self, node):
+        if type(node.value) is int:
+            return self._param(repr(node.value))
+        return node
+
+    def visit_Name(self, node):
+        if node.id in self.env:
+            return self._param(node.id)
+        return node
+
+
+def _instance(name, funcdef, env, shapes):
+    """``name = <factory>(<operands>)``, preceded by the factory's
+    definition the first time its shape is seen."""
+    lifter = _Lifter(env)
+    funcdef = lifter.visit(funcdef)
+    params = ["_k%d" % i for i in range(len(lifter.operands))]
+    factory = _def("_s", params, [
+        funcdef, ast.Return(value=ast.Name(id=funcdef.name,
+                                           ctx=ast.Load()))])
+    key = ast.unparse(factory)
+    shape = shapes.get(key)
+    text = ""
+    if shape is None:
+        shape = shapes[key] = factory.name = "_s%d" % len(shapes)
+        text = ast.unparse(factory) + "\n"
+    return text + "%s = %s(%s)" % (name, shape,
+                                   ", ".join(lifter.operands))
 
 
 def _body_is_pure(body):

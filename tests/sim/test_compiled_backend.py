@@ -12,6 +12,7 @@ index (the ``repro-levels/1`` byte-stability fix).
 """
 
 import os
+from collections import OrderedDict
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.gen.oracle import (
     _simulate,
     check_source,
 )
-from repro.sim import CompiledKernel, Kernel
+from repro.sim import CompiledKernel, Kernel, compiled
 from repro.sim.compiled import _PROGRAM_CACHE
 from repro.vhdl.compiler import Compiler
 from repro.vhdl.elaborate import Elaborator
@@ -240,3 +241,125 @@ class TestProgramCache:
         kernel.initialize()
         with pytest.raises(Exception):
             kernel.compile_design(sim.records)
+
+
+def _ring(n):
+    """An ``n``-cell token ring: cell 0 runs first (a sensitivity
+    list), every other cell waits first."""
+    lines = ["entity ring is end ring;", "architecture rtl of ring is"]
+    lines += ["  signal c_%d : integer := 0;" % i for i in range(n)]
+    lines.append("begin")
+    for i in range(n):
+        j = (i + 1) % n
+        wait = "(c_%d) begin" % i if i == 0 else \
+            "begin wait on c_%d;" % i
+        lines.append("  p_%d: process %s c_%d <= 1 - c_%d after 1 ns;"
+                     " end process;" % (i, wait, j, j))
+    lines.append("end rtl;")
+    return "\n".join(lines)
+
+
+GENERIC_PAIR = """
+entity adder is
+  generic ( k : integer := 1 );
+  port ( a : in integer; y : out integer );
+end adder;
+architecture rtl of adder is
+begin
+  add : process (a) begin y <= a + k after 2 ns; end process;
+end rtl;
+
+entity pair is end pair;
+architecture rtl of pair is
+  component adder
+    generic ( k : integer := 1 );
+    port ( a : in integer; y : out integer );
+  end component;
+  signal x, y3, y5 : integer := 0;
+begin
+  u3 : adder generic map ( k => 3 ) port map ( a => x, y => y3 );
+  u5 : adder generic map ( k => 5 ) port map ( a => x, y => y5 );
+  stim : process begin wait for 5 ns; x <= x + 10; end process;
+end rtl;
+"""
+
+#: Processes inside nested blocks; ``q``'s multi-line ``if`` is its
+#: last statement, so a slice cut short would drop the ``else``.
+NESTED = """
+entity nested is end nested;
+architecture rtl of nested is
+  signal clk : bit := '0';
+  signal a, b, q : integer := 0;
+begin
+  outer : block
+    signal inner : integer := 0;
+  begin
+    p : process begin wait on a; inner <= a + 1 after 1 ns;
+        end process;
+    deep : block
+    begin
+      q_reg : process
+      begin
+        wait until clk = '1';
+        if inner > 2 then
+          q <= inner;
+        else
+          q <= 0 - inner;
+        end if;
+      end process;
+      r : process (inner) begin b <= inner after 2 ns; end process;
+    end block deep;
+  end block outer;
+  clock : process begin wait for 5 ns; clk <= not clk; end process;
+  count : process begin wait for 7 ns; a <= a + 1; end process;
+end rtl;
+"""
+
+
+def _specialized(library, top):
+    kernel = CompiledKernel()
+    sim = Elaborator(library, kernel=kernel).elaborate(top)
+    kernel.compile_design(sim.records)
+    return kernel
+
+
+class TestShapes:
+    """One code object per process shape: processes that differ only
+    in integer literals and captured names share a factory."""
+
+    def test_ring_shares_one_code_object(self, monkeypatch):
+        monkeypatch.setattr(compiled, "_PROGRAM_CACHE", OrderedDict())
+        kernel = _specialized(compile_lib(_ring(12)), "ring")
+        assert kernel.compiled_procs == 12
+        assert kernel.program.stats["shapes"] == 1
+        assert len({fn.__code__
+                    for fn in kernel._c_resume.values()}) == 1
+
+    def test_generic_instances_match_the_event_kernel(self):
+        library = compile_lib(GENERIC_PAIR)
+        kernel = _specialized(library, "pair")
+        adds = [p for p in kernel.processes
+                if p.name.endswith(":add")]
+        plans = [kernel.program.plans[p.index] for p in adds]
+        # Both instances lift their own generic into one factory.
+        assert len(plans) == 2 and all(plan.env for plan in plans)
+        assert kernel._c_resume[adds[0].index].__code__ is \
+            kernel._c_resume[adds[1].index].__code__
+        until_fs = 60 * 10**6
+        event = _simulate(Kernel, library, "pair", until_fs)
+        comp = _simulate(CompiledKernel, library, "pair", until_fs)
+        assert _compare(event, comp, "Kernel", "CompiledKernel") is None
+        assert event["vcd"] == comp["vcd"]
+        values = dict(event["values"])
+        assert int(values[":pair:y3"]) + 2 == int(values[":pair:y5"])
+
+    def test_block_nested_processes_are_sliced(self):
+        library = compile_lib(NESTED)
+        kernel = _specialized(library, "nested")
+        names = {p.name.rsplit(":", 1)[-1]
+                 for p in kernel.processes
+                 if p.index in kernel.program.plans}
+        assert {"p", "q_reg", "r"} <= names
+        result = check_source(NESTED, "nested", until_ns=100,
+                              compiled=True)
+        assert result.outcome == "ok", result.detail

@@ -1,9 +1,12 @@
 """Tests for the script-driven interface (python -m repro)."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import COMMANDS, _parser, main
 from repro.sim import parse_time
 
@@ -258,3 +261,35 @@ class TestBuildCommand:
         rc = main(["--root", root, "build", str(bad)], out=collect)
         assert rc == 1
         assert any(line.startswith("failed") for line in collect.lines)
+
+
+#: One signal whose image is about 300 KB: more than a pipe holds.
+WIDE = """
+entity wide is end wide;
+architecture rtl of wide is
+  signal w : bit_vector(0 to 99999) := (others => '1');
+begin
+end rtl;
+"""
+
+
+def test_reader_closing_the_pipe_ends_the_run_quietly(tmp_path):
+    """`repro sim ... | head -1`: the reader closes the pipe while sim
+    is still writing; the run exits 1 with nothing on stderr."""
+    src = tmp_path / "wide.vhd"
+    src.write_text(WIDE)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(repro.__file__))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "--root", str(tmp_path / "libs"),
+         "sim", str(src), "--until", "1ns"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert b"Traceback" not in stderr, stderr
+    assert b"Exception ignored" not in stderr, stderr
+    assert proc.returncode == 1

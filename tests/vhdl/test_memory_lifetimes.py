@@ -2,11 +2,13 @@
 
 A compile's parse tree (with every attribute instance on it) must be
 gone before the generated models are byte-compiled, and codegen's
-model ASTs before the specialized module is.  The checks count live
+process ASTs before the specialized module is.  The checks count live
 objects with :func:`gc.get_objects` while the cyclic collector is off,
 so a tree that is still referenced, or left as cyclic garbage, is
 counted; nothing is timed.  The merge test pins that the AG's list
-merges use memory linear in the number of merged statements.
+merges use memory linear in the number of merged statements, and the
+codegen peak test that a cold specialization costs less traced memory
+than the byte-compile of the model it specializes.
 """
 
 import ast
@@ -115,6 +117,42 @@ def test_no_function_def_alive_at_program_compile(monkeypatch,
     kernel.compile_design(sim.records)
     assert kernel.compiled_procs == 3
     assert counts == [baseline]
+
+
+def _traced_peak(work):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cold_codegen_peak_below_the_model_byte_compile(monkeypatch):
+    """Codegen parses one process at a time and byte-compiles one
+    factory per process shape, so on a ring of 400 identical cells it
+    peaks below the byte-compile of the model it specializes."""
+    n = 400
+    lines = ["entity ring is end ring;", "architecture rtl of ring is"]
+    lines += ["  signal c_%d : integer := 0;" % i for i in range(n)]
+    lines.append("begin")
+    lines += ["  p_%d: process (c_%d) begin c_%d <= 1 - c_%d after 1 ns;"
+              " end process;" % (i, i, (i + 1) % n, (i + 1) % n)
+              for i in range(n)]
+    lines.append("end rtl;")
+    compiler = Compiler()
+    assert compiler.compile("\n".join(lines)).ok
+    arch = compiler.library.find_architecture("work", "ring", "rtl")
+    kernel = CompiledKernel()
+    sim = Elaborator(compiler.library, kernel=kernel).elaborate("ring")
+    monkeypatch.setattr(compiled, "_PROGRAM_CACHE", OrderedDict())
+    model_peak = _traced_peak(
+        lambda: compiler_mod.compile_model(arch.py_source))
+    codegen_peak = _traced_peak(
+        lambda: kernel.compile_design(sim.records))
+    assert kernel.compiled_procs == n
+    assert codegen_peak < model_peak
 
 
 def _cstmt(i):
