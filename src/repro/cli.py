@@ -345,11 +345,17 @@ def _emit_metrics(registry, args, out, title="metrics"):
         else:
             text = json.dumps(registry.snapshot(), indent=1,
                               sort_keys=True) + "\n"
-        tmp = "%s.tmp.%d" % (args.metrics_out, os.getpid())
-        with open(tmp, "w") as f:
-            f.write(text)
-        os.replace(tmp, args.metrics_out)
+        _write_atomic(args.metrics_out, text)
         out("metrics snapshot written to %s" % args.metrics_out)
+
+
+def _write_atomic(path, text):
+    """Write ``text`` to ``path`` through a temporary file, so a
+    reader never sees it half written."""
+    tmp = "%s.tmp.%d" % (path, os.getpid())
+    with open(tmp, "w") as f:
+        f.write(text)
+    os.replace(tmp, path)
 
 
 def _emit_profile(events, args, out, title):
@@ -366,10 +372,10 @@ def _emit_profile(events, args, out, title):
         out("trace written to %s" % args.trace_out)
 
 
-def _print_errors(path, result, say):
-    """Report a failed compile: ``path: N error(s)``, then each
+def _print_errors(result, say):
+    """Report a failed compile: ``file: N error(s)``, then each
     message."""
-    say("%s: %d error(s)" % (path, len(result.messages)))
+    say("%s: %d error(s)" % (result.filename, len(result.messages)))
     for message in result.messages:
         say("  %s" % message)
 
@@ -396,7 +402,7 @@ def cmd_compile(args, out):
                 path, result.source_lines,
                 ", ".join(result.unit_names()) or "none"))
             continue
-        _print_errors(path, result, out)
+        _print_errors(result, out)
         if args.explain_cycle and isinstance(result.error,
                                              CircularityError):
             out(explain_cycle(result.error))
@@ -458,15 +464,13 @@ def cmd_build(args, out):
                report.jobs))
     lint_errors = 0
     if args.lint:
-        from .diag import DiagnosticEngine
+        from .request import sort_findings
 
-        diag_engine = DiagnosticEngine(werror=args.werror)
-        for diag in report.lint_findings:
-            diag_engine.emit(diag)
-        for diag in diag_engine.sorted():
+        lint = sort_findings(report.lint_findings, werror=args.werror)
+        for diag in lint.ordered:
             out(str(diag))
-        lint_errors = diag_engine.error_count
-        out("lint: %s" % diag_engine.summary())
+        lint_errors = lint.errors
+        out("lint: %s" % lint.summary)
     diags = report.all_diagnostics()
     if args.diag_format != "text" and diags:
         out(render(diags, args.diag_format))
@@ -484,10 +488,11 @@ def cmd_build(args, out):
     return 0 if report.ok and not lint_errors else 1
 
 
-def _collect_vhdl_paths(paths, out):
-    """Expand files/directories into a sorted list of VHDL sources."""
+def _collect_vhdl_paths(args, out):
+    """Expand the command's files/directories into a sorted list of
+    VHDL sources."""
     files = []
-    for path in paths:
+    for path in args.paths:
         if os.path.isdir(path):
             for dirpath, dirnames, filenames in os.walk(path):
                 dirnames.sort()
@@ -497,9 +502,31 @@ def _collect_vhdl_paths(paths, out):
         elif os.path.isfile(path):
             files.append(path)
         else:
-            out("lint: no such file or directory: %s" % path)
+            out("%s: no such file or directory: %s"
+                % (args.command, path))
             return None
     return files
+
+
+def _apply_baseline(args, findings, say):
+    """``(kept, suppressed)``: ``findings`` split by the accepted
+    ``--baseline`` file, or None when it cannot be loaded."""
+    from .analysis import apply_baseline, load_baseline
+
+    if not args.baseline:
+        return findings, []
+    try:
+        baseline = load_baseline(args.baseline)
+    except (OSError, ValueError) as exc:
+        say("%s: cannot load baseline: %s" % (args.command, exc))
+        return None
+    if baseline.deprecated_absolute:
+        say("%s: baseline %s has %d absolute-path entr%s "
+            "(deprecated; rewrite with --write-baseline for a "
+            "checkout-portable baseline)"
+            % (args.command, args.baseline, baseline.deprecated_absolute,
+               "y" if baseline.deprecated_absolute == 1 else "ies"))
+    return apply_baseline(findings, baseline)
 
 
 def _builtin_ag(name):
@@ -517,56 +544,37 @@ def _builtin_ag(name):
 
 
 def cmd_lint(args, out):
-    from .analysis import (
-        LintEngine,
-        apply_baseline,
-        load_baseline,
-        write_baseline,
-    )
-    from .diag import DiagnosticEngine, render
-    from .vhdl.compiler import Compiler
+    from .analysis import LintEngine, write_baseline
+    from .diag import render
+    from .request import compile_sources, sort_findings
 
     fmt = args.lint_format or args.diag_format
     registry = _registry_for(args)
-    files = _collect_vhdl_paths(args.paths, out)
+    files = _collect_vhdl_paths(args, out)
     if files is None:
         return 2
     if not files and not args.ag:
         out("lint: nothing to lint (no .vhd files, no --ag)")
         return 2
 
-    # Compile into an in-memory library: lint is a read-only check
+    # Lint is a read-only check: it compiles into an in-memory library
     # and must not disturb the persistent design library.
-    from .vhdl.library import LibraryManager
-
-    library = LibraryManager(root=None, work=args.work,
-                             reference_libs=tuple(args.ref))
-    compiler = Compiler(library=library, work=args.work)
-    sources = {}
-    compile_failed = False
-    for path in files:
-        result = compiler.compile_file(path)
-        if not result.ok:
-            _print_errors(path, result, out)
-            compile_failed = True
-            continue
-        try:
-            with open(path) as fh:
-                sources[path] = fh.read()
-        except OSError:
-            pass
-    if compile_failed:
+    compiled = compile_sources(files, work=args.work, ref=args.ref)
+    for result in compiled.failed:
+        _print_errors(result, out)
+    if compiled.failed:
         out("lint: compilation failed; fix compile errors first")
         return 2
+    library = compiled.library
 
     engine = LintEngine(library=library, work=args.work,
                         select=args.select, ignore=args.ignore,
                         metrics=registry)
     findings = engine.lint_library() if files else []
     for name in args.ag:
-        compiled, entry, goals = _builtin_ag(name)
+        grammar, entry, goals = _builtin_ag(name)
         findings.extend(engine.lint_ag(
-            compiled, entry_inherited=entry, goals=goals))
+            grammar, entry_inherited=entry, goals=goals))
 
     if args.write_baseline:
         n = write_baseline(args.write_baseline, findings)
@@ -575,53 +583,22 @@ def cmd_lint(args, out):
         _emit_metrics(registry, args, out, "lint metrics")
         return 0
 
-    suppressed = []
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            out("lint: cannot load baseline: %s" % exc)
-            return 2
-        findings, suppressed = apply_baseline(findings, baseline)
+    split = _apply_baseline(args, findings, out)
+    if split is None:
+        return 2
+    findings, suppressed = split
 
-    # Route through a DiagnosticEngine so -Werror promotion and
-    # severity accounting match the compiler's own pipeline.
-    diag_engine = DiagnosticEngine(werror=args.werror)
-    for diag in findings:
-        diag_engine.emit(diag)
-    ordered = diag_engine.sorted()
-    if ordered or fmt == "sarif":
-        out(render(ordered, fmt, sources=sources))
-    tail = "lint: %s" % diag_engine.summary()
+    report = sort_findings(findings, werror=args.werror)
+    if report.ordered or fmt == "sarif":
+        out(render(report.ordered, fmt, sources=compiled.sources))
+    tail = "lint: %s" % report.summary
     if suppressed:
         tail += ", %d baseline-suppressed" % len(suppressed)
     tail += " (%d unit(s) checked)" % len(
         [k for k in library._units if k[0] == args.work])
     out(tail)
     _emit_metrics(registry, args, out, "lint metrics")
-    return 1 if ordered else 0
-
-
-def _analyze_header_meta(path):
-    """The ``-- repro-fuzz:`` header of a file, if any (corpus
-    entries pin their top entity and expected outcome there)."""
-    from .gen import corpus as corpus_store
-
-    meta = {}
-    try:
-        with open(path) as fh:
-            for line in fh:
-                stripped = line.strip()
-                if stripped.startswith(corpus_store.HEADER_PREFIX):
-                    rest = stripped[
-                        len(corpus_store.HEADER_PREFIX):].strip()
-                    for key, value in corpus_store._KV.findall(rest):
-                        meta[key] = value
-                elif stripped and not stripped.startswith("--"):
-                    break
-    except (OSError, UnicodeDecodeError):
-        pass
-    return meta
+    return 1 if report.ordered else 0
 
 
 def cmd_analyze(args, out):
@@ -634,18 +611,10 @@ def cmd_analyze(args, out):
     failures (multi-driver races above all) whose findings are
     expected, so they never gate.
     """
-    from .analysis import (
-        LintEngine,
-        apply_baseline,
-        levels_artifact,
-        load_baseline,
-        write_baseline,
-    )
-    from .diag import DiagnosticEngine, render
-    from .vhdl.compiler import Compiler
-    from .vhdl.elaborate import Elaborator
-    from .vhdl.library import LibraryManager
-    from .vhdl.symtab import entry_kind
+    from .analysis import levels_artifact, write_baseline
+    from .diag import render
+    from .gen.corpus import parse_entry
+    from .request import analyze, compile_sources, sort_findings
 
     fmt = args.lint_format or args.diag_format
     # With --format sarif, stdout must be the SARIF document and
@@ -657,7 +626,7 @@ def cmd_analyze(args, out):
     else:
         say = out
     registry = _registry_for(args)
-    files = _collect_vhdl_paths(args.paths, say)
+    files = _collect_vhdl_paths(args, say)
     if files is None:
         return 2
     if not files and not (args.top and args.root):
@@ -665,64 +634,34 @@ def cmd_analyze(args, out):
             "with --root to analyze a built library)")
         return 2
 
-    # Each job: (label, library, top, arch, expect, sources)
+    # Each job: (label, library, top, arch, expect, sources).  With
+    # --top all files form one design; without it each file is an
+    # independent design, and a corpus header may pin its top entity
+    # and expected outcome.
     jobs = []
-    if args.top and files:
-        # All files form one design.
-        library = LibraryManager(root=None, work=args.work,
-                                 reference_libs=tuple(args.ref))
-        compiler = Compiler(library=library, work=args.work)
-        sources = {}
-        for path in files:
-            result = compiler.compile_file(path)
-            if not result.ok:
-                _print_errors(path, result, say)
-                return 2
-            try:
-                with open(path) as fh:
-                    sources[path] = fh.read()
-            except OSError:
-                pass
-        jobs.append((args.top, library, args.top, args.arch, "ok",
-                     sources))
-    elif args.top:
-        library = _library(args)
-        # Units the library refused to load (corrupt, or written by an
-        # older compiler) are named here, not left as missing units.
-        for diag in library.quarantine_diagnostics():
-            say(str(diag))
-        jobs.append((args.top, library, args.top, args.arch, "ok", {}))
-    else:
-        # Each file is an independent design.
-        for path in files:
-            meta = _analyze_header_meta(path)
-            expect = meta.get("expect", "ok")
-            library = LibraryManager(root=None, work=args.work,
-                                     reference_libs=tuple(args.ref))
-            compiler = Compiler(library=library, work=args.work)
-            result = compiler.compile_file(path)
-            if not result.ok:
-                if expect == "rejected":
-                    say("%s: does not compile (expected; skipped)"
-                        % path)
-                    continue
-                _print_errors(path, result, say)
-                return 2
-            top = meta.get("top")
-            if top is None:
-                entities = [u.name for u in result.units
-                            if entry_kind(u) == "entity"]
-                if not entities:
-                    say("%s: no entity to analyze; skipped" % path)
-                    continue
-                top = entities[-1]
-            sources = {}
-            try:
-                with open(path) as fh:
-                    sources[path] = fh.read()
-            except OSError:
-                pass
-            jobs.append((path, library, top, None, expect, sources))
+    if args.top and not files:
+        jobs.append((args.top, _library(args), args.top, args.arch,
+                     "ok", {}))
+    for group in ([files] if args.top and files
+                  else [[path] for path in files]):
+        compiled = compile_sources(group, work=args.work, ref=args.ref)
+        label = args.top or group[0]
+        meta = {} if args.top else \
+            parse_entry(compiled.results[0].source or "").meta
+        expect = meta.get("expect", "ok")
+        if compiled.failed:
+            if expect == "rejected":
+                say("%s: does not compile (expected; skipped)" % label)
+                continue
+            _print_errors(compiled.failed[0], say)
+            return 2
+        top = args.top or meta.get("top") or compiled.top
+        if top is None:
+            say("%s: no entity to analyze; skipped" % label)
+            continue
+        jobs.append((label, compiled.library, top,
+                     args.arch if args.top else None, expect,
+                     compiled.sources))
 
     if args.levels_out and len(jobs) != 1:
         say("analyze: --levels-out needs exactly one design "
@@ -732,13 +671,13 @@ def cmd_analyze(args, out):
     gating = []       # findings that count toward the exit code
     informational = []  # findings on expected-failure designs
     all_sources = {}
-    engine = LintEngine(library=None, work=args.work,
-                        select=args.select, ignore=args.ignore,
-                        metrics=registry)
     designs_analyzed = 0
     for label, library, top, arch, expect, sources in jobs:
-        engine.context.library = library
-        sim = Elaborator(library).elaborate(top, arch_name=arch)
+        design = analyze(library, top, arch=arch, select=args.select,
+                         ignore=args.ignore, metrics=registry)
+        for diag in design.quarantined:
+            say(str(diag))
+        sim = design.sim
         if not sim.ok:
             if expect != "ok":
                 say("%s: does not elaborate (expected; skipped): %s"
@@ -747,29 +686,23 @@ def cmd_analyze(args, out):
             say("analyze: %s: elaboration failed: %s"
                 % (label, sim.error))
             return 2
-        graph = sim.netlist()
-        findings = engine.lint_design(graph)
         designs_analyzed += 1
         all_sources.update(sources)
         if expect == "ok":
-            gating.extend(findings)
+            gating.extend(design.findings)
         else:
-            informational.extend(findings)
+            informational.extend(design.findings)
         if args.levels_out:
-            artifact = levels_artifact(graph)
+            artifact = levels_artifact(design.graph)
             parent = os.path.dirname(args.levels_out)
             if parent:
                 os.makedirs(parent, exist_ok=True)
-            tmp = "%s.tmp.%d" % (args.levels_out, os.getpid())
-            with open(tmp, "w") as fh:
-                json.dump(artifact, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, args.levels_out)
+            _write_atomic(args.levels_out, json.dumps(
+                artifact, indent=1, sort_keys=True) + "\n")
             say("levelization artifact written to %s "
-                "(%d level(s), %d cyclic signal(s))"
-                % (args.levels_out,
-                   len(artifact["levels"]),
-                   len(artifact["cyclic"])))
+                "(%d level(s), %d cyclic signal(s))" % (
+                    args.levels_out, len(artifact["levels"]),
+                    len(artifact["cyclic"])))
 
     if args.write_baseline:
         n = write_baseline(args.write_baseline, gating)
@@ -778,33 +711,16 @@ def cmd_analyze(args, out):
         _emit_metrics(registry, args, say, "analyze metrics")
         return 0
 
-    suppressed = []
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            say("analyze: cannot load baseline: %s" % exc)
-            return 2
-        if baseline.deprecated_absolute:
-            say("analyze: baseline %s has %d absolute-path entr%s "
-                "(deprecated; rewrite with --write-baseline for a "
-                "checkout-portable baseline)"
-                % (args.baseline, baseline.deprecated_absolute,
-                   "y" if baseline.deprecated_absolute == 1
-                   else "ies"))
-        gating, suppressed = apply_baseline(gating, baseline)
+    split = _apply_baseline(args, gating, say)
+    if split is None:
+        return 2
+    gating, suppressed = split
 
-    diag_engine = DiagnosticEngine(werror=args.werror)
-    for diag in gating:
-        diag_engine.emit(diag)
-    for diag in informational:
-        diag_engine.emit(diag)
-    ordered = diag_engine.sorted()
-    if ordered or fmt == "sarif":
-        out(render(ordered, fmt, sources=all_sources))
-    blocking = [d for d in gating
-                if d.severity not in ("note",)]
-    tail = "analyze: %s" % diag_engine.summary()
+    report = sort_findings(gating + informational, werror=args.werror)
+    if report.ordered or fmt == "sarif":
+        out(render(report.ordered, fmt, sources=all_sources))
+    blocking = [d for d in gating if d.severity != "note"]
+    tail = "analyze: %s" % report.summary
     if suppressed:
         tail += ", %d baseline-suppressed" % len(suppressed)
     if informational:
@@ -830,89 +746,61 @@ def cmd_list(args, out):
 
 
 def cmd_simulate(args, out):
-    from functools import partial
-
     from .diag import render
+    from .request import compile_sources, simulate
     from .sim import backend_kernel
-    from .sim.tracing import WaveformRecorder
     from .trace import NULL_RECORDER, SpanRecorder
-    from .vhdl.elaborate import Elaborator
 
     registry = _registry_for(args)
     spans = SpanRecorder() if args.trace_out or args.profile \
         else NULL_RECORDER
-    _span = partial(spans.span, cat="cli")
 
     # Sampled kernel spans keep the trace readable on long runs while
     # still exposing the §2.2-style where-did-the-time-go breakdown
     # down to delta cycles.
-    backend = args.backend
-    kernel = backend_kernel(backend)(metrics=registry, trace=spans,
-                                     trace_sample=TRACE_SAMPLE)
+    kernel = backend_kernel(args.backend)(
+        metrics=registry, trace=spans, trace_sample=TRACE_SAMPLE)
     top = args.top
     compiler = None
     if top.endswith((".vhd", ".vhdl")) or os.path.isfile(top):
         # A source file: compile it first, then simulate its last
         # entity — one metrics snapshot covers compile → elaborate →
         # simulate.
-        from .vhdl.compiler import Compiler
-        from .vhdl.symtab import entry_kind
-
-        compiler = Compiler(library=_library(args), work=args.work,
-                            werror=args.werror)
-        result = compiler.compile_file(top)
-        if not result.ok:
-            _print_errors(top, result, out)
+        compiled = compile_sources([top], work=args.work,
+                                   library=_library(args),
+                                   werror=args.werror)
+        if compiled.failed:
+            _print_errors(compiled.failed[0], out)
             return 1
-        entities = [u.name for u in result.units
-                    if entry_kind(u) == "entity"]
-        if not entities:
+        if compiled.top is None:
             out("%s: no entity to simulate" % top)
             return 1
-        library = compiler.library
-        top = entities[-1]
+        compiler, library, top = (compiled.compiler, compiled.library,
+                                  compiled.top)
     else:
         library = _library(args)
-    with _span("sim", top=str(top)):
-        with _span("elaborate"):
-            sim = Elaborator(library, kernel=kernel).elaborate(
-                top, arch_name=args.arch)
-        if not sim.ok:
+    # An error-severity --analyze finding (combinational loop,
+    # unresolved drive race) would hang or abort the run anyway, so
+    # it keeps the kernel from starting.
+    with spans.span("sim", cat="cli", top=str(top)):
+        design = simulate(library, top, kernel, until_fs=args.until,
+                          arch=args.arch,
+                          waves=args.trace if args.vcd else None,
+                          preflight=args.analyze, metrics=registry)
+    for diag in design.quarantined:
+        out(str(diag))
+    sim = design.sim
+    if design.findings:
+        out(render(design.findings, args.diag_format))
+    if not design.ran:
+        if design.blocking:
+            out("sim: analyze pre-flight found %d blocking "
+                "finding(s); not starting the kernel"
+                % len(design.blocking))
+        else:
             out(render(sim.diagnostics, args.diag_format))
-            return 1
-        if args.analyze:
-            # Pre-flight: the whole-design analyzer sees the same
-            # elaborated hierarchy the kernel is about to run; an
-            # error-severity finding (combinational loop, unresolved
-            # drive race) would hang or abort the simulation anyway,
-            # so fail fast with the structured diagnostic instead.
-            # The compiled backend reuses its netlist.
-            from .analysis import LintEngine
-
-            with _span("analyze"):
-                findings = LintEngine(
-                    library=library, work=args.work,
-                    metrics=registry).lint_design(sim.netlist())
-            if findings:
-                out(render(findings, args.diag_format))
-            blocking = [d for d in findings
-                        if d.severity in ("error", "fatal")]
-            if blocking:
-                out("sim: analyze pre-flight found %d blocking "
-                    "finding(s); not starting the kernel"
-                    % len(blocking))
-                return 1
-        tracer = None
-        if args.trace or args.vcd:
-            signals = []
-            for suffix in args.trace or ["*"]:
-                for path in sim.names.by_suffix(suffix):
-                    if sim.names.kind_of(path) == "signal":
-                        signals.append(sim.names.lookup(path))
-            tracer = WaveformRecorder(sim.kernel, signals or None)
-        with _span("kernel_run"):
-            sim.run(until_fs=args.until)
-    if backend == "compiled":
+        return 1
+    if args.backend == "compiled":
         out("codegen: %d/%d process(es) compiled, %d slot "
             "signal(s), %.1f ms"
             % (kernel.compiled_procs, len(kernel.processes),
@@ -921,9 +809,9 @@ def cmd_simulate(args, out):
         out(render(sim.diagnostics, args.diag_format))
     for line in sim.report_lines():
         out(line)
-    if tracer is not None and args.vcd:
+    if args.vcd:
         with open(args.vcd, "w") as f:
-            f.write(tracer.vcd())
+            f.write(design.waves.vcd())
         out("VCD written to %s" % args.vcd)
     if _wants_metrics(args):
         from .metrics.bridge import (

@@ -36,14 +36,13 @@ produces one before it is reported.
 
 import traceback
 
+from ..analysis.engine import LintEngine
 from ..metrics import MetricsRegistry
 from ..metrics.bridge import bridge_kernel
+from ..request import analyze as analyze_design
+from ..request import compile_sources, simulate
 from ..sim.compiled import CompiledKernel
 from ..sim.kernel import Kernel, ScanKernel
-from ..sim.tracing import WaveformRecorder
-from ..vhdl.compiler import Compiler
-from ..vhdl.elaborate import Elaborator
-from ..vhdl.library import LibraryManager
 
 OUTCOMES = ("ok", "rejected", "sim_error", "divergence", "crash")
 FAILURE_OUTCOMES = ("divergence", "crash")
@@ -114,13 +113,13 @@ def check_source(source, top, until_ns=1000, filename="<gen>",
     :class:`~repro.sim.compiled.CompiledKernel` backend runs as a
     third differential leg under the same byte-identity obligation.
     """
-    library = LibraryManager(root=None)
-    compiler = Compiler(library=library)
     try:
-        result = compiler.compile(source, filename=filename)
+        built = compile_sources([(filename, source)])
     except Exception:
         return CheckResult("crash", detail="compile raised:\n%s"
                            % traceback.format_exc())
+    [result] = built.results
+    library = built.library
 
     if not result.ok:
         if result.diagnostics:
@@ -135,29 +134,28 @@ def check_source(source, top, until_ns=1000, filename="<gen>",
 
     # -- lint (findings are information; exceptions are crashes) -------
     try:
-        from ..analysis.engine import LintEngine
-
         findings = LintEngine(library=library).lint_library()
     except Exception:
         return CheckResult("crash", detail="lint raised:\n%s"
                            % traceback.format_exc())
 
     # -- static design analysis (optional oracle leg) ------------------
+    # A design the elaborator rejects has no findings: the
+    # differential legs classify that fate themselves.
     design_findings = None
     if analyze:
-        design_findings = _analyze(library, top)
-        if isinstance(design_findings, CheckResult):  # analyzer crash
-            design_findings.lint_findings = len(findings)
-            return design_findings
+        try:
+            design_findings = analyze_design(library, top).findings
+        except Exception:
+            return CheckResult("crash", detail="analyze raised:\n%s"
+                               % traceback.format_exc(),
+                               lint_findings=len(findings))
 
     # -- differential simulation ---------------------------------------
-    until_fs = until_ns * NS
-    legs = [("Kernel", _simulate(Kernel, library, top, until_fs)),
-            ("ScanKernel",
-             _simulate(ScanKernel, library, top, until_fs))]
-    if compiled:
-        legs.append(("CompiledKernel",
-                     _simulate(CompiledKernel, library, top, until_fs)))
+    kernels = (Kernel, ScanKernel) + ((CompiledKernel,) if compiled
+                                      else ())
+    legs = [(k.__name__, _simulate(k, library, top, until_ns * NS))
+            for k in kernels]
 
     for _name, side in legs:
         if side.get("crash"):
@@ -195,50 +193,33 @@ def check_source(source, top, until_ns=1000, filename="<gen>",
     return CheckResult("ok", lint_findings=len(findings))
 
 
-def _analyze(library, top):
-    """The analyzer leg: elaborate once more, flatten, run RPE rules.
-
-    Returns the finding list, or a ``crash`` :class:`CheckResult`
-    when the analyzer itself blows up.  A design the elaborator
-    rejects yields no findings — the differential legs classify that
-    fate themselves.
-    """
-    from ..analysis import LintEngine
-
-    try:
-        sim = Elaborator(library, kernel=Kernel()).elaborate(top)
-        if not sim.ok:
-            return []
-        return LintEngine(library=library).lint_design(sim.netlist())
-    except Exception:
-        return CheckResult("crash", detail="analyze raised:\n%s"
-                           % traceback.format_exc())
-
-
 def _first_line(messages):
     return messages[0].splitlines()[0] if messages else ""
 
 
 def _simulate(kernel_cls, library, top, until_fs):
-    """One side of the differential run; returns an observation dict.
-
-    ``crash`` — raw traceback (harness failure).  ``error`` — the
-    failed simulation's exception as ``(type_name, message)``.
-    Otherwise the full observable state.
-    """
-    registry = MetricsRegistry()
-    kernel = kernel_cls(metrics=registry)
+    """One leg's :func:`observe` record, or its ``crash``."""
     try:
-        sim = Elaborator(library, kernel=kernel).elaborate(top)
-        tracer = WaveformRecorder(kernel)
-        sim.run(until_fs=until_fs, max_cycles=MAX_CYCLES)
+        design = simulate(library, top,
+                          kernel_cls(metrics=MetricsRegistry()),
+                          until_fs=until_fs, max_cycles=MAX_CYCLES,
+                          waves=())
     except Exception:
         return {"crash": "%s simulate raised:\n%s"
                 % (kernel_cls.__name__, traceback.format_exc())}
+    return observe(design)
+
+
+def observe(design):
+    """What the oracle compares of one simulated design: its
+    exception as ``error: (type_name, message)`` when it failed, else
+    the kernel's, waveform recorder's and metrics' observable state."""
+    sim = design.sim
     if not sim.ok:
         return {"error": (type(sim.error).__name__, str(sim.error))}
-    bridge_kernel(registry, kernel)
-    snapshot = registry.snapshot()["metrics"]
+    kernel = sim.kernel
+    bridge_kernel(kernel.metrics, kernel)
+    snapshot = kernel.metrics.snapshot()["metrics"]
     return {
         "error": None,
         "end": kernel.now,
@@ -250,7 +231,7 @@ def _simulate(kernel_cls, library, top, until_fs):
         "transactions": [s.transactions for s in kernel.signals],
         "resumes": [p.resumes for p in kernel.processes],
         "reports": list(kernel.logger.records),
-        "vcd": tracer.vcd(),
+        "vcd": design.waves.vcd(),
         "metrics": {name: snapshot[name]["samples"]
                     for name in _METRIC_FAMILIES
                     if name in snapshot},

@@ -10,9 +10,11 @@ in dependency order, possibly in parallel workers — and the one
 Ten clients posting the same package therefore cost one AG evaluation,
 exactly like ten files in one ``repro build`` invocation.
 
-Simulation and lint jobs are read-only: they run directly on the
-executor against a pinned library snapshot, concurrent with each other
-and with at most one writer per session (the workspace lock).
+Simulation, lint and analyze jobs are read-only: they run directly on
+the executor against a pinned library snapshot, concurrent with each
+other and with at most one writer per session (the workspace lock).
+Their pipeline steps are :mod:`repro.request`'s; this layer turns the
+records into JSON.
 
 Every job resolves to a plain JSON-able dict carrying the request id,
 per-job diagnostics as JSON lines (:func:`repro.diag.render_jsonl` —
@@ -25,6 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..diag import Diagnostic, render_jsonl
 from ..metrics import NULL_REGISTRY
+from ..request import analyze, compile_sources, simulate, sort_findings
 from ..trace.context import current_context, make_span, use
 from ..trace.recorder import NULL_RECORDER
 
@@ -322,28 +325,23 @@ class JobRunner:
 
     def _run_sim(self, workspace, top, arch, until_fs, lib, backend):
         from ..sim import TRACE_SAMPLE, backend_kernel
-        from ..vhdl.elaborate import Elaborator
 
         snapshot = workspace.snapshot()
-        # A traced kernel samples timestep / process-resume spans; the
-        # ambient context during ``run()`` (the kernel_run phase) is
-        # what they parent into.
+        # A traced kernel samples timestep / process-resume spans into
+        # the kernel_run span the run opens.
         kernel = backend_kernel(backend)(trace=self.trace,
                                          trace_sample=TRACE_SAMPLE)
-        span = self.trace.span
-        with span("elaborate", cat="serve"):
-            sim = Elaborator(snapshot, kernel=kernel).elaborate(
-                top, arch_name=arch, lib=lib)
+        design = simulate(snapshot, top, kernel, until_fs=until_fs,
+                          arch=arch, lib=lib)
+        sim = design.sim
         result = {"library_version": snapshot.version}
-        if sim.ok:
+        if design.ran:
             # A run that fails still answers with the state at its stop.
-            with span("kernel_run", cat="serve"):
-                end = sim.run(until_fs=until_fs)
-            result.update(end_fs=end, cycles=kernel.cycles, signals=[
+            result.update(end_fs=sim.now, cycles=kernel.cycles, signals=[
                 [path, sig.image(sig.value)]
                 for path, sig in sim.names.signals()])
         result.update(ok=sim.ok, diagnostics_jsonl=render_jsonl(
-            snapshot.quarantine_diagnostics() + sim.diagnostics))
+            design.quarantined + sim.diagnostics))
         if not sim.ok:
             result["error"] = _error_text(sim)
             return result
@@ -368,16 +366,13 @@ class JobRunner:
     def _run_lint(self, workspace, files, select, ignore):
         from ..analysis import LintEngine
 
-        if files:
-            library, _entities, failure = _compile_in_memory(files)
-            if failure is not None:
-                return failure
-        else:
-            library = workspace.snapshot()
-        engine = LintEngine(library=library, work="work",
-                            select=list(select), ignore=list(ignore))
-        ordered, result = _findings(engine.lint_library())
-        result["ok"] = not ordered
+        library, _top, failure = _library_for(workspace, files)
+        if failure is not None:
+            return failure
+        result = _findings(LintEngine(
+            library=library, work="work", select=select,
+            ignore=ignore).lint_library())
+        result["ok"] = not result["findings"]
         return result
 
     async def analyze(self, workspace, files=None, top=None,
@@ -391,50 +386,36 @@ class JobRunner:
                                tuple(ignore))
 
     def _run_analyze(self, workspace, files, top, select, ignore):
-        from ..analysis import LintEngine, levels_artifact
-        from ..vhdl.elaborate import Elaborator
+        from ..analysis import levels_artifact
 
-        if files:
-            library, entities, failure = _compile_in_memory(files)
-            if failure is not None:
-                return failure
-            if top is None:
-                if not entities:
-                    return {"ok": False,
-                            "error": "no entity to analyze"}
-                top = entities[-1]
-        else:
-            if top is None:
-                return {"ok": False,
-                        "error": "analyze without files needs a "
-                                 "'top' entity name"}
-            library = workspace.snapshot()
-        sim = Elaborator(library).elaborate(top)
+        library, last_entity, failure = _library_for(workspace, files)
+        if failure is not None:
+            return failure
+        top = last_entity if top is None else top
+        if top is None:
+            return {"ok": False, "error": "no entity to analyze"
+                    if files else "analyze without files needs a "
+                                  "'top' entity name"}
+        design = analyze(library, top, select=select, ignore=ignore)
+        sim = design.sim
+        diagnostics = render_jsonl(design.quarantined + sim.diagnostics)
         if not sim.ok:
             return {"ok": False, "error": _error_text(sim),
-                    "diagnostics_jsonl": render_jsonl(sim.diagnostics)}
-        graph = sim.netlist()
-        engine = LintEngine(library=library, work="work",
-                            select=list(select), ignore=list(ignore))
-        ordered, result = _findings(engine.lint_design(graph))
-        result.update(ok=not any(d.severity in ("error", "fatal")
-                                 for d in ordered),
-                      top=top, levels=levels_artifact(graph))
+                    "diagnostics_jsonl": diagnostics}
+        result = _findings(design.findings)
+        result.update(ok=not design.blocking, top=top,
+                      levels=levels_artifact(design.graph))
+        if diagnostics:
+            result["diagnostics_jsonl"] = diagnostics
         return result
 
 
 def _findings(findings):
-    """``findings`` sorted, and the response fields of lint and
-    analyze that report them."""
-    from ..diag import DiagnosticEngine
-
-    engine = DiagnosticEngine()
-    for diag in findings:
-        engine.emit(diag)
-    ordered = engine.sorted()
-    return ordered, {"findings": len(ordered),
-                     "findings_jsonl": render_jsonl(ordered),
-                     "summary": engine.summary()}
+    """The response fields of lint and analyze that report
+    ``findings``, sorted."""
+    ordered, summary, _errors = sort_findings(findings)
+    return {"findings": len(ordered),
+            "findings_jsonl": render_jsonl(ordered), "summary": summary}
 
 
 def _error_text(sim):
@@ -442,33 +423,23 @@ def _error_text(sim):
     return "%s: %s" % (type(sim.error).__name__, sim.error)
 
 
-def _compile_in_memory(files):
-    """Compile request ``files`` into a fresh in-memory library.
-
-    The CLI contract: lint and analyze compile in memory and never
-    touch the on-disk library.  Returns ``(library, entities,
-    failure)``; ``failure`` is the response for the first file that
-    does not compile, or None.
-    """
-    from ..vhdl.compiler import Compiler
-    from ..vhdl.library import LibraryManager
-    from ..vhdl.symtab import entry_kind
-
-    library = LibraryManager(root=None, work="work")
-    compiler = Compiler(library=library, work="work")
-    entities = []
-    for entry in files:
-        name = entry.get("name", "<input>")
-        result = compiler.compile(entry.get("text", ""), filename=name)
-        if not result.ok:
-            return library, entities, {
-                "ok": False,
-                "error": "%s: %d compile error(s)"
-                         % (name, len(result.messages)),
-                "messages": list(result.messages)}
-        entities.extend(u.name for u in result.units
-                        if entry_kind(u) == "entity")
-    return library, entities, None
+def _library_for(workspace, files):
+    """What lint and analyze read: ``files`` compiled in memory, never
+    touching the session library, or else the session's pinned
+    snapshot.  Returns ``(library, last entity compiled, failure)``;
+    ``failure`` is the response for the first file that does not
+    compile, or None."""
+    if not files:
+        return workspace.snapshot(), None, None
+    compiled = compile_sources([(f.get("name", "<input>"),
+                                 f.get("text", "")) for f in files])
+    if not compiled.failed:
+        return compiled.library, compiled.top, None
+    result = compiled.failed[0]
+    return None, None, {"ok": False,
+                        "error": "%s: %d compile error(s)"
+                                 % (result.filename, len(result.messages)),
+                        "messages": list(result.messages)}
 
 
 def _seconds_buckets():

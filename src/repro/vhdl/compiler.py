@@ -42,7 +42,7 @@ class CompileResult:
 
     def __init__(self, units, messages, source_lines, expr_evals,
                  registered_units=(), diagnostics=(), trace_events=(),
-                 ag_stats=None, filename=None, error=None):
+                 ag_stats=None, filename=None, error=None, source=None):
         self.units = list(units)
         self.messages = list(messages)
         self.source_lines = source_lines
@@ -64,6 +64,8 @@ class CompileResult:
         #: compile before any unit was produced (a lex, parse,
         #: circularity or evaluation error), or None.
         self.error = error
+        #: the source text compiled, or None when it could not be read.
+        self.source = source
 
     @property
     def ok(self):
@@ -147,7 +149,7 @@ class Compiler:
         try:
             units, messages = self._evaluate(text, filename, cc)
         except AGError as exc:
-            return self._failed(exc, filename, events_before)
+            return self._failed(exc, filename, events_before, text)
         expr_evals = cc.expr_eval.invocations - expr0
 
         # Back-end compile of the generated models (the host-compiler
@@ -174,9 +176,10 @@ class Compiler:
             trace_events=tracer.events()[events_before:],
             ag_stats=self.observer,
             filename=filename,
+            source=text,
         )
 
-    def _failed(self, exc, filename, events_before):
+    def _failed(self, exc, filename, events_before, text=None):
         """The result of a compile that ``exc`` stopped: no units, no
         source lines, one message."""
         # The result outlives the compile, and the frames on the
@@ -188,7 +191,8 @@ class Compiler:
             [], [str(exc)], 0, 0,
             diagnostics=engine.diagnostics,
             trace_events=self.tracer.events()[events_before:],
-            ag_stats=self.observer, filename=filename, error=exc)
+            ag_stats=self.observer, filename=filename, error=exc,
+            source=text)
 
     def _evaluate(self, text, filename, cc):
         """Scan, parse and evaluate ``text``; returns the ``UNITS`` and

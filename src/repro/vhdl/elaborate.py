@@ -268,10 +268,12 @@ class Elaborator:
         name.  Returns a :class:`Simulation`; when the design does not
         elaborate, or elaboration code fails a runtime check or an
         assertion, its ``ok`` is False and it carries one ``ELAB001``.
+        The work is one ``elaborate`` span on the kernel's recorder.
         """
         try:
-            self._elaborate_top(top, arch_name, generics,
-                                lib or self.library.work)
+            with self.kernel.trace.span("elaborate", cat="sim"):
+                self._elaborate_top(top, arch_name, generics,
+                                    lib or self.library.work)
         except (ElaborationError, RuntimeError_, AssertionFailure) as exc:
             return Simulation(self.kernel, self.names, self.records, exc)
         return Simulation(self.kernel, self.names, self.records)
@@ -358,17 +360,20 @@ class Simulation:
         first.  A kernel limit (``SIM001``), an assertion of severity
         failure (``SIM002``) or a failed runtime check (``SIM003``)
         ends the run as a diagnostic; a failed simulation does not
-        run.  Any other exception is a bug and propagates."""
+        run.  Any other exception is a bug and propagates.  The run,
+        codegen included, is one ``kernel_run`` span on the kernel's
+        recorder."""
         kernel = self.kernel
         if not self.ok:
             return kernel.now
         try:
-            if hasattr(kernel, "compile_design") \
-                    and kernel.program is None:
-                with kernel.trace.span("codegen", cat="sim"):
-                    kernel.compile_design(self.records,
-                                          graph=self._graph)
-            kernel.run(until=until_fs, max_cycles=max_cycles)
+            with kernel.trace.span("kernel_run", cat="sim"):
+                if hasattr(kernel, "compile_design") \
+                        and kernel.program is None:
+                    with kernel.trace.span("codegen", cat="sim"):
+                        kernel.compile_design(self.records,
+                                              graph=self._graph)
+                kernel.run(until=until_fs, max_cycles=max_cycles)
         except SimulationError as exc:
             self._fail(CODE_SIM_KERNEL, exc)
         except AssertionFailure as exc:

@@ -391,10 +391,12 @@ class LibraryManager(_LibraryQueries):
                     roots = self.reader.read_unit(lib, key)
                 except VIFError as exc:
                     # Corrupt JSON was already quarantined by
-                    # _load_payload; a structurally bad payload is
+                    # _load_payload (a read-only manager leaves the
+                    # file in place); a structurally bad payload is
                     # quarantined here.  Either way, skip the unit.
                     path = os.path.join(lib_dir, fname)
-                    if os.path.exists(path):
+                    if os.path.exists(path) and all(
+                            p != path for p, _ in self.quarantined):
                         self._quarantine(path, str(exc))
                     continue
                 units[(lib, key)] = roots["unit"]

@@ -123,6 +123,14 @@ class TestExitCodes:
         rc, text = run_cli("analyze", str(empty))
         assert rc == 2
 
+    def test_missing_path_names_the_command(self, run_cli, tmp_path):
+        missing = str(tmp_path / "nope.vhd")
+        for command in ("analyze", "lint"):
+            rc, text = run_cli(command, missing)
+            assert rc == 2
+            assert text == "%s: no such file or directory: %s" % (
+                command, missing)
+
     def test_compile_error_exits_two(self, run_cli, tmp_path):
         src = tmp_path / "broken.vhd"
         src.write_text("entity oops is\n")

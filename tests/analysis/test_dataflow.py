@@ -8,7 +8,7 @@ while the design-scope rules fire.
 
 import json
 
-from repro.analysis import LintEngine, build_netlist
+from repro.analysis import LintEngine
 from repro.analysis.dataflow import (
     combinational_loops,
     cyclic_signals,
@@ -16,7 +16,7 @@ from repro.analysis.dataflow import (
     levels_artifact,
     tarjan_scc,
 )
-from repro.vhdl.elaborate import Elaborator
+from repro.request import analyze
 
 from .conftest import compile_source
 from .test_netlist import CLOCKED_CHAIN, TWO_INSTANCE_LOOP, graph_for
@@ -24,11 +24,8 @@ from .test_netlist import CLOCKED_CHAIN, TWO_INSTANCE_LOOP, graph_for
 
 def design_findings(source, top, select=(), ignore=()):
     compiler = compile_source(source)
-    sim = Elaborator(compiler.library).elaborate(top)
-    graph = build_netlist(sim.records)
-    engine = LintEngine(library=compiler.library,
-                        select=select, ignore=ignore)
-    return engine.lint_design(graph)
+    return analyze(compiler.library, top, select=select,
+                   ignore=ignore).findings
 
 
 def codes(findings):

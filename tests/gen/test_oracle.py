@@ -2,7 +2,11 @@
 
 from repro.diag import Diagnostic
 from repro.gen import check_source, generate_for, check_design
-from repro.gen.oracle import _compare, _simulate, NS
+from types import SimpleNamespace
+
+from repro.gen.oracle import _compare, observe, NS
+from repro.metrics import MetricsRegistry
+from repro.request import simulate
 from repro.sim.kernel import Kernel, ScanKernel
 
 
@@ -111,6 +115,13 @@ class TestOutcomes:
         assert "SimulationError" in result.detail
 
 
+def leg(kernel_cls, library):
+    """One differential leg, through the request layer's simulate."""
+    return observe(simulate(library, "t",
+                            kernel_cls(metrics=MetricsRegistry()),
+                            until_fs=100 * NS, waves=()))
+
+
 class TestSides:
     def test_sides_agree_on_good_design(self):
         from repro.vhdl.compiler import Compiler
@@ -118,8 +129,8 @@ class TestSides:
 
         library = LibraryManager(root=None)
         Compiler(library=library).compile(GOOD)
-        cal = _simulate(Kernel, library, "t", 100 * NS)
-        scan = _simulate(ScanKernel, library, "t", 100 * NS)
+        cal = leg(Kernel, library)
+        scan = leg(ScanKernel, library)
         assert cal["error"] is None
         assert cal["cycles"] > 0
         assert cal["vcd"].startswith("$date")
@@ -131,8 +142,8 @@ class TestSides:
 
         library = LibraryManager(root=None)
         Compiler(library=library).compile(GOOD)
-        cal = _simulate(Kernel, library, "t", 100 * NS)
-        scan = dict(_simulate(ScanKernel, library, "t", 100 * NS))
+        cal = leg(Kernel, library)
+        scan = dict(leg(ScanKernel, library))
         scan["cycles"] += 1
         mismatch = _compare(cal, scan)
         assert mismatch is not None and mismatch.startswith("cycles")
@@ -143,7 +154,7 @@ class TestSides:
 
         library = LibraryManager(root=None)
         Compiler(library=library).compile(GOOD)
-        cal = _simulate(Kernel, library, "t", 100 * NS)
+        cal = leg(Kernel, library)
         assert "sim_cycles_total" in cal["metrics"]
         assert "sim_signal_events_total" in cal["metrics"]
 
@@ -205,18 +216,19 @@ class TestAnalyzeLeg:
             code = "RPE001"
             message = "combinational loop through fake signals"
 
-        real = oracle_mod._analyze
-        oracle_mod._analyze = lambda library, top: [FakeDiag()]
+        real = oracle_mod.analyze_design
+        oracle_mod.analyze_design = lambda library, top: \
+            SimpleNamespace(findings=[FakeDiag()])
         try:
             result = check_source(GOOD, "t", until_ns=100,
                                   analyze=True)
         finally:
-            oracle_mod._analyze = real
+            oracle_mod.analyze_design = real
         assert result.outcome == "divergence"
         assert "static/dynamic divergence" in result.detail
 
     def test_analyzer_crash_is_a_crash_outcome(self):
-        # _analyze wraps the flatten+rules stage: an exception there
+        # The analyze leg wraps the flatten+rules stage: an exception there
         # must surface as a crash outcome, not kill the sweep worker.
         import repro.analysis as analysis_mod
 

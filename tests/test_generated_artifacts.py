@@ -91,6 +91,7 @@ NOT_LOADED = (
     "repro.ag.ordered", "repro.ag.static_eval", "repro.ag.dependency",
     "repro.ag.stats",
     "repro.vif.schema_lang", "repro.vif.generator",
+    "repro.request",
 )
 
 IMPORT_SCRIPT = """
