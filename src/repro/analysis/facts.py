@@ -26,7 +26,7 @@ model (entities, configurations) have empty facts.
 from collections import namedtuple
 
 from ..vhdl import vtypes
-from ..vhdl.flow import Flow
+from ..vhdl.flow import Drive, Flow
 from ..vhdl.symtab import entry_kind
 
 #: One declared signal or port of a unit: VHDL ``name`` ('count'),
@@ -35,13 +35,14 @@ from ..vhdl.symtab import entry_kind
 #: and whether it has a resolution function.
 ObjectFact = namedtuple("ObjectFact", "name py kind mode line resolved")
 
-#: One signal assignment inside a process: the target binding, whether
-#: it runs under an ``'EVENT`` test, and whether it is *zero-delay* —
-#: every waveform element's delay the literal ``0``, the delta-cycle
-#: assignments whose chains form combinational logic.  Computed delays
-#: count as non-zero (a computed ``after`` cannot close a
-#: combinational loop through the event calendar at delta time).
-DriveFact = namedtuple("DriveFact", "target guarded zero_delay")
+#: One drive of a process (:class:`repro.vhdl.flow.Drive`): the target
+#: binding, whether it runs under an ``'EVENT`` test, whether it is
+#: *zero-delay* — every waveform element's delay the literal ``0``,
+#: the delta-cycle assignments whose chains form combinational logic
+#: (a computed ``after`` cannot close a combinational loop through the
+#: event calendar at delta time) — its waveform's shape (``single``,
+#: ``transport``) and whether a subprogram call makes it (``called``).
+DriveFact = Drive
 
 #: One component instantiation: its label, component name and port
 #: map (formal -> actual signal binding).
@@ -79,7 +80,7 @@ class ProcessFact:
         self.guarded_reads = set(flow.guarded)  # under an 'EVENT guard
         self.attr_uses = set(flow.attrs)   # 'EVENT/'ACTIVE/'LAST_VALUE
         self.event_guards = set(flow.events)  # tested with 'EVENT in ifs
-        self.drive_sites = [DriveFact(*d) for d in flow.drives]
+        self.drive_sites = list(flow.drives)
         self.drives = {d.target for d in self.drive_sites}
         self.waits = [WaitFact(*w) for w in flow.waits]
         self.waitless_loops = flow.waitless  # loops with no suspension

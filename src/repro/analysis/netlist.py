@@ -56,15 +56,21 @@ class NetSignal:
 
 
 class NetDrive:
-    """One static drive site: (process, target, guard/delay class)."""
+    """One static drive site: its process, its target and the facts of
+    its :class:`~repro.vhdl.flow.Drive` (guard and delay class,
+    waveform shape, whether a subprogram call makes it)."""
 
-    __slots__ = ("proc", "target", "guarded", "zero_delay")
+    __slots__ = ("proc", "target", "guarded", "zero_delay", "single",
+                 "transport", "called")
 
-    def __init__(self, proc, target, guarded, zero_delay):
+    def __init__(self, proc, target, site):
         self.proc = proc
         self.target = target
-        self.guarded = guarded
-        self.zero_delay = zero_delay
+        self.guarded = site.guarded
+        self.zero_delay = site.zero_delay
+        self.single = site.single
+        self.transport = site.transport
+        self.called = site.called
 
     def __repr__(self):
         return "<NetDrive %s -> %s>" % (self.proc.path,
@@ -277,8 +283,7 @@ def build_netlist(records, top_path=None):
                 target = resolve(site.target)
                 if target is None:
                     continue
-                drive = NetDrive(net, target, site.guarded,
-                                 site.zero_delay)
+                drive = NetDrive(net, target, site)
                 net.drives.append(drive)
                 target.drivers.append(drive)
             for node in (net.reads_plain | net.reads_guarded

@@ -9,7 +9,7 @@ interface" (§2).  This is the script-driven one::
         --profile --trace-out build-trace.json
     python -m repro dump work rtl(counter) --root ./libs
     python -m repro simulate testbench --root ./libs --until 200ns \
-        --trace clk --trace q
+        --vcd waves.vcd --trace clk --trace q
     python -m repro sim design.vhd --metrics-out m.json --top 5
     python -m repro stats --json
     python -m repro bench-check --baseline BENCH_simulation.json \
@@ -187,7 +187,8 @@ def _make_parser():
     p.add_argument("--until", default="1us", type=parse_time,
                    help="simulation time, e.g. 200ns")
     p.add_argument("--trace", action="append", default=[],
-                   help="signal suffix to trace (repeatable)")
+                   help="signal suffix to include in the --vcd file "
+                        "(repeatable)")
     p.add_argument("--vcd", default=None,
                    help="write a VCD file of the traced signals")
     p.add_argument("--top", dest="top_n", type=int, default=None,
@@ -559,7 +560,8 @@ def cmd_lint(args, out):
 
     # Lint is a read-only check: it compiles into an in-memory library
     # and must not disturb the persistent design library.
-    compiled = compile_sources(files, work=args.work, ref=args.ref)
+    compiled = compile_sources(files, work=args.work, ref=args.ref,
+                               root=args.root)
     for result in compiled.failed:
         _print_errors(result, out)
     if compiled.failed:
@@ -644,7 +646,8 @@ def cmd_analyze(args, out):
                      "ok", {}))
     for group in ([files] if args.top and files
                   else [[path] for path in files]):
-        compiled = compile_sources(group, work=args.work, ref=args.ref)
+        compiled = compile_sources(group, work=args.work, ref=args.ref,
+                                   root=args.root)
         label = args.top or group[0]
         meta = {} if args.top else \
             parse_entry(compiled.results[0].source or "").meta
@@ -1072,7 +1075,11 @@ def _parser():
 
 
 def main(argv=None, out=print):
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "trace", None) and not args.vcd:
+        parser.error("--trace only chooses the signals of the --vcd "
+                     "file; give --vcd FILE")
     return COMMANDS[args.command](args, out)
 
 

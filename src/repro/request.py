@@ -43,16 +43,19 @@ class Compiled:
 
 
 def compile_sources(sources, work="work", ref=(), library=None,
-                    werror=False):
+                    werror=False, root=None):
     """Compile every source — a path, or a ``(name, text)`` pair — into
     ``library``, by default a fresh in-memory one, so read-only checks
-    never touch a design library on disk."""
+    never touch a design library on disk; that one reads the ``ref``
+    libraries from the disk library ``root``."""
     from .vhdl.compiler import Compiler
     from .vhdl.library import LibraryManager
 
     if library is None:
         library = LibraryManager(root=None, work=work,
                                  reference_libs=tuple(ref))
+        if root is not None and ref:
+            library.load_references(root)
     compiled = Compiled(Compiler(library=library, work=work,
                                  werror=werror))
     for source in sources:

@@ -2,11 +2,13 @@
 
 The source paper's pipeline ends in generated C compiled by the host
 compiler; this module is the reproduction's equivalent of that last
-mile.  Given the elaborator's records and the PR-9
-:class:`~repro.analysis.netlist.DesignGraph`, it parses each process
-function on its own (its lines cut out of the model's ``py_source``),
-classifies every process, and renders one specialized Python module
-per design:
+mile.  What each process drives, and how, is the principal AG's: the
+:class:`~repro.analysis.netlist.DesignGraph` built from the
+``ArchUnit.processes`` records (:class:`repro.vhdl.flow.Flow`) decides
+which signals are slots and which processes touch the cyclic cone.
+Each process function is then parsed once, on its own (its lines cut
+out of the model's ``py_source``), and rendered into one specialized
+Python module per design:
 
 - **canonical processes** — a single ``yield rt.wait(...)`` as the
   first or last statement of the ``while True`` loop, no persistent
@@ -15,19 +17,22 @@ per design:
   ``rt.read(sig)`` rewritten to a flat-list subscript ``V[i]``
   (current values indexed by ``Signal.index``) and signal attributes
   (``'EVENT``/``'ACTIVE``/``'LAST_VALUE``) to direct stamp compares;
-- **slot-managed signals** — driven by exactly one canonical process,
-  unresolved, off the cyclic quarantine, and only ever assigned
-  single-element inertial (or zero-delay transport) waveforms — drop
-  their ``Driver`` objects entirely: the projection collapses to a
+- **slot-managed signals** — driven by exactly one process, which
+  compiles, unresolved, off the cyclic quarantine, never driven
+  through a subprogram call, and only ever assigned single-element
+  inertial (or zero-delay transport) waveforms — drop their
+  ``Driver`` objects entirely: the projection collapses to a
   ``(next_time NT[i], next_value NV[i])`` slot pair, zero-delay
   assignments append to a due-now buffer that bypasses the heapq
   event calendar, and delayed assignments go to per-time buckets;
 - everything else — multiple waits, wait timeouts, persistent VHDL
-  variables, resolved/multi-driver targets, transport delays, helper
-  calls that may assign, cyclic-quarantine membership — **falls back**
-  to the untouched generic generator/`RT`/calendar path, interleaved
-  with compiled processes in registration-index order so semantics
-  stay byte-identical to the activity kernel.
+  variables, resolved/multi-driver targets, transport delays, drives
+  through calls, cyclic-quarantine membership — **falls back** to the
+  untouched generic generator/`RT`/calendar path, interleaved with
+  compiled processes in registration-index order so semantics stay
+  byte-identical to the activity kernel.  A process the rewriter
+  rejects only takes its own targets out of the slot set: a slot has
+  that one driver, and its readers use ``V[i]`` either way.
 
 The module holds one factory per process *shape*: integer literals
 (signal indices, delays) and captured names are its parameters, and
@@ -43,7 +48,6 @@ design fingerprint across elaborations.
 import ast
 import hashlib
 import textwrap
-import types
 
 from .signals import Signal
 
@@ -135,88 +139,19 @@ def capture(fn, name):
     return fn.__globals__.get(name, _MISSING)
 
 
-def _helper_may_assign(value, seen=None):
-    """Could calling this captured object schedule a transaction?
-
-    Captured helper functions (VHDL subprograms, guard closures) are
-    opaque to the netlist's per-process facts, so a helper whose code
-    mentions ``assign`` makes static drive information incomplete.
-    Scans the code object and its nested consts, transitively through
-    function-valued free variables.
-    """
-    if not isinstance(value, types.FunctionType):
-        return False
-    if seen is None:
-        seen = set()
-    if value in seen:
-        return False
-    seen.add(value)
-    stack = [value.__code__]
-    while stack:
-        code = stack.pop()
-        if "assign" in code.co_names or "assign" in code.co_freevars:
-            return True
-        stack.extend(c for c in code.co_consts
-                     if isinstance(c, types.CodeType))
-    if value.__closure__ is not None:
-        for cell in value.__closure__:
-            try:
-                inner = cell.cell_contents
-            except ValueError:
-                continue
-            if _helper_may_assign(inner, seen):
-                return True
-    return False
-
-
-# -- process analysis ----------------------------------------------------------
-
-
-class SiteInfo:
-    """One static ``rt.assign`` site found in a canonical process."""
-
-    __slots__ = ("signal", "n_elems", "transport", "zero_literal")
-
-    def __init__(self, signal, n_elems, transport, zero_literal):
-        self.signal = signal
-        self.n_elems = n_elems
-        self.transport = transport
-        self.zero_literal = zero_literal
-
-
-class Analysis:
-    """A canonical process, decomposed and environment-resolved.
-
-    Only the process's source text is kept, not its tree: the
-    rewrite parses it again, so no tree outlives its own pass."""
-
-    __slots__ = ("proc", "text", "init_runs_body", "wait_signals",
-                 "sites", "helper_risk")
-
-    def __init__(self, proc, text, init_runs_body, wait_signals, sites,
-                 helper_risk):
-        self.proc = proc
-        self.text = text
-        self.init_runs_body = init_runs_body
-        self.wait_signals = wait_signals
-        self.sites = sites
-        self.helper_risk = helper_risk
+# -- process shape -------------------------------------------------------------
 
 
 def _is_const(node, value):
     return isinstance(node, ast.Constant) and node.value is value
 
 
-def _rt_call(node, attr=None):
-    """Is ``node`` a ``rt.<attr>(...)`` call?  Returns the attr."""
-    if not isinstance(node, ast.Call):
-        return None
-    fn = node.func
-    if (isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name)
-            and fn.value.id == "rt"):
-        if attr is None or fn.attr == attr:
-            return fn.attr
-    return None
+def _rt_call(node, attr):
+    """Is ``node`` a ``rt.<attr>(...)`` call?"""
+    fn = getattr(node, "func", None)
+    return (isinstance(node, ast.Call) and isinstance(fn, ast.Attribute)
+            and isinstance(fn.value, ast.Name) and fn.value.id == "rt"
+            and fn.attr == attr)
 
 
 def _signal_of(env_fn, name, kernel):
@@ -257,7 +192,7 @@ def _split(text, name):
     def _is_wait_stmt(stmt):
         return (isinstance(stmt, ast.Expr)
                 and isinstance(stmt.value, ast.Yield)
-                and _rt_call(stmt.value.value, "wait") is not None)
+                and _rt_call(stmt.value.value, "wait"))
 
     if _is_wait_stmt(stmts[0]):
         return stmts[0].value.value, stmts[1:], False
@@ -266,101 +201,26 @@ def _split(text, name):
     raise Reject("wait")
 
 
-def analyze_process(proc, text, kernel):
-    """Classify one process from its source ``text``; returns
-    :class:`Analysis` or raises :class:`Reject`."""
-    fn = proc.fn
-    wait_call, rest, init_runs_body = _split(text, fn.__code__.co_name)
-    args = list(wait_call.args)
-    if wait_call.keywords or len(args) != 3:
+def _wait_signals(wait_call, fn, kernel):
+    """The signals of a permanent ``rt.wait([...], cond, None)``, whose
+    condition is absent or a no-argument lambda; else :class:`Reject`."""
+    if wait_call.keywords or len(wait_call.args) != 3:
         raise Reject("wait")
-    sig_list, cond, timeout = args
-    if not _is_const(timeout, None):
+    sig_list, cond, timeout = wait_call.args
+    if not _is_const(timeout, None) or not isinstance(sig_list, ast.List):
         raise Reject("wait")  # timed waits stay on the calendar
-    if not isinstance(sig_list, ast.List):
-        raise Reject("wait")
-    wait_signals = []
-    for elt in sig_list.elts:
-        if not isinstance(elt, ast.Name):
-            raise Reject("wait")
-        sig = _signal_of(fn, elt.id, kernel)
-        if sig is None:
-            raise Reject("wait")
-        wait_signals.append(sig)
     if not _is_const(cond, None) and not (
             isinstance(cond, ast.Lambda) and not cond.args.args
             and not cond.args.posonlyargs and not cond.args.kwonlyargs):
         raise Reject("wait")
-
-    # Collect every static assign site; a target that does not resolve
-    # to a signal of this kernel, or a non-literal waveform, defeats
-    # the analysis.
-    sites = []
-    helper_risk = False
-    for node in rest:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                attr = _rt_call(sub)
-                if attr == "assign":
-                    sites.append(_site_of(sub, fn, kernel))
-                elif attr is None and not _ops_call(sub):
-                    # A call into something that is neither rt nor
-                    # ops: if the callee may assign, static drive
-                    # facts are incomplete for the whole design.
-                    helper_risk = helper_risk or _call_risk(sub, fn)
-    return Analysis(proc, text, init_runs_body, wait_signals, sites,
-                    helper_risk)
-
-
-def _ops_call(node):
-    fn = node.func
-    return (isinstance(fn, ast.Attribute)
-            and isinstance(fn.value, ast.Name) and fn.value.id == "ops")
-
-
-def _call_risk(node, env_fn):
-    """Does this non-rt/ops call reach code that may assign?"""
-    fn = node.func
-    if isinstance(fn, ast.Name):
-        value = capture(env_fn, fn.id)
-        if value is _MISSING:
-            return True  # unknown callee: assume the worst
-        return _helper_may_assign(value)
-    return True
-
-
-def _site_of(call, env_fn, kernel):
-    args = list(call.args)
-    if len(args) < 2 or not isinstance(args[0], ast.Name):
-        raise Reject("names")
-    sig = _signal_of(env_fn, args[0].id, kernel)
-    if sig is None:
-        raise Reject("names")
-    waveform = args[1]
-    if not isinstance(waveform, ast.Tuple) or not waveform.elts:
-        raise Reject("names")
-    for elem in waveform.elts:
-        if not isinstance(elem, ast.Tuple) or len(elem.elts) != 2:
-            raise Reject("names")
-    transport = False
-    for kw in call.keywords:
-        if kw.arg == "transport":
-            if not isinstance(kw.value, ast.Constant):
-                raise Reject("names")
-            transport = bool(kw.value.value)
-        else:
-            raise Reject("names")
-    if len(args) > 2:
-        if len(args) != 3 or not isinstance(args[2], ast.Constant):
-            raise Reject("names")
-        transport = bool(args[2].value)
-    first_delay = waveform.elts[0].elts[1]
-    return SiteInfo(sig, len(waveform.elts), transport,
-                    _is_const_zero(first_delay))
-
-
-def _is_const_zero(node):
-    return isinstance(node, ast.Constant) and node.value == 0
+    signals = []
+    for elt in sig_list.elts:
+        sig = _signal_of(fn, elt.id, kernel) \
+            if isinstance(elt, ast.Name) else None
+        if sig is None:
+            raise Reject("wait")
+        signals.append(sig)
+    return signals
 
 
 # -- expression / statement rewriting ------------------------------------------
@@ -385,7 +245,9 @@ def _expr_src(src):
 
 
 class _Rewriter(ast.NodeTransformer):
-    """Rewrites one expression tree into specialized form."""
+    """Rewrites one expression tree into specialized form, clearing
+    ``binder.pure`` at anything that reaches ``rt`` or calls a
+    captured helper."""
 
     def __init__(self, binder, defined):
         self.binder = binder
@@ -397,6 +259,8 @@ class _Rewriter(ast.NodeTransformer):
         if isinstance(node.ctx, ast.Store):
             return node  # statement level already recorded the local
         name = node.id
+        if name == "rt":
+            self.binder.pure = False
         if name in self.defined:
             return node
         return self.binder.name_load(name)
@@ -422,22 +286,22 @@ class _Rewriter(ast.NodeTransformer):
             binder.check_rt()
             if attr == "read":
                 sig = self._sig_arg(node)
-                return _expr_src("V[%d]" % binder.index(sig))
+                return _expr_src("V[%d]" % sig.index)
             if attr == "event":
                 sig = self._sig_arg(node)
                 return _expr_src(
                     "1 if SIG[%d].event_delta == step else 0"
-                    % binder.index(sig))
+                    % sig.index)
             if attr == "active":
                 sig = self._sig_arg(node)
                 return _expr_src(
                     "1 if SIG[%d].active_delta == step else 0"
-                    % binder.index(sig))
+                    % sig.index)
             if attr == "last_value":
                 sig = self._sig_arg(node)
-                return _expr_src("SIG[%d].last_value"
-                                 % binder.index(sig))
+                return _expr_src("SIG[%d].last_value" % sig.index)
             if attr in ("assert_", "check"):
+                binder.pure = False
                 return ast.Call(
                     func=node.func,
                     args=[self.visit(a) for a in node.args],
@@ -446,7 +310,13 @@ class _Rewriter(ast.NodeTransformer):
                               for k in node.keywords])
             # assign in value position, nested wait, anything else
             raise Reject("construct")
-        return self.generic_visit(node)
+        node = self.generic_visit(node)
+        func = node.func
+        if not (isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "ops"):
+            self.binder.pure = False  # a helper may reach rt
+        return node
 
     def _sig_arg(self, node):
         if len(node.args) != 1 or node.keywords \
@@ -468,12 +338,16 @@ class _Rewriter(ast.NodeTransformer):
 class _Binder:
     """Per-process name resolution + environment mangling."""
 
-    def __init__(self, proc, pid, kernel, ops_obj):
+    def __init__(self, proc, kernel, ops_obj):
         self.proc = proc
-        self.pid = pid
         self.kernel = kernel
         self.ops = ops_obj
         self.env = {}  # mangled -> original name
+        #: Still true when the code rendered so far touches only slot
+        #: storage and ``ops`` arithmetic: no ``rt`` access (assign and
+        #: assert read ``current_process``) and no captured helper call
+        #: (a helper could reach ``rt`` through its closure).
+        self.pure = True
 
     def signal(self, name):
         return _signal_of(self.proc.fn, name, self.kernel)
@@ -493,12 +367,9 @@ class _Binder:
             return ast.Name(id="rt", ctx=ast.Load())
         if name == "ops" and value is self.ops:
             return ast.Name(id="ops", ctx=ast.Load())
-        mangled = "_e%d_%s" % (self.pid, name)
+        mangled = "_e%d_%s" % (self.proc.index, name)
         self.env[mangled] = name
         return ast.Name(id=mangled, ctx=ast.Load())
-
-    def index(self, sig):
-        return sig.index
 
 
 def _rewrite_stmts(stmts, binder, slot_indices, defined, depth=0):
@@ -508,7 +379,7 @@ def _rewrite_stmts(stmts, binder, slot_indices, defined, depth=0):
     for stmt in stmts:
         if isinstance(stmt, ast.Expr):
             call = stmt.value
-            if _rt_call(call, "assign") is not None \
+            if _rt_call(call, "assign") \
                     and "rt" not in defined:
                 out.extend(_rewrite_assign(call, binder, slot_indices,
                                            defined))
@@ -571,16 +442,30 @@ def _rewrite_stmts(stmts, binder, slot_indices, defined, depth=0):
 
 
 def _rewrite_assign(call, binder, slot_indices, defined):
-    """One ``rt.assign`` statement → slot write or generic fallback."""
+    """One ``rt.assign(target, ((value, delay), ...), transport=t)``
+    statement → slot write or generic fallback."""
     binder.check_rt()
-    site = _site_of(call, binder.proc.fn, binder.kernel)
-    idx = site.signal.index
+    args = call.args
+    if len(args) != 2 or not isinstance(args[0], ast.Name) or any(
+            kw.arg != "transport" or not isinstance(kw.value, ast.Constant)
+            for kw in call.keywords):
+        raise Reject("names")
+    sig = binder.signal(args[0].id)
+    waveform = args[1]
+    if sig is None or not isinstance(waveform, ast.Tuple) \
+            or not waveform.elts or any(
+                not isinstance(e, ast.Tuple) or len(e.elts) != 2
+                for e in waveform.elts):
+        raise Reject("names")
+    idx = sig.index
     tx = _Rewriter(binder, defined)
-    waveform = call.args[1]
+    # The process's Flow record makes a slot of a target only when
+    # every assignment to it is one inertial (or zero-delay) element.
     if idx in slot_indices:
         elem = waveform.elts[0]
         value = tx.visit(elem.elts[0])
-        if _is_const_zero(elem.elts[1]):
+        delay = elem.elts[1]
+        if isinstance(delay, ast.Constant) and delay.value == 0:
             # Zero delay, inertial (or transport — identical when
             # nothing can precede ``now``): overwrite the slot and
             # mark it due this timestep, once.
@@ -591,7 +476,6 @@ def _rewrite_assign(call, binder, slot_indices, defined):
                 "    _DUE.append(%d)\n" % (idx, idx, idx, idx)).body
             assign[0].value = value
             return assign
-        delay = elem.elts[1]
         if isinstance(delay, ast.Constant) \
                 and isinstance(delay.value, int) and delay.value > 0:
             # Literal positive delay (the overwhelmingly common
@@ -617,13 +501,15 @@ def _rewrite_assign(call, binder, slot_indices, defined):
         return [ast.Expr(value=sched)]
     # Calendar-managed target: full generic semantics through rt,
     # with the inner expressions still specialized.
+    binder.pure = False
+    transport = any(kw.value.value for kw in call.keywords)
     elems = []
     for elem in waveform.elts:
         elems.append(ast.Tuple(
             elts=[tx.visit(elem.elts[0]), tx.visit(elem.elts[1])],
             ctx=ast.Load()))
     new_call = _expr_src("rt.assign(SIG[%d], None, transport=%s)"
-                         % (idx, bool(site.transport)))
+                         % (idx, bool(transport)))
     new_call.args[1] = ast.Tuple(elts=elems, ctx=ast.Load())
     return [ast.Expr(value=new_call)]
 
@@ -661,7 +547,7 @@ def _def(name, args, body):
 
 
 def build_program(kernel, records, graph, cyclic):
-    """Analyze, classify, and render one design's specialized module.
+    """Classify and render one design's specialized module.
 
     ``cyclic`` is the levelization quarantine (NetSignals).  Returns a
     :class:`Program`; processes and signals that cannot be specialized
@@ -681,63 +567,69 @@ def _specialize(kernel, records, graph, cyclic):
     """The specialized processes as module text, with their plans,
     slot indices and stats.
 
-    Each process is parsed on its own, from its slice of its model's
-    ``py_source``, and each tree is dropped once that process is
-    analyzed or rendered, so no whole model and no tree is alive when
-    the module text is byte-compiled.
+    Slots and the cyclic cone come from the design graph (the AG's
+    process records); each process is parsed once, from its slice of
+    its model's ``py_source``, and its tree is dropped once rendered,
+    so no whole model and no tree is alive when the module text is
+    byte-compiled.
     """
+    from .runtime import ops as ops_obj
+
     stats = {"procs": len(kernel.processes), "compiled": 0,
              "slots": 0, "generic": 0}
     for reason in REASONS:
-        stats.setdefault("reject_%s" % reason, 0)
-
+        stats["reject_%s" % reason] = 0
     texts = _process_texts(records)
+    nets = {net.process: net for net in graph.processes}
     cyclic_sigs = {ns.signal for ns in cyclic}
+    slot_indices = _classify_slots(kernel, graph, nets, cyclic_sigs)
 
-    # Pass A: canonical-shape analysis.
-    analyses = {}
-    helper_risk = False
-    for proc in kernel.processes:
-        text = texts.pop(proc, None)
-        if text is None:
-            stats["reject_shape"] += 1
-            continue
+    plans = {}
+    shapes = {}  # factory text -> factory name
+    chunks = []
+    for proc in sorted(kernel.processes, key=lambda p: p.index):
+        net = nets.get(proc)
+        targets = [d.target.signal for d in net.drives] if net else []
         try:
-            analysis = analyze_process(proc, text, kernel)
+            text = texts.pop(proc, None)
+            if text is None:
+                raise Reject("shape")
+            name = proc.fn.__code__.co_name
+            wait_call, rest, init_runs_body = _split(text, name)
+            wait_signals = _wait_signals(wait_call, proc.fn, kernel)
+            if any(s in cyclic_sigs for s in wait_signals + targets):
+                raise Reject("cyclic")  # quarantined: stay on the calendar
+            binder = _Binder(proc, kernel, ops_obj)
+            body = _rewrite_stmts(rest, binder, slot_indices, set())
+            pure = binder.pure
+            cond = wait_call.args[1]
+            if isinstance(cond, ast.Lambda):
+                cond = _def("_c", (), ast.parse("now, step = T").body + [
+                    ast.Return(_Rewriter(binder, set()).visit(cond.body))])
         except Reject as rej:
             stats["reject_%s" % rej.reason] += 1
+            # A slot has this process as its one driver; readers
+            # elsewhere use V[i] either way, so only its targets go.
+            slot_indices.difference_update(s.index for s in targets)
             continue
-        if any(s in cyclic_sigs for s in analysis.wait_signals) or \
-                any(site.signal in cyclic_sigs
-                    for site in analysis.sites):
-            # Quarantined cone: stay on the calendar.
-            stats["reject_cyclic"] += 1
-            continue
-        helper_risk = helper_risk or analysis.helper_risk
-        analyses[proc] = analysis
-
-    # Pass B: slot classification needs whole-design drive facts.
-    slot_indices = _classify_slots(kernel, graph, analyses,
-                                   cyclic_sigs, helper_risk)
-
-    # Pass C: rewrite.  A rewrite-stage rejection demotes the process
-    # (and un-slots its targets, conservatively re-running until the
-    # fixpoint — in practice one extra pass at most).
-    while True:
-        plans, text, demoted = _render_all(kernel, analyses,
-                                           slot_indices, stats)
-        if not demoted:
-            break
-        for proc in demoted:
-            del analyses[proc]
-        slot_indices = _classify_slots(kernel, graph, analyses,
-                                       cyclic_sigs, helper_risk)
-        stats["compiled"] = 0
+        pid = proc.index
+        resume_name = "_p%d" % pid
+        chunks.append(_instance(resume_name, _def("_p", ("now", "step"),
+                                                  body),
+                                binder.env, shapes))
+        cond_name = None
+        if isinstance(cond, ast.FunctionDef):
+            cond_name = "_c%d" % pid
+            chunks.append(_instance(cond_name, cond, binder.env, shapes))
+        plans[pid] = ProcPlan(
+            pid, resume_name, cond_name, init_runs_body,
+            [s.index for s in wait_signals], binder.env, pure=pure)
 
     stats["compiled"] = len(plans)
     stats["slots"] = len(slot_indices)
     stats["generic"] = len(kernel.processes) - len(plans)
-    return text, plans, slot_indices, stats
+    stats["shapes"] = len(shapes)
+    return "\n".join(chunks), plans, slot_indices, stats
 
 
 def _process_texts(records):
@@ -764,97 +656,23 @@ def _process_texts(records):
     return texts
 
 
-def _classify_slots(kernel, graph, analyses, cyclic_sigs,
-                    helper_risk):
-    """Signals whose Driver collapses to a (NT, NV) slot pair."""
-    if helper_risk:
-        return frozenset()
-    known = {np.process for np in graph.processes}
-    for proc in kernel.processes:
-        if proc not in known and proc not in analyses:
-            # A process the netlist never saw and the analyzer could
-            # not parse: its drives are unknown; no slot is safe.
-            return frozenset()
-
-    drivers = {}  # Signal -> set of kernel processes
-    for np in graph.processes:
-        for drive in np.drives:
-            drivers.setdefault(drive.target.signal,
-                               set()).add(np.process)
-    sites_by_sig = {}
-    for proc, analysis in analyses.items():
-        for site in analysis.sites:
-            drivers.setdefault(site.signal, set()).add(proc)
-            sites_by_sig.setdefault(site.signal, []).append(site)
-
+def _classify_slots(kernel, graph, nets, cyclic_sigs):
+    """Signals whose Driver may collapse to a (NT, NV) slot pair: one
+    driving process, no resolution function, off the cyclic cone, and
+    every drive a single inertial (or zero-delay) element the process
+    makes itself, not through a subprogram call."""
+    if any(proc not in nets for proc in kernel.processes):
+        return set()  # a process without a record: its drives unknown
     slots = set()
-    for sig, procs in drivers.items():
-        if sig in cyclic_sigs or sig.resolution is not None:
+    for ns in graph.signals:
+        drives = ns.drivers
+        if not drives or ns.signal in cyclic_sigs or ns.resolved \
+                or any(d.proc is not drives[0].proc for d in drives):
             continue
-        if len(procs) != 1:
-            continue
-        (proc,) = procs
-        if proc not in analyses:
-            continue
-        sites = sites_by_sig.get(sig)
-        if not sites:
-            continue  # netlist-only drive with no parsed site
-        ok = all(
-            site.n_elems == 1
-            and (not site.transport or site.zero_literal)
-            for site in sites)
-        if ok:
-            slots.add(sig.index)
-    return frozenset(slots)
-
-
-def _render_all(kernel, analyses, slot_indices, stats):
-    """Render every analyzed process; returns (plans, text, demoted).
-
-    Each rewritten function becomes text at once: its operands are
-    lifted into the parameters of a shape factory (see
-    :class:`_Lifter`), one factory per distinct text, and the process
-    gets one line binding its own operands."""
-    from .runtime import ops as ops_obj
-
-    plans = {}
-    shapes = {}  # factory text -> factory name
-    chunks = []
-    demoted = []
-    for proc in sorted(analyses, key=lambda p: p.index):
-        analysis = analyses[proc]
-        pid = proc.index
-        binder = _Binder(proc, pid, kernel, ops_obj)
-        try:
-            # Parse again: the analysis kept only the text, and the
-            # rewriter mutates the tree in place.
-            wait_call, rest, _ = _split(analysis.text,
-                                        proc.fn.__code__.co_name)
-            body = _rewrite_stmts(rest, binder, slot_indices, set())
-            cond = wait_call.args[1]
-            if isinstance(cond, ast.Lambda):
-                cond = _def("_c", (), ast.parse("now, step = T").body + [
-                    ast.Return(_Rewriter(binder, set()).visit(cond.body))])
-            else:
-                cond = None
-        except Reject as rej:
-            stats["reject_%s" % rej.reason] += 1
-            demoted.append(proc)
-            continue
-        pure = _body_is_pure(body)
-        resume_name = "_p%d" % pid
-        resume = _def("_p", ("now", "step"), body)
-        chunks.append(_instance(resume_name, resume, binder.env, shapes))
-        cond_name = None
-        if cond is not None:
-            cond_name = "_c%d" % pid
-            chunks.append(_instance(cond_name, cond, binder.env, shapes))
-        plans[pid] = ProcPlan(
-            pid, resume_name, cond_name, analysis.init_runs_body,
-            [s.index for s in analysis.wait_signals], binder.env,
-            pure=pure)
-    stats["shapes"] = len(shapes)
-    return plans, "\n".join(chunks), demoted
+        if all(d.single and (not d.transport or d.zero_delay)
+               and not d.called for d in drives):
+            slots.add(ns.signal.index)
+    return slots
 
 
 class _Lifter(ast.NodeTransformer):
@@ -900,26 +718,3 @@ def _instance(name, funcdef, env, shapes):
         text = ast.unparse(factory) + "\n"
     return text + "%s = %s(%s)" % (name, shape,
                                    ", ".join(lifter.operands))
-
-
-def _body_is_pure(body):
-    """True when a rendered resume body cannot observe the kernel's
-    per-dispatch bookkeeping: no ``rt`` reference (``rt.assign`` /
-    ``rt.assert_`` read ``current_process``) and no call to anything
-    but the scheduling helpers and ``ops`` arithmetic (a captured
-    helper could reach ``rt`` through its closure)."""
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and node.id == "rt":
-                return False
-            if isinstance(node, ast.Call):
-                func = node.func
-                if isinstance(func, ast.Name) and \
-                        func.id in ("_sched", "_hpush"):
-                    continue
-                if isinstance(func, ast.Attribute) and \
-                        isinstance(func.value, ast.Name) and \
-                        func.value.id in ("ops", "_DUE", "_B", "_b"):
-                    continue  # arithmetic + slot-schedule plumbing
-                return False
-    return True

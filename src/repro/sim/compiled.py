@@ -3,14 +3,16 @@
 :class:`CompiledKernel` closes the source paper's compile-to-code
 story: where the generated C of the paper's pipeline was specialized
 per design and compiled by the host compiler, this kernel takes the
-elaborator's records plus the PR-9 ``DesignGraph``/levelization and
+elaborator's records plus the ``DesignGraph`` (the principal AG's
+per-process drive records, flattened) and its levelization, and
 ``exec()``\\ s a module rendered by :mod:`repro.sim.codegen`:
 
 - compiled processes are plain functions dispatched directly (no
   generator resumption, no ``RT`` attribute chains), reached through
   **static fanout tables** instead of per-suspension waiter churn;
 - **slot-managed** signals (single compiled driver, unresolved,
-  single-element inertial waveforms, off the cyclic quarantine) have
+  single-element inertial waveforms, no drive through a subprogram
+  call, off the cyclic quarantine) have
   no :class:`~repro.sim.signals.Driver` at all — current values live
   in a flat list indexed by ``Signal.index``, zero-delay assignments
   land in a **due-now buffer** that bypasses the heapq event calendar,

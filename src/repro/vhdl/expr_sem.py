@@ -1347,6 +1347,8 @@ def goal_call(sem, items, ctx):
     uses = set()
     arg_codes = []
     out_params = []
+    actuals = {}  # signal formal binding -> actual signal binding
+    out_actuals = []
     for param, arg_sem in zip(cand.params, binding):
         msgs.extend(arg_sem.msgs)
         if param.obj_class == "signal":
@@ -1354,6 +1356,9 @@ def goal_call(sem, items, ctx):
             entry = arg_sem.entry
             if entry is not None and entry.is_signal:
                 arg_codes.append(entry.py)
+                actuals["a_%s" % param.name] = entry.py
+                if param.mode in ("out", "inout"):
+                    out_actuals.append(entry.py)
             else:
                 msgs.append(
                     "line %d: signal parameter %s needs a signal actual"
@@ -1377,5 +1382,16 @@ def goal_call(sem, items, ctx):
         code = "%s = %s" % (", ".join(out_params), call)
     else:
         code = call
+    # The call drives what the callee's body assigns, its signal
+    # formals replaced by their actuals, and every out/inout signal
+    # actual (a driver of the calling process even if never assigned).
+    formals = {"a_%s" % p.name for p in cand.params
+               if p.obj_class == "signal"}
+    drives = [(actuals.get(t, t), zero, single, transport, True)
+              for t, _, zero, single, transport, _ in cand.drives or ()
+              if t in actuals or t not in formals]
+    driven = {d[0] for d in drives}
+    drives += [(py, False, True, False, True) for py in out_actuals
+               if py not in driven]
     return {"kind": "call", "ok": not msgs, "code": code,
-            "uses": frozenset(uses), "msgs": msgs}
+            "uses": frozenset(uses), "drives": drives, "msgs": msgs}

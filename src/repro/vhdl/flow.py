@@ -3,13 +3,25 @@
 Statement rules return a :class:`Flow` with their code; process rules
 store one record per process in ``ArchUnit.processes``, which
 :mod:`repro.analysis.facts` reads instead of parsing the generated
-Python.  A read is an ``rt.read`` the code performs (``Sem.uses``).
+Python, and :mod:`repro.sim.codegen` reads for the compiled backend.
+A read is an ``rt.read`` the code performs (``Sem.uses``).
 """
 
 from collections import namedtuple
 
 #: The empty set empty fields share (each ``frozenset()`` is new).
 EMPTY_SET = frozenset()
+
+
+#: One signal assignment: its ``target`` binding; ``guarded`` when it
+#: runs under an ``'EVENT`` test; ``zero_delay`` when every waveform
+#: element's delay is the literal 0 (a computed ``after`` is not);
+#: ``single`` for a one-element waveform; ``transport`` for transport
+#: delay; ``called`` when a subprogram call makes it: a signal actual
+#: of an ``out``/``inout`` signal formal, or a signal the callee's body
+#: assigns.
+Drive = namedtuple("Drive", "target guarded zero_delay single transport "
+                            "called")
 
 
 def _set(names):
@@ -29,12 +41,12 @@ class Flow(namedtuple("Flow", "plain guarded attrs events drives waits "
     whose condition tests ``'EVENT`` or ``'ACTIVE`` (the clocked idiom);
     ``attrs``: signals whose ``'EVENT``, ``'ACTIVE`` or ``'LAST_VALUE``
     is used; ``events``: signals an ``if`` condition tests with
-    ``'EVENT`` or ``'ACTIVE``; ``drives``: ``(target, guarded,
-    zero_delay)`` per signal assignment, zero-delay when every delay is
-    the literal 0; ``waits``: ``(signals, has_condition, has_timeout)``
-    per wait; both in source order.  ``waitless`` counts infinite loops
-    that never suspend and ``unreachable`` the statements after one,
-    which contribute nothing else.
+    ``'EVENT`` or ``'ACTIVE``; ``drives``: one :class:`Drive` per
+    signal assignment or drive through a call; ``waits``:
+    ``(signals, has_condition, has_timeout)`` per wait; both in source
+    order.  ``waitless`` counts infinite loops that never suspend and
+    ``unreachable`` the statements after one, which contribute nothing
+    else.
     """
 
     __slots__ = ()
@@ -71,24 +83,24 @@ class Flow(namedtuple("Flow", "plain guarded attrs events drives waits "
             return self
         return self._replace(
             plain=EMPTY_SET, guarded=_union(self.plain, self.guarded),
-            drives=tuple((t, True, z) for t, _, z in self.drives))
+            drives=tuple(d._replace(guarded=True) for d in self.drives))
 
     def called(self):
         """A process-local subprogram's flow as the process sees it: it
-        may run under any guard, so reads are plain and drives
-        unguarded; its event tests and loops are not the process's."""
+        may run under any guard, so reads are plain; its event tests
+        and loops are not the process's, and its drives enter at each
+        call (``SubprogramEntry.drives``)."""
         if self is NO_FLOW:
             return self
         return Flow(_union(self.plain, self.guarded), EMPTY_SET,
-                    self.attrs,
-                    drives=tuple((t, False, z) for t, _, z in self.drives),
-                    waits=self.waits)
+                    self.attrs, waits=self.waits)
 
     def record(self, label, fn, line, sensitivity):
         """The record of a process with this body flow, as
         ``ArchUnit.processes`` stores it.  Kept flat, since a ring of
         400 processes holds 400 of them: name sets become sorted
-        space-separated strings, drives and waits runs of triples."""
+        space-separated strings, drives runs of six and waits runs of
+        triples."""
         return [label, fn, line,
                 None if sensitivity is None else " ".join(sensitivity),
                 " ".join(sorted(self.plain)),
@@ -109,7 +121,8 @@ class Flow(namedtuple("Flow", "plain guarded attrs events drives waits "
         return label, fn, line, sensitivity, Flow(
             _set(plain.split()), _set(guarded.split()),
             _set(attrs.split()), _set(events.split()),
-            tuple(zip(drives[0::3], drives[1::3], drives[2::3])),
+            tuple(Drive(*drives[i:i + 6])
+                  for i in range(0, len(drives), 6)),
             tuple((s.split(), c, t) for s, c, t in
                   zip(waits[0::3], waits[1::3], waits[2::3])),
             waitless, unreachable)
@@ -121,3 +134,12 @@ NO_FLOW = Flow()
 def wait_flow(signals, has_condition=False, has_timeout=False):
     """The flow of one wait (without its expressions' reads)."""
     return Flow(waits=((tuple(signals), has_condition, has_timeout),))
+
+
+def drive_flow(drives):
+    """The flow of unguarded drives, given as ``(target, zero_delay,
+    single, transport, called)``."""
+    if not drives:
+        return NO_FLOW
+    return Flow(drives=tuple(Drive(t, False, z, s, tr, c)
+                             for t, z, s, tr, c in drives))

@@ -780,6 +780,24 @@ def _subprog_body(sub_kind):
         if body_sres.haswait:
             msgs.append("line %d: wait statements are not allowed in "
                         "subprograms" % line)
+        # A procedure call adds the drives of the body bound here
+        # (expr_sem.goal_call reads entry.drives).  A function call
+        # adds none, so a function may assign no signal; a call cannot
+        # see the body of a package subprogram or of one declared apart
+        # from its body, so those may assign only signal parameters,
+        # whose actuals the call drives anyway.
+        drives = body_sres.flow.drives
+        formals = {"a_%s" % p.name for p in params
+                   if p.obj_class == "signal"}
+        if sub_kind == "function" and drives:
+            msgs.append("line %d: function %s cannot assign signals"
+                        % (line, name))
+        elif (reused or scope) and any(d.target not in formals
+                                       for d in drives):
+            msgs.append("line %d: procedure %s may assign only its "
+                        "signal parameters" % (line, name))
+        elif not reused:
+            entry.drives = [list(d) for d in drives]
         new_env = env if reused else env.bind(name, entry,
                                               overloadable=True)
         return DeclResult(new_env, code, [] if reused else [entry],

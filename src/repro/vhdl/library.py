@@ -185,8 +185,11 @@ class LibraryManager(_LibraryQueries):
                          {"unit": std.package})
         self._state = _State({("std", "standard"): std.package},
                              (("std", "standard"),), 0)
+        #: Where :meth:`load_references` found the reference libraries
+        #: of a manager with no root of its own.
+        self._reference_root = None
         if root is not None:
-            self._load_root()
+            self._load_root(root)
 
     # -- state publication -------------------------------------------------
 
@@ -278,8 +281,11 @@ class LibraryManager(_LibraryQueries):
 
     def _load_payload(self, lib, key):
         payload = self._payloads.get((lib, key))
-        if payload is None and self.root is not None:
-            path = self._path(lib, key)
+        root = self.root
+        if root is None and lib in self._read_only:
+            root = self._reference_root
+        if payload is None and root is not None:
+            path = self._path(lib, key, root)
             if os.path.exists(path):
                 try:
                     with open(path) as f:
@@ -298,7 +304,7 @@ class LibraryManager(_LibraryQueries):
         only record: the writer owns the files, and yanking one from
         under it would turn *our* race into *its* corruption."""
         self.quarantined.append((path, reason))
-        if self.read_only:
+        if self.read_only or self.root is None:
             return
         try:
             os.replace(path, path + ".corrupt")
@@ -364,23 +370,34 @@ class LibraryManager(_LibraryQueries):
 
     # -- disk persistence ----------------------------------------------------------
 
-    def _path(self, lib, key):
-        return os.path.join(self.root, lib, unit_filename(key, "vif.json"))
+    def _path(self, lib, key, root=None):
+        return os.path.join(root or self.root, lib,
+                            unit_filename(key, "vif.json"))
 
     def _store(self, lib, key, payload):
         os.makedirs(os.path.join(self.root, lib), exist_ok=True)
         _atomic_write(self._path(lib, key),
                       json.dumps(payload, indent=1))
 
-    def _load_root(self):
-        if not os.path.isdir(self.root):
+    def load_references(self, root):
+        """Read this manager's reference libraries from the disk
+        library ``root`` without making ``root`` its own: an in-memory
+        manager (lint, analyze) compiles against them and still writes
+        nothing.  An unreadable unit is only recorded in
+        ``quarantined``."""
+        self._reference_root = root
+        self._load_root(root, self._read_only - {"std"})
+
+    def _load_root(self, root, libs=None):
+        if not os.path.isdir(root):
             return
         state = self._state
         units = dict(state.units)
         loaded = []
-        for lib in sorted(os.listdir(self.root)):
-            lib_dir = os.path.join(self.root, lib)
-            if not os.path.isdir(lib_dir):
+        for lib in sorted(os.listdir(root)):
+            lib_dir = os.path.join(root, lib)
+            if not os.path.isdir(lib_dir) or \
+                    (libs is not None and lib not in libs):
                 continue
             self._libraries.add(lib)
             for fname in sorted(os.listdir(lib_dir)):

@@ -17,7 +17,7 @@ control facts it needs.
 
 from . import vtypes
 from .expr_sem import signals_of
-from .flow import EMPTY_SET, NO_FLOW, Flow, wait_flow
+from .flow import EMPTY_SET, NO_FLOW, Flow, drive_flow, wait_flow
 from .semantics_decl import indent, join, ln
 
 
@@ -167,8 +167,8 @@ def signal_assign(target_lef, wave, transport, env, cc, line,
     if guard_py is not None:
         lines = [ln("if rt.read(%s):" % guard_py)] + indent(lines)
         code_uses.add(("read", guard_py))
-    flow = Flow.of_uses(code_uses) \
-        + Flow(drives=((base.py, False, zero_delay),))
+    flow = Flow.of_uses(code_uses) + drive_flow(
+        [(base.py, zero_delay, len(wave) == 1, bool(transport), False)])
     return SRes(lines, msgs, (), False, signals_of(uses), flow)
 
 
@@ -454,7 +454,8 @@ def procedure_call(call_lef, env, cc, line):
         writes = {n.strip() for n in
                   code.split(" = ")[0].split(",")}
     return SRes([ln(code)], msgs, writes,
-                flow=Flow.of_uses(_uses(goal)))
+                flow=Flow.of_uses(_uses(goal))
+                + drive_flow(goal.get("drives", ())))
 
 
 def return_stmt(value_lef, expected, env, cc, line):

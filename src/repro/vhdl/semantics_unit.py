@@ -15,7 +15,7 @@ from ..vif.nodes import (
 )
 from . import vtypes
 from .compile_ctx import attrs_of
-from .flow import Flow, wait_flow
+from .flow import Flow, drive_flow, wait_flow
 from .semantics_decl import DeclResult, flatten, indent, join, ln, render
 from .semantics_stmt import SRes
 from .symtab import entry_kind
@@ -317,7 +317,8 @@ def block_stmt(label, guard_lef, decls, inner, env, cc, line):
         guard_lines, record = _equivalent_process(
             fn, [ln("rt.assign(%s, ((%s, 0),))"
                     % (guard_py, goal.get("code", "0")))],
-            Flow.of_uses(uses) + Flow(drives=((guard_py, False, True),)),
+            Flow.of_uses(uses)
+            + drive_flow([(guard_py, True, True, False, False)]),
             goal.get("sigs", []), line, fn=fn)
         lines.extend(guard_lines)
         processes = [record]

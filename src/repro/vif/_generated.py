@@ -6,7 +6,7 @@ edit.  Regenerate with ``python -m repro.regen``.
 
 from repro.vif.core import Field, Node
 
-SCHEMA_CRC32 = 0xe2b1e459
+SCHEMA_CRC32 = 0x6a8a1292
 from repro.vhdl.vtypes import EnumTypeBehavior as _mixin_EnumTypeBehavior
 from repro.vhdl.vtypes import IntegerTypeBehavior as _mixin_IntegerTypeBehavior
 from repro.vhdl.vtypes import PhysicalTypeBehavior as _mixin_PhysicalTypeBehavior
@@ -655,11 +655,11 @@ def dump_PhysicalUnitEntry(node, show):
 class SubprogramEntry(_mixin_SubprogramEntryBehavior, Node):
     """VIF node kind 'SubprogramEntry'."""
 
-    __slots__ = ('name', 'sub_kind', 'params', 'result', 'py', 'predefined_op', 'pure', 'line')
+    __slots__ = ('name', 'sub_kind', 'params', 'result', 'py', 'predefined_op', 'pure', 'line', 'drives')
     VIF_KIND = 'SubprogramEntry'
-    VIF_FIELDS = (Field('name', 'str'), Field('sub_kind', 'str'), Field('params', 'list'), Field('result', 'ref'), Field('py', 'str'), Field('predefined_op', 'str'), Field('pure', 'bool'), Field('line', 'int'))
+    VIF_FIELDS = (Field('name', 'str'), Field('sub_kind', 'str'), Field('params', 'list'), Field('result', 'ref'), Field('py', 'str'), Field('predefined_op', 'str'), Field('pure', 'bool'), Field('line', 'int'), Field('drives', 'data'))
 
-    def __init__(self, name='', sub_kind='', params=None, result=None, py='', predefined_op='', pure=False, line=0):
+    def __init__(self, name='', sub_kind='', params=None, result=None, py='', predefined_op='', pure=False, line=0, drives=None):
         self._vif_home = None
         self.name = name
         self.sub_kind = sub_kind
@@ -669,6 +669,7 @@ class SubprogramEntry(_mixin_SubprogramEntryBehavior, Node):
         self.predefined_op = predefined_op
         self.pure = pure
         self.line = line
+        self.drives = drives
         if hasattr(self, '_post_init'):
             self._post_init()
 
@@ -687,6 +688,7 @@ def write_SubprogramEntry(node, encode):
         'predefined_op': encode(node.predefined_op, 'str'),
         'pure': encode(node.pure, 'bool'),
         'line': encode(node.line, 'int'),
+        'drives': encode(node.drives, 'data'),
     }
 
 def read_SubprogramEntry(node, data, decode):
@@ -699,6 +701,7 @@ def read_SubprogramEntry(node, data, decode):
     node.predefined_op = decode(data.get('predefined_op'), 'str')
     node.pure = decode(data.get('pure'), 'bool')
     node.line = decode(data.get('line'), 'int')
+    node.drives = decode(data.get('drives'), 'data')
     if hasattr(node, '_post_init'):
         node._post_init()
     return node
@@ -714,6 +717,7 @@ def dump_SubprogramEntry(node, show):
         ('predefined_op', show(node.predefined_op, 'str')),
         ('pure', show(node.pure, 'bool')),
         ('line', show(node.line, 'int')),
+        ('drives', show(node.drives, 'data')),
     ]
 
 class AliasEntry(_mixin_AliasEntryBehavior, Node):

@@ -15,7 +15,9 @@ import json
 from .core import VIFError
 from . import nodes as _nodes
 
-FORMAT = "VIF-1"
+#: Bumped when a stored field changes meaning without changing the
+#: node layout (VIF-2: six-value process drive records).
+FORMAT = "VIF-2"
 
 
 def unit_depends(payload):
@@ -160,8 +162,9 @@ class VIFReader:
             raise VIFError("no VIF for unit %s.%s" % (library, unit))
         if payload.get("format") != FORMAT:
             raise VIFError(
-                "unit %s.%s has unsupported VIF format %r"
-                % (library, unit, payload.get("format"))
+                "unit %s.%s has VIF format %r, not %r: it was written "
+                "by another compiler version; rebuild the library"
+                % (library, unit, payload.get("format"), FORMAT)
             )
         table = self._materialize(library, unit, payload)
         roots = {

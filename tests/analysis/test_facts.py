@@ -216,3 +216,36 @@ class TestRobustness:
         assert os.path.exists(path + ".corrupt")
         assert ("work", "rtl(facts_demo)") not in \
             LibraryManager(root=root)._units
+
+    def test_old_process_record_format_is_a_lib_diagnostic(self,
+                                                           tmp_path):
+        """A payload from before drive records carried their waveform
+        and call facts (three values per drive, VIF format ``VIF-1``)
+        is refused as a whole with a LIB001 diagnostic asking for a
+        rebuild, never read as six-value records."""
+        root = str(tmp_path)
+        Compiler(root=root).compile(SRC, "facts_demo.vhd")
+        path = os.path.join(root, "work",
+                            unit_filename("rtl(facts_demo)", "vif.json"))
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["format"] = "VIF-1"
+        for kind, fields in payload["nodes"]:
+            if kind == "ArchUnit":
+                for record in fields["processes"]:
+                    drives = record[8]
+                    record[8] = [x for i in range(0, len(drives), 6)
+                                 for x in drives[i:i + 3]]
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+
+        lines = []
+        rc = main(["--root", root, "analyze", "--top", "facts_demo"],
+                  out=lines.append)
+        assert rc == 2
+        assert "Traceback" not in "\n".join(lines)
+        [diag] = [line for line in lines if "LIB001" in line]
+        assert "work.rtl(facts_demo)" in diag
+        assert "'VIF-1'" in diag and "rebuild the library" in diag
+        assert ("work", "rtl(facts_demo)") not in \
+            LibraryManager(root=root)._units

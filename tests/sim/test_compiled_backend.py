@@ -363,3 +363,41 @@ class TestShapes:
         result = check_source(NESTED, "nested", until_ns=100,
                               compiled=True)
         assert result.outcome == "ok", result.detail
+
+
+class TestOneParsePerProcess:
+    """Codegen reads drive facts from the AG's process records, so a
+    cold build parses each process once, in the rewrite."""
+
+    def test_cold_build_splits_each_process_once(self, monkeypatch):
+        from repro.sim import codegen
+
+        library = compile_lib(NESTED + _ring(6))
+        for top in ("nested", "ring"):
+            kernel = CompiledKernel()
+            sim = Elaborator(library, kernel=kernel).elaborate(top)
+            graph = build_netlist(sim.records)
+            _levels, _order, cyclic = levelize(graph)
+            calls = []
+            real_split = codegen._split
+
+            def counting_split(text, name):
+                calls.append(name)
+                return real_split(text, name)
+
+            monkeypatch.setattr(codegen, "_split", counting_split)
+            program = codegen.build_program(kernel, sim.records, graph,
+                                            cyclic)
+            monkeypatch.setattr(codegen, "_split", real_split)
+            with_fn = [p for p in kernel.processes if p.fn is not None]
+            assert len(calls) == len(with_fn) == program.stats["procs"]
+            assert sorted(calls) == sorted(p.fn.__code__.co_name
+                                           for p in with_fn)
+
+    def test_the_process_analysis_pass_is_gone(self):
+        from repro.sim import codegen
+
+        for name in ("Analysis", "SiteInfo", "analyze_process",
+                     "_ops_call", "_call_risk", "_helper_may_assign",
+                     "_render_all", "_body_is_pure"):
+            assert not hasattr(codegen, name), name

@@ -134,6 +134,17 @@ class TestSimulateCommand:
         with open(vcd) as f:
             assert "$enddefinitions" in f.read()
 
+    def test_trace_without_vcd_is_a_usage_error(self, project, capsys):
+        src, _root = project
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", src, "--trace", "led"], out=lambda *_: None)
+        assert exc.value.code == 2
+        assert "--vcd" in capsys.readouterr().err
+        sim_parser = _parser()._subparsers._group_actions[0].choices["sim"]
+        help_text = {a.dest: a.help for a in sim_parser._actions}["trace"]
+        assert help_text.startswith("signal suffix to include in the "
+                                    "--vcd file")
+
 
 ZPKG = """
 package zpkg is
@@ -178,8 +189,8 @@ class TestReopenedLibrary:
             path.write_text(text)
             assert main(["--root", root, "compile", str(path)],
                         out=lambda *_: None) == 0
-        rc = main(["--root", root, "sim", "zclient", "--until", "25ns",
-                   "--trace", "n"], out=collect)
+        rc = main(["--root", root, "sim", "zclient", "--until", "25ns"],
+                  out=collect)
         assert rc == 0, collect.lines
         # n: 0 -> 1*5+5 = 10 -> 11*5+5 = 60 -> 61*5+5 = 310
         assert any(":zclient:n" in line and "310" in line
@@ -200,6 +211,46 @@ class TestReopenedLibrary:
         assert order.index("zpkg") < order.index("body(zpkg)")
         assert order.index("zpkg") < order.index("zclient")
         assert order.index("zclient") < order.index("rtl(zclient)")
+
+
+REF_PKG = """
+package p is
+  constant k : integer := 3;
+end p;
+"""
+
+REF_CLIENT = """
+library ref;
+use ref.p.all;
+entity u is end u;
+architecture a of u is
+  signal s : integer := k;
+begin
+  q : process begin wait for 5 ns; s <= s + k; end process;
+end a;
+"""
+
+
+class TestReferenceLibrary:
+    """``--ref`` libraries under ``--root`` are read by every command,
+    the in-memory lint and analyze compiles included."""
+
+    @pytest.mark.parametrize("command", ["lint", "analyze", "compile"])
+    def test_client_of_a_reference_package(self, tmp_path, command,
+                                           collect):
+        root = str(tmp_path / "libs")
+        pkg = tmp_path / "pkg.vhd"
+        pkg.write_text(REF_PKG)
+        use = tmp_path / "use.vhd"
+        use.write_text(REF_CLIENT)
+        assert main(["--root", root, "--work", "ref", "build", str(pkg)],
+                    out=lambda *_: None) == 0
+        before = sorted(os.listdir(os.path.join(root, "ref")))
+        rc = main(["--root", root, "--ref", "ref", command, str(use)],
+                  out=collect)
+        assert rc == 0, collect.lines
+        assert not any("no unit" in line for line in collect.lines)
+        assert sorted(os.listdir(os.path.join(root, "ref"))) == before
 
 
 class TestParserReuse:
