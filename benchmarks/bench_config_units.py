@@ -61,7 +61,7 @@ def measure_pair():
     t0 = time.perf_counter()
     fresh = LibraryManager()
     for (lib, key), text in stored.items():
-        fresh._payloads[(lib, key)] = json.loads(text)
+        fresh._store.payloads[(lib, key)] = json.loads(text)
         fresh._libraries.add(lib)
         node = fresh.reader.read_unit(lib, key)["unit"]
         fresh._units[(lib, key)] = node

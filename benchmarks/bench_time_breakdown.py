@@ -51,7 +51,7 @@ def compile_with_foreign_units(n_clients):
         fresh = LibraryManager()
         for lib, key in compiler.library.compile_order:
             if lib == "work":
-                fresh._payloads[(lib, key)] = \
+                fresh._store.payloads[(lib, key)] = \
                     compiler.library.payload_of(lib, key)
                 fresh._libraries.add(lib)
         fresh.reader.read_unit("work", "rtl(client%d)" % i)

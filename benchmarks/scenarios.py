@@ -865,7 +865,11 @@ def scenario_memory():
     depend on host speed, so they are not calibration-normalized.
     ``parse_trees_at_model_compile`` (``exact``) counts the parse
     nodes alive, with the cyclic collector off, when the models are
-    byte-compiled: 0 means the tree died before."""
+    byte-compiled: 0 means the tree died before.
+    ``cyclic_garbage_per_compile`` (``exact``) counts the repro-typed
+    objects a full collection frees after one compile run with the
+    collector off: 0 means the compiler, its library and every unit
+    it holds were freed by reference counting."""
     import gc
     import tracemalloc
 
@@ -915,12 +919,21 @@ def scenario_memory():
         compile_ring()
     finally:
         compiler_mod.compile_model = compile_model
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        cyclic = sum(1 for obj in gc.garbage
+                     if type(obj).__module__.startswith("repro."))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
         gc.enable()
 
     values = {
         "cells": COMPILED_CELLS,
         "compiled_procs": kernel.compiled_procs,
         "parse_trees_at_model_compile": max(live),
+        "cyclic_garbage_per_compile": cyclic,
         "compile_peak_mb": round(compile_mb, 2),
         "codegen_peak_mb": round(codegen_mb, 2),
     }

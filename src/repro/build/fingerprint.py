@@ -22,17 +22,17 @@ instead of silently mis-hitting.
 import hashlib
 import json
 
-# bfp-5: process drive records carry waveform and call facts, and
-# subprogram entries their body's drives; bumping invalidates cached
-# payloads built before (which the VIF reader would refuse anyway).
-FINGERPRINT_VERSION = "bfp-5"
+# bfp-6: subprogram entries carry their body's reads next to its
+# drives; bumping invalidates cached payloads built before (which the
+# VIF reader would refuse anyway).
+FINGERPRINT_VERSION = "bfp-6"
 
 #: Payload node fields that do not affect a unit's *interface* as seen
 #: by dependents: generated back-end text and the dataflow facts that
 #: come with it, and source coordinates (``source_file`` included, so
 #: renaming a file does not cascade).
 VOLATILE_FIELDS = ("py_source", "processes", "block_signals",
-                   "connections", "drives", "line", "source_file")
+                   "connections", "drives", "reads", "line", "source_file")
 
 _SEP = b"\x1f"
 _END = b"\x1e"

@@ -585,7 +585,7 @@ def _specialize(kernel, records, graph, cyclic):
     slot_indices = _classify_slots(kernel, graph, nets, cyclic_sigs)
 
     plans = {}
-    shapes = {}  # factory text -> factory name
+    shapes = {}  # lifted tree's structural key -> factory name
     chunks = []
     for proc in sorted(kernel.processes, key=lambda p: p.index):
         net = nets.get(proc)
@@ -675,46 +675,54 @@ def _classify_slots(kernel, graph, nets, cyclic_sigs):
     return slots
 
 
-class _Lifter(ast.NodeTransformer):
-    """Replaces each integer literal (signal indices, delays, values)
-    and each captured-environment name ``_e<pid>_*`` with a new
-    parameter ``_k<i>``, recording the operand it stands for, so
-    processes that differ only in those render one text."""
-
-    def __init__(self, env):
-        self.env = env
-        self.operands = []
-
-    def _param(self, operand):
-        self.operands.append(operand)
-        return ast.Name(id="_k%d" % (len(self.operands) - 1),
-                        ctx=ast.Load())
-
-    def visit_Constant(self, node):
-        if type(node.value) is int:
-            return self._param(repr(node.value))
-        return node
-
-    def visit_Name(self, node):
-        if node.id in self.env:
-            return self._param(node.id)
-        return node
+def _lift(node, env, operands):
+    """Replace, in place and in field order, each integer literal
+    (signal indices, delays, values) and each captured-environment name
+    ``_e<pid>_*`` under ``node`` with a new parameter ``_k<i>``,
+    appending the operand it stands for to ``operands``.  Returns the
+    new node and its structural key: two trees get one key exactly
+    when their ``ast.dump`` is equal, so processes that differ only in
+    those operands share one key without either being rendered."""
+    cls = type(node)
+    if cls is ast.Constant:
+        if type(node.value) is not int:
+            return node, (cls, repr(node.value), node.kind)
+        operands.append(repr(node.value))
+    elif cls is ast.Name and node.id in env:
+        operands.append(node.id)
+    else:
+        key = [cls]
+        for field in node._fields:
+            value = getattr(node, field, None)
+            if isinstance(value, ast.AST):
+                value, sub = _lift(value, env, operands)
+                setattr(node, field, value)
+                key.append(sub)
+            elif isinstance(value, list):
+                subs = []
+                for i, item in enumerate(value):
+                    if isinstance(item, ast.AST):
+                        value[i], item = _lift(item, env, operands)
+                    subs.append(item)
+                key.append(tuple(subs))
+            else:
+                key.append(value)
+        return node, tuple(key)
+    param = "_k%d" % (len(operands) - 1)
+    return ast.Name(id=param, ctx=ast.Load()), (ast.Name, param, (ast.Load,))
 
 
 def _instance(name, funcdef, env, shapes):
     """``name = <factory>(<operands>)``, preceded by the factory's
     definition the first time its shape is seen."""
-    lifter = _Lifter(env)
-    funcdef = lifter.visit(funcdef)
-    params = ["_k%d" % i for i in range(len(lifter.operands))]
-    factory = _def("_s", params, [
-        funcdef, ast.Return(value=ast.Name(id=funcdef.name,
-                                           ctx=ast.Load()))])
-    key = ast.unparse(factory)
+    operands = []
+    funcdef, key = _lift(funcdef, env, operands)
     shape = shapes.get(key)
     text = ""
     if shape is None:
-        shape = shapes[key] = factory.name = "_s%d" % len(shapes)
-        text = ast.unparse(factory) + "\n"
-    return text + "%s = %s(%s)" % (name, shape,
-                                   ", ".join(lifter.operands))
+        shape = shapes[key] = "_s%d" % len(shapes)
+        params = ["_k%d" % i for i in range(len(operands))]
+        text = ast.unparse(_def(shape, params, [
+            funcdef, ast.Return(value=ast.Name(id=funcdef.name,
+                                               ctx=ast.Load()))])) + "\n"
+    return text + "%s = %s(%s)" % (name, shape, ", ".join(operands))

@@ -25,20 +25,18 @@ class CompileCtx:
         #: multi-driver errors) can anchor diagnostics to declarations
         self.filename = filename
         #: exprEval reports its firings to ``observer`` (the compiler's
-        #: :class:`repro.diag.AGObserver`) too
-        self.expr_eval = ExprEvaluator(self.std, self._resolve_unit,
-                                       observer)
+        #: :class:`repro.diag.AGObserver`) too.  It resolves units
+        #: through the library itself, not through this context, which
+        #: would make context and evaluator a cycle.
+        self.expr_eval = ExprEvaluator(
+            self.std, library.find_unit if library is not None else None,
+            observer)
         self._gensym = 0
         #: set by the unit productions as they learn what they compile
         self.unit_name = "?"
         #: prefix for generated python names (packages use
         #: ``pkg_<name>_`` so cross-unit references are unambiguous)
         self.py_scope = ""
-
-    def _resolve_unit(self, lib_name, unit_name):
-        if self.library is None:
-            return None
-        return self.library.find_unit(lib_name, unit_name)
 
     def gensym(self, prefix):
         """A fresh generated-code identifier."""

@@ -17,7 +17,7 @@ they carry a resolver the use-site forces.
 
 from ..sim.runtime import VArray, ops as _ops
 from . import vtypes
-from .flow import EMPTY_SET
+from .flow import EMPTY_SET, Flow, drive_flow
 from .symtab import entry_kind, lookup_user_attribute
 
 #: Sentinel: no statically known value.
@@ -1382,16 +1382,25 @@ def goal_call(sem, items, ctx):
         code = "%s = %s" % (", ".join(out_params), call)
     else:
         code = call
-    # The call drives what the callee's body assigns, its signal
-    # formals replaced by their actuals, and every out/inout signal
-    # actual (a driver of the calling process even if never assigned).
+    # The call reads what the callee's body reads and drives what it
+    # assigns, its signal formals replaced by their actuals, and drives
+    # every out/inout signal actual (a driver of the calling process
+    # even if never assigned).
     formals = {"a_%s" % p.name for p in cand.params
                if p.obj_class == "signal"}
+
+    def bound(names):
+        return frozenset(actuals.get(n, n) for n in names
+                         if n in actuals or n not in formals)
+
+    plain, attrs = cand.reads or ((), ())
     drives = [(actuals.get(t, t), zero, single, transport, True)
               for t, _, zero, single, transport, _ in cand.drives or ()
               if t in actuals or t not in formals]
     driven = {d[0] for d in drives}
     drives += [(py, False, True, False, True) for py in out_actuals
                if py not in driven]
-    return {"kind": "call", "ok": not msgs, "code": code,
-            "uses": frozenset(uses), "drives": drives, "msgs": msgs}
+    flow = Flow.of_uses(uses) + Flow(bound(plain), EMPTY_SET,
+                                     bound(attrs)) + drive_flow(drives)
+    return {"kind": "call", "ok": not msgs, "code": code, "flow": flow,
+            "msgs": msgs}

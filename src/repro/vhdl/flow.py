@@ -86,10 +86,12 @@ class Flow(namedtuple("Flow", "plain guarded attrs events drives waits "
             drives=tuple(d._replace(guarded=True) for d in self.drives))
 
     def called(self):
-        """A process-local subprogram's flow as the process sees it: it
-        may run under any guard, so reads are plain; its event tests
-        and loops are not the process's, and its drives enter at each
-        call (``SubprogramEntry.drives``)."""
+        """A subprogram's flow as a caller sees it: it may run under
+        any guard, so reads are plain; its event tests and loops are
+        not the caller's, and its drives enter at each call
+        (``SubprogramEntry.drives``).  A procedure's reads enter at each
+        call too (``SubprogramEntry.reads``); a process-local one's
+        also enter through the process's declarative part."""
         if self is NO_FLOW:
             return self
         return Flow(_union(self.plain, self.guarded), EMPTY_SET,

@@ -780,12 +780,14 @@ def _subprog_body(sub_kind):
         if body_sres.haswait:
             msgs.append("line %d: wait statements are not allowed in "
                         "subprograms" % line)
-        # A procedure call adds the drives of the body bound here
-        # (expr_sem.goal_call reads entry.drives).  A function call
-        # adds none, so a function may assign no signal; a call cannot
-        # see the body of a package subprogram or of one declared apart
-        # from its body, so those may assign only signal parameters,
-        # whose actuals the call drives anyway.
+        # A procedure call adds the drives and the reads of the body
+        # bound here (expr_sem.goal_call reads entry.drives and
+        # entry.reads).  A function call adds none, so a function may
+        # assign no signal; a call cannot see the body of a package
+        # subprogram or of one declared apart from its body, so those
+        # may assign only signal parameters, whose actuals the call
+        # drives anyway.
+        flow = (inner_decls.flow + body_sres.flow).called()
         drives = body_sres.flow.drives
         formals = {"a_%s" % p.name for p in params
                    if p.obj_class == "signal"}
@@ -798,11 +800,12 @@ def _subprog_body(sub_kind):
                         "signal parameters" % (line, name))
         elif not reused:
             entry.drives = [list(d) for d in drives]
+            if sub_kind == "procedure":
+                entry.reads = [sorted(flow.plain), sorted(flow.attrs)]
         new_env = env if reused else env.bind(name, entry,
                                               overloadable=True)
         return DeclResult(new_env, code, [] if reused else [entry],
-                          msgs, flow=(inner_decls.flow
-                                      + body_sres.flow).called())
+                          msgs, flow=flow)
 
     return rule
 

@@ -17,7 +17,11 @@ carries the generated Python model (``py_source``), and the
 illustrative C text is derived from that model on demand
 (:func:`repro.vhdl.codegen.cmodel.c_model`).  The shared
 :class:`repro.vif.io.VIFReader` resolves foreign references so a
-declaration read from two different units is one node object.
+declaration read from two different units is one node object.  The
+reader loads payloads from a :class:`_PayloadStore` that the manager
+shares with it; neither points back at the manager, so a manager and
+every unit it materialized are freed by reference counting as soon as
+the last caller drops it.
 
 Concurrency model (the ``repro serve`` substrate): the in-memory
 contents live in one immutable :class:`_State` (units dict, compile
@@ -98,6 +102,72 @@ class _State:
         self.version = version
 
 
+class _PayloadStore:
+    """The VIF payloads of one manager and where to load missing ones.
+
+    The manager and its :class:`VIFReader` both hold the store, and
+    the store holds neither, so the reader's loader is not a path back
+    to the manager."""
+
+    __slots__ = ("payloads", "root", "reference_root", "reference_libs",
+                 "read_only", "quarantined")
+
+    def __init__(self, root, reference_libs, read_only):
+        self.payloads = {}   # (lib, key) -> VIF payload (append-only)
+        self.root = root
+        #: Where :meth:`LibraryManager.load_references` found the
+        #: reference libraries of a manager with no root of its own.
+        self.reference_root = None
+        self.reference_libs = reference_libs  # the manager's own set
+        self.read_only = read_only
+        self.quarantined = []  # [(path, reason), ...]
+
+    def path(self, lib, key, root=None):
+        return os.path.join(root or self.root, lib,
+                            unit_filename(key, "vif.json"))
+
+    def save(self, lib, key, payload):
+        """Keep a committed unit's payload, written to the root first
+        when there is one."""
+        if self.root is not None:
+            os.makedirs(os.path.join(self.root, lib), exist_ok=True)
+            _atomic_write(self.path(lib, key),
+                          json.dumps(payload, indent=1))
+        self.payloads[(lib, key)] = payload
+
+    def load(self, lib, key):
+        payload = self.payloads.get((lib, key))
+        root = self.root
+        if root is None and lib in self.reference_libs:
+            root = self.reference_root
+        if payload is None and root is not None:
+            path = self.path(lib, key, root)
+            if os.path.exists(path):
+                try:
+                    with open(path) as f:
+                        payload = json.load(f)
+                except (json.JSONDecodeError, UnicodeDecodeError,
+                        OSError) as exc:
+                    self.quarantine(path, str(exc))
+                    return None
+                self.payloads[(lib, key)] = payload
+        return payload
+
+    def quarantine(self, path, reason):
+        """Record a corrupt artifact and (when the manager owns the
+        root) move it aside as ``*.corrupt`` so the unit reads as
+        missing instead of raising at load time.  Read-only managers
+        only record: the writer owns the files, and yanking one from
+        under it would turn *our* race into *its* corruption."""
+        self.quarantined.append((path, reason))
+        if self.read_only or self.root is None:
+            return
+        try:
+            os.replace(path, path + ".corrupt")
+        except OSError:
+            pass
+
+
 class _LibraryQueries:
     """Query surface shared by the live manager and pinned snapshots.
 
@@ -167,17 +237,18 @@ class LibraryManager(_LibraryQueries):
         self.work = work
         self.read_only = bool(read_only)
         self._write_lock = threading.RLock()
-        self._payloads = {}   # (lib, key) -> VIF payload (append-only)
         self._libraries = {work, "std"}
         self._libraries.update(reference_libs)
         self._read_only = set(reference_libs) | {"std"}
+        self._store = _PayloadStore(root, self._read_only,
+                                    self.read_only)
         #: Corrupt on-disk artifacts moved aside at load time:
         #: [(path, reason), ...] — inspect (or render via
         #: :meth:`quarantine_diagnostics`) instead of crashing.
-        self.quarantined = []
-        self.reader = VIFReader(self._load_payload)
+        self.quarantined = self._store.quarantined
+        self.reader = VIFReader(self._store.load)
         std = standard()
-        self._payloads[("std", "standard")] = std.payload
+        self._store.payloads[("std", "standard")] = std.payload
         # Foreign references into STANDARD must resolve to the
         # singleton's node objects (identity-based typing), not to
         # copies materialized from the payload.
@@ -185,9 +256,6 @@ class LibraryManager(_LibraryQueries):
                          {"unit": std.package})
         self._state = _State({("std", "standard"): std.package},
                              (("std", "standard"),), 0)
-        #: Where :meth:`load_references` found the reference libraries
-        #: of a manager with no root of its own.
-        self._reference_root = None
         if root is not None:
             self._load_root(root)
 
@@ -245,9 +313,7 @@ class LibraryManager(_LibraryQueries):
         writer = VIFWriter(lib, key)
         payload = writer.write({"unit": node})
         with self._write_lock:
-            if self.root is not None:
-                self._store(lib, key, payload)
-            self._payloads[(lib, key)] = payload
+            self._store.save(lib, key, payload)
             state = self._state
             units = dict(state.units)
             units[(lib, key)] = node
@@ -270,7 +336,7 @@ class LibraryManager(_LibraryQueries):
         with self._write_lock:
             self._libraries.add(lib)
             if payload is not None:
-                self._payloads[(lib, key)] = payload
+                self._store.payloads[(lib, key)] = payload
             state = self._state
             units = dict(state.units)
             units[(lib, key)] = node
@@ -278,38 +344,6 @@ class LibraryManager(_LibraryQueries):
         return key
 
     # -- VIF access -----------------------------------------------------------------
-
-    def _load_payload(self, lib, key):
-        payload = self._payloads.get((lib, key))
-        root = self.root
-        if root is None and lib in self._read_only:
-            root = self._reference_root
-        if payload is None and root is not None:
-            path = self._path(lib, key, root)
-            if os.path.exists(path):
-                try:
-                    with open(path) as f:
-                        payload = json.load(f)
-                except (json.JSONDecodeError, UnicodeDecodeError,
-                        OSError) as exc:
-                    self._quarantine(path, str(exc))
-                    return None
-                self._payloads[(lib, key)] = payload
-        return payload
-
-    def _quarantine(self, path, reason):
-        """Record a corrupt artifact and (when this manager owns the
-        root) move it aside as ``*.corrupt`` so the unit reads as
-        missing instead of raising at load time.  Read-only managers
-        only record: the writer owns the files, and yanking one from
-        under it would turn *our* race into *its* corruption."""
-        self.quarantined.append((path, reason))
-        if self.read_only or self.root is None:
-            return
-        try:
-            os.replace(path, path + ".corrupt")
-        except OSError:
-            pass
 
     def quarantine_diagnostics(self):
         """The quarantine log as structured diagnostics (code LIB001),
@@ -326,11 +360,11 @@ class LibraryManager(_LibraryQueries):
         ]
 
     def payload_of(self, lib, key):
-        return self._load_payload(lib, key)
+        return self._store.load(lib, key)
 
     def dump_vif(self, lib, key):
         """The human-readable VIF form of a stored unit."""
-        payload = self._load_payload(lib, key)
+        payload = self._store.load(lib, key)
         if payload is None:
             raise LibraryError("no VIF for %s.%s" % (lib, key))
         return dump_unit(payload)
@@ -345,7 +379,7 @@ class LibraryManager(_LibraryQueries):
         unit)`` pairs its VIF payload records foreign references to
         (what the compile actually read, per the writer's depends
         set)."""
-        payload = self._load_payload(lib, key)
+        payload = self._store.load(lib, key)
         if payload is None:
             return []
         return unit_depends(payload)
@@ -370,22 +404,13 @@ class LibraryManager(_LibraryQueries):
 
     # -- disk persistence ----------------------------------------------------------
 
-    def _path(self, lib, key, root=None):
-        return os.path.join(root or self.root, lib,
-                            unit_filename(key, "vif.json"))
-
-    def _store(self, lib, key, payload):
-        os.makedirs(os.path.join(self.root, lib), exist_ok=True)
-        _atomic_write(self._path(lib, key),
-                      json.dumps(payload, indent=1))
-
     def load_references(self, root):
         """Read this manager's reference libraries from the disk
         library ``root`` without making ``root`` its own: an in-memory
         manager (lint, analyze) compiles against them and still writes
         nothing.  An unreadable unit is only recorded in
         ``quarantined``."""
-        self._reference_root = root
+        self._store.reference_root = root
         self._load_root(root, self._read_only - {"std"})
 
     def _load_root(self, root, libs=None):
@@ -408,13 +433,13 @@ class LibraryManager(_LibraryQueries):
                     roots = self.reader.read_unit(lib, key)
                 except VIFError as exc:
                     # Corrupt JSON was already quarantined by
-                    # _load_payload (a read-only manager leaves the
+                    # the store's loader (a read-only manager leaves the
                     # file in place); a structurally bad payload is
                     # quarantined here.  Either way, skip the unit.
                     path = os.path.join(lib_dir, fname)
                     if os.path.exists(path) and all(
                             p != path for p, _ in self.quarantined):
-                        self._quarantine(path, str(exc))
+                        self._store.quarantine(path, str(exc))
                     continue
                 units[(lib, key)] = roots["unit"]
                 loaded.append((lib, key))

@@ -453,9 +453,7 @@ def procedure_call(call_lef, env, cc, line):
     if " = " in code.split("(")[0]:
         writes = {n.strip() for n in
                   code.split(" = ")[0].split(",")}
-    return SRes([ln(code)], msgs, writes,
-                flow=Flow.of_uses(_uses(goal))
-                + drive_flow(goal.get("drives", ())))
+    return SRes([ln(code)], msgs, writes, flow=goal["flow"])
 
 
 def return_stmt(value_lef, expected, env, cc, line):

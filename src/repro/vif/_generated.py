@@ -6,7 +6,7 @@ edit.  Regenerate with ``python -m repro.regen``.
 
 from repro.vif.core import Field, Node
 
-SCHEMA_CRC32 = 0x6a8a1292
+SCHEMA_CRC32 = 0x678b3c2e
 from repro.vhdl.vtypes import EnumTypeBehavior as _mixin_EnumTypeBehavior
 from repro.vhdl.vtypes import IntegerTypeBehavior as _mixin_IntegerTypeBehavior
 from repro.vhdl.vtypes import PhysicalTypeBehavior as _mixin_PhysicalTypeBehavior
@@ -655,11 +655,11 @@ def dump_PhysicalUnitEntry(node, show):
 class SubprogramEntry(_mixin_SubprogramEntryBehavior, Node):
     """VIF node kind 'SubprogramEntry'."""
 
-    __slots__ = ('name', 'sub_kind', 'params', 'result', 'py', 'predefined_op', 'pure', 'line', 'drives')
+    __slots__ = ('name', 'sub_kind', 'params', 'result', 'py', 'predefined_op', 'pure', 'line', 'drives', 'reads')
     VIF_KIND = 'SubprogramEntry'
-    VIF_FIELDS = (Field('name', 'str'), Field('sub_kind', 'str'), Field('params', 'list'), Field('result', 'ref'), Field('py', 'str'), Field('predefined_op', 'str'), Field('pure', 'bool'), Field('line', 'int'), Field('drives', 'data'))
+    VIF_FIELDS = (Field('name', 'str'), Field('sub_kind', 'str'), Field('params', 'list'), Field('result', 'ref'), Field('py', 'str'), Field('predefined_op', 'str'), Field('pure', 'bool'), Field('line', 'int'), Field('drives', 'data'), Field('reads', 'data'))
 
-    def __init__(self, name='', sub_kind='', params=None, result=None, py='', predefined_op='', pure=False, line=0, drives=None):
+    def __init__(self, name='', sub_kind='', params=None, result=None, py='', predefined_op='', pure=False, line=0, drives=None, reads=None):
         self._vif_home = None
         self.name = name
         self.sub_kind = sub_kind
@@ -670,6 +670,7 @@ class SubprogramEntry(_mixin_SubprogramEntryBehavior, Node):
         self.pure = pure
         self.line = line
         self.drives = drives
+        self.reads = reads
         if hasattr(self, '_post_init'):
             self._post_init()
 
@@ -689,6 +690,7 @@ def write_SubprogramEntry(node, encode):
         'pure': encode(node.pure, 'bool'),
         'line': encode(node.line, 'int'),
         'drives': encode(node.drives, 'data'),
+        'reads': encode(node.reads, 'data'),
     }
 
 def read_SubprogramEntry(node, data, decode):
@@ -702,6 +704,7 @@ def read_SubprogramEntry(node, data, decode):
     node.pure = decode(data.get('pure'), 'bool')
     node.line = decode(data.get('line'), 'int')
     node.drives = decode(data.get('drives'), 'data')
+    node.reads = decode(data.get('reads'), 'data')
     if hasattr(node, '_post_init'):
         node._post_init()
     return node
@@ -718,6 +721,7 @@ def dump_SubprogramEntry(node, show):
         ('pure', show(node.pure, 'bool')),
         ('line', show(node.line, 'int')),
         ('drives', show(node.drives, 'data')),
+        ('reads', show(node.reads, 'data')),
     ]
 
 class AliasEntry(_mixin_AliasEntryBehavior, Node):

@@ -15,9 +15,9 @@ import json
 from .core import VIFError
 from . import nodes as _nodes
 
-#: Bumped when a stored field changes meaning without changing the
-#: node layout (VIF-2: six-value process drive records).
-FORMAT = "VIF-2"
+#: Bumped when the stored fields change, in layout or in meaning
+#: (VIF-3: subprogram entries record their body's reads).
+FORMAT = "VIF-3"
 
 
 def unit_depends(payload):

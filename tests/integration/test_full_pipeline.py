@@ -116,7 +116,7 @@ class TestPipeline:
         }
         fresh = LibraryManager()
         for (lib, key), payload in stored.items():
-            fresh._payloads[(lib, key)] = payload
+            fresh._store.payloads[(lib, key)] = payload
             fresh._libraries.add(lib)
             node = fresh.reader.read_unit(lib, key)["unit"]
             fresh.install_unit(lib, key, node)

@@ -394,6 +394,29 @@ class TestOneParsePerProcess:
             assert sorted(calls) == sorted(p.fn.__code__.co_name
                                            for p in with_fn)
 
+    def test_cold_build_renders_each_shape_once(self, monkeypatch):
+        import ast
+
+        from repro.sim import codegen
+
+        library = compile_lib(_ring(12))
+        kernel = CompiledKernel()
+        sim = Elaborator(library, kernel=kernel).elaborate("ring")
+        graph = build_netlist(sim.records)
+        _levels, _order, cyclic = levelize(graph)
+        calls = []
+        real_unparse = ast.unparse
+
+        def counting_unparse(node):
+            calls.append(node.name)
+            return real_unparse(node)
+
+        monkeypatch.setattr(ast, "unparse", counting_unparse)
+        program = codegen.build_program(kernel, sim.records, graph, cyclic)
+        monkeypatch.setattr(ast, "unparse", real_unparse)
+        assert program.stats["compiled"] == 12
+        assert len(calls) == program.stats["shapes"] < 12
+
     def test_the_process_analysis_pass_is_gone(self):
         from repro.sim import codegen
 

@@ -8,7 +8,9 @@ so a tree that is still referenced, or left as cyclic garbage, is
 counted; nothing is timed.  The merge test pins that the AG's list
 merges use memory linear in the number of merged statements, and the
 codegen peak test that a cold specialization costs less traced memory
-than the byte-compile of the model it specializes.
+than the byte-compile of the model it specializes.  The cycle guard
+pins that a CLI call's library, reader, compile contexts and VIF nodes
+are freed by reference counting, not left for the cyclic collector.
 """
 
 import ast
@@ -19,16 +21,21 @@ from collections import OrderedDict
 
 import pytest
 
+from repro import cli
 from repro.ag.errors import EvaluationError
 from repro.ag.lr.parser import ParseTree
 from repro.sim import CompiledKernel, codegen, compiled
 from repro.vhdl import compiler as compiler_mod
+from repro.vhdl.compile_ctx import CompileCtx
 from repro.vhdl.compiler import Compiler
 from repro.vhdl.elaborate import Elaborator
+from repro.vhdl.expr_grammar import ExprEvaluator
 from repro.vhdl.grammar import _merge_decl
+from repro.vhdl.library import LibraryManager
 from repro.vhdl.semantics_decl import DeclResult, flatten, ln
 from repro.vhdl.semantics_stmt import SRes
 from repro.vhdl.semantics_unit import CStmt
+from repro.vif.io import VIFReader
 
 RING = """
 entity ring is end ring;
@@ -117,6 +124,84 @@ def test_no_function_def_alive_at_program_compile(monkeypatch,
     kernel.compile_design(sim.records)
     assert kernel.compiled_procs == 3
     assert counts == [baseline]
+
+
+PKG = """
+package pkg is
+  constant step : integer := 3;
+  function bump(x : integer) return integer;
+end pkg;
+package body pkg is
+  function bump(x : integer) return integer is
+  begin
+    return x + step;
+  end bump;
+end pkg;
+"""
+
+TOP = """
+library work;
+use work.pkg.all;
+entity top is end top;
+architecture rtl of top is
+  signal c : integer := 0;
+begin
+  p: process begin
+    c <= bump(c) after 1 ns;
+    wait on c;
+  end process;
+end rtl;
+"""
+
+#: Per-call objects that must never be cyclic garbage.
+PER_CALL = (LibraryManager, VIFReader, CompileCtx, ExprEvaluator)
+
+
+def _cyclic_garbage(work):
+    """The repro-typed objects a full collection frees after ``work``
+    runs with the collector off."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        work()
+        gc.collect()
+        garbage = [obj for obj in gc.garbage
+                   if type(obj).__module__.startswith("repro.")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    return garbage
+
+
+def _per_call_graph(obj):
+    return isinstance(obj, PER_CALL) or \
+        type(obj).__module__ == "repro.vif._generated"
+
+
+def test_cli_calls_leave_no_library_cycles(tmp_path, no_collector):
+    """Two compiles into one disk library, then a sim: no manager,
+    reader, compile context, evaluator or VIF node waits for the
+    collector.  The one known exemption is the simulation kernel's own
+    cycles (a ``Process`` and its generator, a ``Signal`` and its
+    ``Driver``), with what hangs off them."""
+    root = str(tmp_path / "lib")
+    paths = []
+    for name, text in (("pkg.vhd", PKG), ("top.vhd", TOP)):
+        path = tmp_path / name
+        path.write_text(text)
+        paths.append(str(path))
+    for path in paths:
+        garbage = _cyclic_garbage(lambda: cli.main(
+            ["--root", root, "compile", path], out=lambda line: None))
+        assert garbage == [], sorted({type(o).__name__ for o in garbage})
+    out = []
+    garbage = _cyclic_garbage(lambda: cli.main(
+        ["--root", root, "sim", "top", "--until", "10ns"], out=out.append))
+    assert out[0].startswith("simulation stopped at 10 ns")
+    assert [o for o in garbage if _per_call_graph(o)] == []
+    outside_kernel = {type(o).__module__ for o in garbage} - {
+        "repro.sim.kernel", "repro.sim.process", "repro.sim.signals",
+        "repro.sim.vhdlio", "repro.diag.span"}
+    assert outside_kernel == set()
 
 
 def _traced_peak(work):
