@@ -15,6 +15,7 @@ the two run different sizes, the size is an argument of the builder.
 
 import json
 import os
+import re
 import shutil
 import tempfile
 import time
@@ -857,12 +858,15 @@ def scenario_trace():
 
 
 def scenario_memory():
-    """The memory gate: traced peaks of the two phases that
+    """The memory gate: traced peaks of the three phases that
     byte-compile generated code, on the compiled backend's ring.  A
-    compile byte-compiles its models after evaluation, and a cold
-    ``compile_design`` its specialized module after rendering; each
-    peak (``max``) must rest on live data only.  Traced bytes do not
-    depend on host speed, so they are not calibration-normalized.
+    compile byte-compiles its models after evaluation, elaboration
+    again when it loads the model, and a cold ``compile_design`` its
+    specialized module after rendering; each peak (``max``) must rest
+    on live data only.  Traced bytes do not depend on host speed, so
+    they are not calibration-normalized.  ``model_factories``
+    (``exact``) counts the process factories in the ring's model: one
+    per process shape, whatever the ring's size.
     ``parse_trees_at_model_compile`` (``exact``) counts the parse
     nodes alive, with the cyclic collector off, when the models are
     byte-compiled: 0 means the tree died before.
@@ -898,9 +902,11 @@ def scenario_memory():
     compile_ring()  # translator generation is not part of the peak
     library, compile_mb = traced_peak_mb(compile_ring)
 
+    Elaborator(library).elaborate("ring")  # imports are not the peak
     clear_program_cache()
     kernel = CompiledKernel()
-    sim = Elaborator(library, kernel=kernel).elaborate("ring")
+    sim, elaborate_mb = traced_peak_mb(
+        lambda: Elaborator(library, kernel=kernel).elaborate("ring"))
     _, codegen_mb = traced_peak_mb(
         lambda: kernel.compile_design(sim.records))
 
@@ -929,16 +935,21 @@ def scenario_memory():
         gc.garbage.clear()
         gc.enable()
 
+    model = library.find_architecture("work", "ring", "rtl").py_source
     values = {
         "cells": COMPILED_CELLS,
+        "model_factories": len(re.findall(r"^    def _f\d+\(", model,
+                                          re.M)),
         "compiled_procs": kernel.compiled_procs,
         "parse_trees_at_model_compile": max(live),
         "cyclic_garbage_per_compile": cyclic,
         "compile_peak_mb": round(compile_mb, 2),
+        "elaborate_peak_mb": round(elaborate_mb, 2),
         "codegen_peak_mb": round(codegen_mb, 2),
     }
     checks = {key: "exact" for key in values}
     checks["compile_peak_mb"] = "max"
+    checks["elaborate_peak_mb"] = "max"
     checks["codegen_peak_mb"] = "max"
     return envelope("bench", bench="memory", values=values,
                     checks=checks, timings={})

@@ -22,10 +22,10 @@ instead of silently mis-hitting.
 import hashlib
 import json
 
-# bfp-6: subprogram entries carry their body's reads next to its
-# drives; bumping invalidates cached payloads built before (which the
-# VIF reader would refuse anyway).
-FINGERPRINT_VERSION = "bfp-6"
+# bfp-7: architecture models hold one process factory per distinct
+# process text; bumping rebuilds cached units whose models nest one
+# function per process (which still run, but byte-compile larger).
+FINGERPRINT_VERSION = "bfp-7"
 
 #: Payload node fields that do not affect a unit's *interface* as seen
 #: by dependents: generated back-end text and the dataflow facts that

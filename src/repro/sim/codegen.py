@@ -6,8 +6,9 @@ mile.  What each process drives, and how, is the principal AG's: the
 :class:`~repro.analysis.netlist.DesignGraph` built from the
 ``ArchUnit.processes`` records (:class:`repro.vhdl.flow.Flow`) decides
 which signals are slots and which processes touch the cyclic cone.
-Each process function is then parsed once, on its own (its lines cut
-out of the model's ``py_source``), and rendered into one specialized
+Each process function is then parsed once, on its own, from the text
+of the model factory it comes from (cut out of the model's
+``py_source`` once per factory), and rendered into one specialized
 Python module per design:
 
 - **canonical processes** — a single ``yield rt.wait(...)`` as the
@@ -568,10 +569,11 @@ def _specialize(kernel, records, graph, cyclic):
     slot indices and stats.
 
     Slots and the cyclic cone come from the design graph (the AG's
-    process records); each process is parsed once, from its slice of
-    its model's ``py_source``, and its tree is dropped once rendered,
-    so no whole model and no tree is alive when the module text is
-    byte-compiled.
+    process records); each process is parsed once, from the slice of
+    its model's ``py_source`` that its factory's process function
+    spans (cut once and shared by every process bound to that
+    factory), and its tree is dropped once rendered, so no whole model
+    and no tree is alive when the module text is byte-compiled.
     """
     from .runtime import ops as ops_obj
 
@@ -591,7 +593,7 @@ def _specialize(kernel, records, graph, cyclic):
         net = nets.get(proc)
         targets = [d.target.signal for d in net.drives] if net else []
         try:
-            text = texts.pop(proc, None)
+            text = texts.get(proc.fn.__code__) if proc.fn else None
             if text is None:
                 raise Reject("shape")
             name = proc.fn.__code__.co_name
@@ -633,16 +635,21 @@ def _specialize(kernel, records, graph, cyclic):
 
 
 def _process_texts(records):
-    """Map each kernel process to the dedented source of its generated
-    function, cut out of its model's ``py_source``: the ``def`` line at
+    """Map each process function's code object to its dedented source,
+    cut out of its model's ``py_source``: the ``def`` line at
     ``co_firstlineno`` and each following line that is blank or
-    indented deeper."""
+    indented deeper.  The processes bound to one model factory share
+    its function's code object, so each factory's text is cut once
+    per elaborated model."""
     texts = {}
     for record in records:
-        lines = getattr(record.node, "py_source", "").splitlines(True)
+        lines = None
         for proc in record.processes.values():
-            if proc.fn is None:
+            if proc.fn is None or proc.fn.__code__ in texts:
                 continue
+            if lines is None:
+                lines = getattr(record.node, "py_source",
+                                "").splitlines(True)
             start = proc.fn.__code__.co_firstlineno - 1
             depth = len(lines[start]) - len(lines[start].lstrip())
             for end in range(start + 1, len(lines)):
@@ -652,7 +659,8 @@ def _process_texts(records):
                     break
             else:
                 end = len(lines)
-            texts[proc] = textwrap.dedent("".join(lines[start:end]))
+            texts[proc.fn.__code__] = textwrap.dedent(
+                "".join(lines[start:end]))
     return texts
 
 

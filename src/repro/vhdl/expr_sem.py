@@ -1232,11 +1232,16 @@ def goal_value(sem, ctx):
     }
 
 
+def _target_msgs(sem):
+    """``sem``'s diagnostics as a target's: writing (or naming) a
+    mode-out object is fine; only *reading* it is illegal, and that
+    diagnostic comes from value contexts."""
+    return [m for m in sem.msgs if "cannot be read" not in m]
+
+
 def goal_target(sem, ctx):
     """Assemble the exprEval result for M_TARGET."""
-    # Writing (or naming) a mode-out object is fine; only *reading* it
-    # is illegal, and that diagnostic comes from value contexts.
-    msgs = [m for m in sem.msgs if "cannot be read" not in m]
+    msgs = _target_msgs(sem)
     lv = sem.lvalue
     if sem.kind == "error":
         return {"kind": "target", "ok": False, "msgs": msgs,
@@ -1350,7 +1355,10 @@ def goal_call(sem, items, ctx):
     actuals = {}  # signal formal binding -> actual signal binding
     out_actuals = []
     for param, arg_sem in zip(cand.params, binding):
-        msgs.extend(arg_sem.msgs)
+        if param.mode == "out" and arg_sem.lvalue is not None:
+            msgs.extend(_target_msgs(arg_sem))  # its actual is written
+        else:
+            msgs.extend(arg_sem.msgs)
         if param.obj_class == "signal":
             # Signal-class formals receive the Signal object itself.
             entry = arg_sem.entry

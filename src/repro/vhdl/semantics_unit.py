@@ -4,6 +4,10 @@ configuration), including emission of the generated Python model the
 simulation kernel executes and the illustrative C model text.
 """
 
+import builtins
+import keyword
+import re
+
 from ..vif.nodes import (
     ArchUnit,
     ConfigUnit,
@@ -31,7 +35,8 @@ class CStmt:
     ``code``, ``instances``, ``processes`` (the record of each process
     the code creates) and ``signals`` (a ``[py, name, line, resolved]``
     row per signal a block declares) are ropes, flattened by
-    :func:`arch_unit`.
+    :func:`arch_unit`.  A process's code is one line whose text is a
+    :class:`ProcessLine`, which :func:`arch_unit` renders.
     """
 
     __slots__ = ("code", "msgs", "instances", "label", "processes",
@@ -58,6 +63,102 @@ CSTMT_EMPTY = CStmt()
 
 
 # -- processes ----------------------------------------------------------------------------
+
+#: Names every model binds for itself: the runtime its header imports,
+#: the ``rt``/``ops`` locals ``elaborate`` opens with, Python's
+#: builtins and keywords.  A factory body keeps them as they are.
+_MODEL_NAMES = frozenset(("rt", "ops", "VArray", "VRecord")) \
+    | frozenset(dir(builtins)) | frozenset(keyword.kwlist)
+
+#: A string literal, or a name that is neither an attribute nor a
+#: keyword argument (nor the target of an assignment).
+_USE = re.compile(r"""[bBrRuU]?(?:'(?:[^'\\\n]|\\.)*'|"(?:[^"\\\n]|\\.)*")"""
+                  r"|(?<![\w.])([A-Za-z_]\w*)\b(?!\s*=(?!=))")
+
+#: The parts of a line that may bind a name: a ``def``, ``nonlocal``
+#: or ``global`` line, a ``for`` target, ``lambda`` parameters and
+#: assignment targets.
+_BINDING = re.compile(r"^\s*(?:def|nonlocal|global)\b.*|\bfor\b.*?\bin\b"
+                      r"|\blambda\b[^:]*:"
+                      r"|^[\w\s,]+(?:[-+*/%&|^@]|//|\*\*|<<|>>)?=(?!=)")
+
+_IDENT = re.compile(r"[A-Za-z_]\w*")
+
+
+def _lift(lines):
+    """``lines`` with each name they use but do not bind replaced by a
+    parameter ``_a<i>``, numbered in order of first use, and the names
+    so replaced.
+
+    Every name a binding form mentions counts as bound, so the bound
+    set may be too large; that only keeps a name in the text, where
+    the factory, nested in ``elaborate``, still sees it.  Names in
+    string literals stay as they are."""
+    bound = set()
+    for _, text in lines:
+        for match in _BINDING.finditer(text):
+            bound.update(_IDENT.findall(match.group()))
+    params = {}
+
+    def param(match):
+        name = match.group(1)
+        if name is None or name in bound or name in _MODEL_NAMES:
+            return match.group()
+        if name not in params:
+            params[name] = "_a%d" % len(params)
+        return params[name]
+
+    lifted = tuple((depth, _USE.sub(param, text)) for depth, text in lines)
+    return lifted, list(params)
+
+
+class ProcessLine:
+    """A process's line in its architecture's ``elaborate(ctx)``.
+
+    ``text`` is the process function ``_p`` with every name it takes
+    from outside lifted (:func:`_lift`); ``args`` are those names.
+    :func:`arch_unit` keeps one factory per distinct ``text`` and
+    renders this line as the ``ctx.process`` call that binds the
+    factory to ``args``."""
+
+    __slots__ = ("label", "text", "args", "tail")
+
+    def __init__(self, label, lines, tail):
+        self.label = label
+        self.text, self.args = _lift(flatten(lines))
+        self.tail = tail  # the call's arguments after the function
+
+    def bind(self, factories):
+        """The ``ctx.process`` line, entering this text in
+        ``factories`` (lifted text -> factory name, arity) if it is
+        new."""
+        if self.text not in factories:
+            factories[self.text] = ("_f%d" % (len(factories) + 1),
+                                    len(self.args))
+        return "ctx.process(%r, %s(%s)%s)" % (
+            self.label, factories[self.text][0], ", ".join(self.args),
+            self.tail)
+
+
+def _factory_lines(text, name, arity):
+    """``def <name>(_a0, ...)``, returning the process function
+    ``text`` defines."""
+    lines = [ln("def %s(%s):" % (name, ", ".join(
+        "_a%d" % i for i in range(arity))))]
+    lines.extend(indent(text))
+    lines.append(ln("return _p", 1))
+    return lines
+
+
+def _process_line(label, lines, sens, line):
+    """The code of a process whose function ``_p`` is ``lines``:
+    one :class:`ProcessLine`, with a sensitivity list unless ``sens``
+    is None."""
+    if sens is None:
+        tail = ", line=%r" % line
+    else:
+        tail = ", sensitivity=[%s], line=%r" % (", ".join(sens), line)
+    return [ln(ProcessLine(label, lines, tail))]
 
 
 def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
@@ -99,35 +200,27 @@ def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
                             % ", ".join(final)))
         if not body.dead:  # else the final wait is unreachable
             flow += wait_flow(final)
-    lines = [ln("def %s():" % fn)]
+    if sensitivity_lefs is None:
+        sens = None
+    lines = [ln("def _p():")]
     lines.extend(indent(decls.code))
     lines.append(ln("while True:", 1))
     lines.extend(indent(loop_body, 2))
-    if sensitivity_lefs is not None:
-        lines.append(ln("ctx.process(%r, %s, sensitivity=[%s], "
-                        "line=%r)" % (label, fn, ", ".join(sens),
-                                      line)))
-    else:
-        lines.append(ln("ctx.process(%r, %s, line=%r)"
-                        % (label, fn, line)))
-    record = flow.record(label, fn, line,
-                         sens if sensitivity_lefs is not None else None)
-    return CStmt(lines, msgs, (), label, [record])
+    return CStmt(_process_line(label, lines, sens, line), msgs, (),
+                 label, [flow.record(label, fn, line, sens)])
 
 
 def _equivalent_process(label, body_lines, body_flow, sens, line,
                         fn=None):
     """The process a concurrent statement stands for: its body, then a
     wait on the signals it names."""
-    fn = fn or "_p_%s" % label
-    lines = [ln("def %s():" % fn), ln("while True:", 1)]
+    lines = [ln("def _p():"), ln("while True:", 1)]
     lines.extend(indent(body_lines or [ln("pass")], 2))
     lines.append(ln("yield rt.wait([%s], None, None)"
                     % ", ".join(sens), 2))
-    lines.append(ln("ctx.process(%r, %s, sensitivity=[%s], line=%r)"
-                    % (label, fn, ", ".join(sens), line)))
     flow = body_flow + wait_flow(sens)
-    return lines, flow.record(label, fn, line, sens)
+    return (_process_line(label, lines, sens, line),
+            flow.record(label, fn or "_p_%s" % label, line, sens))
 
 
 def concurrent_assign(label, arms, env, cc, line, guarded=False,
@@ -409,9 +502,17 @@ def arch_unit(name, entity, decls, cstmts, configs, env, cc, line):
                 inst.bound_library = lib
                 inst.bound_entity = ent
                 inst.bound_arch = arch_name
+    # Each process becomes one line binding its factory; the factories,
+    # one per distinct lifted text, open the body.
+    factories = {}  # lifted process text -> (factory name, arity)
+    code = [(depth, text.bind(factories) if type(text) is ProcessLine
+             else text)
+            for depth, text in flatten(join(decls.code, cstmts.code))]
     body = [ln("rt = ctx.rt"), ln("ops = ctx.ops")]
+    for text, (factory, arity) in factories.items():
+        body.extend(_factory_lines(text, factory, arity))
     body.extend(entity_setup_code(entity))
-    body.extend(flatten(join(decls.code, cstmts.code)))
+    body.extend(code)
     lines = list(_PY_HEADER)
     lines.append("def elaborate(ctx):")
     lines.append(render(body, base_indent=1))

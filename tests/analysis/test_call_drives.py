@@ -16,6 +16,7 @@ import os
 import pytest
 
 from repro.analysis import LintEngine, build_netlist
+from repro.cli import main
 from repro.gen.corpus import iter_corpus
 from repro.gen.grammar import generate_for
 from repro.gen.oracle import _compare, _simulate
@@ -193,6 +194,25 @@ def test_drives_a_call_cannot_see_are_compile_errors(name):
         source, filename="t.vhd")
     assert not result.ok
     assert any(message in m for m in result.messages), result.messages
+
+
+def test_an_out_port_is_an_out_signal_actual(tmp_path):
+    """The top's ``out`` port ``x`` is the actual of ``poke``'s ``out``
+    signal formal: a drive target, not a read, so compile, sim on both
+    backends and analyze accept the design."""
+    path = os.path.join(CORPUS, "out_port_via_procedure.vhd")
+    root = str(tmp_path / "libs")
+    for args in (["compile", path], ["analyze", path],
+                 ["sim", path, "--until", "100ns"],
+                 ["sim", path, "--until", "100ns", "--backend",
+                  "compiled"]):
+        lines = []
+        assert main(["--root", root] + args, out=lines.append) == 0, \
+            (args, lines)
+        assert not any("cannot be read" in str(line) for line in lines)
+        if args[0] == "sim":
+            assert any(str(line).split() == [":fz_top:x", "=", "40"]
+                       for line in lines), lines
 
 
 def _designs():
