@@ -22,10 +22,11 @@ instead of silently mis-hitting.
 import hashlib
 import json
 
-# bfp-7: architecture models hold one process factory per distinct
-# process text; bumping rebuilds cached units whose models nest one
-# function per process (which still run, but byte-compile larger).
-FINGERPRINT_VERSION = "bfp-7"
+# bfp-8: a process factory numbers the loop variables, subprograms and
+# case/select temporaries it binds in order of first use, not by
+# source line or counter; bumping rebuilds cached units whose models
+# keep one factory per such number (which still run).
+FINGERPRINT_VERSION = "bfp-8"
 
 #: Payload node fields that do not affect a unit's *interface* as seen
 #: by dependents: generated back-end text and the dataflow facts that

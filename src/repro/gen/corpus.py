@@ -52,10 +52,12 @@ class CorpusEntry:
         return int(self.meta.get("until_ns", 1000))
 
     def check(self):
-        """Replay through the oracle; returns the CheckResult."""
+        """Replay through the oracle, with the analyzer and compiled
+        legs, as the fuzz sweep runs; returns the CheckResult."""
         return check_source(self.source, self.top,
                             until_ns=self.until_ns,
-                            filename=self.path or self.name)
+                            filename=self.path or self.name,
+                            analyze=True, compiled=True)
 
     def __repr__(self):
         return "<CorpusEntry %s expect=%s>" % (self.name, self.expect)

@@ -6,10 +6,12 @@ mile.  What each process drives, and how, is the principal AG's: the
 :class:`~repro.analysis.netlist.DesignGraph` built from the
 ``ArchUnit.processes`` records (:class:`repro.vhdl.flow.Flow`) decides
 which signals are slots and which processes touch the cyclic cone.
-Each process function is then parsed once, on its own, from the text
-of the model factory it comes from (cut out of the model's
-``py_source`` once per factory), and rendered into one specialized
-Python module per design:
+The shapes are the AG's too: every process function is the ``_p`` of
+one of its model factories, so its text is cut out of the model's
+``py_source``, parsed and checked once per factory, and rewritten
+once per factory and set of slot flags of the names it assigns to —
+not once per process — into one specialized Python module per
+design:
 
 - **canonical processes** — a single ``yield rt.wait(...)`` as the
   first or last statement of the ``while True`` loop, no persistent
@@ -35,20 +37,23 @@ Python module per design:
   rejects only takes its own targets out of the slot set: a slot has
   that one driver, and its readers use ``V[i]`` either way.
 
-The module holds one factory per process *shape*: integer literals
-(signal indices, delays) and captured names are its parameters, and
-each process is one line calling it with its own operands, so a ring
-of identical cells byte-compiles one function body.  The module is
-pure: it depends only on the design's ``py_source`` texts and
-signal/process indices, never on elaboration-time values
-(generic-folded constants are captured from each process function's
-closure at *bind* time), so the compiled code object is cached by
+The module holds only factories, one per distinct rendered text:
+every name a process function takes from its closure is a parameter
+``_k<i>``, numbered in first-use order (a signal is passed as its
+``Signal.index``); delays and other literals stay as the AG wrote
+them.  The kernel's bind calls a process's factory with the values
+it captures from that process's closure, so a ring of identical
+cells byte-compiles one function body.  The module is pure: it
+depends only on the design's ``py_source`` texts and slot flags,
+never on elaboration-time values (generic-folded constants are
+captured at *bind* time), so the compiled code object is cached by
 design fingerprint across elaborations.
 """
 
 import ast
 import hashlib
 import textwrap
+from collections import namedtuple
 
 from .signals import Signal
 
@@ -66,26 +71,19 @@ class Reject(Exception):
         self.reason = reason
 
 
-class ProcPlan:
-    """How one compiled process appears in the generated module."""
+class ProcPlan(namedtuple("ProcPlan", "proc_index resume cond args pure "
+                           "init_runs_body wait_indices")):
+    """How one compiled process is made from the generated module:
+    the names of its resume-function factory and of its
+    condition-function factory (or None), the closure names whose
+    values (a signal's ``index``) both take, in parameter order, and
+    its wait signals' indices.  ``pure`` resume functions touch only
+    slot storage and ``ops`` arithmetic — no ``rt`` access, no
+    captured helper calls — so the kernel may dispatch them without
+    the ``current_process`` / AssertionFailure bookkeeping (nothing
+    they can reach reads either)."""
 
-    __slots__ = ("proc_index", "resume", "cond", "init_runs_body",
-                 "wait_indices", "env", "pure")
-
-    def __init__(self, proc_index, resume, cond, init_runs_body,
-                 wait_indices, env, pure=False):
-        self.proc_index = proc_index
-        self.resume = resume  # generated resume-function name
-        self.cond = cond  # generated condition-function name or None
-        self.init_runs_body = init_runs_body
-        self.wait_indices = list(wait_indices)
-        self.env = dict(env)  # mangled name -> original free name
-        #: ``pure`` resume functions touch only slot storage and
-        #: ``ops`` arithmetic — no ``rt`` access, no captured helper
-        #: calls — so the kernel may dispatch them without the
-        #: ``current_process`` / AssertionFailure bookkeeping (nothing
-        #: they can reach reads either).
-        self.pure = pure
+    __slots__ = ()
 
 
 class Program:
@@ -163,9 +161,9 @@ def _signal_of(env_fn, name, kernel):
 
 
 def _split(text, name):
-    """Parse one process's source on its own and split its loop at
-    the single wait: ``(wait call, other statements, init_runs_body)``.
-    Raises :class:`Reject` for any other shape."""
+    """Parse one process function's source on its own and split its
+    loop at the single wait: ``(wait call, other statements,
+    init_runs_body)``.  Raises :class:`Reject` for any other shape."""
     try:
         body = ast.parse(text).body
     except SyntaxError:
@@ -202,26 +200,67 @@ def _split(text, name):
     raise Reject("wait")
 
 
-def _wait_signals(wait_call, fn, kernel):
-    """The signals of a permanent ``rt.wait([...], cond, None)``, whose
-    condition is absent or a no-argument lambda; else :class:`Reject`."""
-    if wait_call.keywords or len(wait_call.args) != 3:
-        raise Reject("wait")
-    sig_list, cond, timeout = wait_call.args
-    if not _is_const(timeout, None) or not isinstance(sig_list, ast.List):
-        raise Reject("wait")  # timed waits stay on the calendar
-    if not _is_const(cond, None) and not (
-            isinstance(cond, ast.Lambda) and not cond.args.args
-            and not cond.args.posonlyargs and not cond.args.kwonlyargs):
-        raise Reject("wait")
-    signals = []
-    for elt in sig_list.elts:
-        sig = _signal_of(fn, elt.id, kernel) \
-            if isinstance(elt, ast.Name) else None
-        if sig is None:
+class _Shape:
+    """One process function's text, split and checked once for every
+    process bound to its model factory: its wait must be a permanent
+    ``rt.wait([<names>], cond, None)`` whose condition is absent or a
+    no-argument lambda."""
+
+    __slots__ = ("text", "name", "init_runs_body", "wait_names",
+                 "driven", "trees")
+
+    def __init__(self, text, code):
+        if text is None:
+            raise Reject("shape")
+        name = code.co_name
+        wait_call, rest, self.init_runs_body = _split(text, name)
+        if wait_call.keywords or len(wait_call.args) != 3:
             raise Reject("wait")
-        signals.append(sig)
-    return signals
+        sig_list, cond, timeout = wait_call.args
+        if not _is_const(timeout, None) \
+                or not isinstance(sig_list, ast.List) \
+                or not all(isinstance(e, ast.Name) for e in sig_list.elts):
+            raise Reject("wait")  # timed waits stay on the calendar
+        if not _is_const(cond, None) and not (
+                isinstance(cond, ast.Lambda) and not cond.args.args
+                and not cond.args.posonlyargs
+                and not cond.args.kwonlyargs):
+            raise Reject("wait")
+        self.wait_names = [elt.id for elt in sig_list.elts]
+        #: The names the body assigns to: the only ones whose slot
+        #: flag changes what a rendering writes.
+        self.driven = tuple(dict.fromkeys(
+            node.args[0].id for stmt in rest for node in ast.walk(stmt)
+            if _rt_call(node, "assign") and node.args
+            and isinstance(node.args[0], ast.Name)))
+        self.text = text
+        self.name = name
+        self.trees = wait_call, rest
+
+    def fresh(self):
+        """``(wait call, statements)`` for one rendering.  The rewrite
+        edits them in place, so only the first rendering gets the
+        trees the check split; a later one splits the text again."""
+        trees, self.trees = self.trees, None
+        if trees is None:
+            wait_call, rest, _ = _split(self.text, self.name)
+            trees = wait_call, rest
+        return trees
+
+
+def _memo(cache, key, make, *args):
+    """``make(*args)``, computed once per ``key``; a :class:`Reject`
+    is remembered by its reason and raised again at every use."""
+    value = cache.get(key)
+    if value is None:
+        try:
+            value = make(*args)
+        except Reject as rej:
+            value = rej.reason
+        cache[key] = value
+    if isinstance(value, str):
+        raise Reject(value)
+    return value
 
 
 # -- expression / statement rewriting ------------------------------------------
@@ -243,6 +282,16 @@ _ALLOWED = (
 
 def _expr_src(src):
     return ast.parse(src, mode="eval").body
+
+
+#: The specialized form of each ``rt`` read of one signal, given the
+#: parameter that carries its index.
+_SIGNAL_READS = {
+    "read": "V[%s]",
+    "event": "1 if SIG[%s].event_delta == step else 0",
+    "active": "1 if SIG[%s].active_delta == step else 0",
+    "last_value": "SIG[%s].last_value",
+}
 
 
 class _Rewriter(ast.NodeTransformer):
@@ -285,22 +334,8 @@ class _Rewriter(ast.NodeTransformer):
         if attr is not None:
             binder = self.binder
             binder.check_rt()
-            if attr == "read":
-                sig = self._sig_arg(node)
-                return _expr_src("V[%d]" % sig.index)
-            if attr == "event":
-                sig = self._sig_arg(node)
-                return _expr_src(
-                    "1 if SIG[%d].event_delta == step else 0"
-                    % sig.index)
-            if attr == "active":
-                sig = self._sig_arg(node)
-                return _expr_src(
-                    "1 if SIG[%d].active_delta == step else 0"
-                    % sig.index)
-            if attr == "last_value":
-                sig = self._sig_arg(node)
-                return _expr_src("SIG[%d].last_value" % sig.index)
+            if attr in _SIGNAL_READS:
+                return _expr_src(_SIGNAL_READS[attr] % self._sig_arg(node))
             if attr in ("assert_", "check"):
                 binder.pure = False
                 return ast.Call(
@@ -320,13 +355,15 @@ class _Rewriter(ast.NodeTransformer):
         return node
 
     def _sig_arg(self, node):
+        """The parameter carrying the index of ``node``'s one signal
+        argument."""
         if len(node.args) != 1 or node.keywords \
                 or not isinstance(node.args[0], ast.Name):
             raise Reject("names")
         sig = self.binder.signal(node.args[0].id)
         if sig is None:
             raise Reject("names")
-        return sig
+        return sig[1]
 
     # -- rejection wall ------------------------------------------------
 
@@ -337,28 +374,36 @@ class _Rewriter(ast.NodeTransformer):
 
 
 class _Binder:
-    """Per-process name resolution + environment mangling."""
+    """One rendering's name resolution against a process function:
+    each name it takes from its closure becomes a factory parameter
+    ``_k<i>``, numbered in first-use order."""
 
-    def __init__(self, proc, kernel, ops_obj):
-        self.proc = proc
+    def __init__(self, fn, kernel, ops_obj):
+        self.fn = fn
         self.kernel = kernel
         self.ops = ops_obj
-        self.env = {}  # mangled -> original name
+        self.params = {}  # closure name -> parameter
         #: Still true when the code rendered so far touches only slot
         #: storage and ``ops`` arithmetic: no ``rt`` access (assign and
         #: assert read ``current_process``) and no captured helper call
         #: (a helper could reach ``rt`` through its closure).
         self.pure = True
 
+    def param(self, name):
+        return self.params.setdefault(name, "_k%d" % len(self.params))
+
     def signal(self, name):
-        return _signal_of(self.proc.fn, name, self.kernel)
+        """``(signal, parameter)`` when ``name`` is a signal of this
+        kernel (its parameter carries ``Signal.index``), else None."""
+        sig = _signal_of(self.fn, name, self.kernel)
+        return None if sig is None else (sig, self.param(name))
 
     def check_rt(self):
-        if capture(self.proc.fn, "rt") is not self.kernel.rt:
+        if capture(self.fn, "rt") is not self.kernel.rt:
             raise Reject("names")
 
     def name_load(self, name):
-        value = capture(self.proc.fn, name)
+        value = capture(self.fn, name)
         if value is _MISSING:
             raise Reject("names")
         if isinstance(value, Signal):
@@ -368,9 +413,7 @@ class _Binder:
             return ast.Name(id="rt", ctx=ast.Load())
         if name == "ops" and value is self.ops:
             return ast.Name(id="ops", ctx=ast.Load())
-        mangled = "_e%d_%s" % (self.proc.index, name)
-        self.env[mangled] = name
-        return ast.Name(id=mangled, ctx=ast.Load())
+        return ast.Name(id=self.param(name), ctx=ast.Load())
 
 
 def _rewrite_stmts(stmts, binder, slot_indices, defined, depth=0):
@@ -451,18 +494,18 @@ def _rewrite_assign(call, binder, slot_indices, defined):
             kw.arg != "transport" or not isinstance(kw.value, ast.Constant)
             for kw in call.keywords):
         raise Reject("names")
-    sig = binder.signal(args[0].id)
+    target = binder.signal(args[0].id)
     waveform = args[1]
-    if sig is None or not isinstance(waveform, ast.Tuple) \
+    if target is None or not isinstance(waveform, ast.Tuple) \
             or not waveform.elts or any(
                 not isinstance(e, ast.Tuple) or len(e.elts) != 2
                 for e in waveform.elts):
         raise Reject("names")
-    idx = sig.index
+    sig, param = target
     tx = _Rewriter(binder, defined)
     # The process's Flow record makes a slot of a target only when
     # every assignment to it is one inertial (or zero-delay) element.
-    if idx in slot_indices:
+    if sig.index in slot_indices:
         elem = waveform.elts[0]
         value = tx.visit(elem.elts[0])
         delay = elem.elts[1]
@@ -471,10 +514,10 @@ def _rewrite_assign(call, binder, slot_indices, defined):
             # nothing can precede ``now``): overwrite the slot and
             # mark it due this timestep, once.
             assign = ast.parse(
-                "NV[%d] = 0\n"
-                "if NT[%d] != now:\n"
-                "    NT[%d] = now\n"
-                "    _DUE.append(%d)\n" % (idx, idx, idx, idx)).body
+                "NV[{0}] = 0\n"
+                "if NT[{0}] != now:\n"
+                "    NT[{0}] = now\n"
+                "    _DUE.append({0})\n".format(param)).body
             assign[0].value = value
             return assign
         if isinstance(delay, ast.Constant) \
@@ -483,20 +526,19 @@ def _rewrite_assign(call, binder, slot_indices, defined):
             # ``after <time literal>`` form): the whole ``_sched``
             # body inlines with the target time folded.
             assign = ast.parse(
-                "NV[%d] = 0\n"
-                "_t = now + %d\n"
-                "if NT[%d] != _t:\n"
-                "    NT[%d] = _t\n"
+                "NV[{0}] = 0\n"
+                "_t = now + {1}\n"
+                "if NT[{0}] != _t:\n"
+                "    NT[{0}] = _t\n"
                 "    _b = _B.get(_t)\n"
                 "    if _b is None:\n"
-                "        _B[_t] = [%d]\n"
+                "        _B[_t] = [{0}]\n"
                 "        _hpush(_H, _t)\n"
                 "    else:\n"
-                "        _b.append(%d)\n"
-                % (idx, delay.value, idx, idx, idx, idx)).body
+                "        _b.append({0})\n".format(param, delay.value)).body
             assign[0].value = value
             return assign
-        sched = _expr_src("_sched(%d, 0, 0, now)" % idx)
+        sched = _expr_src("_sched(%s, 0, 0, now)" % param)
         sched.args[1] = value
         sched.args[2] = tx.visit(delay)
         return [ast.Expr(value=sched)]
@@ -509,8 +551,8 @@ def _rewrite_assign(call, binder, slot_indices, defined):
         elems.append(ast.Tuple(
             elts=[tx.visit(elem.elts[0]), tx.visit(elem.elts[1])],
             ctx=ast.Load()))
-    new_call = _expr_src("rt.assign(SIG[%d], None, transport=%s)"
-                         % (idx, bool(transport)))
+    new_call = _expr_src("rt.assign(SIG[%s], None, transport=%s)"
+                         % (param, bool(transport)))
     new_call.args[1] = ast.Tuple(elts=elems, ctx=ast.Load())
     return [ast.Expr(value=new_call)]
 
@@ -565,15 +607,15 @@ def build_program(kernel, records, graph, cyclic):
 
 
 def _specialize(kernel, records, graph, cyclic):
-    """The specialized processes as module text, with their plans,
-    slot indices and stats.
+    """The module's factories as text, with the process plans, slot
+    indices and stats.
 
     Slots and the cyclic cone come from the design graph (the AG's
-    process records); each process is parsed once, from the slice of
-    its model's ``py_source`` that its factory's process function
-    spans (cut once and shared by every process bound to that
-    factory), and its tree is dropped once rendered, so no whole model
-    and no tree is alive when the module text is byte-compiled.
+    process records).  Each model factory's process function is cut
+    out of its ``py_source``, split and checked once; its wait signals
+    and the cyclic check are each process's own.  The rewrite runs
+    once per code object and slot flags of the names it assigns to,
+    and each distinct rendered factory enters the module once.
     """
     from .runtime import ops as ops_obj
 
@@ -587,51 +629,76 @@ def _specialize(kernel, records, graph, cyclic):
     slot_indices = _classify_slots(kernel, graph, nets, cyclic_sigs)
 
     plans = {}
-    shapes = {}  # lifted tree's structural key -> factory name
-    chunks = []
+    shapes = {}  # code object -> _Shape or reject reason
+    renders = {}  # (code object, slot flags) -> render or reason
+    factories = {}  # factory text -> factory name
     for proc in sorted(kernel.processes, key=lambda p: p.index):
         net = nets.get(proc)
         targets = [d.target.signal for d in net.drives] if net else []
+        fn = proc.fn
         try:
-            text = texts.get(proc.fn.__code__) if proc.fn else None
-            if text is None:
-                raise Reject("shape")
-            name = proc.fn.__code__.co_name
-            wait_call, rest, init_runs_body = _split(text, name)
-            wait_signals = _wait_signals(wait_call, proc.fn, kernel)
+            code = fn.__code__ if fn else None
+            shape = _memo(shapes, code, _Shape, texts.get(code), code)
+            wait_signals = [_signal_of(fn, name, kernel)
+                            for name in shape.wait_names]
+            if any(sig is None for sig in wait_signals):
+                raise Reject("wait")
             if any(s in cyclic_sigs for s in wait_signals + targets):
                 raise Reject("cyclic")  # quarantined: stay on the calendar
-            binder = _Binder(proc, kernel, ops_obj)
-            body = _rewrite_stmts(rest, binder, slot_indices, set())
-            pure = binder.pure
-            cond = wait_call.args[1]
-            if isinstance(cond, ast.Lambda):
-                cond = _def("_c", (), ast.parse("now, step = T").body + [
-                    ast.Return(_Rewriter(binder, set()).visit(cond.body))])
+            driven = [_signal_of(fn, name, kernel) for name in shape.driven]
+            flags = tuple(None if sig is None else sig.index in slot_indices
+                          for sig in driven)
+            render = _memo(renders, (code, flags), _render, shape, fn,
+                           kernel, ops_obj, slot_indices, factories)
         except Reject as rej:
             stats["reject_%s" % rej.reason] += 1
             # A slot has this process as its one driver; readers
             # elsewhere use V[i] either way, so only its targets go.
             slot_indices.difference_update(s.index for s in targets)
             continue
-        pid = proc.index
-        resume_name = "_p%d" % pid
-        chunks.append(_instance(resume_name, _def("_p", ("now", "step"),
-                                                  body),
-                                binder.env, shapes))
-        cond_name = None
-        if isinstance(cond, ast.FunctionDef):
-            cond_name = "_c%d" % pid
-            chunks.append(_instance(cond_name, cond, binder.env, shapes))
-        plans[pid] = ProcPlan(
-            pid, resume_name, cond_name, init_runs_body,
-            [s.index for s in wait_signals], binder.env, pure=pure)
+        plans[proc.index] = ProcPlan(
+            proc.index, *render, shape.init_runs_body,
+            tuple(s.index for s in wait_signals))
 
     stats["compiled"] = len(plans)
     stats["slots"] = len(slot_indices)
     stats["generic"] = len(kernel.processes) - len(plans)
-    stats["shapes"] = len(shapes)
-    return "\n".join(chunks), plans, slot_indices, stats
+    stats["shapes"] = len(factories)
+    return "\n".join(text.replace("def _s(", "def %s(" % name, 1)
+                     for text, name in factories.items()), \
+        plans, slot_indices, stats
+
+
+def _render(shape, fn, kernel, ops_obj, slot_indices, factories):
+    """Rewrite ``shape`` against ``fn``'s closure: ``(resume factory,
+    condition factory or None, closure names, pure)``.  Each factory
+    is entered in ``factories`` (text -> name) unless its text is
+    there already."""
+    wait_call, rest = shape.fresh()
+    binder = _Binder(fn, kernel, ops_obj)
+    body = _rewrite_stmts(rest, binder, slot_indices, set())
+    pure = binder.pure
+    lam = wait_call.args[1]
+    if isinstance(lam, ast.Lambda):
+        lam = _def("_c", (), ast.parse("now, step = T").body + [
+            ast.Return(_Rewriter(binder, set()).visit(lam.body))])
+    params = list(binder.params.values())
+    resume = _factory(_def("_p", ("now", "step"), body), params,
+                      factories)
+    cond = None
+    if isinstance(lam, ast.FunctionDef):
+        cond = _factory(lam, params, factories)
+    return resume, cond, tuple(binder.params), pure
+
+
+def _factory(funcdef, params, factories):
+    """The name of the factory over ``params`` that returns
+    ``funcdef``: ``factories`` maps each factory's text, rendered as
+    ``def _s(...)``, to its name."""
+    text = ast.unparse(ast.fix_missing_locations(_def("_s", params, [
+        funcdef, ast.Return(value=ast.Name(id=funcdef.name,
+                                           ctx=ast.Load()))])))
+    return factories.setdefault(text, "_s%d" % len(factories))
 
 
 def _process_texts(records):
@@ -681,56 +748,3 @@ def _classify_slots(kernel, graph, nets, cyclic_sigs):
                and not d.called for d in drives):
             slots.add(ns.signal.index)
     return slots
-
-
-def _lift(node, env, operands):
-    """Replace, in place and in field order, each integer literal
-    (signal indices, delays, values) and each captured-environment name
-    ``_e<pid>_*`` under ``node`` with a new parameter ``_k<i>``,
-    appending the operand it stands for to ``operands``.  Returns the
-    new node and its structural key: two trees get one key exactly
-    when their ``ast.dump`` is equal, so processes that differ only in
-    those operands share one key without either being rendered."""
-    cls = type(node)
-    if cls is ast.Constant:
-        if type(node.value) is not int:
-            return node, (cls, repr(node.value), node.kind)
-        operands.append(repr(node.value))
-    elif cls is ast.Name and node.id in env:
-        operands.append(node.id)
-    else:
-        key = [cls]
-        for field in node._fields:
-            value = getattr(node, field, None)
-            if isinstance(value, ast.AST):
-                value, sub = _lift(value, env, operands)
-                setattr(node, field, value)
-                key.append(sub)
-            elif isinstance(value, list):
-                subs = []
-                for i, item in enumerate(value):
-                    if isinstance(item, ast.AST):
-                        value[i], item = _lift(item, env, operands)
-                    subs.append(item)
-                key.append(tuple(subs))
-            else:
-                key.append(value)
-        return node, tuple(key)
-    param = "_k%d" % (len(operands) - 1)
-    return ast.Name(id=param, ctx=ast.Load()), (ast.Name, param, (ast.Load,))
-
-
-def _instance(name, funcdef, env, shapes):
-    """``name = <factory>(<operands>)``, preceded by the factory's
-    definition the first time its shape is seen."""
-    operands = []
-    funcdef, key = _lift(funcdef, env, operands)
-    shape = shapes.get(key)
-    text = ""
-    if shape is None:
-        shape = shapes[key] = "_s%d" % len(shapes)
-        params = ["_k%d" % i for i in range(len(operands))]
-        text = ast.unparse(_def(shape, params, [
-            funcdef, ast.Return(value=ast.Name(id=funcdef.name,
-                                               ctx=ast.Load()))])) + "\n"
-    return text + "%s = %s(%s)" % (name, shape, ", ".join(operands))

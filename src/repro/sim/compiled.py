@@ -4,8 +4,10 @@
 story: where the generated C of the paper's pipeline was specialized
 per design and compiled by the host compiler, this kernel takes the
 elaborator's records plus the ``DesignGraph`` (the principal AG's
-per-process drive records, flattened) and its levelization, and
-``exec()``\\ s a module rendered by :mod:`repro.sim.codegen`:
+per-process drive records, flattened) and its levelization,
+``exec()``\\ s the module of factories rendered by
+:mod:`repro.sim.codegen` and calls each compiled process's factory
+with the values its closure holds:
 
 - compiled processes are plain functions dispatched directly (no
   generator resumption, no ``RT`` attribute chains), reached through
@@ -32,8 +34,9 @@ describes the scheduler, not the simulated design.
 
 Compiled code objects are cached by design fingerprint (sources +
 elaborated topology, **never** elaboration-time values; generic-folded
-constants are re-captured from process closures at bind time), so
-re-elaborating the same design skips codegen entirely.
+constants are re-captured from process closures and passed to the
+factories at bind time), so re-elaborating the same design skips
+codegen entirely.
 """
 
 import heapq
@@ -44,6 +47,7 @@ from .codegen import _MISSING, build_program, capture, design_fingerprint
 from .kernel import Kernel, SimulationError, _process_order
 from .process import WaitRequest
 from .runtime import ops
+from .signals import Signal
 from .vhdlio import AssertionFailure
 
 #: Compiled :class:`~repro.sim.codegen.Program` objects by design
@@ -139,9 +143,10 @@ class CompiledKernel(Kernel):
 
     def _bind(self, program):
         """Instantiate a (possibly cached) Program against *this*
-        elaboration: re-capture environment values from the process
-        closures (generics change values, never source), exec the
-        module, install permanent waits and static fanout."""
+        elaboration: exec the module, call each plan's factories with
+        the values it captures from its process's closure (generics
+        change values, never source), install permanent waits and
+        static fanout."""
         self.program = program
         n = len(self.signals)
         values = [sig.value for sig in self.signals]
@@ -156,33 +161,30 @@ class CompiledKernel(Kernel):
             "_H": slot_heap, "_hpush": heapq.heappush,
             "rt": self.rt, "ops": ops,
         }
+        exec(program.code, namespace)
         by_index = {proc.index: proc for proc in self.processes}
+        cmap = {}
+        pure_map = {}
+        init_map = {}
+        static = {}
         for plan in program.plans.values():
             proc = by_index.get(plan.proc_index)
             if proc is None or proc.fn is None:
                 raise SimulationError(
                     "compiled program does not match this elaboration")
-            for mangled, orig in plan.env.items():
-                value = capture(proc.fn, orig)
-                if value is _MISSING:
-                    raise SimulationError(
-                        "cannot re-capture %r for process %r"
-                        % (orig, proc.name))
-                namespace[mangled] = value
-        exec(program.code, namespace)
-        cmap = {}
-        pure_map = {}
-        init_map = {}
-        static = self._static_waiters
-        for plan in program.plans.values():
-            proc = by_index[plan.proc_index]
-            fn = namespace[plan.resume]
+            args = [capture(proc.fn, name) for name in plan.args]
+            if any(value is _MISSING for value in args):
+                raise SimulationError("cannot re-capture %r for process %r"
+                                      % (plan.args, proc.name))
+            args = [value.index if isinstance(value, Signal) else value
+                    for value in args]
+            fn = namespace[plan.resume](*args)
             cmap[plan.proc_index] = fn
             if plan.pure:
                 pure_map[plan.proc_index] = fn
             init_map[plan.proc_index] = (
                 fn if plan.init_runs_body else _noop)
-            cond = namespace[plan.cond] if plan.cond else None
+            cond = namespace[plan.cond](*args) if plan.cond else None
             wait_sigs = [self.signals[i] for i in plan.wait_indices]
             # The permanent wait: compiled processes always loop back
             # to the same suspension, so it is installed once and the
@@ -190,6 +192,7 @@ class CompiledKernel(Kernel):
             proc.wait = WaitRequest(wait_sigs, cond, None)
             for i in plan.wait_indices:
                 static.setdefault(i, set()).add(proc)
+        self._static_waiters = static
         self._c_resume = cmap
         self._c_pure = pure_map
         self._c_init = init_map
@@ -209,7 +212,7 @@ class CompiledKernel(Kernel):
                     break
                 proc = by_index[plan.proc_index]
                 rows.setdefault(plan.wait_indices[0], []).append(
-                    (proc.index, proc, namespace[plan.resume]))
+                    (proc.index, proc, cmap[proc.index]))
             if rows is not None:
                 for lst in rows.values():
                     lst.sort()

@@ -13,8 +13,9 @@ def compile_model(py_source, unit_name="<model>"):
     return compile(py_source, "<vhdl model %s>" % unit_name, "exec")
 
 
-def load_model(py_source, unit_name="<model>", extra_globals=None):
-    """Execute a generated model module; returns its namespace.
+def load_model(code, extra_globals=None):
+    """Execute a byte-compiled model (:func:`compile_model`); returns
+    its namespace.
 
     ``extra_globals`` supplies the namespaces of packages this unit
     depends on (their exported constants, functions, and signals).
@@ -22,6 +23,5 @@ def load_model(py_source, unit_name="<model>", extra_globals=None):
     namespace = {}
     if extra_globals:
         namespace.update(extra_globals)
-    code = compile_model(py_source, unit_name)
     exec(code, namespace)
     return namespace

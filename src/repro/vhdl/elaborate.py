@@ -24,7 +24,7 @@ from ..sim.kernel import SimulationError
 from ..sim.nameserver import SEPARATOR
 from ..sim.runtime import RuntimeError_
 from ..sim.vhdlio import AssertionFailure
-from .codegen.pymodel import load_model
+from .codegen.pymodel import compile_model, load_model
 from .symtab import entry_kind
 
 
@@ -172,6 +172,10 @@ class Elaborator:
         self.records = []
         self._package_ns = {}
         self._packages_loaded = False
+        #: Each architecture's model, byte-compiled once however many
+        #: instances it has, so all of them share its process
+        #: factories' code objects (codegen specializes each once).
+        self._models = {}
 
     # -- packages -------------------------------------------------------------------
 
@@ -197,7 +201,7 @@ class Elaborator:
             self.records.append(record)
             ctx = ElabContext(self, SEPARATOR + node.name,
                               record=record)
-            ns = load_model(py, "%s.%s" % (lib, key),
+            ns = load_model(compile_model(py, "%s.%s" % (lib, key)),
                             extra_globals=self._package_ns)
             ns["elaborate"](ctx)
             self._package_ns.update(ctx._exports)
@@ -257,9 +261,11 @@ class Elaborator:
         self.records.append(record)
         ctx = ElabContext(self, path, generics, ports, arch,
                           config_rows, record=record)
-        ns = load_model(arch.py_source,
-                        "%s(%s)" % (arch.name, entity.name),
-                        extra_globals=self._package_ns)
+        name = "%s(%s)" % (arch.name, entity.name)
+        key = (name, arch.py_source)
+        if key not in self._models:
+            self._models[key] = compile_model(arch.py_source, name)
+        ns = load_model(self._models[key], extra_globals=self._package_ns)
         ns["elaborate"](ctx)
         return ctx
 

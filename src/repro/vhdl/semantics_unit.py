@@ -70,10 +70,17 @@ CSTMT_EMPTY = CStmt()
 _MODEL_NAMES = frozenset(("rt", "ops", "VArray", "VRecord")) \
     | frozenset(dir(builtins)) | frozenset(keyword.kwlist)
 
+_STRING = r"""[bBrRuU]?(?:'(?:[^'\\\n]|\\.)*'|"(?:[^"\\\n]|\\.)*")"""
+
 #: A string literal, or a name that is neither an attribute nor a
 #: keyword argument (nor the target of an assignment).
-_USE = re.compile(r"""[bBrRuU]?(?:'(?:[^'\\\n]|\\.)*'|"(?:[^"\\\n]|\\.)*")"""
-                  r"|(?<![\w.])([A-Za-z_]\w*)\b(?!\s*=(?!=))")
+_USE = re.compile(_STRING + r"|(?<![\w.])([A-Za-z_]\w*)\b(?!\s*=(?!=))")
+
+#: A string literal, or a name that carries a source line or a
+#: counter: a loop parameter ``v_<name>_l<line>``, a subprogram
+#: ``f_<name>_l<line>``, a ``_case_<n>`` or ``_sel_<n>`` temporary.
+_NUMBERED = re.compile(
+    _STRING + r"|(?<![\w.])((?:[vf]_\w+_l|_case_|_sel_)\d+)\b")
 
 #: The parts of a line that may bind a name: a ``def``, ``nonlocal``
 #: or ``global`` line, a ``for`` target, ``lambda`` parameters and
@@ -92,13 +99,17 @@ def _lift(lines):
 
     Every name a binding form mentions counts as bound, so the bound
     set may be too large; that only keeps a name in the text, where
-    the factory, nested in ``elaborate``, still sees it.  Names in
-    string literals stay as they are."""
+    the factory, nested in ``elaborate``, still sees it.  A bound name
+    that carries a source line or a counter (:data:`_NUMBERED`) gets
+    its number replaced by its rank in order of first use, so two
+    processes that differ only in where they stand share a text.
+    Names in string literals stay as they are."""
     bound = set()
     for _, text in lines:
         for match in _BINDING.finditer(text):
             bound.update(_IDENT.findall(match.group()))
     params = {}
+    own = {}
 
     def param(match):
         name = match.group(1)
@@ -108,7 +119,17 @@ def _lift(lines):
             params[name] = "_a%d" % len(params)
         return params[name]
 
-    lifted = tuple((depth, _USE.sub(param, text)) for depth, text in lines)
+    def renumber(match):
+        name = match.group(1)
+        if name is None or name not in bound:
+            return match.group()
+        if name not in own:
+            own[name] = "%s%d" % (name.rstrip("0123456789"),
+                                  len(own) + 1)
+        return own[name]
+
+    lifted = tuple((depth, _NUMBERED.sub(renumber, _USE.sub(param, text)))
+                   for depth, text in lines)
     return lifted, list(params)
 
 

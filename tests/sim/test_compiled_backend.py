@@ -24,7 +24,8 @@ from repro.gen.oracle import (
     _simulate,
     check_source,
 )
-from repro.sim import CompiledKernel, Kernel, compiled
+from repro.sim import CompiledKernel, Kernel, Signal, codegen, compiled
+from repro.sim.codegen import capture
 from repro.sim.compiled import _PROGRAM_CACHE
 from repro.vhdl.compiler import Compiler
 from repro.vhdl.elaborate import Elaborator
@@ -323,9 +324,68 @@ def _specialized(library, top):
     return kernel
 
 
+#: Two instances of one entity, so two processes of one model factory:
+#: ``plain`` is a slot, ``wired`` is resolved, so only one of them gets
+#: slot writes.
+SLOT_AND_RESOLVED = """
+entity buf is
+  port ( a : in integer; y : out integer );
+end buf;
+architecture rtl of buf is
+begin
+  drive : process (a) begin y <= a + 1 after 1 ns; end process;
+end rtl;
+
+entity split is end split;
+architecture rtl of split is
+  type int_vec is array (natural range <>) of integer;
+  function total (v : int_vec) return integer is
+    variable sum : integer := 0;
+  begin
+    for i in v'range loop
+      sum := sum + v(i);
+    end loop;
+    return sum;
+  end total;
+  subtype rint is total integer;
+  component buf
+    port ( a : in integer; y : out integer );
+  end component;
+  signal x, plain : integer := 0;
+  signal wired : rint := 0;
+begin
+  u1 : buf port map ( a => x, y => plain );
+  u2 : buf port map ( a => x, y => wired );
+  stim : process begin wait for 5 ns; x <= x + 10; end process;
+end rtl;
+"""
+
+
+def _build(library, top, monkeypatch, counted):
+    """A cold ``build_program`` of ``top``, counting the calls to the
+    codegen function named ``counted``; returns (kernel, program,
+    calls)."""
+    kernel = CompiledKernel()
+    sim = Elaborator(library, kernel=kernel).elaborate(top)
+    graph = build_netlist(sim.records)
+    _levels, _order, cyclic = levelize(graph)
+    calls = []
+    real = getattr(codegen, counted)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(codegen, counted, counting)
+    program = codegen.build_program(kernel, sim.records, graph, cyclic)
+    monkeypatch.setattr(codegen, counted, real)
+    return kernel, program, calls
+
+
 class TestShapes:
-    """One code object per process shape: processes that differ only
-    in integer literals and captured names share a factory."""
+    """One code object per process shape: the processes of one model
+    factory share a specialized factory, and so do factories whose
+    rewrites read alike."""
 
     def test_ring_shares_one_code_object(self, monkeypatch):
         monkeypatch.setattr(compiled, "_PROGRAM_CACHE", OrderedDict())
@@ -341,8 +401,14 @@ class TestShapes:
         adds = [p for p in kernel.processes
                 if p.name.endswith(":add")]
         plans = [kernel.program.plans[p.index] for p in adds]
-        # Both instances lift their own generic into one factory.
-        assert len(plans) == 2 and all(plan.env for plan in plans)
+        # Both instances share one factory; each passes it the value
+        # of its own generic, and its signals by index.
+        assert len(plans) == 2
+        assert plans[0].resume == plans[1].resume
+        captured = [[capture(p.fn, name) for name in plan.args]
+                    for p, plan in zip(adds, plans)]
+        assert [[v for v in values if not isinstance(v, Signal)]
+                for values in captured] == [[3], [5]]
         assert kernel._c_resume[adds[0].index].__code__ is \
             kernel._c_resume[adds[1].index].__code__
         until_fs = 60 * 10**6
@@ -364,62 +430,53 @@ class TestShapes:
                               compiled=True)
         assert result.outcome == "ok", result.detail
 
+    def test_a_slot_flag_renders_a_factory_again(self, monkeypatch):
+        library = compile_lib(SLOT_AND_RESOLVED)
+        kernel, program, calls = _build(library, "split", monkeypatch,
+                                        "_render")
+        p1, p2 = [p for p in kernel.processes
+                  if p.name.endswith(":drive")]
+        # The instances share their model's byte-compiled factories.
+        assert p1.fn.__code__ is p2.fn.__code__
+        # One model factory, two slot flags: two renders, two texts.
+        assert len(calls) == 2 and program.stats["shapes"] == 2
+        assert program.plans[p1.index].resume != \
+            program.plans[p2.index].resume
+        until_fs = 60 * 10**6
+        event = _simulate(Kernel, library, "split", until_fs)
+        comp = _simulate(CompiledKernel, library, "split", until_fs)
+        assert _compare(event, comp, "Kernel", "CompiledKernel") is None
+        assert event["vcd"] == comp["vcd"]
+
 
 class TestOneParsePerProcess:
-    """Codegen reads drive facts from the AG's process records, so a
-    cold build parses each process once, in the rewrite."""
+    """Codegen takes its shapes from the AG's model factories: a cold
+    build splits each factory's process text once and rewrites it once
+    per set of slot flags, not once per process."""
 
-    def test_cold_build_splits_each_process_once(self, monkeypatch):
-        from repro.sim import codegen
-
+    def test_cold_build_splits_each_factory_once(self, monkeypatch):
         library = compile_lib(NESTED + _ring(6))
         for top in ("nested", "ring"):
-            kernel = CompiledKernel()
-            sim = Elaborator(library, kernel=kernel).elaborate(top)
-            graph = build_netlist(sim.records)
-            _levels, _order, cyclic = levelize(graph)
-            calls = []
-            real_split = codegen._split
-
-            def counting_split(text, name):
-                calls.append(name)
-                return real_split(text, name)
-
-            monkeypatch.setattr(codegen, "_split", counting_split)
-            program = codegen.build_program(kernel, sim.records, graph,
-                                            cyclic)
-            monkeypatch.setattr(codegen, "_split", real_split)
-            with_fn = [p for p in kernel.processes if p.fn is not None]
-            assert len(calls) == len(with_fn) == program.stats["procs"]
-            assert sorted(calls) == sorted(p.fn.__code__.co_name
-                                           for p in with_fn)
+            kernel, program, calls = _build(library, top, monkeypatch,
+                                            "_split")
+            codes = {p.fn.__code__ for p in kernel.processes}
+            assert len(calls) == len(codes)
+            assert sorted(name for _text, name in calls) == \
+                sorted(code.co_name for code in codes)
+        assert len(codes) == 2 < program.stats["procs"]  # the ring
 
     def test_cold_build_renders_each_shape_once(self, monkeypatch):
-        import ast
-
-        from repro.sim import codegen
-
         library = compile_lib(_ring(12))
-        kernel = CompiledKernel()
-        sim = Elaborator(library, kernel=kernel).elaborate("ring")
-        graph = build_netlist(sim.records)
-        _levels, _order, cyclic = levelize(graph)
-        calls = []
-        real_unparse = ast.unparse
-
-        def counting_unparse(node):
-            calls.append(node.name)
-            return real_unparse(node)
-
-        monkeypatch.setattr(ast, "unparse", counting_unparse)
-        program = codegen.build_program(kernel, sim.records, graph, cyclic)
-        monkeypatch.setattr(ast, "unparse", real_unparse)
+        kernel, program, calls = _build(library, "ring", monkeypatch,
+                                        "_render")
+        factories = {p.fn.__code__ for p in kernel.processes}
         assert program.stats["compiled"] == 12
-        assert len(calls) == program.stats["shapes"] < 12
+        # The starter and the waiting cells: two model factories, one
+        # rendered text.
+        assert len(calls) == len(factories) == 2
+        assert program.stats["shapes"] == 1
 
     def test_the_process_analysis_pass_is_gone(self):
-        from repro.sim import codegen
-
         for name in ("Analysis", "SiteInfo", "analyze_process",
                      "_ops_call", "_call_risk", "_helper_may_assign",
                      "_render_all", "_body_is_pure"):

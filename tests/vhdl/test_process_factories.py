@@ -11,6 +11,7 @@ import importlib.util
 import re
 from pathlib import Path
 
+from repro.sim import CompiledKernel
 from repro.vhdl.elaborate import Elaborator
 
 from .helpers import NS, compile_ok, process_line, process_text
@@ -100,10 +101,12 @@ def test_each_process_binds_the_names_it_takes_from_outside():
         "ctx.process('tick', _f1(s_n, pkg_pk_f_step_l4, c_lim), "
         "line=25)")
     # The process's own variable, local procedure and loop variable
-    # stay in the factory, as does the text of a string literal.
+    # stay in the factory, as does the text of a string literal; the
+    # procedure (line 27) and the loop variable (line 33) are numbered
+    # in order of first use instead.
     text = process_text(model, "tick")
     assert "v_acc = 0" in text and "nonlocal v_acc" in text
-    assert "f_bump_l27(v_i_l33)" in text
+    assert "f_bump_l1(v_i_l2)" in text
     assert "rt.assign(s_n, ((ops.mod(pkg_pk_f_step_l4(v_acc), c_lim)" \
         in text
     assert "'s_n overflow'" in text
@@ -128,3 +131,47 @@ def test_factory_models_simulate():
     assert sim.ok
     values = {s.name: s.value for s in sim.kernel.signals}
     assert values == {":mix:o": 92, ":mix:n": 23, ":mix:m": 46}
+
+
+#: Two identical looping processes and two identical ``case``
+#: processes, on lines of their own: the loop variables carry their
+#: lines, the case temporaries a counter.
+TWINS = """
+entity twins is end twins;
+architecture a of twins is
+  signal x, y, w1, w2, z1, z2 : integer := 0;
+begin
+  l1 : process (x) begin
+    for i in 0 to 3 loop w1 <= x + i after 1 ns; end loop;
+  end process;
+  l2 : process (y) begin
+    for i in 0 to 3 loop w2 <= y + i after 1 ns; end loop;
+  end process;
+  c1 : process (x) begin
+    case x is when 1 => z1 <= 2; when others => z1 <= 3; end case;
+  end process;
+  c2 : process (y) begin
+    case y is when 1 => z2 <= 2; when others => z2 <= 3; end case;
+  end process;
+end a;
+"""
+
+
+def test_processes_apart_only_in_their_numbers_share_a_factory():
+    c, _ = compile_ok(TWINS)
+    model = c.library.find_architecture("work", "twins", "a").py_source
+    assert _factories(model) == ["_f1", "_f2"]
+    for label in ("l1", "l2"):
+        assert "_f1(" in process_line(model, label)
+    for label in ("c1", "c2"):
+        assert "_f2(" in process_line(model, label)
+    kernel = CompiledKernel()
+    sim = Elaborator(c.library, kernel=kernel).elaborate("twins")
+    program = kernel.compile_design(sim.records)
+    # Each pair compiles to one code object, and the two apart.
+    assert program.stats["compiled"] == 4
+    assert program.stats["shapes"] == 2
+    code = {p.name.rsplit(":", 1)[-1]: kernel._c_resume[p.index].__code__
+            for p in kernel.processes}
+    assert code["l1"] is code["l2"] and code["c1"] is code["c2"]
+    assert code["l1"] is not code["c1"]
