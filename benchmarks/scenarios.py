@@ -873,12 +873,19 @@ def scenario_memory():
     ``cyclic_garbage_per_compile`` (``exact``) counts the repro-typed
     objects a full collection frees after one compile run with the
     collector off: 0 means the compiler, its library and every unit
-    it holds were freed by reference counting."""
+    it holds were freed by reference counting.
+    ``trace_ring_mb`` (``max``) is what a full span ring of the serve
+    daemon's size holds: a traced event-kernel run of the ring (every
+    timestep and resume sampled) and ten compiles wrap it, and it is
+    the traced bytes that clearing it frees.  ``trace_ring_spans``
+    (``exact``) counts its spans."""
     import gc
     import tracemalloc
 
     from repro.ag.lr.parser import ParseTree
-    from repro.sim import CompiledKernel
+    from repro.serve.app import TRACE_CAPACITY
+    from repro.sim import CompiledKernel, Kernel
+    from repro.trace import SpanContext, SpanRecorder, use
     from repro.vhdl import compiler as compiler_mod
     from repro.vhdl.compiler import Compiler
     from repro.vhdl.elaborate import Elaborator
@@ -935,6 +942,28 @@ def scenario_memory():
         gc.garbage.clear()
         gc.enable()
 
+    ring = SpanRecorder(capacity=TRACE_CAPACITY)
+    small = pipeline_source()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with use(SpanContext()):
+            event_kernel = Kernel(trace=ring, trace_sample=1)
+            Elaborator(library, kernel=event_kernel).elaborate(
+                "ring").run(until_fs=COMPILED_WINDOW_FS)
+            traced = Compiler(tracer=ring)
+            for i in range(10):
+                traced.compile(small, filename="p%d.vhd" % i)
+        del event_kernel, traced
+        gc.collect()
+        full = tracemalloc.get_traced_memory()[0]
+        ring_spans = len(ring)
+        ring.clear()
+        gc.collect()  # a full collection empties the free lists
+        ring_mb = (full - tracemalloc.get_traced_memory()[0]) / 1e6
+    finally:
+        tracemalloc.stop()
+
     model = library.find_architecture("work", "ring", "rtl").py_source
     values = {
         "cells": COMPILED_CELLS,
@@ -946,11 +975,14 @@ def scenario_memory():
         "compile_peak_mb": round(compile_mb, 2),
         "elaborate_peak_mb": round(elaborate_mb, 2),
         "codegen_peak_mb": round(codegen_mb, 2),
+        "trace_ring_spans": ring_spans,
+        "trace_ring_mb": round(ring_mb, 2),
     }
     checks = {key: "exact" for key in values}
     checks["compile_peak_mb"] = "max"
     checks["elaborate_peak_mb"] = "max"
     checks["codegen_peak_mb"] = "max"
+    checks["trace_ring_mb"] = "max"
     return envelope("bench", bench="memory", values=values,
                     checks=checks, timings={})
 

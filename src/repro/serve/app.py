@@ -52,7 +52,7 @@ from ..diag import Diagnostic, render_jsonl
 from ..metrics import MetricsRegistry
 from ..metrics.registry import SECONDS_BUCKETS
 from ..sim import BACKENDS, parse_time
-from ..trace import SpanContext, SpanRecorder, make_span, use
+from ..trace import SpanContext, SpanRecorder, use
 from .http import (
     HTTPError,
     HTTPServer,
@@ -80,12 +80,17 @@ def error_response(status, message, diagnostics=()):
     }, status=status)
 
 
+#: How many spans ``GET /trace`` keeps by default (a ring: older spans
+#: are counted in its ``dropped``).
+TRACE_CAPACITY = 16384
+
+
 class ServeApp:
     """Route dispatch over sessions, jobs, and the metrics registry."""
 
     def __init__(self, state_dir=None, ref_library=None, workers=2,
                  registry=None, batch_window=None,
-                 trace_capacity=16384):
+                 trace_capacity=TRACE_CAPACITY):
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.trace = SpanRecorder(capacity=trace_capacity)
@@ -174,10 +179,10 @@ class ServeApp:
             elapsed, trace_id=ctx.trace_id)
         self._m_requests.labels(
             route=route, status=str(response.status)).inc()
-        self.trace.add(make_span(
+        self.trace.add_span(
             "request", ctx, ts_us, elapsed * 1e6, cat="serve",
             route=route, method=request.method,
-            status=response.status))
+            status=response.status)
         response.headers.append(("traceparent", ctx.to_traceparent()))
         return response
 

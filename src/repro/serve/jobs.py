@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from ..diag import Diagnostic, render_jsonl
 from ..metrics import NULL_REGISTRY
 from ..request import analyze, compile_sources, simulate, sort_findings
-from ..trace.context import current_context, make_span, use
+from ..trace.context import current_context, use
 from ..trace.recorder import NULL_RECORDER
 
 #: How long a compile job waits for batch-mates before running.
@@ -215,26 +215,25 @@ class JobRunner:
         """Collect this batch's span tree into the span recorder."""
         if batch_ctx is None:
             return
-        spans = [make_span(
+        self.trace.add_span(
             "compile_batch", batch_ctx, started_ts, run_s * 1e6,
-            cat="serve", files=batch_files, jobs=len(jobs))]
+            cat="serve", files=batch_files, jobs=len(jobs))
         for job in jobs:
             if job.ctx is None:
                 continue
             wait_s = max(0.0, started - job.submitted)
-            spans.append(make_span(
+            self.trace.add_span(
                 "queue_wait", job.ctx.child(), job.submitted_ts,
-                wait_s * 1e6, cat="serve", job=job.id))
+                wait_s * 1e6, cat="serve", job=job.id)
             if job.ctx.span_id != batch_ctx.parent_id:
                 # A batch-mate: its request did not own the batch
                 # execution, so leave a membership span that links to
                 # the batch's identity.
-                spans.append(make_span(
+                self.trace.add_span(
                     "batch_member", job.ctx.child(), started_ts,
                     run_s * 1e6, cat="serve", job=job.id,
                     batch_trace=batch_ctx.trace_id,
-                    batch_span=batch_ctx.span_id))
-        self.trace.add_events(spans)
+                    batch_span=batch_ctx.span_id)
         self.trace.add_events(getattr(report, "trace_events", ()))
 
     def _run_build(self, workspace, paths, force, ctx=None):

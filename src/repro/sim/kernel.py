@@ -42,7 +42,7 @@ import heapq
 import time as _time
 
 from ..metrics import NULL_REGISTRY
-from ..trace.context import current_context, make_span
+from ..trace.context import current_context
 from ..trace.recorder import NULL_RECORDER
 from .process import Process, WaitRequest
 from .runtime import RuntimeError_, ops
@@ -248,9 +248,9 @@ class Kernel:
     def _trace_span(self, name, ts_us, dur_us, **args):
         """Record one kernel span under the captured run context."""
         ctx = self._trace_ctx
-        self.trace.add(make_span(
+        self.trace.add_span(
             name, ctx.child() if ctx is not None else None, ts_us,
-            dur_us, cat="sim", **args))
+            dur_us, cat="sim", **args)
 
     def _execute(self, proc):
         """Run one process until it suspends (or finishes)."""
@@ -402,9 +402,9 @@ class Kernel:
                 one_cycle(tn)
                 dur_us = (_time.perf_counter() - t0) * 1e6
                 self._trace_ctx = base_ctx
-                self.trace.add(make_span(
+                self.trace.add_span(
                     "timestep", step_ctx, ts_us, dur_us, cat="sim",
-                    t_fs=tn, step=self.step))
+                    t_fs=tn, step=self.step)
             else:
                 one_cycle(tn)
             executed += 1

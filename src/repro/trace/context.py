@@ -179,10 +179,12 @@ def stamp(event, ctx):
 def make_span(name, ctx, ts_us, dur_us, cat="span", **args):
     """A complete ("X") event carrying ``ctx``'s identity.
 
-    The only builder of span event dicts: :meth:`SpanRecorder.span
-    <repro.trace.recorder.SpanRecorder.span>` calls it when its body
-    ends, and spans whose bounds are measured elsewhere (a request, a
-    queue wait, a sampled kernel timestep) call it directly.
+    The builder of span event dicts that leave the process (a fuzz
+    worker's record, the benchmark ledger).  A
+    :class:`~repro.trace.recorder.SpanRecorder` keeps the same event
+    packed from these fields (:meth:`SpanRecorder.add_span
+    <repro.trace.recorder.SpanRecorder.add_span>`) and rebuilds this
+    dict, key order included, only when it is read.
     """
     event = {
         "name": name,

@@ -173,7 +173,7 @@ class Compiler:
             units, messages, source_lines, expr_evals,
             registered_units=registered,
             diagnostics=engine.diagnostics,
-            trace_events=tracer.events()[events_before:],
+            trace_events=tracer.events(since=events_before),
             ag_stats=self.observer,
             filename=filename,
             source=text,
@@ -190,7 +190,7 @@ class Compiler:
         return CompileResult(
             [], [str(exc)], 0, 0,
             diagnostics=engine.diagnostics,
-            trace_events=self.tracer.events()[events_before:],
+            trace_events=self.tracer.events(since=events_before),
             ag_stats=self.observer, filename=filename, error=exc,
             source=text)
 

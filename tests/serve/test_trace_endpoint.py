@@ -38,6 +38,48 @@ end a;
 """
 
 
+#: The keys of every span ``/trace`` serves, in the order the recorder
+#: hands them out (a ``request`` root has no ``parent_id``; ``args``
+#: comes last), and each span name's ``args`` keys in their order.
+SPAN_KEYS = ("name", "cat", "ph", "ts", "dur", "pid", "tid",
+             "trace_id", "span_id")
+SPAN_ARGS = {
+    "analyze": (),
+    "attribute_evaluation": ("file",),
+    "batch": ("index", "files"),
+    "batch_member": ("job", "batch_trace", "batch_span"),
+    "build": ("files",),
+    "codegen": (),
+    "compile_batch": ("files", "jobs"),
+    "compile_file": ("file",),
+    "elaborate": (),
+    "fingerprint": ("files",),
+    "kernel_run": (),
+    "lint": ("files",),
+    "model_compile": ("file",),
+    "parse": ("file",),
+    "process_resume": ("process",),
+    "queue_wait": ("job",),
+    "read_sources": ("files",),
+    "request": ("route", "method", "status"),
+    "save_manifest": (),
+    "scan": ("file",),
+    "sim": ("job", "top"),
+    "timestep": ("t_fs", "step"),
+    "translator_generation": (),
+}
+
+
+def span_keys(span):
+    """The keys ``span`` must have, in order."""
+    keys = SPAN_KEYS
+    if "parent_id" in span or span["name"] != "request":
+        keys += ("parent_id",)
+    if SPAN_ARGS[span["name"]]:
+        keys += ("args",)
+    return keys
+
+
 def request(port, method, path, body=None, headers=None,
             timeout=120):
     """Like the basic helper but returns response headers too."""
@@ -148,6 +190,27 @@ class TestOneConnectedTree:
         assert status == 200 and data["ok"] is True
         assert data["count"] == len(data["spans"]) > 0
         assert data["dropped"] >= 0
+
+    def test_key_order_of_each_span_name(self, server):
+        compile_and_sim(server.port,
+                        {"traceparent": SpanContext().to_traceparent()},
+                        "trace-keys")
+        # The ring /trace reads keeps each name's key order ...
+        seen = set()
+        for span in server.server.app.trace.events():
+            seen.add(span["name"])
+            assert tuple(span) == span_keys(span), span
+            assert tuple(span.get("args", ())) == \
+                SPAN_ARGS[span["name"]], span
+        assert {"request", "queue_wait", "compile_batch", "compile_file",
+                "sim", "timestep", "process_resume"} <= seen
+        # ... and the body lists the same keys, sorted.
+        status, _, data = request_json(server.port, "GET", "/trace")
+        assert status == 200
+        for span in data["spans"]:
+            assert list(span) == sorted(span_keys(span)), span
+            assert list(span.get("args", ())) == \
+                sorted(SPAN_ARGS[span["name"]]), span
 
 
 class TestTraceparentRobustness:
