@@ -87,17 +87,20 @@ class ProcPlan(namedtuple("ProcPlan", "proc_index resume cond args pure "
 
 
 class Program:
-    """One design's specialized module: its code and bind metadata."""
+    """One design's specialized module: its code and bind metadata,
+    and the reason each process it did not compile stays generic."""
 
     __slots__ = ("fingerprint", "code", "plans", "slot_indices",
-                 "stats")
+                 "stats", "rejects")
 
-    def __init__(self, fingerprint, code, plans, slot_indices, stats):
+    def __init__(self, fingerprint, code, plans, slot_indices, stats,
+                 rejects):
         self.fingerprint = fingerprint
         self.code = code
         self.plans = plans  # Process.index -> ProcPlan
         self.slot_indices = frozenset(slot_indices)
         self.stats = dict(stats)
+        self.rejects = rejects  # Process.index -> a REASONS key
 
 
 def design_fingerprint(records, kernel):
@@ -596,14 +599,15 @@ def build_program(kernel, records, graph, cyclic):
     :class:`Program`; processes and signals that cannot be specialized
     simply stay generic — the result is always safe to bind.
     """
-    text, plans, slot_indices, stats = _specialize(kernel, records,
-                                                   graph, cyclic)
+    text, plans, slot_indices, stats, rejects = _specialize(
+        kernel, records, graph, cyclic)
     fingerprint = design_fingerprint(records, kernel)
     header = ("# Specialized flow-graph code (repro.sim.codegen)\n"
               "# design fingerprint: %s\n" % fingerprint)
     code = compile(header + _SCHED_SRC + "\n" + text + "\n",
                    "<repro-compiled:%s>" % fingerprint[:12], "exec")
-    return Program(fingerprint, code, plans, slot_indices, stats)
+    return Program(fingerprint, code, plans, slot_indices, stats,
+                   rejects)
 
 
 def _specialize(kernel, records, graph, cyclic):
@@ -629,6 +633,7 @@ def _specialize(kernel, records, graph, cyclic):
     slot_indices = _classify_slots(kernel, graph, nets, cyclic_sigs)
 
     plans = {}
+    rejects = {}
     shapes = {}  # code object -> _Shape or reject reason
     renders = {}  # (code object, slot flags) -> render or reason
     factories = {}  # factory text -> factory name
@@ -652,6 +657,7 @@ def _specialize(kernel, records, graph, cyclic):
                            kernel, ops_obj, slot_indices, factories)
         except Reject as rej:
             stats["reject_%s" % rej.reason] += 1
+            rejects[proc.index] = rej.reason
             # A slot has this process as its one driver; readers
             # elsewhere use V[i] either way, so only its targets go.
             slot_indices.difference_update(s.index for s in targets)
@@ -666,7 +672,7 @@ def _specialize(kernel, records, graph, cyclic):
     stats["shapes"] = len(factories)
     return "\n".join(text.replace("def _s(", "def %s(" % name, 1)
                      for text, name in factories.items()), \
-        plans, slot_indices, stats
+        plans, slot_indices, stats, rejects
 
 
 def _render(shape, fn, kernel, ops_obj, slot_indices, factories):
