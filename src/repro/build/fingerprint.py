@@ -22,18 +22,17 @@ instead of silently mis-hitting.
 import hashlib
 import json
 
-# bfp-8: a process factory numbers the loop variables, subprograms and
-# case/select temporaries it binds in order of first use, not by
-# source line or counter; bumping rebuilds cached units whose models
-# keep one factory per such number (which still run).
-FINGERPRINT_VERSION = "bfp-8"
+# bfp-9: an architecture stores each process factory's slot form
+# (``slot_forms``); bumping rebuilds cached units that lack it.
+FINGERPRINT_VERSION = "bfp-9"
 
 #: Payload node fields that do not affect a unit's *interface* as seen
 #: by dependents: generated back-end text and the dataflow facts that
 #: come with it, and source coordinates (``source_file`` included, so
 #: renaming a file does not cascade).
 VOLATILE_FIELDS = ("py_source", "processes", "block_signals",
-                   "connections", "drives", "reads", "line", "source_file")
+                   "slot_forms", "connections", "drives", "reads", "line",
+                   "source_file")
 
 _SEP = b"\x1f"
 _END = b"\x1e"

@@ -6,20 +6,19 @@ mile.  What each process drives, and how, is the principal AG's: the
 :class:`~repro.analysis.netlist.DesignGraph` built from the
 ``ArchUnit.processes`` records (:class:`repro.vhdl.flow.Flow`) decides
 which signals are slots and which processes touch the cyclic cone.
-The shapes are the AG's too: every process function is the ``_p`` of
-one of its model factories, so its text is cut out of the model's
-``py_source``, parsed and checked once per factory, and rewritten
-once per factory and set of slot flags of the names it assigns to —
-not once per process — into one specialized Python module per
-design:
+The code is the AG's too: every process function is the ``_p`` of one
+of its model factories, and with each factory the AG stored the form
+the backend runs (``ArchUnit.slot_forms``, :mod:`repro.vhdl.slotform`).
+Codegen parses nothing; it fills each form's assignment holes once
+per set of slot flags of the signals they assign, not once per
+process, into one specialized Python module per design:
 
-- **canonical processes** — a single ``yield rt.wait(...)`` as the
-  first or last statement of the ``while True`` loop, no persistent
-  locals — become plain functions called directly by the
-  :class:`~repro.sim.compiled.CompiledKernel` dispatch loop, with
-  ``rt.read(sig)`` rewritten to a flat-list subscript ``V[i]``
-  (current values indexed by ``Signal.index``) and signal attributes
-  (``'EVENT``/``'ACTIVE``/``'LAST_VALUE``) to direct stamp compares;
+- **canonical processes** — a single ``wait`` as the first or last
+  statement of the process loop, no persistent variables — become
+  plain functions called directly by the
+  :class:`~repro.sim.compiled.CompiledKernel` dispatch loop, reading
+  current values from a flat list ``V[i]`` (indexed by
+  ``Signal.index``) and signal attributes from direct stamp compares;
 - **slot-managed signals** — driven by exactly one process, which
   compiles, unresolved, off the cyclic quarantine, never driven
   through a subprogram call, and only ever assigned single-element
@@ -33,42 +32,34 @@ design:
   through calls, cyclic-quarantine membership — **falls back** to the
   untouched generic generator/`RT`/calendar path, interleaved with
   compiled processes in registration-index order so semantics stay
-  byte-identical to the activity kernel.  A process the rewriter
-  rejects only takes its own targets out of the slot set: a slot has
-  that one driver, and its readers use ``V[i]`` either way.
+  byte-identical to the activity kernel.  A rejected process only
+  takes its own targets out of the slot set: a slot has that one
+  driver, and its readers use ``V[i]`` either way.
 
-The module holds only factories, one per distinct rendered text:
-every name a process function takes from its closure is a parameter
-``_k<i>``, numbered in first-use order (a signal is passed as its
-``Signal.index``); delays and other literals stay as the AG wrote
-them.  The kernel's bind calls a process's factory with the values
-it captures from that process's closure, so a ring of identical
-cells byte-compiles one function body.  The module is pure: it
-depends only on the design's ``py_source`` texts and slot flags,
-never on elaboration-time values (generic-folded constants are
-captured at *bind* time), so the compiled code object is cached by
+The module holds only factories, one per distinct text, over the
+form's parameters ``_k<i>`` (a signal is passed as its
+``Signal.index``).  The kernel's bind calls a process's factory with
+the values it captures from that process's closure, so a ring of
+identical cells byte-compiles one function body.  The module depends
+only on the design's models and slot flags, never on generic values
+(captured at *bind* time), so the compiled code object is cached by
 design fingerprint across elaborations.
 """
 
-import ast
 import hashlib
-import textwrap
+import re
 from collections import namedtuple
 
 from .signals import Signal
 
-#: Rejection-reason keys reported in :attr:`Program.stats`.
-REASONS = (
-    "shape", "wait", "locals", "names", "construct", "cyclic",
-)
+#: Rejection-reason keys reported in :attr:`Program.stats` (no slot
+#: form gives ``locals`` now; the key stays for the stats' readers).
+REASONS = ("shape", "wait", "locals", "names", "construct", "cyclic")
 
 
 class Reject(Exception):
-    """This process cannot be specialized; keep it generic."""
-
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason
+    """This process cannot be specialized; keep it generic (the one
+    argument is a :data:`REASONS` key)."""
 
 
 class ProcPlan(namedtuple("ProcPlan", "proc_index resume cond args pure "
@@ -141,21 +132,6 @@ def capture(fn, name):
     return fn.__globals__.get(name, _MISSING)
 
 
-# -- process shape -------------------------------------------------------------
-
-
-def _is_const(node, value):
-    return isinstance(node, ast.Constant) and node.value is value
-
-
-def _rt_call(node, attr):
-    """Is ``node`` a ``rt.<attr>(...)`` call?"""
-    fn = getattr(node, "func", None)
-    return (isinstance(node, ast.Call) and isinstance(fn, ast.Attribute)
-            and isinstance(fn.value, ast.Name) and fn.value.id == "rt"
-            and fn.attr == attr)
-
-
 def _signal_of(env_fn, name, kernel):
     value = capture(env_fn, name)
     if isinstance(value, Signal) and value.kernel is kernel:
@@ -163,401 +139,93 @@ def _signal_of(env_fn, name, kernel):
     return None
 
 
-def _split(text, name):
-    """Parse one process function's source on its own and split its
-    loop at the single wait: ``(wait call, other statements,
-    init_runs_body)``.  Raises :class:`Reject` for any other shape."""
-    try:
-        body = ast.parse(text).body
-    except SyntaxError:
-        raise Reject("shape") from None
-    if len(body) != 1 or not isinstance(body[0], ast.FunctionDef) \
-            or body[0].name != name:
-        raise Reject("shape")
-    body = body[0].body
-    # No statements before the loop: leading statements are VHDL
-    # process *variables* — persistent generator-frame state the
-    # plain-function rendering cannot carry.
-    if len(body) != 1 or not isinstance(body[0], ast.While):
-        raise Reject("shape")
-    loop = body[0]
-    if not _is_const(loop.test, True):
-        raise Reject("shape")
-    stmts = loop.body
-    if not stmts:
-        raise Reject("shape")
+# -- the AG's slot forms -------------------------------------------------------
 
-    yields = [n for n in ast.walk(loop) if isinstance(n, ast.Yield)]
-    if len(yields) != 1:
-        raise Reject("wait")
-
-    def _is_wait_stmt(stmt):
-        return (isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Yield)
-                and _rt_call(stmt.value.value, "wait"))
-
-    if _is_wait_stmt(stmts[0]):
-        return stmts[0].value.value, stmts[1:], False
-    if _is_wait_stmt(stmts[-1]):
-        return stmts[-1].value.value, stmts[:-1], True
-    raise Reject("wait")
+#: The factory ``_f<N>`` a process function ``_p`` belongs to.
+_FACTORY = re.compile(r"\._f(\d+)\.<locals>\._p$")
 
 
-class _Shape:
-    """One process function's text, split and checked once for every
-    process bound to its model factory: its wait must be a permanent
-    ``rt.wait([<names>], cond, None)`` whose condition is absent or a
-    no-argument lambda."""
+class _Form:
+    """One model factory's slot form, read once per build from its
+    ``ArchUnit.slot_forms`` record (:mod:`repro.vhdl.slotform`);
+    ``targets`` are the parameters its holes assign, in first-hole
+    order: the only ones whose slot flag changes what a rendering
+    writes."""
 
-    __slots__ = ("text", "name", "init_runs_body", "wait_names",
-                 "driven", "trees")
+    __slots__ = ("reason", "init_runs_body", "waits", "args", "signals",
+                 "pure", "body", "cond", "targets")
 
-    def __init__(self, text, code):
-        if text is None:
-            raise Reject("shape")
-        name = code.co_name
-        wait_call, rest, self.init_runs_body = _split(text, name)
-        if wait_call.keywords or len(wait_call.args) != 3:
-            raise Reject("wait")
-        sig_list, cond, timeout = wait_call.args
-        if not _is_const(timeout, None) \
-                or not isinstance(sig_list, ast.List) \
-                or not all(isinstance(e, ast.Name) for e in sig_list.elts):
-            raise Reject("wait")  # timed waits stay on the calendar
-        if not _is_const(cond, None) and not (
-                isinstance(cond, ast.Lambda) and not cond.args.args
-                and not cond.args.posonlyargs
-                and not cond.args.kwonlyargs):
-            raise Reject("wait")
-        self.wait_names = [elt.id for elt in sig_list.elts]
-        #: The names the body assigns to: the only ones whose slot
-        #: flag changes what a rendering writes.
-        self.driven = tuple(dict.fromkeys(
-            node.args[0].id for stmt in rest for node in ast.walk(stmt)
-            if _rt_call(node, "assign") and node.args
-            and isinstance(node.args[0], ast.Name)))
-        self.text = text
-        self.name = name
-        self.trees = wait_call, rest
-
-    def fresh(self):
-        """``(wait call, statements)`` for one rendering.  The rewrite
-        edits them in place, so only the first rendering gets the
-        trees the check split; a later one splits the text again."""
-        trees, self.trees = self.trees, None
-        if trees is None:
-            wait_call, rest, _ = _split(self.text, self.name)
-            trees = wait_call, rest
-        return trees
+    def __init__(self, record):
+        (self.reason, self.init_runs_body, waits, args, signals,
+         self.pure, self.body, self.cond) = record
+        self.waits = waits.split()
+        self.args = tuple(args.split())
+        self.signals = frozenset(signals)
+        self.targets = tuple(dict.fromkeys(
+            piece[1] for piece in self.body if type(piece) is list))
 
 
-def _memo(cache, key, make, *args):
-    """``make(*args)``, computed once per ``key``; a :class:`Reject`
-    is remembered by its reason and raised again at every use."""
-    value = cache.get(key)
-    if value is None:
-        try:
-            value = make(*args)
-        except Reject as rej:
-            value = rej.reason
-        cache[key] = value
-    if isinstance(value, str):
-        raise Reject(value)
-    return value
-
-
-# -- expression / statement rewriting ------------------------------------------
-
-#: Expression node types the rewriter knows are side-effect free.
-_ALLOWED = (
-    ast.Expression, ast.Constant, ast.Tuple, ast.List, ast.Dict,
-    ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.IfExp,
-    ast.Call, ast.Attribute, ast.Name, ast.Subscript, ast.Slice,
-    ast.keyword, ast.Load, ast.Store,
-    ast.And, ast.Or, ast.Not, ast.Invert, ast.UAdd, ast.USub,
-    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
-    ast.Pow, ast.LShift, ast.RShift, ast.BitAnd, ast.BitOr,
-    ast.BitXor, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
-    ast.Is, ast.IsNot, ast.In, ast.NotIn, ast.JoinedStr,
-    ast.FormattedValue,
-)
-
-
-def _expr_src(src):
-    return ast.parse(src, mode="eval").body
-
-
-#: The specialized form of each ``rt`` read of one signal, given the
-#: parameter that carries its index.
-_SIGNAL_READS = {
-    "read": "V[%s]",
-    "event": "1 if SIG[%s].event_delta == step else 0",
-    "active": "1 if SIG[%s].active_delta == step else 0",
-    "last_value": "SIG[%s].last_value",
-}
-
-
-class _Rewriter(ast.NodeTransformer):
-    """Rewrites one expression tree into specialized form, clearing
-    ``binder.pure`` at anything that reaches ``rt`` or calls a
-    captured helper."""
-
-    def __init__(self, binder, defined):
-        self.binder = binder
-        self.defined = defined
-
-    # -- names ---------------------------------------------------------
-
-    def visit_Name(self, node):
-        if isinstance(node.ctx, ast.Store):
-            return node  # statement level already recorded the local
-        name = node.id
-        if name == "rt":
-            self.binder.pure = False
-        if name in self.defined:
-            return node
-        return self.binder.name_load(name)
-
-    def visit_Attribute(self, node):
-        if (isinstance(node.value, ast.Name)
-                and node.value.id == "rt" and node.attr == "now"
-                and "rt" not in self.defined):
-            self.binder.check_rt()
-            return ast.Name(id="now", ctx=ast.Load())
-        return self.generic_visit(node)
-
-    def visit_Call(self, node):
-        attr = None
-        if (isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id not in self.defined):
-            base = node.func.value.id
-            if base == "rt":
-                attr = node.func.attr
-        if attr is not None:
-            binder = self.binder
-            binder.check_rt()
-            if attr in _SIGNAL_READS:
-                return _expr_src(_SIGNAL_READS[attr] % self._sig_arg(node))
-            if attr in ("assert_", "check"):
-                binder.pure = False
-                return ast.Call(
-                    func=node.func,
-                    args=[self.visit(a) for a in node.args],
-                    keywords=[ast.keyword(arg=k.arg,
-                                          value=self.visit(k.value))
-                              for k in node.keywords])
-            # assign in value position, nested wait, anything else
-            raise Reject("construct")
-        node = self.generic_visit(node)
-        func = node.func
-        if not (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "ops"):
-            self.binder.pure = False  # a helper may reach rt
-        return node
-
-    def _sig_arg(self, node):
-        """The parameter carrying the index of ``node``'s one signal
-        argument."""
-        if len(node.args) != 1 or node.keywords \
-                or not isinstance(node.args[0], ast.Name):
-            raise Reject("names")
-        sig = self.binder.signal(node.args[0].id)
-        if sig is None:
-            raise Reject("names")
-        return sig[1]
-
-    # -- rejection wall ------------------------------------------------
-
-    def generic_visit(self, node):
-        if not isinstance(node, _ALLOWED):
-            raise Reject("construct")
-        return super().generic_visit(node)
-
-
-class _Binder:
-    """One rendering's name resolution against a process function:
-    each name it takes from its closure becomes a factory parameter
-    ``_k<i>``, numbered in first-use order."""
-
-    def __init__(self, fn, kernel, ops_obj):
-        self.fn = fn
-        self.kernel = kernel
-        self.ops = ops_obj
-        self.params = {}  # closure name -> parameter
-        #: Still true when the code rendered so far touches only slot
-        #: storage and ``ops`` arithmetic: no ``rt`` access (assign and
-        #: assert read ``current_process``) and no captured helper call
-        #: (a helper could reach ``rt`` through its closure).
-        self.pure = True
-
-    def param(self, name):
-        return self.params.setdefault(name, "_k%d" % len(self.params))
-
-    def signal(self, name):
-        """``(signal, parameter)`` when ``name`` is a signal of this
-        kernel (its parameter carries ``Signal.index``), else None."""
-        sig = _signal_of(self.fn, name, self.kernel)
-        return None if sig is None else (sig, self.param(name))
-
-    def check_rt(self):
-        if capture(self.fn, "rt") is not self.kernel.rt:
-            raise Reject("names")
-
-    def name_load(self, name):
-        value = capture(self.fn, name)
-        if value is _MISSING:
-            raise Reject("names")
-        if isinstance(value, Signal):
-            raise Reject("names")  # bare signal outside rt.*/wait
-        if name == "rt":
-            self.check_rt()
-            return ast.Name(id="rt", ctx=ast.Load())
-        if name == "ops" and value is self.ops:
-            return ast.Name(id="ops", ctx=ast.Load())
-        return ast.Name(id=self.param(name), ctx=ast.Load())
-
-
-def _rewrite_stmts(stmts, binder, slot_indices, defined, depth=0):
-    """Transform a statement list; raises :class:`Reject` on any
-    construct the specializer does not model."""
-    out = []
-    for stmt in stmts:
-        if isinstance(stmt, ast.Expr):
-            call = stmt.value
-            if _rt_call(call, "assign") \
-                    and "rt" not in defined:
-                out.extend(_rewrite_assign(call, binder, slot_indices,
-                                           defined))
+def _forms(records):
+    """Map each process function's code object to its factory's
+    :class:`_Form`, or to the reason the factory keeps the generator.
+    A process function is the ``_p`` of factory ``_f<N>`` (its
+    qualified name says which), the N-th record of its model's
+    ``slot_forms``; the processes bound to one factory share its code
+    object, so each form is read once per elaborated model."""
+    forms = {}
+    for record in records:
+        stored = getattr(record.node, "slot_forms", None) or ()
+        for proc in record.processes.values():
+            fn = proc.fn
+            if fn is None or fn.__code__ in forms:
                 continue
-            tx = _Rewriter(binder, defined)
-            out.append(ast.Expr(value=tx.visit(call)))
-        elif isinstance(stmt, ast.Assign):
-            if len(stmt.targets) != 1 \
-                    or not isinstance(stmt.targets[0], ast.Name):
-                raise Reject("locals")
-            tx = _Rewriter(binder, defined)
-            value = tx.visit(stmt.value)
-            defined.add(stmt.targets[0].id)
-            out.append(ast.Assign(targets=stmt.targets, value=value))
-        elif isinstance(stmt, ast.AugAssign):
-            if not isinstance(stmt.target, ast.Name) \
-                    or stmt.target.id not in defined:
-                raise Reject("locals")
-            tx = _Rewriter(binder, defined)
-            out.append(ast.AugAssign(target=stmt.target, op=stmt.op,
-                                     value=tx.visit(stmt.value)))
-        elif isinstance(stmt, ast.If):
-            tx = _Rewriter(binder, defined)
-            test = tx.visit(stmt.test)
-            body = _rewrite_stmts(stmt.body, binder, slot_indices,
-                                  set(defined), depth)
-            orelse = _rewrite_stmts(stmt.orelse, binder, slot_indices,
-                                    set(defined), depth)
-            out.append(ast.If(test=test, body=body or [ast.Pass()],
-                              orelse=orelse))
-        elif isinstance(stmt, ast.For):
-            if not isinstance(stmt.target, ast.Name) or stmt.orelse:
-                raise Reject("locals")
-            tx = _Rewriter(binder, defined)
-            it = tx.visit(stmt.iter)
-            inner = set(defined)
-            inner.add(stmt.target.id)
-            body = _rewrite_stmts(stmt.body, binder, slot_indices,
-                                  inner, depth + 1)
-            out.append(ast.For(target=stmt.target, iter=it,
-                               body=body or [ast.Pass()], orelse=[]))
-        elif isinstance(stmt, ast.While):
-            if stmt.orelse:
-                raise Reject("construct")
-            tx = _Rewriter(binder, defined)
-            test = tx.visit(stmt.test)
-            body = _rewrite_stmts(stmt.body, binder, slot_indices,
-                                  set(defined), depth + 1)
-            out.append(ast.While(test=test, body=body or [ast.Pass()],
-                                 orelse=[]))
-        elif isinstance(stmt, (ast.Break, ast.Continue)):
-            if depth == 0:
-                raise Reject("construct")  # would skip the wait
-            out.append(stmt)
-        elif isinstance(stmt, ast.Pass):
-            out.append(stmt)
-        else:
-            raise Reject("construct")
-    return out
+            match = _FACTORY.search(fn.__qualname__)
+            index = int(match.group(1)) - 1 if match else len(stored)
+            form = stored[index] if index < len(stored) else "shape"
+            forms[fn.__code__] = form if type(form) is str \
+                else _Form(form)
+    return forms
 
 
-def _rewrite_assign(call, binder, slot_indices, defined):
-    """One ``rt.assign(target, ((value, delay), ...), transport=t)``
-    statement → slot write or generic fallback."""
-    binder.check_rt()
-    args = call.args
-    if len(args) != 2 or not isinstance(args[0], ast.Name) or any(
-            kw.arg != "transport" or not isinstance(kw.value, ast.Constant)
-            for kw in call.keywords):
-        raise Reject("names")
-    target = binder.signal(args[0].id)
-    waveform = args[1]
-    if target is None or not isinstance(waveform, ast.Tuple) \
-            or not waveform.elts or any(
-                not isinstance(e, ast.Tuple) or len(e.elts) != 2
-                for e in waveform.elts):
-        raise Reject("names")
-    sig, param = target
-    tx = _Rewriter(binder, defined)
-    # The process's Flow record makes a slot of a target only when
-    # every assignment to it is one inertial (or zero-delay) element.
-    if sig.index in slot_indices:
-        elem = waveform.elts[0]
-        value = tx.visit(elem.elts[0])
-        delay = elem.elts[1]
-        if isinstance(delay, ast.Constant) and delay.value == 0:
-            # Zero delay, inertial (or transport — identical when
-            # nothing can precede ``now``): overwrite the slot and
-            # mark it due this timestep, once.
-            assign = ast.parse(
-                "NV[{0}] = 0\n"
-                "if NT[{0}] != now:\n"
-                "    NT[{0}] = now\n"
-                "    _DUE.append({0})\n".format(param)).body
-            assign[0].value = value
-            return assign
-        if isinstance(delay, ast.Constant) \
-                and isinstance(delay.value, int) and delay.value > 0:
-            # Literal positive delay (the overwhelmingly common
-            # ``after <time literal>`` form): the whole ``_sched``
-            # body inlines with the target time folded.
-            assign = ast.parse(
-                "NV[{0}] = 0\n"
-                "_t = now + {1}\n"
-                "if NT[{0}] != _t:\n"
-                "    NT[{0}] = _t\n"
-                "    _b = _B.get(_t)\n"
-                "    if _b is None:\n"
-                "        _B[_t] = [{0}]\n"
-                "        _hpush(_H, _t)\n"
-                "    else:\n"
-                "        _b.append({0})\n".format(param, delay.value)).body
-            assign[0].value = value
-            return assign
-        sched = _expr_src("_sched(%s, 0, 0, now)" % param)
-        sched.args[1] = value
-        sched.args[2] = tx.visit(delay)
-        return [ast.Expr(value=sched)]
-    # Calendar-managed target: full generic semantics through rt,
-    # with the inner expressions still specialized.
-    binder.pure = False
-    transport = any(kw.value.value for kw in call.keywords)
-    elems = []
-    for elem in waveform.elts:
-        elems.append(ast.Tuple(
-            elts=[tx.visit(elem.elts[0]), tx.visit(elem.elts[1])],
-            ctx=ast.Load()))
-    new_call = _expr_src("rt.assign(SIG[%s], None, transport=%s)"
-                         % (param, bool(transport)))
-    new_call.args[1] = ast.Tuple(elts=elems, ctx=ast.Load())
-    return [ast.Expr(value=new_call)]
+# -- hole filling --------------------------------------------------------------
+
+#: A slot assignment, by its delay: zero (overwrite the slot and mark it
+#: due this timestep, once: transport is the same when nothing can
+#: precede ``now``), a positive literal (the whole ``_sched`` body with
+#: the target time folded) or any other delay.
+_ZERO = ("{pad}NV[{t}] = {v}\n"
+         "{pad}if NT[{t}] != now:\n"
+         "{pad}    NT[{t}] = now\n"
+         "{pad}    _DUE.append({t})\n")
+_LITERAL = ("{pad}NV[{t}] = {v}\n"
+            "{pad}_t = now + {d}\n"
+            "{pad}if NT[{t}] != _t:\n"
+            "{pad}    NT[{t}] = _t\n"
+            "{pad}    _b = _B.get(_t)\n"
+            "{pad}    if _b is None:\n"
+            "{pad}        _B[_t] = [{t}]\n"
+            "{pad}        _hpush(_H, _t)\n"
+            "{pad}    else:\n"
+            "{pad}        _b.append({t})\n")
+_SCHED = "{pad}_sched({t}, {v}, {d}, now)\n"
+
+
+def _fill(hole, slot):
+    """The statements of one hole ``[depth, target, transport, value,
+    delay, ...]``: a slot write of its one element when its target is
+    a slot, else the calendar's full ``rt.assign``."""
+    depth, target, transport = hole[:3]
+    pad = "    " * depth
+    t = "_k%d" % target
+    if not slot:
+        wave = ", ".join("(%s, %s)" % elem
+                         for elem in zip(hole[3::2], hole[4::2]))
+        return "%srt.assign(SIG[%s], (%s,), transport=%s)\n" % (
+            pad, t, wave, transport)
+    value, delay = hole[3:5]
+    template = _ZERO if delay == "0" else \
+        _LITERAL if delay.isdigit() else _SCHED
+    return template.format(pad=pad, t=t, v=value, d=delay)
 
 
 # -- module rendering ----------------------------------------------------------
@@ -582,16 +250,6 @@ def _sched(i, v, d, now):
 '''
 
 
-def _def(name, args, body):
-    return ast.FunctionDef(
-        name=name,
-        args=ast.arguments(
-            posonlyargs=[], args=[ast.arg(arg=a) for a in args],
-            kwonlyargs=[], kw_defaults=[], defaults=[]),
-        body=body or [ast.Pass()],
-        decorator_list=[], lineno=0)
-
-
 def build_program(kernel, records, graph, cyclic):
     """Classify and render one design's specialized module.
 
@@ -612,58 +270,64 @@ def build_program(kernel, records, graph, cyclic):
 
 def _specialize(kernel, records, graph, cyclic):
     """The module's factories as text, with the process plans, slot
-    indices and stats.
+    indices, stats and reject reasons.
 
     Slots and the cyclic cone come from the design graph (the AG's
-    process records).  Each model factory's process function is cut
-    out of its ``py_source``, split and checked once; its wait signals
-    and the cyclic check are each process's own.  The rewrite runs
-    once per code object and slot flags of the names it assigns to,
-    and each distinct rendered factory enters the module once.
+    process records), each process's shape from its model factory's
+    slot form.  Its wait signals and the cyclic check are each
+    process's own; a form is rendered once per slot flags of the
+    parameters it assigns, and each distinct factory text enters the
+    module once.
     """
-    from .runtime import ops as ops_obj
-
     stats = {"procs": len(kernel.processes), "compiled": 0,
              "slots": 0, "generic": 0}
     for reason in REASONS:
         stats["reject_%s" % reason] = 0
-    texts = _process_texts(records)
+    forms = _forms(records)
     nets = {net.process: net for net in graph.processes}
     cyclic_sigs = {ns.signal for ns in cyclic}
     slot_indices = _classify_slots(kernel, graph, nets, cyclic_sigs)
 
     plans = {}
     rejects = {}
-    shapes = {}  # code object -> _Shape or reject reason
-    renders = {}  # (code object, slot flags) -> render or reason
+    renders = {}  # (form, slot flags) -> render or reject reason
     factories = {}  # factory text -> factory name
     for proc in sorted(kernel.processes, key=lambda p: p.index):
         net = nets.get(proc)
         targets = [d.target.signal for d in net.drives] if net else []
         fn = proc.fn
         try:
-            code = fn.__code__ if fn else None
-            shape = _memo(shapes, code, _Shape, texts.get(code), code)
+            form = forms.get(fn.__code__ if fn else None, "shape")
+            if type(form) is str:
+                raise Reject(form)
             wait_signals = [_signal_of(fn, name, kernel)
-                            for name in shape.wait_names]
+                            for name in form.waits]
             if any(sig is None for sig in wait_signals):
                 raise Reject("wait")
             if any(s in cyclic_sigs for s in wait_signals + targets):
                 raise Reject("cyclic")  # quarantined: stay on the calendar
-            driven = [_signal_of(fn, name, kernel) for name in shape.driven]
+            if form.reason:
+                raise Reject(form.reason)
+            driven = [_signal_of(fn, form.args[k], kernel)
+                      for k in form.targets]
             flags = tuple(None if sig is None else sig.index in slot_indices
                           for sig in driven)
-            render = _memo(renders, (code, flags), _render, shape, fn,
-                           kernel, ops_obj, slot_indices, factories)
+            render = renders.get((form, flags))
+            if render is None:
+                render = renders[form, flags] = _render(
+                    form, flags, fn, kernel, factories)
+            if type(render) is str:
+                raise Reject(render)
         except Reject as rej:
-            stats["reject_%s" % rej.reason] += 1
-            rejects[proc.index] = rej.reason
+            reason, = rej.args
+            stats["reject_%s" % reason] += 1
+            rejects[proc.index] = reason
             # A slot has this process as its one driver; readers
             # elsewhere use V[i] either way, so only its targets go.
             slot_indices.difference_update(s.index for s in targets)
             continue
         plans[proc.index] = ProcPlan(
-            proc.index, *render, shape.init_runs_body,
+            proc.index, *render, form.init_runs_body,
             tuple(s.index for s in wait_signals))
 
     stats["compiled"] = len(plans)
@@ -675,66 +339,45 @@ def _specialize(kernel, records, graph, cyclic):
         plans, slot_indices, stats, rejects
 
 
-def _render(shape, fn, kernel, ops_obj, slot_indices, factories):
-    """Rewrite ``shape`` against ``fn``'s closure: ``(resume factory,
-    condition factory or None, closure names, pure)``.  Each factory
-    is entered in ``factories`` (text -> name) unless its text is
-    there already."""
-    wait_call, rest = shape.fresh()
-    binder = _Binder(fn, kernel, ops_obj)
-    body = _rewrite_stmts(rest, binder, slot_indices, set())
-    pure = binder.pure
-    lam = wait_call.args[1]
-    if isinstance(lam, ast.Lambda):
-        lam = _def("_c", (), ast.parse("now, step = T").body + [
-            ast.Return(_Rewriter(binder, set()).visit(lam.body))])
-    params = list(binder.params.values())
-    resume = _factory(_def("_p", ("now", "step"), body), params,
-                      factories)
+def _render(form, flags, fn, kernel, factories):
+    """``form`` with its holes filled for ``flags``, checked against
+    ``fn``'s closure: ``(resume factory, condition factory or None,
+    closure names, pure)``, or the reject reason when a parameter used
+    as a signal is not one of this kernel's, or one used as a value
+    is a signal or missing.  Each factory is entered in ``factories``
+    (text -> name) unless its text is there already."""
+    for i, name in enumerate(form.args):
+        value = capture(fn, name)
+        signal = isinstance(value, Signal)
+        if value is _MISSING or signal is not (i in form.signals) \
+                or signal and value.kernel is not kernel:
+            return "names"
+    slots = {k for k, flag in zip(form.targets, flags) if flag}
+    pure = form.pure
+    body = []
+    for piece in form.body:
+        if type(piece) is str:
+            body.append(piece)
+        else:
+            pure = pure and piece[1] in slots
+            body.append(_fill(piece, piece[1] in slots))
+    params = ", ".join("_k%d" % i for i in range(len(form.args)))
+    resume = _factory(params, "    def _p(now, step):\n%s    return _p\n"
+                      % ("".join(body) or "        pass\n"), factories)
     cond = None
-    if isinstance(lam, ast.FunctionDef):
-        cond = _factory(lam, params, factories)
-    return resume, cond, tuple(binder.params), pure
+    if form.cond is not None:
+        cond = _factory(params, "    def _c():\n        now, step = T\n"
+                        "        return %s\n    return _c\n" % form.cond,
+                        factories)
+    return resume, cond, form.args, pure
 
 
-def _factory(funcdef, params, factories):
-    """The name of the factory over ``params`` that returns
-    ``funcdef``: ``factories`` maps each factory's text, rendered as
-    ``def _s(...)``, to its name."""
-    text = ast.unparse(ast.fix_missing_locations(_def("_s", params, [
-        funcdef, ast.Return(value=ast.Name(id=funcdef.name,
-                                           ctx=ast.Load()))])))
-    return factories.setdefault(text, "_s%d" % len(factories))
-
-
-def _process_texts(records):
-    """Map each process function's code object to its dedented source,
-    cut out of its model's ``py_source``: the ``def`` line at
-    ``co_firstlineno`` and each following line that is blank or
-    indented deeper.  The processes bound to one model factory share
-    its function's code object, so each factory's text is cut once
-    per elaborated model."""
-    texts = {}
-    for record in records:
-        lines = None
-        for proc in record.processes.values():
-            if proc.fn is None or proc.fn.__code__ in texts:
-                continue
-            if lines is None:
-                lines = getattr(record.node, "py_source",
-                                "").splitlines(True)
-            start = proc.fn.__code__.co_firstlineno - 1
-            depth = len(lines[start]) - len(lines[start].lstrip())
-            for end in range(start + 1, len(lines)):
-                line = lines[end]
-                if line.strip() and \
-                        len(line) - len(line.lstrip()) <= depth:
-                    break
-            else:
-                end = len(lines)
-            texts[proc.fn.__code__] = textwrap.dedent(
-                "".join(lines[start:end]))
-    return texts
+def _factory(params, body, factories):
+    """The name of the factory over ``params`` whose body is ``body``:
+    ``factories`` maps each factory's text, written ``def _s(...)``, to
+    its name."""
+    return factories.setdefault("def _s(%s):\n%s" % (params, body),
+                                "_s%d" % len(factories))
 
 
 def _classify_slots(kernel, graph, nets, cyclic_sigs):

@@ -5,9 +5,9 @@ story: where the generated C of the paper's pipeline was specialized
 per design and compiled by the host compiler, this kernel takes the
 elaborator's records plus the ``DesignGraph`` (the principal AG's
 per-process drive records, flattened) and its levelization,
-``exec()``\\ s the module of factories rendered by
-:mod:`repro.sim.codegen` and calls each compiled process's factory
-with the values its closure holds:
+``exec()``\\ s the module :mod:`repro.sim.codegen` fills from the
+AG's slot forms, and calls each compiled process's factory with the
+values its closure holds:
 
 - compiled processes are plain functions dispatched directly (no
   generator resumption, no ``RT`` attribute chains), reached through

@@ -503,7 +503,11 @@ def entity_setup_code(entity):
 
 
 def arch_unit(name, entity, decls, cstmts, configs, env, cc, line):
-    """Assemble an ArchUnit with its generated Python model."""
+    """Assemble an ArchUnit with its generated Python model and, per
+    process factory, the form the compiled backend runs
+    (:mod:`repro.vhdl.slotform`)."""
+    from .slotform import slot_form
+
     msgs = list(decls.msgs) + list(cstmts.msgs)
     instances = flatten(cstmts.instances)
     # Apply configuration specifications from the declarative part
@@ -544,6 +548,7 @@ def arch_unit(name, entity, decls, cstmts, configs, env, cc, line):
         user_attrs=list(attrs_of(env)),
         processes=flatten(cstmts.processes),
         block_signals=flatten(cstmts.signals),
+        slot_forms=[slot_form(text) for text in factories],
         py_source=py_source, line=line), msgs
 
 

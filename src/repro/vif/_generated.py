@@ -6,7 +6,7 @@ edit.  Regenerate with ``python -m repro.regen``.
 
 from repro.vif.core import Field, Node
 
-SCHEMA_CRC32 = 0x678b3c2e
+SCHEMA_CRC32 = 0x03ce07bb
 from repro.vhdl.vtypes import EnumTypeBehavior as _mixin_EnumTypeBehavior
 from repro.vhdl.vtypes import IntegerTypeBehavior as _mixin_IntegerTypeBehavior
 from repro.vhdl.vtypes import PhysicalTypeBehavior as _mixin_PhysicalTypeBehavior
@@ -971,11 +971,11 @@ def dump_EntityUnit(node, show):
 class ArchUnit(_mixin_ArchUnitBehavior, Node):
     """VIF node kind 'ArchUnit'."""
 
-    __slots__ = ('name', 'entity_name', 'entity', 'decls', 'instances', 'user_attrs', 'processes', 'block_signals', 'py_source', 'line', 'source_file')
+    __slots__ = ('name', 'entity_name', 'entity', 'decls', 'instances', 'user_attrs', 'processes', 'block_signals', 'slot_forms', 'py_source', 'line', 'source_file')
     VIF_KIND = 'ArchUnit'
-    VIF_FIELDS = (Field('name', 'str'), Field('entity_name', 'str'), Field('entity', 'ref'), Field('decls', 'list'), Field('instances', 'list'), Field('user_attrs', 'list'), Field('processes', 'data'), Field('block_signals', 'data'), Field('py_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
+    VIF_FIELDS = (Field('name', 'str'), Field('entity_name', 'str'), Field('entity', 'ref'), Field('decls', 'list'), Field('instances', 'list'), Field('user_attrs', 'list'), Field('processes', 'data'), Field('block_signals', 'data'), Field('slot_forms', 'data'), Field('py_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
 
-    def __init__(self, name='', entity_name='', entity=None, decls=None, instances=None, user_attrs=None, processes=None, block_signals=None, py_source='', line=0, source_file=''):
+    def __init__(self, name='', entity_name='', entity=None, decls=None, instances=None, user_attrs=None, processes=None, block_signals=None, slot_forms=None, py_source='', line=0, source_file=''):
         self._vif_home = None
         self.name = name
         self.entity_name = entity_name
@@ -985,6 +985,7 @@ class ArchUnit(_mixin_ArchUnitBehavior, Node):
         self.user_attrs = list(user_attrs) if user_attrs is not None else []
         self.processes = processes
         self.block_signals = block_signals
+        self.slot_forms = slot_forms
         self.py_source = py_source
         self.line = line
         self.source_file = source_file
@@ -1006,6 +1007,7 @@ def write_ArchUnit(node, encode):
         'user_attrs': encode(node.user_attrs, 'list'),
         'processes': encode(node.processes, 'data'),
         'block_signals': encode(node.block_signals, 'data'),
+        'slot_forms': encode(node.slot_forms, 'data'),
         'py_source': encode(node.py_source, 'str'),
         'line': encode(node.line, 'int'),
         'source_file': encode(node.source_file, 'str'),
@@ -1021,6 +1023,7 @@ def read_ArchUnit(node, data, decode):
     node.user_attrs = decode(data.get('user_attrs'), 'list')
     node.processes = decode(data.get('processes'), 'data')
     node.block_signals = decode(data.get('block_signals'), 'data')
+    node.slot_forms = decode(data.get('slot_forms'), 'data')
     node.py_source = decode(data.get('py_source'), 'str')
     node.line = decode(data.get('line'), 'int')
     node.source_file = decode(data.get('source_file'), 'str')
@@ -1039,6 +1042,7 @@ def dump_ArchUnit(node, show):
         ('user_attrs', show(node.user_attrs, 'list')),
         ('processes', show(node.processes, 'data')),
         ('block_signals', show(node.block_signals, 'data')),
+        ('slot_forms', show(node.slot_forms, 'data')),
         ('py_source', show(node.py_source, 'str')),
         ('line', show(node.line, 'int')),
         ('source_file', show(node.source_file, 'str')),

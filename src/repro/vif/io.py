@@ -16,8 +16,8 @@ from .core import VIFError
 from . import nodes as _nodes
 
 #: Bumped when the stored fields change, in layout or in meaning
-#: (VIF-3: subprogram entries record their body's reads).
-FORMAT = "VIF-3"
+#: (VIF-4: architectures record each process factory's slot form).
+FORMAT = "VIF-4"
 
 
 def unit_depends(payload):

@@ -12,10 +12,13 @@ index (the ``repro-levels/1`` byte-stability fix).
 """
 
 import os
+import subprocess
+import sys
 from collections import OrderedDict
 
 import pytest
 
+import repro
 from repro.analysis import build_netlist, levelize
 from repro.gen.corpus import iter_corpus
 from repro.gen.oracle import (
@@ -361,25 +364,16 @@ end rtl;
 """
 
 
-def _build(library, top, monkeypatch, counted):
-    """A cold ``build_program`` of ``top``, counting the calls to the
-    codegen function named ``counted``; returns (kernel, program,
-    calls)."""
-    kernel = CompiledKernel()
-    sim = Elaborator(library, kernel=kernel).elaborate(top)
-    graph = build_netlist(sim.records)
-    _levels, _order, cyclic = levelize(graph)
-    calls = []
-    real = getattr(codegen, counted)
+def _build(library, top, monkeypatch):
+    """A cold specialization of ``top``: (kernel, program)."""
+    monkeypatch.setattr(compiled, "_PROGRAM_CACHE", OrderedDict())
+    kernel = _specialized(library, top)
+    return kernel, kernel.program
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
 
-    monkeypatch.setattr(codegen, counted, counting)
-    program = codegen.build_program(kernel, sim.records, graph, cyclic)
-    monkeypatch.setattr(codegen, counted, real)
-    return kernel, program, calls
+def _resume_codes(kernel):
+    """The code object of each compiled process's resume function."""
+    return [fn.__code__ for fn in kernel._c_resume.values()]
 
 
 class TestShapes:
@@ -432,16 +426,17 @@ class TestShapes:
 
     def test_a_slot_flag_renders_a_factory_again(self, monkeypatch):
         library = compile_lib(SLOT_AND_RESOLVED)
-        kernel, program, calls = _build(library, "split", monkeypatch,
-                                        "_render")
+        kernel, program = _build(library, "split", monkeypatch)
         p1, p2 = [p for p in kernel.processes
                   if p.name.endswith(":drive")]
         # The instances share their model's byte-compiled factories.
         assert p1.fn.__code__ is p2.fn.__code__
-        # One model factory, two slot flags: two renders, two texts.
-        assert len(calls) == 2 and program.stats["shapes"] == 2
+        # One model factory, two slot flags: two texts, two code objects.
+        assert program.stats["shapes"] == 2
         assert program.plans[p1.index].resume != \
             program.plans[p2.index].resume
+        codes = _resume_codes(kernel)
+        assert len(codes) == 2 and codes[0] is not codes[1]
         until_fs = 60 * 10**6
         event = _simulate(Kernel, library, "split", until_fs)
         comp = _simulate(CompiledKernel, library, "split", until_fs)
@@ -449,35 +444,93 @@ class TestShapes:
         assert event["vcd"] == comp["vcd"]
 
 
+#: ``exit`` outside a loop leaves the process loop itself, skipping the
+#: wait: ``quit`` must keep its generator; ``inner`` exits its own loop.
+EXITS = """
+entity exits is end exits;
+architecture rtl of exits is
+  signal k, s : integer := 0;
+begin
+  tick : process begin wait for 3 ns; k <= k + 1; end process;
+  quit : process begin wait on k; exit; s <= 1; end process;
+  inner : process (k) begin
+    for i in 1 to 3 loop
+      if k > i then exit; end if;
+    end loop;
+  end process;
+end rtl;
+"""
+
+
+class TestSlotFormRejects:
+    def test_an_exit_of_the_process_loop_stays_generic(self, monkeypatch):
+        kernel, program = _build(compile_lib(EXITS), "exits", monkeypatch)
+        outcome = {p.name.rsplit(":", 1)[-1]:
+                   program.rejects.get(p.index, "compiled")
+                   for p in kernel.processes}
+        assert outcome == {"tick": "wait", "quit": "construct",
+                           "inner": "compiled"}
+        result = check_source(EXITS, "exits", until_ns=30, compiled=True)
+        assert result.outcome == "ok", result.detail
+
+
 class TestOneParsePerProcess:
-    """Codegen takes its shapes from the AG's model factories: a cold
-    build splits each factory's process text once and rewrites it once
-    per set of slot flags, not once per process."""
+    """Codegen parses no process text: it takes each process's shape
+    from its model factory's slot form, which the AG stored with the
+    model, so the processes of one factory and set of slot flags share
+    one rendered text and one code object."""
 
     def test_cold_build_splits_each_factory_once(self, monkeypatch):
         library = compile_lib(NESTED + _ring(6))
         for top in ("nested", "ring"):
-            kernel, program, calls = _build(library, top, monkeypatch,
-                                            "_split")
-            codes = {p.fn.__code__ for p in kernel.processes}
-            assert len(calls) == len(codes)
-            assert sorted(name for _text, name in calls) == \
-                sorted(code.co_name for code in codes)
-        assert len(codes) == 2 < program.stats["procs"]  # the ring
+            kernel, program = _build(library, top, monkeypatch)
+            codes = _resume_codes(kernel)
+            resumes = {plan.resume for plan in program.plans.values()}
+            assert len(set(codes)) == len(resumes)
+            conds = {plan.cond for plan in program.plans.values()
+                     if plan.cond}
+            assert program.stats["shapes"] == len(resumes) + len(conds)
+        # The ring: six processes of two model factories, one shape.
+        assert len(codes) == 6 and len(set(codes)) == 1
+        assert len({p.fn.__code__ for p in kernel.processes}) == 2
 
     def test_cold_build_renders_each_shape_once(self, monkeypatch):
         library = compile_lib(_ring(12))
-        kernel, program, calls = _build(library, "ring", monkeypatch,
-                                        "_render")
-        factories = {p.fn.__code__ for p in kernel.processes}
+        kernel, program = _build(library, "ring", monkeypatch)
         assert program.stats["compiled"] == 12
         # The starter and the waiting cells: two model factories, one
         # rendered text.
-        assert len(calls) == len(factories) == 2
+        assert len({p.fn.__code__ for p in kernel.processes}) == 2
         assert program.stats["shapes"] == 1
+        assert len(set(_resume_codes(kernel))) == 1
 
     def test_the_process_analysis_pass_is_gone(self):
         for name in ("Analysis", "SiteInfo", "analyze_process",
                      "_ops_call", "_call_risk", "_helper_may_assign",
-                     "_render_all", "_body_is_pure"):
+                     "_render_all", "_body_is_pure", "_split", "_Shape",
+                     "_Rewriter", "_Binder", "_rewrite_stmts",
+                     "_process_texts", "ast"):
             assert not hasattr(codegen, name), name
+
+
+#: A cold compiled-backend run of a ring in a fresh interpreter; prints
+#: how many processes compiled and whether ``ast`` was ever imported.
+COLD_RUN_SCRIPT = """
+import sys
+from repro.request import compile_sources, simulate
+from repro.sim import CompiledKernel
+built = compile_sources([("ring.vhd", sys.stdin.read())])
+kernel = CompiledKernel()
+simulate(built.library, "ring", kernel, until_fs=50 * 10**6)
+print(kernel.compiled_procs, "ast" in sys.modules)
+"""
+
+
+def test_cold_compiled_run_never_loads_ast():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", COLD_RUN_SCRIPT],
+                          input=_ring(8), env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["8", "False"]
