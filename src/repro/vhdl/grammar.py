@@ -128,9 +128,10 @@ def _declare_vocabulary(g):
     g.nonterminal("arch_ind_opt", ("NAME", SYN))
 
     # concurrent statements
-    g.nonterminal("cstmts", "CS", "CTXA", "LEVEL")
-    g.nonterminal("cstmt", "CS", "CTXA", "LEVEL")
-    g.nonterminal("cstmt_body", "CS", ("LABEL", INH), "CTXA", "LEVEL")
+    g.nonterminal("cstmts", "CS", "CTXA", "LEVEL", "SCOPE")
+    g.nonterminal("cstmt", "CS", "CTXA", "LEVEL", "SCOPE")
+    g.nonterminal("cstmt_body", "CS", ("LABEL", INH), "CTXA", "LEVEL",
+                  "SCOPE")
     g.nonterminal("sens_opt", ("NAMES", SYN), "CTXA")
     g.nonterminal("gmap_opt", ("ASSOCS", SYN), "CTXA")
     g.nonterminal("pmap_opt", ("ASSOCS", SYN), "CTXA")
@@ -1152,14 +1153,13 @@ def _cstmt_productions(g):
     p.rule("decls.ENV", "cstmt_body.ENV",
            fn=lambda env: env.enter_scope())
     p.rule("decls.RESULT", fn=lambda: None)
-    p.rule("decls.SCOPE", fn=lambda: "")
+    _block_scope(p)
     p.rule("cstmts.ENV", "decls.RES", fn=lambda res: res.env)
     p.rule("cstmt_body.CS", "cstmt_body.LABEL", "decls.RES",
-           "cstmts.CS", "cstmt_body.ENV", "cstmt_body.CC",
-           "kw_block0.line",
-           fn=lambda label, decls, inner, env, cc, ln: U.block_stmt(
-               label or "blk_l%d" % ln, None, decls, inner, decls.env,
-               cc, ln))
+           "cstmts.CS", "decls.SCOPE", "cstmt_body.CC", "kw_block0.line",
+           fn=lambda label, decls, inner, scope, cc, ln: U.block_stmt(
+               label or "blk_l%d" % ln, None, decls, inner, scope,
+               decls.env, cc, ln))
     p = g.production(
         "cstmt_block_guarded",
         "cstmt_body -> kw_block LP xp RP decls kw_begin cstmts kw_end "
@@ -1169,14 +1169,23 @@ def _cstmt_productions(g):
            fn=lambda env, label, ln: _guard_env(
                env, label or "blk_l%d" % ln))
     p.rule("decls.RESULT", fn=lambda: None)
-    p.rule("decls.SCOPE", fn=lambda: "")
+    _block_scope(p)
     p.rule("cstmts.ENV", "decls.RES", fn=lambda res: res.env)
     p.rule("cstmt_body.CS", "cstmt_body.LABEL", "xp.LEF", "decls.RES",
-           "cstmts.CS", "cstmt_body.ENV", "cstmt_body.CC",
-           "kw_block0.line",
-           fn=lambda label, guard, decls, inner, env, cc, ln:
+           "cstmts.CS", "decls.SCOPE", "cstmt_body.CC", "kw_block0.line",
+           fn=lambda label, guard, decls, inner, scope, cc, ln:
            U.block_stmt(label or "blk_l%d" % ln, tuple(guard), decls,
-                        inner, decls.env, cc, ln))
+                        inner, scope, decls.env, cc, ln))
+
+
+def _block_scope(p):
+    """A block's declarations and statements are in its scope: the
+    enclosing one, then the block's label and ``__``, which no VHDL
+    identifier holds (:func:`repro.vhdl.semantics_decl.block_path`)."""
+    for attr in ("decls.SCOPE", "cstmts.SCOPE"):
+        p.rule(attr, "cstmt_body.SCOPE", "cstmt_body.LABEL",
+               "kw_block0.line", fn=lambda scope, label, ln: "%s%s__" % (
+                   scope, label or "blk_l%d" % ln))
 
 
 def _guard_env(env, label):
@@ -1334,6 +1343,7 @@ def _unit_productions(g):
     p.rule("decls.LEVEL", fn=lambda: 0)
     p.rule("cstmts.ENV", "decls.RES", fn=lambda res: res.env)
     p.rule("cstmts.LEVEL", fn=lambda: 0)
+    p.rule("cstmts.SCOPE", fn=lambda: "")
     p.rule("arch_unit.BUILD", "ID0.value", "ID1.value", "decls.RES",
            "cstmts.CS", "arch_unit.ENV", "arch_unit.CC",
            "kw_architecture.line", fn=_build_arch)

@@ -280,6 +280,13 @@ _PREFIX = {
 }
 
 
+def block_path(py_scope):
+    """The kernel path, below its architecture's, of the block whose
+    declarations have ``py_scope``: each label of a block scope ends
+    in ``__``, and no other scope holds ``__``."""
+    return "".join(label + ":" for label in py_scope.split("__")[:-1])
+
+
 def object_decl(obj_class, names, sub, init_goal, env, cc, line,
                 py_scope="", signal_kind=""):
     """Process constant/variable/signal declarations (one id list).
@@ -322,7 +329,8 @@ def object_decl(obj_class, names, sub, init_goal, env, cc, line,
         if obj_class == "signal":
             res = _resolution_code(sub, cc)
             code.append(ln("%s = ctx.signal(%r, init=%s%s, line=%r)"
-                           % (py, name, init_code, res, line)))
+                           % (py, block_path(py_scope) + name, init_code,
+                              res, line)))
         elif obj_class in ("constant", "variable"):
             code.append(ln("%s = %s" % (py, init_code)))
     return DeclResult(new_env, code, entries, msgs,

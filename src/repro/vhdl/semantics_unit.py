@@ -20,7 +20,15 @@ from ..vif.nodes import (
 from . import vtypes
 from .compile_ctx import attrs_of
 from .flow import Flow, drive_flow, wait_flow
-from .semantics_decl import DeclResult, flatten, indent, join, ln, render
+from .semantics_decl import (
+    DeclResult,
+    block_path,
+    flatten,
+    indent,
+    join,
+    ln,
+    render,
+)
 from .semantics_stmt import SRes
 from .symtab import entry_kind
 
@@ -405,15 +413,17 @@ def instantiation(label, comp_name, generic_assocs, port_assocs, env,
     return CStmt(code, msgs, [inst], label)
 
 
-def block_stmt(label, guard_lef, decls, inner, env, cc, line):
+def block_stmt(label, guard_lef, decls, inner, scope, env, cc, line):
     """``label: block (guard) decls begin ... end block;``
 
-    The guard becomes an implicit signal driven by an equivalent
-    process; guarded assignments inside test it.
+    Its signals are named by the block's ``scope``
+    (:func:`~repro.vhdl.semantics_decl.block_path`).  The guard
+    becomes an implicit signal driven by an equivalent process;
+    guarded assignments inside test it.
     """
     msgs = list(decls.msgs)
     lines = []
-    signals = [[e.py, e.name, e.line,
+    signals = [[e.py, block_path(scope) + e.name, e.line,
                 vtypes.resolution_of(e.vtype) is not None]
                for e in flatten(decls.entries)
                if entry_kind(e) == "object" and e.obj_class == "signal"]
