@@ -90,7 +90,10 @@ class Response:
 
     @classmethod
     def json(cls, data, status=200):
-        text = json.dumps(data, indent=1, sort_keys=True) + "\n"
+        # Compact, so a large body (a full /trace ring) goes through
+        # the C encoder; an indent would force the pure-Python one.
+        text = json.dumps(data, sort_keys=True,
+                          separators=(",", ":")) + "\n"
         return cls(status, text, "application/json")
 
     @classmethod
