@@ -22,13 +22,12 @@ A factory is one record, a list ``[reason, init_runs_body, waits,
 args, signals, pure, body, cond]``:
 
 - ``reason`` is None, or why no process of the factory can run as a
-  plain function: ``names`` (a builtin, or a signal function of
-  something other than an operand) or ``construct`` (an ``exit`` or
-  ``next`` of the process loop itself, or another ``rt`` call in an
-  expression).  A factory whose loop does not have that shape is the
-  bare reason instead: ``shape`` (statements before the loop: process
-  variables) or ``wait`` (not exactly one wait, first or last in the
-  loop, on a signal list with no timeout);
+  plain function: ``names`` (a signal both read and passed bare) or
+  ``construct`` (an ``exit`` or ``next`` of the process loop itself,
+  which would skip the wait).  A factory whose loop does not have
+  that shape is the bare reason instead: ``shape`` (statements before
+  the loop: process variables) or ``wait`` (not exactly one wait,
+  first or last in the loop, or a wait with a timeout);
 - ``init_runs_body`` when the wait is last;
 - ``waits`` and ``args``: the operands the wait lists and the
   parameters' names, each space-separated;
@@ -41,8 +40,6 @@ args, signals, pure, body, cond]``:
 - ``cond``: the wait's condition, or None.
 """
 
-import builtins
-import keyword
 import re
 
 from .semantics_unit import _STRING
@@ -64,10 +61,6 @@ _SIGNAL_READS = {
 }
 
 _OPERAND = re.compile(r"_a\d+$")
-
-#: Builtins are not in a model's globals: a process that calls one
-#: keeps the generator.
-_BUILTINS = frozenset(dir(builtins)) - frozenset(keyword.kwlist)
 
 #: A string literal, or a call and its callee.
 _CALL = re.compile(_STRING + r"|(?<![\w.])([A-Za-z_][\w.]*)\(")
@@ -129,28 +122,17 @@ class _Render:
     def _token(self, match):
         fn, arg, member, name = match.groups()
         if fn is not None:
-            if not _OPERAND.match(arg):
-                raise _Reject("names")
             return _SIGNAL_READS[fn] % self.param(arg, self.signals)
-        if member is not None:
-            if member == "now":
-                return "now"
-            if member in _SIGNAL_READS:
-                raise _Reject("names")
-            if member != "assert_":
-                raise _Reject("construct")
-            self.pure = False
-            return match.group()
-        if name is None or name == "ops" or keyword.iskeyword(name):
-            return match.group()
+        if member == "now":
+            return "now"
+        if member is not None and member != "assert_":
+            raise _Reject("construct")  # an assign or wait in a value
         if name == "rt":
             self.pure = False
-            return name
-        if name in _BUILTINS:
-            raise _Reject("names")
-        if _OPERAND.match(name) or name in ("VArray", "VRecord"):
+        elif name is not None and (_OPERAND.match(name)
+                                   or name in ("VArray", "VRecord")):
             return self.param(name, self.values)
-        return name  # bound in the loop: a loop variable or temporary
+        return match.group()
 
     def body(self, lines):
         """The loop statements ``lines`` as text and holes."""
@@ -177,8 +159,6 @@ class _Render:
         """The hole of one ``rt.assign(target, ((value, delay), ...)
         [, transport=flag])`` statement."""
         args = _split(text[len(_ASSIGN):-1])
-        if not _OPERAND.match(args[0]):
-            raise _Reject("names")
         target = self.param(args[0], self.signals)
         hole = [depth, int(target[2:]), args[2:] == ["transport=True"]]
         for elem in _split(args[1][1:-1]):
@@ -204,19 +184,15 @@ def slot_form(lines):
         wait, rest, init_runs_body = body[-1], body[:-1], True
     else:
         return "wait"
-    args = _split(wait[1][len(_WAIT):-1])
-    if len(args) != 3 or args[2] != "None" or not args[0].startswith("[") \
-            or not (args[1] == "None" or args[1].startswith("lambda:")):
-        return "wait"
-    waits = [name for name in _split(args[0][1:-1]) if name]
-    if not all(name.isidentifier() for name in waits):
-        return "wait"
-    waits = " ".join(waits)
+    signals, cond, timeout = _split(wait[1][len(_WAIT):-1])
+    if timeout != "None":
+        return "wait"  # a timed wait stays on the calendar
+    waits = " ".join(_split(signals[1:-1]))
     render = _Render()
     try:
         body = render.body(rest)
-        cond = None if args[1] == "None" else \
-            render.sub(args[1][len("lambda:"):].strip())
+        if cond != "None":
+            cond = render.sub(cond[len("lambda:"):].strip())
         if render.signals & render.values:
             raise _Reject("names")  # a signal passed bare
     except _Reject as rej:
@@ -226,4 +202,4 @@ def slot_form(lines):
     return [None, init_runs_body, waits, " ".join(names),
             [i for i, name in enumerate(names)
              if render.params[name] in render.signals],
-            render.pure, body, cond]
+            render.pure, body, None if cond == "None" else cond]
