@@ -136,6 +136,10 @@ class TestResponse:
         assert b"Content-Length: %d" % len(body) in head
         assert json.loads(body) == {"ok": True}
 
+    def test_json_body_is_compact_with_sorted_keys(self):
+        body = Response.json({"b": [1, {"d": 2, "c": 3}], "a": "x"}).body
+        assert body == b'{"a":"x","b":[1,{"c":3,"d":2}]}\n'
+
     def test_keep_alive_header(self):
         assert b"Connection: keep-alive" in Response.json({}).encode(True)
         assert b"Connection: close" in Response.json({}).encode(False)

@@ -585,6 +585,37 @@ class TestConcurrentStatements:
         """, "top", until_ns=100)
         assert sim.value("q") == 7
 
+    def test_blocks_name_their_signals(self):
+        # Each block's x is its own signal, named by its label path.
+        sim = simulate("""
+            entity top is end top;
+            architecture a of top is
+              signal x : integer := 1;
+            begin
+              o1 : block
+                signal x : integer := 2;
+              begin
+                deep : block
+                  signal x : integer := 3;
+                begin
+                  p1 : process begin x <= x * 10; wait; end process;
+                end block deep;
+                p2 : process begin x <= x * 20; wait; end process;
+              end block o1;
+              o2 : block
+              begin
+                deep : block
+                  signal x : integer := 4;
+                begin
+                  p3 : process begin x <= x * 30; wait; end process;
+                end block deep;
+              end block o2;
+            end a;
+        """, "top", until_ns=10)
+        assert [(path, sig.value) for path, sig in sim.names.signals()] \
+            == [(":top:o1:deep:x", 30), (":top:o1:x", 40),
+                (":top:o2:deep:x", 120), (":top:x", 1)]
+
     def test_resolved_signal_bus(self):
         sim = simulate("""
             entity top is end top;
