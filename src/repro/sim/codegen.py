@@ -314,7 +314,7 @@ def _specialize(kernel, records, graph, cyclic):
                           for sig in driven)
             render = renders.get((form, flags))
             if render is None:
-                render = renders[form, flags] = _render(
+                render = renders[form, flags] = _fill_form(
                     form, flags, fn, kernel, factories)
             if type(render) is str:
                 raise Reject(render)
@@ -339,7 +339,7 @@ def _specialize(kernel, records, graph, cyclic):
         plans, slot_indices, stats, rejects
 
 
-def _render(form, flags, fn, kernel, factories):
+def _fill_form(form, flags, fn, kernel, factories):
     """``form`` with its holes filled for ``flags``, checked against
     ``fn``'s closure: ``(resume factory, condition factory or None,
     closure names, pure)``, or the reject reason when a parameter used
@@ -362,17 +362,18 @@ def _render(form, flags, fn, kernel, factories):
             pure = pure and piece[1] in slots
             body.append(_fill(piece, piece[1] in slots))
     params = ", ".join("_k%d" % i for i in range(len(form.args)))
-    resume = _factory(params, "    def _p(now, step):\n%s    return _p\n"
-                      % ("".join(body) or "        pass\n"), factories)
+    resume = _factory_name(
+        params, "    def _p(now, step):\n%s    return _p\n"
+        % ("".join(body) or "        pass\n"), factories)
     cond = None
     if form.cond is not None:
-        cond = _factory(params, "    def _c():\n        now, step = T\n"
-                        "        return %s\n    return _c\n" % form.cond,
-                        factories)
+        cond = _factory_name(
+            params, "    def _c():\n        now, step = T\n"
+            "        return %s\n    return _c\n" % form.cond, factories)
     return resume, cond, form.args, pure
 
 
-def _factory(params, body, factories):
+def _factory_name(params, body, factories):
     """The name of the factory over ``params`` whose body is ``body``:
     ``factories`` maps each factory's text, written ``def _s(...)``, to
     its name."""

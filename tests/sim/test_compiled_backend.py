@@ -508,8 +508,10 @@ class TestOneParsePerProcess:
         for name in ("Analysis", "SiteInfo", "analyze_process",
                      "_ops_call", "_call_risk", "_helper_may_assign",
                      "_render_all", "_body_is_pure", "_split", "_Shape",
-                     "_Rewriter", "_Binder", "_rewrite_stmts",
-                     "_process_texts", "ast"):
+                     "_memo", "_ALLOWED", "_SIGNAL_READS", "_Rewriter",
+                     "_Binder", "_rewrite_stmts", "_rewrite_assign",
+                     "_def", "_render", "_factory", "_process_texts",
+                     "ast", "textwrap"):
             assert not hasattr(codegen, name), name
 
 
