@@ -9,7 +9,7 @@ which signals are slots and which processes touch the cyclic cone.
 The code is the AG's too: every process function is the ``_p`` of one
 of its model factories, and with each factory the AG stored the form
 the backend runs (``ArchUnit.slot_forms``, :mod:`repro.vhdl.slotform`).
-Codegen parses nothing; it fills each form's assignment holes once
+Codegen reads no model text; it fills each form's assignment holes once
 per set of slot flags of the signals they assign, not once per
 process, into one specialized Python module per design:
 
