@@ -132,11 +132,11 @@ def capture(fn, name):
     return fn.__globals__.get(name, _MISSING)
 
 
-def _signal_of(env_fn, name, kernel):
-    value = capture(env_fn, name)
-    if isinstance(value, Signal) and value.kernel is kernel:
-        return value
-    return None
+def _signal_of(fn, name, kernel):
+    """``name``'s value in ``fn`` if it is a signal of ``kernel``."""
+    value = capture(fn, name)
+    return value if isinstance(value, Signal) and value.kernel is kernel \
+        else None
 
 
 # -- the AG's slot forms -------------------------------------------------------
