@@ -24,9 +24,11 @@ class DynamicEvaluator:
         self.compiled = compiled
         self.attr_table = compiled.attr_table
         self.inherited = dict(inherited or {})
-        self.evaluations = 0  # rule applications, for the E4 bench
-        #: optional :class:`repro.diag.AGObserver` counter sink
+        #: optional :class:`repro.diag.AGObserver` record
         self.observer = observer
+        #: its firing count for this grammar, or None
+        self.fired = (observer.fired(compiled.name)
+                      if observer is not None else None)
 
     # -- public API -----------------------------------------------------------
 
@@ -34,7 +36,7 @@ class DynamicEvaluator:
         """Value of attribute ``name`` on (the LHS instance of) ``node``."""
         if name in node.attrs:
             if self.observer is not None:
-                self.observer.record_hit()
+                self.observer.cache_hits += 1
             return node.attrs[name]
         self._force(node, name)
         return node.attrs[name]
@@ -85,6 +87,7 @@ class DynamicEvaluator:
         on_stack = {(node, name)}
         forced = [0]
         hits = 0
+        fired = self.fired
         while stack:
             cur_node, cur_name = stack[-1]
             if cur_name in cur_node.attrs:
@@ -167,12 +170,9 @@ class DynamicEvaluator:
                         exc,
                     )
                 ) from exc
-            self.evaluations += 1
             hits += memoized - forced.pop()
-            if self.observer is not None:
-                self.observer.record_miss()
-                self.observer.record_firing(
-                    owner.production, grammar=self.compiled.name)
+            if fired is not None:
+                fired[owner.production.label] += 1
             cur_node.attrs[cur_name] = result
             on_stack.discard((cur_node, cur_name))
             stack.pop()

@@ -25,9 +25,11 @@ class StaticEvaluator:
         self.analysis = compiled.analyze()
         self.attr_table = compiled.attr_table
         self.inherited = dict(inherited or {})
-        self.evaluations = 0
-        #: optional :class:`repro.diag.AGObserver` counter sink
+        #: optional :class:`repro.diag.AGObserver` record
         self.observer = observer
+        #: its firing count for this grammar, or None
+        self.fired = (observer.fired(compiled.name)
+                      if observer is not None else None)
 
     def goal_attributes(self, tree, goals=None):
         """Run all root visits; return the root synthesized attributes."""
@@ -104,8 +106,5 @@ class StaticEvaluator:
                     exc,
                 )
             ) from exc
-        self.evaluations += 1
-        if self.observer is not None:
-            self.observer.record_miss()
-            self.observer.record_firing(
-                rule.production, grammar=self.compiled.name)
+        if self.fired is not None:
+            self.fired[rule.production.label] += 1

@@ -44,10 +44,9 @@ class BuildReport:
         self.batches = []      # the file schedule that was used
         self.jobs = 1
         #: merged Chrome trace events: driver phases + every worker's
-        #: compile phases (each carrying the recording pid)
+        #: compile phases (each carrying the recording pid, and each
+        #: ``attribute_evaluation`` span its compile's AG totals)
         self.trace_events = []
-        #: merged AG-evaluation counters across all compiled files
-        self.ag_stats = {}
         #: repro.diag.Diagnostic lint findings (``build(lint=...)``)
         self.lint_findings = []
 
@@ -221,8 +220,6 @@ class IncrementalBuilder:
                     results = scheduler.run_batch(to_compile)
                 for result in results:
                     tracer.add_events(result.get("trace", ()))
-                    _merge_ag_stats(report.ag_stats,
-                                    result.get("ag_stats", {}))
                     self._absorb(result, fingerprints, requires,
                                  new_digests, failed, report)
         finally:
@@ -395,16 +392,3 @@ class IncrementalBuilder:
         except (json.JSONDecodeError, UnicodeDecodeError, OSError):
             return None
 
-
-def _merge_ag_stats(into, stats):
-    """Fold one worker's AGObserver dict into the report aggregate."""
-    for key, value in (stats or {}).items():
-        if isinstance(value, dict):
-            bucket = into.setdefault(key, {})
-            for k, v in value.items():
-                bucket[k] = bucket.get(k, 0) + v
-        elif isinstance(value, (int, float)) and key != "hit_rate":
-            into[key] = into.get(key, 0) + value
-    hits = into.get("cache_hits", 0)
-    misses = into.get("cache_misses", 0)
-    into["hit_rate"] = hits / (hits + misses) if hits + misses else 0.0

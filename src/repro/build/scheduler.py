@@ -136,7 +136,8 @@ def compile_file_task(root, work, reference_libs, path):
     ``depends`` edges and interface digests, diagnostics (both legacy
     strings and structured dicts), and phase-trace events (carrying
     this worker's pid, so the driver's merged Chrome trace shows one
-    row per worker).
+    row per worker; the ``attribute_evaluation`` span carries the
+    compile's AG totals).
     """
     from ..vhdl.compiler import Compiler
     from ..vhdl.library import LibraryManager
@@ -170,7 +171,6 @@ def compile_file_task(root, work, reference_libs, path):
         "source_lines": result.source_lines,
         "diagnostics": [d.to_dict() for d in result.diagnostics],
         "trace": compiler.tracer.events(),
-        "ag_stats": compiler.observer.as_dict(),
     }
 
 
@@ -191,7 +191,6 @@ def _worker_failure(args, exc):
         "source_lines": 0,
         "diagnostics": [],
         "trace": [],
-        "ag_stats": {},
     }
 
 

@@ -410,15 +410,19 @@ def cmd_compile(args, out):
         failures += 1
     if args.diag_format != "text" and all_diags:
         out(render(all_diags, args.diag_format))
-    _emit_profile(compiler.tracer.events(), args, out,
-                  "compile profile")
+    events = compiler.tracer.events()
+    _emit_profile(events, args, out, "compile profile")
     if args.profile:
-        out(compiler.observer.summary())
+        from .trace.analyze import ag_totals
+
+        firings, hits = ag_totals(events)
+        out(compiler.observer.summary(
+            totals=(sum(firings.values()), hits)))
     if _wants_metrics(args):
         from .metrics.bridge import bridge_observer, bridge_tracer
 
         registry = _registry_for(args)
-        bridge_observer(registry, compiler.observer)
+        bridge_observer(registry, compiler.observer, events)
         bridge_tracer(registry, compiler.tracer, prefix="compile")
         _emit_metrics(registry, args, out, "compile metrics")
     if args.werror and any(
@@ -476,10 +480,13 @@ def cmd_build(args, out):
     if args.diag_format != "text" and diags:
         out(render(diags, args.diag_format))
     _emit_profile(report.trace_events, args, out, "build profile")
-    firings = report.ag_stats.get("total_firings", 0)
-    if args.profile and firings:
-        out("AG evaluation: %d rule firing(s) across workers"
-            % firings)
+    if args.profile:
+        from .trace.analyze import ag_totals
+
+        firings = sum(ag_totals(report.trace_events)[0].values())
+        if firings:
+            out("AG evaluation: %d rule firing(s) across workers"
+                % firings)
     if _wants_metrics(args):
         from .metrics.bridge import bridge_build_report
 
@@ -827,7 +834,8 @@ def cmd_simulate(args, out):
 
         bridge_kernel(registry, kernel)
         if compiler is not None:
-            bridge_observer(registry, compiler.observer)
+            bridge_observer(registry, compiler.observer,
+                            compiler.tracer.events())
             bridge_tracer(registry, compiler.tracer,
                           prefix="compile")
         out(format_hot_processes(

@@ -2,9 +2,13 @@
 
 The paper's §5.2 lesson: evolving a 9,000-rule attribute grammar
 requires knowing *which* semantic rules fire, how often, and where
-circularities come from.  :class:`AGObserver` is the counter sink the
-evaluators report into — per-production rule firings, demand-evaluator
-memo hits/misses, and static-evaluator visit counts — and
+circularities come from.  :class:`AGObserver` is the record the
+evaluators report into: each rule firing is one increment of its
+grammar's per-production count, and every total (firings per grammar,
+memo misses) is derived from that record.  It also keeps demand-memo
+hits and static-evaluator visits.  A compile publishes its totals on
+its ``attribute_evaluation`` span, so they reach a build's merged
+trace from fork workers too (:func:`repro.trace.analyze.ag_totals`).
 :func:`explain_cycle` renders a :class:`~repro.ag.errors.
 CircularityError` cycle with production and line context instead of a
 bare instance chain.
@@ -14,80 +18,72 @@ from collections import Counter
 
 
 class AGObserver:
-    """Counter sink for attribute-evaluation events.
+    """The record of attribute-evaluation events.
 
-    All hooks are cheap (Counter increments); evaluators accept an
-    observer of ``None`` and skip the calls entirely, so the default
-    path stays unchanged.
+    Evaluators accept an observer of ``None`` and skip the record
+    entirely, so the default path stays unchanged.
     """
 
     def __init__(self):
-        #: production label -> number of semantic-rule firings
-        self.rule_firings = Counter()
-        #: grammar name -> rule firings (when several AGs report in)
-        self.grammar_firings = Counter()
+        #: grammar name -> Counter(production label -> rule firings):
+        #: the one record of each firing
+        self.firings = {}
         #: demanded attributes served from the memo table
         self.cache_hits = 0
-        #: attributes computed fresh (== rule evaluations demanded)
-        self.cache_misses = 0
         #: symbol name -> static-evaluator visit count
         self.visits = Counter()
 
-    # -- hooks (called by the evaluators) ----------------------------------
-
-    def record_firing(self, production, grammar=None):
-        self.rule_firings[production.label] += 1
-        if grammar is not None:
-            self.grammar_firings[grammar] += 1
-
-    def record_hit(self):
-        self.cache_hits += 1
-
-    def record_miss(self):
-        self.cache_misses += 1
+    def fired(self, grammar):
+        """The firing count, by production label, that an evaluator
+        of ``grammar`` adds one to per rule firing."""
+        fired = self.firings.get(grammar)
+        if fired is None:
+            fired = self.firings[grammar] = Counter()
+        return fired
 
     def record_visit(self, symbol):
         self.visits[getattr(symbol, "name", str(symbol))] += 1
 
-    # -- aggregation -------------------------------------------------------
+    # -- totals, derived from the record ------------------------------------
+
+    @property
+    def rule_firings(self):
+        """Production label -> firings, over every grammar."""
+        total = Counter()
+        for fired in self.firings.values():
+            total.update(fired)
+        return total
+
+    @property
+    def grammar_firings(self):
+        """Grammar name -> firings."""
+        return {grammar: sum(fired.values())
+                for grammar, fired in self.firings.items()}
 
     @property
     def total_firings(self):
-        return sum(self.rule_firings.values())
+        return sum(self.grammar_firings.values())
+
+    @property
+    def cache_misses(self):
+        """Attributes computed fresh: one per rule firing."""
+        return self.total_firings
 
     @property
     def hit_rate(self):
-        demanded = self.cache_hits + self.cache_misses
-        return self.cache_hits / demanded if demanded else 0.0
-
-    def merge(self, other):
-        """Fold another observer's counters into this one."""
-        self.rule_firings.update(other.rule_firings)
-        self.grammar_firings.update(other.grammar_firings)
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.visits.update(other.visits)
-        return self
+        return _hit_rate(self.cache_hits, self.total_firings)
 
     def top_productions(self, n=10):
         return self.rule_firings.most_common(n)
 
-    def as_dict(self):
-        return {
-            "rule_firings": dict(self.rule_firings),
-            "total_firings": self.total_firings,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "hit_rate": self.hit_rate,
-            "visits": dict(self.visits),
-        }
-
-    def summary(self, top=8):
+    def summary(self, top=8, totals=None):
+        """The ``--profile`` text: ``totals`` (firings, memo hits),
+        by default this observer's, then the most-fired productions."""
+        fired, hits = totals or (self.total_firings, self.cache_hits)
         lines = [
             "AG evaluation: %d rule firing(s), memo %d hit(s) / "
             "%d miss(es) (%.1f%% hit rate)"
-            % (self.total_firings, self.cache_hits, self.cache_misses,
-               100.0 * self.hit_rate)
+            % (fired, hits, fired, 100.0 * _hit_rate(hits, fired))
         ]
         if self.visits:
             lines.append("  visits: %d across %d symbol(s)"
@@ -96,6 +92,11 @@ class AGObserver:
         for label, n in self.top_productions(top):
             lines.append("  %-32s %8d" % (label, n))
         return "\n".join(lines)
+
+
+def _hit_rate(hits, misses):
+    demanded = hits + misses
+    return hits / demanded if demanded else 0.0
 
 
 # -- cycle explanation -------------------------------------------------------

@@ -1,30 +1,55 @@
-"""Bridges: existing telemetry sources -> the unified registry.
+"""Bridges: plain counts kept by each layer -> the unified registry.
 
-PR 2 gave each layer its own counters — :class:`repro.diag.AGObserver`
-for rule firings and memo hits, :class:`repro.build.BuildCache.stats`
-for cache accounting, :class:`repro.sim.vhdlio.SeverityLogger` for
-assertion severities — and the kernel now keeps per-signal and
-per-process tallies inline (plain integer attributes, so the hot paths
-never touch the registry).  The functions here publish all of them
-into one :class:`~repro.metrics.MetricsRegistry` at snapshot time, so
-a single ``repro-metrics/1`` snapshot covers compile → elaborate →
-simulate.
+Every layer counts each event once, in its own plain record: the
+kernel in integer attributes and per-signal / per-process tallies (so
+its hot paths never touch the registry), :class:`repro.build.BuildCache`
+in its ``stats``, :class:`repro.sim.vhdlio.SeverityLogger` per severity,
+and a compile on its ``attribute_evaluation`` span (AG firings per
+grammar and memo hits, summed by :func:`repro.trace.analyze.ag_totals`),
+next to the in-process :class:`repro.diag.AGObserver`'s per-production
+firings.  The functions here harvest them into one
+:class:`~repro.metrics.MetricsRegistry` at snapshot time, so a single
+``repro-metrics/1`` snapshot covers compile → elaborate → simulate.
 
-Harvesting uses ``Counter.set_total`` (adopt an externally maintained
-total) rather than increments: bridging is idempotent — re-publishing
-after a longer run simply overwrites the samples.
+Harvesting adopts totals (``Counter.set_total``, ``Gauge.set``,
+``Histogram.set_observations``) rather than incrementing: bridging is
+idempotent — re-publishing after a longer run simply overwrites the
+samples.
 """
 
 from .registry import SECONDS_BUCKETS
+
+#: Bucket bounds of the deltas-per-timestep histogram: an explicit
+#: zero bucket (timesteps with no delta at all), then log 1-2-5.
+DELTA_BUCKETS = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
 
 # -- simulation ---------------------------------------------------------------
 
 
 def bridge_kernel(registry, kernel):
-    """Publish a kernel's per-signal / per-process / logger tallies."""
+    """Publish a kernel's counts and its per-signal / per-process /
+    logger tallies."""
     if not getattr(registry, "enabled", False):
         return registry
+    registry.counter(
+        "sim_cycles_total", "executed simulation cycles").set_total(
+            kernel.cycles)
+    registry.counter(
+        "sim_delta_cycles_total",
+        "simulation cycles that did not advance time").set_total(
+            kernel.delta_cycles)
+    registry.histogram(
+        "sim_deltas_per_timestep",
+        "delta cycles executed per distinct timestep",
+        buckets=DELTA_BUCKETS).set_observations(kernel.delta_runs)
+    registry.counter(
+        "sim_process_resumes_total", "process resumptions").set_total(
+            sum(proc.resumes for proc in kernel.processes))
+    registry.gauge(
+        "sim_truncated_transactions",
+        "projected transactions abandoned because run(until=...) "
+        "stopped before their time").set(kernel.truncated_transactions)
     sig_events = registry.counter(
         "sim_signal_events_total", "value changes per signal")
     sig_txns = registry.counter(
@@ -158,59 +183,53 @@ def format_calendar_stats(kernel):
 # -- attribute-grammar evaluation --------------------------------------------
 
 
-def bridge_observer(registry, observer, top_productions=None):
-    """Publish an :class:`AGObserver`'s counters.
+def bridge_observer(registry, observer, events, top_productions=None):
+    """Publish an in-process compile's AG counters: the totals the
+    ``attribute_evaluation`` spans in ``events`` carry, per grammar
+    too, and ``observer``'s per-production firings and visits.
 
     ``top_productions`` bounds the per-production label cardinality
     (None = all ~hundreds of productions)."""
     if not getattr(registry, "enabled", False) or observer is None:
         return registry
-    registry.counter(
-        "ag_rule_firings_total",
-        "semantic-rule firings").set_total(observer.total_firings)
+    firings = _bridge_ag_totals(registry, events)
     per_prod = registry.counter(
         "ag_rule_firings_by_production_total",
         "semantic-rule firings per production")
-    items = observer.rule_firings.most_common(top_productions)
+    items = observer.top_productions(top_productions)
     for label, count in items:
         per_prod.labels(production=label).set_total(count)
     per_grammar = registry.counter(
         "ag_rule_firings_by_grammar_total",
         "semantic-rule firings per grammar")
-    for grammar, count in sorted(observer.grammar_firings.items()):
+    for grammar, count in sorted(firings.items()):
         per_grammar.labels(grammar=grammar).set_total(count)
-    registry.counter(
-        "ag_memo_hits_total",
-        "demanded attributes served from the memo "
-        "table").set_total(observer.cache_hits)
-    registry.counter(
-        "ag_memo_misses_total",
-        "attributes computed fresh").set_total(observer.cache_misses)
-    registry.gauge(
-        "ag_memo_hit_rate", "memo hit rate").set(observer.hit_rate)
     registry.counter(
         "ag_visits_total", "static-evaluator symbol visits").set_total(
             sum(observer.visits.values()))
     return registry
 
 
-def bridge_ag_stats(registry, stats):
-    """Publish a merged worker ``ag_stats`` dict (build reports)."""
-    if not getattr(registry, "enabled", False) or not stats:
-        return registry
+def _bridge_ag_totals(registry, events):
+    """Publish the AG totals of the compiles ``events`` cover; returns
+    their firings per grammar."""
+    from ..trace.analyze import ag_totals
+
+    firings, hits = ag_totals(events)
+    fired = sum(firings.values())
     registry.counter(
         "ag_rule_firings_total", "semantic-rule firings").set_total(
-            stats.get("total_firings", 0))
+            fired)
     registry.counter(
         "ag_memo_hits_total",
         "demanded attributes served from the memo table").set_total(
-            stats.get("cache_hits", 0))
+            hits)
     registry.counter(
         "ag_memo_misses_total", "attributes computed fresh").set_total(
-            stats.get("cache_misses", 0))
+            fired)
     registry.gauge("ag_memo_hit_rate", "memo hit rate").set(
-        stats.get("hit_rate", 0.0))
-    return registry
+        hits / (hits + fired) if hits + fired else 0.0)
+    return firings
 
 
 # -- incremental build --------------------------------------------------------
@@ -256,7 +275,8 @@ def bridge_build_report(registry, report):
         registry.gauge(
             "build_wall_seconds",
             "wall-clock span of the merged build trace").set(wall)
-    bridge_ag_stats(registry, getattr(report, "ag_stats", {}) or {})
+    if any(e.get("name") == "compile_file" for e in spans):
+        _bridge_ag_totals(registry, spans)
     return registry
 
 

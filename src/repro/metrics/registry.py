@@ -191,9 +191,20 @@ class Histogram(_Family):
     def _make_child(self):
         return Histogram(self.name, self.help, self.bounds)
 
-    def observe(self, value, trace_id=None):
-        self.count += 1
-        self.sum += value
+    def set_observations(self, tally):
+        """Harvest-style update: become the histogram of ``tally``
+        (value -> number of observations), a plain count its owner's
+        hot path kept."""
+        self.counts = [0] * (len(self.bounds) + 1)
+        self.count = self.sum = 0
+        self.min = self.max = self.exemplar = None
+        for value, n in sorted(tally.items()):
+            self.observe(value, n=n)
+
+    def observe(self, value, trace_id=None, n=1):
+        """Record ``n`` observations of ``value``."""
+        self.count += n
+        self.sum += value * n
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
@@ -210,7 +221,7 @@ class Histogram(_Family):
                 lo = mid + 1
             else:
                 hi = mid
-        self.counts[lo] += 1
+        self.counts[lo] += n
 
     def _has_data(self):
         return self.count != 0 or not self._children

@@ -323,7 +323,6 @@ class CompiledKernel(Kernel):
         :meth:`Kernel._execute` around a plain function call."""
         self.current_process = proc
         proc.resumes += 1
-        self._m_resumes.inc()
         rec = False
         if self._traced:
             self._trace_resumes = n = self._trace_resumes + 1
@@ -356,7 +355,6 @@ class CompiledKernel(Kernel):
         cell[0] = now
         cell[1] = step
         self.cycles += 1
-        self._m_cycles.inc()
 
         pending, expired = self._pop_due(tn)
         slot_due = self._pop_slots(tn)
@@ -400,10 +398,8 @@ class CompiledKernel(Kernel):
             for waveform in self.waveforms:
                 waveform.on_cycle(now, step)
             fired.sort()
-            inc = self._m_resumes.inc
             for _order, proc, fn in fired:
                 proc.resumes += 1
-                inc()
                 fn(now, step)
             return
 
@@ -485,7 +481,6 @@ class CompiledKernel(Kernel):
         # candidate's condition reads the same state either way.
         if event_procs and not expired:
             hot = not (self._timed or self._traced)
-            m_resumes_inc = self._m_resumes.inc
             pure_get = self._c_pure.get
             cmap_get = cmap.get
             for proc in sorted(event_procs, key=_process_order):
@@ -504,7 +499,6 @@ class CompiledKernel(Kernel):
                         # arithmetic — nothing it can reach reads
                         # ``current_process`` or raises an assertion.
                         proc.resumes += 1
-                        m_resumes_inc()
                         fn(now, step)
                         continue
                 fn = cmap_get(proc.index)
@@ -566,7 +560,6 @@ class CompiledKernel(Kernel):
         if not pending:
             return
         self.truncated_transactions += pending
-        self._m_truncated.set(self.truncated_transactions)
         from .kernel import _KERNEL_ORIGIN
         from .tracing import format_fs
 

@@ -40,6 +40,7 @@ differential testing and `benchmarks/bench_kernel_scaling.py`.
 
 import heapq
 import time as _time
+from collections import Counter
 
 from ..metrics import NULL_REGISTRY
 from ..trace.context import current_context
@@ -48,10 +49,6 @@ from .process import Process, WaitRequest
 from .runtime import RuntimeError_, ops
 from .signals import Signal
 from .vhdlio import AssertionFailure, SeverityLogger
-
-#: Bucket bounds of the deltas-per-timestep histogram: an explicit
-#: zero bucket (timesteps with no delta at all), then log 1-2-5.
-DELTA_BUCKETS = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
 #: Calendar entry kinds (third tuple slot).  The strictly increasing
 #: sequence number in slot two makes every entry unique, so heap
@@ -97,28 +94,15 @@ class Kernel:
         self.stale_pops = 0  # entries discarded by lazy deletion
         self.fanout_visits = 0  # waiter visits through the index
         self.calendar_peak = 0  # high-water heap size
-        # -- telemetry (repro.metrics). The registry defaults to the
-        # null registry: handles below become shared no-op metrics and
-        # the ``_timed`` flag turns off the perf_counter pairs, so the
-        # disabled path costs one empty method call per cycle.
+        #: delta-run length -> timesteps that ran that many delta
+        #: cycles (``run()`` only), for ``sim_deltas_per_timestep``
+        self.delta_runs = Counter()
+        # -- telemetry (repro.metrics).  The kernel keeps plain counts;
+        # ``repro.metrics.bridge.bridge_kernel`` harvests them into a
+        # registry at snapshot time.  An enabled ``metrics`` registry
+        # only turns on the perf_counter pairs of per-process timing.
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._timed = bool(getattr(self.metrics, "enabled", False))
-        m = self.metrics
-        self._m_cycles = m.counter(
-            "sim_cycles_total", "executed simulation cycles")
-        self._m_deltas = m.counter(
-            "sim_delta_cycles_total",
-            "simulation cycles that did not advance time")
-        self._m_delta_hist = m.histogram(
-            "sim_deltas_per_timestep",
-            "delta cycles executed per distinct timestep",
-            buckets=DELTA_BUCKETS)
-        self._m_resumes = m.counter(
-            "sim_process_resumes_total", "process resumptions")
-        self._m_truncated = m.gauge(
-            "sim_truncated_transactions",
-            "projected transactions abandoned because run(until=...) "
-            "stopped before their time")
         # -- causal tracing (repro.trace).  ``trace`` is a
         # ``repro.trace.SpanRecorder``; every ``trace_sample``-th
         # timestep and process resume becomes a span, parented into
@@ -256,7 +240,6 @@ class Kernel:
         """Run one process until it suspends (or finishes)."""
         self.current_process = proc
         proc.resumes += 1
-        self._m_resumes.inc()
         rec = False
         if self._traced:
             self._trace_resumes = n = self._trace_resumes + 1
@@ -306,7 +289,6 @@ class Kernel:
         self.now = now = tn
         self.step = step = self.step + 1
         self.cycles += 1
-        self._m_cycles.inc()
 
         pending, expired = self._pop_due(tn)
 
@@ -376,7 +358,7 @@ class Kernel:
         peek = self._peek_time
         one_cycle = self._cycle
         max_deltas = self.max_deltas
-        m_deltas_inc = self._m_deltas.inc
+        delta_runs = self.delta_runs
         traced = self._traced
         if traced:
             sample = self.trace_sample
@@ -414,21 +396,20 @@ class Kernel:
             if now == last_time:
                 deltas += 1
                 self.delta_cycles += 1
-                m_deltas_inc()
                 if deltas > max_deltas:
                     raise SimulationError(
                         "more than %d delta cycles at %d fs — "
                         "unbounded zero-delay loop" % (max_deltas, now)
                     )
             else:
-                self._m_delta_hist.observe(deltas)
+                delta_runs[deltas] += 1
                 deltas = 0
                 last_time = now
         if executed:
             # Flush the last timestep's delta count — but only when at
             # least one cycle actually executed: a quiescent run must
             # not record a spurious zero observation.
-            self._m_delta_hist.observe(deltas)
+            delta_runs[deltas] += 1
         return self.now
 
     def _note_truncation(self, until, next_time):
@@ -448,7 +429,6 @@ class Kernel:
         if not pending:
             return
         self.truncated_transactions += pending
-        self._m_truncated.set(self.truncated_transactions)
         from .tracing import format_fs
 
         self.logger.report(
@@ -509,7 +489,6 @@ class ScanKernel(Kernel):
         self.now = tn
         self.step += 1
         self.cycles += 1
-        self._m_cycles.inc()
 
         for sig in self.signals:
             nxt = sig.next_time()

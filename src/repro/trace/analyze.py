@@ -1,4 +1,5 @@
-"""Span analysis: per-name totals and the ``repro trace`` CLI views.
+"""Span analysis: per-name totals, AG totals and the ``repro trace``
+CLI views.
 
 Operates on plain event dicts — Chrome-trace JSON files (a bare list
 or ``{"traceEvents": [...]}``), span JSONL (one event per line, e.g. a
@@ -11,6 +12,7 @@ instants pass through merging untouched.
 """
 
 import json
+from collections import Counter
 
 
 # -- loading and merging -----------------------------------------------------
@@ -154,6 +156,20 @@ def span_totals(events):
         totals[ev["name"]] = (seconds + ev.get("dur", 0.0) / 1e6,
                               count + 1)
     return totals
+
+
+def ag_totals(events):
+    """``(firings per grammar, memo hits)`` summed over the
+    ``attribute_evaluation`` spans in ``events``: the AG totals of
+    every compile they cover, a fork worker's included."""
+    firings = Counter()
+    hits = 0
+    for ev in _complete_spans(events):
+        if ev["name"] == "attribute_evaluation":
+            args = ev.get("args") or {}
+            firings.update(args.get("firings", ()))
+            hits += args.get("memo_hits", 0)
+    return firings, hits
 
 
 def render_totals(events, title="profile"):

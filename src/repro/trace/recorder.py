@@ -168,9 +168,11 @@ class SpanRecorder:
         self._lock = threading.Lock()
 
     @contextmanager
-    def span(self, name, cat="phase", **args):
+    def span(self, name, cat="phase", at_close=None, **args):
         """Record one complete event around the ``with`` body (also
-        when it raises).  Yields the span's :class:`SpanContext`."""
+        when it raises).  Yields the span's :class:`SpanContext`.
+        ``at_close``, when given, is called as the span closes and
+        returns the args known only then (what the body counted)."""
         parent = current_context()
         ctx = parent.child() if parent is not None else SpanContext()
         ts_us = time.time() * 1e6
@@ -179,9 +181,10 @@ class SpanRecorder:
             with use(ctx):
                 yield ctx
         finally:
-            self.add_span(name, ctx, ts_us,
-                          (time.perf_counter() - t0) * 1e6, cat=cat,
-                          **args)
+            dur_us = (time.perf_counter() - t0) * 1e6
+            if at_close is not None:
+                args.update(at_close())
+            self.add_span(name, ctx, ts_us, dur_us, cat=cat, **args)
 
     def add_span(self, name, ctx, ts_us, dur_us, cat="span", **args):
         """Keep the span ``make_span`` would build from these arguments

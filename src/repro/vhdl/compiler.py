@@ -42,7 +42,7 @@ class CompileResult:
 
     def __init__(self, units, messages, source_lines, expr_evals,
                  registered_units=(), diagnostics=(), trace_events=(),
-                 ag_stats=None, filename=None, error=None, source=None):
+                 filename=None, error=None, source=None):
         self.units = list(units)
         self.messages = list(messages)
         self.source_lines = source_lines
@@ -53,12 +53,9 @@ class CompileResult:
         #: structured :class:`repro.diag.Diagnostic` records mirroring
         #: ``messages`` (plus any with richer spans).
         self.diagnostics = list(diagnostics)
-        #: Chrome trace events recorded for this compile.
+        #: Chrome trace events recorded for this compile; its
+        #: ``attribute_evaluation`` span carries the AG totals.
         self.trace_events = list(trace_events)
-        #: the compiler's :class:`repro.diag.AGObserver` (rule
-        #: firings, memo hits/misses, accumulated across the
-        #: compiler's lifetime), or None.
-        self.ag_stats = ag_stats
         self.filename = filename
         #: the :class:`repro.ag.errors.AGError` that stopped the
         #: compile before any unit was produced (a lex, parse,
@@ -112,8 +109,10 @@ class Compiler:
     ``tracer`` (an unbounded :class:`repro.trace.SpanRecorder`)
     accumulates phase spans across every ``compile`` call on this
     instance; ``observer`` (a :class:`repro.diag.AGObserver`)
-    accumulates evaluation counters the same way, for the principal AG
-    and the cascaded expression AG alike.  Both are created fresh when
+    records rule firings the same way, for the principal AG and the
+    cascaded expression AG alike, and each compile's
+    ``attribute_evaluation`` span carries that compile's share of its
+    totals.  Both are created fresh when
     not supplied, so the plain one-shot API is unchanged.  ``werror``
     promotes warnings to errors at diagnostic-emission time.
     """
@@ -174,7 +173,6 @@ class Compiler:
             registered_units=registered,
             diagnostics=engine.diagnostics,
             trace_events=tracer.events(since=events_before),
-            ag_stats=self.observer,
             filename=filename,
             source=text,
         )
@@ -191,7 +189,7 @@ class Compiler:
             [], [str(exc)], 0, 0,
             diagnostics=engine.diagnostics,
             trace_events=self.tracer.events(since=events_before),
-            ag_stats=self.observer, filename=filename, error=exc,
+            filename=filename, error=exc,
             source=text)
 
     def _evaluate(self, text, filename, cc):
@@ -209,7 +207,8 @@ class Compiler:
             tokens = scan(text, filename)
         with tracer.span("parse", file=filename):
             tree = grammar.parse(tokens, filename)
-        with tracer.span("attribute_evaluation", file=filename):
+        with tracer.span("attribute_evaluation", file=filename,
+                         at_close=self._evaluation_totals()):
             try:
                 out = grammar.evaluate(
                     tree,
@@ -226,6 +225,20 @@ class Compiler:
             finally:
                 tree.release()
         return list(out["UNITS"]), list(out["MSGS"])
+
+    def _evaluation_totals(self):
+        """The ``at_close`` of an ``attribute_evaluation`` span: the
+        rule firings per grammar and the memo hits the observer
+        records from now until the span closes."""
+        observer = self.observer
+        fired0, hits0 = observer.grammar_firings, observer.cache_hits
+
+        def totals():
+            fired = {grammar: n - fired0.get(grammar, 0) for grammar, n
+                     in observer.grammar_firings.items()}
+            return {"firings": {g: n for g, n in fired.items() if n},
+                    "memo_hits": observer.cache_hits - hits0}
+        return totals
 
     def compile_file(self, path):
         """Compile the source file at ``path``.

@@ -12,6 +12,7 @@ from repro.ag import (
     INH,
     Token,
 )
+from repro.diag import AGObserver
 
 from .calc_fixture import make_compiled, make_lexer
 
@@ -68,11 +69,12 @@ class TestDynamicEvaluation:
 
     def test_memoization_single_evaluation_per_instance(self, calc, lexer):
         tree = calc.parse(lexer.scan("1 + 2"))
-        ev = DynamicEvaluator(calc, {"env": {}})
+        observer = AGObserver()
+        ev = DynamicEvaluator(calc, {"env": {}}, observer=observer)
         ev.goal_attributes(tree)
-        first = ev.evaluations
+        first = observer.total_firings
         ev.goal_attributes(tree)
-        assert ev.evaluations == first
+        assert observer.total_firings == first
 
     def test_deep_tree_no_recursion_error(self, calc, lexer):
         text = "1" + " + 1" * 3000

@@ -104,31 +104,13 @@ class TestCompilerObserver:
 
 
 class TestAggregation:
-    def test_merge_sums_counters(self):
-        a, b = AGObserver(), AGObserver()
-        a.rule_firings["p"] = 2
-        a.cache_hits, a.cache_misses = 3, 1
-        b.rule_firings["p"] = 1
-        b.rule_firings["q"] = 5
-        b.cache_hits, b.cache_misses = 1, 3
-        a.merge(b)
-        assert a.rule_firings == {"p": 3, "q": 5}
-        assert (a.cache_hits, a.cache_misses) == (4, 4)
-        assert a.hit_rate == 0.5
-
-    def test_as_dict(self):
-        obs = AGObserver()
-        obs.record_hit()
-        obs.record_miss()
-        d = obs.as_dict()
-        assert d["cache_hits"] == 1
-        assert d["hit_rate"] == 0.5
-        assert set(d) >= {"rule_firings", "total_firings", "visits"}
-
     def test_top_productions(self):
         obs = AGObserver()
-        obs.rule_firings.update({"a": 5, "b": 9, "c": 1})
+        obs.fired("g").update({"a": 5, "b": 7, "c": 1})
+        obs.fired("h").update({"b": 2})
         assert obs.top_productions(2) == [("b", 9), ("a", 5)]
+        assert obs.grammar_firings == {"g": 13, "h": 2}
+        assert obs.total_firings == obs.cache_misses == 15
 
     def test_summary(self, calc, lexer):
         obs = AGObserver()

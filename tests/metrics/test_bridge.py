@@ -128,35 +128,38 @@ class TestObserverAndBuild:
     def test_bridge_observer(self):
         from repro.diag import AGObserver
 
-        class Prod:
-            def __init__(self, label):
-                self.label = label
-
         obs = AGObserver()
-        obs.record_firing(Prod("p1"), grammar="g")
-        obs.record_firing(Prod("p1"), grammar="g")
-        obs.record_firing(Prod("p2"), grammar="g")
-        obs.record_hit()
-        obs.record_miss()
+        obs.fired("g").update({"p1": 2, "p2": 1})
+        obs.visits["s"] = 4
+        # The totals come from the compile spans, the per-production
+        # counts from the in-process observer.
+        events = [{"name": "attribute_evaluation", "ph": "X",
+                   "args": {"file": "a.vhd", "firings": {"g": 3},
+                            "memo_hits": 1}}]
         reg = MetricsRegistry()
-        bridge_observer(reg, obs)
+        bridge_observer(reg, obs, events)
         snap = reg.snapshot()["metrics"]
         assert snap["ag_rule_firings_total"]["samples"][0][
             "value"] == 3
         assert snap["ag_memo_hits_total"]["samples"][0]["value"] == 1
         assert snap["ag_memo_misses_total"]["samples"][0][
-            "value"] == 1
+            "value"] == 3
+        assert snap["ag_memo_hit_rate"]["samples"][0]["value"] == 0.25
+        per_prod = {s["labels"]["production"]: s["value"] for s in
+                    snap["ag_rule_firings_by_production_total"][
+                        "samples"] if s["labels"]}
+        assert per_prod == {"p1": 2, "p2": 1}
+        assert snap["ag_visits_total"]["samples"][0]["value"] == 4
 
     def test_bridge_observer_none_is_noop(self):
         reg = MetricsRegistry()
-        assert bridge_observer(reg, None) is reg
+        assert bridge_observer(reg, None, []) is reg
         assert reg.names() == []
 
     def test_bridge_build_report_worker_utilization(self):
         class Report:
             stats = {"hits": 2, "misses": 1, "ag_evaluations": 1}
             jobs = 2
-            ag_stats = {}
             # two workers, 1s wall: pid 1 busy 1s, pid 2 busy 0.5s
             trace_events = [
                 {"ph": "X", "pid": 1, "ts": 0.0, "dur": 1e6},

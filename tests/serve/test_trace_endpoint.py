@@ -45,7 +45,7 @@ SPAN_KEYS = ("name", "cat", "ph", "ts", "dur", "pid", "tid",
              "trace_id", "span_id")
 SPAN_ARGS = {
     "analyze": (),
-    "attribute_evaluation": ("file",),
+    "attribute_evaluation": ("file", "firings", "memo_hits"),
     "batch": ("index", "files"),
     "batch_member": ("job", "batch_trace", "batch_span"),
     "build": ("files",),

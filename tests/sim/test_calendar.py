@@ -455,8 +455,9 @@ class TestDeltaHistogramObservation:
     """Regression: a quiescent ``run()`` (zero executed cycles) must
     not record a spurious zero in ``sim_deltas_per_timestep``."""
 
-    def _hist(self, registry):
-        snap = registry.snapshot()["metrics"]
+    def _hist(self, kernel):
+        bridge_kernel(kernel.metrics, kernel)
+        snap = kernel.metrics.snapshot()["metrics"]
         return snap["sim_deltas_per_timestep"]["samples"][0]
 
     def test_quiescent_run_records_nothing(self):
@@ -464,14 +465,14 @@ class TestDeltaHistogramObservation:
         k = Kernel(metrics=registry)
         k.signal("s", 0)
         k.run()
-        assert self._hist(registry)["count"] == 0
+        assert self._hist(k)["count"] == 0
 
     def test_quiescent_scan_kernel_records_nothing(self):
         registry = MetricsRegistry()
         k = ScanKernel(metrics=registry)
         k.signal("s", 0)
         k.run()
-        assert self._hist(registry)["count"] == 0
+        assert self._hist(k)["count"] == 0
 
     def test_second_quiescent_run_adds_nothing(self):
         registry = MetricsRegistry()
@@ -485,10 +486,10 @@ class TestDeltaHistogramObservation:
 
         k.process("driver", driver)
         k.run()
-        count = self._hist(registry)["count"]
+        count = self._hist(k)["count"]
         assert count > 0
         k.run()  # already quiescent: no new observation
-        assert self._hist(registry)["count"] == count
+        assert self._hist(k)["count"] == count
 
 
 class TestCalendarTelemetry:

@@ -10,6 +10,7 @@
 import pytest
 
 from repro.metrics import MetricsRegistry
+from repro.metrics.bridge import bridge_kernel
 from repro.sim import Kernel
 from repro.sim.kernel import SimulationError
 from repro.sim.vhdlio import (
@@ -175,7 +176,7 @@ class TestTruncation:
 
         k.process("driver", driver)
         k.run(until=10 * NS)
-        snap = reg.snapshot()["metrics"]
+        snap = bridge_kernel(reg, k).snapshot()["metrics"]
         assert snap["sim_truncated_transactions"]["samples"][0][
             "value"] == 1
 
@@ -198,7 +199,7 @@ class TestKernelMetrics:
         reg = MetricsRegistry()
         k, _ = self._toggler(metrics=reg)
         k.run(until=100 * NS)
-        snap = reg.snapshot()["metrics"]
+        snap = bridge_kernel(reg, k).snapshot()["metrics"]
         assert snap["sim_cycles_total"]["samples"][0][
             "value"] == k.cycles > 0
         hist = snap["sim_deltas_per_timestep"]["samples"][0]
