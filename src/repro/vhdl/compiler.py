@@ -152,9 +152,10 @@ class Compiler:
         expr_evals = cc.expr_eval.invocations - expr0
 
         # Back-end compile of the generated models (the host-compiler
-        # phase of the paper's pipeline).
+        # phase of the paper's pipeline).  A compile that already
+        # failed skips it: its findings would only be consequences.
         with tracer.span("model_compile", file=filename):
-            for unit in units:
+            for unit in units if not messages else ():
                 py = getattr(unit, "py_source", "")
                 if py and "elaborate" in py:
                     try:

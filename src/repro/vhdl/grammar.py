@@ -781,6 +781,8 @@ def _subprog_body(sub_kind):
         if body_sres.haswait:
             msgs.append("line %d: wait statements are not allowed in "
                         "subprograms" % line)
+        if body_sres.jump:
+            msgs.append(body_sres.jump)
         # A procedure call adds the drives and the reads of the body
         # bound here (expr_sem.goal_call reads entry.drives and
         # entry.reads).  A function call adds none, so a function may

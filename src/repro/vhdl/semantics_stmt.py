@@ -26,11 +26,11 @@ class SRes:
     is a rope of code lines."""
 
     __slots__ = ("code", "msgs", "writes", "haswait", "sigs", "flow",
-                 "stmts", "dead", "exits")
+                 "stmts", "dead", "exits", "jump")
 
     def __init__(self, code=(), msgs=(), writes=(), haswait=False,
                  sigs=(), flow=NO_FLOW, stmts=1, dead=False,
-                 exits=False):
+                 exits=False, jump=None):
         self.code = code
         self.msgs = list(msgs)
         self.writes = frozenset(writes) if writes else EMPTY_SET
@@ -40,6 +40,9 @@ class SRes:
         self.stmts = stmts    # VHDL statements in the list
         self.dead = dead      # control never passes to a successor
         self.exits = exits    # contains an exit or a return
+        #: the error of a next or exit that no loop encloses yet, which
+        #: the process or subprogram body reports; loops clear it
+        self.jump = jump
 
     @staticmethod
     def merge(a, b):
@@ -49,7 +52,8 @@ class SRes:
         return SRes(join(a.code, b.code), a.msgs + b.msgs,
                     a.writes | b.writes, a.haswait or b.haswait,
                     a.sigs | b.sigs, flow, a.stmts + b.stmts,
-                    a.dead or b.dead, a.exits or b.exits)
+                    a.dead or b.dead, a.exits or b.exits,
+                    a.jump or b.jump)
 
 
 EMPTY = SRes(stmts=0)
@@ -218,7 +222,8 @@ def _compound(lines, msgs, sigs, flow, bodies):
         writes |= body.writes
         sigs |= body.sigs
     return SRes(lines, msgs, writes, any(b.haswait for b in bodies),
-                sigs, flow, exits=any(b.exits for b in bodies))
+                sigs, flow, exits=any(b.exits for b in bodies),
+                jump=next((b.jump for b in bodies if b.jump), None))
 
 
 def if_stmt(arms, else_body, env, cc, line):
@@ -367,14 +372,18 @@ def while_loop(cond_lef, body, env, cc, line):
 
 
 def next_or_exit(which, cond_lef, env, cc, line):
+    """``next``/``exit [when cond]``: IEEE 1076 allows them only inside
+    a loop, which the enclosing loop statement confirms."""
     stmt = "continue" if which == "next" else "break"
     exits = which == "exit"
+    jump = _msg(line, "%s statement is not inside a loop" % which)
     if cond_lef is None:
-        return SRes([ln(stmt)], exits=exits)
+        return SRes([ln(stmt)], exits=exits, jump=jump)
     msgs = []
     cond, uses = _bool_cond(cond_lef, env, cc, line, msgs)
     return SRes([ln("if %s:" % cond), ln(stmt, 1)], msgs,
-                flow=Flow.of_uses(uses, test=True), exits=exits)
+                flow=Flow.of_uses(uses, test=True), exits=exits,
+                jump=jump)
 
 
 # -- waits, asserts, calls, return -----------------------------------------------------------

@@ -23,11 +23,13 @@ args, signals, pure, body, cond]``:
 
 - ``reason`` is None, or why no process of the factory can run as a
   plain function: ``names`` (a signal both read and passed bare) or
-  ``construct`` (an ``exit`` or ``next`` of the process loop itself,
-  which would skip the wait).  A factory whose loop does not have
-  that shape is the bare reason instead: ``shape`` (statements before
-  the loop: process variables) or ``wait`` (not exactly one wait,
-  first or last in the loop, or a wait with a timeout);
+  ``construct`` (a use of an ``rt`` member other than ``now`` and
+  ``assert_`` outside a signal assignment).  An ``exit`` or ``next``
+  never reaches here outside a loop: that is a compile error.  A
+  factory whose loop does not have that shape is the bare reason
+  instead: ``shape`` (statements before the loop: process variables)
+  or ``wait`` (not exactly one wait, first or last in the loop, or a
+  wait with a timeout);
 - ``init_runs_body`` when the wait is last;
 - ``waits`` and ``args``: the operands the wait lists and the
   parameters' names, each space-separated;
@@ -137,17 +139,10 @@ class _Render:
     def body(self, lines):
         """The loop statements ``lines`` as text and holes."""
         pieces = []
-        loops = []  # depths of the enclosing for/while headers
         for depth, text in lines:
-            while loops and loops[-1] >= depth:
-                loops.pop()
             if text.startswith(_ASSIGN):
                 pieces.append(self.hole(depth, text))
                 continue
-            if text in ("break", "continue") and not loops:
-                raise _Reject("construct")  # would skip the wait
-            if text.startswith(("for ", "while ")):
-                loops.append(depth)
             line = "    " * depth + self.sub(text) + "\n"
             if pieces and type(pieces[-1]) is str:
                 pieces[-1] += line

@@ -452,7 +452,6 @@ architecture rtl of exits is
   signal k, s : integer := 0;
 begin
   tick : process begin wait for 3 ns; k <= k + 1; end process;
-  quit : process begin wait on k; exit; s <= 1; end process;
   inner : process (k) begin
     for i in 1 to 3 loop
       if k > i then exit; end if;
@@ -462,14 +461,37 @@ end rtl;
 """
 
 
-class TestSlotFormRejects:
-    def test_an_exit_of_the_process_loop_stays_generic(self, monkeypatch):
+class TestJumpsOutsideLoops:
+    """IEEE 1076 allows ``next`` and ``exit`` only inside a loop: one
+    of the process loop itself is a compile error, not a process that
+    ends (``exit``) or never suspends again (``next``)."""
+
+    @pytest.mark.parametrize("jump", ["exit", "next", "exit when k > 2"])
+    def test_a_jump_outside_a_loop_is_a_compile_error(self, jump):
+        source = EXITS.replace(
+            "begin\n  tick", "begin\n  quit : process begin wait on k;"
+            " %s; s <= 1; end process;\n  tick" % jump)
+        result = Compiler(library=LibraryManager(root=None)).compile(
+            source, filename="<test>")
+        which = jump.split()[0]
+        assert result.messages == [
+            "line 6: %s statement is not inside a loop" % which]
+
+    def test_a_jump_in_a_subprogram_body_outside_a_loop(self):
+        source = EXITS.replace(
+            "begin\n  tick", "  procedure stop is begin next; end stop;"
+            "\nbegin\n  tick")
+        result = Compiler(library=LibraryManager(root=None)).compile(
+            source, filename="<test>")
+        assert result.messages == [
+            "line 5: next statement is not inside a loop"]
+
+    def test_an_exit_of_a_loop_compiles(self, monkeypatch):
         kernel, program = _build(compile_lib(EXITS), "exits", monkeypatch)
         outcome = {p.name.rsplit(":", 1)[-1]:
                    program.rejects.get(p.index, "compiled")
                    for p in kernel.processes}
-        assert outcome == {"tick": "wait", "quit": "construct",
-                           "inner": "compiled"}
+        assert outcome == {"tick": "wait", "inner": "compiled"}
         result = check_source(EXITS, "exits", until_ns=30, compiled=True)
         assert result.outcome == "ok", result.detail
 
