@@ -7,6 +7,7 @@ simulation kernel executes and the illustrative C model text.
 import builtins
 import keyword
 import re
+from copy import copy
 
 from ..vif.nodes import (
     ArchUnit,
@@ -157,6 +158,13 @@ class ProcessLine:
         self.text, self.args = _lift(flatten(lines))
         self.tail = tail  # the call's arguments after the function
 
+    def within(self, block):
+        """This line for the process inside block ``block``: its label
+        is the process's path below the architecture."""
+        line = copy(self)
+        line.label = "%s:%s" % (block, self.label)
+        return line
+
     def bind(self, factories):
         """The ``ctx.process`` line, entering this text in
         ``factories`` (lifted text -> factory name, arity) if it is
@@ -198,6 +206,8 @@ def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
     SRes of the statement part.
     """
     msgs = list(decls.msgs) + list(body.msgs)
+    if body.jump:
+        msgs.append(body.jump)
     label = label or cc.gensym("proc")
     fn = "_p_%s" % label
     sens = []
@@ -417,7 +427,9 @@ def block_stmt(label, guard_lef, decls, inner, scope, env, cc, line):
     """``label: block (guard) decls begin ... end block;``
 
     Its signals are named by the block's ``scope``
-    (:func:`~repro.vhdl.semantics_decl.block_path`).  The guard
+    (:func:`~repro.vhdl.semantics_decl.block_path`), and its processes
+    by its label the same way: ``p`` in ``deep`` in ``outer`` is
+    ``outer:deep:p``, kernel path and record alike.  The guard
     becomes an implicit signal driven by an equivalent process;
     guarded assignments inside test it.
     """
@@ -447,8 +459,12 @@ def block_stmt(label, guard_lef, decls, inner, scope, env, cc, line):
         lines.extend(guard_lines)
         processes = [record]
     msgs.extend(inner.msgs)
-    return CStmt(join(join(decls.code, lines), inner.code), msgs,
-                 inner.instances, label, join(processes, inner.processes),
+    code = [(depth, text.within(label) if type(text) is ProcessLine
+             else text) for depth, text in flatten(inner.code)]
+    records = [["%s:%s" % (label, record[0])] + record[1:]
+               for record in flatten(inner.processes)]
+    return CStmt(join(join(decls.code, lines), code), msgs,
+                 inner.instances, label, join(processes, records),
                  join(signals, inner.signals))
 
 

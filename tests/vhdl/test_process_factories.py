@@ -115,9 +115,9 @@ def test_each_process_binds_the_names_it_takes_from_outside():
 def test_processes_of_one_shape_share_a_factory():
     _, model = _model(MIX, "mix", "a")
     assert _factories(model) == ["_f1", "_f2"]
-    # ``copy`` sits in a block, ``copy2`` in the architecture.
-    assert process_line(model, "copy") == (
-        "ctx.process('copy', _f2(s_m, f_twice_l20, s_n), "
+    # ``copy`` sits in block ``b``, ``copy2`` in the architecture.
+    assert process_line(model, "b:copy") == (
+        "ctx.process('b:copy', _f2(s_m, f_twice_l20, s_n), "
         "sensitivity=[s_n], line=41)")
     assert process_line(model, "copy2") == (
         "ctx.process('copy2', _f2(p_o, f_twice_l20, s_m), "
