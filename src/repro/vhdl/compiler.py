@@ -21,6 +21,8 @@ carries an error code and a file/line/column span next to the legacy
 string form.
 """
 
+from collections import Counter
+
 from ..ag.errors import AGError, LexError
 from ..diag import AGObserver, DiagnosticEngine
 from ..diag.diagnostic import drop_tracebacks
@@ -232,12 +234,12 @@ class Compiler:
         rule firings per grammar and the memo hits the observer
         records from now until the span closes."""
         observer = self.observer
-        fired0, hits0 = observer.grammar_firings, observer.cache_hits
+        fired0 = Counter(observer.grammar_firings)
+        hits0 = observer.cache_hits
 
         def totals():
-            fired = {grammar: n - fired0.get(grammar, 0) for grammar, n
-                     in observer.grammar_firings.items()}
-            return {"firings": {g: n for g, n in fired.items() if n},
+            fired = Counter(observer.grammar_firings) - fired0
+            return {"firings": dict(fired),
                     "memo_hits": observer.cache_hits - hits0}
         return totals
 
