@@ -2,13 +2,10 @@
 
 The paper's §5.2 lesson: evolving a 9,000-rule attribute grammar
 requires knowing *which* semantic rules fire, how often, and where
-circularities come from.  :class:`AGObserver` is the record the
-evaluators report into: each rule firing is one increment of its
-grammar's per-production count, and every total (firings per grammar,
-memo misses) is derived from that record.  It also keeps demand-memo
-hits and static-evaluator visits.  A compile publishes its totals on
-its ``attribute_evaluation`` span, so they reach a build's merged
-trace from fork workers too (:func:`repro.trace.analyze.ag_totals`).
+circularities come from.  :class:`AGObserver` is the one record the
+evaluators report into: a rule firing is one increment of its
+grammar's per-production count, from which every total is derived,
+next to demand-memo hits and static-evaluator visits.
 :func:`explain_cycle` renders a :class:`~repro.ag.errors.
 CircularityError` cycle with production and line context instead of a
 bare instance chain.

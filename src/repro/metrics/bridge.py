@@ -1,20 +1,14 @@
-"""Bridges: plain counts kept by each layer -> the unified registry.
+"""Bridges: each layer's plain counts -> the unified registry.
 
-Every layer counts each event once, in its own plain record: the
-kernel in integer attributes and per-signal / per-process tallies (so
-its hot paths never touch the registry), :class:`repro.build.BuildCache`
-in its ``stats``, :class:`repro.sim.vhdlio.SeverityLogger` per severity,
-and a compile on its ``attribute_evaluation`` span (AG firings per
-grammar and memo hits, summed by :func:`repro.trace.analyze.ag_totals`),
-next to the in-process :class:`repro.diag.AGObserver`'s per-production
-firings.  The functions here harvest them into one
-:class:`~repro.metrics.MetricsRegistry` at snapshot time, so a single
-``repro-metrics/1`` snapshot covers compile → elaborate → simulate.
-
-Harvesting adopts totals (``Counter.set_total``, ``Gauge.set``,
-``Histogram.set_observations``) rather than incrementing: bridging is
-idempotent — re-publishing after a longer run simply overwrites the
-samples.
+Each event is counted once, in its layer's own record: the kernel's
+integers and per-signal / per-process tallies, ``BuildCache.stats``,
+``SeverityLogger.counts``, and the AG totals each compile's
+``attribute_evaluation`` span carries (next to the in-process
+``AGObserver``'s per-production firings).  The functions here adopt
+them into one :class:`~repro.metrics.MetricsRegistry` at snapshot time
+(``set_total``, ``set``, ``set_observations``), so bridging is
+idempotent and one ``repro-metrics/1`` snapshot covers compile →
+elaborate → simulate.
 """
 
 from .registry import SECONDS_BUCKETS
@@ -28,8 +22,7 @@ DELTA_BUCKETS = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
 
 def bridge_kernel(registry, kernel):
-    """Publish a kernel's counts and its per-signal / per-process /
-    logger tallies."""
+    """Publish a kernel's counts and per-signal/process/logger tallies."""
     if not getattr(registry, "enabled", False):
         return registry
     registry.counter(
@@ -80,25 +73,21 @@ def bridge_kernel(registry, kernel):
     registry.gauge("sim_processes", "processes in the design").set(
         len(kernel.processes))
     # -- activity-driven scheduler (event calendar + fanout index).
-    # Plain integer attributes on the kernel, harvested here like
-    # every other hot-path tally.
     registry.gauge(
         "sim_calendar_heap_size",
         "calendar entries (live + stale) currently in the "
-        "scheduling heap").set(len(getattr(kernel, "_calendar", ())))
+        "scheduling heap").set(len(kernel._calendar))
     registry.gauge(
         "sim_calendar_heap_peak",
-        "high-water calendar heap size").set(
-            getattr(kernel, "calendar_peak", 0))
+        "high-water calendar heap size").set(kernel.calendar_peak)
     registry.counter(
         "sim_calendar_stale_pops_total",
         "calendar entries discarded by lazy deletion (preempted "
-        "transactions, satisfied waits)").set_total(
-            getattr(kernel, "stale_pops", 0))
+        "transactions, satisfied waits)").set_total(kernel.stale_pops)
     registry.counter(
         "sim_calendar_fanout_visits_total",
         "waiting-process visits through the signal fanout "
-        "index").set_total(getattr(kernel, "fanout_visits", 0))
+        "index").set_total(kernel.fanout_visits)
     # -- compiled backend (repro.sim.compiled).  Emitted only for a
     # CompiledKernel, so the event/scan snapshots stay unchanged —
     # and, like sim_calendar_*, these describe the scheduler, not the
@@ -170,14 +159,12 @@ def format_calendar_stats(kernel):
     high-water size and lazy-deletion discards."""
     cycles = max(kernel.cycles, 1)
     swept = cycles * len(kernel.processes)
-    visits = getattr(kernel, "fanout_visits", 0)
     return (
         "scheduler: %d cycles (%d delta), calendar peak %d, "
         "%d stale pop(s), %d fanout visit(s) "
         "(full sweep would test %d waits)"
-        % (kernel.cycles, kernel.delta_cycles,
-           getattr(kernel, "calendar_peak", 0),
-           getattr(kernel, "stale_pops", 0), visits, swept))
+        % (kernel.cycles, kernel.delta_cycles, kernel.calendar_peak,
+           kernel.stale_pops, kernel.fanout_visits, swept))
 
 
 # -- attribute-grammar evaluation --------------------------------------------
@@ -241,7 +228,7 @@ def bridge_build_report(registry, report):
     merged Chrome trace (busy span time / wall span per pid)."""
     if not getattr(registry, "enabled", False):
         return registry
-    stats = getattr(report, "stats", {}) or {}
+    stats = report.stats
     cache = registry.counter(
         "build_cache_total", "build cache outcomes")
     for key in ("hits", "misses", "invalidated", "quarantined"):
@@ -251,15 +238,14 @@ def bridge_build_report(registry, report):
         "files that required a fresh AG evaluation").set_total(
             stats.get("ag_evaluations", 0))
     registry.gauge("build_jobs", "configured worker count").set(
-        getattr(report, "jobs", 1))
-    events = list(getattr(report, "trace_events", ()) or ())
+        report.jobs)
     busy = registry.gauge(
         "build_worker_busy_seconds",
         "summed phase-span seconds per worker pid")
     util = registry.gauge(
         "build_worker_utilization",
         "busy seconds / build wall seconds per worker pid")
-    spans = [e for e in events if e.get("ph") == "X"]
+    spans = [e for e in report.trace_events if e.get("ph") == "X"]
     if spans:
         t0 = min(e["ts"] for e in spans)
         t1 = max(e["ts"] + e.get("dur", 0.0) for e in spans)

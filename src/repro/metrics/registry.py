@@ -195,9 +195,7 @@ class Histogram(_Family):
         """Harvest-style update: become the histogram of ``tally``
         (value -> number of observations), a plain count its owner's
         hot path kept."""
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = self.sum = 0
-        self.min = self.max = self.exemplar = None
+        self.__init__(self.name, self.help, self.bounds)
         for value, n in sorted(tally.items()):
             self.observe(value, n=n)
 
