@@ -36,7 +36,10 @@ loop can never execute.
 
 AG-spec rules lint a :class:`repro.ag.spec.CompiledAG` — the
 methodology half of the paper: ``RPA001`` declared-but-never-computed
-attributes, ``RPA002`` computed-but-never-read attributes, ``RPA003``
+attributes, ``RPA002`` attribute instances no goal depends on (a
+backward fixpoint from the goals over every rule's dependencies, so a
+value copied down a chain of nonterminals and never used is caught
+along the whole chain), ``RPA003``
 the absolutely-noncircular test surfaced as a diagnostic instead of
 an exception.
 """
@@ -379,31 +382,38 @@ class AttrDeclaredNeverComputed(AGRule):
 
 
 @register
-class AttrComputedNeverRead(AGRule):
+class AttrUnreachableFromGoals(AGRule):
     id = "RPA002"
     severity = WARNING
-    summary = ("attribute is computed but no semantic rule or goal "
-               "ever reads it")
+    summary = ("attribute instance is declared but no goal attribute "
+               "depends on it")
 
     def check(self, compiled, ctx):
         grammar = compiled.grammar
-        read = set()  # (symbol name, attr)
+        # (symbol, attr) -> the nonterminal instances its rules read.
+        reads = {}
         for prod in grammar.productions:
-            for rule in compiled.rules_of(prod).values():
-                for dep in rule.deps:
-                    if not dep.symbol.is_terminal:
-                        read.add((dep.symbol.name, dep.attr))
+            symbols = prod.symbols
+            for (pos, attr), rule in compiled.rules_of(prod).items():
+                reads.setdefault((symbols[pos].name, attr), set()).update(
+                    (dep.symbol.name, dep.attr) for dep in rule.deps
+                    if not dep.symbol.is_terminal)
         goals = set(getattr(ctx, "goals", ()) or ())
-        start = grammar.start.name if grammar.start is not None else None
+        start = grammar.start.name
+        live = {(start, attr) for attr in compiled.attr_table.of(
+            grammar.start) if not goals or attr in goals}
+        frontier = list(live)
+        while frontier:
+            for key in reads.get(frontier.pop(), ()):
+                if key not in live:
+                    live.add(key)
+                    frontier.append(key)
         for sym in grammar.nonterminals:
             for attr in sorted(compiled.attr_table.of(sym)):
-                if (sym.name, attr) in read:
-                    continue
-                if sym.name == start and (not goals or attr in goals):
-                    continue  # root attributes are the outputs
-                yield self.diag(
-                    "attribute %s.%s is computed but never read"
-                    % (sym.name, attr))
+                if (sym.name, attr) not in live:
+                    yield self.diag(
+                        "attribute %s.%s is not reachable from any goal"
+                        % (sym.name, attr))
 
 
 @register

@@ -544,11 +544,11 @@ def _builtin_ag(name):
         from .vhdl.grammar import principal_grammar
 
         return (principal_grammar(),
-                ("ENV", "CC", "LEVEL", "RESULT", "SCOPE"),
+                ("CC",),
                 ("UNITS", "MSGS"))
     from .vhdl.expr_grammar import expr_grammar
 
-    return expr_grammar(), ("ENV", "CTX"), ("GOAL",)
+    return expr_grammar(), ("CTX",), ("GOAL",)
 
 
 def cmd_lint(args, out):

@@ -173,7 +173,8 @@ def format_calendar_stats(kernel):
 def bridge_observer(registry, observer, events, top_productions=None):
     """Publish an in-process compile's AG counters: the totals the
     ``attribute_evaluation`` spans in ``events`` carry, per grammar
-    too, and ``observer``'s per-production firings and visits.
+    too, and ``observer``'s per-production firings.  (Only the static
+    visit-sequence evaluator counts visits, and no compile runs it.)
 
     ``top_productions`` bounds the per-production label cardinality
     (None = all ~hundreds of productions)."""
@@ -191,9 +192,6 @@ def bridge_observer(registry, observer, events, top_productions=None):
         "semantic-rule firings per grammar")
     for grammar, count in sorted(firings.items()):
         per_grammar.labels(grammar=grammar).set_total(count)
-    registry.counter(
-        "ag_visits_total", "static-evaluator symbol visits").set_total(
-            sum(observer.visits.values()))
     return registry
 
 

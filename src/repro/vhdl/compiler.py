@@ -10,7 +10,11 @@ Every input ends in a :class:`CompileResult`.  As in the paper, where
 a compile's errors are the synthesized ``MSGS`` attribute returned
 next to ``UNITS``, failure is data: semantic messages, and the lex,
 parse, circularity and evaluation errors the AG raises, all arrive as
-the result's ``messages`` and ``diagnostics``.
+the result's ``messages`` and ``diagnostics``.  A compile registers its
+units in a :class:`repro.vhdl.library.LibraryStaging` view, so later
+units of the file see earlier ones, and they reach the library only
+when the compile has no message: a failed compile leaves the library
+as it was.
 
 Phase timing goes through the span recorder of :mod:`repro.trace`:
 every phase is a span, ``CompileResult.timings`` (the E4 bench's §2.2
@@ -31,7 +35,7 @@ from .codegen.pymodel import compile_model
 from .compile_ctx import CompileCtx
 from .grammar import principal_grammar
 from .lexer import scan
-from .library import LibraryManager
+from .library import LibraryManager, LibraryStaging
 
 
 class CompileError(Exception):
@@ -142,10 +146,10 @@ class Compiler:
         """
         tracer = self.tracer
         engine = DiagnosticEngine(file=filename, werror=self.werror)
-        cc = CompileCtx(self.library, self.work, filename=filename,
+        staging = LibraryStaging(self.library)
+        cc = CompileCtx(staging, self.work, filename=filename,
                         observer=self.observer)
         events_before = len(tracer)
-        registered_before = len(self.library.compile_order)
         expr0 = cc.expr_eval.invocations
         try:
             units, messages = self._evaluate(text, filename, cc)
@@ -170,7 +174,10 @@ class Compiler:
 
         engine.add_messages(messages, file=filename)
         source_lines = _count_lines(text)
-        registered = self.library.compile_order[registered_before:]
+        # Only a compile without errors places its units in the
+        # library (§2's "working library where the successfully
+        # compiled units are placed").
+        registered = staging.commit() if not messages else []
         return CompileResult(
             units, messages, source_lines, expr_evals,
             registered_units=registered,
@@ -215,13 +222,7 @@ class Compiler:
             try:
                 out = grammar.evaluate(
                     tree,
-                    inherited={
-                        "ENV": None,
-                        "CC": cc,
-                        "LEVEL": 0,
-                        "RESULT": None,
-                        "SCOPE": "",
-                    },
+                    inherited={"CC": cc},
                     goals=["UNITS", "MSGS"],
                     observer=self.observer,
                 )

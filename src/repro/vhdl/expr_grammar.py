@@ -76,14 +76,8 @@ def _formal_of(choice_sems):
 
 
 def _named_item(choices, value, ctx):
-    expanded = []
-    for c in choices:
-        if c.kind == "range":
-            expanded.append(c)
-        else:
-            expanded.append(c)
     return sem.Item("named", value=value, formal=_formal_of(choices),
-                    choices=expanded, line=ctx.line)
+                    choices=choices, line=ctx.line)
 
 
 #: The committed LALR(1) tables of the expression AG.
@@ -104,17 +98,15 @@ def expr_spec():
     g.precedence("nonassoc", "POW")
     g.precedence("left", "NOT", "ABS")
 
-    g.attr_class("ENV", INH)
     g.attr_class("CTX", INH)
-    g.attr_group("X", "ENV", "CTX")
 
-    g.nonterminal("goal", ("GOAL", SYN), "X")
+    g.nonterminal("goal", ("GOAL", SYN), "CTX")
     for nt in ("e", "primary", "paren", "name", "base_name", "obj_name",
                "fcall", "conv", "qual", "tattr", "range_spec",
                "case_choice", "choice"):
-        g.nonterminal(nt, ("SEM", SYN), "X")
-    g.nonterminal("items", ("ITEMS", SYN), "X")
-    g.nonterminal("choice_list", ("CHOICES", SYN), "X")
+        g.nonterminal(nt, ("SEM", SYN), "CTX")
+    g.nonterminal("items", ("ITEMS", SYN), "CTX")
+    g.nonterminal("choice_list", ("CHOICES", SYN), "CTX")
     g.set_start("goal")
 
     # ---- goals -----------------------------------------------------------
@@ -265,7 +257,7 @@ def expr_spec():
 
     # ---- item lists (arguments, aggregates, indexes, slices) ------------------
 
-    g.nonterminal("item", ("ITEM", SYN), "X")
+    g.nonterminal("item", ("ITEM", SYN), "CTX")
     p = g.production("items_one", "items -> item")
     p.rule("items.ITEMS", "item.ITEM", fn=lambda it: (it,))
     p = g.production("items_more", "items -> items0 COMMA item")
@@ -378,8 +370,10 @@ class ExprEvaluator:
 
     Wraps the generated expression evaluator behind a functional
     interface: takes a LEF token list plus the context arguments (the
-    expected type, line, level, flags) and returns the goal attributes
-    of the expression AG.
+    environment, expected type, line and flags) and returns the goal
+    attributes of the expression AG.  The expression AG inherits one
+    attribute, ``CTX`` (:class:`repro.vhdl.expr_sem.Ctx`), which
+    carries the environment along with the rest.
     """
 
     def __init__(self, std, unit_resolver=None, observer=None):
@@ -392,15 +386,15 @@ class ExprEvaluator:
     def invocations(self):
         return self.sub.invocations
 
-    def __call__(self, lef_tokens, mode, env, line=0, level=0,
-                 expected=None, user_attrs=()):
-        ctx = sem.Ctx(env=env, std=self.std, line=line, level=level,
+    def __call__(self, lef_tokens, mode, env, line=0, expected=None,
+                 user_attrs=()):
+        ctx = sem.Ctx(env=env, std=self.std, line=line,
                       expected=expected, unit_resolver=self.unit_resolver,
                       user_attrs=user_attrs)
         tokens = [mode_token(mode, line)] + list(lef_tokens)
         result = self.sub.try_call(
             tokens,
-            inherited={"ENV": env, "CTX": ctx},
+            inherited={"CTX": ctx},
             on_error=lambda exc: {"GOAL": {
                 "kind": "error", "ok": False, "code": "None",
                 "type": None, "val": None, "has_val": False,

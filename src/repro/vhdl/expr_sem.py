@@ -639,17 +639,17 @@ class Ctx:
     """What exprEval receives besides the LEF list (§4.1): "the nesting
     level at which this expression occurs, the type expected for this
     expression (if this is known), the source line number ... and flags
-    indicating the context"."""
+    indicating the context".  The nesting level is left out: the
+    environment already scopes every name, and no rule read it."""
 
-    __slots__ = ("env", "std", "line", "level", "expected",
-                 "unit_resolver", "user_attrs")
+    __slots__ = ("env", "std", "line", "expected", "unit_resolver",
+                 "user_attrs")
 
-    def __init__(self, env, std, line=0, level=0, expected=None,
+    def __init__(self, env, std, line=0, expected=None,
                  unit_resolver=None, user_attrs=()):
         self.env = env
         self.std = std
         self.line = line
-        self.level = level
         self.expected = expected
         self.unit_resolver = unit_resolver  # (lib, name) -> unit or None
         self.user_attrs = tuple(user_attrs)

@@ -19,24 +19,34 @@ Attribute classes (all completed by implicit rules, §4.2):
 ``CS``     syn    concurrent-statement results; merge = CStmt.merge
 ``ENV``    inh    the applicative environment (§4.3)
 ``CC``     inh    the compilation context (services)
-``LEVEL``  inh    subprogram nesting level
-``RESULT`` inh    expected function-result type (for return)
+``RESULT`` inh    expected function-result type, on statements only
+                  (for return)
+``SCOPE``  inh    prefix of the generated names of declarations
 =========  =====  ==================================================
+
+Every attribute instance declared here feeds a goal (``UNITS`` or
+``MSGS``); lint rule RPA002 checks it.  So a nonterminal declares only
+what some rule below it reads: the expression soup and the lists of
+waveforms, choices and associations carry ``ENV`` but not ``CC``, no
+declaration carries ``RESULT``, and there is no nesting-level class.
 """
 
 import os
 
 from ..ag import AGSpec, SYN, INH
+from ..vif.nodes import ObjectEntry, SubprogramEntry
 
 from . import lef as L
 from . import semantics_decl as D
 from . import semantics_stmt as S
 from . import semantics_unit as U
-from .lexer import KEYWORDS, token_kinds
+from . import vtypes
+from .lexer import token_kinds
 from .semantics_decl import DeclResult
 from .semantics_stmt import SRes
 from .semantics_unit import CStmt
 from .stdpkg import standard
+from .symtab import entry_kind, is_overloadable
 
 
 def _concat(a, b):
@@ -71,48 +81,46 @@ def _declare_vocabulary(g):
     g.attr_class("CS", SYN, merge=CStmt.merge, unit=U.CSTMT_EMPTY)
     g.attr_class("ENV", INH)
     g.attr_class("CC", INH)
-    g.attr_class("LEVEL", INH)
     g.attr_class("RESULT", INH)
     g.attr_class("SCOPE", INH)
 
     g.attr_group("CTXA", "ENV", "CC")
-    g.attr_group("SOUP", "LEF", "CTXA")
-    g.attr_group("STMTA", "SRES", "CTXA", "LEVEL", "RESULT")
-    g.attr_group("DECLA", "MSGS", "CTXA", "LEVEL", "SCOPE")
+    g.attr_group("SOUP", "LEF", "ENV")
+    g.attr_group("STMTA", "SRES", "CTXA", "RESULT")
 
     # expression soup
     for nt in ("xp", "xtoks", "xtok", "inner", "initem", "nsoup"):
         g.nonterminal(nt, "SOUP")
-    g.nonterminal("xp_opt", ("OPT", SYN), "CTXA")
+    g.nonterminal("xp_opt", ("OPT", SYN), "ENV")
 
     # statements
     g.nonterminal("stmts", "STMTA")
     g.nonterminal("stmt", "STMTA")
-    g.nonterminal("elsifs", ("ARMS", SYN), "STMTA")
-    g.nonterminal("else_opt", ("BODY", SYN), "STMTA")
-    g.nonterminal("case_alts", ("ALTS", SYN), "STMTA")
-    g.nonterminal("case_alt", ("ALT", SYN), "STMTA")
-    g.nonterminal("choices", ("CHS", SYN), "CTXA")
-    g.nonterminal("choice", ("CH", SYN), "CTXA")
-    g.nonterminal("when_opt", ("COND", SYN), "CTXA")
-    g.nonterminal("wave", ("WAVE", SYN), "CTXA")
-    g.nonterminal("wave_elem", ("WELEM", SYN), "CTXA")
-    g.nonterminal("wave_opts", ("WAVET", SYN), "CTXA")
-    g.nonterminal("name_list", ("NAMES", SYN), "CTXA")
-    g.nonterminal("wait_on_opt", ("NAMES", SYN), "CTXA")
-    g.nonterminal("wait_until_opt", ("OPT", SYN), "CTXA")
-    g.nonterminal("wait_for_opt", ("OPT", SYN), "CTXA")
-    g.nonterminal("report_opt", ("OPT", SYN), "CTXA")
-    g.nonterminal("severity_opt", ("OPT", SYN), "CTXA")
+    g.nonterminal("elsifs", ("ARMS", SYN), "CTXA", "RESULT")
+    g.nonterminal("else_opt", ("BODY", SYN), "CTXA", "RESULT")
+    g.nonterminal("case_alts", ("ALTS", SYN), "CTXA", "RESULT")
+    g.nonterminal("case_alt", ("ALT", SYN), "CTXA", "RESULT")
+    g.nonterminal("choices", ("CHS", SYN), "ENV")
+    g.nonterminal("choice", ("CH", SYN), "ENV")
+    g.nonterminal("when_opt", ("COND", SYN), "ENV")
+    g.nonterminal("wave", ("WAVE", SYN), "ENV")
+    g.nonterminal("wave_elem", ("WELEM", SYN), "ENV")
+    g.nonterminal("wave_opts", ("WAVET", SYN), "ENV")
+    g.nonterminal("name_list", ("NAMES", SYN), "ENV")
+    g.nonterminal("wait_on_opt", ("NAMES", SYN), "ENV")
+    g.nonterminal("wait_until_opt", ("OPT", SYN), "ENV")
+    g.nonterminal("wait_for_opt", ("OPT", SYN), "ENV")
+    g.nonterminal("report_opt", ("OPT", SYN), "ENV")
+    g.nonterminal("severity_opt", ("OPT", SYN), "ENV")
 
     # declarations
-    g.nonterminal("decls", ("RES", SYN), "DECLA", "RESULT")
-    g.nonterminal("decl", ("RES", SYN), "DECLA", "RESULT")
+    g.nonterminal("decls", ("RES", SYN), "CTXA", "SCOPE")
+    g.nonterminal("decl", ("RES", SYN), "CTXA", "SCOPE")
     g.nonterminal("idlist", ("IDS", SYN))
     g.nonterminal("mark", ("PARTS", SYN), ("LINE", SYN))
     g.nonterminal("sub_ind", ("SUB", SYN), "CTXA")
     g.nonterminal("constraint_opt", ("CONSTR", SYN), "CTXA")
-    g.nonterminal("init_opt", ("OPT", SYN), "CTXA")
+    g.nonterminal("init_opt", ("OPT", SYN), "ENV")
     g.nonterminal("enum_lits", ("LITS", SYN))
     g.nonterminal("rec_fields", ("FIELDS", SYN), "CTXA")
     g.nonterminal("iface_list", ("IFACE", SYN), "CTXA")
@@ -128,21 +136,20 @@ def _declare_vocabulary(g):
     g.nonterminal("arch_ind_opt", ("NAME", SYN))
 
     # concurrent statements
-    g.nonterminal("cstmts", "CS", "CTXA", "LEVEL", "SCOPE")
-    g.nonterminal("cstmt", "CS", "CTXA", "LEVEL", "SCOPE")
-    g.nonterminal("cstmt_body", "CS", ("LABEL", INH), "CTXA", "LEVEL",
-                  "SCOPE")
-    g.nonterminal("sens_opt", ("NAMES", SYN), "CTXA")
-    g.nonterminal("gmap_opt", ("ASSOCS", SYN), "CTXA")
-    g.nonterminal("pmap_opt", ("ASSOCS", SYN), "CTXA")
-    g.nonterminal("assoc_list", ("ASSOCS", SYN), "CTXA")
-    g.nonterminal("assoc", ("ASSOC", SYN), "CTXA")
-    g.nonterminal("cond_waves", ("ARMS", SYN), "CTXA")
-    g.nonterminal("sel_waves", ("ARMS", SYN), "CTXA")
+    g.nonterminal("cstmts", "CS", "CTXA", "SCOPE")
+    g.nonterminal("cstmt", "CS", "CTXA", "SCOPE")
+    g.nonterminal("cstmt_body", "CS", ("LABEL", INH), "CTXA", "SCOPE")
+    g.nonterminal("sens_opt", ("NAMES", SYN), "ENV")
+    g.nonterminal("gmap_opt", ("ASSOCS", SYN), "ENV")
+    g.nonterminal("pmap_opt", ("ASSOCS", SYN), "ENV")
+    g.nonterminal("assoc_list", ("ASSOCS", SYN), "ENV")
+    g.nonterminal("assoc", ("ASSOC", SYN), "ENV")
+    g.nonterminal("cond_waves", ("ARMS", SYN), "ENV")
+    g.nonterminal("sel_waves", ("ARMS", SYN), "ENV")
 
     # units
-    g.nonterminal("design_file", ("UNITS", SYN), "MSGS", "CTXA")
-    g.nonterminal("design_units", ("UNITS", SYN), "MSGS", "CTXA")
+    g.nonterminal("design_file", ("UNITS", SYN), "MSGS", "CC")
+    g.nonterminal("design_units", ("UNITS", SYN), "MSGS", "CC")
     g.nonterminal("design_unit", ("UNIT", SYN), "MSGS", "CTXA")
     g.nonterminal("context_items", ("RES", SYN), ("CLAUSES", SYN),
                   "MSGS", "CTXA")
@@ -157,8 +164,8 @@ def _declare_vocabulary(g):
     g.nonterminal("gen_clause_opt", ("IFACE", SYN), "CTXA")
     g.nonterminal("port_clause_opt", ("IFACE", SYN), "CTXA")
     g.nonterminal("id_opt", ("NAME", SYN))
-    g.nonterminal("config_items", ("BINDS", SYN), "CTXA")
-    g.nonterminal("config_item", ("BIND", SYN), "CTXA")
+    g.nonterminal("config_items", ("BINDS", SYN), "CC")
+    g.nonterminal("config_item", ("BIND", SYN), "CC")
 
     g.set_start("design_file")
 
@@ -223,7 +230,6 @@ def _soup_productions(g):
            fn=lambda inner, ln: (L.lef("LP", "(", "(", ln),)
            + tuple(inner) + (L.lef("RP", ")", ")", ln),))
     for term in _SOUP_OPS:
-        kind = term
         p = g.production("xtok_%s" % term.lower(), "xtok -> %s" % term)
         p.rule("xtok.LEF", "%s.text" % term, "%s.line" % term,
                fn=(lambda t=term: lambda text, ln: (
@@ -508,34 +514,32 @@ def _decl_productions(g):
            "params_opt.IFACE", "mark.PARTS", "decl.CC",
            "kw_function.line", "decl.SCOPE",
            fn=_subprog_inner_env("function"))
-    p.rule("decls.LEVEL", "decl.LEVEL", fn=lambda lv: lv + 1)
     p.rule("stmts.ENV", "decls.RES", fn=lambda res: res.env)
-    p.rule("stmts.LEVEL", "decl.LEVEL", fn=lambda lv: lv + 1)
     p.rule("stmts.RESULT", "mark.PARTS", "decl.ENV", "decl.CC",
-           "kw_function.line", fn=_result_type)
-    p.rule("decls.RESULT", "decl.RESULT", fn=lambda r: r)
+           "kw_function.line",
+           fn=lambda parts, env, cc, ln: _result_type(parts, env, cc,
+                                                      ln)[0])
     p.rule("decl.RES", "designator.NAME", "params_opt.IFACE",
            "mark.PARTS", "decls.RES", "stmts.SRES", "decl.ENV",
-           "decl.CC", "kw_function.line", "decl.SCOPE",
-           fn=_subprog_body("function"))
+           "decl.CC", "kw_function.line", "decl.SCOPE", "id_opt.NAME",
+           "SEMI.line", fn=_subprog_body("function"))
     p = g.production(
         "decl_proc_body",
         "decl -> kw_procedure designator params_opt kw_is decls "
         "kw_begin stmts kw_end id_opt SEMI")
     p.rule("decls.ENV", "decl.ENV", "designator.NAME",
            "params_opt.IFACE", "decl.CC", "kw_procedure.line",
-           "decl.SCOPE", fn=_subprog_inner_env_proc)
-    p.rule("decls.LEVEL", "decl.LEVEL", fn=lambda lv: lv + 1)
+           "decl.SCOPE", fn=lambda env, name, iface, cc, ln, sc:
+           _subprog_inner_env("procedure")(env, name, iface, None, cc,
+                                           ln, sc))
     p.rule("stmts.ENV", "decls.RES", fn=lambda res: res.env)
-    p.rule("stmts.LEVEL", "decl.LEVEL", fn=lambda lv: lv + 1)
     p.rule("stmts.RESULT", fn=lambda: None)
-    p.rule("decls.RESULT", "decl.RESULT", fn=lambda r: r)
     p.rule("decl.RES", "designator.NAME", "params_opt.IFACE",
            "decls.RES", "stmts.SRES", "decl.ENV", "decl.CC",
-           "kw_procedure.line", "decl.SCOPE",
-           fn=lambda name, iface, inner, body, env, cc, ln, sc:
+           "kw_procedure.line", "decl.SCOPE", "id_opt.NAME", "SEMI.line",
+           fn=lambda name, iface, inner, body, env, cc, ln, sc, end, eln:
            _subprog_body("procedure")(
-               name, iface, None, inner, body, env, cc, ln, sc))
+               name, iface, None, inner, body, env, cc, ln, sc, end, eln))
 
     # use clauses and configuration specifications -------------------------------------
     p = g.production("decl_use", "decl -> kw_use sel_names SEMI")
@@ -643,32 +647,26 @@ def _array_type(name, inner_lef, elem_sub, env, cc, line):
 
 
 def _component_decl(name, generics_iface, ports_iface, env, cc, line):
-    generics, gmsgs, _ = _interface_entries(
+    generics, gmsgs = _interface_entries(
         generics_iface, "generic", cc, line)
-    ports, pmsgs, _ = _interface_entries(ports_iface, "port", cc, line)
+    ports, pmsgs = _interface_entries(ports_iface, "port", cc, line)
     res = D.component_decl(name, generics, ports, env, cc, line)
     res.msgs = gmsgs + pmsgs + res.msgs
     return res
 
 
 def _interface_entries(iface_rows, obj_class, cc, line):
-    """Turn iface rows into ObjectEntries; also default-init codes."""
+    """Turn iface rows into ObjectEntries, with their messages."""
     entries = []
     msgs = []
-    inits = {}
     for row in iface_rows:
         for name in row["names"]:
-            entry, emsgs, sub = U.interface_object(
+            entry, emsgs, _sub = U.interface_object(
                 name, obj_class, row["mode"], row["sub"],
                 row["init_goal"], cc, row["line"])
             entries.append(entry)
             msgs.extend(emsgs)
-            if row["init_goal"] is not None and \
-                    row["init_goal"].get("code"):
-                inits[name] = row["init_goal"]["code"]
-            else:
-                inits[name] = row["sub"].init_code
-    return entries, msgs, inits
+    return entries, msgs
 
 
 def _iface(class_kw, ids, mode, sub, init_lef, env, cc, line=0):
@@ -703,17 +701,9 @@ def _deterministic_entry(sub_kind, name, iface_rows, result_parts, env,
     params, msgs = _params_from_iface(iface_rows, cc, line)
     result = None
     if result_parts is not None:
-        entries, rmsgs = D.resolve_mark(list(result_parts), env, cc,
-                                        line)
+        result, rmsgs = _result_type(result_parts, env, cc, line)
         msgs.extend(rmsgs)
-        from .symtab import entry_kind
-        for e in entries:
-            if entry_kind(e) == "type":
-                result = e
-                break
     # Reuse a spec entry (package spec + body pairing).
-    from .symtab import entry_kind
-    from . import vtypes
     for cand in env.lookup(name).entries:
         if entry_kind(cand) == "subprogram" \
                 and cand.sub_kind == sub_kind \
@@ -721,7 +711,6 @@ def _deterministic_entry(sub_kind, name, iface_rows, result_parts, env,
                 and all(vtypes.same_base(a.vtype, b.vtype)
                         for a, b in zip(cand.params, params)):
             return cand, params, result, msgs, True
-    from ..vif.nodes import SubprogramEntry
     safe = D._py_safe(name.strip('"'))
     py = "%sf_%s_l%d" % (scope, safe, line)
     entry = SubprogramEntry(
@@ -741,12 +730,11 @@ def _subprog_decl(sub_kind, name, iface_rows, result_parts, env, cc,
 
 
 def _result_type(parts, env, cc, line):
-    entries, _msgs = D.resolve_mark(list(parts), env, cc, line)
-    from .symtab import entry_kind
-    for e in entries:
-        if entry_kind(e) == "type":
-            return e
-    return None
+    """The type the mark ``parts`` names (or None), and the messages of
+    resolving the mark."""
+    entries, msgs = D.resolve_mark(list(parts), env, cc, line)
+    return next((e for e in entries if entry_kind(e) == "type"),
+                None), msgs
 
 
 def _subprog_inner_env(sub_kind):
@@ -761,18 +749,14 @@ def _subprog_inner_env(sub_kind):
     return rule
 
 
-def _subprog_inner_env_proc(env, name, iface_rows, cc, line, scope=""):
-    return _subprog_inner_env("procedure")(env, name, iface_rows, None,
-                                           cc, line, scope)
-
-
 def _subprog_body(sub_kind):
     def rule(name, iface_rows, result_parts, inner_decls, body_sres,
-             env, cc, line, scope=""):
+             env, cc, line, scope, end_name, end_line):
         entry, params, result, msgs, reused = _deterministic_entry(
             sub_kind, name, iface_rows, result_parts, env, cc, line,
             scope)
-        msgs = msgs + list(inner_decls.msgs) + list(body_sres.msgs)
+        msgs = msgs + list(inner_decls.msgs) + list(body_sres.msgs) \
+            + _end_name_msgs(sub_kind, name, end_name, end_line)
         local_names = {e.py for e in D.flatten(inner_decls.entries)
                        if hasattr(e, "py")}
         code = D.subprogram_code(
@@ -815,15 +799,10 @@ def _subprog_body(sub_kind):
 
 def _config_spec_decl(spec, comp_name, ent_parts, arch_name, env, cc,
                       line):
-    parts = list(ent_parts)
-    if len(parts) == 1:
-        lib, ent = cc.work, parts[0]
-    else:
-        lib, ent = parts[0], parts[1]
     # Configuration specifications ride out of the declarative part in
     # a dedicated field consumed by arch assembly.
-    return DeclResult(
-        env, configs=[(list(spec), comp_name, lib, ent, arch_name)])
+    return DeclResult(env, configs=[
+        _config_bind(spec, comp_name, ent_parts, arch_name, cc)])
 
 
 # ---------------------------------------------------------------------------
@@ -1035,16 +1014,17 @@ def _cstmt_productions(g):
         "cstmt_body -> kw_process sens_opt decls kw_begin stmts "
         "kw_end kw_process id_opt SEMI")
     p.rule("decls.ENV", "cstmt_body.ENV", fn=lambda env: env.enter_scope())
-    p.rule("decls.RESULT", fn=lambda: None)
     p.rule("decls.SCOPE", fn=lambda: "")
     p.rule("stmts.ENV", "decls.RES", fn=lambda res: res.env)
     p.rule("stmts.RESULT", fn=lambda: None)
     p.rule("cstmt_body.CS", "cstmt_body.LABEL", "sens_opt.NAMES",
            "decls.RES", "stmts.SRES", "cstmt_body.ENV",
-           "cstmt_body.CC", "kw_process0.line",
-           fn=lambda label, sens, decls, body, env, cc, ln:
-           U.process_stmt(label or "proc_l%d" % ln, sens, decls, body,
-                          decls.env, cc, ln))
+           "cstmt_body.CC", "kw_process0.line", "id_opt.NAME",
+           "SEMI.line",
+           fn=lambda label, sens, decls, body, env, cc, ln, end, eln:
+           _closed(U.process_stmt(label or "proc_l%d" % ln, sens, decls,
+                                  body, decls.env, cc, ln),
+                   "process", label, end, eln))
     p = g.production("sens_none", "sens_opt ->")
     p.const("sens_opt.NAMES", None)
     p = g.production("sens_some", "sens_opt -> LP name_list RP")
@@ -1154,30 +1134,32 @@ def _cstmt_productions(g):
         "id_opt SEMI")
     p.rule("decls.ENV", "cstmt_body.ENV",
            fn=lambda env: env.enter_scope())
-    p.rule("decls.RESULT", fn=lambda: None)
     _block_scope(p)
     p.rule("cstmts.ENV", "decls.RES", fn=lambda res: res.env)
     p.rule("cstmt_body.CS", "cstmt_body.LABEL", "decls.RES",
            "cstmts.CS", "decls.SCOPE", "cstmt_body.CC", "kw_block0.line",
-           fn=lambda label, decls, inner, scope, cc, ln: U.block_stmt(
-               label or "blk_l%d" % ln, None, decls, inner, scope,
-               decls.env, cc, ln))
+           "id_opt.NAME", "SEMI.line",
+           fn=lambda label, decls, inner, scope, cc, ln, end, eln:
+           _closed(U.block_stmt(label or "blk_l%d" % ln, None, decls,
+                                inner, scope, decls.env, cc, ln),
+                   "block", label, end, eln))
     p = g.production(
         "cstmt_block_guarded",
         "cstmt_body -> kw_block LP xp RP decls kw_begin cstmts kw_end "
         "kw_block id_opt SEMI")
-    p.rule("decls.ENV", "cstmt_body.ENV", "cstmt_body.LABEL",
-           "kw_block0.line",
-           fn=lambda env, label, ln: _guard_env(
-               env, label or "blk_l%d" % ln))
-    p.rule("decls.RESULT", fn=lambda: None)
+    p.rule("decls.ENV", "cstmt_body.ENV", "cstmt_body.SCOPE",
+           "cstmt_body.LABEL", "kw_block0.line",
+           fn=lambda env, scope, label, ln: _guard_env(
+               env, _scope_of(scope, label, ln)))
     _block_scope(p)
     p.rule("cstmts.ENV", "decls.RES", fn=lambda res: res.env)
     p.rule("cstmt_body.CS", "cstmt_body.LABEL", "xp.LEF", "decls.RES",
            "cstmts.CS", "decls.SCOPE", "cstmt_body.CC", "kw_block0.line",
-           fn=lambda label, guard, decls, inner, scope, cc, ln:
-           U.block_stmt(label or "blk_l%d" % ln, tuple(guard), decls,
-                        inner, scope, decls.env, cc, ln))
+           "id_opt.NAME", "SEMI.line",
+           fn=lambda label, guard, decls, inner, scope, cc, ln, end, eln:
+           _closed(U.block_stmt(label or "blk_l%d" % ln, tuple(guard),
+                                decls, inner, scope, decls.env, cc, ln),
+                   "block", label, end, eln))
 
 
 def _block_scope(p):
@@ -1186,19 +1168,20 @@ def _block_scope(p):
     identifier holds (:func:`repro.vhdl.semantics_decl.block_path`)."""
     for attr in ("decls.SCOPE", "cstmts.SCOPE"):
         p.rule(attr, "cstmt_body.SCOPE", "cstmt_body.LABEL",
-               "kw_block0.line", fn=lambda scope, label, ln: "%s%s__" % (
-                   scope, label or "blk_l%d" % ln))
+               "kw_block0.line", fn=_scope_of)
 
 
-def _guard_env(env, label):
+def _scope_of(scope, label, line):
+    """The scope of the block ``label`` (at ``line``) in ``scope``."""
+    return "%s%s__" % (scope, label or "blk_l%d" % line)
+
+
+def _guard_env(env, scope):
     """Bind the implicit GUARD signal of a guarded block (§1's
     'implicit guard signals and guarded statements')."""
-    from ..vif.nodes import ObjectEntry
-    from .stdpkg import standard as _std
-
     guard = ObjectEntry(name="guard", obj_class="signal",
-                        vtype=_std().boolean,
-                        py="s_guard_%s" % label)
+                        vtype=standard().boolean,
+                        py=D.guard_signal(scope)[0])
     return env.enter_scope().bind("guard", guard)
 
 
@@ -1307,7 +1290,7 @@ def _unit_productions(g):
     p.rule("id_opt.NAME", "ID.value", fn=lambda n: n)
     # Operator-symbol designators close subprogram bodies: end "+";
     p = g.production("id_opt_op", "id_opt -> STRING")
-    p.rule("id_opt.NAME", "STRING.value", fn=lambda s: '"%s"' % s)
+    p.rule("id_opt.NAME", "STRING.value", fn=lambda s: '"%s"' % s.lower())
 
     # entity ------------------------------------------------------------------------
     p = g.production(
@@ -1318,8 +1301,10 @@ def _unit_productions(g):
            "port_clause_opt.IFACE", "entity_unit.CC",
            "kw_entity.line", fn=_build_entity)
     p.rule("entity_unit.MSGS", "entity_unit.UNIT", "gen_clause_opt.IFACE",
-           "port_clause_opt.IFACE",
-           fn=lambda unit, gi, pi: _iface_msgs(gi) + _iface_msgs(pi))
+           "port_clause_opt.IFACE", "ID.value", "id_opt.NAME", "SEMI.line",
+           fn=lambda unit, gi, pi, name, end, eln: _iface_msgs(gi)
+           + _iface_msgs(pi) + tuple(_end_name_msgs("entity", name, end,
+                                                    eln)))
     p = g.production("gen_clause_none", "gen_clause_opt ->")
     p.const("gen_clause_opt.IFACE", ())
     p = g.production(
@@ -1340,18 +1325,14 @@ def _unit_productions(g):
         "kw_begin cstmts kw_end id_opt SEMI")
     p.rule("decls.ENV", "arch_unit.ENV", "ID1.value", "arch_unit.CC",
            fn=_arch_decl_env)
-    p.rule("decls.RESULT", fn=lambda: None)
     p.rule("decls.SCOPE", fn=lambda: "")
-    p.rule("decls.LEVEL", fn=lambda: 0)
     p.rule("cstmts.ENV", "decls.RES", fn=lambda res: res.env)
-    p.rule("cstmts.LEVEL", fn=lambda: 0)
     p.rule("cstmts.SCOPE", fn=lambda: "")
     p.rule("arch_unit.BUILD", "ID0.value", "ID1.value", "decls.RES",
            "cstmts.CS", "arch_unit.ENV", "arch_unit.CC",
            "kw_architecture.line", fn=_build_arch)
     p.rule("arch_unit.UNIT", "arch_unit.BUILD", fn=lambda b: b[0])
-    p.rule("arch_unit.MSGS", "arch_unit.BUILD",
-           fn=lambda b: tuple(b[1]))
+    _unit_msgs(p, "arch_unit", "architecture", "ID0")
 
     # package / package body -----------------------------------------------------------------
     p = g.production(
@@ -1359,26 +1340,21 @@ def _unit_productions(g):
         "package_unit -> kw_package ID kw_is decls kw_end id_opt SEMI")
     p.rule("decls.ENV", "package_unit.ENV",
            fn=lambda env: env.enter_scope())
-    p.rule("decls.RESULT", fn=lambda: None)
     p.rule("decls.SCOPE", "ID.value", fn=lambda n: "pkg_%s_" % n)
-    p.rule("decls.LEVEL", fn=lambda: 0)
     p.rule("package_unit.BUILD", "ID.value", "decls.RES",
            "package_unit.ENV", "package_unit.CC", "kw_package.line",
            fn=lambda name, decls, env, cc, ln: U.package_unit(
                name, decls, decls.env, cc, ln))
     p.rule("package_unit.UNIT", "package_unit.BUILD",
            fn=lambda b: b[0])
-    p.rule("package_unit.MSGS", "package_unit.BUILD",
-           fn=lambda b: tuple(b[1]))
+    _unit_msgs(p, "package_unit", "package")
     p = g.production(
         "package_body",
         "package_body_unit -> kw_package kw_body ID kw_is decls "
         "kw_end id_opt SEMI")
     p.rule("decls.ENV", "package_body_unit.ENV", "ID.value",
            "package_body_unit.CC", fn=_package_body_env)
-    p.rule("decls.RESULT", fn=lambda: None)
     p.rule("decls.SCOPE", "ID.value", fn=lambda n: "pkg_%s_" % n)
-    p.rule("decls.LEVEL", fn=lambda: 0)
     p.rule("package_body_unit.BUILD", "ID.value", "decls.RES",
            "package_body_unit.ENV", "package_body_unit.CC",
            "kw_package.line",
@@ -1386,8 +1362,7 @@ def _unit_productions(g):
                name, decls, decls.env, cc, ln, is_body=True))
     p.rule("package_body_unit.UNIT", "package_body_unit.BUILD",
            fn=lambda b: b[0])
-    p.rule("package_body_unit.MSGS", "package_body_unit.BUILD",
-           fn=lambda b: tuple(b[1]))
+    _unit_msgs(p, "package_body_unit", "package")
 
     # configuration ---------------------------------------------------------------------------
     p = g.production(
@@ -1398,8 +1373,7 @@ def _unit_productions(g):
            "config_items.BINDS", "config_unit.ENV", "config_unit.CC",
            "kw_configuration.line", fn=_build_config)
     p.rule("config_unit.UNIT", "config_unit.BUILD", fn=lambda b: b[0])
-    p.rule("config_unit.MSGS", "config_unit.BUILD",
-           fn=lambda b: tuple(b[1]))
+    _unit_msgs(p, "config_unit", "configuration", "ID0", "SEMI1")
     p = g.production("config_items_none", "config_items ->")
     p.const("config_items.BINDS", ())
     p = g.production("config_items_more",
@@ -1415,6 +1389,33 @@ def _unit_productions(g):
            fn=_config_bind)
 
 
+def _end_name_msgs(kind, name, end_name, line):
+    """A closing designator must repeat the unit, subprogram, process
+    or block designator (IEEE 1076); it may be left out."""
+    if not end_name or end_name == name:
+        return []
+    if not name:
+        return ["line %d: closing label %r on an unlabeled %s"
+                % (line, end_name, kind)]
+    return ["line %d: closing name %r does not match %s %r"
+            % (line, end_name, kind, name)]
+
+
+def _unit_msgs(p, unit, kind, name="ID", semi="SEMI"):
+    """The rule for ``unit.MSGS``: the messages of ``unit.BUILD``, then
+    those of the check of the closing designator against ``name``."""
+    p.rule("%s.MSGS" % unit, "%s.BUILD" % unit, name + ".value",
+           "id_opt.NAME", semi + ".line",
+           fn=lambda b, name, end, ln: tuple(b[1]) + tuple(
+               _end_name_msgs(kind, name, end, ln)))
+
+
+def _closed(cstmt, kind, label, end_name, line):
+    """``cstmt`` with the closing-label check of its statement."""
+    cstmt.msgs.extend(_end_name_msgs(kind, label, end_name, line))
+    return cstmt
+
+
 def _iface_msgs(iface_rows):
     out = []
     for row in iface_rows:
@@ -1425,16 +1426,14 @@ def _iface_msgs(iface_rows):
 
 
 def _build_entity(name, generics_iface, ports_iface, cc, line):
-    generics, gmsgs, _ = _interface_entries(
-        generics_iface, "generic", cc, line)
-    ports, pmsgs, _ = _interface_entries(ports_iface, "port", cc, line)
+    generics, _ = _interface_entries(generics_iface, "generic", cc, line)
+    ports, _ = _interface_entries(ports_iface, "port", cc, line)
     return U.entity_unit(name, generics, ports, cc, line)
 
 
 def _arch_decl_env(env, entity_name, cc):
     entity = cc.library.find_unit(cc.work, entity_name) \
         if cc.library else None
-    from .symtab import entry_kind
     if entity is None or entry_kind(entity) != "entity":
         # Error is reported by _build_arch; analysis continues with an
         # empty interface.
@@ -1444,7 +1443,6 @@ def _arch_decl_env(env, entity_name, cc):
 
 
 def _build_arch(name, entity_name, decls, cstmts, env, cc, line):
-    from .symtab import entry_kind
     entity = cc.library.find_unit(cc.work, entity_name) \
         if cc.library else None
     msgs = []
@@ -1459,7 +1457,6 @@ def _build_arch(name, entity_name, decls, cstmts, env, cc, line):
 
 def _package_body_env(env, name, cc):
     spec = cc.library.find_unit(cc.work, name) if cc.library else None
-    from .symtab import entry_kind, is_overloadable
     if spec is not None and entry_kind(spec) == "package":
         env = _replay_context(env, spec.context, cc)
     inner = env.enter_scope()
@@ -1497,8 +1494,10 @@ def _build_config(name, entity_name, arch_name, binds, env, cc, line):
 
 
 def _register_unit(unit, clauses, cc):
-    """Place the compiled unit into the working library — separate
-    compilation's usage history grows here (§3.3).  Primary units keep
+    """Place the compiled unit into the compile's view of the working
+    library; the compiler commits it when the compile has no errors,
+    and separate compilation's usage history grows then (§3.3).
+    Primary units keep
     their context clause, because it also governs their secondary
     units (an architecture sees its entity's context)."""
     if unit is None:

@@ -299,6 +299,20 @@ class LibraryManager(_LibraryQueries):
         landed, so concurrent snapshot readers see either the whole
         unit or none of it.
         """
+        key = self.check_writable(lib, node)
+        writer = VIFWriter(lib, key)
+        payload = writer.write({"unit": node})
+        with self._write_lock:
+            self._store.save(lib, key, payload)
+            state = self._state
+            units = dict(state.units)
+            units[(lib, key)] = node
+            self._publish(units, state.order + ((lib, key),))
+        return key
+
+    def check_writable(self, lib, node):
+        """The key ``node`` would take in ``lib``; raises
+        :class:`LibraryError` when it cannot be registered there."""
         if self.read_only:
             raise LibraryError(
                 "library manager opened read-only; cannot register "
@@ -309,16 +323,7 @@ class LibraryManager(_LibraryQueries):
                 "updated" % lib)
         if lib not in self._libraries:
             raise LibraryError("unknown library %r" % lib)
-        key = unit_key(node)
-        writer = VIFWriter(lib, key)
-        payload = writer.write({"unit": node})
-        with self._write_lock:
-            self._store.save(lib, key, payload)
-            state = self._state
-            units = dict(state.units)
-            units[(lib, key)] = node
-            self._publish(units, state.order + ((lib, key),))
-        return key
+        return unit_key(node)
 
     def install_unit(self, lib, key, node, payload=None):
         """Adopt an already-compiled unit — e.g. a stored VIF payload
@@ -535,3 +540,31 @@ class LibrarySnapshot(_LibraryQueries):
 
     def quarantine_diagnostics(self):
         return self._owner.quarantine_diagnostics()
+
+
+class LibraryStaging(LibrarySnapshot):
+    """One compile's view of a library: the library as the compile
+    began, plus the units the compile has registered so far.  Those
+    reach the library only through :meth:`commit`, so a compile with
+    errors leaves it as it was, in memory and on disk."""
+
+    read_only = False
+
+    def __init__(self, owner):
+        super().__init__(owner)
+        self.staged = []  # [(lib, node)] in registration order
+
+    def register_unit(self, lib, node):
+        key = self._owner.check_writable(lib, node)
+        units = dict(self._snap.units)
+        units[(lib, key)] = node
+        self._snap = _State(units, self._snap.order + ((lib, key),),
+                            self._snap.version)
+        self.staged.append((lib, node))
+        return key
+
+    def commit(self):
+        """Register the staged units in the library, in order; returns
+        their ``(lib, key)`` pairs."""
+        return [(lib, self._owner.register_unit(lib, node))
+                for lib, node in self.staged]

@@ -287,6 +287,16 @@ def block_path(py_scope):
     return "".join(label + ":" for label in py_scope.split("__")[:-1])
 
 
+def guard_signal(py_scope):
+    """``(binding name, kernel path)`` of the implicit GUARD signal of
+    the guarded block whose declarations have ``py_scope``: like its
+    signals, it is named by the enclosing blocks too.  No declared
+    object's binding name starts ``s__`` (no VHDL identifier starts
+    with ``_``), so a signal such as ``guard_b`` keeps its own."""
+    return ("s__guard_" + py_scope[:-2],
+            block_path(py_scope)[:-1] + ".guard")
+
+
 def object_decl(obj_class, names, sub, init_goal, env, cc, line,
                 py_scope="", signal_kind=""):
     """Process constant/variable/signal declarations (one id list).

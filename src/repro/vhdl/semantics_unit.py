@@ -25,6 +25,7 @@ from .semantics_decl import (
     DeclResult,
     block_path,
     flatten,
+    guard_signal,
     indent,
     join,
     ln,
@@ -445,10 +446,10 @@ def block_stmt(label, guard_lef, decls, inner, scope, env, cc, line):
                             expected=cc.std.boolean)
         msgs.extend(goal.get("msgs", ()))
         uses = goal.get("uses", ())
-        guard_py = "s_guard_%s" % label
+        guard_py, guard_path = guard_signal(scope)
         lines.append(ln("%s = ctx.signal(%r, init=0)"
-                        % (guard_py, "%s.guard" % label)))
-        signals.append([guard_py, "%s.guard" % label, None, False])
+                        % (guard_py, guard_path)))
+        signals.append([guard_py, guard_path, None, False])
         fn = "_p_guard_%s" % label
         guard_lines, record = _equivalent_process(
             fn, [ln("rt.assign(%s, ((%s, 0),))"

@@ -1,6 +1,8 @@
 """AG-spec lint rules (RPA001/002/003) over toy grammars and the
 compiler's own built-in grammars."""
 
+import pytest
+
 from repro.ag import AGSpec, INH, SYN
 from repro.analysis import LintEngine
 
@@ -17,6 +19,28 @@ def toy_grammar(extra_syn=False):
            fn=lambda v, e: v + e.get("bias", 0))
     if extra_syn:
         p.const("expr.aux", 0)
+    return g.finish()
+
+
+def copy_chain_grammar():
+    """``s -> a -> b -> c -> NUM``: ``a`` sets the inherited ``DEPTH``,
+    implicit copy rules carry it down to ``b`` and ``c``, and nothing
+    a goal needs reads it."""
+    g = AGSpec("chain")
+    g.terminals("NUM")
+    g.attr_class("DEPTH", INH)
+    g.nonterminal("s", ("val", SYN))
+    for nt in ("a", "b", "c"):
+        g.nonterminal(nt, ("val", SYN), "DEPTH")
+    p = g.production("s_a", "s -> a")
+    p.copy("s.val", "a.val")
+    p.const("a.DEPTH", 0)
+    p = g.production("a_b", "a -> b")
+    p.copy("a.val", "b.val")
+    p = g.production("b_c", "b -> c")
+    p.copy("b.val", "c.val")
+    p = g.production("c_num", "c -> NUM")
+    p.rule("c.val", "NUM.value", fn=lambda v: v)
     return g.finish()
 
 
@@ -60,6 +84,15 @@ class TestRPA002:
             entry_inherited=["env"], goals=["val", "aux"])
         assert findings == []
 
+    def test_copy_chain_no_goal_reads_is_flagged_whole(self):
+        # Each DEPTH copy reads the one above it, so a check of reads
+        # alone would flag only c.DEPTH, the end of the chain.
+        findings = LintEngine(select=["RPA002"]).lint_ag(
+            copy_chain_grammar(), goals=["val"])
+        assert [d.message for d in findings] == [
+            "attribute %s.DEPTH is not reachable from any goal" % nt
+            for nt in ("a", "b", "c")]
+
     def test_empty_goals_means_all_root_outputs(self):
         findings = LintEngine(select=["RPA002"]).lint_ag(
             toy_grammar(extra_syn=True), entry_inherited=["env"])
@@ -94,9 +127,7 @@ class TestBuiltinGrammars:
 
         findings = LintEngine(
             select=["RPA001", "RPA003"]).lint_ag(
-            principal_grammar(),
-            entry_inherited=["ENV", "CC", "LEVEL", "RESULT",
-                             "SCOPE"],
+            principal_grammar(), entry_inherited=["CC"],
             goals=["UNITS", "MSGS"])
         assert findings == []
 
@@ -105,6 +136,14 @@ class TestBuiltinGrammars:
 
         findings = LintEngine(
             select=["RPA001", "RPA003"]).lint_ag(
-            expr_grammar(), entry_inherited=["ENV", "CTX"],
-            goals=["GOAL"])
+            expr_grammar(), entry_inherited=["CTX"], goals=["GOAL"])
         assert findings == []
+
+    @pytest.mark.parametrize("name", ["principal", "expr"])
+    def test_builtin_grammar_is_clean_under_every_rpa_rule(self, name):
+        # The entry and goal sets `repro lint --ag` uses.
+        from repro.cli import _builtin_ag
+
+        grammar, entry, goals = _builtin_ag(name)
+        assert LintEngine(select=["RPA"]).lint_ag(
+            grammar, entry_inherited=entry, goals=goals) == []

@@ -127,9 +127,7 @@ class TestBaseline:
 
 class TestAGLint:
     def test_builtin_grammars_are_clean(self, run_cli):
-        rc, text = run_cli("lint", "--select", "RPA001",
-                           "--select", "RPA003",
-                           "--ag", "principal", "--ag", "expr")
+        rc, text = run_cli("lint", "--ag", "principal", "--ag", "expr")
         assert rc == 0
 
     def test_werror_promotes_warnings(self, run_cli):

@@ -95,10 +95,12 @@ class TestCompilerObserver:
         compiler = Compiler()
         compiler.compile(path.read_text(), filename=str(path))
         obs = compiler.observer
-        # 343 principal firings, as counted before the expression AG
-        # reported to the compiler's observer: threading the observer
-        # through adds the nested firings and changes none of these.
-        assert obs.grammar_firings["vhdl_principal"] == 343
+        # 348 principal firings: the 343 counted before the expression
+        # AG reported to the compiler's observer (threading the
+        # observer through adds the nested firings and changes none of
+        # these), plus one per closing designator the unit, process
+        # and block rules now check (2 names, 3 omitted).
+        assert obs.grammar_firings["vhdl_principal"] == 348
         assert obs.grammar_firings["vhdl_expr"] > 0
         assert obs.total_firings == sum(obs.grammar_firings.values())
 

@@ -241,3 +241,28 @@ def test_oracle_sim_failure_is_sim_error(sim_failure):
     source, top, _code = sim_failure
     result = check_source(source, top, until_ns=100, compiled=True)
     assert result.outcome == "sim_error", result.detail
+
+
+# -- a failed compile stores nothing -------------------------------------
+
+
+def test_failed_compile_leaves_nothing_to_simulate(tmp_path):
+    # The process reads a name no declaration makes visible: the
+    # compile fails, stores neither unit, and a sim of the design is a
+    # diagnostic (ELAB001), not a run of the broken model.
+    path = tmp_path / "bad.vhd"
+    path.write_text(
+        "entity bad is end bad;\n"
+        "architecture rtl of bad is\n"
+        "  signal s : integer := 0;\n"
+        "begin\n"
+        "  p : process begin wait for 1 ns; "
+        "s <= s + undefined_name; end process;\n"
+        "end rtl;\n")
+    root = str(tmp_path / "lib")
+    rc, lines = run_cli(["--root", root, "compile", str(path)])
+    assert rc == 1
+    assert not list(tmp_path.glob("lib/*/*.vif.json"))
+    rc, lines = run_cli(["--root", root, "sim", "bad"])
+    assert rc == 1
+    assert any("ELAB001" in line for line in lines)

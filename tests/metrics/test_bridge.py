@@ -130,7 +130,6 @@ class TestObserverAndBuild:
 
         obs = AGObserver()
         obs.fired("g").update({"p1": 2, "p2": 1})
-        obs.visits["s"] = 4
         # The totals come from the compile spans, the per-production
         # counts from the in-process observer.
         events = [{"name": "attribute_evaluation", "ph": "X",
@@ -149,7 +148,6 @@ class TestObserverAndBuild:
                     snap["ag_rule_firings_by_production_total"][
                         "samples"] if s["labels"]}
         assert per_prod == {"p1": 2, "p2": 1}
-        assert snap["ag_visits_total"]["samples"][0]["value"] == 4
 
     def test_bridge_observer_none_is_noop(self):
         reg = MetricsRegistry()

@@ -333,3 +333,123 @@ class TestCompileResultUnitNames:
             res.unit_names()
         # repr stays safe even for the pathological case.
         assert "<unnamed>" in repr(res)
+
+
+#: A design whose every closing designator repeats its construct's;
+#: each ``MISMATCHED`` case below renames exactly one of them.
+CLOSED = """
+package util is
+  function inc (x : integer) return integer;
+  function "+" (a, b : bit) return bit;
+end util;
+package body util is
+  function inc (x : integer) return integer is
+  begin
+    return x + 1;
+  end inc;
+  function "+" (a, b : bit) return bit is
+  begin
+    return a xor b;
+  end "+";
+end util;
+entity e is end e;
+architecture rtl of e is
+  signal s : integer := 0;
+  procedure tick (signal t : out integer) is
+  begin
+    t <= 1;
+  end tick;
+begin
+  p : process begin wait for 1 ns; s <= s + 1; end process p;
+  b : block begin end block b;
+end rtl;
+configuration cfg of e is
+  for rtl
+  end for;
+end cfg;
+"""
+
+#: (what the source changes, the new text, the message)
+MISMATCHED = [
+    ("end util;\npackage body", "end utl;\npackage body",
+     "closing name 'utl' does not match package 'util'"),
+    ("end inc;", "end dec;",
+     "closing name 'dec' does not match function 'inc'"),
+    ('end "+";', 'end "-";',
+     "closing name '\"-\"' does not match function '\"+\"'"),
+    ("end e;", "end f;", "closing name 'f' does not match entity 'e'"),
+    ("end tick;", "end tock;",
+     "closing name 'tock' does not match procedure 'tick'"),
+    ("end process p;", "end process q;",
+     "closing name 'q' does not match process 'p'"),
+    ("p : process begin", "process begin",
+     "closing label 'p' on an unlabeled process"),
+    ("end block b;", "end block c;",
+     "closing name 'c' does not match block 'b'"),
+    ("end rtl;", "end other;",
+     "closing name 'other' does not match architecture 'rtl'"),
+    ("end cfg;", "end gfc;",
+     "closing name 'gfc' does not match configuration 'cfg'"),
+]
+
+
+class TestClosingNames:
+    """IEEE 1076: a closing designator repeats the unit, subprogram,
+    process or block designator, or is left out."""
+
+    def test_repeated_names_compile(self):
+        compile_ok(CLOSED)
+
+    def test_omitted_names_compile(self):
+        source = CLOSED
+        for name in ("util", "inc", '"+"', "e", "tick", "process p",
+                     "block b", "rtl", "cfg"):
+            source = source.replace("end %s;" % name, "end%s;" % (
+                " " + name.split()[0] if " " in name else ""))
+        compile_ok(source)
+
+    def test_designator_case_is_ignored(self):
+        compile_ok(CLOSED.replace("end inc;", "end INC;").replace(
+            "end rtl;", "end RTL;"))
+
+    @pytest.mark.parametrize("old,new,message", MISMATCHED)
+    def test_mismatched_name_is_an_error(self, old, new, message):
+        assert CLOSED.count(old) == 1
+        _c, msgs = compile_messages(CLOSED.replace(old, new))
+        assert [m.split(": ", 1)[1] for m in msgs] == [message]
+
+
+class TestFailedCompile:
+    """A compile with errors leaves the library as it was."""
+
+    GOOD = """
+        entity e is end e;
+        architecture rtl of e is
+          signal s : integer := 0;
+        begin
+          p : process begin wait for 1 ns; s <= s + 1; end process;
+        end rtl;
+    """
+    BAD = GOOD.replace("s + 1", "s + undefined_name")
+
+    def test_failed_compile_registers_no_unit(self):
+        from repro.vhdl.library import LibraryManager
+
+        library = LibraryManager()
+        before = (library.compile_order, library.version)
+        c, msgs = compile_messages(self.BAD, library=library)
+        assert msgs
+        assert (library.compile_order, library.version) == before
+        assert library.find_unit("work", "e") is None
+
+    def test_failed_recompile_keeps_the_stored_units(self, tmp_path):
+        from repro.vhdl.library import LibraryManager
+
+        root = str(tmp_path / "lib")
+        compile_ok(self.GOOD, library=LibraryManager(root=root))
+        files = {p.name: p.read_text()
+                 for p in (tmp_path / "lib" / "work").iterdir()}
+        result = Compiler(root=root).compile(self.BAD)
+        assert not result.ok and result.registered_units == []
+        assert {p.name: p.read_text() for p in
+                (tmp_path / "lib" / "work").iterdir()} == files

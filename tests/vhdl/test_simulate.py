@@ -585,6 +585,28 @@ class TestConcurrentStatements:
         """, "top", until_ns=100)
         assert sim.value("q") == 7
 
+    def test_guard_keeps_apart_from_a_signal_named_like_it(self):
+        # Block b's guard once took the binding name of a signal
+        # guard_b, so the process below drove the guard instead.
+        sim = simulate("""
+            entity top is end top;
+            architecture a of top is
+              signal en : bit := '0';
+              signal guard_b : boolean := false;
+              signal q : integer := 0;
+            begin
+              b : block (en = '1')
+              begin
+                q <= guarded 5;
+              end block b;
+              p : process begin
+                wait for 1 ns; guard_b <= true; wait;
+              end process;
+            end a;
+        """, "top", until_ns=10)
+        assert sim.value("guard_b") == 1
+        assert sim.value("q") == 0
+
     def test_blocks_name_their_signals(self):
         # Each block's x is its own signal, named by its label path.
         sim = simulate("""
