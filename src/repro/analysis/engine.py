@@ -119,8 +119,9 @@ class LintEngine:
 
         ``entry_inherited`` names the start-symbol inherited
         attributes the evaluation entry supplies (RPA001 exemptions);
-        ``goals`` names the root attributes read externally (RPA002
-        exemptions — empty means *all* root attributes are outputs).
+        ``goals`` names the root attributes read externally, which
+        RPA002 walks back from (empty means *all* root attributes are
+        outputs).
         """
         self.context.entry_inherited = tuple(entry_inherited)
         self.context.goals = tuple(goals)

@@ -18,7 +18,7 @@ class CompileCtx:
     def __init__(self, library=None, work="work", filename=None,
                  observer=None):
         self.std = standard()
-        self.library = library  # LibraryManager or None
+        self.library = library  # a LibraryStaging view, or None
         self.work = work  # name of the working library
         #: the source file being compiled; stamped onto every unit at
         #: registration so post-compile tools (``repro lint``, runtime
