@@ -22,6 +22,7 @@ compiled backend, ``ring_vhdl``); the committed
 cells and 15 tokens.
 """
 
+import statistics
 import time
 
 from repro.sim import CompiledKernel, Kernel, ScanKernel
@@ -214,12 +215,17 @@ def test_cycle_cost_tracks_active_set(benchmark):
         k.run(until=WINDOW_FS)
         return time.perf_counter() - t0, k
 
-    def best(n, repeats=3):
-        times = [run_sized(n) for _ in range(repeats)]
-        return min(t for t, _ in times), times[0][1]
-
-    small_s, k_small = best(N_CELLS)
-    large_s, k_large = best(2 * N_CELLS)
+    # Each size's time is the median of interleaved runs that
+    # alternate which size runs first, so host load shared by a pair
+    # cancels out of the ratio.
+    runs = {N_CELLS: [], 2 * N_CELLS: []}
+    for i in range(7):
+        for n in sorted(runs, reverse=i % 2 == 1):
+            runs[n].append(run_sized(n))
+    small_s, k_small = (statistics.median(t for t, _ in runs[N_CELLS]),
+                        runs[N_CELLS][0][1])
+    large_s, k_large = (statistics.median(t for t, _ in runs[2 * N_CELLS]),
+                        runs[2 * N_CELLS][0][1])
     # Same activity -> same resumes after initialization.
     init_small = len(k_small.processes)
     init_large = len(k_large.processes)

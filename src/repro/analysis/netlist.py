@@ -221,7 +221,7 @@ def build_netlist(records, top_path=None):
     graph = DesignGraph(top_path=top_path)
 
     # Package-level bindings: a package signal's generated binding
-    # name (``pkg_<pkg>_s_<name>``) is globally unique and identical
+    # name (``pkg_<pkg>__s_<name>``) is globally unique and identical
     # in every unit that imports it, so one flat map resolves the
     # cross-unit references local object tables miss.
     package_bindings = {}

@@ -122,7 +122,7 @@ class LintContext:
         declaring them — references to *another* unit's objects.
 
         Package-level signals keep one globally-unique binding name
-        (``pkg_<package>_s_<name>``) in every importer, so a name in
+        (``pkg_<package>__s_<name>``) in every importer, so a name in
         this set marks the declaring unit's object as used even when
         every use (a port-map actual, a process read) lives in a
         different unit.  Purely local bindings (``s_x``) never land

@@ -24,7 +24,9 @@ import json
 
 # bfp-9: an architecture stores each process factory's slot form
 # (``slot_forms``); bumping rebuilds cached units that lack it.
-FINGERPRINT_VERSION = "bfp-9"
+# bfp-10: generated names follow one rule (``vhdl/names.py``); a
+# cached unit named by the old rule would not link with a new one.
+FINGERPRINT_VERSION = "bfp-10"
 
 #: Payload node fields that do not affect a unit's *interface* as seen
 #: by dependents: generated back-end text and the dataflow facts that

@@ -2,9 +2,9 @@
 
 One :class:`CompileCtx` per compilation unit, carried by the ``CC``
 inherited attribute class.  It bundles the services semantic rules
-need: package STANDARD, the ``exprEval`` sub-evaluator (§4.1), the
-design-library view for foreign references (§3.4), and a name supply
-for generated Python identifiers.
+need: package STANDARD, the ``exprEval`` sub-evaluator (§4.1) and the
+design-library view for foreign references (§3.4).  No name supply:
+names follow from scope paths and positions (:mod:`.names`).
 """
 
 from .expr_grammar import ExprEvaluator
@@ -12,8 +12,23 @@ from .lef import mode_token
 from .stdpkg import standard
 
 
+def _entry(mode):
+    """An exprEval entry point: the paper's single out-of-line
+    function, with context flag ``mode``."""
+    def run(self, lef_tokens, env, line=0, expected=None):
+        return self.expr_eval(list(lef_tokens), mode, env, line=line,
+                              expected=expected, user_attrs=attrs_of(env))
+    return run
+
+
 class CompileCtx:
     """Per-unit compilation services."""
+
+    eval_expr = _entry("M_EXPR")
+    eval_target = _entry("M_TARGET")
+    eval_range = _entry("M_RANGE")
+    eval_choice = _entry("M_CHOICE")
+    eval_call = _entry("M_CALL")
 
     def __init__(self, library=None, work="work", filename=None,
                  observer=None):
@@ -31,45 +46,6 @@ class CompileCtx:
         self.expr_eval = ExprEvaluator(
             self.std, library.find_unit if library is not None else None,
             observer)
-        self._gensym = 0
-        #: set by the unit productions as they learn what they compile
-        self.unit_name = "?"
-        #: prefix for generated python names (packages use
-        #: ``pkg_<name>_`` so cross-unit references are unambiguous)
-        self.py_scope = ""
-
-    def gensym(self, prefix):
-        """A fresh generated-code identifier."""
-        self._gensym += 1
-        return "%s_%d" % (prefix, self._gensym)
-
-    # -- exprEval entry points (the paper's single out-of-line function,
-    # split by context flag) ------------------------------------------------
-
-    def eval_expr(self, lef_tokens, env, line=0, expected=None):
-        return self.expr_eval(
-            list(lef_tokens), "M_EXPR", env, line=line, expected=expected,
-            user_attrs=attrs_of(env))
-
-    def eval_target(self, lef_tokens, env, line=0):
-        return self.expr_eval(
-            list(lef_tokens), "M_TARGET", env, line=line,
-            user_attrs=attrs_of(env))
-
-    def eval_range(self, lef_tokens, env, line=0):
-        return self.expr_eval(
-            list(lef_tokens), "M_RANGE", env, line=line,
-            user_attrs=attrs_of(env))
-
-    def eval_choice(self, lef_tokens, env, line=0, expected=None):
-        return self.expr_eval(
-            list(lef_tokens), "M_CHOICE", env, line=line,
-            expected=expected, user_attrs=attrs_of(env))
-
-    def eval_call(self, lef_tokens, env, line=0):
-        return self.expr_eval(
-            list(lef_tokens), "M_CALL", env, line=line,
-            user_attrs=attrs_of(env))
 
 
 #: The env key under which accumulated attribute specifications ride.

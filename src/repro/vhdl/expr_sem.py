@@ -16,6 +16,7 @@ they carry a resolver the use-site forces.
 """
 
 from ..sim.runtime import VArray, ops as _ops
+from . import names as N
 from . import vtypes
 from .flow import EMPTY_SET, Flow, drive_flow
 from .symtab import entry_kind, lookup_user_attribute
@@ -1364,7 +1365,7 @@ def goal_call(sem, items, ctx):
             entry = arg_sem.entry
             if entry is not None and entry.is_signal:
                 arg_codes.append(entry.py)
-                actuals["a_%s" % param.name] = entry.py
+                actuals[N.param(param.name)] = entry.py
                 if param.mode in ("out", "inout"):
                     out_actuals.append(entry.py)
             else:
@@ -1394,7 +1395,7 @@ def goal_call(sem, items, ctx):
     # assigns, its signal formals replaced by their actuals, and drives
     # every out/inout signal actual (a driver of the calling process
     # even if never assigned).
-    formals = {"a_%s" % p.name for p in cand.params
+    formals = {N.param(p.name) for p in cand.params
                if p.obj_class == "signal"}
 
     def bound(names):

@@ -21,7 +21,7 @@ Attribute classes (all completed by implicit rules, §4.2):
 ``CC``     inh    the compilation context (services)
 ``RESULT`` inh    expected function-result type, on statements only
                   (for return)
-``SCOPE``  inh    prefix of the generated names of declarations
+``SCOPE``  inh    scope path of declarations (:mod:`.names`)
 =========  =====  ==================================================
 
 Every attribute instance declared here feeds a goal (``UNITS`` or
@@ -37,6 +37,7 @@ from ..ag import AGSpec, SYN, INH
 from ..vif.nodes import ObjectEntry, SubprogramEntry
 
 from . import lef as L
+from . import names as N
 from . import semantics_decl as D
 from . import semantics_stmt as S
 from . import semantics_unit as U
@@ -129,6 +130,7 @@ def _declare_vocabulary(g):
     g.nonterminal("mode_opt", ("KW", SYN))
     g.nonterminal("designator", ("NAME", SYN))
     g.nonterminal("params_opt", ("IFACE", SYN), "CTXA")
+    g.nonterminal("subprog_spec", ("SPEC", SYN), "CTXA", "SCOPE")
     g.nonterminal("signal_kind_opt", ("KW", SYN))
     g.nonterminal("sel_names", ("PATHS", SYN))
     g.nonterminal("sel_name", ("PARTS", SYN))
@@ -136,10 +138,12 @@ def _declare_vocabulary(g):
     g.nonterminal("arch_ind_opt", ("NAME", SYN))
 
     # concurrent statements
-    g.nonterminal("cstmts", "CS", "CTXA", "SCOPE")
-    g.nonterminal("cstmt", "CS", "CTXA", "SCOPE")
-    g.nonterminal("cstmt_body", "CS", ("LABEL", INH), "CTXA", "SCOPE")
+    g.nonterminal("cstmts", "CS", ("N", SYN), "CTXA", "SCOPE")
+    g.nonterminal("cstmt", "CS", ("POS", INH), "CTXA", "SCOPE")
+    g.nonterminal("cstmt_body", "CS", ("LABEL", INH), ("POS", INH),
+                  "CTXA", "SCOPE")
     g.nonterminal("sens_opt", ("NAMES", SYN), "ENV")
+    g.nonterminal("guard_opt", ("OPT", SYN), "ENV")
     g.nonterminal("gmap_opt", ("ASSOCS", SYN), "ENV")
     g.nonterminal("pmap_opt", ("ASSOCS", SYN), "ENV")
     g.nonterminal("assoc_list", ("ASSOCS", SYN), "ENV")
@@ -490,56 +494,36 @@ def _decl_productions(g):
     p = g.production("params_some", "params_opt -> LP iface_list RP")
     p.rule("params_opt.IFACE", "iface_list.IFACE", fn=tuple)
 
+    # A specification is named once; its declaration, or its body's
+    # environment and code, read the one entry.
     p = g.production(
-        "decl_func_decl",
-        "decl -> kw_function designator params_opt kw_return mark SEMI")
-    p.rule("decl.RES", "designator.NAME", "params_opt.IFACE",
-           "mark.PARTS", "decl.ENV", "decl.CC", "kw_function.line",
-           "decl.SCOPE",
-           fn=lambda name, iface, parts, env, cc, ln, sc: _subprog_decl(
+        "spec_function",
+        "subprog_spec -> kw_function designator params_opt kw_return mark")
+    p.rule("subprog_spec.SPEC", "designator.NAME", "params_opt.IFACE",
+           "mark.PARTS", "subprog_spec.ENV", "subprog_spec.CC",
+           "kw_function.line", "subprog_spec.SCOPE",
+           fn=lambda name, iface, parts, env, cc, ln, sc: _subprog_spec(
                "function", name, iface, parts, env, cc, ln, sc))
-    p = g.production(
-        "decl_proc_decl",
-        "decl -> kw_procedure designator params_opt SEMI")
-    p.rule("decl.RES", "designator.NAME", "params_opt.IFACE",
-           "decl.ENV", "decl.CC", "kw_procedure.line", "decl.SCOPE",
-           fn=lambda name, iface, env, cc, ln, sc: _subprog_decl(
+    p = g.production("spec_procedure",
+                     "subprog_spec -> kw_procedure designator params_opt")
+    p.rule("subprog_spec.SPEC", "designator.NAME", "params_opt.IFACE",
+           "subprog_spec.ENV", "subprog_spec.CC", "kw_procedure.line",
+           "subprog_spec.SCOPE",
+           fn=lambda name, iface, env, cc, ln, sc: _subprog_spec(
                "procedure", name, iface, None, env, cc, ln, sc))
-
+    p = g.production("decl_subprog", "decl -> subprog_spec SEMI")
+    p.rule("decl.RES", "subprog_spec.SPEC", "decl.ENV", fn=_subprog_decl)
     p = g.production(
-        "decl_func_body",
-        "decl -> kw_function designator params_opt kw_return mark "
-        "kw_is decls kw_begin stmts kw_end id_opt SEMI")
-    p.rule("decls.ENV", "decl.ENV", "designator.NAME",
-           "params_opt.IFACE", "mark.PARTS", "decl.CC",
-           "kw_function.line", "decl.SCOPE",
-           fn=_subprog_inner_env("function"))
+        "decl_subprog_body",
+        "decl -> subprog_spec kw_is decls kw_begin stmts kw_end id_opt "
+        "SEMI")
+    p.rule("decls.ENV", "subprog_spec.SPEC", "decl.ENV",
+           fn=_subprog_inner_env)
     p.rule("stmts.ENV", "decls.RES", fn=lambda res: res.env)
-    p.rule("stmts.RESULT", "mark.PARTS", "decl.ENV", "decl.CC",
-           "kw_function.line",
-           fn=lambda parts, env, cc, ln: _result_type(parts, env, cc,
-                                                      ln)[0])
-    p.rule("decl.RES", "designator.NAME", "params_opt.IFACE",
-           "mark.PARTS", "decls.RES", "stmts.SRES", "decl.ENV",
-           "decl.CC", "kw_function.line", "decl.SCOPE", "id_opt.NAME",
-           "SEMI.line", fn=_subprog_body("function"))
-    p = g.production(
-        "decl_proc_body",
-        "decl -> kw_procedure designator params_opt kw_is decls "
-        "kw_begin stmts kw_end id_opt SEMI")
-    p.rule("decls.ENV", "decl.ENV", "designator.NAME",
-           "params_opt.IFACE", "decl.CC", "kw_procedure.line",
-           "decl.SCOPE", fn=lambda env, name, iface, cc, ln, sc:
-           _subprog_inner_env("procedure")(env, name, iface, None, cc,
-                                           ln, sc))
-    p.rule("stmts.ENV", "decls.RES", fn=lambda res: res.env)
-    p.rule("stmts.RESULT", fn=lambda: None)
-    p.rule("decl.RES", "designator.NAME", "params_opt.IFACE",
-           "decls.RES", "stmts.SRES", "decl.ENV", "decl.CC",
-           "kw_procedure.line", "decl.SCOPE", "id_opt.NAME", "SEMI.line",
-           fn=lambda name, iface, inner, body, env, cc, ln, sc, end, eln:
-           _subprog_body("procedure")(
-               name, iface, None, inner, body, env, cc, ln, sc, end, eln))
+    p.rule("stmts.RESULT", "subprog_spec.SPEC", fn=lambda spec: spec[2])
+    p.rule("decl.RES", "subprog_spec.SPEC", "decls.RES", "stmts.SRES",
+           "decl.ENV", "decl.SCOPE", "id_opt.NAME", "SEMI.line",
+           fn=_subprog_body)
 
     # use clauses and configuration specifications -------------------------------------
     p = g.production("decl_use", "decl -> kw_use sel_names SEMI")
@@ -624,13 +608,13 @@ def _sub_ind(parts, res_parts, constr, env, cc, line=0):
 
 
 def _object_decl(cls, ids, sub, init_lef, env, cc, line,
-                 signal_kind="", scope=""):
+                 signal_kind="", scope=()):
     init_goal = None
     if init_lef is not None:
         init_goal = cc.eval_expr(init_lef, env, lef_line(init_lef, line),
                                  expected=sub.vtype)
     return D.object_decl(cls, list(ids), sub, init_goal, env, cc, line,
-                         py_scope=scope, signal_kind=signal_kind)
+                         scope=scope, signal_kind=signal_kind)
 
 
 def _array_type(name, inner_lef, elem_sub, env, cc, line):
@@ -694,107 +678,91 @@ def _params_from_iface(iface_rows, cc, line):
     return params, msgs
 
 
-def _deterministic_entry(sub_kind, name, iface_rows, result_parts, env,
-                         cc, line, scope=""):
-    """Subprogram entry with deterministic py naming so independent
-    semantic rules can re-derive it identically."""
+def _subprog_spec(sub_kind, name, iface_rows, result_parts, env, cc,
+                  line, scope):
+    """``(entry, params, result, msgs, reused, line)`` of a subprogram
+    specification.  ``entry`` is the earlier declaration's this one
+    completes (``reused``: package spec and body), or a new one named
+    by its ordinal among the subprograms of its designator visible
+    here, which grows with each one a region declares."""
     params, msgs = _params_from_iface(iface_rows, cc, line)
     result = None
     if result_parts is not None:
-        result, rmsgs = _result_type(result_parts, env, cc, line)
+        entries, rmsgs = D.resolve_mark(list(result_parts), env, cc, line)
+        result = next((e for e in entries if entry_kind(e) == "type"),
+                      None)
         msgs.extend(rmsgs)
-    # Reuse a spec entry (package spec + body pairing).
-    for cand in env.lookup(name).entries:
-        if entry_kind(cand) == "subprogram" \
-                and cand.sub_kind == sub_kind \
+    subprograms = [e for e in env.lookup(name).entries
+                   if entry_kind(e) == "subprogram"]
+    for cand in subprograms:
+        if cand.sub_kind == sub_kind \
                 and len(cand.params) == len(params) \
                 and all(vtypes.same_base(a.vtype, b.vtype)
                         for a, b in zip(cand.params, params)):
-            return cand, params, result, msgs, True
-    safe = D._py_safe(name.strip('"'))
-    py = "%sf_%s_l%d" % (scope, safe, line)
+            return cand, params, result, msgs, True, line
     entry = SubprogramEntry(
         name=name, sub_kind=sub_kind, params=params, result=result,
-        py=py, predefined_op="", pure=True, line=line)
-    return entry, params, result, msgs, False
+        py=N.subprogram(scope, name, len(subprograms)), predefined_op="",
+        pure=True, line=line)
+    return entry, params, result, msgs, False, line
 
 
-def _subprog_decl(sub_kind, name, iface_rows, result_parts, env, cc,
-                  line, scope=""):
-    entry, params, result, msgs, reused = _deterministic_entry(
-        sub_kind, name, iface_rows, result_parts, env, cc, line, scope)
+def _subprog_decl(spec, env):
+    entry, _params, _result, msgs, reused, _line = spec
     if reused:
         return DeclResult(env, [], [], msgs)
-    return DeclResult(env.bind(name, entry, overloadable=True), [],
+    return DeclResult(env.bind(entry.name, entry, overloadable=True), [],
                       [entry], msgs)
 
 
-def _result_type(parts, env, cc, line):
-    """The type the mark ``parts`` names (or None), and the messages of
-    resolving the mark."""
-    entries, msgs = D.resolve_mark(list(parts), env, cc, line)
-    return next((e for e in entries if entry_kind(e) == "type"),
-                None), msgs
+def _subprog_inner_env(spec, env):
+    entry, _params, _result, _msgs, reused, line = spec
+    inner = env if reused else env.bind(entry.name, entry,
+                                        overloadable=True)
+    return D.subprogram_body_env(entry, inner, line)
 
 
-def _subprog_inner_env(sub_kind):
-    def rule(env, name, iface_rows, result_parts, cc, line, scope=""):
-        entry, params, result, msgs, reused = _deterministic_entry(
-            sub_kind, name, iface_rows, result_parts, env, cc, line,
-            scope)
-        inner = env if reused else env.bind(name, entry,
-                                            overloadable=True)
-        return D.subprogram_body_env(entry, inner, line)
-
-    return rule
-
-
-def _subprog_body(sub_kind):
-    def rule(name, iface_rows, result_parts, inner_decls, body_sres,
-             env, cc, line, scope, end_name, end_line):
-        entry, params, result, msgs, reused = _deterministic_entry(
-            sub_kind, name, iface_rows, result_parts, env, cc, line,
-            scope)
-        msgs = msgs + list(inner_decls.msgs) + list(body_sres.msgs) \
-            + _end_name_msgs(sub_kind, name, end_name, end_line)
-        local_names = {e.py for e in D.flatten(inner_decls.entries)
-                       if hasattr(e, "py")}
-        code = D.subprogram_code(
-            entry, D.join(inner_decls.code, body_sres.code), local_names,
-            body_sres.writes, line)
-        if body_sres.haswait:
-            msgs.append("line %d: wait statements are not allowed in "
-                        "subprograms" % line)
-        if body_sres.jump:
-            msgs.append(body_sres.jump)
-        # A procedure call adds the drives and the reads of the body
-        # bound here (expr_sem.goal_call reads entry.drives and
-        # entry.reads).  A function call adds none, so a function may
-        # assign no signal; a call cannot see the body of a package
-        # subprogram or of one declared apart from its body, so those
-        # may assign only signal parameters, whose actuals the call
-        # drives anyway.
-        flow = (inner_decls.flow + body_sres.flow).called()
-        drives = body_sres.flow.drives
-        formals = {"a_%s" % p.name for p in params
-                   if p.obj_class == "signal"}
-        if sub_kind == "function" and drives:
-            msgs.append("line %d: function %s cannot assign signals"
-                        % (line, name))
-        elif (reused or scope) and any(d.target not in formals
-                                       for d in drives):
-            msgs.append("line %d: procedure %s may assign only its "
-                        "signal parameters" % (line, name))
-        elif not reused:
-            entry.drives = [list(d) for d in drives]
-            if sub_kind == "procedure":
-                entry.reads = [sorted(flow.plain), sorted(flow.attrs)]
-        new_env = env if reused else env.bind(name, entry,
-                                              overloadable=True)
-        return DeclResult(new_env, code, [] if reused else [entry],
-                          msgs, flow=flow)
-
-    return rule
+def _subprog_body(spec, inner_decls, body_sres, env, scope, end_name,
+                  end_line):
+    entry, params, _result, msgs, reused, line = spec
+    name, sub_kind = entry.name, entry.sub_kind
+    inner_entries = D.flatten(inner_decls.entries)
+    msgs = msgs + list(inner_decls.msgs) + list(body_sres.msgs) \
+        + _end_name_msgs(sub_kind, name, end_name, end_line) \
+        + D.redeclared(params + inner_entries, (), line)
+    local_names = {e.py for e in inner_entries if hasattr(e, "py")}
+    code = D.subprogram_code(
+        entry, D.join(inner_decls.code, body_sres.code), local_names,
+        body_sres.writes, line)
+    if body_sres.haswait:
+        msgs.append("line %d: wait statements are not allowed in "
+                    "subprograms" % line)
+    if body_sres.jump:
+        msgs.append(body_sres.jump)
+    # A procedure call adds the drives and the reads of the body
+    # bound here (expr_sem.goal_call reads entry.drives and
+    # entry.reads).  A function call adds none, so a function may
+    # assign no signal; a call cannot see the body of a package
+    # subprogram or of one declared apart from its body, so those
+    # may assign only signal parameters, whose actuals the call
+    # drives anyway.
+    flow = (inner_decls.flow + body_sres.flow).called()
+    drives = body_sres.flow.drives
+    formals = {N.param(p.name) for p in params if p.obj_class == "signal"}
+    if sub_kind == "function" and drives:
+        msgs.append("line %d: function %s cannot assign signals"
+                    % (line, name))
+    elif (reused or scope) and any(d.target not in formals
+                                   for d in drives):
+        msgs.append("line %d: procedure %s may assign only its "
+                    "signal parameters" % (line, name))
+    elif not reused:
+        entry.drives = [list(d) for d in drives]
+        if sub_kind == "procedure":
+            entry.reads = [sorted(flow.plain), sorted(flow.attrs)]
+    new_env = env if reused else env.bind(name, entry, overloadable=True)
+    return DeclResult(new_env, code, [] if reused else [entry], msgs,
+                      flow=flow)
 
 
 def _config_spec_decl(spec, comp_name, ent_parts, arch_name, env, cc,
@@ -1000,13 +968,20 @@ def _stmt_productions(g):
 
 
 def _cstmt_productions(g):
-    g.production("cstmts_empty", "cstmts ->")
-    g.production("cstmts_more", "cstmts -> cstmts0 cstmt")
+    # A statement's position in its region names it when it has no
+    # label (:func:`_label`).
+    p = g.production("cstmts_empty", "cstmts ->")
+    p.const("cstmts.N", 0)
+    p = g.production("cstmts_more", "cstmts -> cstmts0 cstmt")
+    p.rule("cstmts0.N", "cstmts1.N", fn=lambda n: n + 1)
+    p.rule("cstmt.POS", "cstmts1.N", fn=lambda n: n + 1)
 
     p = g.production("cstmt_labeled", "cstmt -> ID COLON cstmt_body")
     p.rule("cstmt_body.LABEL", "ID.value", fn=lambda n: n)
+    p.copy("cstmt_body.POS", "cstmt.POS")
     p = g.production("cstmt_unlabeled", "cstmt -> cstmt_body")
     p.rule("cstmt_body.LABEL", fn=lambda: "")
+    p.copy("cstmt_body.POS", "cstmt.POS")
 
     # process --------------------------------------------------------------------------
     p = g.production(
@@ -1014,16 +989,16 @@ def _cstmt_productions(g):
         "cstmt_body -> kw_process sens_opt decls kw_begin stmts "
         "kw_end kw_process id_opt SEMI")
     p.rule("decls.ENV", "cstmt_body.ENV", fn=lambda env: env.enter_scope())
-    p.rule("decls.SCOPE", fn=lambda: "")
+    p.rule("decls.SCOPE", fn=lambda: ())
     p.rule("stmts.ENV", "decls.RES", fn=lambda res: res.env)
     p.rule("stmts.RESULT", fn=lambda: None)
-    p.rule("cstmt_body.CS", "cstmt_body.LABEL", "sens_opt.NAMES",
-           "decls.RES", "stmts.SRES", "cstmt_body.ENV",
+    p.rule("cstmt_body.CS", "cstmt_body.LABEL", "cstmt_body.POS",
+           "sens_opt.NAMES", "decls.RES", "stmts.SRES",
            "cstmt_body.CC", "kw_process0.line", "id_opt.NAME",
            "SEMI.line",
-           fn=lambda label, sens, decls, body, env, cc, ln, end, eln:
-           _closed(U.process_stmt(label or "proc_l%d" % ln, sens, decls,
-                                  body, decls.env, cc, ln),
+           fn=lambda label, pos, sens, decls, body, cc, ln, end, eln:
+           _closed(U.process_stmt(_label(label, "proc", pos), sens,
+                                  decls, body, decls.env, cc, ln),
                    "process", label, end, eln))
     p = g.production("sens_none", "sens_opt ->")
     p.const("sens_opt.NAMES", None)
@@ -1031,27 +1006,21 @@ def _cstmt_productions(g):
     p.rule("sens_opt.NAMES", "name_list.NAMES", fn=list)
 
     # concurrent signal assignments -----------------------------------------------------
-    p = g.production("cstmt_assign",
-                     "cstmt_body -> nsoup LE cond_waves SEMI")
-    p.rule("cstmt_body.CS", "cstmt_body.LABEL", "nsoup.LEF",
-           "cond_waves.ARMS", "cstmt_body.ENV", "cstmt_body.CC",
-           "LE.line",
-           fn=lambda label, tgt, arms, env, cc, ln: U.concurrent_assign(
-               label or "cassign_l%d" % ln,
-               [(tgt, wavet[1], cond, wavet[0])
-                for wavet, cond in arms],
-               env, cc, lef_line(tgt, ln)))
-    p = g.production("cstmt_assign_guarded",
-                     "cstmt_body -> nsoup LE kw_guarded cond_waves SEMI")
-    p.rule("cstmt_body.CS", "cstmt_body.LABEL", "nsoup.LEF",
-           "cond_waves.ARMS", "cstmt_body.ENV", "cstmt_body.CC",
-           "LE.line",
-           fn=lambda label, tgt, arms, env, cc, ln: U.concurrent_assign(
-               label or "cassign_l%d" % ln,
-               [(tgt, wavet[1], cond, wavet[0])
-                for wavet, cond in arms],
-               env, cc, lef_line(tgt, ln), guarded=True,
-               guard_py=_guard_py(env)))
+    for name, guarded in (("cstmt_assign", False),
+                          ("cstmt_assign_guarded", True)):
+        p = g.production(name, "cstmt_body -> nsoup LE %scond_waves SEMI"
+                         % ("kw_guarded " if guarded else ""))
+        p.rule("cstmt_body.CS", "cstmt_body.LABEL", "cstmt_body.POS",
+               "nsoup.LEF", "cond_waves.ARMS", "cstmt_body.ENV",
+               "cstmt_body.CC", "LE.line",
+               fn=(lambda guarded=guarded:
+                   lambda label, pos, tgt, arms, env, cc, ln:
+                   U.concurrent_assign(
+                       _label(label, "cassign", pos),
+                       [(tgt, wavet[1], cond, wavet[0])
+                        for wavet, cond in arms],
+                       env, cc, lef_line(tgt, ln),
+                       _guard_py(env) if guarded else None))())
     p = g.production("cond_waves_one", "cond_waves -> wave_opts")
     p.rule("cond_waves.ARMS", "wave_opts.WAVET",
            fn=lambda w: ((w, None),))
@@ -1065,11 +1034,11 @@ def _cstmt_productions(g):
     p = g.production(
         "cstmt_selected",
         "cstmt_body -> kw_with xp kw_select nsoup LE sel_waves SEMI")
-    p.rule("cstmt_body.CS", "cstmt_body.LABEL", "xp.LEF", "nsoup.LEF",
-           "sel_waves.ARMS", "cstmt_body.ENV", "cstmt_body.CC",
-           "kw_with.line",
-           fn=lambda label, sel, tgt, arms, env, cc, ln:
-           U.selected_assign(label or "sassign_l%d" % ln, sel, tgt,
+    p.rule("cstmt_body.CS", "cstmt_body.LABEL", "cstmt_body.POS",
+           "xp.LEF", "nsoup.LEF", "sel_waves.ARMS", "cstmt_body.ENV",
+           "cstmt_body.CC", "kw_with.line",
+           fn=lambda label, pos, sel, tgt, arms, env, cc, ln:
+           U.selected_assign(_label(label, "sassign", pos), sel, tgt,
                              [(w[1], chs) for w, chs in arms],
                              env, cc, ln))
     p = g.production("sel_waves_one",
@@ -1087,21 +1056,21 @@ def _cstmt_productions(g):
     p = g.production(
         "cstmt_assert",
         "cstmt_body -> kw_assert xp report_opt severity_opt SEMI")
-    p.rule("cstmt_body.CS", "cstmt_body.LABEL", "xp.LEF",
-           "report_opt.OPT", "severity_opt.OPT", "cstmt_body.ENV",
-           "cstmt_body.CC", "kw_assert.line",
-           fn=lambda label, cond, rep, sev, env, cc, ln:
-           U.concurrent_assert(label or "cassert_l%d" % ln, cond, rep,
+    p.rule("cstmt_body.CS", "cstmt_body.LABEL", "cstmt_body.POS",
+           "xp.LEF", "report_opt.OPT", "severity_opt.OPT",
+           "cstmt_body.ENV", "cstmt_body.CC", "kw_assert.line",
+           fn=lambda label, pos, cond, rep, sev, env, cc, ln:
+           U.concurrent_assert(_label(label, "cassert", pos), cond, rep,
                                sev, env, cc, ln))
 
     # instantiation ------------------------------------------------------------------------
     p = g.production("cstmt_instance",
                      "cstmt_body -> ID gmap_opt pmap_opt SEMI")
-    p.rule("cstmt_body.CS", "cstmt_body.LABEL", "ID.value",
-           "gmap_opt.ASSOCS", "pmap_opt.ASSOCS", "cstmt_body.ENV",
-           "cstmt_body.CC", "ID.line",
-           fn=lambda label, comp, gmap, pmap, env, cc, ln:
-           U.instantiation(label or "u_l%d" % ln, comp, list(gmap),
+    p.rule("cstmt_body.CS", "cstmt_body.LABEL", "cstmt_body.POS",
+           "ID.value", "gmap_opt.ASSOCS", "pmap_opt.ASSOCS",
+           "cstmt_body.ENV", "cstmt_body.CC", "ID.line",
+           fn=lambda label, pos, comp, gmap, pmap, env, cc, ln:
+           U.instantiation(_label(label, "u", pos), comp, list(gmap),
                            list(pmap), env, cc, ln))
     p = g.production("gmap_none", "gmap_opt ->")
     p.const("gmap_opt.ASSOCS", ())
@@ -1130,59 +1099,43 @@ def _cstmt_productions(g):
     # block ---------------------------------------------------------------------------------
     p = g.production(
         "cstmt_block",
-        "cstmt_body -> kw_block decls kw_begin cstmts kw_end kw_block "
-        "id_opt SEMI")
-    p.rule("decls.ENV", "cstmt_body.ENV",
-           fn=lambda env: env.enter_scope())
-    _block_scope(p)
-    p.rule("cstmts.ENV", "decls.RES", fn=lambda res: res.env)
-    p.rule("cstmt_body.CS", "cstmt_body.LABEL", "decls.RES",
-           "cstmts.CS", "decls.SCOPE", "cstmt_body.CC", "kw_block0.line",
-           "id_opt.NAME", "SEMI.line",
-           fn=lambda label, decls, inner, scope, cc, ln, end, eln:
-           _closed(U.block_stmt(label or "blk_l%d" % ln, None, decls,
-                                inner, scope, decls.env, cc, ln),
-                   "block", label, end, eln))
-    p = g.production(
-        "cstmt_block_guarded",
-        "cstmt_body -> kw_block LP xp RP decls kw_begin cstmts kw_end "
+        "cstmt_body -> kw_block guard_opt decls kw_begin cstmts kw_end "
         "kw_block id_opt SEMI")
-    p.rule("decls.ENV", "cstmt_body.ENV", "cstmt_body.SCOPE",
-           "cstmt_body.LABEL", "kw_block0.line",
-           fn=lambda env, scope, label, ln: _guard_env(
-               env, _scope_of(scope, label, ln)))
-    _block_scope(p)
-    p.rule("cstmts.ENV", "decls.RES", fn=lambda res: res.env)
-    p.rule("cstmt_body.CS", "cstmt_body.LABEL", "xp.LEF", "decls.RES",
-           "cstmts.CS", "decls.SCOPE", "cstmt_body.CC", "kw_block0.line",
-           "id_opt.NAME", "SEMI.line",
-           fn=lambda label, guard, decls, inner, scope, cc, ln, end, eln:
-           _closed(U.block_stmt(label or "blk_l%d" % ln, tuple(guard),
-                                decls, inner, scope, decls.env, cc, ln),
-                   "block", label, end, eln))
-
-
-def _block_scope(p):
-    """A block's declarations and statements are in its scope: the
-    enclosing one, then the block's label and ``__``, which no VHDL
-    identifier holds (:func:`repro.vhdl.semantics_decl.block_path`)."""
     for attr in ("decls.SCOPE", "cstmts.SCOPE"):
         p.rule(attr, "cstmt_body.SCOPE", "cstmt_body.LABEL",
-               "kw_block0.line", fn=_scope_of)
+               "cstmt_body.POS", fn=lambda scope, label, pos: scope + (
+                   ("block", _label(label, "blk", pos)),))
+    p.rule("decls.ENV", "cstmt_body.ENV", "guard_opt.OPT", "decls.SCOPE",
+           fn=_block_env)
+    p.rule("cstmts.ENV", "decls.RES", fn=lambda res: res.env)
+    p.rule("cstmt_body.CS", "cstmt_body.LABEL", "cstmt_body.POS",
+           "guard_opt.OPT", "decls.RES", "cstmts.CS", "decls.SCOPE",
+           "cstmt_body.CC", "kw_block0.line", "id_opt.NAME", "SEMI.line",
+           fn=lambda label, pos, guard, decls, inner, scope, cc, ln, end,
+           eln: _closed(U.block_stmt(
+               _label(label, "blk", pos), guard, decls, inner, scope,
+               decls.env, cc, ln), "block", label, end, eln))
+    p = g.production("guard_none", "guard_opt ->")
+    p.const("guard_opt.OPT", None)
+    p = g.production("guard_some", "guard_opt -> LP xp RP")
+    p.rule("guard_opt.OPT", "xp.LEF", fn=tuple)
 
 
-def _scope_of(scope, label, line):
-    """The scope of the block ``label`` (at ``line``) in ``scope``."""
-    return "%s%s__" % (scope, label or "blk_l%d" % line)
+def _label(label, kind, pos):
+    """A statement's own label, or its implicit one."""
+    return label or N.implicit_label(kind, pos)
 
 
-def _guard_env(env, scope):
-    """Bind the implicit GUARD signal of a guarded block (§1's
-    'implicit guard signals and guarded statements')."""
-    guard = ObjectEntry(name="guard", obj_class="signal",
-                        vtype=standard().boolean,
-                        py=D.guard_signal(scope)[0])
-    return env.enter_scope().bind("guard", guard)
+def _block_env(env, guard, scope):
+    """The environment of a block's declarations: a new scope, with
+    the implicit GUARD signal of a guarded block (§1's 'implicit guard
+    signals and guarded statements')."""
+    env = env.enter_scope()
+    if guard is None:
+        return env
+    return env.bind("guard", ObjectEntry(
+        name="guard", obj_class="signal", vtype=standard().boolean,
+        py=N.guard_signal(scope)[0]))
 
 
 def _guard_py(env):
@@ -1325,9 +1278,9 @@ def _unit_productions(g):
         "kw_begin cstmts kw_end id_opt SEMI")
     p.rule("decls.ENV", "arch_unit.ENV", "ID1.value", "arch_unit.CC",
            fn=_arch_decl_env)
-    p.rule("decls.SCOPE", fn=lambda: "")
+    p.rule("decls.SCOPE", fn=lambda: ())
     p.rule("cstmts.ENV", "decls.RES", fn=lambda res: res.env)
-    p.rule("cstmts.SCOPE", fn=lambda: "")
+    p.rule("cstmts.SCOPE", fn=lambda: ())
     p.rule("arch_unit.BUILD", "ID0.value", "ID1.value", "decls.RES",
            "cstmts.CS", "arch_unit.ENV", "arch_unit.CC",
            "kw_architecture.line", fn=_build_arch)
@@ -1340,7 +1293,7 @@ def _unit_productions(g):
         "package_unit -> kw_package ID kw_is decls kw_end id_opt SEMI")
     p.rule("decls.ENV", "package_unit.ENV",
            fn=lambda env: env.enter_scope())
-    p.rule("decls.SCOPE", "ID.value", fn=lambda n: "pkg_%s_" % n)
+    p.rule("decls.SCOPE", "ID.value", fn=lambda n: (("package", n),))
     p.rule("package_unit.BUILD", "ID.value", "decls.RES",
            "package_unit.ENV", "package_unit.CC", "kw_package.line",
            fn=lambda name, decls, env, cc, ln: U.package_unit(
@@ -1354,7 +1307,7 @@ def _unit_productions(g):
         "kw_end id_opt SEMI")
     p.rule("decls.ENV", "package_body_unit.ENV", "ID.value",
            "package_body_unit.CC", fn=_package_body_env)
-    p.rule("decls.SCOPE", "ID.value", fn=lambda n: "pkg_%s_" % n)
+    p.rule("decls.SCOPE", "ID.value", fn=lambda n: (("package", n),))
     p.rule("package_body_unit.BUILD", "ID.value", "decls.RES",
            "package_body_unit.ENV", "package_body_unit.CC",
            "kw_package.line",

@@ -79,7 +79,9 @@ def _make_lexer():
     lex.token(
         "BITSTRING", r"[bBoOxX]\"[0-9a-fA-F_]*\"", action=_bitstring_value
     )
-    lex.token("ID", r"[a-zA-Z][a-zA-Z0-9_]*", action=str.lower)
+    # A basic identifier: no leading, trailing or doubled underline,
+    # so no identifier spells a generated name's separator (names.py).
+    lex.token("ID", r"[a-zA-Z](?:_?[a-zA-Z0-9])*", action=str.lower)
     lex.token(
         "ABSTRACT",
         r"\d[\d_]*#[\da-fA-F_]+(\.[\da-fA-F_]+)?#([eE][+-]?\d+)?"

@@ -9,6 +9,8 @@ Code lines are ``(depth, text)`` pairs; depth is relative to the
 enclosing declarative region and resolved at unit-assembly time.
 """
 
+from types import SimpleNamespace
+
 from ..vif.nodes import (
     AliasEntry,
     ArraySubtype,
@@ -25,6 +27,7 @@ from ..vif.nodes import (
     RecordType,
     ScalarSubtype,
 )
+from . import names as N
 from . import vtypes
 from .compile_ctx import bind_attr_value
 from .expr_sem import code_for_value
@@ -105,6 +108,25 @@ class DeclResult:
 
 def _msg(line, text):
     return "line %d: %s" % (line, text)
+
+
+def redeclared(entries, labels, line):
+    """A message per designator declared twice in one declarative
+    region, among its declarations ``entries`` and statement
+    ``labels`` (``(label, line)`` pairs; IEEE 1076, and generated
+    names rely on it).  Subprograms
+    and enumeration literals may be overloaded; an entry listed twice
+    (a subtype renaming its type) is one declaration."""
+    named = [(getattr(e, "name", ""), e) for e in entries
+             if not is_overloadable(e)]
+    named += [(label, SimpleNamespace(line=at)) for label, at in labels]
+    seen, msgs = {}, []
+    for name, entry in named:
+        if name and seen.setdefault(name, entry) is not entry:
+            msgs.append(_msg(getattr(entry, "line", 0) or line,
+                             "%r is already declared in this region"
+                             % name))
+    return msgs
 
 
 # -- marks and subtype indications --------------------------------------------------
@@ -274,31 +296,8 @@ def subtype_indication(mark_entries, resolution_entries, constraint,
 # -- object declarations ----------------------------------------------------------------
 
 
-_PREFIX = {
-    "constant": "c", "variable": "v", "signal": "s",
-    "generic": "g", "port": "p",
-}
-
-
-def block_path(py_scope):
-    """The kernel path, below its architecture's, of the block whose
-    declarations have ``py_scope``: each label of a block scope ends
-    in ``__``, and no other scope holds ``__``."""
-    return "".join(label + ":" for label in py_scope.split("__")[:-1])
-
-
-def guard_signal(py_scope):
-    """``(binding name, kernel path)`` of the implicit GUARD signal of
-    the guarded block whose declarations have ``py_scope``: like its
-    signals, it is named by the enclosing blocks too.  No declared
-    object's binding name starts ``s__`` (no VHDL identifier starts
-    with ``_``), so a signal such as ``guard_b`` keeps its own."""
-    return ("s__guard_" + py_scope[:-2],
-            block_path(py_scope)[:-1] + ".guard")
-
-
 def object_decl(obj_class, names, sub, init_goal, env, cc, line,
-                py_scope="", signal_kind=""):
+                scope=(), signal_kind=""):
     """Process constant/variable/signal declarations (one id list).
 
     ``init_goal`` is the exprEval result of the initializer or None.
@@ -326,7 +325,7 @@ def object_decl(obj_class, names, sub, init_goal, env, cc, line,
     code = []
     entries = []
     for name in names:
-        py = "%s%s_%s" % (py_scope, _PREFIX.get(obj_class, "o"), name)
+        py = N.declared(scope, obj_class, name)
         storable = has_val and _jsonable(init_val)
         entry = ObjectEntry(
             name=name, obj_class=obj_class, mode="",
@@ -339,7 +338,7 @@ def object_decl(obj_class, names, sub, init_goal, env, cc, line,
         if obj_class == "signal":
             res = _resolution_code(sub, cc)
             code.append(ln("%s = ctx.signal(%r, init=%s%s, line=%r)"
-                           % (py, block_path(py_scope) + name, init_code,
+                           % (py, N.kernel_path(scope, name), init_code,
                               res, line)))
         elif obj_class in ("constant", "variable"):
             code.append(ln("%s = %s" % (py, init_code)))
@@ -477,19 +476,6 @@ def make_param(name, obj_class, mode, sub, default_goal, line):
     return param, msgs
 
 
-_OPNAME = {
-    "+": "plus", "-": "minus", "*": "times", "/": "div", "&": "amp",
-    "=": "eq", "/=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
-    "**": "pow",
-}
-
-
-def _py_safe(name):
-    if name in _OPNAME:
-        return "op_" + _OPNAME[name]
-    return "".join(ch if ch.isalnum() else "_" for ch in name)
-
-
 def subprogram_body_env(entry, env, line):
     """The environment inside a subprogram body: params bound."""
     inner = env.enter_scope()
@@ -497,7 +483,7 @@ def subprogram_body_env(entry, env, line):
         obj = ObjectEntry(
             name=param.name, obj_class=param.obj_class,
             mode=param.mode, vtype=param.vtype,
-            py="a_%s" % param.name, line=line,
+            py=N.param(param.name), line=line,
             signal_kind="signal" if param.obj_class == "signal" else "")
         inner = inner.bind(param.name, obj)
     return inner
@@ -513,11 +499,12 @@ def subprogram_code(entry, body_code, local_names, writes, line):
     params = []
     for p in entry.params:
         if p.has_default:
-            params.append("a_%s=%s" % (p.name, code_for_value(p.default)))
+            params.append("%s=%s" % (N.param(p.name),
+                                     code_for_value(p.default)))
         else:
-            params.append("a_%s" % p.name)
+            params.append(N.param(p.name))
     lines = [ln("def %s(%s):" % (entry.py, ", ".join(params)))]
-    locals_ = set(local_names) | {"a_%s" % p.name for p in entry.params}
+    locals_ = set(local_names) | {N.param(p.name) for p in entry.params}
     uplevel = sorted(w for w in writes if w not in locals_)
     body = flatten(body_code)
     if uplevel:
@@ -525,7 +512,7 @@ def subprogram_code(entry, body_code, local_names, writes, line):
     if not body:
         body = [ln("pass")]
     if entry.sub_kind == "procedure":
-        out = ["a_%s" % p.name for p in entry.params
+        out = [N.param(p.name) for p in entry.params
                if p.mode in ("out", "inout") and p.obj_class != "signal"]
         if out:
             body.append(ln("return %s" % ", ".join(out)))

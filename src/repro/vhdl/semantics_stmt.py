@@ -15,6 +15,7 @@ dataflow of the code (:class:`repro.vhdl.flow.Flow`) with the
 control facts it needs.
 """
 
+from . import names as N
 from . import vtypes
 from .expr_sem import signals_of
 from .flow import EMPTY_SET, NO_FLOW, Flow, drive_flow, wait_flow
@@ -268,7 +269,7 @@ def case_stmt(selector_lef, alternatives, env, cc, line):
     flow = Flow.of_uses(_uses(sel))
     sel_type = sel.get("type")
     # tmp is local to the statement, never uplevel: not a write
-    tmp = cc.gensym("_case")
+    tmp = N.CASE_TEMP
     lines = [ln("%s = %s" % (tmp, sel.get("code", "None")))]
     keyword = "if"
     seen_others = False
@@ -306,16 +307,15 @@ def case_stmt(selector_lef, alternatives, env, cc, line):
                      [body for _, body in alternatives])
 
 
-def loop_param_py(param_name, line):
-    """Deterministic python name for a loop parameter.
+#: The env key of the number of for loops around a statement, which
+#: names their parameters (no loop encloses a process's or a
+#: subprogram's declarations, so the count starts at each).
+LOOP_DEPTH = "for-loop depth"
 
-    Deterministic (name + line) rather than gensym'd, because two
-    independent semantic rules — the body's inherited ENV and the
-    statement's synthesized code — must derive the same name.  A fresh
-    name (not ``v_<name>``) so an outer homonym keeps its value after
-    the loop, as VHDL scoping requires.
-    """
-    return "v_%s_l%d" % (param_name, line)
+
+def _loop_depth(env):
+    entries = env.lookup(LOOP_DEPTH).entries
+    return entries[0] if entries else 0
 
 
 def loop_env(param_name, range_lef, env, cc, line):
@@ -323,10 +323,13 @@ def loop_env(param_name, range_lef, env, cc, line):
     from ..vif.nodes import ObjectEntry
 
     rng = cc.eval_range(range_lef, env, line)
+    depth = _loop_depth(env)
     entry = ObjectEntry(name=param_name, obj_class="loopvar",
                         vtype=rng.get("type") or cc.std.integer,
-                        py=loop_param_py(param_name, line), line=line)
-    return env.enter_scope().bind(param_name, entry)
+                        py=N.declared((), "loop", param_name, depth),
+                        line=line)
+    return env.enter_scope().bind(LOOP_DEPTH, depth + 1).bind(
+        param_name, entry)
 
 
 def for_loop(param_name, range_lef, body, env, cc, line):
@@ -335,7 +338,7 @@ def for_loop(param_name, range_lef, body, env, cc, line):
     msgs = []
     rng = cc.eval_range(range_lef, env, line)
     msgs.extend(rng.get("msgs", ()))
-    py = loop_param_py(param_name, line)
+    py = N.declared((), "loop", param_name, _loop_depth(env))
     msgs.extend(body.msgs)
     head = "for %s in ops.iter_range(%s, %r, %s):" % (
         py, rng.get("left_code", "0"), rng.get("direction", "to"),

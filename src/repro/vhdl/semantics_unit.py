@@ -8,6 +8,7 @@ import builtins
 import keyword
 import re
 from copy import copy
+from types import SimpleNamespace
 
 from ..vif.nodes import (
     ArchUnit,
@@ -18,17 +19,17 @@ from ..vif.nodes import (
     PackageBodyUnit,
     PackageUnit,
 )
+from . import names as N
 from . import vtypes
 from .compile_ctx import attrs_of
 from .flow import Flow, drive_flow, wait_flow
 from .semantics_decl import (
     DeclResult,
-    block_path,
     flatten,
-    guard_signal,
     indent,
     join,
     ln,
+    redeclared,
     render,
 )
 from .semantics_stmt import SRes
@@ -42,31 +43,34 @@ def _msg(line, text):
 class CStmt:
     """One concurrent statement's contribution to an architecture.
 
-    ``code``, ``instances``, ``processes`` (the record of each process
+    ``code``, ``instances``, ``labels`` (of the statements, for
+    :func:`redeclared`), ``processes`` (the record of each process
     the code creates) and ``signals`` (a ``[py, name, line, resolved]``
     row per signal a block declares) are ropes, flattened by
     :func:`arch_unit`.  A process's code is one line whose text is a
     :class:`ProcessLine`, which :func:`arch_unit` renders.
     """
 
-    __slots__ = ("code", "msgs", "instances", "label", "processes",
+    __slots__ = ("code", "msgs", "instances", "labels", "processes",
                  "signals")
 
     def __init__(self, code=(), msgs=(), instances=(), label="",
-                 processes=(), signals=()):
+                 processes=(), signals=(), line=0):
         self.code = code
         self.msgs = list(msgs)
         self.instances = instances
-        self.label = label
+        self.labels = ((label, line),) if label else ()
         self.processes = processes
         self.signals = signals
 
     @staticmethod
     def merge(a, b):
-        return CStmt(join(a.code, b.code), a.msgs + b.msgs,
-                     join(a.instances, b.instances), "",
-                     join(a.processes, b.processes),
-                     join(a.signals, b.signals))
+        merged = CStmt(join(a.code, b.code), a.msgs + b.msgs,
+                       join(a.instances, b.instances), "",
+                       join(a.processes, b.processes),
+                       join(a.signals, b.signals))
+        merged.labels = join(a.labels, b.labels)
+        return merged
 
 
 CSTMT_EMPTY = CStmt()
@@ -86,12 +90,6 @@ _STRING = r"""[bBrRuU]?(?:'(?:[^'\\\n]|\\.)*'|"(?:[^"\\\n]|\\.)*")"""
 #: keyword argument (nor the target of an assignment).
 _USE = re.compile(_STRING + r"|(?<![\w.])([A-Za-z_]\w*)\b(?!\s*=(?!=))")
 
-#: A string literal, or a name that carries a source line or a
-#: counter: a loop parameter ``v_<name>_l<line>``, a subprogram
-#: ``f_<name>_l<line>``, a ``_case_<n>`` or ``_sel_<n>`` temporary.
-_NUMBERED = re.compile(
-    _STRING + r"|(?<![\w.])((?:[vf]_\w+_l|_case_|_sel_)\d+)\b")
-
 #: The parts of a line that may bind a name: a ``def``, ``nonlocal``
 #: or ``global`` line, a ``for`` target, ``lambda`` parameters and
 #: assignment targets.
@@ -109,37 +107,24 @@ def _lift(lines):
 
     Every name a binding form mentions counts as bound, so the bound
     set may be too large; that only keeps a name in the text, where
-    the factory, nested in ``elaborate``, still sees it.  A bound name
-    that carries a source line or a counter (:data:`_NUMBERED`) gets
-    its number replaced by its rank in order of first use, so two
-    processes that differ only in where they stand share a text.
+    the factory, nested in ``elaborate``, still sees it.  A name the
+    process binds carries no source line (:mod:`repro.vhdl.names`).
     Names in string literals stay as they are."""
     bound = set()
     for _, text in lines:
         for match in _BINDING.finditer(text):
             bound.update(_IDENT.findall(match.group()))
     params = {}
-    own = {}
 
     def param(match):
         name = match.group(1)
         if name is None or name in bound or name in _MODEL_NAMES:
             return match.group()
         if name not in params:
-            params[name] = "_a%d" % len(params)
+            params[name] = N.LIFTED % len(params)
         return params[name]
 
-    def renumber(match):
-        name = match.group(1)
-        if name is None or name not in bound:
-            return match.group()
-        if name not in own:
-            own[name] = "%s%d" % (name.rstrip("0123456789"),
-                                  len(own) + 1)
-        return own[name]
-
-    lifted = tuple((depth, _NUMBERED.sub(renumber, _USE.sub(param, text)))
-                   for depth, text in lines)
+    lifted = tuple((depth, _USE.sub(param, text)) for depth, text in lines)
     return lifted, list(params)
 
 
@@ -163,7 +148,7 @@ class ProcessLine:
         """This line for the process inside block ``block``: its label
         is the process's path below the architecture."""
         line = copy(self)
-        line.label = "%s:%s" % (block, self.label)
+        line.label = N.kernel_path((("block", block),), self.label)
         return line
 
     def bind(self, factories):
@@ -171,7 +156,7 @@ class ProcessLine:
         ``factories`` (lifted text -> factory name, arity) if it is
         new."""
         if self.text not in factories:
-            factories[self.text] = ("_f%d" % (len(factories) + 1),
+            factories[self.text] = (N.FACTORY % (len(factories) + 1),
                                     len(self.args))
         return "ctx.process(%r, %s(%s)%s)" % (
             self.label, factories[self.text][0], ", ".join(self.args),
@@ -182,7 +167,7 @@ def _factory_lines(text, name, arity):
     """``def <name>(_a0, ...)``, returning the process function
     ``text`` defines."""
     lines = [ln("def %s(%s):" % (name, ", ".join(
-        "_a%d" % i for i in range(arity))))]
+        N.LIFTED % i for i in range(arity))))]
     lines.extend(indent(text))
     lines.append(ln("return _p", 1))
     return lines
@@ -206,11 +191,11 @@ def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
     code becomes the pre-loop variable initialization); ``body`` is the
     SRes of the statement part.
     """
-    msgs = list(decls.msgs) + list(body.msgs)
+    msgs = list(decls.msgs) + list(body.msgs) \
+        + redeclared(flatten(decls.entries), (), line)
     if body.jump:
         msgs.append(body.jump)
-    label = label or cc.gensym("proc")
-    fn = "_p_%s" % label
+    fn = N.PROCESS_FUNCTION % label
     sens = []
     if sensitivity_lefs is not None:
         for name_lef in sensitivity_lefs:
@@ -247,7 +232,7 @@ def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
     lines.append(ln("while True:", 1))
     lines.extend(indent(loop_body, 2))
     return CStmt(_process_line(label, lines, sens, line), msgs, (),
-                 label, [flow.record(label, fn, line, sens)])
+                 label, [flow.record(label, fn, line, sens)], line=line)
 
 
 def _equivalent_process(label, body_lines, body_flow, sens, line,
@@ -260,23 +245,21 @@ def _equivalent_process(label, body_lines, body_flow, sens, line,
                     % ", ".join(sens), 2))
     flow = body_flow + wait_flow(sens)
     return (_process_line(label, lines, sens, line),
-            flow.record(label, fn or "_p_%s" % label, line, sens))
+            flow.record(label, fn or N.PROCESS_FUNCTION % label, line, sens))
 
 
-def concurrent_assign(label, arms, env, cc, line, guarded=False,
-                      guard_py=None):
+def concurrent_assign(label, arms, env, cc, line, guard_py=None):
     """Concurrent (possibly conditional) signal assignment.
 
     ``arms``: list of (target_lef, wave, cond_lef_or_None, transport).
     All arms share one target in VHDL; we take the first target.
-    Equivalent process: assign, then wait on the signals read.
+    Equivalent process: assign, then wait on the signals read; a
+    guarded one assigns only while ``guard_py`` is true.
     """
     from .semantics_stmt import if_stmt, signal_assign
 
-    label = label or cc.gensym("cassign")
     msgs = []
     sigs = set()
-    guard_py = guard_py if guarded else None
     if guard_py is not None:
         sigs.add(guard_py)
     body = SRes(stmts=0)
@@ -299,7 +282,7 @@ def concurrent_assign(label, arms, env, cc, line, guarded=False,
         body = else_sres
     lines, record = _equivalent_process(label, body.code, body.flow,
                                         sorted(sigs), line)
-    return CStmt(lines, msgs, (), label, [record])
+    return CStmt(lines, msgs, (), label, [record], line=line)
 
 
 def selected_assign(label, selector_lef, target_lef, choices_waves,
@@ -307,14 +290,13 @@ def selected_assign(label, selector_lef, target_lef, choices_waves,
     """``with sel select target <= w1 when c1, ... ;``"""
     from .semantics_stmt import signal_assign
 
-    label = label or cc.gensym("sassign")
     msgs = []
     sel = cc.eval_expr(selector_lef, env, line)
     msgs.extend(sel.get("msgs", ()))
     sigs = set(sel.get("sigs", ()))
     flow = Flow.of_uses(sel.get("uses", ()))
     sel_type = sel.get("type")
-    tmp = cc.gensym("_sel")
+    tmp = N.SELECT_TEMP
     body = [ln("%s = %s" % (tmp, sel.get("code", "None")))]
     keyword = "if"
     for wave, choice_lefs in choices_waves:
@@ -341,7 +323,7 @@ def selected_assign(label, selector_lef, target_lef, choices_waves,
         body.extend(indent(sres.code))
     lines, record = _equivalent_process(label, body, flow, sorted(sigs),
                                         line)
-    return CStmt(lines, msgs, (), label, [record])
+    return CStmt(lines, msgs, (), label, [record], line=line)
 
 
 def concurrent_assert(label, cond_lef, report_lef, severity_lef, env,
@@ -354,7 +336,7 @@ def concurrent_assert(label, cond_lef, report_lef, severity_lef, env,
                        line)
     lines, record = _equivalent_process(label, sres.code, sres.flow,
                                         sorted(sres.sigs), line)
-    return CStmt(lines, sres.msgs, (), label, [record])
+    return CStmt(lines, sres.msgs, (), label, [record], line=line)
 
 
 # -- component instantiation -----------------------------------------------------------------
@@ -375,7 +357,7 @@ def instantiation(label, comp_name, generic_assocs, port_assocs, env,
             break
     if comp is None:
         return CStmt([], [_msg(line, "%r is not a component"
-                                % comp_name)], [], label)
+                                % comp_name)], [], label, line=line)
     gmap = {}
     for formal, actual_lef in generic_assocs:
         formal = formal or (comp.generics[len(gmap)].name
@@ -421,24 +403,28 @@ def instantiation(label, comp_name, generic_assocs, port_assocs, env,
     inst = InstanceEntry(label=label, component=comp, connections={
         formal: actual for formal, actual in pmap.items()
         if actual != "None"})
-    return CStmt(code, msgs, [inst], label)
+    return CStmt(code, msgs, [inst], label, line=line)
 
 
 def block_stmt(label, guard_lef, decls, inner, scope, env, cc, line):
     """``label: block (guard) decls begin ... end block;``
 
     Its signals are named by the block's ``scope``
-    (:func:`~repro.vhdl.semantics_decl.block_path`), and its processes
-    by its label the same way: ``p`` in ``deep`` in ``outer`` is
+    (:func:`~repro.vhdl.names.kernel_path`), and its processes by its
+    label the same way: ``p`` in ``deep`` in ``outer`` is
     ``outer:deep:p``, kernel path and record alike.  The guard
     becomes an implicit signal driven by an equivalent process;
     guarded assignments inside test it.
     """
-    msgs = list(decls.msgs)
+    entries = flatten(decls.entries)
+    # The block declares GUARD before its own declarations.
+    guard = [SimpleNamespace(name="guard")] if guard_lef is not None else []
+    msgs = list(decls.msgs) + redeclared(guard + entries,
+                                         flatten(inner.labels), line)
     lines = []
-    signals = [[e.py, block_path(scope) + e.name, e.line,
+    signals = [[e.py, N.kernel_path(scope, e.name), e.line,
                 vtypes.resolution_of(e.vtype) is not None]
-               for e in flatten(decls.entries)
+               for e in entries
                if entry_kind(e) == "object" and e.obj_class == "signal"]
     processes = ()
     if guard_lef is not None:
@@ -446,11 +432,11 @@ def block_stmt(label, guard_lef, decls, inner, scope, env, cc, line):
                             expected=cc.std.boolean)
         msgs.extend(goal.get("msgs", ()))
         uses = goal.get("uses", ())
-        guard_py, guard_path = guard_signal(scope)
+        guard_py, guard_path = N.guard_signal(scope)
         lines.append(ln("%s = ctx.signal(%r, init=0)"
                         % (guard_py, guard_path)))
         signals.append([guard_py, guard_path, None, False])
-        fn = "_p_guard_%s" % label
+        fn = N.GUARD_PROCESS % label
         guard_lines, record = _equivalent_process(
             fn, [ln("rt.assign(%s, ((%s, 0),))"
                     % (guard_py, goal.get("code", "0")))],
@@ -462,11 +448,12 @@ def block_stmt(label, guard_lef, decls, inner, scope, env, cc, line):
     msgs.extend(inner.msgs)
     code = [(depth, text.within(label) if type(text) is ProcessLine
              else text) for depth, text in flatten(inner.code)]
-    records = [["%s:%s" % (label, record[0])] + record[1:]
+    records = [[N.kernel_path((("block", label),), record[0])]
+               + record[1:]
                for record in flatten(inner.processes)]
     return CStmt(join(join(decls.code, lines), code), msgs,
                  inner.instances, label, join(processes, records),
-                 join(signals, inner.signals))
+                 join(signals, inner.signals), line)
 
 
 # -- unit assembly ----------------------------------------------------------------------------
@@ -491,10 +478,9 @@ def interface_object(name, obj_class, mode, sub, default_goal, cc,
                 default_goal["val"], (int, float, str, bool)):
             value = default_goal["val"]
             has_value = True
-    prefix = "g" if obj_class == "generic" else "p"
     entry = ObjectEntry(
         name=name, obj_class=obj_class, mode=mode or "in",
-        vtype=sub.vtype, py="%s_%s" % (prefix, name),
+        vtype=sub.vtype, py=N.declared((), obj_class, name),
         value=value, has_value=has_value, line=line)
     return entry, msgs, sub
 
@@ -535,7 +521,10 @@ def arch_unit(name, entity, decls, cstmts, configs, env, cc, line):
     (:mod:`repro.vhdl.slotform`)."""
     from .slotform import slot_form
 
-    msgs = list(decls.msgs) + list(cstmts.msgs)
+    entries = flatten(decls.entries)
+    msgs = list(decls.msgs) + list(cstmts.msgs) + redeclared(
+        list(entity.generics) + list(entity.ports) + entries,
+        flatten(cstmts.labels), line)
     instances = flatten(cstmts.instances)
     # Apply configuration specifications from the declarative part
     # (§3.3: configuration information in the architecture).
@@ -571,7 +560,7 @@ def arch_unit(name, entity, decls, cstmts, configs, env, cc, line):
     py_source = "\n".join(lines) + "\n"
     return ArchUnit(
         name=name, entity_name=entity.name, entity=entity,
-        decls=flatten(decls.entries), instances=instances,
+        decls=entries, instances=instances,
         user_attrs=list(attrs_of(env)),
         processes=flatten(cstmts.processes),
         block_signals=flatten(cstmts.signals),
@@ -590,11 +579,12 @@ def package_unit(name, decls, env, cc, line, is_body=False):
     lines.append(render(body, base_indent=1))
     py_source = "\n".join(lines) + "\n"
     cls = PackageBodyUnit if is_body else PackageUnit
-    kwargs = dict(name=name, decls=flatten(decls.entries),
-                  py_source=py_source, line=line)
+    entries = flatten(decls.entries)
+    kwargs = dict(name=name, decls=entries, py_source=py_source,
+                  line=line)
     if not is_body:
         kwargs["user_attrs"] = list(attrs_of(env))
-    return cls(**kwargs), list(decls.msgs)
+    return cls(**kwargs), list(decls.msgs) + redeclared(entries, (), line)
 
 
 def config_unit(name, entity_entries, bindings, cc, line):

@@ -44,6 +44,7 @@ args, signals, pure, body, cond]``:
 
 import re
 
+from . import names as N
 from .semantics_unit import _STRING
 
 #: A string literal; a signal function of one name; another ``rt``
@@ -107,7 +108,7 @@ class _Render:
         self.pure = True
 
     def param(self, name, used):
-        k = self.params.setdefault(name, "_k%d" % len(self.params))
+        k = self.params.setdefault(name, N.SLOT_PARAM % len(self.params))
         used.add(k)
         return k
 

@@ -95,12 +95,14 @@ class TestCompilerObserver:
         compiler = Compiler()
         compiler.compile(path.read_text(), filename=str(path))
         obs = compiler.observer
-        # 348 principal firings: the 343 counted before the expression
+        # 360 principal firings: the 343 counted before the expression
         # AG reported to the compiler's observer (threading the
         # observer through adds the nested firings and changes none of
         # these), plus one per closing designator the unit, process
-        # and block rules now check (2 names, 3 omitted).
-        assert obs.grammar_firings["vhdl_principal"] == 348
+        # and block rules now check (2 names, 3 omitted), plus three
+        # per concurrent statement that place it in its region (4
+        # statements: the count, the position and its copy).
+        assert obs.grammar_firings["vhdl_principal"] == 360
         assert obs.grammar_firings["vhdl_expr"] > 0
         assert obs.total_firings == sum(obs.grammar_firings.values())
 

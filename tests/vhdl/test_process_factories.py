@@ -98,16 +98,15 @@ def test_ring_models_hold_one_factory_per_shape():
 def test_each_process_binds_the_names_it_takes_from_outside():
     _, model = _model(MIX, "mix", "a")
     assert process_line(model, "tick") == (
-        "ctx.process('tick', _f1(s_n, pkg_pk_f_step_l4, c_lim), "
+        "ctx.process('tick', _f1(s_n, pkg_pk__f_step, c_lim), "
         "line=25)")
     # The process's own variable, local procedure and loop variable
-    # stay in the factory, as does the text of a string literal; the
-    # procedure (line 27) and the loop variable (line 33) are numbered
-    # in order of first use instead.
+    # stay in the factory, as does the text of a string literal; their
+    # names carry no source line.
     text = process_text(model, "tick")
     assert "v_acc = 0" in text and "nonlocal v_acc" in text
-    assert "f_bump_l1(v_i_l2)" in text
-    assert "rt.assign(s_n, ((ops.mod(pkg_pk_f_step_l4(v_acc), c_lim)" \
+    assert "f_bump(l_i)" in text
+    assert "rt.assign(s_n, ((ops.mod(pkg_pk__f_step(v_acc), c_lim)" \
         in text
     assert "'s_n overflow'" in text
 
@@ -117,10 +116,10 @@ def test_processes_of_one_shape_share_a_factory():
     assert _factories(model) == ["_f1", "_f2"]
     # ``copy`` sits in block ``b``, ``copy2`` in the architecture.
     assert process_line(model, "b:copy") == (
-        "ctx.process('b:copy', _f2(s_m, f_twice_l20, s_n), "
+        "ctx.process('b:copy', _f2(s_m, f_twice, s_n), "
         "sensitivity=[s_n], line=41)")
     assert process_line(model, "copy2") == (
-        "ctx.process('copy2', _f2(p_o, f_twice_l20, s_m), "
+        "ctx.process('copy2', _f2(p_o, f_twice, s_m), "
         "sensitivity=[s_m], line=43)")
 
 

@@ -150,5 +150,5 @@ class TestPyModel:
             end p;
         """)
         pkg = compiler.library.find_unit("work", "p")
-        assert "pkg_p_c_k = 3" in pkg.py_source
+        assert "pkg_p__c_k = 3" in pkg.py_source
         assert "ctx.export" in pkg.py_source
