@@ -879,6 +879,9 @@ def scenario_memory():
     they are not calibration-normalized.  ``model_factories``
     (``exact``) counts the process factories in the ring's model: one
     per process shape, whatever the ring's size.
+    ``model_bytes`` (``exact``) is the size of the ring's model,
+    which keeps its cells as rows: the scenario fails unless the
+    model of a 50-cell ring is the same text.
     ``parse_trees_at_model_compile`` (``exact``) counts the parse
     nodes alive, with the cyclic collector off, when the models are
     byte-compiled: 0 means the tree died before.
@@ -977,8 +980,15 @@ def scenario_memory():
         tracemalloc.stop()
 
     model = library.find_architecture("work", "ring", "rtl").py_source
+    small_ring = Compiler()
+    small_ring.compile(ring_vhdl(50, COMPILED_TOKENS), filename="ring.vhd")
+    if small_ring.library.find_architecture(
+            "work", "ring", "rtl").py_source != model:
+        raise RuntimeError("the model of a 50-cell ring differs from "
+                             "that of %d cells" % COMPILED_CELLS)
     values = {
         "cells": COMPILED_CELLS,
+        "model_bytes": len(model.encode()),
         "model_factories": len(re.findall(r"^    def _f\d+\(", model,
                                           re.M)),
         "compiled_procs": kernel.compiled_procs,

@@ -26,13 +26,15 @@ import json
 # (``slot_forms``); bumping rebuilds cached units that lack it.
 # bfp-10: generated names follow one rule (``vhdl/names.py``); a
 # cached unit named by the old rule would not link with a new one.
-FINGERPRINT_VERSION = "bfp-10"
+# bfp-11: a model's signals, processes and instances are rows
+# (``rows``), not lines of its ``py_source``.
+FINGERPRINT_VERSION = "bfp-11"
 
 #: Payload node fields that do not affect a unit's *interface* as seen
 #: by dependents: generated back-end text and the dataflow facts that
 #: come with it, and source coordinates (``source_file`` included, so
 #: renaming a file does not cascade).
-VOLATILE_FIELDS = ("py_source", "processes", "block_signals",
+VOLATILE_FIELDS = ("py_source", "rows", "processes", "block_signals",
                    "slot_forms", "connections", "drives", "reads", "line",
                    "source_file")
 

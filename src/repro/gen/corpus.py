@@ -94,6 +94,8 @@ def save(directory, design, result, name=None, note=None):
 
 
 def parse_entry(text, name="<corpus>", path=None):
+    """The entry ``text`` holds.  Its header lines stay in its source
+    as empty lines, so a replay names the lines of the file."""
     meta = {}
     body = []
     for line in text.splitlines(keepends=True):
@@ -102,9 +104,9 @@ def parse_entry(text, name="<corpus>", path=None):
             rest = stripped[len(HEADER_PREFIX):].strip()
             for key, value in _KV.findall(rest):
                 meta[key] = value
-        else:
-            body.append(line)
-    return CorpusEntry(name, path, "".join(body).lstrip("\n"), meta)
+            line = "\n"
+        body.append(line)
+    return CorpusEntry(name, path, "".join(body), meta)
 
 
 def load_entry(path):

@@ -95,7 +95,10 @@ class Program:
 
 
 def design_fingerprint(records, kernel):
-    """Cache key: the py_sources plus the elaborated topology.
+    """Cache key: each unit's model text and rows plus the elaborated
+    topology.  The rows are the wiring (which signals each process
+    and instance takes) and the literals, so designs with one text
+    and one size apart only in them never share a program.
 
     Generic *values* are excluded on purpose — they are captured from
     process closures at bind time, so two elaborations of the same
@@ -108,6 +111,8 @@ def design_fingerprint(records, kernel):
         h.update(record.kind.encode())
         h.update(b"\0")
         h.update(getattr(record.node, "py_source", "").encode())
+        h.update(b"\0")
+        h.update(repr(getattr(record.node, "rows", None)).encode())
         h.update(b"\0")
     h.update(("#%d/%d" % (len(kernel.signals),
                           len(kernel.processes))).encode())

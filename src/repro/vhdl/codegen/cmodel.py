@@ -13,6 +13,8 @@ from a unit's Python model whenever it is asked for.
 
 import re
 
+from .pymodel import model_lines
+
 _HEADER = """\
 /* Generated by the repro VHDL compiler -- illustrative C back end. */
 #include "vhdl_kernel.h"
@@ -93,19 +95,18 @@ def c_model_for_unit(unit_kind, name, body_lines):
 
 
 def c_model(unit):
-    """The C text of a library unit, derived from its ``py_source``.
+    """The C text of a library unit, derived from its ``py_source``
+    and ``rows``.
 
     Architectures and packages (bodies included) render the lines of
-    their ``elaborate(ctx)`` model; an entity or a configuration
-    generates no code, so its C text is a one-line comment."""
+    their ``elaborate(ctx)`` model, each row as the statement it
+    stands for (:func:`~repro.vhdl.codegen.pymodel.model_lines`); an
+    entity or a configuration generates no code, so its C text is a
+    one-line comment."""
     kind = unit.entry_kind
-    _, found, body = unit.py_source.partition("def elaborate(ctx):\n")
-    if not found:
+    lines = model_lines(unit.py_source, getattr(unit, "rows", None))
+    if not lines:
         return "/* %s %s */" % (kind, unit.name)
-    lines = []
-    for line in body.split("\n")[:-1]:
-        text = line.lstrip(" ")
-        lines.append(((len(line) - len(text)) // 4 - 1, text))
     if kind == "package_body":
         kind = "package"
     return c_model_for_unit(kind, unit.name, lines)

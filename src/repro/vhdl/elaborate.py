@@ -62,10 +62,11 @@ class ElaborationError(Exception):
 
 
 class ElabContext:
-    """The ``ctx`` object generated models receive."""
+    """The ``ctx`` object generated models receive; ``rows`` are its
+    unit's, which :meth:`rows` walks."""
 
     def __init__(self, elaborator, path, generics=None, ports=None,
-                 arch_node=None, config_rows=(), record=None):
+                 arch_node=None, config_rows=(), record=None, rows=()):
         self._elab = elaborator
         self.kernel = elaborator.kernel
         self.rt = elaborator.kernel.rt
@@ -77,6 +78,10 @@ class ElabContext:
         self._config_rows = list(config_rows)
         self._exports = {}
         self._record = record
+        self._rows = rows or ()
+        self._next_row = 0
+        #: the Python name -> signal each signal row bound
+        self.bound = {}
 
     # -- interface ------------------------------------------------------------
 
@@ -137,6 +142,46 @@ class ElabContext:
     def export(self, names):
         """Package elaboration result (constants, functions, signals)."""
         self._exports.update(names)
+
+    def rows(self, scope):
+        """Elaborate the next run of the unit's rows (the rows that
+        share its run index, :func:`repro.vhdl.codegen.pymodel.row_line`)
+        in order, through :meth:`signal`, :meth:`process` and
+        :meth:`instance`, as the statements they stand for would.  An
+        operand that is a name is a signal a row bound, a name in
+        ``scope`` (the model's locals) or a package's export.  Returns
+        :attr:`bound`."""
+        rows, i = self._rows, self._next_row
+        bound = self.bound
+        globals_ = self._elab._package_ns
+
+        def value(operand):
+            if type(operand) is not str:
+                return operand
+            if operand in bound:
+                return bound[operand]
+            return scope[operand] if operand in scope \
+                else globals_[operand]
+
+        run = rows[i][-1]
+        while i < len(rows) and rows[i][-1] == run:
+            row = rows[i]
+            i += 1
+            kind = row[0]
+            if kind == "signal":
+                bound[row[1]] = self.signal(
+                    row[2], value(row[3]), value(row[4]), row[5])
+            elif kind == "process":
+                sens = row[4]
+                self.process(row[1], value(row[2])(*map(value, row[3])),
+                             None if sens is None
+                             else [value(s) for s in sens], row[5])
+            else:
+                self.instance(row[1], row[2],
+                              {k: value(v) for k, v in row[3]},
+                              {k: value(v) for k, v in row[4]})
+        self._next_row = i
+        return bound
 
     # -- structure ----------------------------------------------------------------
 
@@ -200,10 +245,11 @@ class Elaborator:
                                   node)
             self.records.append(record)
             ctx = ElabContext(self, SEPARATOR + node.name,
-                              record=record)
+                              record=record, rows=node.rows)
             ns = load_model(compile_model(py, "%s.%s" % (lib, key)),
                             extra_globals=self._package_ns)
             ns["elaborate"](ctx)
+            self._package_ns.update(ctx.bound)
             self._package_ns.update(ctx._exports)
 
     # -- binding resolution (§3.3) ------------------------------------------------------
@@ -260,7 +306,7 @@ class Elaborator:
         record = DesignRecord(path, "architecture", arch)
         self.records.append(record)
         ctx = ElabContext(self, path, generics, ports, arch,
-                          config_rows, record=record)
+                          config_rows, record=record, rows=arch.rows)
         name = "%s(%s)" % (arch.name, entity.name)
         key = (name, arch.py_source)
         if key not in self._models:

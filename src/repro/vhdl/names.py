@@ -76,7 +76,8 @@ def implicit_label(kind, position):
 
 #: A process record's function (``% label``), the label of a guarded
 #: block's GUARD driver (``% block label``), a model's process factory,
-#: its parameter for the n-th name a process takes in, and a slot
-#: form's parameter (``% n``).
+#: its parameter for the n-th name a process takes in, a slot form's
+#: parameter and the n-th computed operand of a model's rows
+#: (``% n``).
 PROCESS_FUNCTION, GUARD_PROCESS = "_p_%s", "_p_guard_%s"
-FACTORY, LIFTED, SLOT_PARAM = "_f%d", "_a%d", "_k%d"
+FACTORY, LIFTED, SLOT_PARAM, OPERAND = "_f%d", "_a%d", "_k%d", "_o%d"

@@ -6,7 +6,9 @@ touched, §4.3), the generated code lines for the declaration, the VIF
 entries it created, and error messages.
 
 Code lines are ``(depth, text)`` pairs; depth is relative to the
-enclosing declarative region and resolved at unit-assembly time.
+enclosing declarative region and resolved at unit-assembly time.  A
+signal declaration's text is a :class:`Row`: the unit's model keeps it
+as data.
 """
 
 from types import SimpleNamespace
@@ -45,6 +47,31 @@ def indent(lines, by=1):
 
 def render(lines, base_indent=0, unit="    "):
     return "\n".join(unit * (base_indent + d) + t for d, t in lines)
+
+
+class Row:
+    """A signal, process or component-instance statement of a model,
+    as data: ``row`` is its row
+    (:func:`repro.vhdl.codegen.pymodel.row_line`) with each operand
+    still the code that computes it.  The unit's assembly
+    (:func:`repro.vhdl.semantics_unit.arch_unit`) makes the operands
+    literals and names; inside a process or subprogram, whose
+    statements are all text, a row is the statement it stands for
+    (:func:`as_text`)."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row):
+        self.row = row
+
+
+def as_text(lines):
+    """The code lines of ``lines``, each :class:`Row` as the statement
+    it stands for."""
+    from .codegen.pymodel import row_line
+
+    return [(d, row_line(t.row, str) if type(t) is Row else t)
+            for d, t in flatten(lines)]
 
 
 class Rope:
@@ -336,10 +363,8 @@ def object_decl(obj_class, names, sub, init_goal, env, cc, line,
         entries.append(entry)
         new_env = new_env.bind(name, entry)
         if obj_class == "signal":
-            res = _resolution_code(sub, cc)
-            code.append(ln("%s = ctx.signal(%r, init=%s%s, line=%r)"
-                           % (py, N.kernel_path(scope, name), init_code,
-                              res, line)))
+            code.append(ln(Row(["signal", py, N.kernel_path(scope, name),
+                                init_code, _resolution_code(sub), line])))
         elif obj_class in ("constant", "variable"):
             code.append(ln("%s = %s" % (py, init_code)))
     return DeclResult(new_env, code, entries, msgs,
@@ -350,11 +375,11 @@ def _jsonable(val):
     return isinstance(val, (int, float, str, bool, type(None)))
 
 
-def _resolution_code(sub, cc):
+def _resolution_code(sub):
     resolution = sub.resolution or vtypes.resolution_of(sub.vtype)
     if resolution is None:
-        return ""
-    return (", res=lambda _vs: %s(VArray.from_list(list(_vs)))"
+        return None
+    return ("lambda _vs: %s(VArray.from_list(list(_vs)))"
             % resolution.py)
 
 
@@ -506,7 +531,7 @@ def subprogram_code(entry, body_code, local_names, writes, line):
     lines = [ln("def %s(%s):" % (entry.py, ", ".join(params)))]
     locals_ = set(local_names) | {N.param(p.name) for p in entry.params}
     uplevel = sorted(w for w in writes if w not in locals_)
-    body = flatten(body_code)
+    body = as_text(body_code)
     if uplevel:
         body.insert(0, ln("nonlocal %s" % ", ".join(uplevel)))
     if not body:

@@ -25,6 +25,8 @@ from .compile_ctx import attrs_of
 from .flow import Flow, drive_flow, wait_flow
 from .semantics_decl import (
     DeclResult,
+    Row,
+    as_text,
     flatten,
     indent,
     join,
@@ -48,7 +50,7 @@ class CStmt:
     the code creates) and ``signals`` (a ``[py, name, line, resolved]``
     row per signal a block declares) are ropes, flattened by
     :func:`arch_unit`.  A process's code is one line whose text is a
-    :class:`ProcessLine`, which :func:`arch_unit` renders.
+    :class:`ProcessLine`, which :func:`arch_unit` makes a row.
     """
 
     __slots__ = ("code", "msgs", "instances", "labels", "processes",
@@ -129,20 +131,22 @@ def _lift(lines):
 
 
 class ProcessLine:
-    """A process's line in its architecture's ``elaborate(ctx)``.
+    """A process statement of an architecture, until :func:`arch_unit`
+    names its factory.
 
     ``text`` is the process function ``_p`` with every name it takes
     from outside lifted (:func:`_lift`); ``args`` are those names.
     :func:`arch_unit` keeps one factory per distinct ``text`` and
-    renders this line as the ``ctx.process`` call that binds the
-    factory to ``args``."""
+    makes this statement the process row that binds the factory to
+    ``args``."""
 
-    __slots__ = ("label", "text", "args", "tail")
+    __slots__ = ("label", "text", "args", "sens", "line")
 
-    def __init__(self, label, lines, tail):
+    def __init__(self, label, lines, sens, line):
         self.label = label
         self.text, self.args = _lift(flatten(lines))
-        self.tail = tail  # the call's arguments after the function
+        self.sens = sens  # the sensitivity list's names, or None
+        self.line = line
 
     def within(self, block):
         """This line for the process inside block ``block``: its label
@@ -152,15 +156,14 @@ class ProcessLine:
         return line
 
     def bind(self, factories):
-        """The ``ctx.process`` line, entering this text in
-        ``factories`` (lifted text -> factory name, arity) if it is
-        new."""
+        """The process row (:func:`~repro.vhdl.codegen.pymodel.row_line`),
+        entering this text in ``factories`` (lifted text -> factory
+        name, arity) if it is new."""
         if self.text not in factories:
             factories[self.text] = (N.FACTORY % (len(factories) + 1),
                                     len(self.args))
-        return "ctx.process(%r, %s(%s)%s)" % (
-            self.label, factories[self.text][0], ", ".join(self.args),
-            self.tail)
+        return Row(["process", self.label, factories[self.text][0],
+                    self.args, self.sens, self.line])
 
 
 def _factory_lines(text, name, arity):
@@ -177,11 +180,7 @@ def _process_line(label, lines, sens, line):
     """The code of a process whose function ``_p`` is ``lines``:
     one :class:`ProcessLine`, with a sensitivity list unless ``sens``
     is None."""
-    if sens is None:
-        tail = ", line=%r" % line
-    else:
-        tail = ", sensitivity=[%s], line=%r" % (", ".join(sens), line)
-    return [ln(ProcessLine(label, lines, tail))]
+    return [ln(ProcessLine(label, lines, sens, line))]
 
 
 def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
@@ -228,7 +227,7 @@ def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
     if sensitivity_lefs is None:
         sens = None
     lines = [ln("def _p():")]
-    lines.extend(indent(decls.code))
+    lines.extend(indent(as_text(decls.code)))
     lines.append(ln("while True:", 1))
     lines.extend(indent(loop_body, 2))
     return CStmt(_process_line(label, lines, sens, line), msgs, (),
@@ -396,10 +395,9 @@ def instantiation(label, comp_name, generic_assocs, port_assocs, env,
                 % formal))
             continue
         pmap[formal] = lv.base.py
-    gitems = ", ".join("%r: %s" % (k, v) for k, v in gmap.items())
-    pitems = ", ".join("%r: %s" % (k, v) for k, v in pmap.items())
-    code = [ln("ctx.instance(%r, %r, {%s}, {%s})"
-               % (label, comp_name, gitems, pitems))]
+    code = [ln(Row(["instance", label, comp_name,
+                    [[k, v] for k, v in gmap.items()],
+                    [[k, v] for k, v in pmap.items()], line]))]
     inst = InstanceEntry(label=label, component=comp, connections={
         formal: actual for formal, actual in pmap.items()
         if actual != "None"})
@@ -433,8 +431,8 @@ def block_stmt(label, guard_lef, decls, inner, scope, env, cc, line):
         msgs.extend(goal.get("msgs", ()))
         uses = goal.get("uses", ())
         guard_py, guard_path = N.guard_signal(scope)
-        lines.append(ln("%s = ctx.signal(%r, init=0)"
-                        % (guard_py, guard_path)))
+        lines.append(ln(Row(["signal", guard_py, guard_path, "0", None,
+                             None])))
         signals.append([guard_py, guard_path, None, False])
         fn = N.GUARD_PROCESS % label
         guard_lines, record = _equivalent_process(
@@ -543,21 +541,20 @@ def arch_unit(name, entity, decls, cstmts, configs, env, cc, line):
                 inst.bound_library = lib
                 inst.bound_entity = ent
                 inst.bound_arch = arch_name
-    # Each process becomes one line binding its factory; the factories,
+    # Each process becomes a row binding its factory; the factories,
     # one per distinct lifted text, open the body.
     factories = {}  # lifted process text -> (factory name, arity)
     code = [(depth, text.bind(factories) if type(text) is ProcessLine
              else text)
             for depth, text in flatten(join(decls.code, cstmts.code))]
-    body = [ln("rt = ctx.rt"), ln("ops = ctx.ops")]
+    head = [ln("rt = ctx.rt"), ln("ops = ctx.ops")]
     for text, (factory, arity) in factories.items():
-        body.extend(_factory_lines(text, factory, arity))
-    body.extend(entity_setup_code(entity))
-    body.extend(code)
-    lines = list(_PY_HEADER)
-    lines.append("def elaborate(ctx):")
-    lines.append(render(body, base_indent=1))
-    py_source = "\n".join(lines) + "\n"
+        head.extend(_factory_lines(text, factory, arity))
+    head.extend(entity_setup_code(entity))
+    py_source, rows, clash = _model(head, code)
+    if clash and not msgs:
+        msgs.append(_clash_msg("architecture %s of %s"
+                               % (name, entity.name), clash))
     return ArchUnit(
         name=name, entity_name=entity.name, entity=entity,
         decls=entries, instances=instances,
@@ -565,26 +562,172 @@ def arch_unit(name, entity, decls, cstmts, configs, env, cc, line):
         processes=flatten(cstmts.processes),
         block_signals=flatten(cstmts.signals),
         slot_forms=[slot_form(text) for text in factories],
-        py_source=py_source, line=line), msgs
+        rows=rows, py_source=py_source, line=line), msgs
 
 
 def package_unit(name, decls, env, cc, line, is_body=False):
-    body = [ln("rt = ctx.rt"), ln("ops = ctx.ops")]
-    body.extend(flatten(decls.code))
-    body.append(ln(
-        "ctx.export({k: v for k, v in locals().items() "
-        "if k not in ('ctx', 'rt', 'ops')})"))
+    py_source, rows, clash = _model(
+        [ln("rt = ctx.rt"), ln("ops = ctx.ops")], flatten(decls.code),
+        [ln("ctx.export({k: v for k, v in locals().items() "
+            "if k not in ('ctx', 'rt', 'ops')})")])
+    cls = PackageBodyUnit if is_body else PackageUnit
+    entries = flatten(decls.entries)
+    kwargs = dict(name=name, decls=entries, rows=rows,
+                  py_source=py_source, line=line)
+    if not is_body:
+        kwargs["user_attrs"] = list(attrs_of(env))
+    msgs = list(decls.msgs) + redeclared(entries, (), line)
+    if clash and not msgs:
+        msgs.append(_clash_msg("package %s%s" % (
+            "body " if is_body else "", name), clash))
+    return cls(**kwargs), msgs
+
+
+# -- the model: code and rows ------------------------------------------------------------
+
+#: A number as Python spells it, and the constants: operands a row
+#: holds as they are.
+_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+_CONSTANT = {"None": None, "True": True, "False": False}
+
+#: The name a top-level model statement binds.
+_TARGET = re.compile(r"def (\w+)\(|(\w+) = ")
+
+_COMPUTED = object()
+
+
+def _operand(code):
+    """``code`` as a row operand, a literal or a name, or
+    ``_COMPUTED``."""
+    if code in _CONSTANT:
+        return _CONSTANT[code]
+    if _IDENT.fullmatch(code) and not keyword.iskeyword(code):
+        return code
+    if _NUMBER.fullmatch(code):
+        value = float(code) if "." in code or "e" in code else int(code)
+        if repr(value) == code:
+            return value
+    return _COMPUTED
+
+
+def _names(text):
+    """The names ``text`` reads."""
+    return {match.group(1) for match in _USE.finditer(text)
+            if match.group(1)}
+
+
+def _model(head, items, tail=()):
+    """The ``py_source`` of a unit's model, its rows, and a Python name
+    it binds twice (or None: names are distinct by construction, so a
+    clash is a compiler fault).
+
+    ``head`` are the model's first lines (its runtime locals, process
+    factories, generics and ports); ``items`` the unit's code lines in
+    source order, a signal, process or component instance being a
+    :class:`Row`; ``tail`` the lines after them.  Each maximal run of
+    rows becomes one ``ctx.rows(locals())``
+    (:meth:`repro.vhdl.elaborate.ElabContext.rows`), and each row's
+    last field is the index of its run.  An operand that is neither a
+    literal nor a name is bound to a name ``_o<n>`` before its run,
+    unless it reads a signal of the run or follows an instance of the
+    run: then the run ends before its row, as it does before any other
+    code statement, so code runs in source order with respect to every
+    row it could observe.  After its run, a signal the code reads by
+    name (a procedure driving it, say) is unpacked into a local.
+    """
+    statements = []  # a code statement's lines, or (row, bindings)
+    computed = []  # (name, code) of each computed operand, in order
+
+    def operand(code):
+        value = _operand(code)
+        if value is _COMPUTED:
+            computed.append((N.OPERAND % (len(computed) + 1), code))
+            return computed[-1][0]
+        return value
+
+    for depth, text in items:
+        if type(text) is not Row:
+            if depth and statements and type(statements[-1]) is list:
+                statements[-1].append((depth, text))
+            else:
+                statements.append([(depth, text)])
+            continue
+        row, first = list(text.row), len(computed)
+        if row[0] == "signal":
+            row[3] = operand(row[3])
+            row[4] = None if row[4] is None else operand(row[4])
+        elif row[0] == "instance":
+            row[3] = [[k, operand(v)] for k, v in row[3]]
+            row[4] = [[k, operand(v)] for k, v in row[4]]
+        statements.append((row, computed[first:]))
+    code = [line for text in statements if type(text) is list
+            for line in text]
+    bound = [text[0][1] for text in statements
+             if type(text) is tuple and text[0][0] == "signal"]
+    read = set()
+    for _, text in code + computed:
+        read |= _names(text)
+
+    body, rows, run, hoisted = list(head), [], [], []
+    run_signals, run_instance = set(), False
+
+    def close():
+        nonlocal run_instance
+        if not run:
+            return
+        body.extend(hoisted)
+        for row in run:
+            row.append(rows[-1][-1] + 1 if rows else 0)
+        rows.extend(run)
+        unpack = [row[1] for row in run
+                  if row[0] == "signal" and row[1] in read]
+        body.append(ln("%sctx.rows(locals())"
+                       % ("_rows = " if unpack else "")))
+        body.extend(ln("%s = _rows[%r]" % (py, py)) for py in unpack)
+        del run[:], hoisted[:]
+        run_signals.clear()
+        run_instance = False
+
+    for text in statements:
+        if type(text) is list:
+            close()
+            body.extend(text)
+            continue
+        row, bindings = text
+        for name, value in bindings:
+            if run_instance or _names(value) & run_signals:
+                close()
+            hoisted.append(ln("%s = %s" % (name, value)))
+        run.append(row)
+        if row[0] == "signal":
+            run_signals.add(row[1])
+        run_instance = run_instance or row[0] == "instance"
+    close()
+    body.extend(tail)
     lines = list(_PY_HEADER)
     lines.append("def elaborate(ctx):")
     lines.append(render(body, base_indent=1))
-    py_source = "\n".join(lines) + "\n"
-    cls = PackageBodyUnit if is_body else PackageUnit
-    entries = flatten(decls.entries)
-    kwargs = dict(name=name, decls=entries, py_source=py_source,
-                  line=line)
-    if not is_body:
-        kwargs["user_attrs"] = list(attrs_of(env))
-    return cls(**kwargs), list(decls.msgs) + redeclared(entries, (), line)
+    return "\n".join(lines) + "\n", rows, _clash(bound, head + code)
+
+
+def _clash(bound, lines):
+    """A Python name that two rows, or a row and a top-level line of
+    ``lines``, bind; None if there is none."""
+    seen = set()
+    for py in bound:
+        if py in seen:
+            return py
+        seen.add(py)
+    for depth, text in lines:
+        match = _TARGET.match(text) if depth == 0 else None
+        if match and (match.group(1) or match.group(2)) in seen:
+            return match.group(1) or match.group(2)
+    return None
+
+
+def _clash_msg(unit, py):
+    return "internal: the model of %s binds the Python name %r twice" \
+        % (unit, py)
 
 
 def config_unit(name, entity_entries, bindings, cc, line):

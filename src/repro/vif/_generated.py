@@ -6,7 +6,7 @@ edit.  Regenerate with ``python -m repro.regen``.
 
 from repro.vif.core import Field, Node
 
-SCHEMA_CRC32 = 0x03ce07bb
+SCHEMA_CRC32 = 0xbcb226d9
 from repro.vhdl.vtypes import EnumTypeBehavior as _mixin_EnumTypeBehavior
 from repro.vhdl.vtypes import IntegerTypeBehavior as _mixin_IntegerTypeBehavior
 from repro.vhdl.vtypes import PhysicalTypeBehavior as _mixin_PhysicalTypeBehavior
@@ -971,11 +971,11 @@ def dump_EntityUnit(node, show):
 class ArchUnit(_mixin_ArchUnitBehavior, Node):
     """VIF node kind 'ArchUnit'."""
 
-    __slots__ = ('name', 'entity_name', 'entity', 'decls', 'instances', 'user_attrs', 'processes', 'block_signals', 'slot_forms', 'py_source', 'line', 'source_file')
+    __slots__ = ('name', 'entity_name', 'entity', 'decls', 'instances', 'user_attrs', 'processes', 'block_signals', 'slot_forms', 'rows', 'py_source', 'line', 'source_file')
     VIF_KIND = 'ArchUnit'
-    VIF_FIELDS = (Field('name', 'str'), Field('entity_name', 'str'), Field('entity', 'ref'), Field('decls', 'list'), Field('instances', 'list'), Field('user_attrs', 'list'), Field('processes', 'data'), Field('block_signals', 'data'), Field('slot_forms', 'data'), Field('py_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
+    VIF_FIELDS = (Field('name', 'str'), Field('entity_name', 'str'), Field('entity', 'ref'), Field('decls', 'list'), Field('instances', 'list'), Field('user_attrs', 'list'), Field('processes', 'data'), Field('block_signals', 'data'), Field('slot_forms', 'data'), Field('rows', 'data'), Field('py_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
 
-    def __init__(self, name='', entity_name='', entity=None, decls=None, instances=None, user_attrs=None, processes=None, block_signals=None, slot_forms=None, py_source='', line=0, source_file=''):
+    def __init__(self, name='', entity_name='', entity=None, decls=None, instances=None, user_attrs=None, processes=None, block_signals=None, slot_forms=None, rows=None, py_source='', line=0, source_file=''):
         self._vif_home = None
         self.name = name
         self.entity_name = entity_name
@@ -986,6 +986,7 @@ class ArchUnit(_mixin_ArchUnitBehavior, Node):
         self.processes = processes
         self.block_signals = block_signals
         self.slot_forms = slot_forms
+        self.rows = rows
         self.py_source = py_source
         self.line = line
         self.source_file = source_file
@@ -1008,6 +1009,7 @@ def write_ArchUnit(node, encode):
         'processes': encode(node.processes, 'data'),
         'block_signals': encode(node.block_signals, 'data'),
         'slot_forms': encode(node.slot_forms, 'data'),
+        'rows': encode(node.rows, 'data'),
         'py_source': encode(node.py_source, 'str'),
         'line': encode(node.line, 'int'),
         'source_file': encode(node.source_file, 'str'),
@@ -1024,6 +1026,7 @@ def read_ArchUnit(node, data, decode):
     node.processes = decode(data.get('processes'), 'data')
     node.block_signals = decode(data.get('block_signals'), 'data')
     node.slot_forms = decode(data.get('slot_forms'), 'data')
+    node.rows = decode(data.get('rows'), 'data')
     node.py_source = decode(data.get('py_source'), 'str')
     node.line = decode(data.get('line'), 'int')
     node.source_file = decode(data.get('source_file'), 'str')
@@ -1043,6 +1046,7 @@ def dump_ArchUnit(node, show):
         ('processes', show(node.processes, 'data')),
         ('block_signals', show(node.block_signals, 'data')),
         ('slot_forms', show(node.slot_forms, 'data')),
+        ('rows', show(node.rows, 'data')),
         ('py_source', show(node.py_source, 'str')),
         ('line', show(node.line, 'int')),
         ('source_file', show(node.source_file, 'str')),
@@ -1107,16 +1111,17 @@ def dump_InstanceEntry(node, show):
 class PackageUnit(_mixin_PackageUnitBehavior, Node):
     """VIF node kind 'PackageUnit'."""
 
-    __slots__ = ('name', 'decls', 'user_attrs', 'context', 'py_source', 'line', 'source_file')
+    __slots__ = ('name', 'decls', 'user_attrs', 'context', 'rows', 'py_source', 'line', 'source_file')
     VIF_KIND = 'PackageUnit'
-    VIF_FIELDS = (Field('name', 'str'), Field('decls', 'list'), Field('user_attrs', 'list'), Field('context', 'data'), Field('py_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
+    VIF_FIELDS = (Field('name', 'str'), Field('decls', 'list'), Field('user_attrs', 'list'), Field('context', 'data'), Field('rows', 'data'), Field('py_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
 
-    def __init__(self, name='', decls=None, user_attrs=None, context=None, py_source='', line=0, source_file=''):
+    def __init__(self, name='', decls=None, user_attrs=None, context=None, rows=None, py_source='', line=0, source_file=''):
         self._vif_home = None
         self.name = name
         self.decls = list(decls) if decls is not None else []
         self.user_attrs = list(user_attrs) if user_attrs is not None else []
         self.context = context
+        self.rows = rows
         self.py_source = py_source
         self.line = line
         self.source_file = source_file
@@ -1134,6 +1139,7 @@ def write_PackageUnit(node, encode):
         'decls': encode(node.decls, 'list'),
         'user_attrs': encode(node.user_attrs, 'list'),
         'context': encode(node.context, 'data'),
+        'rows': encode(node.rows, 'data'),
         'py_source': encode(node.py_source, 'str'),
         'line': encode(node.line, 'int'),
         'source_file': encode(node.source_file, 'str'),
@@ -1145,6 +1151,7 @@ def read_PackageUnit(node, data, decode):
     node.decls = decode(data.get('decls'), 'list')
     node.user_attrs = decode(data.get('user_attrs'), 'list')
     node.context = decode(data.get('context'), 'data')
+    node.rows = decode(data.get('rows'), 'data')
     node.py_source = decode(data.get('py_source'), 'str')
     node.line = decode(data.get('line'), 'int')
     node.source_file = decode(data.get('source_file'), 'str')
@@ -1159,6 +1166,7 @@ def dump_PackageUnit(node, show):
         ('decls', show(node.decls, 'list')),
         ('user_attrs', show(node.user_attrs, 'list')),
         ('context', show(node.context, 'data')),
+        ('rows', show(node.rows, 'data')),
         ('py_source', show(node.py_source, 'str')),
         ('line', show(node.line, 'int')),
         ('source_file', show(node.source_file, 'str')),
@@ -1167,14 +1175,15 @@ def dump_PackageUnit(node, show):
 class PackageBodyUnit(_mixin_PackageBodyUnitBehavior, Node):
     """VIF node kind 'PackageBodyUnit'."""
 
-    __slots__ = ('name', 'decls', 'py_source', 'line', 'source_file')
+    __slots__ = ('name', 'decls', 'rows', 'py_source', 'line', 'source_file')
     VIF_KIND = 'PackageBodyUnit'
-    VIF_FIELDS = (Field('name', 'str'), Field('decls', 'list'), Field('py_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
+    VIF_FIELDS = (Field('name', 'str'), Field('decls', 'list'), Field('rows', 'data'), Field('py_source', 'str'), Field('line', 'int'), Field('source_file', 'str'))
 
-    def __init__(self, name='', decls=None, py_source='', line=0, source_file=''):
+    def __init__(self, name='', decls=None, rows=None, py_source='', line=0, source_file=''):
         self._vif_home = None
         self.name = name
         self.decls = list(decls) if decls is not None else []
+        self.rows = rows
         self.py_source = py_source
         self.line = line
         self.source_file = source_file
@@ -1190,6 +1199,7 @@ def write_PackageBodyUnit(node, encode):
     return {
         'name': encode(node.name, 'str'),
         'decls': encode(node.decls, 'list'),
+        'rows': encode(node.rows, 'data'),
         'py_source': encode(node.py_source, 'str'),
         'line': encode(node.line, 'int'),
         'source_file': encode(node.source_file, 'str'),
@@ -1199,6 +1209,7 @@ def read_PackageBodyUnit(node, data, decode):
     """Fill a blank PackageBodyUnit node from encoded fields."""
     node.name = decode(data.get('name'), 'str')
     node.decls = decode(data.get('decls'), 'list')
+    node.rows = decode(data.get('rows'), 'data')
     node.py_source = decode(data.get('py_source'), 'str')
     node.line = decode(data.get('line'), 'int')
     node.source_file = decode(data.get('source_file'), 'str')
@@ -1211,6 +1222,7 @@ def dump_PackageBodyUnit(node, show):
     return [
         ('name', show(node.name, 'str')),
         ('decls', show(node.decls, 'list')),
+        ('rows', show(node.rows, 'data')),
         ('py_source', show(node.py_source, 'str')),
         ('line', show(node.line, 'int')),
         ('source_file', show(node.source_file, 'str')),

@@ -16,8 +16,9 @@ from .core import VIFError
 from . import nodes as _nodes
 
 #: Bumped when the stored fields change, in layout or in meaning
-#: (VIF-4: architectures record each process factory's slot form).
-FORMAT = "VIF-4"
+#: (VIF-5: architectures and packages keep their signal, process and
+#: instance statements as rows, outside the model's text).
+FORMAT = "VIF-5"
 
 
 def unit_depends(payload):

@@ -4,6 +4,7 @@ quarantine of corrupt VIF files instead of load-time crashes."""
 import json
 import os
 
+from repro.cli import main
 from repro.vhdl.compiler import Compiler
 from repro.vhdl.library import LibraryManager, unit_filename
 
@@ -174,3 +175,82 @@ class TestOneArtifactPerUnit:
         arch = lib.find_architecture("work", "e", "rtl")
         assert "def elaborate(ctx):" in arch.py_source
         assert not hasattr(arch, "c_source")
+
+
+#: A package signal, a resolved signal, a computed initial value, a
+#: component instance and processes: every kind of row.
+ROWS = """
+package pk is
+  signal ps : integer := 3;
+  function wor(v : bit_vector) return bit;
+end pk;
+package body pk is
+  function wor(v : bit_vector) return bit is
+  begin
+    for i in v'range loop
+      if v(i) = '1' then return '1'; end if;
+    end loop;
+    return '0';
+  end wor;
+end pk;
+use work.pk.all;
+entity top is end top;
+architecture rtl of top is
+  component e port ( a : in bit; b : out bit ); end component;
+  type arr is array (0 to 3) of integer;
+  signal v : arr;
+  signal r : wor bit;
+  signal x, y : bit;
+begin
+  u1 : e port map (a => x, b => y);
+  r <= x;
+  r <= y;
+end rtl;
+"""
+
+
+class TestRows:
+    """An architecture's and a package's rows are stored with their
+    model and read back as compiled."""
+
+    def test_rows_round_trip_through_the_library(self, tmp_path):
+        root = str(tmp_path / "libs")
+        c = Compiler(root=root)
+        assert c.compile(ENTITY).ok
+        assert c.compile(ROWS).ok
+        compiled = [c.library.find_unit("work", "pk"),
+                    c.library.find_architecture("work", "top", "rtl")]
+        assert [len(unit.rows) for unit in compiled] == [1, 7]
+        # The array's initial value and the resolution are bound first.
+        assert "_o2 = lambda _vs:" in compiled[1].py_source
+        lib = LibraryManager(root=root)
+        reopened = [lib.find_unit("work", "pk"),
+                    lib.find_architecture("work", "top", "rtl")]
+        for before, after in zip(compiled, reopened):
+            assert after.py_source == before.py_source
+            assert after.rows == before.rows
+        assert lib.quarantined == []
+
+    def test_vif4_payload_is_a_lib_diagnostic(self, tmp_path):
+        """A payload an older compiler wrote (format ``VIF-4``, every
+        statement in its model's text and no ``rows``) is refused
+        with a LIB001 diagnostic asking for a rebuild."""
+        root = str(tmp_path / "libs")
+        _build(root)
+        path = os.path.join(root, "work",
+                            unit_filename("rtl(e)", "vif.json"))
+        with open(path) as f:
+            payload = json.load(f)
+        payload["format"] = "VIF-4"
+        for kind, fields in payload["nodes"]:
+            fields.pop("rows", None)
+        with open(path, "w") as f:
+            json.dump(payload, f)
+        lines = []
+        rc = main(["--root", root, "analyze", "--top", "e"],
+                  out=lines.append)
+        assert rc == 2
+        assert "Traceback" not in "\n".join(lines)
+        [diag] = [line for line in lines if "LIB001" in line]
+        assert "work.rtl(e)" in diag
+        assert "'VIF-4'" in diag and "rebuild the library" in diag

@@ -27,7 +27,8 @@ class TestStore:
         assert entry.expect == result.outcome
         assert entry.top == design.top
         assert entry.until_ns == design.until_ns
-        assert entry.source == design.source
+        # The three header lines stay, empty, so lines keep numbers.
+        assert entry.source == "\n" * 3 + design.source
         assert entry.meta["seed"] == "7"
         assert entry.meta["index"] == "119"
         assert entry.meta["note"] == "round trip"
@@ -38,7 +39,7 @@ class TestStore:
         path = save(str(tmp_path), design, result, name="one")
         entry = load_entry(path)
         assert entry.name == "one"
-        assert entry.source == design.source
+        assert entry.source == "\n" * 2 + design.source
         again = entry.check()
         assert again.outcome == result.outcome
 

@@ -238,6 +238,48 @@ class TestProgramCache:
         assert second.program is first.program
         assert len(_PROGRAM_CACHE) == 1
 
+    def test_designs_apart_only_in_their_rows_never_share_a_program(self):
+        """Two rings of one size whose models are the same text: one
+        wired with its starter cells moved, one with another initial
+        value.  Only their rows tell them apart, and each runs its own
+        program to the event kernel's end state."""
+        def ring(starters, init=0):
+            n = len(starters)
+            lines = ["entity ring is end ring;",
+                     "architecture rtl of ring is"]
+            lines += ["  signal c_%d : integer := %d;"
+                      % (i, init if i == 5 else 0) for i in range(n)]
+            lines.append("begin")
+            for i, starter in enumerate(starters):
+                j = (i + 1) % n
+                lines.append(
+                    "  p_%d: process (c_%d) begin c_%d <= 1 - c_%d "
+                    "after 1 ns; end process;" % (i, i, j, j)
+                    if starter else
+                    "  p_%d: process begin wait on c_%d; c_%d <= 1 - "
+                    "c_%d after 1 ns; end process;" % (i, i, j, j))
+            lines.append("end rtl;")
+            return "\n".join(lines)
+
+        base = [i % 4 == 0 for i in range(12)]
+        moved = [i in (0, 3, 8) for i in range(12)]
+        designs = [ring(base), ring(moved), ring(base, init=1)]
+        _PROGRAM_CACHE.clear()
+        programs = []
+        for source in designs:
+            library = compile_lib(source)
+            arch = library.find_architecture("work", "ring", "rtl")
+            ends = {}
+            for kernel in (Kernel(), CompiledKernel()):
+                sim = Elaborator(library, kernel=kernel).elaborate("ring")
+                sim.run(until_fs=20 * 10**6)
+                ends[type(kernel)] = [(s.name, s.value, s.events)
+                                      for s in kernel.signals]
+            assert ends[Kernel] == ends[CompiledKernel]
+            programs.append((arch.py_source, kernel.program))
+        assert len({text for text, _ in programs}) == 1
+        assert len({id(program) for _, program in programs}) == 3
+
     def test_compile_design_rejected_after_initialize(self):
         library = compile_lib(CACHED)
         kernel = CompiledKernel()

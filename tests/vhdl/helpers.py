@@ -3,6 +3,7 @@
 import re
 
 from repro.vhdl.compiler import Compiler
+from repro.vhdl.codegen.pymodel import row_line
 from repro.vhdl.elaborate import Elaborator
 
 NS = 10**6  # fs per ns
@@ -33,19 +34,24 @@ def simulate(source, top, until_ns=1000, generics=None):
     return sim
 
 
-def process_line(py_source, label):
-    """The ``ctx.process`` line of process ``label`` in a model."""
-    return re.search(r"^ *ctx\.process\(%r, .*$" % label, py_source,
-                     re.M).group().strip()
+def process_row(unit, label):
+    """The row of process ``label`` in a unit's model."""
+    [row] = [row for row in unit.rows
+             if row[0] == "process" and row[1] == label]
+    return row
 
 
-def process_text(py_source, label):
+def process_line(unit, label):
+    """The ``ctx.process`` statement process ``label``'s row stands
+    for."""
+    return row_line(process_row(unit, label), str)
+
+
+def process_text(unit, label):
     """Process ``label``'s function as its factory defines it, with
-    each parameter replaced by the name the process line binds."""
-    call = re.match(r"ctx\.process\('[^']*', (_f\d+)\(([^)]*)\)",
-                    process_line(py_source, label))
-    factory, args = call.group(1), call.group(2).split(", ")
+    each parameter replaced by the name its row binds."""
+    _, _, factory, args = process_row(unit, label)[:4]
     body = re.search(r"^ *def %s\(.*?\):\n(.*?)\n *return _p$"
-                     % factory, py_source, re.M | re.S).group(1)
+                     % factory, unit.py_source, re.M | re.S).group(1)
     return re.sub(r"\b_a(\d+)\b", lambda m: args[int(m.group(1))],
                   body)

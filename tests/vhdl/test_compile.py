@@ -185,7 +185,7 @@ class TestGeneratedCode:
         arch = c.library.find_architecture("work", "e", "rtl")
         ast.parse(arch.py_source)
         assert "def elaborate(ctx):" in arch.py_source
-        assert "rt.assign(s_n" in process_text(arch.py_source, "_proc1")
+        assert "rt.assign(s_n" in process_text(arch, "_proc1")
 
     def test_c_model_emitted(self):
         c, _ = compile_ok(self.COUNTER)
@@ -204,10 +204,9 @@ class TestGeneratedCode:
     def test_sensitivity_process_gets_final_wait(self):
         c, _ = compile_ok(self.COUNTER)
         arch = c.library.find_architecture("work", "e", "rtl")
-        text = process_text(arch.py_source, "_proc1")
+        text = process_text(arch, "_proc1")
         assert text.rstrip().endswith("yield rt.wait([p_clk], None, None)")
-        assert "sensitivity=[p_clk]" in process_line(arch.py_source,
-                                                     "_proc1")
+        assert "sensitivity=[p_clk]" in process_line(arch, "_proc1")
 
     def test_process_without_wait_diagnosed(self):
         _c, msgs = compile_messages("""

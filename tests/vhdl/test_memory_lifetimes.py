@@ -7,8 +7,8 @@ objects with :func:`gc.get_objects` while the cyclic collector is off,
 so a tree that is still referenced, or left as cyclic garbage, is
 counted; nothing is timed.  The merge test pins that the AG's list
 merges use memory linear in the number of merged statements, and the
-codegen peak test that a cold specialization costs less traced memory
-than the byte-compile of the model it specializes.  The cycle guard
+model peak test that byte-compiling a ring's model costs the same
+traced memory at any size, less than the cold specialization of it.  The cycle guard
 pins that a CLI call's library, reader, compile contexts and VIF nodes
 are freed by reference counting, not left for the cyclic collector.
 """
@@ -214,11 +214,7 @@ def _traced_peak(work):
         tracemalloc.stop()
 
 
-def test_cold_codegen_peak_below_the_model_byte_compile(monkeypatch):
-    """Codegen parses one process at a time and byte-compiles one
-    factory per process shape, so on a ring of 400 identical cells it
-    peaks below the byte-compile of the model it specializes."""
-    n = 400
+def _ring(n):
     lines = ["entity ring is end ring;", "architecture rtl of ring is"]
     lines += ["  signal c_%d : integer := 0;" % i for i in range(n)]
     lines.append("begin")
@@ -228,16 +224,28 @@ def test_cold_codegen_peak_below_the_model_byte_compile(monkeypatch):
     lines.append("end rtl;")
     compiler = Compiler()
     assert compiler.compile("\n".join(lines)).ok
-    arch = compiler.library.find_architecture("work", "ring", "rtl")
+    return compiler.library
+
+
+def test_model_byte_compile_peak_does_not_grow_with_the_ring(monkeypatch):
+    """A ring's model holds its process shapes, and its rows the
+    cells, so byte-compiling the model of 400 cells peaks no higher
+    than that of 50; codegen, which binds each of the 400 processes,
+    peaks above it."""
+    model_peak = {}
+    for n in (50, 400):
+        arch = _ring(n).find_architecture("work", "ring", "rtl")
+        model_peak[n] = _traced_peak(
+            lambda: compiler_mod.compile_model(arch.py_source))
+    library = _ring(400)
     kernel = CompiledKernel()
-    sim = Elaborator(compiler.library, kernel=kernel).elaborate("ring")
+    sim = Elaborator(library, kernel=kernel).elaborate("ring")
     monkeypatch.setattr(compiled, "_PROGRAM_CACHE", OrderedDict())
-    model_peak = _traced_peak(
-        lambda: compiler_mod.compile_model(arch.py_source))
     codegen_peak = _traced_peak(
         lambda: kernel.compile_design(sim.records))
-    assert kernel.compiled_procs == n
-    assert codegen_peak < model_peak
+    assert kernel.compiled_procs == 400
+    assert model_peak[400] <= model_peak[50] * 1.1
+    assert model_peak[400] < codegen_peak
 
 
 def _cstmt(i):

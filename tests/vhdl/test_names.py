@@ -95,3 +95,64 @@ def test_guard_is_named_by_its_blocks():
     assert N.guard_signal(scope) == ("b_o1__b_b__s_guard", "o1:b.guard")
     assert N.declared((), "signal", "guard_b") != N.guard_signal(
         (("block", "b"),))[0]
+
+
+CLASHES = """
+package pk is
+  signal ps, pt : integer := 0;
+end pk;
+entity e is end e;
+architecture a of e is
+  signal x, y : integer := 0;
+  constant k : integer := 3;
+  signal z : integer := k;
+begin
+  p : process begin wait; end process;
+end a;
+"""
+
+
+def _colliding(monkeypatch, pairs):
+    """Make :func:`repro.vhdl.names.declared` name each ``(kind, name)``
+    of ``pairs`` as the declaration it maps to."""
+    declared = N.declared
+
+    def colliding(scope, kind, name, ordinal=0):
+        kind, name = pairs.get((kind, name), (kind, name))
+        return declared(scope, kind, name, ordinal)
+    monkeypatch.setattr(N, "declared", colliding)
+
+
+def _messages(source):
+    from repro.vhdl.compiler import Compiler
+
+    compiler = Compiler()
+    result = compiler.compile(source)
+    return result, compiler
+
+
+def test_two_signals_on_one_python_name_are_an_internal_error(
+        monkeypatch):
+    _colliding(monkeypatch, {("signal", "y"): ("signal", "x"),
+                             ("signal", "pt"): ("signal", "ps")})
+    result, compiler = _messages(CLASHES)
+    assert result.messages == [
+        "internal: the model of package pk binds the Python name "
+        "'pkg_pk__s_ps' twice",
+        "internal: the model of architecture a of e binds the Python "
+        "name 's_x' twice"]
+    assert not result.ok and compiler.library.units_of("work") == []
+
+
+def test_a_signal_and_a_constant_on_one_name_are_an_internal_error(
+        monkeypatch):
+    _colliding(monkeypatch, {("constant", "k"): ("signal", "z")})
+    result, _ = _messages(CLASHES)
+    assert result.messages == [
+        "internal: the model of architecture a of e binds the Python "
+        "name 's_z' twice"]
+
+
+def test_names_apart_compile():
+    result, _ = _messages(CLASHES)
+    assert result.ok, result.messages

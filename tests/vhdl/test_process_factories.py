@@ -2,7 +2,7 @@
 
 Each process body is emitted once per distinct text, as a factory over
 the names the process takes from outside it; each process is then one
-``ctx.process`` line binding that factory to its own names.  A ring of
+row of the unit binding that factory to its own names.  A ring of
 identical cells therefore holds two factories (the starter cells wait
 last, the others first) whatever its size.
 """
@@ -81,22 +81,91 @@ def _factories(py_source):
     return re.findall(r"^    def (_f\d+)\(", py_source, re.M)
 
 
-def _model(source, entity, arch):
+def _arch(source, entity, arch):
     c, _ = compile_ok(source)
-    return c, c.library.find_architecture("work", entity, arch).py_source
+    return c.library.find_architecture("work", entity, arch)
 
 
 def test_ring_models_hold_one_factory_per_shape():
     counts = {}
     for cells, nested in NESTED_BYTES_PER_CELL.items():
-        _, model = _model(_ring_vhdl(cells, 4), "ring", "rtl")
+        model = _arch(_ring_vhdl(cells, 4), "ring", "rtl").py_source
         counts[cells] = len(_factories(model))
         assert len(model) / cells < nested / 2, cells
     assert counts[100] == counts[400] == 2
 
 
+def test_ring_model_text_does_not_depend_on_the_ring_size():
+    """The cells are rows, so rings of 50, 400 and 1600 cells have one
+    model text."""
+    archs = [_arch(_ring_vhdl(n, 4), "ring", "rtl") for n in (50, 400,
+                                                             1600)]
+    assert len({arch.py_source for arch in archs}) == 1
+    assert [len(arch.rows) for arch in archs] == [100, 800, 3200]
+    assert "ctx.signal(" not in archs[0].py_source
+    assert "ctx.process(" not in archs[0].py_source
+
+
+#: Rows that code can observe: ``y``'s initial value reads ``x`` of
+#: its run, ``f_bump`` drives ``x``, and the generic of ``u2`` calls a
+#: function that reports after ``u1``'s elaboration reported.
+ORDER = """
+package pk is
+  function tell_leaf(x : integer) return integer;
+  function tell_top(x : integer) return integer;
+end pk;
+package body pk is
+  function tell_leaf(x : integer) return integer is
+  begin
+    assert false report "leaf" severity note;
+    return x;
+  end tell_leaf;
+  function tell_top(x : integer) return integer is
+  begin
+    assert false report "top" severity note;
+    return x;
+  end tell_top;
+end pk;
+use work.pk.all;
+entity leaf is generic (g : integer := 0); port (d : in integer; q : out integer); end leaf;
+architecture a of leaf is
+  constant c : integer := tell_leaf(g);
+begin
+  q <= d + c;
+end a;
+use work.pk.all;
+entity top is end top;
+architecture a of top is
+  component leaf generic (g : integer := 0); port (d : in integer; q : out integer); end component;
+  signal x : integer := 5;
+  signal y : integer := x;
+  signal q1, q2 : integer := 0;
+  procedure bump is begin x <= x + 1; end bump;
+begin
+  u1 : leaf generic map (g => 1) port map (d => x, q => q1);
+  u2 : leaf generic map (g => tell_top(2)) port map (d => y, q => q2);
+  p : process begin bump; wait for 5 ns; if x > 7 then wait; end if; end process;
+end a;
+"""
+
+
+def test_rows_keep_source_order_where_code_can_observe_it():
+    c, _ = compile_ok(ORDER)
+    model = c.library.find_architecture("work", "top", "a")
+    assert model.py_source.count("ctx.rows(locals())") == 4
+    assert "    s_x = _rows['s_x']\n    _o1 = rt.read(s_x)\n" \
+        in model.py_source
+    assert [row[-1] for row in model.rows] == [0, 1, 1, 1, 2, 3, 3]
+    sim = Elaborator(c.library).elaborate("top")
+    sim.run(until_fs=20 * NS)
+    assert [r[3] for r in sim.kernel.logger.records] == [
+        "leaf", "top", "leaf"]
+    assert {s.name: s.value for s in sim.kernel.signals} == {
+        ":top:x": 8, ":top:y": 5, ":top:q1": 9, ":top:q2": 7}
+
+
 def test_each_process_binds_the_names_it_takes_from_outside():
-    _, model = _model(MIX, "mix", "a")
+    model = _arch(MIX, "mix", "a")
     assert process_line(model, "tick") == (
         "ctx.process('tick', _f1(s_n, pkg_pk__f_step, c_lim), "
         "line=25)")
@@ -112,8 +181,8 @@ def test_each_process_binds_the_names_it_takes_from_outside():
 
 
 def test_processes_of_one_shape_share_a_factory():
-    _, model = _model(MIX, "mix", "a")
-    assert _factories(model) == ["_f1", "_f2"]
+    model = _arch(MIX, "mix", "a")
+    assert _factories(model.py_source) == ["_f1", "_f2"]
     # ``copy`` sits in block ``b``, ``copy2`` in the architecture.
     assert process_line(model, "b:copy") == (
         "ctx.process('b:copy', _f2(s_m, f_twice, s_n), "
@@ -158,8 +227,8 @@ end a;
 
 def test_processes_apart_only_in_their_numbers_share_a_factory():
     c, _ = compile_ok(TWINS)
-    model = c.library.find_architecture("work", "twins", "a").py_source
-    assert _factories(model) == ["_f1", "_f2"]
+    model = c.library.find_architecture("work", "twins", "a")
+    assert _factories(model.py_source) == ["_f1", "_f2"]
     for label in ("l1", "l2"):
         assert "_f1(" in process_line(model, label)
     for label in ("c1", "c2"):
