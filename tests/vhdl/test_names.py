@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.ag.errors import LexError
 from repro.vhdl import names as N
-from repro.vhdl.lexer import scan
+from repro.vhdl.lexer import KEYWORDS, scan
 
 OLD_SHAPES = ["x_l10", "i_l10", "proc_l7", "cassign_l6", "guard_b",
               "guard", "pkg_a", "pkg_a_c", "a_c", "op_plus", "plus",
@@ -24,9 +24,12 @@ OPERATORS = ['"%s"' % op for op in (
     "+", "-", "*", "/", "&", "=", "/=", "<", "<=", ">", ">=", "**",
     "and", "or", "nand", "nor", "xor", "not", "abs", "mod", "rem")]
 
+#: A reserved word matches the regex but is no identifier a source can
+#: declare, so it is drawn out.
 identifiers = st.one_of(
     st.sampled_from(OLD_SHAPES),
-    st.from_regex(r"[a-z](_?[a-z0-9]){0,5}", fullmatch=True))
+    st.from_regex(r"[a-z](_?[a-z0-9]){0,5}", fullmatch=True).filter(
+        lambda name: name not in KEYWORDS))
 implicit_labels = st.builds(
     N.implicit_label, st.sampled_from(
         ["proc", "cassign", "sassign", "cassert", "u", "blk"]),
