@@ -39,17 +39,18 @@ process, into one specialized Python module per design:
 The module holds only factories, one per distinct text, over the
 form's parameters ``_k<i>`` (a signal is passed as its
 ``Signal.index``).  The kernel's bind calls a process's factory with
-the values it captures from that process's closure, so a ring of
-identical cells byte-compiles one function body.  The module depends
-only on the design's models and slot flags, never on generic values
-(captured at *bind* time), so the compiled code object is cached by
-design fingerprint across elaborations.
+the operand values its row passed its model factory
+(``DesignRecord.factories``), so a ring of identical cells
+byte-compiles one function body.  The module depends only on the
+design's models and slot flags, never on generic values (passed at
+*bind* time), so the compiled code object is cached by design
+fingerprint across elaborations.
 """
 
 import hashlib
-import re
 from collections import namedtuple
 
+from .runtime import VArray, VRecord
 from .signals import Signal
 
 #: Rejection-reason keys reported in :attr:`Program.stats` (no slot
@@ -66,13 +67,13 @@ class ProcPlan(namedtuple("ProcPlan", "proc_index resume cond args pure "
                            "init_runs_body wait_indices")):
     """How one compiled process is made from the generated module:
     the names of its resume-function factory and of its
-    condition-function factory (or None), the closure names whose
-    values (a signal's ``index``) both take, in parameter order, and
-    its wait signals' indices.  ``pure`` resume functions touch only
-    slot storage and ``ops`` arithmetic — no ``rt`` access, no
-    captured helper calls — so the kernel may dispatch them without
-    the ``current_process`` / AssertionFailure bookkeeping (nothing
-    they can reach reads either)."""
+    condition-function factory (or None), the slot form's parameter
+    names, whose values (:func:`operand`; a signal's ``index``) both
+    take in order, and its wait signals' indices.  ``pure`` resume
+    functions touch only slot storage and ``ops`` arithmetic — no
+    ``rt`` access, no helper calls — so the kernel may dispatch them
+    without the ``current_process`` / AssertionFailure bookkeeping
+    (nothing they can reach reads either)."""
 
     __slots__ = ()
 
@@ -100,8 +101,9 @@ def design_fingerprint(records, kernel):
     and instance takes) and the literals, so designs with one text
     and one size apart only in them never share a program.
 
-    Generic *values* are excluded on purpose — they are captured from
-    process closures at bind time, so two elaborations of the same
+    Generic *values* are excluded on purpose — a process takes them as
+    operands of its row, which elaboration evaluates and the kernel's
+    bind passes to the factories, so two elaborations of the same
     entity with different generics share one compiled module.
     """
     h = hashlib.sha256()
@@ -119,35 +121,23 @@ def design_fingerprint(records, kernel):
     return h.hexdigest()
 
 
-# -- environment capture -------------------------------------------------------
-
-_MISSING = object()
-
-
-def capture(fn, name):
-    """The runtime value ``name`` has inside ``fn`` (closure, then
-    module globals), or ``_MISSING``."""
-    code = fn.__code__
-    if name in code.co_freevars and fn.__closure__ is not None:
-        cell = fn.__closure__[code.co_freevars.index(name)]
-        try:
-            return cell.cell_contents
-        except ValueError:
-            return _MISSING
-    return fn.__globals__.get(name, _MISSING)
-
-
-def _signal_of(fn, name, kernel):
-    """``name``'s value in ``fn`` if it is a signal of ``kernel``."""
-    value = capture(fn, name)
-    return value if isinstance(value, Signal) and value.kernel is kernel \
-        else None
-
-
 # -- the AG's slot forms -------------------------------------------------------
 
-#: The factory ``_f<N>`` a process function ``_p`` belongs to.
-_FACTORY = re.compile(r"\._f(\d+)\.<locals>\._p$")
+#: The model globals a slot form may take as parameters, besides the
+#: operands ``_a<i>`` of its process's row.
+_GLOBALS = {"VArray": VArray, "VRecord": VRecord}
+
+
+def operand(name, values):
+    """The value of slot-form parameter ``name`` for a process whose
+    row passed its factory the operand ``values``."""
+    return _GLOBALS[name] if name in _GLOBALS else values[int(name[2:])]
+
+
+def _kernel_signal(value, kernel):
+    """``value`` if it is a signal of ``kernel``, else None."""
+    return value if isinstance(value, Signal) and value.kernel is kernel \
+        else None
 
 
 class _Form:
@@ -171,25 +161,19 @@ class _Form:
 
 
 def _forms(records):
-    """Map each process function's code object to its factory's
-    :class:`_Form`, or to the reason the factory keeps the generator.
-    A process function is the ``_p`` of factory ``_f<N>`` (its
-    qualified name says which), the N-th record of its model's
-    ``slot_forms``; the processes bound to one factory share its code
-    object, so each form is read once per elaborated model."""
-    forms = {}
+    """Map each elaborated process to its factory's :class:`_Form`, or
+    to the reason the factory keeps the generator, and to the operand
+    values its row passed the factory (``DesignRecord.factories``);
+    the processes bound to one factory share its form."""
+    forms, out = {}, {}
     for record in records:
-        stored = getattr(record.node, "slot_forms", None) or ()
-        for proc in record.processes.values():
-            fn = proc.fn
-            if fn is None or fn.__code__ in forms:
-                continue
-            match = _FACTORY.search(fn.__qualname__)
-            index = int(match.group(1)) - 1 if match else len(stored)
-            form = stored[index] if index < len(stored) else "shape"
-            forms[fn.__code__] = form if type(form) is str \
-                else _Form(form)
-    return forms
+        for label, (index, values) in record.factories.items():
+            key = (id(record.node), index)
+            if key not in forms:
+                form = record.node.slot_forms[index]
+                forms[key] = form if type(form) is str else _Form(form)
+            out[record.processes[label]] = (forms[key], values)
+    return out
 
 
 # -- hole filling --------------------------------------------------------------
@@ -300,12 +284,11 @@ def _specialize(kernel, records, graph, cyclic):
     for proc in sorted(kernel.processes, key=lambda p: p.index):
         net = nets.get(proc)
         targets = [d.target.signal for d in net.drives] if net else []
-        fn = proc.fn
+        form, values = forms.get(proc, ("shape", ()))
         try:
-            form = forms.get(fn.__code__ if fn else None, "shape")
             if type(form) is str:
                 raise Reject(form)
-            wait_signals = [_signal_of(fn, name, kernel)
+            wait_signals = [_kernel_signal(operand(name, values), kernel)
                             for name in form.waits]
             if any(sig is None for sig in wait_signals):
                 raise Reject("wait")
@@ -313,14 +296,14 @@ def _specialize(kernel, records, graph, cyclic):
                 raise Reject("cyclic")  # quarantined: stay on the calendar
             if form.reason:
                 raise Reject(form.reason)
-            driven = [_signal_of(fn, form.args[k], kernel)
+            driven = [_kernel_signal(operand(form.args[k], values), kernel)
                       for k in form.targets]
             flags = tuple(None if sig is None else sig.index in slot_indices
                           for sig in driven)
             render = renders.get((form, flags))
             if render is None:
                 render = renders[form, flags] = _fill_form(
-                    form, flags, fn, kernel, factories)
+                    form, flags, values, kernel, factories)
             if type(render) is str:
                 raise Reject(render)
         except Reject as rej:
@@ -344,17 +327,17 @@ def _specialize(kernel, records, graph, cyclic):
         plans, slot_indices, stats, rejects
 
 
-def _fill_form(form, flags, fn, kernel, factories):
-    """``form`` with its holes filled for ``flags``, checked against
-    ``fn``'s closure: ``(resume factory, condition factory or None,
-    closure names, pure)``, or the reject reason when a parameter used
-    as a signal is not one of this kernel's, or one used as a value
-    is a signal or missing.  Each factory is entered in ``factories``
-    (text -> name) unless its text is there already."""
+def _fill_form(form, flags, values, kernel, factories):
+    """``form`` with its holes filled for ``flags``, checked against a
+    process's operand ``values``: ``(resume factory, condition factory
+    or None, parameter names, pure)``, or the reject reason when a
+    parameter used as a signal is not one of this kernel's, or one
+    used as a value is a signal.  Each factory is entered in
+    ``factories`` (text -> name) unless its text is there already."""
     for i, name in enumerate(form.args):
-        value = capture(fn, name)
+        value = operand(name, values)
         signal = isinstance(value, Signal)
-        if value is _MISSING or signal is not (i in form.signals) \
+        if signal is not (i in form.signals) \
                 or signal and value.kernel is not kernel:
             return "names"
     slots = {k for k, flag in zip(form.targets, flags) if flag}

@@ -7,7 +7,7 @@ elaborator's records plus the ``DesignGraph`` (the principal AG's
 per-process drive records, flattened) and its levelization,
 ``exec()``\\ s the module :mod:`repro.sim.codegen` fills from the
 AG's slot forms, and calls each compiled process's factory with the
-values its closure holds:
+operand values its row passed its model factory:
 
 - compiled processes are plain functions dispatched directly (no
   generator resumption, no ``RT`` attribute chains), reached through
@@ -34,16 +34,15 @@ describes the scheduler, not the simulated design.
 
 Compiled code objects are cached by design fingerprint (sources +
 elaborated topology, **never** elaboration-time values; generic-folded
-constants are re-captured from process closures and passed to the
-factories at bind time), so re-elaborating the same design skips
-codegen entirely.
+constants are process operands, passed to the factories at bind time),
+so re-elaborating the same design skips codegen entirely.
 """
 
 import heapq
 import time as _time
 from collections import OrderedDict
 
-from .codegen import _MISSING, build_program, capture, design_fingerprint
+from .codegen import build_program, design_fingerprint, operand
 from .kernel import Kernel, SimulationError, _process_order
 from .process import WaitRequest
 from .runtime import ops
@@ -137,16 +136,16 @@ class CompiledKernel(Kernel):
                 _PROGRAM_CACHE.popitem(last=False)
         else:
             _PROGRAM_CACHE.move_to_end(fingerprint)
-        self._bind(program)
+        self._bind(program, records)
         self.codegen_seconds += _time.perf_counter() - t0
         return program
 
-    def _bind(self, program):
+    def _bind(self, program, records):
         """Instantiate a (possibly cached) Program against *this*
-        elaboration: exec the module, call each plan's factories with
-        the values it captures from its process's closure (generics
-        change values, never source), install permanent waits and
-        static fanout."""
+        elaboration, whose ``records`` hold each process's operand
+        values: exec the module, call each plan's factories with them
+        (generics change values, never source), install permanent
+        waits and static fanout."""
         self.program = program
         n = len(self.signals)
         values = [sig.value for sig in self.signals]
@@ -163,19 +162,20 @@ class CompiledKernel(Kernel):
         }
         exec(program.code, namespace)
         by_index = {proc.index: proc for proc in self.processes}
+        operands = {record.processes[label].index: values
+                    for record in records
+                    for label, (_, values) in record.factories.items()}
         cmap = {}
         pure_map = {}
         init_map = {}
         static = {}
         for plan in program.plans.values():
             proc = by_index.get(plan.proc_index)
-            if proc is None or proc.fn is None:
+            passed = operands.get(plan.proc_index)
+            if proc is None or passed is None:
                 raise SimulationError(
                     "compiled program does not match this elaboration")
-            args = [capture(proc.fn, name) for name in plan.args]
-            if any(value is _MISSING for value in args):
-                raise SimulationError("cannot re-capture %r for process %r"
-                                      % (plan.args, proc.name))
+            args = [operand(name, passed) for name in plan.args]
             args = [value.index if isinstance(value, Signal) else value
                     for value in args]
             fn = namespace[plan.resume](*args)

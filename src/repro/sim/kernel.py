@@ -137,7 +137,6 @@ class Kernel:
         """
         proc = Process(name, generator_fn(), sensitivity=sensitivity,
                        decl_line=line)
-        proc.fn = generator_fn
         proc.kernel = self
         proc.index = len(self.processes)  # registration order
         self.processes.append(proc)

@@ -41,7 +41,6 @@ class Process:
     __slots__ = (
         "name",
         "generator",
-        "fn",
         "wait",
         "timeout_at",
         "done",
@@ -57,11 +56,6 @@ class Process:
                  decl_line=None):
         self.name = name
         self.generator = generator
-        #: The nullary generator function the generator came from, or
-        #: None.  The compiled backend reads its closure to recover
-        #: the elaboration-time bindings (signals, folded constants)
-        #: the generated model captured.
-        self.fn = None
         self.wait = None
         self.timeout_at = None
         self.done = False

@@ -38,11 +38,12 @@ class DesignRecord:
     actual* when the port map bound one.  The post-elaboration
     analyzer (:mod:`repro.analysis.netlist`) correlates these records
     with the static facts of the same units to build the flattened
-    whole-design dataflow graph.
+    whole-design dataflow graph, and the compiled backend
+    (:mod:`repro.sim.codegen`) each process's factory and operands.
     """
 
     __slots__ = ("path", "kind", "node", "signals", "processes",
-                 "instances")
+                 "factories", "instances")
 
     def __init__(self, path, kind, node):
         self.path = path        # hierarchical instance path
@@ -50,6 +51,8 @@ class DesignRecord:
         self.node = node        # the VIF unit carrying py_source
         self.signals = {}       # VHDL name -> Signal (ports included)
         self.processes = {}     # label -> Process
+        #: label -> (factory ``_f<N>``'s N - 1, its operand values)
+        self.factories = {}
         self.instances = {}     # label -> child DesignRecord
 
     def __repr__(self):
@@ -62,23 +65,24 @@ class ElaborationError(Exception):
 
 
 class ElabContext:
-    """The ``ctx`` object generated models receive; ``rows`` are its
-    unit's, which :meth:`rows` walks."""
+    """The ``ctx`` object generated models receive, filling ``record``
+    with what the model of its unit declares; :meth:`rows` walks the
+    unit's rows."""
 
-    def __init__(self, elaborator, path, generics=None, ports=None,
-                 arch_node=None, config_rows=(), record=None, rows=()):
+    def __init__(self, elaborator, record, generics=None, ports=None,
+                 arch_node=None, config_rows=()):
         self._elab = elaborator
         self.kernel = elaborator.kernel
         self.rt = elaborator.kernel.rt
         self.ops = self.rt.ops
-        self.path = path
+        self.path = record.path
         self._generics = dict(generics or {})
         self._ports = dict(ports or {})
         self._arch = arch_node
         self._config_rows = list(config_rows)
         self._exports = {}
         self._record = record
-        self._rows = rows or ()
+        self._rows = record.node.rows or ()
         self._next_row = 0
         #: the Python name -> signal each signal row bound
         self.bound = {}
@@ -99,7 +103,7 @@ class ElabContext:
         if sig is None:
             # Unbound/top-level port: a fresh signal.
             sig = self.signal(name, init, line=line)
-        elif self._record is not None:
+        else:
             self._record.signals[name] = sig
         return sig
 
@@ -126,8 +130,7 @@ class ElabContext:
             "%s%s%s" % (self.path, SEPARATOR, name), init, res)
         sig.decl_span = self._decl_span(line)
         self._elab.names.register(sig.name, "signal", sig)
-        if self._record is not None:
-            self._record.signals[name] = sig
+        self._record.signals[name] = sig
         return sig
 
     def process(self, name, fn, sensitivity=None, line=None):
@@ -135,8 +138,7 @@ class ElabContext:
             "%s%s%s" % (self.path, SEPARATOR, name), fn,
             sensitivity=sensitivity, line=line)
         self._elab.names.register(proc.name, "process", proc)
-        if self._record is not None:
-            self._record.processes[name] = proc
+        self._record.processes[name] = proc
         return proc
 
     def export(self, names):
@@ -172,10 +174,12 @@ class ElabContext:
                 bound[row[1]] = self.signal(
                     row[2], value(row[3]), value(row[4]), row[5])
             elif kind == "process":
-                sens = row[4]
-                self.process(row[1], value(row[2])(*map(value, row[3])),
+                sens, args = row[4], tuple(map(value, row[3]))
+                self.process(row[1], value(row[2])(*args),
                              None if sens is None
                              else [value(s) for s in sens], row[5])
+                self._record.factories[row[1]] = (int(row[2][2:]) - 1,
+                                                  args)
             else:
                 self.instance(row[1], row[2],
                               {k: value(v) for k, v in row[3]},
@@ -186,9 +190,12 @@ class ElabContext:
     # -- structure ----------------------------------------------------------------
 
     def instance(self, label, comp_name, generic_map, port_map):
-        """Instantiate a bound component (§3.3, both layers)."""
+        """Instantiate a bound component (§3.3, both layers).  Inside a
+        block, ``label`` is the instance's path below the architecture
+        (``b1:u1``); configurations name it by its label as written."""
         binding = self._elab.resolve_binding(
-            comp_name, label, self._arch, self._config_rows)
+            comp_name, label.rpartition(":")[2], self._arch,
+            self._config_rows)
         if binding is None:
             raise ElaborationError(
                 "no entity/architecture binding for instance %s:%s "
@@ -200,8 +207,7 @@ class ElabContext:
         child = self._elab.elaborate_architecture(
             entity, arch, child_path, generics=generic_map,
             ports=port_map)
-        if self._record is not None and child._record is not None:
-            self._record.instances[label] = child._record
+        self._record.instances[label] = child._record
 
 
 class Elaborator:
@@ -219,7 +225,7 @@ class Elaborator:
         self._packages_loaded = False
         #: Each architecture's model, byte-compiled once however many
         #: instances it has, so all of them share its process
-        #: factories' code objects (codegen specializes each once).
+        #: factories' code objects.
         self._models = {}
 
     # -- packages -------------------------------------------------------------------
@@ -244,8 +250,7 @@ class Elaborator:
             record = DesignRecord(SEPARATOR + node.name, "package",
                                   node)
             self.records.append(record)
-            ctx = ElabContext(self, SEPARATOR + node.name,
-                              record=record, rows=node.rows)
+            ctx = ElabContext(self, record)
             ns = load_model(compile_model(py, "%s.%s" % (lib, key)),
                             extra_globals=self._package_ns)
             ns["elaborate"](ctx)
@@ -305,8 +310,8 @@ class Elaborator:
         self._load_packages()
         record = DesignRecord(path, "architecture", arch)
         self.records.append(record)
-        ctx = ElabContext(self, path, generics, ports, arch,
-                          config_rows, record=record, rows=arch.rows)
+        ctx = ElabContext(self, record, generics, ports, arch,
+                          config_rows)
         name = "%s(%s)" % (arch.name, entity.name)
         key = (name, arch.py_source)
         if key not in self._models:

@@ -727,12 +727,13 @@ def _subprog_body(spec, inner_decls, body_sres, env, scope, end_name,
     entry, params, _result, msgs, reused, line = spec
     name, sub_kind = entry.name, entry.sub_kind
     inner_entries = D.flatten(inner_decls.entries)
+    decl_code, local_msgs = D.local_code(inner_decls, "subprogram", line)
     msgs = msgs + list(inner_decls.msgs) + list(body_sres.msgs) \
         + _end_name_msgs(sub_kind, name, end_name, end_line) \
-        + D.redeclared(params + inner_entries, (), line)
+        + D.redeclared(params + inner_entries, (), line) + local_msgs
     local_names = {e.py for e in inner_entries if hasattr(e, "py")}
     code = D.subprogram_code(
-        entry, D.join(inner_decls.code, body_sres.code), local_names,
+        entry, D.join(decl_code, body_sres.code), local_names,
         body_sres.writes, line)
     if body_sres.haswait:
         msgs.append("line %d: wait statements are not allowed in "

@@ -8,9 +8,12 @@ entries it created, and error messages.
 Code lines are ``(depth, text)`` pairs; depth is relative to the
 enclosing declarative region and resolved at unit-assembly time.  A
 signal declaration's text is a :class:`Row`: the unit's model keeps it
-as data.
+as data.  A signal assignment's or a wait's text is an :class:`Assign`
+or a :class:`Wait`, which the compiled backend's slot forms read
+(:mod:`repro.vhdl.slotform`) and :func:`render` prints.
 """
 
+from collections import namedtuple
 from types import SimpleNamespace
 
 from ..vif.nodes import (
@@ -45,8 +48,12 @@ def indent(lines, by=1):
     return [(d + by, t) for d, t in flatten(lines)]
 
 
+def _text(line):
+    return line if type(line) is str else line.text()
+
+
 def render(lines, base_indent=0, unit="    "):
-    return "\n".join(unit * (base_indent + d) + t for d, t in lines)
+    return "\n".join(unit * (base_indent + d) + _text(t) for d, t in lines)
 
 
 class Row:
@@ -55,23 +62,62 @@ class Row:
     (:func:`repro.vhdl.codegen.pymodel.row_line`) with each operand
     still the code that computes it.  The unit's assembly
     (:func:`repro.vhdl.semantics_unit.arch_unit`) makes the operands
-    literals and names; inside a process or subprogram, whose
-    statements are all text, a row is the statement it stands for
-    (:func:`as_text`)."""
+    literals and names.  No row sits in a process or subprogram: VHDL
+    declares signals only in architectures, blocks and packages
+    (:func:`local_code`)."""
 
     __slots__ = ("row",)
 
     def __init__(self, row):
         self.row = row
 
+    def within(self, block):
+        """This row inside block ``block``: an instance's label is its
+        path below the architecture (a signal's path is its scope's)."""
+        kind, name = self.row[:2]
+        return self if kind != "instance" else Row(
+            [kind, N.kernel_path((("block", block),), name)] + self.row[2:])
 
-def as_text(lines):
-    """The code lines of ``lines``, each :class:`Row` as the statement
-    it stands for."""
-    from .codegen.pymodel import row_line
 
-    return [(d, row_line(t.row, str) if type(t) is Row else t)
-            for d, t in flatten(lines)]
+class Assign(namedtuple("Assign", "target elems transport")):
+    """A signal assignment: the target signal's name and the code of
+    each ``(value, delay)`` element of the waveform, in text order; a
+    block's GUARD driver has ``transport`` None, printed as nothing."""
+
+    __slots__ = ()
+
+    def text(self):
+        return "rt.assign(%s, (%s,)%s)" % (
+            self.target, ", ".join("(%s, %s)" % e for e in self.elems),
+            "" if self.transport is None
+            else ", transport=%r" % self.transport)
+
+
+class Wait(namedtuple("Wait", "signals cond timeout")):
+    """A wait statement: the names of the signals it waits on, and the
+    code of its condition and of its timeout, each None if absent, in
+    text order."""
+
+    __slots__ = ()
+
+    def text(self):
+        return "yield rt.wait([%s], %s, %s)" % (
+            ", ".join(self.signals),
+            "None" if self.cond is None else "lambda: " + self.cond,
+            self.timeout)
+
+
+def local_code(decls, region, line):
+    """The code lines of the declarative part ``decls`` of a process or
+    subprogram (``region``) and an error per signal it declares, whose
+    row is left out: VHDL declares signals only in architectures,
+    blocks and packages."""
+    msgs = [_msg(e.line or line, "signal %r cannot be declared in a %s"
+                 % (e.name, region))
+            for e in flatten(decls.entries)
+            if entry_kind(e) == "object" and e.obj_class == "signal"]
+    return [(d, t) for d, t in flatten(decls.code)
+            if type(t) is not Row], msgs
 
 
 class Rope:
@@ -531,7 +577,7 @@ def subprogram_code(entry, body_code, local_names, writes, line):
     lines = [ln("def %s(%s):" % (entry.py, ", ".join(params)))]
     locals_ = set(local_names) | {N.param(p.name) for p in entry.params}
     uplevel = sorted(w for w in writes if w not in locals_)
-    body = as_text(body_code)
+    body = [(d, _text(t)) for d, t in flatten(body_code)]
     if uplevel:
         body.insert(0, ln("nonlocal %s" % ", ".join(uplevel)))
     if not body:

@@ -19,7 +19,7 @@ from . import names as N
 from . import vtypes
 from .expr_sem import signals_of
 from .flow import EMPTY_SET, NO_FLOW, Flow, drive_flow, wait_flow
-from .semantics_decl import indent, join, ln
+from .semantics_decl import Assign, Wait, indent, join, ln
 
 
 class SRes:
@@ -78,35 +78,33 @@ def _bool_cond(lef, env, cc, line, out_msgs):
 # -- assignments -------------------------------------------------------------------
 
 
-def _target_update_code(lv, value_code, read_code):
-    """Build the updated composite value for a path assignment."""
-    code = read_code
-    steps = list(lv.path)
-    if not steps:
-        return value_code
-    # Single-step paths cover the subset (a(i) / a.f / a(h downto l)).
-    step_kind, info = steps[-1]
-    prefix = read_code
-    for kind, inner in steps[:-1]:
-        if kind == "index":
-            prefix = "ops.index(%s, %s)" % (prefix, inner.code)
-        elif kind == "field":
-            prefix = "ops.field(%s, %r)" % (prefix, inner)
-    del code
-    if step_kind == "index":
-        updated = "ops.array_update(%s, %s, %s)" % (
-            prefix, info.code, value_code)
-    elif step_kind == "field":
-        updated = "ops.record_update(%s, %r, %s)" % (
-            prefix, info, value_code)
-    else:  # slice
+def _step_code(kind, info, prefix, value=None):
+    """The code of the part path step ``(kind, info)`` names in the
+    value of ``prefix``, or with ``value``, of that value with the part
+    replaced by ``value``."""
+    if kind == "index":
+        read, update, args = "index", "array_update", info.code
+    elif kind == "field":
+        read, update, args = "field", "record_update", repr(info)
+    else:
         left, direction, right = info
-        updated = "ops.slice_update(%s, %s, %r, %s, %s)" % (
-            prefix, left.code, direction, right.code, value_code)
-    # Rebuild outward for nested paths.
-    for kind, inner in reversed(steps[:-1]):
-        raise NotImplementedError  # depth-2 paths not in the subset
-    return updated
+        read, update = "slice_", "slice_update"
+        args = "%s, %r, %s" % (left.code, direction, right.code)
+    if value is None:
+        return "ops.%s(%s, %s)" % (read, prefix, args)
+    return "ops.%s(%s, %s, %s)" % (update, prefix, args, value)
+
+
+def _target_update_code(lv, value_code, read_code):
+    """The whole value of ``read_code`` with the part ``lv.path`` names
+    replaced by ``value_code``: the innermost step updates what the
+    steps before it read, and each step outward puts the result back."""
+    reads = [read_code]
+    for kind, info in lv.path[:-1]:
+        reads.append(_step_code(kind, info, reads[-1]))
+    for read, (kind, info) in reversed(list(zip(reads, lv.path))):
+        value_code = _step_code(kind, info, read, value_code)
+    return value_code
 
 
 def _rebound_code(value_code, vtype):
@@ -162,10 +160,8 @@ def signal_assign(target_lef, wave, transport, env, cc, line,
                 lv, value_code, "rt.read(%s)" % base.py)
         else:
             value_code = _rebound_code(value_code, expected)
-        elems.append("(%s, %s)" % (value_code, delay))
-    code_line = "rt.assign(%s, (%s,), transport=%r)" % (
-        base.py, ", ".join(elems), bool(transport))
-    lines = [ln(code_line)]
+        elems.append((value_code, delay))
+    lines = [ln(Assign(base.py, tuple(elems), bool(transport)))]
     # The sensitivity view leaves the target out, but the code reads
     # it (and its index expressions) to update a path, and the guard.
     code_uses = uses.union(_uses(tgt) if lv.path else ())
@@ -404,27 +400,26 @@ def wait_stmt(on_lefs, until_lef, for_lef, env, cc, line):
             continue
         sig_codes.append(lv.base.py)
     uses = set()
-    cond_code = "None"
+    cond_code = None
     if until_lef is not None:
         goal = cc.eval_expr(until_lef, env, line,
                             expected=cc.std.boolean)
         msgs.extend(goal.get("msgs", ()))
-        cond_code = "lambda: %s" % goal.get("code", "1")
+        cond_code = goal.get("code", "1")
         if not sig_codes:
             # wait until C: sensitivity is the signals in C.
             sig_codes = list(goal.get("sigs", ()))
         uses.update(_uses(goal))
-    timeout_code = "None"
+    timeout_code = None
     if for_lef is not None:
         goal = cc.eval_expr(for_lef, env, line, expected=cc.std.time)
         msgs.extend(goal.get("msgs", ()))
         timeout_code = goal.get("code", "None")
         uses.update(_uses(goal))
-    code = "yield rt.wait([%s], %s, %s)" % (
-        ", ".join(sig_codes), cond_code, timeout_code)
     flow = Flow.of_uses(uses) + wait_flow(
-        sig_codes, until_lef is not None, timeout_code != "None")
-    return SRes([ln(code)], msgs, haswait=True, flow=flow)
+        sig_codes, until_lef is not None, for_lef is not None)
+    return SRes([ln(Wait(tuple(sig_codes), cond_code, timeout_code))],
+                msgs, haswait=True, flow=flow)
 
 
 def assert_stmt(cond_lef, report_lef, severity_lef, env, cc, line):

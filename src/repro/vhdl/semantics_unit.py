@@ -24,13 +24,15 @@ from . import vtypes
 from .compile_ctx import attrs_of
 from .flow import Flow, drive_flow, wait_flow
 from .semantics_decl import (
+    Assign,
     DeclResult,
     Row,
-    as_text,
+    Wait,
     flatten,
     indent,
     join,
     ln,
+    local_code,
     redeclared,
     render,
 )
@@ -111,11 +113,14 @@ def _lift(lines):
     set may be too large; that only keeps a name in the text, where
     the factory, nested in ``elaborate``, still sees it.  A name the
     process binds carries no source line (:mod:`repro.vhdl.names`).
-    Names in string literals stay as they are."""
+    An :class:`Assign` or :class:`Wait` binds no name; its fields hold
+    its operands in text order.  Names in string literals stay as they
+    are."""
     bound = set()
     for _, text in lines:
-        for match in _BINDING.finditer(text):
-            bound.update(_IDENT.findall(match.group()))
+        if type(text) is str:
+            for match in _BINDING.finditer(text):
+                bound.update(_IDENT.findall(match.group()))
     params = {}
 
     def param(match):
@@ -126,7 +131,14 @@ def _lift(lines):
             params[name] = N.LIFTED % len(params)
         return params[name]
 
-    lifted = tuple((depth, _USE.sub(param, text)) for depth, text in lines)
+    def lift(code):
+        if type(code) is str:
+            return _USE.sub(param, code)
+        return tuple(map(lift, code)) if type(code) is tuple else code
+
+    lifted = tuple((depth, lift(text) if type(text) is str
+                    else type(text)._make(map(lift, text)))
+                   for depth, text in lines)
     return lifted, list(params)
 
 
@@ -134,17 +146,20 @@ class ProcessLine:
     """A process statement of an architecture, until :func:`arch_unit`
     names its factory.
 
-    ``text`` is the process function ``_p`` with every name it takes
-    from outside lifted (:func:`_lift`); ``args`` are those names.
+    ``text`` is the process function ``_p``: the lines of its
+    declarative part and of its loop, with every name they take from
+    outside lifted (:func:`_lift`); ``args`` are those names.
     :func:`arch_unit` keeps one factory per distinct ``text`` and
     makes this statement the process row that binds the factory to
     ``args``."""
 
     __slots__ = ("label", "text", "args", "sens", "line")
 
-    def __init__(self, label, lines, sens, line):
+    def __init__(self, label, decls, body, sens, line):
         self.label = label
-        self.text, self.args = _lift(flatten(lines))
+        decls = flatten(decls)
+        lifted, self.args = _lift(decls + flatten(body))
+        self.text = (lifted[:len(decls)], lifted[len(decls):])
         self.sens = sens  # the sensitivity list's names, or None
         self.line = line
 
@@ -169,18 +184,11 @@ class ProcessLine:
 def _factory_lines(text, name, arity):
     """``def <name>(_a0, ...)``, returning the process function
     ``text`` defines."""
-    lines = [ln("def %s(%s):" % (name, ", ".join(
-        N.LIFTED % i for i in range(arity))))]
-    lines.extend(indent(text))
-    lines.append(ln("return _p", 1))
-    return lines
-
-
-def _process_line(label, lines, sens, line):
-    """The code of a process whose function ``_p`` is ``lines``:
-    one :class:`ProcessLine`, with a sensitivity list unless ``sens``
-    is None."""
-    return [ln(ProcessLine(label, lines, sens, line))]
+    decls, body = text
+    return ([ln("def %s(%s):" % (name, ", ".join(
+        N.LIFTED % i for i in range(arity)))), ln("def _p():", 1)]
+            + indent(decls, 2) + [ln("while True:", 2)]
+            + indent(body, 3) + [ln("return _p", 1)])
 
 
 def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
@@ -190,8 +198,9 @@ def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
     code becomes the pre-loop variable initialization); ``body`` is the
     SRes of the statement part.
     """
+    decl_code, local_msgs = local_code(decls, "process", line)
     msgs = list(decls.msgs) + list(body.msgs) \
-        + redeclared(flatten(decls.entries), (), line)
+        + redeclared(flatten(decls.entries), (), line) + local_msgs
     if body.jump:
         msgs.append(body.jump)
     fn = N.PROCESS_FUNCTION % label
@@ -220,30 +229,25 @@ def process_stmt(label, sensitivity_lefs, decls, body, env, cc, line):
             "wait was inserted" % label))
         final = []
     if final is not None:
-        loop_body.append(ln("yield rt.wait([%s], None, None)"
-                            % ", ".join(final)))
+        loop_body.append(ln(Wait(tuple(final), None, None)))
         if not body.dead:  # else the final wait is unreachable
             flow += wait_flow(final)
     if sensitivity_lefs is None:
         sens = None
-    lines = [ln("def _p():")]
-    lines.extend(indent(as_text(decls.code)))
-    lines.append(ln("while True:", 1))
-    lines.extend(indent(loop_body, 2))
-    return CStmt(_process_line(label, lines, sens, line), msgs, (),
-                 label, [flow.record(label, fn, line, sens)], line=line)
+    return CStmt([ln(ProcessLine(label, decl_code, loop_body, sens,
+                                 line))],
+                 msgs, (), label, [flow.record(label, fn, line, sens)],
+                 line=line)
 
 
 def _equivalent_process(label, body_lines, body_flow, sens, line,
                         fn=None):
     """The process a concurrent statement stands for: its body, then a
     wait on the signals it names."""
-    lines = [ln("def _p():"), ln("while True:", 1)]
-    lines.extend(indent(body_lines or [ln("pass")], 2))
-    lines.append(ln("yield rt.wait([%s], None, None)"
-                    % ", ".join(sens), 2))
+    body = flatten(body_lines) or [ln("pass")]
+    body.append(ln(Wait(tuple(sens), None, None)))
     flow = body_flow + wait_flow(sens)
-    return (_process_line(label, lines, sens, line),
+    return ([ln(ProcessLine(label, (), body, sens, line))],
             flow.record(label, fn or N.PROCESS_FUNCTION % label, line, sens))
 
 
@@ -408,9 +412,9 @@ def block_stmt(label, guard_lef, decls, inner, scope, env, cc, line):
     """``label: block (guard) decls begin ... end block;``
 
     Its signals are named by the block's ``scope``
-    (:func:`~repro.vhdl.names.kernel_path`), and its processes by its
-    label the same way: ``p`` in ``deep`` in ``outer`` is
-    ``outer:deep:p``, kernel path and record alike.  The guard
+    (:func:`~repro.vhdl.names.kernel_path`), and its processes and
+    component instances by its label the same way: ``p`` in ``deep``
+    in ``outer`` is ``outer:deep:p``, kernel path and record alike.  The guard
     becomes an implicit signal driven by an equivalent process;
     guarded assignments inside test it.
     """
@@ -436,16 +440,17 @@ def block_stmt(label, guard_lef, decls, inner, scope, env, cc, line):
         signals.append([guard_py, guard_path, None, False])
         fn = N.GUARD_PROCESS % label
         guard_lines, record = _equivalent_process(
-            fn, [ln("rt.assign(%s, ((%s, 0),))"
-                    % (guard_py, goal.get("code", "0")))],
+            fn, [ln(Assign(guard_py, ((goal.get("code", "0"), "0"),),
+                           None))],
             Flow.of_uses(uses)
             + drive_flow([(guard_py, True, True, False, False)]),
             goal.get("sigs", []), line, fn=fn)
         lines.extend(guard_lines)
         processes = [record]
     msgs.extend(inner.msgs)
-    code = [(depth, text.within(label) if type(text) is ProcessLine
-             else text) for depth, text in flatten(inner.code)]
+    code = [(depth, text.within(label)
+             if type(text) in (ProcessLine, Row) else text)
+            for depth, text in flatten(inner.code)]
     records = [[N.kernel_path((("block", label),), record[0])]
                + record[1:]
                for record in flatten(inner.processes)]
@@ -561,7 +566,7 @@ def arch_unit(name, entity, decls, cstmts, configs, env, cc, line):
         user_attrs=list(attrs_of(env)),
         processes=flatten(cstmts.processes),
         block_signals=flatten(cstmts.signals),
-        slot_forms=[slot_form(text) for text in factories],
+        slot_forms=[slot_form(*text) for text in factories],
         rows=rows, py_source=py_source, line=line), msgs
 
 

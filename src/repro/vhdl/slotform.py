@@ -2,13 +2,15 @@
 
 The principal AG emits every process of an architecture as a factory
 over the names the process takes from outside it (the lifted ``_a<i>``
-operands of :func:`repro.vhdl.semantics_unit._lift`).  With each
+operands of :func:`repro.vhdl.semantics_unit._lift`), its signal
+assignments and waits as :class:`~repro.vhdl.semantics_decl.Assign`
+and :class:`~repro.vhdl.semantics_decl.Wait` lines.  With each
 factory, :func:`~repro.vhdl.semantics_unit.arch_unit` also stores, in
 ``ArchUnit.slot_forms``, the form in which the compiled backend
-(:mod:`repro.sim.codegen`) runs it: the process loop split at its one
-wait, and its statements over parameters ``_k<i>``, numbered in order
-of first use, each an ``_a<i>`` operand or a model global such as
-``VArray``.  In that text:
+(:mod:`repro.sim.codegen`) runs it, read off those lines: the process
+loop split at its one wait, and its statements over parameters
+``_k<i>``, numbered in order of first use, each an ``_a<i>`` operand
+or a model global such as ``VArray``.  In that text:
 
 - ``rt.read(s)`` is ``V[k]``, ``s'EVENT`` and ``s'ACTIVE`` compare the
   signal's stamps with ``step``, ``s'LAST_VALUE`` reads it, and
@@ -27,8 +29,8 @@ args, signals, pure, body, cond]``:
   ``assert_`` outside a signal assignment).  An ``exit`` or ``next``
   never reaches here outside a loop: that is a compile error.  A
   factory whose loop does not have that shape is the bare reason
-  instead: ``shape`` (statements before the loop: process variables)
-  or ``wait`` (not exactly one wait, first or last in the loop, or a
+  instead: ``shape`` (a declarative part: process variables) or
+  ``wait`` (not exactly one ``Wait``, first or last in the loop, or a
   wait with a timeout);
 - ``init_runs_body`` when the wait is last;
 - ``waits`` and ``args``: the operands the wait lists and the
@@ -45,6 +47,7 @@ args, signals, pure, body, cond]``:
 import re
 
 from . import names as N
+from .semantics_decl import Assign, Wait
 from .semantics_unit import _STRING
 
 #: A string literal; a signal function of one name; another ``rt``
@@ -68,34 +71,9 @@ _OPERAND = re.compile(r"_a\d+$")
 #: A string literal, or a call and its callee.
 _CALL = re.compile(_STRING + r"|(?<![\w.])([A-Za-z_][\w.]*)\(")
 
-#: A string literal, a bracket or a comma.
-_DELIM = re.compile(_STRING + r"|[][(){},]")
-
-#: A string literal or a ``yield``.
-_YIELD = re.compile(_STRING + r"|\byield\b")
-
-_WAIT = "yield rt.wait("
-_ASSIGN = "rt.assign("
-
 
 class _Reject(Exception):
     pass
-
-
-def _split(text):
-    """``text`` cut at its top-level commas, each part stripped."""
-    parts, depth, start = [], 0, 0
-    for match in _DELIM.finditer(text):
-        char = match.group()
-        if char in ("(", "[", "{"):
-            depth += 1
-        elif char in (")", "]", "}"):
-            depth -= 1
-        elif char == "," and not depth:
-            parts.append(text[start:match.start()].strip())
-            start = match.end()
-    parts.append(text[start:].strip())
-    return parts
 
 
 class _Render:
@@ -138,57 +116,48 @@ class _Render:
         return match.group()
 
     def body(self, lines):
-        """The loop statements ``lines`` as text and holes."""
+        """The loop statements ``lines``, each at depth 2 in a resume
+        function, as text and holes: an :class:`Assign` is ``[depth,
+        target, transport, value, delay, ...]``."""
         pieces = []
-        for depth, text in lines:
-            if text.startswith(_ASSIGN):
-                pieces.append(self.hole(depth, text))
+        for depth, line in lines:
+            if type(line) is Assign:
+                pieces.append(
+                    [depth + 2, int(self.param(line.target,
+                                               self.signals)[2:]),
+                     bool(line.transport)]
+                    + [self.sub(code) for elem in line.elems
+                       for code in elem])
                 continue
-            line = "    " * depth + self.sub(text) + "\n"
+            line = "    " * (depth + 2) + self.sub(line) + "\n"
             if pieces and type(pieces[-1]) is str:
                 pieces[-1] += line
             else:
                 pieces.append(line)
         return pieces
 
-    def hole(self, depth, text):
-        """The hole of one ``rt.assign(target, ((value, delay), ...)
-        [, transport=flag])`` statement."""
-        args = _split(text[len(_ASSIGN):-1])
-        target = self.param(args[0], self.signals)
-        hole = [depth, int(target[2:]), args[2:] == ["transport=True"]]
-        for elem in _split(args[1][1:-1]):
-            if elem:
-                value, delay = _split(elem[1:-1])
-                hole += [self.sub(value), self.sub(delay)]
-        return hole
 
-
-def slot_form(lines):
-    """The record of the process function ``lines``: its lifted
-    ``(depth, text)`` lines, ``def _p():`` first."""
-    if len(lines) < 3 or lines[1] != (1, "while True:") \
-            or any(depth < 2 for depth, _ in lines[2:]):
+def slot_form(decls, body):
+    """The record of the process function whose declarative part and
+    loop are the lifted ``(depth, line)`` lines ``decls`` and
+    ``body``."""
+    if decls:
         return "shape"
-    body = lines[2:]
-    if sum(match.group() == "yield" for _, text in body
-           for match in _YIELD.finditer(text)) != 1:
-        return "wait"
-    if body[0][1].startswith(_WAIT):
-        wait, rest, init_runs_body = body[0], body[1:], False
-    elif body[-1][0] == 2 and body[-1][1].startswith(_WAIT):
-        wait, rest, init_runs_body = body[-1], body[:-1], True
+    at = [i for i, (_, line) in enumerate(body) if type(line) is Wait]
+    if at == [0]:
+        rest, init_runs_body = body[1:], False
+    elif at == [len(body) - 1] and body[-1][0] == 0:
+        rest, init_runs_body = body[:-1], True
     else:
         return "wait"
-    signals, cond, timeout = _split(wait[1][len(_WAIT):-1])
-    if timeout != "None":
+    wait = body[at[0]][1]
+    if wait.timeout is not None:
         return "wait"  # a timed wait stays on the calendar
-    waits = " ".join(_split(signals[1:-1]))
+    waits = " ".join(wait.signals)
     render = _Render()
     try:
         body = render.body(rest)
-        if cond != "None":
-            cond = render.sub(cond[len("lambda:"):].strip())
+        cond = None if wait.cond is None else render.sub(wait.cond)
         if render.signals & render.values:
             raise _Reject("names")  # a signal passed bare
     except _Reject as rej:
@@ -198,4 +167,4 @@ def slot_form(lines):
     return [None, init_runs_body, waits, " ".join(names),
             [i for i, name in enumerate(names)
              if render.params[name] in render.signals],
-            render.pure, body, None if cond == "None" else cond]
+            render.pure, body, cond]

@@ -5,6 +5,10 @@ three fixtures of ``test_compiled_backend.py``, a cold
 :func:`repro.sim.codegen.build_program` must give the pinned
 ``Program.stats`` and, for each process in index order, the pinned
 outcome: ``compiled <factory> pure|impure`` or ``reject_<reason>``.
+The bytes are pinned too, as sha256 digests: each architecture's
+``slot_forms`` (:mod:`repro.vhdl.slotform`) and the factories' text
+codegen renders into the design's specialized module (the module is
+that text after a fixed prelude and a fingerprint line).
 ``data/codegen_golden.json`` holds the pins (corpus designs added
 later are not pinned); regenerate it only when a change is meant to
 move them::
@@ -12,6 +16,7 @@ move them::
     PYTHONPATH=src python -m tests.sim.test_codegen_golden
 """
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -51,9 +56,13 @@ def designs():
     return out
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def outcome(source, top):
-    """The design's ``{"stats", "procs"}`` from a cold build, or None
-    when it does not compile or elaborate."""
+    """The design's ``{"stats", "procs", "slot_forms", "module"}`` from
+    a cold build, or None when it does not compile or elaborate."""
     built = compile_sources([("<golden>", source)])
     if not all(r.ok for r in built.results):
         return None
@@ -73,7 +82,12 @@ def outcome(source, top):
         else:
             procs.append([proc.name, "compiled %s %s" % (
                 plan.resume, "pure" if plan.pure else "impure")])
-    return {"stats": program.stats, "procs": procs}
+    module = codegen._specialize(kernel, sim.records, graph, cyclic)[0]
+    return {"stats": program.stats, "procs": procs,
+            "slot_forms": {key: _sha256(json.dumps(node.slot_forms))
+                           for key, node in built.library.units_of("work")
+                           if getattr(node, "slot_forms", None) is not None},
+            "module": _sha256(module)}
 
 
 def _golden():

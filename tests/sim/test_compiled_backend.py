@@ -28,7 +28,6 @@ from repro.gen.oracle import (
     check_source,
 )
 from repro.sim import CompiledKernel, Kernel, Signal, codegen, compiled
-from repro.sim.codegen import capture
 from repro.sim.compiled import _PROGRAM_CACHE
 from repro.vhdl.compiler import Compiler
 from repro.vhdl.elaborate import Elaborator
@@ -433,7 +432,9 @@ class TestShapes:
 
     def test_generic_instances_match_the_event_kernel(self):
         library = compile_lib(GENERIC_PAIR)
-        kernel = _specialized(library, "pair")
+        kernel = CompiledKernel()
+        sim = Elaborator(library, kernel=kernel).elaborate("pair")
+        kernel.compile_design(sim.records)
         adds = [p for p in kernel.processes
                 if p.name.endswith(":add")]
         plans = [kernel.program.plans[p.index] for p in adds]
@@ -441,10 +442,14 @@ class TestShapes:
         # of its own generic, and its signals by index.
         assert len(plans) == 2
         assert plans[0].resume == plans[1].resume
-        captured = [[capture(p.fn, name) for name in plan.args]
-                    for p, plan in zip(adds, plans)]
+        operands = {record.processes[label]: values
+                    for record in sim.records
+                    for label, (_, values) in record.factories.items()}
+        passed = [[codegen.operand(name, operands[p])
+                   for name in plan.args]
+                  for p, plan in zip(adds, plans)]
         assert [[v for v in values if not isinstance(v, Signal)]
-                for values in captured] == [[3], [5]]
+                for values in passed] == [[3], [5]]
         assert kernel._c_resume[adds[0].index].__code__ is \
             kernel._c_resume[adds[1].index].__code__
         until_fs = 60 * 10**6
@@ -472,7 +477,7 @@ class TestShapes:
         p1, p2 = [p for p in kernel.processes
                   if p.name.endswith(":drive")]
         # The instances share their model's byte-compiled factories.
-        assert p1.fn.__code__ is p2.fn.__code__
+        assert p1.generator.gi_code is p2.generator.gi_code
         # One model factory, two slot flags: two texts, two code objects.
         assert program.stats["shapes"] == 2
         assert program.plans[p1.index].resume != \
@@ -556,7 +561,7 @@ class TestOneParsePerProcess:
             assert program.stats["shapes"] == len(resumes) + len(conds)
         # The ring: six processes of two model factories, one shape.
         assert len(codes) == 6 and len(set(codes)) == 1
-        assert len({p.fn.__code__ for p in kernel.processes}) == 2
+        assert len({p.generator.gi_code for p in kernel.processes}) == 2
 
     def test_cold_build_renders_each_shape_once(self, monkeypatch):
         library = compile_lib(_ring(12))
@@ -564,7 +569,7 @@ class TestOneParsePerProcess:
         assert program.stats["compiled"] == 12
         # The starter and the waiting cells: two model factories, one
         # rendered text.
-        assert len({p.fn.__code__ for p in kernel.processes}) == 2
+        assert len({p.generator.gi_code for p in kernel.processes}) == 2
         assert program.stats["shapes"] == 1
         assert len(set(_resume_codes(kernel))) == 1
 
@@ -575,7 +580,8 @@ class TestOneParsePerProcess:
                      "_memo", "_ALLOWED", "_SIGNAL_READS", "_Rewriter",
                      "_Binder", "_rewrite_stmts", "_rewrite_assign",
                      "_def", "_render", "_factory", "_process_texts",
-                     "ast", "textwrap"):
+                     "ast", "textwrap", "capture", "_signal_of",
+                     "_MISSING", "_FACTORY"):
             assert not hasattr(codegen, name), name
 
 

@@ -237,6 +237,29 @@ class TestGeneratedCode:
         assert any("sensitivity list cannot contain wait" in m
                    for m in msgs)
 
+    @pytest.mark.parametrize("region, decls, line", [
+        ("process", "p : process\n signal z : integer := 4;", 7),
+        ("subprogram", "p : process\n procedure q is\n"
+                       " signal z : integer := 4;\n begin null; end q;", 8),
+    ], ids=["process", "subprogram"])
+    def test_signal_in_process_or_subprogram_diagnosed(self, region,
+                                                       decls, line):
+        c, msgs = compile_messages("""
+            entity e is end e;
+            architecture a of e is
+              signal x : integer := 0;
+            begin
+              %s
+              begin
+                x <= 1;
+                wait for 1 ns;
+              end process;
+            end a;
+        """ % decls)
+        assert msgs == ["line %d: signal 'z' cannot be declared in a %s"
+                        % (line, region)]
+        assert c.library.find_architecture("work", "e", "a") is None
+
 
 class TestTypeChecking:
     def test_type_mismatch_in_assignment(self):

@@ -26,6 +26,7 @@ from repro.ag.errors import EvaluationError
 from repro.ag.lr.parser import ParseTree
 from repro.sim import CompiledKernel, codegen, compiled
 from repro.vhdl import compiler as compiler_mod
+from repro.vhdl import semantics_stmt
 from repro.vhdl.compile_ctx import CompileCtx
 from repro.vhdl.compiler import Compiler
 from repro.vhdl.elaborate import Elaborator
@@ -50,21 +51,23 @@ begin
 end rtl;
 """
 
-#: A two-step target path, which the statement rules do not support:
-#: the semantic rule raises, so evaluation ends in an EvaluationError.
+#: A signal assignment, whose semantic rule the test makes raise, so
+#: evaluation ends in an EvaluationError.
 EVAL_ERROR = """
 entity e is end e;
 architecture a of e is
-  type row is array (0 to 3) of bit;
-  type mat is array (0 to 3) of row;
-  signal m : mat;
+  signal m : bit;
 begin
   process begin
-    m(1)(2) <= '1';
+    m <= '1';
     wait;
   end process;
 end a;
 """
+
+
+def _unsupported(*args, **kwargs):
+    raise NotImplementedError
 
 
 def _live(cls):
@@ -98,7 +101,9 @@ def test_no_parse_tree_alive_at_model_compile(monkeypatch, no_collector,
     if after_error:
         # The failed result stays alive across the next compile, as
         # in a multi-file CLI run.
-        failed = compiler.compile(EVAL_ERROR)
+        with monkeypatch.context() as patch:
+            patch.setattr(semantics_stmt, "signal_assign", _unsupported)
+            failed = compiler.compile(EVAL_ERROR)
         assert isinstance(failed.error, EvaluationError)
         assert _live(ParseTree) == baseline
     result = compiler.compile(RING)
