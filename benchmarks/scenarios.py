@@ -937,7 +937,7 @@ def scenario_memory():
 
     def counting(*args, **kwargs):
         live.append(sum(1 for obj in gc.get_objects()
-                        if type(obj) is ParseTree))
+                        if isinstance(obj, ParseTree)))
         return compile_model(*args, **kwargs)
 
     gc.collect()

@@ -14,7 +14,7 @@ option.
 
 from .attributes import SYN
 from .errors import EvaluationError, CircularityError
-from .lr.parser import ParseTree
+from .lr.parser import MISSING, ParseTree
 
 
 class DynamicEvaluator:
@@ -34,12 +34,13 @@ class DynamicEvaluator:
 
     def attribute(self, node, name):
         """Value of attribute ``name`` on (the LHS instance of) ``node``."""
-        if name in node.attrs:
-            if self.observer is not None:
-                self.observer.cache_hits += 1
-            return node.attrs[name]
-        self._force(node, name)
-        return node.attrs[name]
+        value = getattr(node, name, MISSING)
+        if value is MISSING:
+            self._force(node, name)
+            return getattr(node, name)
+        if self.observer is not None:
+            self.observer.cache_hits += 1
+        return value
 
     def goal_attributes(self, tree, goals=None):
         """Evaluate and return the root's synthesized attributes."""
@@ -81,22 +82,22 @@ class DynamicEvaluator:
         non-terminal dependency a rule reads is either computed on its
         behalf (a miss, counted when its own rule fires) or found
         already computed (a hit).  ``forced`` counts, per stack frame,
-        the dependencies that frame had to compute.
+        the dependencies that frame had to compute, and ``located``
+        keeps the frame's rule and owner once found.
         """
         stack = [(node, name)]
         on_stack = {(node, name)}
         forced = [0]
+        located = [None]
         hits = 0
         fired = self.fired
         while stack:
+            # Only a missing instance is pushed, and it is popped as
+            # soon as its rule fires: the top is never computed yet.
             cur_node, cur_name = stack[-1]
-            if cur_name in cur_node.attrs:
-                hits += 1
-                forced.pop()
-                on_stack.discard((cur_node, cur_name))
-                stack.pop()
-                continue
-            rule, owner = self._locate_rule(cur_node, cur_name)
+            if located[-1] is None:
+                located[-1] = self._locate_rule(cur_node, cur_name)
+            rule, owner = located[-1]
             if rule is None:
                 # Root inherited attribute.
                 if cur_name not in self.inherited:
@@ -104,8 +105,9 @@ class DynamicEvaluator:
                         "root inherited attribute %r was not supplied "
                         "to the evaluator" % cur_name
                     )
-                cur_node.attrs[cur_name] = self.inherited[cur_name]
+                setattr(cur_node, cur_name, self.inherited[cur_name])
                 forced.pop()
+                located.pop()
                 on_stack.discard((cur_node, cur_name))
                 stack.pop()
                 continue
@@ -120,16 +122,15 @@ class DynamicEvaluator:
             for occ in rule.deps:
                 inst = (owner if occ.pos == 0
                         else owner.children[occ.pos - 1])
-                if not isinstance(inst, ParseTree):
-                    # Terminal occurrence: lexical pseudo-attribute of
-                    # the token.
-                    values.append(getattr(inst, occ.attr))
-                elif occ.attr in inst.attrs:
-                    values.append(inst.attrs[occ.attr])
-                    memoized += 1
-                else:
+                # A terminal occurrence reads a lexical pseudo-attribute
+                # of the token, which is never MISSING.
+                value = getattr(inst, occ.attr)
+                if value is MISSING:
                     first_missing = (inst, occ.attr)
                     break
+                values.append(value)
+                if isinstance(inst, ParseTree):
+                    memoized += 1
             if first_missing is not None:
                 inst = first_missing
                 if inst in on_stack:
@@ -150,6 +151,7 @@ class DynamicEvaluator:
                     )
                 forced[-1] += 1
                 forced.append(0)
+                located.append(None)
                 on_stack.add(inst)
                 stack.append(inst)
                 continue
@@ -171,9 +173,10 @@ class DynamicEvaluator:
                     )
                 ) from exc
             hits += memoized - forced.pop()
+            located.pop()
             if fired is not None:
                 fired[owner.production.label] += 1
-            cur_node.attrs[cur_name] = result
+            setattr(cur_node, cur_name, result)
             on_stack.discard((cur_node, cur_name))
             stack.pop()
         if self.observer is not None:

@@ -140,7 +140,15 @@ class Lexer:
         self._ci = spec.case_insensitive_keywords
 
     def tokens(self, text, filename="<input>"):
-        """Scan ``text`` and yield :class:`Token` objects."""
+        """Scan ``text`` and yield :class:`Token` objects.
+
+        The tokens of one scan share one lexeme object per distinct
+        ``(rule, lexeme)``, and its value too when that is a ``str``
+        (an identifier's lower-cased name): a name used a hundred
+        times is stored once.  Any other value is made afresh, as a
+        rule's action may return a mutable one.
+        """
+        seen = {}
         pos = 0
         line = 1
         line_start = 0
@@ -171,10 +179,18 @@ class Lexer:
             group = m.lastgroup
             lexeme = m.group()
             kind = self._group_kind[group]
-            value = lexeme
-            action = self._actions.get(group)
-            if action is not None:
-                value = action(lexeme)
+            shared = seen.get((group, lexeme))
+            if shared is None:
+                value = lexeme
+                action = self._actions.get(group)
+                if action is not None:
+                    value = action(lexeme)
+                seen[group, lexeme] = (
+                    lexeme, value if type(value) is str else None)
+            else:
+                lexeme, value = shared
+                if value is None:
+                    value = self._actions[group](lexeme)
             if kind == self._keyword_source:
                 key = lexeme.lower() if self._ci else lexeme
                 kw = self._keywords.get(key)

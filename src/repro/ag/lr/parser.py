@@ -3,46 +3,50 @@
 The parse tree deliberately keeps every occurrence — including
 terminals — because semantic rules may reference token values
 ("incorporating values associated with tokens into attribute
-evaluation", §4.1).  Attribute storage lives on the nodes themselves;
-the evaluators in :mod:`repro.ag.evaluator` and
-:mod:`repro.ag.static_eval` fill it in.
+evaluation", §4.1).  Attribute storage lives on the nodes themselves,
+in fixed slots, as in the node records Linguist generates (§4): each
+nonterminal gets its own :class:`ParseTree` subclass
+(:func:`node_class`) when the translator is generated, and the
+evaluators in :mod:`repro.ag.evaluator` and
+:mod:`repro.ag.static_eval` fill the slots in.
 """
 
-from ..errors import ParseError
+from types import FunctionType
+
+from ..errors import AttributeError_, ParseError
 from ..lexer import Token
 from .tables import SHIFT, REDUCE, ACCEPT
+
+#: The value of every attribute slot whose instance is not computed
+#: yet: a miss is an identity compare, never a raised exception.
+MISSING = object()
 
 
 class ParseTree:
     """An inner parse-tree node: one production instance.
 
-    ``children`` holds one entry per RHS occurrence — a nested
-    :class:`ParseTree` for nonterminals or a
-    :class:`~repro.ag.lexer.Token` for terminals.  ``attrs`` maps
-    attribute names to computed values; ``parent``/``child_index`` wire
-    the tree for inherited-attribute evaluation.
+    ``children`` is a tuple with one entry per RHS occurrence — a
+    nested :class:`ParseTree` for nonterminals or a
+    :class:`~repro.ag.lexer.Token` for terminals.  ``parent`` and
+    ``child_index`` wire the tree for inherited-attribute evaluation.
+
+    The node has no ``__dict__``.  Its attribute instances live in the
+    ``__slots__`` of its symbol's class from :func:`node_class`, one
+    per declared attribute, each :data:`MISSING` until computed.  This
+    base class declares none: a parser without node classes builds
+    plain trees.
     """
 
     __slots__ = (
         "production",
         "children",
-        "attrs",
         "parent",
         "child_index",
         "line",
     )
 
-    def __init__(self, production, children, line=0):
-        self.production = production
-        self.children = children
-        self.attrs = {}
-        self.parent = None
-        self.child_index = 0
-        for i, child in enumerate(children):
-            if isinstance(child, ParseTree):
-                child.parent = self
-                child.child_index = i + 1  # occurrence index (0 is LHS)
-        self.line = line
+    # ``__init__(self, production, children, line=0)`` is set below,
+    # from :data:`_INIT`.
 
     @property
     def symbol(self):
@@ -85,12 +89,88 @@ class ParseTree:
         return "<ParseTree %s line=%d>" % (self.production.label, self.line)
 
 
-class Parser:
-    """LR parser driver over compiled :class:`ParseTables`."""
+#: The source of every node class's ``__init__``, completed by one
+#: line per attribute slot that stores :data:`MISSING` in it.  Each
+#: class gets its own copy of the code: its stores then see one class
+#: only, which the interpreter specializes, where one function shared
+#: by every node class would run them all unspecialized.
+_INIT = """\
+def __init__(self, production, children, line=0):
+    self.production = production
+    self.children = children
+    self.parent = None
+    self.child_index = 0
+    for i, child in enumerate(children):
+        if isinstance(child, ParseTree):
+            child.parent = self
+            child.child_index = i + 1  # occurrence index (0 is LHS)
+    self.line = line
+"""
 
-    def __init__(self, tables):
+#: number of slots -> ``__init__`` storing into ``_slot0``, ``_slot1``...
+_TEMPLATES = {}
+
+
+def _init_of(names):
+    """A fresh ``__init__`` for a node class with slots ``names``.
+
+    It is the template for ``len(names)`` slots with its placeholder
+    names replaced, so generating a translator compiles one template
+    per slot count, not one function per node class."""
+    template = _TEMPLATES.get(len(names))
+    if template is None:
+        scope = {"ParseTree": ParseTree, "MISSING": MISSING}
+        exec(_INIT + "".join("    self._slot%d = MISSING\n" % i
+                             for i in range(len(names))), scope)
+        template = _TEMPLATES[len(names)] = scope["__init__"]
+    rename = {"_slot%d" % i: name for i, name in enumerate(names)}
+    code = template.__code__
+    code = code.replace(co_names=tuple(rename.get(n, n)
+                                       for n in code.co_names))
+    return FunctionType(code, template.__globals__, "__init__",
+                        template.__defaults__)
+
+
+ParseTree.__init__ = _init_of(())
+
+
+def node_class(symbol, names):
+    """The node class of nonterminal ``symbol``: a :class:`ParseTree`
+    with one slot per attribute name in ``names``.
+
+    A name a slot cannot hold is refused: one that is not an
+    identifier, one Python would mangle (``__x``) and one that is
+    already a node field or method (``line``, ``children``,
+    ``release``, ...).
+    """
+    names = tuple(names)
+    for name in names:
+        if (not name.isidentifier() or name.startswith("__")
+                or hasattr(ParseTree, name)):
+            raise AttributeError_(
+                "attribute %s.%s cannot be a node slot: it is not an "
+                "identifier or it names a parse-tree field"
+                % (symbol, name))
+    return type("ParseTree_%s" % symbol, (ParseTree,),
+                {"__slots__": names, "__init__": _init_of(names)})
+
+
+class Parser:
+    """LR parser driver over compiled :class:`ParseTables`.
+
+    ``node_classes`` maps nonterminal names to their node classes
+    (:func:`node_class`); a reduction builds its node from its LHS
+    symbol's class, and from :class:`ParseTree` for a symbol it does
+    not name.
+    """
+
+    def __init__(self, tables, node_classes=None):
         self.tables = tables
         self.grammar = tables.grammar
+        classes = node_classes or {}
+        #: production index -> the class of its LHS symbol's nodes
+        self._node_of = [classes.get(prod.lhs.name, ParseTree)
+                         for prod in self.grammar.productions]
 
     def parse(self, tokens, filename="<input>"):
         """Parse a token iterable into a :class:`ParseTree`.
@@ -102,6 +182,7 @@ class Parser:
         goto = self.tables.goto
         eof_name = self.grammar.eof.name
         productions = self.grammar.productions
+        node_of = self._node_of
 
         stream = iter(tokens)
         state_stack = [0]
@@ -137,12 +218,14 @@ class Parser:
             elif act[0] == REDUCE:
                 prod = productions[act[1]]
                 n = len(prod.rhs)
-                children = value_stack[len(value_stack) - n :] if n else []
                 if n:
+                    children = tuple(value_stack[len(value_stack) - n :])
                     del value_stack[len(value_stack) - n :]
                     del state_stack[len(state_stack) - n :]
+                else:
+                    children = ()
                 line = _leftmost_line(children, token)
-                node = ParseTree(prod, children, line)
+                node = node_of[act[1]](prod, children, line)
                 value_stack.append(node)
                 state = state_stack[-1]
                 state_stack.append(goto[state][prod.lhs.name])

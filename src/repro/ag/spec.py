@@ -26,6 +26,7 @@ from .errors import AttributeError_, GrammarError
 from .grammar import Grammar
 from .implicit import complete_production
 from .lr import build_tables, Parser
+from .lr.parser import node_class
 from .rules import SemanticRule, resolve_ref
 
 
@@ -251,6 +252,10 @@ class CompiledAG:
     an AG source file.  Evaluation defaults to the dynamic
     (demand-driven) evaluator; :meth:`analyze` runs the ordered-AG
     analysis and :meth:`visit_sequences` yields the static plans.
+
+    ``node_classes`` maps each nonterminal's name to the class of its
+    parse-tree nodes, built here once: its slots are the symbol's
+    declared attributes (:func:`~repro.ag.lr.parser.node_class`).
     """
 
     def __init__(self, spec, tables, rule_indices, explicit, implicit):
@@ -259,7 +264,11 @@ class CompiledAG:
         self.grammar = spec.grammar
         self.attr_table = spec.attr_table
         self.tables = tables
-        self.parser = Parser(tables)
+        self.node_classes = {
+            sym.name: node_class(sym.name, self.attr_table.of(sym))
+            for sym in self.grammar.nonterminals
+        }
+        self.parser = Parser(tables, self.node_classes)
         self.rule_indices = rule_indices
         self.n_explicit_rules = explicit
         self.n_implicit_rules = implicit

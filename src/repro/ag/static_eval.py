@@ -13,7 +13,7 @@ make trees whose depth tracks source length.
 """
 
 from .errors import EvaluationError
-from .lr.parser import ParseTree
+from .lr.parser import MISSING
 from .ordered import EVAL, VISIT
 
 
@@ -33,21 +33,20 @@ class StaticEvaluator:
 
     def goal_attributes(self, tree, goals=None):
         """Run all root visits; return the root synthesized attributes."""
-        for name, value in self.inherited.items():
-            tree.attrs[name] = value
         for decl in self.attr_table.inherited(tree.symbol):
-            if decl.name not in tree.attrs:
+            if decl.name not in self.inherited:
                 raise EvaluationError(
                     "root inherited attribute %r was not supplied "
                     "to the evaluator" % decl.name
                 )
+            setattr(tree, decl.name, self.inherited[decl.name])
         for v in range(1, self.analysis.visits[tree.symbol.name] + 1):
             self.run_visit(tree, v)
         if goals is None:
             goals = [
                 d.name for d in self.attr_table.synthesized(tree.symbol)
             ]
-        return {name: tree.attrs[name] for name in goals}
+        return {name: getattr(tree, name) for name in goals}
 
     def run_visit(self, node, visit):
         """Execute visit ``visit`` of ``node`` (and nested child visits)."""
@@ -80,21 +79,18 @@ class StaticEvaluator:
         values = []
         for occ in rule.deps:
             inst = owner if occ.pos == 0 else owner.children[occ.pos - 1]
-            if isinstance(inst, ParseTree):
-                try:
-                    values.append(inst.attrs[occ.attr])
-                except KeyError:
-                    raise EvaluationError(
-                        "visit-sequence bug: %s.%s not yet available in "
-                        "production %s"
-                        % (occ.symbol.name, occ.attr, rule.production.label)
-                    ) from None
-            else:
-                values.append(getattr(inst, occ.attr))
+            value = getattr(inst, occ.attr)
+            if value is MISSING:
+                raise EvaluationError(
+                    "visit-sequence bug: %s.%s not yet available in "
+                    "production %s"
+                    % (occ.symbol.name, occ.attr, rule.production.label)
+                )
+            values.append(value)
         target = rule.target
         inst = owner if target.pos == 0 else owner.children[target.pos - 1]
         try:
-            inst.attrs[target.attr] = rule.fn(*values)
+            setattr(inst, target.attr, rule.fn(*values))
         except Exception as exc:
             raise EvaluationError(
                 "semantic rule for %s.%s in production %s failed: %s: %s"

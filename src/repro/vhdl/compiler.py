@@ -206,8 +206,9 @@ class Compiler:
         """Scan, parse and evaluate ``text``; returns the ``UNITS`` and
         ``MSGS`` goals as lists.
 
-        The token list and the parse tree, with every attribute
-        instance on it, are locals here, so they are freed when this
+        The token list is dropped once parsed (the tree holds every
+        token it needs), and the parse tree, with every attribute
+        instance on it, is a local here, so it is freed when this
         returns: the back-end compile that follows runs on top of the
         units alone.
         """
@@ -217,6 +218,7 @@ class Compiler:
             tokens = scan(text, filename)
         with tracer.span("parse", file=filename):
             tree = grammar.parse(tokens, filename)
+        del tokens
         with tracer.span("attribute_evaluation", file=filename,
                          at_close=self._evaluation_totals()):
             try:

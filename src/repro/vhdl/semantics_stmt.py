@@ -191,16 +191,18 @@ def variable_assign(target_lef, rhs_lef, env, cc, line):
     rhs = cc.eval_expr(rhs_lef, env, line, expected=tgt.get("type"))
     msgs.extend(rhs.get("msgs", ()))
     value_code = rhs.get("code", "None")
-    if lv.path:
-        value_code = _target_update_code(lv, value_code, base.py)
-    else:
-        value_code = _rebound_code(value_code, tgt.get("type"))
-    # Range check on scalar subtypes with static bounds.
+    # The type of the target, which is the part a path names.
     vtype = tgt.get("type")
+    if not lv.path:
+        value_code = _rebound_code(value_code, vtype)
+    # Range check on scalar subtypes with static bounds, on the value
+    # assigned to the part before the whole value is rebuilt.
     if vtype is not None and vtype.kind == "subtype":
         low, high = vtypes.scalar_bounds(vtype)
         value_code = "ops.check_range(%s, %r, %r, %r)" % (
             value_code, low, high, base.name)
+    if lv.path:
+        value_code = _target_update_code(lv, value_code, base.py)
     # A path update reads the index expressions of the target.
     path_uses = _uses(tgt) if lv.path else ()
     flow = Flow.of_uses(set(_uses(rhs)).union(path_uses))

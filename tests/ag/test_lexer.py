@@ -61,6 +61,26 @@ class TestScanning:
         assert "ID" in lex.token_kinds()
 
 
+class TestSharedLexemes:
+    def test_one_scan_shares_lexemes_and_str_values(self):
+        lex = LexerSpec("t")
+        lex.skip(r"\s+")
+        lex.token("ID", r"[A-Za-z]+", action=str.lower)
+        a, b, c = lex.build().scan("Abc Abc ABC")
+        assert a.text is b.text and a.value is b.value
+        assert c.text == "ABC" and c.value == "abc"
+        assert (a.line, a.column, b.column) == (1, 1, 5)
+
+    def test_other_values_are_made_per_token(self):
+        lex = LexerSpec("t")
+        lex.skip(r"\s+")
+        lex.token("L", r"x", action=lambda text: [text])
+        first, second = lex.build().scan("x x")
+        assert first.text is second.text
+        assert first.value == second.value == ["x"]
+        assert first.value is not second.value
+
+
 class TestListScanner:
     def test_pops_front_in_order(self):
         toks = [Token("A", "a"), Token("B", "b")]

@@ -146,7 +146,7 @@ class TestParser:
         parser = Parser(build_tables(g))
         tree = parser.parse(toks("A"))
         assert tree.children[0].production.label == "x_eps"
-        assert tree.children[0].children == []
+        assert tree.children[0].children == ()
 
     def test_tree_parent_links(self):
         parser = Parser(build_tables(expr_grammar()))

@@ -160,6 +160,23 @@ begin
 end rtl;
 """
 
+#: A path assignment of a value outside its element's subtype, which
+#: is range-checked as the scalar ``n := n - 1`` on a natural is.
+ELEMENT_RANGE = """
+entity elr is end elr;
+architecture rtl of elr is
+  type nvec is array (0 to 2) of natural;
+begin
+  stim : process
+    variable v : nvec := (others => 0);
+  begin
+    wait for 10 ns;
+    v(1) := -1;
+    wait;
+  end process;
+end rtl;
+"""
+
 #: Elaboration code (a constant's initializer) failing a check.
 ELAB_CHECKS = """
 entity ec is end ec;
@@ -184,6 +201,7 @@ SIM_FAILURES = {
     "zero_delay_loop": (STORM, "storm", "SIM001"),
     "assert_failure": (BOOM, "boom", "SIM002"),
     "index_range": (INDEX, "idx", "SIM003"),
+    "element_range": (ELEMENT_RANGE, "elr", "SIM003"),
 }
 
 

@@ -71,7 +71,9 @@ def _unsupported(*args, **kwargs):
 
 
 def _live(cls):
-    return sum(1 for obj in gc.get_objects() if type(obj) is cls)
+    """Live instances of ``cls`` and its subclasses: a parse tree's
+    nodes are instances of its symbols' node classes."""
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, cls))
 
 
 @pytest.fixture
